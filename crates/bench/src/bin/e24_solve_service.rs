@@ -348,10 +348,7 @@ fn main() {
         .with_max_iters(4000)
         .with_dot_mode(DotMode::Tree)
         .with_team(Arc::new(Team::new(1)));
-    let (_, solver) = registry::keyed_variants(&a)
-        .into_iter()
-        .find(|(k, _)| *k == "standard")
-        .expect("standard registered");
+    let solver = registry::variant_by_key("standard", &a).expect("standard registered");
     let local = solver.solve(&a, &b, None, &opts);
     let identity = IdentityRow {
         grid: grid_c,
@@ -423,10 +420,7 @@ fn main() {
         .with_max_iters(8000)
         .with_dot_mode(DotMode::Tree)
         .with_team(Arc::new(Team::new(1)));
-    let (_, solver) = registry::keyed_variants(&a)
-        .into_iter()
-        .find(|(k, _)| *k == "standard")
-        .unwrap();
+    let solver = registry::variant_by_key("standard", &a).unwrap();
     let local = solver.solve(&a, &b, None, &opts);
     let alive = client.ping().is_ok();
     let failover = FailoverRow {

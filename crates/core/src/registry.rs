@@ -6,7 +6,8 @@
 //! untested. They all derive their sweep from [`keyed_variants`] and
 //! assert [`VARIANT_COUNT`], so adding a solver without registering it
 //! (or registering without extending the suites' golden data) fails
-//! loudly.
+//! loudly. A caller that needs one variant builds only that one with
+//! [`variant_by_key`], from the same list.
 
 use crate::baselines::{ChronopoulosGearCg, PipelinedCg, PrecondCg, ThreeTermCg};
 use crate::lookahead::LookaheadCg;
@@ -23,40 +24,63 @@ use vr_linalg::CsrMatrix;
 /// of [`keyed_variants`] so the registry and its consumers cannot drift.
 pub const VARIANT_COUNT: usize = 11;
 
-/// Every registered variant, paired with its stable golden-trace key
-/// (`tests/golden/<key>.txt`). Constructor parameters (look-ahead resync
-/// periods, s-step basis, pipeline depth) are the canonical defaults the
-/// whole test tree pins against.
+/// Builds one variant for an operator (only the preconditioned variant
+/// reads it).
+type Build = fn(&CsrMatrix) -> Box<dyn CgVariant>;
+
+/// The one list: every registered variant's stable golden-trace key
+/// (`tests/golden/<key>.txt`) and constructor. Constructor parameters
+/// (look-ahead resync periods, s-step basis, pipeline depth) are the
+/// canonical defaults the whole test tree pins against.
+const REGISTRY: [(&str, Build); VARIANT_COUNT] = [
+    ("standard", |_| Box::new(StandardCg::new())),
+    ("overlap_k1", |_| {
+        Box::new(OverlapK1Cg::new().with_resync(20))
+    }),
+    ("lookahead_k2", |_| {
+        Box::new(LookaheadCg::new(2).with_resync(12))
+    }),
+    ("sstep_s3", |_| Box::new(SStepCg::monomial(3))),
+    ("three_term", |_| Box::new(ThreeTermCg::new())),
+    ("chronopoulos_gear", |_| Box::new(ChronopoulosGearCg::new())),
+    ("pipelined", |_| Box::new(PipelinedCg::new())),
+    ("precond_jacobi", |a| {
+        let jacobi = Jacobi::new(a).expect("Jacobi preconditioner needs a positive diagonal");
+        Box::new(PrecondCg::new(jacobi, "pcg-jacobi"))
+    }),
+    ("deep_pipelined_l2", |_| Box::new(DeepPipelinedCg::new(2))),
+    ("predict_recompute", |_| Box::new(PredictRecomputeCg::new())),
+    ("pipelined_predict_recompute", |_| {
+        Box::new(PipelinedPrCg::new())
+    }),
+];
+
+/// The registered variant under `key`, built for `a`; `None` for a key
+/// the registry does not hold.
 ///
 /// # Panics
-/// Panics if the Jacobi preconditioner cannot be built (zero diagonal),
-/// which no registry consumer's SPD test matrix triggers.
+/// Panics if `key` is `precond_jacobi` and the Jacobi preconditioner
+/// cannot be built from `a` (a diagonal entry ≤ 0). No other key reads
+/// `a`.
+#[must_use]
+pub fn variant_by_key(key: &str, a: &CsrMatrix) -> Option<Box<dyn CgVariant>> {
+    REGISTRY
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, build)| build(a))
+}
+
+/// Every registered variant, paired with its key, in registry order.
+///
+/// # Panics
+/// Panics if the Jacobi preconditioner cannot be built (a diagonal entry
+/// ≤ 0), which no registry consumer's SPD test matrix triggers.
 #[must_use]
 pub fn keyed_variants(a: &CsrMatrix) -> Vec<(&'static str, Box<dyn CgVariant>)> {
-    let list: Vec<(&'static str, Box<dyn CgVariant>)> = vec![
-        ("standard", Box::new(StandardCg::new())),
-        ("overlap_k1", Box::new(OverlapK1Cg::new().with_resync(20))),
-        (
-            "lookahead_k2",
-            Box::new(LookaheadCg::new(2).with_resync(12)),
-        ),
-        ("sstep_s3", Box::new(SStepCg::monomial(3))),
-        ("three_term", Box::new(ThreeTermCg::new())),
-        ("chronopoulos_gear", Box::new(ChronopoulosGearCg::new())),
-        ("pipelined", Box::new(PipelinedCg::new())),
-        (
-            "precond_jacobi",
-            Box::new(PrecondCg::new(Jacobi::new(a).unwrap(), "pcg-jacobi")),
-        ),
-        ("deep_pipelined_l2", Box::new(DeepPipelinedCg::new(2))),
-        ("predict_recompute", Box::new(PredictRecomputeCg::new())),
-        (
-            "pipelined_predict_recompute",
-            Box::new(PipelinedPrCg::new()),
-        ),
-    ];
-    debug_assert_eq!(list.len(), VARIANT_COUNT);
-    list
+    REGISTRY
+        .iter()
+        .map(|(key, build)| (*key, build(a)))
+        .collect()
 }
 
 /// The registered variants without their keys, for sweeps that only need
@@ -84,6 +108,20 @@ mod tests {
         names.dedup();
         assert_eq!(keys.len(), VARIANT_COUNT, "duplicate golden keys");
         assert_eq!(names.len(), VARIANT_COUNT, "duplicate solver names");
+    }
+
+    #[test]
+    fn by_key_builds_only_the_named_variant() {
+        let a = gen::poisson2d(4);
+        for (key, solver) in keyed_variants(&a) {
+            let one = variant_by_key(key, &a).expect("registered key");
+            assert_eq!(one.name(), solver.name(), "{key}");
+        }
+        assert!(variant_by_key("no_such_variant", &a).is_none());
+        // a zero diagonal only matters to the Jacobi variant
+        let zero_diag =
+            CsrMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0, 1.0]).expect("valid csr");
+        assert!(variant_by_key("standard", &zero_diag).is_some());
     }
 
     #[test]

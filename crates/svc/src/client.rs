@@ -134,7 +134,11 @@ impl Client {
             Sock::Uds(UnixStream::connect(path)?)
         } else {
             let target = addr.strip_prefix("tcp:").unwrap_or(addr);
-            Sock::Tcp(TcpStream::connect(target)?)
+            let stream = TcpStream::connect(target)?;
+            // no Nagle: a request line must not wait for the daemon's
+            // delayed ACK of the previous one
+            stream.set_nodelay(true)?;
+            Sock::Tcp(stream)
         };
         let reader_half = sock.try_clone()?;
         let writer_half = sock.try_clone()?;

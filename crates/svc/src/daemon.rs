@@ -7,7 +7,8 @@
 //! ```text
 //! accept thread ──┬─► per-connection reader (parses requests, admits jobs)
 //!                 └─► per-connection writer (drains that connection's
-//!                     event channel, one compact JSON line per event)
+//!                     event channel, one compact JSON line per event,
+//!                     one flush per burst of waiting events)
 //! scheduler thread ─► solves, sends events into connection channels
 //! ```
 //!
@@ -18,13 +19,12 @@
 //! way queued jobs are never silently lost — each produces exactly one
 //! terminal event.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -33,7 +33,7 @@ use vr_par::team::Team;
 use crate::proto::{Event, Request, MAX_BATCH_WIDTH};
 use crate::queue::AdmissionQueue;
 use crate::routing::RoutingTable;
-use crate::scheduler::{Counters, Job, Scheduler};
+use crate::scheduler::{unsolved_done, Job, Ledger, Scheduler};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -140,8 +140,7 @@ enum Listener {
 /// State shared by every daemon thread.
 struct Shared {
     queue: Arc<AdmissionQueue<Job>>,
-    counters: Arc<Counters>,
-    cancels: Mutex<HashMap<u64, Arc<AtomicBool>>>,
+    ledger: Arc<Ledger>,
     next_job_id: AtomicU64,
     team: Arc<Team>,
     stopping: AtomicBool,
@@ -155,31 +154,16 @@ impl Shared {
         match mode {
             ShutdownMode::Drain => self.queue.drain(),
             ShutdownMode::Now => {
-                // raise every known cancel flag (queued AND running)...
-                for flag in self.cancels.lock().unwrap().values() {
-                    flag.store(true, Ordering::Relaxed);
-                }
-                // ...and push the backlog through the cancelled-done path
-                // so no tenant waits on a job that will never run.
-                // (Jobs stay in the scheduler's usual flow: we re-queue is
-                // not possible once drained, so complete them here.)
+                // raise every live cancel flag (queued AND running)...
+                self.ledger.cancel_all();
+                // ...and end the backlog here (the drained queue never
+                // reaches the scheduler again) so no tenant waits on a
+                // job that will never run
                 for job in self.queue.drain_now() {
-                    let _ = job.events.send(Event::Done {
-                        job_id: job.id,
-                        termination: "cancelled".into(),
-                        converged: false,
-                        iterations: 0,
-                        residuals: Vec::new(),
-                        solve_ms: 0.0,
-                        routing: crate::proto::WireRouting {
-                            variant: "none".into(),
-                            reason: "cancelled by shutdown".into(),
-                            batched: false,
-                            batch_width: 1,
-                        },
-                        phase_shares: None,
-                    });
-                    self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                    self.ledger.finish(
+                        &job,
+                        unsolved_done(job.id, "cancelled", "cancelled by shutdown"),
+                    );
                 }
             }
         }
@@ -203,11 +187,10 @@ impl Server {
             .team
             .unwrap_or_else(|| Arc::new(Team::new(cfg.width.max(1))));
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_cap));
-        let counters = Arc::new(Counters::default());
+        let ledger = Arc::new(Ledger::default());
         let shared = Arc::new(Shared {
             queue: Arc::clone(&queue),
-            counters: Arc::clone(&counters),
-            cancels: Mutex::new(HashMap::new()),
+            ledger: Arc::clone(&ledger),
             next_job_id: AtomicU64::new(1),
             team: Arc::clone(&team),
             stopping: AtomicBool::new(false),
@@ -215,7 +198,7 @@ impl Server {
         });
 
         let scheduler = {
-            let sched = Scheduler::new(queue, team, cfg.routing, counters);
+            let sched = Scheduler::new(queue, team, cfg.routing, ledger);
             std::thread::Builder::new()
                 .name("vr-svc-sched".into())
                 .spawn(move || sched.run())?
@@ -319,7 +302,12 @@ fn accept_loop(
 ) {
     loop {
         let sock = match listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Sock::Tcp(s)),
+            // no Nagle: a small event line must not wait for the peer's
+            // delayed ACK of the previous one (DESIGN §17)
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                s.set_nodelay(true)?;
+                Ok(Sock::Tcp(s))
+            }),
             Listener::Uds(l) => l.accept().map(|(s, _)| Sock::Uds(s)),
         };
         if shared.stopping.load(Ordering::SeqCst) {
@@ -338,16 +326,8 @@ fn accept_loop(
         let writer = std::thread::Builder::new()
             .name("vr-svc-conn-write".into())
             .spawn(move || {
-                let mut out = BufWriter::new(writer_half);
-                while let Ok(ev) = rx.recv() {
-                    let line = ev.to_json().compact();
-                    if out.write_all(line.as_bytes()).is_err()
-                        || out.write_all(b"\n").is_err()
-                        || out.flush().is_err()
-                    {
-                        break;
-                    }
-                }
+                // a write error means the peer is gone; the reader sees EOF
+                let _ = write_events(writer_half, &rx);
             });
         let reader = {
             let shared = Arc::clone(shared);
@@ -363,6 +343,21 @@ fn accept_loop(
             g.push(h);
         }
     }
+}
+
+/// Write one connection's events until its channel closes or a write
+/// fails. Every event already waiting when one arrives goes out under the
+/// same flush, so a burst (progress lines, then `done`) costs one write.
+fn write_events(sock: Sock, events: &Receiver<Event>) -> std::io::Result<()> {
+    let mut out = BufWriter::new(sock);
+    while let Ok(first) = events.recv() {
+        for ev in std::iter::once(first).chain(events.try_iter()) {
+            out.write_all(ev.to_json().compact().as_bytes())?;
+            out.write_all(b"\n")?;
+        }
+        out.flush()?;
+    }
+    Ok(())
 }
 
 /// Parse and serve one connection until EOF or shutdown. The event
@@ -385,7 +380,7 @@ fn connection_loop(sock: Sock, shared: &Arc<Shared>, events: &Sender<Event>) {
             .and_then(|j| Request::from_json(&j));
         match request {
             Err(detail) => {
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.ledger.rejected.fetch_add(1, Ordering::Relaxed);
                 let _ = events.send(Event::Rejected {
                     tag: -1,
                     reason: "bad-request".into(),
@@ -398,18 +393,14 @@ fn connection_loop(sock: Sock, shared: &Arc<Shared>, events: &Sender<Event>) {
             Ok(Request::Stats) => {
                 let _ = events.send(Event::Stats {
                     queued: shared.queue.depth(),
-                    admitted: shared.counters.admitted.load(Ordering::Relaxed),
-                    rejected: shared.counters.rejected.load(Ordering::Relaxed),
-                    completed: shared.counters.completed.load(Ordering::Relaxed),
+                    admitted: shared.ledger.admitted.load(Ordering::Relaxed),
+                    rejected: shared.ledger.rejected.load(Ordering::Relaxed),
+                    completed: shared.ledger.completed.load(Ordering::Relaxed),
                     width: shared.team.width(),
                     live_width: shared.team.live_width(),
                 });
             }
-            Ok(Request::Cancel { job_id }) => {
-                if let Some(flag) = shared.cancels.lock().unwrap().get(&job_id) {
-                    flag.store(true, Ordering::Relaxed);
-                }
-            }
+            Ok(Request::Cancel { job_id }) => shared.ledger.cancel(job_id),
             Ok(Request::Shutdown { drain }) => {
                 shared.begin_shutdown(if drain {
                     ShutdownMode::Drain
@@ -419,7 +410,7 @@ fn connection_loop(sock: Sock, shared: &Arc<Shared>, events: &Sender<Event>) {
             }
             Ok(Request::Submit { tag, job: spec }) => {
                 if spec.rhs.columns() > MAX_BATCH_WIDTH {
-                    shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                    shared.ledger.rejected.fetch_add(1, Ordering::Relaxed);
                     let _ = events.send(Event::Rejected {
                         tag,
                         reason: "bad-request".into(),
@@ -428,21 +419,15 @@ fn connection_loop(sock: Sock, shared: &Arc<Shared>, events: &Sender<Event>) {
                     continue;
                 }
                 let id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-                let cancel = Arc::new(AtomicBool::new(false));
-                shared
-                    .cancels
-                    .lock()
-                    .unwrap()
-                    .insert(id, Arc::clone(&cancel));
                 let job = Job {
                     id,
                     spec,
-                    cancel,
+                    cancel: shared.ledger.register(id),
                     events: events.clone(),
                 };
                 match shared.queue.try_push(job) {
                     Ok(depth) => {
-                        shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
+                        shared.ledger.admitted.fetch_add(1, Ordering::Relaxed);
                         let _ = events.send(Event::Accepted {
                             tag,
                             job_id: id,
@@ -450,8 +435,8 @@ fn connection_loop(sock: Sock, shared: &Arc<Shared>, events: &Sender<Event>) {
                         });
                     }
                     Err(reason) => {
-                        shared.cancels.lock().unwrap().remove(&id);
-                        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        shared.ledger.unregister(id);
+                        shared.ledger.rejected.fetch_add(1, Ordering::Relaxed);
                         let _ = events.send(Event::Rejected {
                             tag,
                             reason: reason.name().into(),
@@ -469,5 +454,86 @@ fn connection_loop(sock: Sock, shared: &Arc<Shared>, events: &Sender<Event>) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::proto::{JobSpec, OperatorSpec, RhsSpec};
+
+    fn poisson(seed: u64) -> JobSpec {
+        JobSpec::new(
+            OperatorSpec::Poisson2d { grid: 8 },
+            RhsSpec::Seeded { seed, count: 1 },
+        )
+    }
+
+    /// Runs until cancelled, streaming progress from its first iteration.
+    fn blocker() -> JobSpec {
+        let mut spec = JobSpec::new(
+            OperatorSpec::Poisson2d { grid: 48 },
+            RhsSpec::Seeded { seed: 7, count: 1 },
+        );
+        spec.tol = 0.0;
+        spec.max_iters = 500_000;
+        spec.events_every = 1;
+        spec.batch = false;
+        spec
+    }
+
+    #[test]
+    fn cancel_registry_holds_only_live_jobs_on_every_terminal_path() {
+        let server = Server::start(ServerConfig::tcp_ephemeral()).expect("server starts");
+        let client = Client::connect(server.addr()).expect("client connects");
+        let ledger = &server.shared.ledger;
+        let end = |spec: JobSpec| {
+            let done = client.submit(spec).expect("admitted").wait();
+            done.expect("terminal event").termination
+        };
+
+        // done
+        for seed in 0..8 {
+            assert_eq!(end(poisson(seed)), "converged");
+        }
+        // error, and a solver panic turned into an error
+        let mut unknown = poisson(1);
+        unknown.variant = Some("no_such_variant".into());
+        assert_eq!(end(unknown), "error");
+        let mut panics = JobSpec::new(
+            OperatorSpec::Csr {
+                n: 2,
+                indptr: vec![0, 1, 2],
+                indices: vec![1, 0],
+                data: vec![1.0, 1.0],
+            },
+            RhsSpec::Seeded { seed: 1, count: 1 },
+        );
+        panics.variant = Some("precond_jacobi".into());
+        assert_eq!(end(panics), "error");
+        // cancelled while queued, and cancelled while running
+        let running = client.submit(blocker()).expect("admitted");
+        assert!(running.next_event().is_some(), "blocker runs");
+        let queued = client.submit(poisson(2)).expect("admitted");
+        client.cancel(queued.id).expect("cancel sent");
+        client.cancel(running.id).expect("cancel sent");
+        assert_eq!(running.wait().expect("done").termination, "cancelled");
+        assert_eq!(queued.wait().expect("done").termination, "cancelled");
+        assert_eq!(ledger.live_jobs(), 0, "12 jobs ended, none may stay");
+
+        // `shutdown now`: the running job cancels, the queued one is
+        // ended by the shutdown itself
+        let running = client.submit(blocker()).expect("admitted");
+        assert!(running.next_event().is_some(), "blocker runs");
+        let queued = client.submit(poisson(3)).expect("admitted");
+        server.shutdown(ShutdownMode::Now);
+        assert_eq!(queued.wait().expect("done").termination, "cancelled");
+        assert_eq!(running.wait().expect("done").termination, "cancelled");
+        assert_eq!(ledger.live_jobs(), 0);
+        assert_eq!(ledger.completed.load(Ordering::Relaxed), 14);
+
+        drop(client);
+        server.join();
     }
 }

@@ -28,11 +28,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use vr_cg::block::BlockCg;
-use vr_cg::registry::keyed_variants;
+use vr_cg::registry::variant_by_key;
 use vr_cg::{RoutingMeta, SolveOptions, Termination};
 use vr_linalg::kernels::DotMode;
 use vr_linalg::{gen, CsrMatrix};
@@ -65,21 +65,76 @@ pub struct Job {
     pub id: u64,
     /// The submitted spec.
     pub spec: JobSpec,
-    /// Cooperative cancel flag (shared with the daemon's cancel registry).
+    /// Cooperative cancel flag (registered in the daemon's [`Ledger`]).
     pub cancel: Arc<AtomicBool>,
     /// Event sink of the submitting connection.
     pub events: Sender<Event>,
 }
 
-/// Service-wide counters surfaced by the stats op.
+/// Service-wide job accounting, shared by the socket front-end and the
+/// scheduler: the counters the stats op surfaces, and the cancel flag of
+/// every admitted job that has no terminal event yet.
 #[derive(Default)]
-pub struct Counters {
+pub struct Ledger {
     /// Jobs admitted to the queue.
     pub admitted: AtomicU64,
     /// Jobs rejected at the door.
     pub rejected: AtomicU64,
     /// Jobs that reached a terminal event.
     pub completed: AtomicU64,
+    /// Cancel flags of live jobs by id: registered at admission, removed
+    /// by [`Ledger::finish`], so the map never outgrows the jobs in flight.
+    cancels: Mutex<HashMap<u64, Arc<AtomicBool>>>,
+}
+
+impl Ledger {
+    fn cancels(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<AtomicBool>>> {
+        self.cancels
+            .lock()
+            .expect("no thread panics while holding the cancel registry")
+    }
+
+    /// A fresh cancel flag for job `id`, registered until its terminal
+    /// event (or [`Ledger::unregister`] if admission refuses the job).
+    pub(crate) fn register(&self, id: u64) -> Arc<AtomicBool> {
+        let flag = Arc::new(AtomicBool::new(false));
+        self.cancels().insert(id, Arc::clone(&flag));
+        flag
+    }
+
+    /// Forget job `id`'s cancel flag.
+    pub(crate) fn unregister(&self, id: u64) {
+        self.cancels().remove(&id);
+    }
+
+    /// Raise job `id`'s cancel flag; a no-op once the job has ended.
+    pub(crate) fn cancel(&self, id: u64) {
+        if let Some(flag) = self.cancels().get(&id) {
+            flag.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Raise the cancel flag of every live job, queued or running.
+    pub(crate) fn cancel_all(&self) {
+        for flag in self.cancels().values() {
+            flag.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Number of admitted jobs still waiting for their terminal event.
+    #[cfg(test)]
+    pub(crate) fn live_jobs(&self) -> usize {
+        self.cancels().len()
+    }
+
+    /// Produce `job`'s terminal event. The job is counted and unregistered
+    /// *before* the event is sent, so a tenant that asks for stats after
+    /// reading its `done` always finds the job in `completed`.
+    pub(crate) fn finish(&self, job: &Job, done: Event) {
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.unregister(job.id);
+        let _ = job.events.send(done);
+    }
 }
 
 /// The executor state (owned by the scheduler thread).
@@ -87,7 +142,11 @@ pub struct Scheduler {
     queue: Arc<AdmissionQueue<Job>>,
     team: Arc<Team>,
     routing: RoutingTable,
-    counters: Arc<Counters>,
+    ledger: Arc<Ledger>,
+    /// One tracer for every solve, drained around each job: a per-job
+    /// tracer would allocate and fill its span rings (32 B × 65 536 per
+    /// shard) for every job served.
+    tracer: Arc<Tracer>,
     /// Operator cache keyed by fingerprint — batch members share one
     /// matrix, and tenants resubmitting the same operator skip the build.
     operators: HashMap<u64, Arc<CsrMatrix>>,
@@ -117,19 +176,21 @@ fn batch_compatible(batch: &[Job], candidate: &Job) -> bool {
 }
 
 impl Scheduler {
-    /// Build an executor over the shared queue/team/counters.
+    /// Build an executor over the shared queue/team/ledger.
     #[must_use]
     pub fn new(
         queue: Arc<AdmissionQueue<Job>>,
         team: Arc<Team>,
         routing: RoutingTable,
-        counters: Arc<Counters>,
+        ledger: Arc<Ledger>,
     ) -> Self {
+        let tracer = Arc::new(Tracer::for_width(team.width()));
         Scheduler {
             queue,
             team,
             routing,
-            counters,
+            ledger,
+            tracer,
             operators: HashMap::new(),
         }
     }
@@ -182,23 +243,9 @@ impl Scheduler {
             .into_iter()
             .partition(|j| j.cancel.load(Ordering::Relaxed));
         for job in cancelled {
-            self.finish(
+            self.ledger.finish(
                 &job,
-                Event::Done {
-                    job_id: job.id,
-                    termination: "cancelled".into(),
-                    converged: false,
-                    iterations: 0,
-                    residuals: Vec::new(),
-                    solve_ms: 0.0,
-                    routing: WireRouting {
-                        variant: "none".into(),
-                        reason: "cancelled while queued".into(),
-                        batched: false,
-                        batch_width: 1,
-                    },
-                    phase_shares: None,
-                },
+                unsolved_done(job.id, "cancelled", "cancelled while queued"),
             );
         }
         if live.is_empty() {
@@ -212,12 +259,16 @@ impl Scheduler {
                     let _ = job.events.send(Event::Error {
                         detail: format!("job {}: {detail}", job.id),
                     });
-                    self.finish(job, error_done(job.id, &detail));
+                    self.ledger
+                        .finish(job, unsolved_done(job.id, "error", &detail));
                 }
                 return;
             }
         };
 
+        // a panicked solve leaves its spans in the tracer; they must not
+        // reach this job's phase shares
+        drop(self.tracer.drain());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if live.len() > 1 || live[0].spec.rhs.columns() > 1 {
                 self.solve_block(&a, &live);
@@ -231,7 +282,8 @@ impl Scheduler {
             for job in &live {
                 let detail = format!("job {}: solver panicked", job.id);
                 let _ = job.events.send(Event::Error { detail });
-                self.finish(job, error_done(job.id, "solver panicked"));
+                self.ledger
+                    .finish(job, unsolved_done(job.id, "error", "solver panicked"));
             }
         }
     }
@@ -243,24 +295,21 @@ impl Scheduler {
             Some(pin) => (pin.clone(), "explicit request".to_string()),
             None => self.routing.route(spec.class, spec.tol),
         };
-        let Some((_, solver)) = keyed_variants(a)
-            .into_iter()
-            .find(|(key, _)| *key == variant_key)
-        else {
+        let Some(solver) = variant_by_key(&variant_key, a) else {
             let detail = format!("unknown variant {variant_key}");
             let _ = job.events.send(Event::Error {
                 detail: format!("job {}: {detail}", job.id),
             });
-            self.finish(job, error_done(job.id, &detail));
+            self.ledger
+                .finish(job, unsolved_done(job.id, "error", &detail));
             return;
         };
 
         let b = &spec.rhs.expand(a.nrows())[0];
-        let tracer = Arc::new(Tracer::for_width(self.team.width()));
         let mut opts = self
             .base_opts(spec)
             .with_cancel_flag(Arc::clone(&job.cancel))
-            .with_tracer(Arc::clone(&tracer));
+            .with_tracer(Arc::clone(&self.tracer));
         if spec.events_every > 0 {
             let every = spec.events_every;
             let sink = job.events.clone();
@@ -285,13 +334,7 @@ impl Scheduler {
         let t0 = Instant::now();
         let res = solver.solve(a, b, None, &opts);
         let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let report = vr_obs::critpath::attribute(&tracer.drain());
-        let shares = [
-            report.totals.share(PhaseClass::ReductionWait),
-            report.totals.share(PhaseClass::Matvec),
-            report.totals.share(PhaseClass::Vector),
-            report.totals.share(PhaseClass::Overhead),
-        ];
+        let shares = self.phase_shares();
         let routing = RoutingMeta {
             variant_key: variant_key.clone(),
             reason: reason.clone(),
@@ -299,7 +342,7 @@ impl Scheduler {
             batch_width: 1,
         };
         let res = res.with_routing(routing);
-        self.finish(
+        self.ledger.finish(
             job,
             Event::Done {
                 job_id: job.id,
@@ -339,11 +382,10 @@ impl Scheduler {
         let member_flags: Vec<Arc<AtomicBool>> =
             jobs.iter().map(|j| Arc::clone(&j.cancel)).collect();
         let batch_cancel = Arc::new(AtomicBool::new(false));
-        let tracer = Arc::new(Tracer::for_width(self.team.width()));
         let mut opts = self
             .base_opts(spec0)
             .with_cancel_flag(Arc::clone(&batch_cancel))
-            .with_tracer(Arc::clone(&tracer));
+            .with_tracer(Arc::clone(&self.tracer));
         {
             let sinks: Vec<(u64, Sender<Event>, usize, Arc<AtomicBool>)> = jobs
                 .iter()
@@ -382,13 +424,7 @@ impl Scheduler {
         let t0 = Instant::now();
         let res = BlockCg::new().solve(a, &columns, &opts);
         let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let report = vr_obs::critpath::attribute(&tracer.drain());
-        let shares = [
-            report.totals.share(PhaseClass::ReductionWait),
-            report.totals.share(PhaseClass::Matvec),
-            report.totals.share(PhaseClass::Vector),
-            report.totals.share(PhaseClass::Overhead),
-        ];
+        let shares = self.phase_shares();
         let reason = format!("batched with {} compatible jobs", jobs.len());
         for (job, (start, cols)) in jobs.iter().zip(&owners) {
             let residuals: Vec<f64> = (*start..start + cols)
@@ -399,7 +435,7 @@ impl Scheduler {
                         .unwrap_or(f64::INFINITY)
                 })
                 .collect();
-            self.finish(
+            self.ledger.finish(
                 job,
                 Event::Done {
                     job_id: job.id,
@@ -420,23 +456,32 @@ impl Scheduler {
         }
     }
 
-    fn finish(&self, job: &Job, done: Event) {
-        let _ = job.events.send(done);
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+    /// Critical-path phase shares `[reduction_wait, matvec, vector,
+    /// overhead]` of the solve just traced; drains the tracer.
+    fn phase_shares(&self) -> [f64; 4] {
+        let report = vr_obs::critpath::attribute(&self.tracer.drain());
+        [
+            report.totals.share(PhaseClass::ReductionWait),
+            report.totals.share(PhaseClass::Matvec),
+            report.totals.share(PhaseClass::Vector),
+            report.totals.share(PhaseClass::Overhead),
+        ]
     }
 }
 
-fn error_done(job_id: u64, detail: &str) -> Event {
+/// The terminal event of a job that ends without a solve: no iterations,
+/// no residuals, routed nowhere, `reason` saying why.
+pub(crate) fn unsolved_done(job_id: u64, termination: &str, reason: &str) -> Event {
     Event::Done {
         job_id,
-        termination: "error".into(),
+        termination: termination.into(),
         converged: false,
         iterations: 0,
         residuals: Vec::new(),
         solve_ms: 0.0,
         routing: WireRouting {
             variant: "none".into(),
-            reason: detail.to_string(),
+            reason: reason.into(),
             batched: false,
             batch_width: 1,
         },
@@ -457,6 +502,31 @@ mod tests {
             cancel: Arc::new(AtomicBool::new(false)),
             events: tx,
         }
+    }
+
+    fn scheduler() -> (Scheduler, Arc<Ledger>) {
+        let ledger = Arc::new(Ledger::default());
+        let sched = Scheduler::new(
+            Arc::new(AdmissionQueue::new(4)),
+            Arc::new(Team::new(1)),
+            RoutingTable::default(),
+            Arc::clone(&ledger),
+        );
+        (sched, ledger)
+    }
+
+    /// A structurally valid 2×2 CSR upload with a zero diagonal, which
+    /// no Jacobi preconditioner can be built from.
+    fn zero_diagonal_upload() -> JobSpec {
+        JobSpec::new(
+            OperatorSpec::Csr {
+                n: 2,
+                indptr: vec![0, 1, 2],
+                indices: vec![1, 0],
+                data: vec![1.0, 1.0],
+            },
+            RhsSpec::Seeded { seed: 1, count: 1 },
+        )
     }
 
     fn poisson_spec(grid: usize) -> JobSpec {
@@ -498,14 +568,7 @@ mod tests {
 
     #[test]
     fn singleton_solve_streams_and_completes() {
-        let queue = Arc::new(AdmissionQueue::new(4));
-        let counters = Arc::new(Counters::default());
-        let mut sched = Scheduler::new(
-            Arc::clone(&queue),
-            Arc::new(Team::new(1)),
-            RoutingTable::default(),
-            Arc::clone(&counters),
-        );
+        let (mut sched, ledger) = scheduler();
         let (tx, rx) = channel();
         let mut spec = poisson_spec(8);
         spec.events_every = 1;
@@ -535,19 +598,12 @@ mod tests {
                 > 1,
             "events_every=1 must stream progress"
         );
-        assert_eq!(counters.completed.load(Ordering::Relaxed), 1);
+        assert_eq!(ledger.completed.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn batch_solve_fans_done_events_to_every_member() {
-        let queue = Arc::new(AdmissionQueue::new(4));
-        let counters = Arc::new(Counters::default());
-        let mut sched = Scheduler::new(
-            Arc::clone(&queue),
-            Arc::new(Team::new(1)),
-            RoutingTable::default(),
-            Arc::clone(&counters),
-        );
+        let (mut sched, _) = scheduler();
         let (tx, rx) = channel();
         let jobs: Vec<Job> = (0..3)
             .map(|k| {
@@ -582,14 +638,7 @@ mod tests {
 
     #[test]
     fn queued_cancellation_yields_cancelled_done_without_solving() {
-        let queue = Arc::new(AdmissionQueue::new(4));
-        let counters = Arc::new(Counters::default());
-        let mut sched = Scheduler::new(
-            Arc::clone(&queue),
-            Arc::new(Team::new(1)),
-            RoutingTable::default(),
-            Arc::clone(&counters),
-        );
+        let (mut sched, _) = scheduler();
         let (tx, rx) = channel();
         let j = job(9, poisson_spec(8), tx);
         j.cancel.store(true, Ordering::Relaxed);
@@ -610,30 +659,35 @@ mod tests {
 
     #[test]
     fn solver_panic_becomes_error_done_not_a_crash() {
-        let queue = Arc::new(AdmissionQueue::new(4));
-        let counters = Arc::new(Counters::default());
-        let mut sched = Scheduler::new(
-            Arc::clone(&queue),
-            Arc::new(Team::new(1)),
-            RoutingTable::default(),
-            Arc::clone(&counters),
-        );
+        let (mut sched, _) = scheduler();
         let (tx, rx) = channel();
         // a zero-diagonal CSR upload panics the Jacobi variant's setup
-        let mut spec = JobSpec::new(
-            OperatorSpec::Csr {
-                n: 2,
-                indptr: vec![0, 1, 2],
-                indices: vec![1, 0],
-                data: vec![1.0, 1.0],
-            },
-            RhsSpec::Seeded { seed: 1, count: 1 },
-        );
+        let mut spec = zero_diagonal_upload();
         spec.variant = Some("precond_jacobi".into());
         sched.execute(vec![job(11, spec, tx)]);
         let events: Vec<Event> = rx.try_iter().collect();
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::Done { termination, .. } if termination == "error")));
+    }
+
+    #[test]
+    fn zero_diagonal_upload_pinned_to_standard_is_solved_not_errored() {
+        // only the Jacobi variant needs a positive diagonal, and a job
+        // builds only the variant it is routed to
+        let (mut sched, _) = scheduler();
+        let (tx, rx) = channel();
+        let mut spec = zero_diagonal_upload();
+        spec.variant = Some("standard".into());
+        sched.execute(vec![job(12, spec, tx)]);
+        let events: Vec<Event> = rx.try_iter().collect();
+        assert!(
+            !events.iter().any(|e| matches!(e, Event::Error { .. })),
+            "{events:?}"
+        );
+        let Some(Event::Done { termination, .. }) = events.last() else {
+            panic!("last event must be done, got {events:?}")
+        };
+        assert_ne!(termination, "error");
     }
 }

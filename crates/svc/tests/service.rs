@@ -3,6 +3,7 @@
 //! worker death, and drained shutdown with zero leaked threads.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use vr_cg::registry;
 use vr_linalg::gen;
@@ -86,16 +87,46 @@ fn solve_streams_progress_and_matches_library_bit_for_bit() {
         .with_max_iters(max_iters)
         .with_dot_mode(DotMode::Tree)
         .with_team(Arc::new(Team::new(1)));
-    let (_, solver) = registry::keyed_variants(&a)
-        .into_iter()
-        .find(|(k, _)| *k == "standard")
-        .unwrap();
+    let solver = registry::variant_by_key("standard", &a).unwrap();
     let local = solver.solve(&a, &b, None, &opts);
     assert_eq!(local.iterations, done.iterations);
     assert_eq!(
         local.final_residual.to_bits(),
         done.residuals[0].to_bits(),
         "daemon residual must be bit-identical to the library solve"
+    );
+
+    drop(client);
+    server.shutdown(ShutdownMode::Drain);
+    server.join();
+}
+
+#[test]
+fn small_jobs_over_tcp_finish_well_inside_the_delayed_ack_timer() {
+    // Linux delays an ACK by up to 40 ms. With Nagle on, the daemon's
+    // `done` line waits for the client's ACK of `accepted`, so every
+    // small job took ~44 ms; a grid-8 solve itself takes well under 1 ms.
+    let server = start_tcp(8, 2);
+    let client = Client::connect(server.addr()).unwrap();
+
+    let mut latencies_ms: Vec<f64> = (0..15)
+        .map(|seed| {
+            let t0 = Instant::now();
+            let done = client
+                .submit(small_job(8, seed))
+                .expect("admitted")
+                .wait()
+                .expect("terminal event");
+            assert_eq!(done.termination, "converged");
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    latencies_ms.sort_by(f64::total_cmp);
+    let median = latencies_ms[latencies_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median submit→done {median:.2} ms is at least half the delayed-ACK \
+         timer: {latencies_ms:.2?}"
     );
 
     drop(client);
@@ -245,10 +276,7 @@ fn worker_death_mid_job_degrades_team_but_answers_bit_identically() {
         .with_max_iters(8000)
         .with_dot_mode(DotMode::Tree)
         .with_team(Arc::new(Team::new(1)));
-    let (_, solver) = registry::keyed_variants(&a)
-        .into_iter()
-        .find(|(k, _)| *k == "standard")
-        .unwrap();
+    let solver = registry::variant_by_key("standard", &a).unwrap();
     let local = solver.solve(&a, &b, None, &opts);
     assert_eq!(local.final_residual.to_bits(), done.residuals[0].to_bits());
 
@@ -337,9 +365,7 @@ fn deadline_classes_route_and_report_reasons() {
         "router must explain itself: {}",
         done.routing.reason
     );
-    assert!(registry::keyed_variants(&gen::poisson2d(4))
-        .iter()
-        .any(|(k, _)| *k == done.routing.variant));
+    assert!(registry::variant_by_key(&done.routing.variant, &gen::poisson2d(4)).is_some());
 
     drop(client);
     server.shutdown(ShutdownMode::Drain);
