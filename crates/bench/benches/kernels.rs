@@ -44,8 +44,8 @@ fn bench_axpy(b: &mut Bench) {
 }
 
 fn bench_batched_reductions(b: &mut Bench) {
-    // the fusion the s-step Gram computation relies on: q dots in one pass
-    // vs q separate passes
+    // shared-left dot pairs in one sweep (the pairing the overlapped and
+    // pipelined solvers launch) vs separate passes
     let n = 1usize << 18;
     let vs: Vec<Vec<f64>> = (0..6)
         .map(|k| (0..n).map(|i| ((i + 31 * k) % 17) as f64 / 17.0).collect())
@@ -57,12 +57,13 @@ fn bench_batched_reductions(b: &mut Bench) {
         }
         black_box(acc)
     });
-    let pairs: Vec<(&[f64], &[f64])> = vs
-        .iter()
-        .map(|v| (v.as_slice(), vs[0].as_slice()))
-        .collect();
-    b.run("par/batch/six-fused-multi-dot", || {
-        black_box(vr_par::batch::multi_dot(black_box(&pairs), 1))
+    b.run("par/batch/three-dot2-sweeps", || {
+        let mut acc = 0.0;
+        for pair in vs.chunks(2) {
+            let (u, v) = vr_linalg::fused::par_dot2_in(None, &vs[0], &pair[0], &pair[1]);
+            acc += u + v;
+        }
+        black_box(acc)
     });
 }
 

@@ -3,7 +3,7 @@
 //! E17 showed thread scaling flattening out: the fused sweeps are
 //! memory-bandwidth-bound, so the next factor must come from within a
 //! core. This experiment measures the two in-core levers this repo adds —
-//! explicit SIMD lanes ([`SimdPolicy`]) and f32 working vectors with f64
+//! explicit SIMD lanes (pinned with [`simd::with_level`]) and f32 working vectors with f64
 //! guard arithmetic ([`Precision::Mixed`]) — against a STREAM-triad-style
 //! roofline measured on the same host, using the `vr_obs` bytes-moved
 //! counter to report every configuration as a *fraction of measured host
@@ -17,12 +17,12 @@
 //!    past L2, counted at the STREAM convention of 24 B/element.
 //! 2. **Sweep kernels** — the fused standard-CG sweeps (`update_xr`,
 //!    `axpy_dot`, `dot`) at N = 2^20, scalar vs the vector level
-//!    `SimdPolicy::Simd` pins, single thread, reps interleaved across
+//!    [`simd::auto_level`], single thread, reps interleaved across
 //!    levels. Headline (asserted outside `--smoke`): the best fused
 //!    sweep sustains ≥ 1.2× scalar throughput (the dot-carrying sweeps
 //!    in practice; the rmw-heavy `update_xr` is store-bound).
 //! 3. **Whole solves** — grid × variant {standard, overlap-k1, pipelined}
-//!    × SimdPolicy {Scalar, Simd} × Precision {F64, Mixed}, fixed
+//!    × lanes {scalar, auto} × Precision {F64, Mixed}, fixed
 //!    iteration budget, fused kernels, one traced rep per cell harvesting
 //!    logical bytes/iteration from the tracer. Headline: mixed precision
 //!    moves measurably fewer bytes per iteration than f64 (≤ 0.75×) on
@@ -40,7 +40,7 @@ use vr_bench::{write_json, Table};
 use vr_cg::baselines::PipelinedCg;
 use vr_cg::overlap_k1::OverlapK1Cg;
 use vr_cg::standard::StandardCg;
-use vr_cg::{registry, CgVariant, KernelPolicy, Precision, SimdPolicy, SolveOptions, Termination};
+use vr_cg::{registry, CgVariant, KernelPolicy, Precision, SolveOptions, Termination};
 use vr_linalg::gen;
 use vr_linalg::kernels::DotMode;
 use vr_linalg::stencil::Stencil2d;
@@ -159,8 +159,8 @@ fn main() {
 
     // --- part 2: fused sweep kernels, scalar vs simd ------------------
     let (sweep_n, sweep_reps) = if smoke { (1 << 16, 3) } else { (1 << 20, 30) };
-    // the vector arm is what SimdPolicy::Simd pins: auto_level(), i.e.
-    // AVX2 on x86 hosts (AVX-512 is excluded from auto selection)
+    // the vector arm is auto_level(), i.e. AVX2 on x86 hosts (AVX-512 is
+    // excluded from auto selection)
     let vector_level = simd::auto_level();
     let mut sweep_rows: Vec<SweepRow> = Vec::new();
     let mut sweep_table = Table::new(&["kernel", "N", "level", "B/elem", "GB/s", "speedup"]);
@@ -198,11 +198,12 @@ fn main() {
     } else {
         (&[256, 512, 1024], 40, 3)
     };
-    let configs: [(SimdPolicy, Precision, &str, &str); 4] = [
-        (SimdPolicy::Scalar, Precision::F64, "scalar", "f64"),
-        (SimdPolicy::Simd, Precision::F64, "simd", "f64"),
-        (SimdPolicy::Scalar, Precision::Mixed, "scalar", "mixed"),
-        (SimdPolicy::Simd, Precision::Mixed, "simd", "mixed"),
+    // lanes are pinned on the solve thread with `simd::with_level`
+    let configs: [(SimdLevel, Precision, &str, &str); 4] = [
+        (SimdLevel::Scalar, Precision::F64, "scalar", "f64"),
+        (vector_level, Precision::F64, "simd", "f64"),
+        (SimdLevel::Scalar, Precision::Mixed, "scalar", "mixed"),
+        (vector_level, Precision::Mixed, "simd", "mixed"),
     ];
     let mut solve_rows: Vec<SolveRow> = Vec::new();
     let mut solve_table = Table::new(&[
@@ -217,18 +218,18 @@ fn main() {
             // every arm of the comparison, not just whichever ran last
             let mut best = [f64::INFINITY; 4];
             let mut last: [Option<vr_cg::SolveResult>; 4] = [None, None, None, None];
-            let opts_for = |&(sp, prec, _, _): &(SimdPolicy, Precision, &str, &str)| {
+            let opts_for = |&(_, prec, _, _): &(SimdLevel, Precision, &str, &str)| {
                 SolveOptions::default()
                     .with_tol(0.0)
                     .with_max_iters(iters)
                     .with_kernel_policy(KernelPolicy::Fused)
-                    .with_simd_policy(sp)
                     .with_precision(prec)
             };
             for _ in 0..reps {
                 for (k, cfg) in configs.iter().enumerate() {
                     let t0 = Instant::now();
-                    let res = solver.solve(&op, &b, None, &opts_for(cfg));
+                    let res =
+                        simd::with_level(cfg.0, || solver.solve(&op, &b, None, &opts_for(cfg)));
                     best[k] = best[k].min(t0.elapsed().as_secs_f64());
                     last[k] = Some(res);
                 }
@@ -245,12 +246,14 @@ fn main() {
                 // one traced rep harvests logical bytes/iteration; tracing
                 // must observe, never perturb
                 let tracer = Arc::new(Tracer::for_width(1));
-                let traced = solver.solve(
-                    &op,
-                    &b,
-                    None,
-                    &opts_for(cfg).with_tracer(Arc::clone(&tracer)),
-                );
+                let traced = simd::with_level(cfg.0, || {
+                    solver.solve(
+                        &op,
+                        &b,
+                        None,
+                        &opts_for(cfg).with_tracer(Arc::clone(&tracer)),
+                    )
+                });
                 assert_eq!(
                     traced.x, res.x,
                     "{vname}/{}/{} grid {g}: traced solve diverged from untraced",
@@ -300,17 +303,11 @@ fn main() {
         .with_dot_mode(DotMode::Tree);
     let mut identity_rows: Vec<IdentityRow> = Vec::new();
     for (key, solver) in registry::keyed_variants(&a) {
-        // width 1: pinned scalar via the solve-level policy
-        let base = solver.solve(
-            &a,
-            &bb,
-            None,
-            &id_opts.clone().with_simd_policy(SimdPolicy::Scalar),
-        );
+        // width 1: pinned scalar on the solve thread
+        let base = simd::with_level(SimdLevel::Scalar, || solver.solve(&a, &bb, None, &id_opts));
         let mut levels = vec!["scalar".to_string()];
         let mut identical = true;
-        // width 4 (AVX2) and the widest available, via the ambient level —
-        // SimdPolicy::Auto must inherit whatever the caller installed
+        // width 4 (AVX2) and the widest available, via the ambient level
         for lvl in [SimdLevel::Avx2, SimdLevel::Avx512] {
             let eff = simd::clamp(lvl);
             if levels.contains(&eff.name().to_string()) {

@@ -21,9 +21,9 @@
 //! `α₀ = 1/θ`, `ρ₀ = 1/σ` where `σ = θ/δ`, then
 //! `ρₖ = 1/(2σ − ρₖ₋₁)`, `αₖ = ρₖ·(2/δ)` — see Golub & Van Loan §10.1.5.
 
-use crate::instrument::OpCounts;
+use crate::driver::{self, norm, Driver, Twins};
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::eig;
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
@@ -80,23 +80,13 @@ impl CgVariant for ChebyshevIteration {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         let n = a.dim();
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, mut x, mut r) = Driver::start(a, b, x0, opts);
+        let thresh_sq = drv.thresh_sq;
 
         // spectral interval
         let (lo, hi) = match self.bounds {
@@ -104,8 +94,8 @@ impl CgVariant for ChebyshevIteration {
             None => {
                 let m = 30.min(n);
                 let tri = eig::LanczosTridiagonal::run(a, m, 0xC4EB);
-                counts.matvecs += tri.steps();
-                counts.dots += 2 * tri.steps();
+                drv.counts.matvecs += tri.steps();
+                drv.counts.dots += 2 * tri.steps();
                 let sb = tri.spectral_bounds();
                 // widen: Ritz values approach from inside
                 (sb.lambda_min * 0.9, sb.lambda_max * 1.05)
@@ -119,12 +109,9 @@ impl CgVariant for ChebyshevIteration {
         let delta = 0.5 * (hi - lo);
         let sigma = theta / delta;
 
-        let mut norms = Vec::new();
         let mut rr = dot(md, &r, &r);
-        counts.dots += 1;
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
+        drv.counts.dots += 1;
+        drv.record(rr);
 
         let mut termination = Termination::MaxIterations;
         let mut iterations = 0;
@@ -133,34 +120,31 @@ impl CgVariant for ChebyshevIteration {
         } else {
             // d = current update direction (scaled), x ← x + d
             let mut d: Vec<f64> = r.iter().map(|ri| ri / theta).collect();
-            counts.vector_ops += 1;
+            drv.counts.vector_ops += 1;
             let mut rho = 1.0 / sigma;
             let mut w = vec![0.0; n];
 
             for it in 0..opts.max_iters {
-                opts.iter_mark();
                 // rr is only refreshed every check_every iterations — the
                 // streamed value is the latest *paid-for* residual, honest
                 // to this method's reduction-avoidance contract
-                if opts.service_poll(it, rr) {
+                if drv.poll(it, rr) {
                     termination = Termination::Cancelled;
                     iterations = it;
                     break;
                 }
-                opts.axpy(1.0, &d, &mut x, &mut counts);
+                opts.axpy(1.0, &d, &mut x, &mut drv.counts);
                 // r ← r − A·d
-                opts.matvec(a, &d, &mut w, &mut counts);
-                opts.axpy(-1.0, &w, &mut r, &mut counts);
+                opts.matvec(a, &d, &mut w, &mut drv.counts);
+                opts.axpy(-1.0, &w, &mut r, &mut drv.counts);
 
                 iterations = it + 1;
 
                 // periodic (paid-for) residual check — the only reduction
                 if iterations % self.check_every == 0 || iterations == opts.max_iters {
                     rr = dot(md, &r, &r);
-                    counts.dots += 1;
-                    if opts.record_residuals {
-                        norms.push(rr.max(0.0).sqrt());
-                    }
+                    drv.counts.dots += 1;
+                    drv.record(rr);
                     if rr <= thresh_sq {
                         termination = Termination::Converged;
                         break;
@@ -174,20 +158,17 @@ impl CgVariant for ChebyshevIteration {
                 // Chebyshev parameter recursion (no reductions)
                 let rho_next = 1.0 / (2.0 * sigma - rho);
                 let gamma = rho_next * rho; // = ρₖ·ρₖ₋₁
-                counts.scalar_ops += 2;
+                drv.counts.scalar_ops += 2;
                 // d ← ρₖ₊₁·(2/δ)·r + γ·d
                 for (di, ri) in d.iter_mut().zip(&r) {
                     *di = rho_next * (2.0 / delta) * ri + gamma * *di;
                 }
-                counts.vector_ops += 1;
+                drv.counts.vector_ops += 1;
                 rho = rho_next;
             }
         }
 
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        SolveResult::new(x, termination, iterations, norms, counts)
+        drv.finish(x, termination, iterations, norm(rr))
     }
 }
 

@@ -12,12 +12,56 @@
 //! (valid under CG orthogonality), giving `λ = ρ / (μ − β·ρ/λ_prev)`.
 //! `Ap` is maintained by the recurrence `Ap ← w + β·Ap` — no extra matvec.
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
+
+/// Chronopoulos-Gear CG's one twin: the whole-iteration sweep.
+const TWINS: Twins<ChronopoulosGearCg> = Twins {
+    mixed: None,
+    sweep: Some(crate::sweep::solve_chronopoulos_gear),
+};
+
+/// Loop-carried state (shared with the sweep twin); a checkpoint
+/// snapshots `[x, r, p, s, w]` and the
+/// four carried scalars `[rho, mu, lambda_prev, rho_prev]` — `s = A·p`
+/// and `w = A·r` are snapshotted rather than recomputed so a restore
+/// costs zero matvecs.
+pub(crate) struct State {
+    pub(crate) x: Vec<f64>,
+    pub(crate) r: Vec<f64>,
+    pub(crate) p: Vec<f64>,
+    pub(crate) s: Vec<f64>,
+    pub(crate) w: Vec<f64>,
+    /// `(r, r)`.
+    pub(crate) rho: f64,
+    /// `(r, A·r)`.
+    pub(crate) mu: f64,
+    pub(crate) lambda_prev: f64,
+    pub(crate) rho_prev: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(
+            &mut [
+                &mut self.x,
+                &mut self.r,
+                &mut self.p,
+                &mut self.s,
+                &mut self.w,
+            ],
+            &mut [
+                &mut self.rho,
+                &mut self.mu,
+                &mut self.lambda_prev,
+                &mut self.rho_prev,
+            ],
+        );
+    }
+}
 
 /// Chronopoulos-Gear CG solver.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,8 +80,12 @@ impl CgVariant for ChronopoulosGearCg {
         "chronopoulos-gear-cg".into()
     }
 
+    fn mixed_eligible(&self) -> bool {
+        TWINS.mixed.is_some()
+    }
+
     fn sweep_eligible(&self) -> bool {
-        true
+        TWINS.sweep.is_some()
     }
 
     fn solve(
@@ -47,155 +95,69 @@ impl CgVariant for ChronopoulosGearCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            return crate::sweep::solve_chronopoulos_gear(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        if let Some(res) = driver::twin(self, &TWINS, a, b, x0, opts) {
+            return res;
         }
         let n = a.dim();
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-        let mut w = opts.matvec_alloc(a, &r, &mut counts);
-        let mut rho = dot(md, &r, &r);
-        let mut mu = dot(md, &r, &w);
-        counts.dots += 2;
+        let w = opts.matvec_alloc(a, &r, &mut drv.counts);
+        let rho = dot(md, &r, &r);
+        let mu = dot(md, &r, &w);
+        drv.counts.dots += 2;
+        drv.record(rho);
+        let mut st = State {
+            x,
+            r,
+            p: vec![0.0; n],
+            s: vec![0.0; n], // s = A·p maintained by recurrence
+            w,
+            rho,
+            mu,
+            lambda_prev: 0.0,
+            rho_prev: 0.0,
+        };
 
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(rho.max(0.0).sqrt());
-        }
-
-        let mut p = vec![0.0; n];
-        let mut s = vec![0.0; n]; // s = A·p maintained by recurrence
-        let mut lambda_prev = 0.0;
-        let mut rho_prev = 0.0;
-
-        // Checkpoint ring (policy-gated): [x, r, p, s, w] + the four
-        // carried scalars — s = A·p and w = A·r are snapshotted rather than
-        // recomputed so a restore costs zero matvecs.
-        let mut rstats = RecoveryStats::default();
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 5, n, 4));
-
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        if rho <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            let mut it = 0usize;
-            macro_rules! rollback_or {
-                ($fallback:block) => {
-                    if let Some(rg) = ring.as_mut() {
-                        let mut scal = [0.0; 4];
-                        if let Some(c) = rg.rollback(
-                            opts,
-                            &mut [&mut x, &mut r, &mut p, &mut s, &mut w],
-                            &mut scal,
-                        ) {
-                            rho = scal[0];
-                            mu = scal[1];
-                            lambda_prev = scal[2];
-                            rho_prev = scal[3];
-                            rstats.rollbacks += 1;
-                            if opts.record_residuals {
-                                norms.truncate(c + 1);
-                            }
-                            iterations = c;
-                            it = c;
-                            continue;
-                        }
-                    }
-                    $fallback
-                };
-            }
-            while it < opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(it, rho) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                if let Some(rg) = ring.as_mut() {
-                    rg.maybe_save(
-                        opts,
-                        it,
-                        &[&x, &r, &p, &s, &w],
-                        &[rho, mu, lambda_prev, rho_prev],
-                    );
-                }
+        let (termination, iterations) = drv.iterate(
+            &mut st,
+            |st| st.rho,
+            |drv, st, it| {
                 let (beta, denom) = if it == 0 {
-                    (0.0, mu)
+                    (0.0, st.mu)
                 } else {
-                    let beta = rho / rho_prev;
-                    (beta, mu - beta * rho / lambda_prev)
+                    let beta = st.rho / st.rho_prev;
+                    (beta, st.mu - beta * st.rho / st.lambda_prev)
                 };
-                counts.scalar_ops += 3;
+                drv.counts.scalar_ops += 3;
                 if guard::check_pivot(denom).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        iterations = it;
-                        break;
-                    });
+                    return Step::breakdown(it);
                 }
-                let lambda = rho / denom;
+                let lambda = st.rho / denom;
 
                 // p ← r + β·p ; s ← w + β·s (= A·p)
-                opts.xpay(&r, beta, &mut p, &mut counts);
-                opts.xpay(&w, beta, &mut s, &mut counts);
-                opts.axpy(lambda, &p, &mut x, &mut counts);
+                opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
+                opts.xpay(&st.w, beta, &mut st.s, &mut drv.counts);
+                opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
 
-                rho_prev = rho;
+                st.rho_prev = st.rho;
                 // r ← r − λ·s carries ρ = (r,r) in its sweep; the matvec
                 // w = A·r carries μ = (r,w) in its sweep
-                rho = opts.axpy_norm2_sq(-lambda, &s, &mut r, &mut counts);
-                mu = opts.matvec_dot(a, &r, &mut w, &mut counts);
-                lambda_prev = lambda;
-
-                if opts.record_residuals {
-                    norms.push(rho.max(0.0).sqrt());
-                }
-                iterations = it + 1;
-                if rho <= thresh_sq {
-                    termination = Termination::Converged;
-                    break;
-                }
-                if guard::check_finite(rho).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        break;
-                    });
-                }
-                it += 1;
-            }
-        }
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
-
-        if !opts.record_residuals {
-            norms.push(rho.max(0.0).sqrt());
-        }
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        res.recovery = rstats;
-        res
+                st.rho = opts.axpy_norm2_sq(-lambda, &st.s, &mut st.r, &mut drv.counts);
+                st.mu = opts.matvec_dot(a, &st.r, &mut st.w, &mut drv.counts);
+                st.lambda_prev = lambda;
+                drv.record(st.rho);
+                Step::after(it, st.rho, drv.thresh_sq)
+            },
+        );
+        drv.finish(st.x, termination, iterations, norm(st.rho))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::Termination;
     use crate::standard::StandardCg;
     use vr_linalg::gen;
 

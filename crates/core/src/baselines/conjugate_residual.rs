@@ -16,9 +16,9 @@
 //! scalar recurrences — evidence that the restructuring is method-generic,
 //! not CG-specific.
 
-use crate::instrument::OpCounts;
+use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins};
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
@@ -49,96 +49,83 @@ impl CgVariant for ConjugateResidual {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            return crate::sweep::reject(a, b, x0, opts);
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
-        }
-        let n = a.dim();
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-        let mut ar = opts.matvec_alloc(a, &r, &mut counts);
-        let mut p = r.clone();
-        let mut ap = ar.clone();
-        counts.vector_ops += 2;
+        let ar = opts.matvec_alloc(a, &r, &mut drv.counts);
+        let p = r.clone();
+        let ap = ar.clone();
+        drv.counts.vector_ops += 2;
 
-        let mut rar = dot(md, &r, &ar);
-        counts.dots += 1;
-        let mut rr = dot(md, &r, &r);
-        counts.dots += 1;
+        let rar = dot(md, &r, &ar);
+        drv.counts.dots += 1;
+        let rr = dot(md, &r, &r);
+        drv.counts.dots += 1;
+        drv.record(rr);
+        let mut st = State {
+            x,
+            r,
+            p,
+            ar,
+            ap,
+            rr,
+            rar,
+        };
 
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        if rr <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            for it in 0..opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(it, rr) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
+        let (termination, iterations) = drv.iterate(
+            &mut st,
+            |st| st.rr,
+            |drv, st, it| {
+                let apap = dot(md, &st.ap, &st.ap);
+                drv.counts.dots += 1;
+                if guard::check_pivot(apap).is_err() || guard::check_pivot(st.rar).is_err() {
+                    return Step::breakdown(it);
                 }
-                let apap = dot(md, &ap, &ap);
-                counts.dots += 1;
-                if guard::check_pivot(apap).is_err() || guard::check_pivot(rar).is_err() {
-                    termination = Termination::Breakdown;
-                    iterations = it;
-                    break;
-                }
-                let lambda = rar / apap;
-                opts.axpy(lambda, &p, &mut x, &mut counts);
-                opts.axpy(-lambda, &ap, &mut r, &mut counts);
-                counts.scalar_ops += 1;
+                let lambda = st.rar / apap;
+                opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
+                opts.axpy(-lambda, &st.ap, &mut st.r, &mut drv.counts);
+                drv.counts.scalar_ops += 1;
 
-                opts.matvec(a, &r, &mut ar, &mut counts);
-                let rar_next = dot(md, &r, &ar);
-                rr = dot(md, &r, &r);
-                counts.dots += 2;
-
-                if opts.record_residuals {
-                    norms.push(rr.max(0.0).sqrt());
+                opts.matvec(a, &st.r, &mut st.ar, &mut drv.counts);
+                let rar_next = dot(md, &st.r, &st.ar);
+                st.rr = dot(md, &st.r, &st.r);
+                drv.counts.dots += 2;
+                drv.record(st.rr);
+                let verdict = Step::after(it, st.rr, drv.thresh_sq);
+                if verdict.is_next() {
+                    let beta = rar_next / st.rar;
+                    drv.counts.scalar_ops += 1;
+                    opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
+                    opts.xpay(&st.ar, beta, &mut st.ap, &mut drv.counts);
+                    st.rar = rar_next;
                 }
-                iterations = it + 1;
-                if rr <= thresh_sq {
-                    termination = Termination::Converged;
-                    break;
-                }
-                if guard::check_finite(rr).is_err() {
-                    termination = Termination::Breakdown;
-                    break;
-                }
-
-                let beta = rar_next / rar;
-                counts.scalar_ops += 1;
-                opts.xpay(&r, beta, &mut p, &mut counts);
-                opts.xpay(&ar, beta, &mut ap, &mut counts);
-                rar = rar_next;
-            }
-        }
-
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        let _ = n;
-        SolveResult::new(x, termination, iterations, norms, counts)
+                verdict
+            },
+        );
+        drv.finish(st.x, termination, iterations, norm(st.rr))
     }
 }
+
+/// Loop-carried state of both CR iterations. CR declares no checkpoint
+/// state, so a failed guard ends the solve with `Breakdown`.
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    /// `A·r`.
+    ar: Vec<f64>,
+    /// `A·p`.
+    ap: Vec<f64>,
+    /// `(r, r)`.
+    rr: f64,
+    /// `(r, A·r)`.
+    rar: f64,
+}
+
+impl Checkpoint for State {}
 
 /// CR with the paper's §3 one-step overlap applied.
 ///
@@ -182,86 +169,69 @@ impl CgVariant for OverlapCr {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-        let mut ar = opts.matvec_alloc(a, &r, &mut counts);
-        let mut p = r.clone();
-        let mut ap = ar.clone();
-        counts.vector_ops += 2;
-        let mut v = opts.matvec_alloc(a, &ap, &mut counts); // A·Ap
+        let ar = opts.matvec_alloc(a, &r, &mut drv.counts);
+        let p = r.clone();
+        let ap = ar.clone();
+        drv.counts.vector_ops += 2;
+        let mut v = opts.matvec_alloc(a, &ap, &mut drv.counts); // A·Ap
 
-        let mut rr = dot(md, &r, &r);
-        let mut rar = dot(md, &r, &ar);
+        let rr = dot(md, &r, &r);
+        let rar = dot(md, &r, &ar);
         let mut apap = dot(md, &ap, &ap);
-        counts.dots += 3;
-
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
+        drv.counts.dots += 3;
+        drv.record(rr);
         let mut vscratch = vec![0.0; b.len()];
-        if rr <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            for it in 0..opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(it, rr) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                if guard::check_pivot(apap).is_err() || guard::check_pivot(rar).is_err() {
+        let mut st = State {
+            x,
+            r,
+            p,
+            ar,
+            ap,
+            rr,
+            rar,
+        };
+
+        let (termination, iterations) = drv.iterate(
+            &mut st,
+            |st| st.rr,
+            |drv, st, it| {
+                if guard::check_pivot(apap).is_err() || guard::check_pivot(st.rar).is_err() {
                     // validate: near convergence the drifted recursive
                     // scalars can cross zero just before the threshold trips
-                    a.apply(&x, &mut vscratch);
+                    a.apply(&st.x, &mut vscratch);
                     for (vi, bi) in vscratch.iter_mut().zip(b) {
                         *vi = bi - *vi;
                     }
                     let rr_true = dot(md, &vscratch, &vscratch);
-                    counts.matvecs += 1;
-                    counts.vector_ops += 1;
-                    counts.dots += 1;
-                    termination = if rr_true <= thresh_sq {
-                        Termination::Converged
+                    drv.counts.matvecs += 1;
+                    drv.counts.vector_ops += 1;
+                    drv.counts.dots += 1;
+                    drv.replace_last(norm(rr_true));
+                    return if rr_true <= drv.thresh_sq {
+                        Step::End(Termination::Converged, it)
                     } else {
-                        Termination::Breakdown
+                        Step::End(Termination::Breakdown, it)
                     };
-                    iterations = it;
-                    if let Some(last) = norms.last_mut() {
-                        *last = rr_true.max(0.0).sqrt();
-                    }
-                    break;
                 }
                 // overlappable inner products on CURRENT vectors
-                let arap = dot(md, &ar, &ap);
-                let apv = dot(md, &ap, &v);
-                let arar = dot(md, &ar, &ar);
-                let arv = dot(md, &ar, &v);
+                let arap = dot(md, &st.ar, &st.ap);
+                let apv = dot(md, &st.ap, &v);
+                let arar = dot(md, &st.ar, &st.ar);
+                let arv = dot(md, &st.ar, &v);
                 let vv = dot(md, &v, &v);
-                let rw = dot(md, &r, &ap); // for ‖r⁺‖ tracking
+                let rw = dot(md, &st.r, &st.ap); // for ‖r⁺‖ tracking
                 let ww = apap;
-                counts.dots += 6;
+                drv.counts.dots += 6;
 
+                let (rr, rar) = (st.rr, st.rar);
                 let lambda = rar / apap;
-                opts.axpy(lambda, &p, &mut x, &mut counts);
+                opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
 
                 // scalar recurrences
                 let rr_next = rr - 2.0 * lambda * rw + lambda * lambda * ww;
@@ -270,38 +240,26 @@ impl CgVariant for OverlapCr {
                 let beta = rar_next / rar;
                 let arnext_ap = arap - lambda * apv;
                 let apap_next = arar_next + 2.0 * beta * arnext_ap + beta * beta * apap;
-                counts.scalar_ops += 14;
+                drv.counts.scalar_ops += 14;
 
-                if opts.record_residuals {
-                    norms.push(rr_next.max(0.0).sqrt());
+                drv.record(rr_next);
+                let verdict = Step::after(it, rr_next, drv.thresh_sq);
+                if verdict.is_next() {
+                    // vector updates
+                    opts.axpy(-lambda, &st.ap, &mut st.r, &mut drv.counts);
+                    opts.axpy(-lambda, &v, &mut st.ar, &mut drv.counts);
+                    opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
+                    opts.xpay(&st.ar, beta, &mut st.ap, &mut drv.counts);
+                    opts.matvec(a, &st.ap, &mut v, &mut drv.counts);
+
+                    st.rr = rr_next;
+                    st.rar = rar_next;
+                    apap = apap_next;
                 }
-                iterations = it + 1;
-                if rr_next <= thresh_sq {
-                    termination = Termination::Converged;
-                    break;
-                }
-                if guard::check_finite(rr_next).is_err() {
-                    termination = Termination::Breakdown;
-                    break;
-                }
-
-                // vector updates
-                opts.axpy(-lambda, &ap, &mut r, &mut counts);
-                opts.axpy(-lambda, &v, &mut ar, &mut counts);
-                opts.xpay(&r, beta, &mut p, &mut counts);
-                opts.xpay(&ar, beta, &mut ap, &mut counts);
-                opts.matvec(a, &ap, &mut v, &mut counts);
-
-                rr = rr_next;
-                rar = rar_next;
-                apap = apap_next;
-            }
-        }
-
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        SolveResult::new(x, termination, iterations, norms, counts)
+                verdict
+            },
+        );
+        drv.finish(st.x, termination, iterations, norm(st.rr))
     }
 }
 

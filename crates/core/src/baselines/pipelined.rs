@@ -14,12 +14,18 @@
 //! x ← x + λ·p;   r ← r − λ·s;   w ← w − λ·z
 //! ```
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, KernelPolicy, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, KernelPolicy, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
+
+/// Pipelined CG's twins: the `f32`-storage loop and the whole-iteration
+/// sweep.
+const TWINS: Twins<PipelinedCg> = Twins {
+    mixed: Some(crate::mixed::solve_pipelined),
+    sweep: Some(crate::sweep::solve_pipelined),
+};
 
 /// Pipelined CG solver (Ghysels-Vanroose).
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,11 +45,11 @@ impl CgVariant for PipelinedCg {
     }
 
     fn mixed_eligible(&self) -> bool {
-        true
+        TWINS.mixed.is_some()
     }
 
     fn sweep_eligible(&self) -> bool {
-        true
+        TWINS.sweep.is_some()
     }
 
     fn solve(
@@ -53,13 +59,51 @@ impl CgVariant for PipelinedCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            return crate::sweep::solve_pipelined(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::solve_pipelined(a, b, x0, opts);
+        if let Some(res) = driver::twin(self, &TWINS, a, b, x0, opts) {
+            return res;
         }
         solve_gv(a, b, x0, opts)
+    }
+}
+
+/// Loop-carried state (shared with the sweep twin); the pipelined
+/// recurrences maintain five live
+/// vectors besides `x` — `q` alone is recomputed each iteration — so a
+/// checkpoint snapshots `[x, r, p, s, z, w]` plus the carried scalar
+/// chain `[gamma, gamma_old, lambda_old, delta_carried]`.
+pub(crate) struct State {
+    pub(crate) x: Vec<f64>,
+    pub(crate) r: Vec<f64>,
+    pub(crate) p: Vec<f64>,
+    pub(crate) s: Vec<f64>,
+    pub(crate) z: Vec<f64>,
+    pub(crate) w: Vec<f64>,
+    /// `(r, r)`.
+    pub(crate) gamma: f64,
+    pub(crate) gamma_old: f64,
+    pub(crate) lambda_old: f64,
+    /// Next iteration's `δ = (w, r)`, carried by the fused w-update.
+    pub(crate) delta_carried: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(
+            &mut [
+                &mut self.x,
+                &mut self.r,
+                &mut self.p,
+                &mut self.s,
+                &mut self.z,
+                &mut self.w,
+            ],
+            &mut [
+                &mut self.gamma,
+                &mut self.gamma_old,
+                &mut self.lambda_old,
+                &mut self.delta_carried,
+            ],
+        );
     }
 }
 
@@ -74,173 +118,90 @@ pub(crate) fn solve_gv(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    {
-        let n = a.dim();
-        let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+    let n = a.dim();
+    let md = opts.dot_mode;
+    let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-        let mut w = opts.matvec_alloc(a, &r, &mut counts);
+    let w = opts.matvec_alloc(a, &r, &mut drv.counts);
+    let mut q = vec![0.0; n];
+    let gamma = dot(md, &r, &r);
+    drv.counts.dots += 1;
+    drv.record(gamma);
+    let mut st = State {
+        x,
+        r,
+        p: vec![0.0; n],
+        s: vec![0.0; n],
+        z: vec![0.0; n],
+        w,
+        gamma,
+        gamma_old: 1.0,
+        lambda_old: 1.0,
+        delta_carried: 0.0,
+    };
 
-        let mut p = vec![0.0; n];
-        let mut s = vec![0.0; n];
-        let mut z = vec![0.0; n];
-        let mut q = vec![0.0; n];
+    // Under the fused policy the w-update sweep of iteration `it` carries
+    // δ for iteration `it + 1` (bit-identical association), so the loop
+    // top only pays a standalone reduction at startup.
+    let fused = opts.kernel_policy == KernelPolicy::Fused;
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.gamma,
+        |drv, st, it| {
+            let delta = if fused && it > 0 {
+                st.delta_carried
+            } else {
+                drv.counts.dots += 1;
+                opts.dot(&st.w, &st.r)
+            };
+            // q = A·w — on the paper's machine this overlaps the two
+            // reductions above; numerically it is just computed here.
+            opts.matvec(a, &st.w, &mut q, &mut drv.counts);
 
-        let mut gamma_old = 1.0;
-        let mut lambda_old = 1.0;
-        let mut gamma = dot(md, &r, &r);
-        counts.dots += 1;
-
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(gamma.max(0.0).sqrt());
-        }
-
-        // Checkpoint ring (policy-gated): the pipelined recurrences maintain
-        // five live vectors — q alone is recomputed each iteration — so a
-        // snapshot is [x, r, p, s, z, w] plus the carried scalar chain.
-        let mut rstats = RecoveryStats::default();
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 6, n, 4));
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        // Under the fused policy the w-update sweep of iteration `it`
-        // carries δ for iteration `it + 1` (bit-identical association),
-        // so the loop top only pays a standalone reduction at startup.
-        let fused = opts.kernel_policy == KernelPolicy::Fused;
-        let mut delta_carried = 0.0;
-        if gamma <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            let mut it = 0usize;
-            macro_rules! rollback_or {
-                ($fallback:block) => {
-                    if let Some(rg) = ring.as_mut() {
-                        let mut scal = [0.0; 4];
-                        if let Some(c) = rg.rollback(
-                            opts,
-                            &mut [&mut x, &mut r, &mut p, &mut s, &mut z, &mut w],
-                            &mut scal,
-                        ) {
-                            gamma = scal[0];
-                            gamma_old = scal[1];
-                            lambda_old = scal[2];
-                            delta_carried = scal[3];
-                            rstats.rollbacks += 1;
-                            if opts.record_residuals {
-                                norms.truncate(c + 1);
-                            }
-                            iterations = c;
-                            it = c;
-                            continue;
-                        }
-                    }
-                    $fallback
-                };
+            let (beta, denom) = if it == 0 {
+                (0.0, delta)
+            } else {
+                let beta = st.gamma / st.gamma_old;
+                (beta, delta - beta * st.gamma / st.lambda_old)
+            };
+            drv.counts.scalar_ops += 3;
+            if guard::check_pivot(denom).is_err() {
+                return Step::breakdown(it);
             }
-            while it < opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(it, gamma) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                if let Some(rg) = ring.as_mut() {
-                    rg.maybe_save(
-                        opts,
-                        it,
-                        &[&x, &r, &p, &s, &z, &w],
-                        &[gamma, gamma_old, lambda_old, delta_carried],
-                    );
-                }
-                let delta = if fused && it > 0 {
-                    delta_carried
-                } else {
-                    counts.dots += 1;
-                    opts.dot(&w, &r)
-                };
-                // q = A·w — on the paper's machine this overlaps the two
-                // reductions above; numerically it is just computed here.
-                opts.matvec(a, &w, &mut q, &mut counts);
+            let lambda = st.gamma / denom;
 
-                let (beta, denom) = if it == 0 {
-                    (0.0, delta)
-                } else {
-                    let beta = gamma / gamma_old;
-                    (beta, delta - beta * gamma / lambda_old)
-                };
-                counts.scalar_ops += 3;
-                if guard::check_pivot(denom).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        iterations = it;
-                        break;
-                    });
-                }
-                let lambda = gamma / denom;
+            opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
+            opts.xpay(&st.w, beta, &mut st.s, &mut drv.counts);
+            opts.xpay(&q, beta, &mut st.z, &mut drv.counts);
+            opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
 
-                opts.xpay(&r, beta, &mut p, &mut counts);
-                opts.xpay(&w, beta, &mut s, &mut counts);
-                opts.xpay(&q, beta, &mut z, &mut counts);
-                opts.axpy(lambda, &p, &mut x, &mut counts);
-
-                gamma_old = gamma;
-                lambda_old = lambda;
-                // r ← r − λ·s carries γ = (r,r) in its sweep
-                gamma = opts.axpy_norm2_sq(-lambda, &s, &mut r, &mut counts);
-
-                if opts.record_residuals {
-                    norms.push(gamma.max(0.0).sqrt());
-                }
-                iterations = it + 1;
-                if gamma <= thresh_sq {
-                    termination = Termination::Converged;
-                    break;
-                }
-                if guard::check_finite(gamma).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        break;
-                    });
-                }
-
-                // w ← w − λ·z; fused, the same sweep yields next
-                // iteration's δ = (w,r) (w is dead after a break, so
-                // skipping the update on exit changes nothing)
+            st.gamma_old = st.gamma;
+            st.lambda_old = lambda;
+            // r ← r − λ·s carries γ = (r,r) in its sweep
+            st.gamma = opts.axpy_norm2_sq(-lambda, &st.s, &mut st.r, &mut drv.counts);
+            drv.record(st.gamma);
+            let verdict = Step::after(it, st.gamma, drv.thresh_sq);
+            // w ← w − λ·z; fused, the same sweep yields next iteration's
+            // δ = (w,r) (w is dead on exit, so skipping the update then
+            // changes nothing)
+            if verdict.is_next() {
                 if fused {
-                    delta_carried = opts.axpy_dot(-lambda, &z, &mut w, &r, &mut counts);
+                    st.delta_carried =
+                        opts.axpy_dot(-lambda, &st.z, &mut st.w, &st.r, &mut drv.counts);
                 } else {
-                    opts.axpy(-lambda, &z, &mut w, &mut counts);
+                    opts.axpy(-lambda, &st.z, &mut st.w, &mut drv.counts);
                 }
-                it += 1;
             }
-        }
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
-
-        if !opts.record_residuals {
-            norms.push(gamma.max(0.0).sqrt());
-        }
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        res.recovery = rstats;
-        res
-    }
+            verdict
+        },
+    );
+    drv.finish(st.x, termination, iterations, norm(st.gamma))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::Termination;
     use crate::standard::StandardCg;
     use vr_linalg::gen;
 

@@ -6,10 +6,9 @@
 //! *parallel* profile (Jacobi is depth-1; SSOR/IC(0) serialize sweeps),
 //! which E10 exploits.
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::precond::Preconditioner;
 use vr_linalg::LinearOperator;
@@ -47,13 +46,10 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            // The preconditioner application is an opaque second operator
-            // the sweep engine cannot stage — no single-pass schedule.
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        // The preconditioner application is an opaque second operator the
+        // sweep engine cannot stage, and it has no f32 form.
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         let n = a.dim();
         assert_eq!(
@@ -62,133 +58,78 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
             "preconditioner dimension mismatches operator"
         );
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
         let mut z = self.precond.apply_alloc(&r);
-        counts.precond_applies += 1;
-        let mut p = z.clone();
-        counts.vector_ops += 1;
+        drv.counts.precond_applies += 1;
+        let p = z.clone();
+        drv.counts.vector_ops += 1;
         let mut w = vec![0.0; n];
 
-        let mut rz = dot(md, &r, &z);
-        let mut rr = dot(md, &r, &r);
-        counts.dots += 2;
+        let rz = dot(md, &r, &z);
+        let rr = dot(md, &r, &r);
+        drv.counts.dots += 2;
+        drv.record(rr);
+        let mut st = State { x, r, p, rz, rr };
 
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-
-        // Checkpoint ring (policy-gated): at the loop top only [x, r, p] and
-        // the scalars (rz, rr) are live — z is overwritten by the next
-        // preconditioner apply before any read, and w by the matvec.
-        let mut rstats = RecoveryStats::default();
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 3, n, 2));
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        if rr <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            let mut it = 0usize;
-            macro_rules! rollback_or {
-                ($fallback:block) => {
-                    if let Some(rg) = ring.as_mut() {
-                        let mut scal = [0.0; 2];
-                        if let Some(c) = rg.rollback(opts, &mut [&mut x, &mut r, &mut p], &mut scal)
-                        {
-                            rz = scal[0];
-                            rr = scal[1];
-                            rstats.rollbacks += 1;
-                            if opts.record_residuals {
-                                norms.truncate(c + 1);
-                            }
-                            iterations = c;
-                            it = c;
-                            continue;
-                        }
-                    }
-                    $fallback
-                };
-            }
-            while it < opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(it, rr) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                if let Some(rg) = ring.as_mut() {
-                    rg.maybe_save(opts, it, &[&x, &r, &p], &[rz, rr]);
-                }
-                if guard::check_pivot(rz).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        iterations = it;
-                        break;
-                    });
+        let (termination, iterations) = drv.iterate(
+            &mut st,
+            |st| st.rr,
+            |drv, st, it| {
+                if guard::check_pivot(st.rz).is_err() {
+                    return Step::breakdown(it);
                 }
                 // matvec carries (p, A·p) in its sweep
-                let pap = opts.matvec_dot(a, &p, &mut w, &mut counts);
+                let pap = opts.matvec_dot(a, &st.p, &mut w, &mut drv.counts);
                 if guard::check_pivot(pap).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        iterations = it;
-                        break;
-                    });
+                    return Step::breakdown(it);
                 }
-                let lambda = rz / pap;
-                opts.axpy(lambda, &p, &mut x, &mut counts);
-                counts.scalar_ops += 1;
+                let lambda = st.rz / pap;
+                opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
+                drv.counts.scalar_ops += 1;
                 // r ← r − λ·w carries (r,r) in its sweep
-                rr = opts.axpy_norm2_sq(-lambda, &w, &mut r, &mut counts);
+                st.rr = opts.axpy_norm2_sq(-lambda, &w, &mut st.r, &mut drv.counts);
 
-                self.precond.apply(&r, &mut z);
-                counts.precond_applies += 1;
-                let rz_next = dot(md, &r, &z);
-                counts.dots += 1;
+                self.precond.apply(&st.r, &mut z);
+                drv.counts.precond_applies += 1;
+                let rz_next = dot(md, &st.r, &z);
+                drv.counts.dots += 1;
 
-                if opts.record_residuals {
-                    norms.push(rr.max(0.0).sqrt());
+                drv.record(st.rr);
+                let verdict = Step::after(it, st.rr, drv.thresh_sq);
+                if verdict.is_next() {
+                    let beta = rz_next / st.rz;
+                    drv.counts.scalar_ops += 1;
+                    opts.xpay(&z, beta, &mut st.p, &mut drv.counts);
+                    st.rz = rz_next;
                 }
-                iterations = it + 1;
-                if rr <= thresh_sq {
-                    termination = Termination::Converged;
-                    break;
-                }
-                if guard::check_finite(rr).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        break;
-                    });
-                }
-                let beta = rz_next / rz;
-                counts.scalar_ops += 1;
-                opts.xpay(&z, beta, &mut p, &mut counts);
-                rz = rz_next;
-                it += 1;
-            }
-        }
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
+                verdict
+            },
+        );
+        drv.finish(st.x, termination, iterations, norm(st.rr))
+    }
+}
 
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        res.recovery = rstats;
-        res
+/// Loop-carried state; at the loop top only `[x, r, p]` and the scalars
+/// `[rz, rr]` are live — `z` is overwritten by the next preconditioner
+/// apply before any read, and `w` by the matvec — so that is what a
+/// checkpoint snapshots.
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    /// `(r, z)` with `z = M⁻¹·r`.
+    rz: f64,
+    /// `(r, r)`.
+    rr: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(
+            &mut [&mut self.x, &mut self.r, &mut self.p],
+            &mut [&mut self.rz, &mut self.rr],
+        );
     }
 }
 

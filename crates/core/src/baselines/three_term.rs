@@ -15,10 +15,9 @@
 //! and because its dependency structure (two serialized reductions, like
 //! standard CG) makes a useful control in the machine-model experiments.
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
@@ -46,177 +45,119 @@ impl CgVariant for ThreeTermCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            // The three-term recurrence reads both r and r_prev around its
-            // mid-iteration reduction — no single-pass schedule exists.
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        // The three-term recurrence reads both r and r_prev around its
+        // mid-iteration reduction — no single-pass schedule exists.
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         let n = a.dim();
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-        let mut x_prev = x.clone();
-        let mut r_prev = r.clone();
-        counts.vector_ops += 2;
+        let x_prev = x.clone();
+        let r_prev = r.clone();
+        drv.counts.vector_ops += 2;
         let mut w = vec![0.0; n];
         // scratch for the next iterate/residual, rotated (never reallocated)
         let mut x_next = vec![0.0; n];
         let mut r_next = vec![0.0; n];
 
-        let mut rr = dot(md, &r, &r);
-        counts.dots += 1;
-        let mut gamma_prev = 1.0;
-        let mut rr_prev = 1.0;
-        let mut rho_prev = 1.0;
+        let rr = dot(md, &r, &r);
+        drv.counts.dots += 1;
+        let mut st = State {
+            x,
+            r,
+            x_prev,
+            r_prev,
+            rr,
+            rr_prev: 1.0,
+            gamma_prev: 1.0,
+            rho_prev: 1.0,
+        };
+        drv.record(st.rr);
 
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-
-        // Checkpoint ring (policy-gated): the three-term recurrence needs
-        // BOTH levels of its history — [x, r, x_prev, r_prev] plus the four
-        // carried scalars — to replay exactly.
-        let mut rstats = RecoveryStats::default();
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 4, n, 4));
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        if rr <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            let mut it = 0usize;
-            macro_rules! rollback_or {
-                ($fallback:block) => {
-                    if let Some(rg) = ring.as_mut() {
-                        let mut scal = [0.0; 4];
-                        if let Some(c) = rg.rollback(
-                            opts,
-                            &mut [&mut x, &mut r, &mut x_prev, &mut r_prev],
-                            &mut scal,
-                        ) {
-                            rr = scal[0];
-                            rr_prev = scal[1];
-                            gamma_prev = scal[2];
-                            rho_prev = scal[3];
-                            rstats.rollbacks += 1;
-                            if opts.record_residuals {
-                                norms.truncate(c + 1);
-                            }
-                            iterations = c;
-                            it = c;
-                            continue;
-                        }
-                    }
-                    $fallback
-                };
-            }
-            while it < opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(it, rr) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                if let Some(rg) = ring.as_mut() {
-                    rg.maybe_save(
-                        opts,
-                        it,
-                        &[&x, &r, &x_prev, &r_prev],
-                        &[rr, rr_prev, gamma_prev, rho_prev],
-                    );
-                }
+        let (termination, iterations) = drv.iterate(
+            &mut st,
+            |st| st.rr,
+            |drv, st, it| {
                 // matvec carries (r, A·r) in its sweep
-                let rar = opts.matvec_dot(a, &r, &mut w, &mut counts);
+                let rar = opts.matvec_dot(a, &st.r, &mut w, &mut drv.counts);
                 if guard::check_pivot(rar).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        iterations = it;
-                        break;
-                    });
+                    return Step::breakdown(it);
                 }
-                let gamma = rr / rar;
+                let gamma = st.rr / rar;
                 let rho = if it == 0 {
                     1.0
                 } else {
-                    1.0 / (1.0 - (gamma / gamma_prev) * (rr / rr_prev) / rho_prev)
+                    1.0 / (1.0 - (gamma / st.gamma_prev) * (st.rr / st.rr_prev) / st.rho_prev)
                 };
-                counts.scalar_ops += 4;
+                drv.counts.scalar_ops += 4;
                 if guard::check_finite(rho).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        iterations = it;
-                        break;
-                    });
+                    return Step::breakdown(it);
                 }
 
                 // u_{n+1} = ρ(u + γ r) + (1−ρ) u_{n−1}
-                for i in 0..n {
-                    x_next[i] = rho * (x[i] + gamma * r[i]) + (1.0 - rho) * x_prev[i];
+                for (((xn, xi), ri), xp) in x_next.iter_mut().zip(&st.x).zip(&st.r).zip(&st.x_prev)
+                {
+                    *xn = rho * (xi + gamma * ri) + (1.0 - rho) * xp;
                 }
                 // r_{n+1} = ρ(r − γ A r) + (1−ρ) r_{n−1}
-                for i in 0..n {
-                    r_next[i] = rho * (r[i] - gamma * w[i]) + (1.0 - rho) * r_prev[i];
+                for (((rn, ri), wi), rp) in r_next.iter_mut().zip(&st.r).zip(&w).zip(&st.r_prev) {
+                    *rn = rho * (ri - gamma * wi) + (1.0 - rho) * rp;
                 }
-                counts.vector_ops += 2;
+                drv.counts.vector_ops += 2;
 
                 // rotate: x_prev ← x, x ← x_next, scratch ← old x_prev
-                std::mem::swap(&mut x, &mut x_next);
-                std::mem::swap(&mut x_prev, &mut x_next);
-                std::mem::swap(&mut r, &mut r_next);
-                std::mem::swap(&mut r_prev, &mut r_next);
-                rr_prev = rr;
-                gamma_prev = gamma;
-                rho_prev = rho;
-                rr = dot(md, &r, &r);
-                counts.dots += 1;
+                std::mem::swap(&mut st.x, &mut x_next);
+                std::mem::swap(&mut st.x_prev, &mut x_next);
+                std::mem::swap(&mut st.r, &mut r_next);
+                std::mem::swap(&mut st.r_prev, &mut r_next);
+                st.rr_prev = st.rr;
+                st.gamma_prev = gamma;
+                st.rho_prev = rho;
+                st.rr = dot(md, &st.r, &st.r);
+                drv.counts.dots += 1;
+                drv.record(st.rr);
+                Step::after(it, st.rr, drv.thresh_sq)
+            },
+        );
+        drv.finish(st.x, termination, iterations, norm(st.rr))
+    }
+}
 
-                if opts.record_residuals {
-                    norms.push(rr.max(0.0).sqrt());
-                }
-                iterations = it + 1;
-                if rr <= thresh_sq {
-                    termination = Termination::Converged;
-                    break;
-                }
-                if guard::check_finite(rr).is_err() {
-                    rollback_or!({
-                        termination = Termination::Breakdown;
-                        break;
-                    });
-                }
-                it += 1;
-            }
-        }
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
+/// Loop-carried state; the three-term recurrence needs BOTH levels of its
+/// history, so a checkpoint snapshots `[x, r, x_prev, r_prev]` plus the
+/// four carried scalars `[rr, rr_prev, gamma_prev, rho_prev]` to replay
+/// exactly.
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    x_prev: Vec<f64>,
+    r_prev: Vec<f64>,
+    rr: f64,
+    rr_prev: f64,
+    gamma_prev: f64,
+    rho_prev: f64,
+}
 
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        res.recovery = rstats;
-        res
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(
+            &mut [&mut self.x, &mut self.r, &mut self.x_prev, &mut self.r_prev],
+            &mut [
+                &mut self.rr,
+                &mut self.rr_prev,
+                &mut self.gamma_prev,
+                &mut self.rho_prev,
+            ],
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::Termination;
     use crate::standard::StandardCg;
     use vr_linalg::gen;
 

@@ -25,6 +25,7 @@
 //! s × s Gram family is many *small* dots, where per-chunk dispatch
 //! overhead would dominate the arithmetic.
 
+use crate::driver::Driver;
 use crate::instrument::OpCounts;
 use crate::resilience::guard;
 use crate::solver::{SolveOptions, Termination};
@@ -86,8 +87,7 @@ impl BlockCg {
             assert_eq!(col.len(), n, "rhs column length mismatch");
         }
         let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
+        let drv = Driver::attach(opts);
 
         let mut x: Vec<Vec<f64>> = vec![vec![0.0; n]; s];
         let mut r: Vec<Vec<f64>> = b.to_vec();
@@ -127,14 +127,13 @@ impl BlockCg {
         } else {
             let mut w: Vec<Vec<f64>> = vec![vec![0.0; n]; active.len()];
             'outer: for it in 0..opts.max_iters {
-                opts.iter_mark();
                 // progress streams the worst (max) active-column squared
                 // residual — the quantity the block's convergence gates on
                 let worst = active
                     .iter()
                     .map(|&j| rr[j])
                     .fold(f64::NEG_INFINITY, f64::max);
-                if opts.service_poll(it, worst) {
+                if drv.poll(it, worst) {
                     termination = Termination::Cancelled;
                     iterations = it;
                     break 'outer;

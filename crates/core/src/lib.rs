@@ -56,6 +56,7 @@
 
 pub mod baselines;
 pub mod block;
+mod driver;
 pub mod instrument;
 pub mod lookahead;
 pub mod mixed;
@@ -72,6 +73,6 @@ pub mod sweep;
 
 pub use instrument::{OpCounts, RecoveryStats};
 pub use solver::{
-    BasisEngine, CgVariant, KernelPolicy, Precision, ProgressHook, RoutingMeta, SimdPolicy,
-    SolveOptions, SolveResult, SweepPolicy, Termination,
+    BasisEngine, CgVariant, KernelPolicy, Precision, ProgressHook, RoutingMeta, SolveOptions,
+    SolveResult, SweepPolicy, Termination,
 };

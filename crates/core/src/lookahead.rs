@@ -51,14 +51,30 @@
 //! predates). [`LookaheadCg::with_resync`] recomputes the whole window
 //! directly every R iterations as mitigation; E9 maps the drift.
 
-use crate::instrument::{OpCounts, RecoveryStats};
+use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
 use crate::recurrence::moments::MomentWindow;
-use crate::resilience::checkpoint::CheckpointRing;
 use crate::resilience::guard;
-use crate::solver::{util, BasisEngine, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{BasisEngine, CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::kernels::dot;
 use vr_linalg::mpk::{self, MpkTransform, MpkWorkspace};
 use vr_linalg::LinearOperator;
+
+/// Loop-carried state: the iterate and the `z = Aⁱ·r` family. A
+/// checkpoint snapshots `[x, z₀]` (`z₀` is the residual) — the rest of
+/// the family and the moment window are rebuilt by the outer startup pass
+/// on rollback, exactly like a warm restart but from a known-good
+/// ≤ C-iterations-old state instead of the (possibly poisoned) current
+/// iterate.
+struct State {
+    x: Vec<f64>,
+    z: Vec<Vec<f64>>,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(&mut [&mut self.x, &mut self.z[0]], &mut []);
+    }
+}
 
 /// General look-ahead CG solver (paper §4-5).
 #[derive(Debug, Clone, Copy)]
@@ -104,31 +120,19 @@ impl CgVariant for LookaheadCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            // The k-deep moment window interleaves basis builds with the
-            // deferred Gram reductions — no single-pass schedule exists.
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        // The k-deep moment window interleaves basis builds with the
+        // deferred Gram reductions — no single-pass schedule exists.
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         let n = a.dim();
         let k = self.k;
         let m = 2 * k; // window order for μ
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r0, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+        let thresh_sq = drv.thresh_sq;
 
-        let mut norms = Vec::new();
         let mut iterations = 0usize;
-        let mut rstats = RecoveryStats::default();
         let mut last_restart_rr = f64::INFINITY;
         #[allow(unused_assignments)]
         let mut final_rr = f64::NAN;
@@ -137,11 +141,14 @@ impl CgVariant for LookaheadCg {
         // the whole solve is allocation-free after the first pass warms
         // them: the z/w vector families, the matrix-powers images and
         // workspace, the moment window and its μ-step scratch, and the
-        // validation residual scratch.
+        // validation residual scratch. z₀ starts as the initial residual.
         let team = opts.team();
         let mut ws = MpkWorkspace::new();
         ws.set_tracer(opts.tracer.clone());
-        let mut z: Vec<Vec<f64>> = (0..=k).map(|_| vec![0.0; n]).collect();
+        let z = std::iter::once(r)
+            .chain((1..=k).map(|_| vec![0.0; n]))
+            .collect();
+        let mut st = State { x, z };
         let mut avfam: Vec<Vec<f64>> = (0..=k).map(|_| vec![0.0; n]).collect();
         let mut w: Vec<Vec<f64>> = (0..=k + 1).map(|_| vec![0.0; n]).collect();
         let mut win = MomentWindow {
@@ -152,45 +159,29 @@ impl CgVariant for LookaheadCg {
         let mut mu_scratch: Vec<f64> = Vec::with_capacity(m + 1);
         let mut vscratch = vec![0.0; n];
 
-        // Checkpoint ring (policy-gated): snapshots [x, r] only — the
-        // vector families and moment window are rebuilt by the outer
-        // startup pass on rollback, exactly like a warm restart but from a
-        // known-good ≤ C-iterations-old state instead of the (possibly
-        // poisoned) current iterate.
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 2, n, 0));
-
         // Outer restart loop: each pass performs the paper's "initial start
         // up" (build vector families + moment window from the current true
-        // residual) and then iterates on recurrences. When the drifted
+        // residual z₀) and then iterates on recurrences. When the drifted
         // window signals convergence or breaks down, the signal is
         // VALIDATED against the true residual; a spurious signal triggers a
         // warm restart from the current iterate, and lack of progress
         // between restarts terminates with `Breakdown`.
-        let mut termination = 'outer: loop {
+        let termination = 'outer: loop {
             // start-up: z[i] = A^i r, i ≤ k; w[i] = A^i p, i ≤ k+1 (p = r).
             // One monomial matrix-powers pass of depth k+1 yields the whole
             // z family plus its images; the top image A·z[k] IS the startup
             // w[k+1] = A^{k+1}·p (p = r), so no extra application is needed.
             // Either engine computes every column through the exact `apply`
             // row arithmetic — bit-identical to the legacy per-level loop.
-            z[0].copy_from_slice(&r0);
+            let z = &mut st.z;
             opts.span(vr_obs::SpanKind::MpkBuild, || match opts.basis_engine {
                 BasisEngine::Naive => {
-                    mpk::naive_powers(
-                        a,
-                        &MpkTransform::Monomial,
-                        &mut z,
-                        &mut avfam,
-                        team.as_deref(),
-                    );
+                    mpk::naive_powers(a, &MpkTransform::Monomial, z, &mut avfam, team.as_deref());
                 }
                 BasisEngine::Mpk => {
                     a.matrix_powers(
                         &MpkTransform::Monomial,
-                        &mut z,
+                        z,
                         &mut avfam,
                         team.as_deref(),
                         opts.mpk_tile,
@@ -198,18 +189,18 @@ impl CgVariant for LookaheadCg {
                     );
                 }
             });
-            counts.matvecs += k + 1;
-            for (wi, zi) in w.iter_mut().zip(z.iter()) {
+            drv.counts.matvecs += k + 1;
+            for (wi, zi) in w.iter_mut().zip(st.z.iter()) {
                 wi.copy_from_slice(zi);
             }
             w[k + 1].copy_from_slice(&avfam[k]);
-            counts.vector_ops += k + 1;
+            drv.counts.vector_ops += k + 1;
 
-            let spent = win.direct_in(&z, &w, m, md);
-            counts.dots += spent;
+            let spent = win.direct_in(&st.z, &w, m, md);
+            drv.counts.dots += spent;
 
-            if norms.is_empty() && opts.record_residuals {
-                norms.push(win.mu[0].max(0.0).sqrt());
+            if drv.norms.is_empty() {
+                drv.record(win.mu[0]);
             }
             if win.mu[0] <= thresh_sq {
                 // the window was just built from the true residual directly,
@@ -221,8 +212,7 @@ impl CgVariant for LookaheadCg {
             // inner recurrence loop
             let mut suspicious = false;
             while iterations < opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(iterations, win.mu[0]) {
+                if drv.poll(iterations, win.mu[0]) {
                     final_rr = win.mu[0];
                     break 'outer Termination::Cancelled;
                 }
@@ -231,21 +221,17 @@ impl CgVariant for LookaheadCg {
                     suspicious = true;
                     break;
                 }
-                if let Some(rg) = ring.as_mut() {
-                    rg.maybe_save(opts, iterations, &[&x, &z[0]], &[]);
-                }
+                drv.save(iterations, &mut st);
                 let lambda = opts.scalar(mu0 / sigma1);
-                opts.axpy(lambda, &w[0], &mut x, &mut counts);
-                counts.scalar_ops += 1;
+                opts.axpy(lambda, &w[0], &mut st.x, &mut drv.counts);
+                drv.counts.scalar_ops += 1;
 
                 // scalar window step (in place — no per-iteration allocs)
                 win.mu_step_into(lambda, &mut mu_scratch);
                 let alpha = opts.scalar(mu_scratch[0] / mu0);
-                counts.scalar_ops += win.step_scalar_ops() + 1;
+                drv.counts.scalar_ops += win.step_scalar_ops() + 1;
 
-                if opts.record_residuals {
-                    norms.push(mu_scratch[0].max(0.0).sqrt());
-                }
+                drv.record(mu_scratch[0]);
                 iterations += 1;
                 if mu_scratch[0] <= thresh_sq || guard::check_finite(mu_scratch[0]).is_err() {
                     suspicious = true;
@@ -254,20 +240,20 @@ impl CgVariant for LookaheadCg {
                 win.finish_step_in_place(&mut mu_scratch, lambda, alpha);
 
                 // vector family updates: z_i ← z_i − λ·w_{i+1} (old w)
-                for i in 0..=k {
-                    opts.axpy(-lambda, &w[i + 1], &mut z[i], &mut counts);
+                for (zi, wi) in st.z.iter_mut().zip(&w[1..]) {
+                    opts.axpy(-lambda, wi, zi, &mut drv.counts);
                 }
-                // w_i ← z_i + α·w_i
-                for i in 0..=k {
-                    opts.xpay(&z[i], alpha, &mut w[i], &mut counts);
+                // w_i ← z_i + α·w_i, i ≤ k
+                for (wi, zi) in w.iter_mut().zip(&st.z) {
+                    opts.xpay(zi, alpha, wi, &mut drv.counts);
                 }
                 // one matvec: w_{k+1} = A·w_k
                 if self.resync > 0 && iterations.is_multiple_of(self.resync) {
                     let (head, tail) = w.split_at_mut(k + 1);
-                    opts.matvec(a, &head[k], &mut tail[0], &mut counts);
+                    opts.matvec(a, &head[k], &mut tail[0], &mut drv.counts);
                     // periodic drift correction: rebuild the window in place
-                    let spent = win.direct_in(&z, &w, m, md);
-                    counts.dots += spent;
+                    let spent = win.direct_in(&st.z, &w, m, md);
+                    drv.counts.dots += spent;
                 } else {
                     // three direct top-of-window inner products — these
                     // are the reductions with k iterations of slack, i.e.
@@ -282,16 +268,16 @@ impl CgVariant for LookaheadCg {
                         a,
                         &head[k],
                         &mut tail[0],
-                        &mut counts,
-                        &mut rstats,
+                        &mut drv.counts,
+                        &mut drv.rstats,
                     );
                     let (nu_top, sigma_top) = guard::guarded_dot2(
                         opts,
                         &tail[0],
-                        &z[k],
+                        &st.z[k],
                         &tail[0],
-                        &mut counts,
-                        &mut rstats,
+                        &mut drv.counts,
+                        &mut drv.rstats,
                     );
                     win.nu[m + 1] = nu_top;
                     win.sigma[m + 2] = sigma_top;
@@ -300,15 +286,15 @@ impl CgVariant for LookaheadCg {
 
             // validate against the TRUE residual (scratch, no allocation)
             let rr_true = opts.span(vr_obs::SpanKind::Guard, || {
-                a.apply_team(team.as_deref(), &x, &mut vscratch);
+                a.apply_team(team.as_deref(), &st.x, &mut vscratch);
                 for (vi, bi) in vscratch.iter_mut().zip(b) {
                     *vi = bi - *vi;
                 }
                 dot(md, &vscratch, &vscratch)
             });
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-            counts.dots += 1;
+            drv.counts.matvecs += 1;
+            drv.counts.vector_ops += 1;
+            drv.counts.dots += 1;
             final_rr = rr_true;
             if rr_true <= thresh_sq {
                 break 'outer Termination::Converged;
@@ -320,15 +306,9 @@ impl CgVariant for LookaheadCg {
             // still be rescued from a ≤ C-iterations-old snapshot; the
             // outer startup pass rebuilds the families and window from the
             // restored residual
-            if let Some(rg) = ring.as_mut() {
-                if let Some(c) = rg.rollback(opts, &mut [&mut x, &mut r0], &mut []) {
-                    rstats.rollbacks += 1;
-                    if opts.record_residuals {
-                        norms.truncate(c + 1);
-                    }
-                    iterations = c;
-                    continue 'outer;
-                }
+            if let Some(c) = drv.rollback(&mut st) {
+                iterations = c;
+                continue 'outer;
             }
             // spurious signal: restart if we are still making progress.
             // A non-finite true residual means the iterate itself is
@@ -341,25 +321,18 @@ impl CgVariant for LookaheadCg {
                 break 'outer Termination::Breakdown;
             }
             last_restart_rr = rr_true;
-            counts.restarts += 1;
-            r0.copy_from_slice(&vscratch);
+            drv.counts.restarts += 1;
+            st.z[0].copy_from_slice(&vscratch);
         };
 
-        if !opts.record_residuals || norms.is_empty() {
-            norms.push(final_rr.max(0.0).sqrt());
-        } else if guard::check_finite(final_rr).is_ok() {
+        if guard::check_finite(final_rr).is_ok() {
             // replace the (possibly drifted) last recursive value with the
             // validated true residual norm
-            *norms.last_mut().expect("non-empty") = final_rr.max(0.0).sqrt();
+            drv.replace_last(norm(final_rr));
         }
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        rstats.restarts = counts.restarts;
-        rstats.final_k = k;
-        res.recovery = rstats;
-        res
+        drv.rstats.restarts = drv.counts.restarts;
+        drv.rstats.final_k = k;
+        drv.finish(st.x, termination, iterations, norm(final_rr))
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {

@@ -27,16 +27,21 @@
 //!
 //! Only variants whose dependency structure has a faithful `f32` twin here
 //! are eligible ([`CgVariant::mixed_eligible`]): standard CG, the paper's
-//! one-step overlapped CG, and Ghysels-Vanroose pipelined CG. Every other
-//! variant rejects [`Precision::Mixed`] with
+//! one-step overlapped CG, and Ghysels-Vanroose pipelined CG — each
+//! declares its twin to the iteration driver, which dispatches to it. Every
+//! other variant rejects [`Precision::Mixed`] with
 //! [`Termination::Unsupported`] — an explicit error beats a silent `f64`
-//! fallback whose numbers the caller would misattribute (see
-//! [`reject`]). Likewise an operator without a native `f32` path
-//! ([`LinearOperator::apply_f32`]).
+//! fallback whose numbers the caller would misattribute. Likewise an
+//! operator without a native `f32` path ([`LinearOperator::apply_f32`],
+//! probed by [`supported`]).
 
+use crate::baselines::PipelinedCg;
+use crate::driver::{norm, Checkpoint, Driver, Step};
 use crate::instrument::OpCounts;
+use crate::overlap_k1::OverlapK1Cg;
 use crate::resilience::guard;
-use crate::solver::{util, SolveOptions, SolveResult, Termination};
+use crate::solver::{SolveOptions, SolveResult, Termination};
+use crate::standard::StandardCg;
 use vr_linalg::kernels;
 use vr_linalg::LinearOperator;
 use vr_par::{reduce, simd};
@@ -64,44 +69,24 @@ fn narrow_into(src: &[f64], dst: &mut [f32]) {
     }
 }
 
-/// Explicit rejection of a mixed-precision request: no iterations, the
-/// starting point handed back unchanged with its honest initial residual,
-/// and [`Termination::Unsupported`]. Used by every ineligible variant and
-/// by eligible variants on operators without a native `f32` path.
-pub(crate) fn reject(
-    a: &dyn LinearOperator,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    opts: &SolveOptions,
-) -> SolveResult {
-    let mut counts = OpCounts::default();
-    let (x, r, _bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let rr = kernels::dot(opts.dot_mode, &r, &r);
-    counts.dots += 1;
-    SolveResult::new(
-        x,
-        Termination::Unsupported,
-        0,
-        vec![rr.max(0.0).sqrt()],
-        counts,
-    )
+/// Whether `a` has a native `f32` matvec. Operators answer statically, so
+/// a `false` here is a configuration error, not a transient.
+pub(crate) fn supported(a: &dyn LinearOperator) -> bool {
+    let n = a.dim();
+    a.apply_f32(&vec![0.0f32; n], &mut vec![0.0f32; n])
 }
 
 /// Verdict of one `f64` shadow confirmation.
 enum Confirm {
-    /// True residual meets the tolerance: the solve is genuinely done.
-    Converged(f64),
+    /// The solve ends: the true residual meets the tolerance
+    /// (`Converged`), or has made no meaningful progress across
+    /// consecutive confirmations — the `f32`-attainable floor
+    /// (`Stagnated`). Carries the squared true residual.
+    End(Termination, f64),
     /// Not converged, but still making progress — the caller replaces its
     /// working residual with the `f64` truth (left in [`Shadow::rt`]) and
     /// restarts its direction state.
     Replace(f64),
-    /// No meaningful progress across consecutive confirmations: the
-    /// `f32`-attainable floor. Terminate honestly.
-    Stagnated(f64),
 }
 
 /// The `f64` safety net: widened iterate, true residual, and a progress
@@ -164,7 +149,7 @@ impl Shadow {
         counts.vector_ops += 1;
         counts.dots += 1;
         if rr_true <= self.thresh_sq {
-            return Confirm::Converged(rr_true);
+            return Confirm::End(Termination::Converged, rr_true);
         }
         if rr_true.is_finite() && rr_true <= Self::IMPROVE * self.best {
             self.strikes = 0;
@@ -175,48 +160,81 @@ impl Shadow {
             self.best = self.best.min(rr_true);
         }
         if self.strikes >= Self::MAX_STRIKES {
-            Confirm::Stagnated(rr_true)
+            Confirm::End(Termination::Stagnated, rr_true)
         } else {
             Confirm::Replace(rr_true)
         }
     }
+
+    /// Confirm and act on the verdict. `Err(step)` ends the solve after
+    /// `n` iterations, the confirmed `f64` norm closing the history —
+    /// appended on an `early` exit (before the iteration recorded
+    /// anything), else in place of the iteration's recursive value.
+    /// `Ok(rr)` means `st.r` now holds the narrowed `f64` truth of squared
+    /// norm `rr`, for the caller to restart its direction state from.
+    #[allow(clippy::too_many_arguments)]
+    fn settle(
+        &mut self,
+        a: &dyn LinearOperator,
+        opts: &SolveOptions,
+        b: &[f64],
+        drv: &mut Driver<'_>,
+        st: &mut Working,
+        n: usize,
+        early: bool,
+    ) -> Result<f64, Step> {
+        match self.confirm(a, opts, b, &st.x, &mut drv.counts) {
+            Confirm::End(t, rt) => {
+                if early && opts.record_residuals {
+                    drv.norms.push(norm(rt));
+                } else {
+                    match drv.norms.last_mut() {
+                        Some(last) => *last = norm(rt),
+                        None => drv.norms.push(norm(rt)),
+                    }
+                }
+                Err(Step::End(t, n))
+            }
+            Confirm::Replace(rt) => {
+                narrow_into(&self.rt, &mut st.r);
+                drv.counts.vector_ops += 1;
+                drv.counts.restarts += 1;
+                Ok(rt)
+            }
+        }
+    }
 }
 
-/// Common startup for all mixed loops: `f64` initial residual (exact),
-/// narrowed working copies, threshold, and the `f32`-path probe.
-///
-/// Returns `Err` with the explicit rejection when the operator has no
-/// native `f32` matvec.
-// The large `Err` (a full `SolveResult`) is built once per rejected solve,
-// never on a hot path — boxing would only move the rejection allocation.
-#[allow(clippy::type_complexity, clippy::result_large_err)]
-fn mixed_init(
+/// The working state every mixed loop carries through the driver: the
+/// `f32` iterate and residual and the `f64` squared residual norm the
+/// convergence test compares. No checkpoint is declared — the shadow
+/// guard's residual replacement is the mixed loops' recovery.
+struct Working {
+    x: Vec<f32>,
+    r: Vec<f32>,
+    rr: f64,
+}
+
+impl Checkpoint for Working {}
+
+/// Common startup for all mixed loops: the driver's set-up (exact `f64`
+/// initial residual, threshold), the recorded `f64` initial squared
+/// residual — the one convergence decision that needs no shadow
+/// confirmation — and the narrowed working copies.
+fn mixed_start<'a>(
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
-    opts: &SolveOptions,
-    counts: &mut OpCounts,
-) -> Result<(Vec<f32>, Vec<f32>, f64, f64), SolveResult> {
-    let (xw, rw, bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let thresh_sq = util::threshold_sq(opts, bnorm);
-    // Initial convergence is judged on the f64 residual before narrowing —
-    // the one convergence decision that needs no shadow confirmation.
-    let rr0 = kernels::dot(opts.dot_mode, &rw, &rw);
-    counts.dots += 1;
+    opts: &'a SolveOptions,
+) -> (Driver<'a>, Working) {
+    let (mut drv, xw, rw) = Driver::start(a, b, x0, opts);
+    let rr = kernels::dot(opts.dot_mode, &rw, &rw);
+    drv.counts.dots += 1;
     let x: Vec<f32> = xw.iter().map(|&v| v as f32).collect();
     let r: Vec<f32> = rw.iter().map(|&v| v as f32).collect();
-    counts.vector_ops += 2;
-    // Capability probe: one f32 sweep. Operators answer statically, so a
-    // `false` here is a configuration error, not a transient.
-    let mut probe = vec![0.0f32; a.dim()];
-    if !a.apply_f32(&x, &mut probe) {
-        return Err(reject(a, b, x0, opts));
-    }
-    Ok((x, r, rr0, thresh_sq))
+    drv.counts.vector_ops += 2;
+    drv.record(rr);
+    (drv, Working { x, r, rr })
 }
 
 /// Mixed-precision standard CG (Hestenes-Stiefel structure, `f32` working
@@ -225,48 +243,28 @@ fn mixed_init(
 /// update-and-norm sweep; the shadow guard replaces the `f64` path's
 /// [`crate::resilience::guard::ResidualGuard`].
 pub(crate) fn solve_standard(
+    _: &StandardCg,
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
     let n = a.dim();
-    let mut counts = OpCounts::default();
-    let (mut x, mut r, rr0, thresh_sq) = match mixed_init(a, b, x0, opts, &mut counts) {
-        Ok(init) => init,
-        Err(rejected) => return rejected,
-    };
-    let mut p = r.clone();
+    let (mut drv, mut st) = mixed_start(a, b, x0, opts);
+    let mut p = st.r.clone();
     let mut w = vec![0.0f32; n];
-    counts.vector_ops += 1;
-
-    let mut rr = rr0;
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(rr.max(0.0).sqrt());
-    }
-    let mut shadow = Shadow::new(n, thresh_sq);
-    let mut termination = Termination::MaxIterations;
-    let mut iterations = 0;
+    drv.counts.vector_ops += 1;
+    let mut shadow = Shadow::new(n, drv.thresh_sq);
     // Set after a residual replacement; a pivot failure in the very next
     // iteration is a genuine breakdown, not accumulated f32 drift.
     let mut just_replaced = false;
 
-    if rr <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        let mut it = 0;
-        while it < opts.max_iters {
-            opts.iter_mark();
-            if opts.service_poll(it, rr) {
-                termination = Termination::Cancelled;
-                iterations = it;
-                break;
-            }
-            counts.matvecs += 1;
-            counts.dots += 1;
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.rr,
+        |drv, st, it| {
+            drv.counts.matvecs += 1;
+            drv.counts.dots += 1;
             opts.span_bytes(vr_obs::SpanKind::Matvec, 8 * n as u64, || {
                 a.apply_f32(&p, &mut w)
             });
@@ -275,84 +273,80 @@ pub(crate) fn solve_standard(
             });
             if guard::check_pivot(pap).is_err() {
                 if just_replaced {
-                    termination = Termination::Breakdown;
-                    iterations = it;
-                    break;
+                    return Step::breakdown(it);
                 }
-                match shadow.confirm(a, opts, b, &x, &mut counts) {
-                    Confirm::Converged(rt) => {
-                        termination = Termination::Converged;
-                        iterations = it;
-                        push_final(&mut norms, opts, rt);
-                        break;
-                    }
-                    Confirm::Stagnated(rt) => {
-                        termination = Termination::Stagnated;
-                        iterations = it;
-                        push_final(&mut norms, opts, rt);
-                        break;
-                    }
-                    Confirm::Replace(rt) => {
-                        narrow_into(&shadow.rt, &mut r);
-                        p.copy_from_slice(&r);
-                        counts.vector_ops += 2;
-                        counts.restarts += 1;
-                        rr = rt;
+                return match shadow.settle(a, opts, b, drv, st, it, true) {
+                    Err(end) => end,
+                    Ok(rt) => {
+                        p.copy_from_slice(&st.r);
+                        drv.counts.vector_ops += 1;
+                        st.rr = rt;
                         just_replaced = true;
-                        continue;
+                        Step::Retry
                     }
-                }
+                };
             }
-            let lambda = opts.scalar(rr / pap);
-            counts.scalar_ops += 1;
-            counts.vector_ops += 2;
-            counts.dots += 1;
+            let lambda = opts.scalar(st.rr / pap);
+            drv.counts.scalar_ops += 1;
+            drv.counts.vector_ops += 2;
+            drv.counts.dots += 1;
             // p, w read; x, r read-modify-write → 6 f32 streams.
             let rr_next = opts.span_bytes(vr_obs::SpanKind::VectorOp, 24 * n as u64, || {
-                simd::leaf_update_xr_f32(lambda as f32, &p, &w, &mut x, &mut r)
+                simd::leaf_update_xr_f32(lambda as f32, &p, &w, &mut st.x, &mut st.r)
             });
-            if opts.record_residuals {
-                norms.push(rr_next.max(0.0).sqrt());
-            }
-            iterations = it + 1;
+            drv.record(rr_next);
 
             let due = (it + 1).is_multiple_of(CONFIRM_PERIOD);
-            if rr_next <= thresh_sq || due || !rr_next.is_finite() {
-                match shadow.confirm(a, opts, b, &x, &mut counts) {
-                    Confirm::Converged(rt) => {
-                        termination = Termination::Converged;
-                        set_final(&mut norms, rt);
-                        break;
-                    }
-                    Confirm::Stagnated(rt) => {
-                        termination = Termination::Stagnated;
-                        set_final(&mut norms, rt);
-                        break;
-                    }
-                    Confirm::Replace(rt) => {
-                        narrow_into(&shadow.rt, &mut r);
-                        p.copy_from_slice(&r);
-                        counts.vector_ops += 2;
-                        counts.restarts += 1;
-                        rr = rt;
+            if rr_next <= drv.thresh_sq || due || !rr_next.is_finite() {
+                return match shadow.settle(a, opts, b, drv, st, it + 1, false) {
+                    Err(end) => end,
+                    Ok(rt) => {
+                        p.copy_from_slice(&st.r);
+                        drv.counts.vector_ops += 1;
+                        st.rr = rt;
                         just_replaced = true;
-                        it += 1;
-                        continue;
+                        Step::Next
                     }
-                }
+                };
             }
             just_replaced = false;
-            let beta = opts.scalar(rr_next / rr);
-            counts.scalar_ops += 1;
-            rr = rr_next;
-            counts.vector_ops += 1;
+            let beta = opts.scalar(rr_next / st.rr);
+            drv.counts.scalar_ops += 1;
+            st.rr = rr_next;
+            drv.counts.vector_ops += 1;
             opts.span_bytes(vr_obs::SpanKind::VectorOp, 12 * n as u64, || {
-                simd::leaf_xpay_f32(&r, beta as f32, &mut p)
+                simd::leaf_xpay_f32(&st.r, beta as f32, &mut p)
             });
-            it += 1;
-        }
-    }
-    finish(x, termination, iterations, norms, counts, rr, opts)
+            Step::Next
+        },
+    );
+    drv.finish(widen(&st.x), termination, iterations, norm(st.rr))
+}
+
+/// Warm restart of the overlapped recurrences from the residual `r`:
+/// `p = r`, `w = A·p`, `v = A·w`, returning the direct `(r, A·r)` that
+/// both carried scalars restart from (one matvec pair, one dot).
+fn overlap_restart(
+    a: &dyn LinearOperator,
+    opts: &SolveOptions,
+    r: &[f32],
+    p: &mut [f32],
+    w: &mut [f32],
+    v: &mut [f32],
+    counts: &mut OpCounts,
+) -> f64 {
+    let n = r.len();
+    p.copy_from_slice(r);
+    counts.vector_ops += 1;
+    counts.matvecs += 2;
+    opts.span_bytes(vr_obs::SpanKind::Matvec, 16 * n as u64, || {
+        a.apply_f32(p, w);
+        a.apply_f32(w, v);
+    });
+    counts.dots += 1;
+    opts.span_bytes(vr_obs::SpanKind::DotWait, 8 * n as u64, || {
+        reduce::dot_f32_wide(r, w)
+    })
 }
 
 /// Mixed-precision one-step overlapped CG (the paper's §3 structure). The
@@ -362,116 +356,59 @@ pub(crate) fn solve_standard(
 /// formulation trades for its overlap — is caught by the same shadow guard
 /// cadence as the other mixed loops.
 pub(crate) fn solve_overlap_k1(
+    _: &OverlapK1Cg,
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
     let n = a.dim();
-    let mut counts = OpCounts::default();
-    let (mut x, mut r, rr0, thresh_sq) = match mixed_init(a, b, x0, opts, &mut counts) {
-        Ok(init) => init,
-        Err(rejected) => return rejected,
-    };
-    let mut p = r.clone();
+    let (mut drv, mut st) = mixed_start(a, b, x0, opts);
+    let mut p = vec![0.0f32; n];
     let mut w = vec![0.0f32; n];
     let mut v = vec![0.0f32; n];
-    counts.vector_ops += 1;
-
-    // Startup: w = A·p, v = A·w, carried scalars.
-    counts.matvecs += 2;
-    opts.span_bytes(vr_obs::SpanKind::Matvec, 16 * n as u64, || {
-        a.apply_f32(&p, &mut w);
-        a.apply_f32(&w, &mut v);
-    });
-    let mut rr = rr0;
-    let mut rar = opts.span_bytes(vr_obs::SpanKind::DotWait, 8 * n as u64, || {
-        reduce::dot_f32_wide(&r, &w)
-    });
-    counts.dots += 1;
+    // Startup: p = r, w = A·p, v = A·w, carried scalars (r,Ar) = (p,Ap).
+    let mut rar = overlap_restart(a, opts, &st.r, &mut p, &mut w, &mut v, &mut drv.counts);
     let mut pap = rar;
-
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(rr.max(0.0).sqrt());
-    }
-    let mut shadow = Shadow::new(n, thresh_sq);
-    let mut termination = Termination::MaxIterations;
-    let mut iterations = 0;
+    let mut shadow = Shadow::new(n, drv.thresh_sq);
     let mut just_replaced = false;
 
-    if rr <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        let mut it = 0;
-        while it < opts.max_iters {
-            opts.iter_mark();
-            if opts.service_poll(it, rr) {
-                termination = Termination::Cancelled;
-                iterations = it;
-                break;
-            }
-            let suspicious = guard::check_pivot(pap).is_err() || guard::check_pivot(rr).is_err();
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.rr,
+        |drv, st, it| {
+            let suspicious = guard::check_pivot(pap).is_err() || guard::check_pivot(st.rr).is_err();
             let due = it > 0 && it.is_multiple_of(CONFIRM_PERIOD);
             if suspicious || due {
                 if suspicious && just_replaced {
-                    termination = Termination::Breakdown;
-                    iterations = it;
-                    break;
+                    return Step::breakdown(it);
                 }
-                match shadow.confirm(a, opts, b, &x, &mut counts) {
-                    Confirm::Converged(rt) => {
-                        termination = Termination::Converged;
-                        iterations = it;
-                        push_final(&mut norms, opts, rt);
-                        break;
-                    }
-                    Confirm::Stagnated(rt) => {
-                        termination = Termination::Stagnated;
-                        iterations = it;
-                        push_final(&mut norms, opts, rt);
-                        break;
-                    }
-                    Confirm::Replace(rt) => {
-                        // Warm restart from the f64 truth: p = r, direct
-                        // carried scalars (one extra matvec pair).
-                        narrow_into(&shadow.rt, &mut r);
-                        p.copy_from_slice(&r);
-                        counts.vector_ops += 2;
-                        counts.restarts += 1;
-                        counts.matvecs += 2;
-                        opts.span_bytes(vr_obs::SpanKind::Matvec, 16 * n as u64, || {
-                            a.apply_f32(&p, &mut w);
-                            a.apply_f32(&w, &mut v);
-                        });
-                        rr = rt;
-                        rar = opts.span_bytes(vr_obs::SpanKind::DotWait, 8 * n as u64, || {
-                            reduce::dot_f32_wide(&r, &w)
-                        });
-                        counts.dots += 1;
-                        pap = rar;
-                        just_replaced = suspicious;
-                    }
-                }
+                // Warm restart from the f64 truth: p = r, direct carried
+                // scalars (one extra matvec pair).
+                st.rr = match shadow.settle(a, opts, b, drv, st, it, true) {
+                    Err(end) => return end,
+                    Ok(rt) => rt,
+                };
+                rar = overlap_restart(a, opts, &st.r, &mut p, &mut w, &mut v, &mut drv.counts);
+                pap = rar;
+                just_replaced = suspicious;
             }
-            it += 1;
             // The four overlappable inner products on CURRENT vectors —
             // (r,w)/(r,v) share the sweep over r, (w,w)/(w,v) the sweep
             // over w, exactly like the f64 formulation.
-            counts.dots += 4;
+            drv.counts.dots += 4;
             let ((rw, rv), (ww, wv)) =
                 opts.span_bytes(vr_obs::SpanKind::DotWait, 24 * n as u64, || {
                     (
-                        simd::leaf_dot2_f32(&r, &w, &v),
+                        simd::leaf_dot2_f32(&st.r, &w, &v),
                         simd::leaf_dot2_f32(&w, &w, &v),
                     )
                 });
+            let rr = st.rr;
             let lambda = opts.scalar(rr / pap);
-            counts.vector_ops += 1;
+            drv.counts.vector_ops += 1;
             opts.span_bytes(vr_obs::SpanKind::VectorOp, 12 * n as u64, || {
-                simd::leaf_axpy_f32(lambda as f32, &p, &mut x)
+                simd::leaf_axpy_f32(lambda as f32, &p, &mut st.x)
             });
 
             // Scalar recurrences (claim C3, k = 1) — pure f64.
@@ -480,70 +417,45 @@ pub(crate) fn solve_overlap_k1(
             let alpha = rr_next / rr;
             let rnext_w = rw - lambda * ww;
             let pap_next = rar_next + 2.0 * alpha * rnext_w + alpha * alpha * pap;
-            counts.scalar_ops += 12;
+            drv.counts.scalar_ops += 12;
 
-            if opts.record_residuals {
-                norms.push(rr_next.max(0.0).sqrt());
-            }
-            iterations = it;
-            if rr_next <= thresh_sq {
-                match shadow.confirm(a, opts, b, &x, &mut counts) {
-                    Confirm::Converged(rt) => {
-                        termination = Termination::Converged;
-                        set_final(&mut norms, rt);
-                        break;
-                    }
-                    Confirm::Stagnated(rt) => {
-                        termination = Termination::Stagnated;
-                        set_final(&mut norms, rt);
-                        break;
-                    }
-                    Confirm::Replace(rt) => {
-                        narrow_into(&shadow.rt, &mut r);
-                        p.copy_from_slice(&r);
-                        counts.vector_ops += 2;
-                        counts.restarts += 1;
-                        counts.matvecs += 2;
-                        opts.span_bytes(vr_obs::SpanKind::Matvec, 16 * n as u64, || {
-                            a.apply_f32(&p, &mut w);
-                            a.apply_f32(&w, &mut v);
-                        });
-                        rr = rt;
-                        rar = opts.span_bytes(vr_obs::SpanKind::DotWait, 8 * n as u64, || {
-                            reduce::dot_f32_wide(&r, &w)
-                        });
-                        counts.dots += 1;
-                        pap = rar;
-                        just_replaced = false;
-                        continue;
-                    }
-                }
+            drv.record(rr_next);
+            if rr_next <= drv.thresh_sq {
+                st.rr = match shadow.settle(a, opts, b, drv, st, it + 1, false) {
+                    Err(end) => return end,
+                    Ok(rt) => rt,
+                };
+                rar = overlap_restart(a, opts, &st.r, &mut p, &mut w, &mut v, &mut drv.counts);
+                pap = rar;
+                just_replaced = false;
+                return Step::Next;
             }
             if guard::check_finite(rr_next).is_err() {
                 // Route through the validation branch at the loop top.
-                rr = rr_next;
-                continue;
+                st.rr = rr_next;
+                return Step::Next;
             }
 
             // Vector updates + the next matvec pair.
-            counts.vector_ops += 2;
+            drv.counts.vector_ops += 2;
             opts.span_bytes(vr_obs::SpanKind::VectorOp, 24 * n as u64, || {
-                simd::leaf_axpy_f32(-(lambda as f32), &w, &mut r);
-                simd::leaf_xpay_f32(&r, alpha as f32, &mut p);
+                simd::leaf_axpy_f32(-(lambda as f32), &w, &mut st.r);
+                simd::leaf_xpay_f32(&st.r, alpha as f32, &mut p);
             });
-            counts.matvecs += 2;
+            drv.counts.matvecs += 2;
             opts.span_bytes(vr_obs::SpanKind::Matvec, 16 * n as u64, || {
                 a.apply_f32(&p, &mut w);
                 a.apply_f32(&w, &mut v);
             });
 
-            rr = rr_next;
+            st.rr = rr_next;
             rar = rar_next;
             pap = pap_next;
             just_replaced = false;
-        }
-    }
-    finish(x, termination, iterations, norms, counts, rr, opts)
+            Step::Next
+        },
+    );
+    drv.finish(widen(&st.x), termination, iterations, norm(st.rr))
 }
 
 /// Mixed-precision Ghysels-Vanroose pipelined CG. Recurrence-maintained
@@ -553,213 +465,124 @@ pub(crate) fn solve_overlap_k1(
 /// branch), since the auxiliary recurrences are only valid along an
 /// uninterrupted direction history.
 pub(crate) fn solve_pipelined(
+    _: &PipelinedCg,
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
     let n = a.dim();
-    let mut counts = OpCounts::default();
-    let (mut x, mut r, rr0, thresh_sq) = match mixed_init(a, b, x0, opts, &mut counts) {
-        Ok(init) => init,
-        Err(rejected) => return rejected,
+    let (mut drv, mut st) = mixed_start(a, b, x0, opts);
+    // w = A·r, restarted from every replaced residual.
+    let restart_w = |r: &[f32], w: &mut [f32], counts: &mut OpCounts| {
+        counts.matvecs += 1;
+        opts.span_bytes(vr_obs::SpanKind::Matvec, 8 * n as u64, || a.apply_f32(r, w));
     };
     let mut w = vec![0.0f32; n];
-    counts.matvecs += 1;
-    opts.span_bytes(vr_obs::SpanKind::Matvec, 8 * n as u64, || {
-        a.apply_f32(&r, &mut w)
-    });
+    restart_w(&st.r, &mut w, &mut drv.counts);
     let mut p = vec![0.0f32; n];
     let mut s = vec![0.0f32; n];
     let mut z = vec![0.0f32; n];
     let mut q = vec![0.0f32; n];
 
+    // `st.rr` is γ = (r, r).
     let mut gamma_old = 1.0f64;
     let mut lambda_old = 1.0f64;
-    let mut gamma = rr0;
-
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(gamma.max(0.0).sqrt());
-    }
-    let mut shadow = Shadow::new(n, thresh_sq);
-    let mut termination = Termination::MaxIterations;
-    let mut iterations = 0;
+    let mut shadow = Shadow::new(n, drv.thresh_sq);
     let mut just_replaced = false;
     // Forces the β = 0 startup branch (fresh pipeline) — true at solve
     // start and after every residual replacement.
     let mut fresh = true;
 
-    if gamma <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        let mut it = 0usize;
-        while it < opts.max_iters {
-            opts.iter_mark();
-            if opts.service_poll(it, gamma) {
-                termination = Termination::Cancelled;
-                iterations = it;
-                break;
-            }
-            counts.dots += 1;
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.rr,
+        |drv, st, it| {
+            drv.counts.dots += 1;
             let delta = opts.span_bytes(vr_obs::SpanKind::DotWait, 8 * n as u64, || {
-                reduce::dot_f32_wide(&w, &r)
+                reduce::dot_f32_wide(&w, &st.r)
             });
             // q = A·w — the reduction-overlapped matvec of the pipeline.
-            counts.matvecs += 1;
+            drv.counts.matvecs += 1;
             opts.span_bytes(vr_obs::SpanKind::Matvec, 8 * n as u64, || {
                 a.apply_f32(&w, &mut q)
             });
 
+            let gamma = st.rr;
             let (beta, denom) = if fresh {
                 (0.0, delta)
             } else {
                 let beta = gamma / gamma_old;
                 (beta, delta - beta * gamma / lambda_old)
             };
-            counts.scalar_ops += 3;
+            drv.counts.scalar_ops += 3;
             if guard::check_pivot(denom).is_err() {
                 if just_replaced {
-                    termination = Termination::Breakdown;
-                    iterations = it;
-                    break;
+                    return Step::breakdown(it);
                 }
-                match shadow.confirm(a, opts, b, &x, &mut counts) {
-                    Confirm::Converged(rt) => {
-                        termination = Termination::Converged;
-                        iterations = it;
-                        push_final(&mut norms, opts, rt);
-                        break;
-                    }
-                    Confirm::Stagnated(rt) => {
-                        termination = Termination::Stagnated;
-                        iterations = it;
-                        push_final(&mut norms, opts, rt);
-                        break;
-                    }
-                    Confirm::Replace(rt) => {
-                        narrow_into(&shadow.rt, &mut r);
-                        counts.vector_ops += 1;
-                        counts.restarts += 1;
-                        counts.matvecs += 1;
-                        opts.span_bytes(vr_obs::SpanKind::Matvec, 8 * n as u64, || {
-                            a.apply_f32(&r, &mut w)
-                        });
-                        gamma = rt;
+                return match shadow.settle(a, opts, b, drv, st, it, true) {
+                    Err(end) => end,
+                    Ok(rt) => {
+                        restart_w(&st.r, &mut w, &mut drv.counts);
+                        st.rr = rt;
                         fresh = true;
                         just_replaced = true;
-                        continue;
+                        Step::Retry
                     }
-                }
+                };
             }
             let lambda = opts.scalar(gamma / denom);
-            counts.scalar_ops += 1;
+            drv.counts.scalar_ops += 1;
 
-            counts.vector_ops += 4;
+            drv.counts.vector_ops += 4;
             opts.span_bytes(vr_obs::SpanKind::VectorOp, 48 * n as u64, || {
                 let bf = beta as f32;
-                simd::leaf_xpay_f32(&r, bf, &mut p);
+                simd::leaf_xpay_f32(&st.r, bf, &mut p);
                 simd::leaf_xpay_f32(&w, bf, &mut s);
                 simd::leaf_xpay_f32(&q, bf, &mut z);
-                simd::leaf_axpy_f32(lambda as f32, &p, &mut x);
+                simd::leaf_axpy_f32(lambda as f32, &p, &mut st.x);
             });
 
             gamma_old = gamma;
             lambda_old = lambda;
             // r ← r − λ·s carries γ = (r,r) in its sweep.
-            counts.vector_ops += 1;
-            counts.dots += 1;
-            gamma = opts.span_bytes(vr_obs::SpanKind::VectorOp, 12 * n as u64, || {
-                simd::leaf_axpy_norm2_sq_f32(-(lambda as f32), &s, &mut r)
+            drv.counts.vector_ops += 1;
+            drv.counts.dots += 1;
+            st.rr = opts.span_bytes(vr_obs::SpanKind::VectorOp, 12 * n as u64, || {
+                simd::leaf_axpy_norm2_sq_f32(-(lambda as f32), &s, &mut st.r)
             });
-
-            if opts.record_residuals {
-                norms.push(gamma.max(0.0).sqrt());
-            }
-            iterations = it + 1;
+            drv.record(st.rr);
 
             let due = (it + 1).is_multiple_of(CONFIRM_PERIOD);
-            if gamma <= thresh_sq || due || guard::check_finite(gamma).is_err() {
-                match shadow.confirm(a, opts, b, &x, &mut counts) {
-                    Confirm::Converged(rt) => {
-                        termination = Termination::Converged;
-                        set_final(&mut norms, rt);
-                        break;
-                    }
-                    Confirm::Stagnated(rt) => {
-                        termination = Termination::Stagnated;
-                        set_final(&mut norms, rt);
-                        break;
-                    }
-                    Confirm::Replace(rt) => {
-                        narrow_into(&shadow.rt, &mut r);
-                        counts.vector_ops += 1;
-                        counts.restarts += 1;
-                        counts.matvecs += 1;
-                        opts.span_bytes(vr_obs::SpanKind::Matvec, 8 * n as u64, || {
-                            a.apply_f32(&r, &mut w)
-                        });
-                        gamma = rt;
+            if st.rr <= drv.thresh_sq || due || guard::check_finite(st.rr).is_err() {
+                return match shadow.settle(a, opts, b, drv, st, it + 1, false) {
+                    Err(end) => end,
+                    Ok(rt) => {
+                        restart_w(&st.r, &mut w, &mut drv.counts);
+                        st.rr = rt;
                         fresh = true;
                         just_replaced = true;
-                        it += 1;
-                        continue;
+                        Step::Next
                     }
-                }
+                };
             }
 
             // w ← w − λ·z maintains the matvec image for the next δ.
-            counts.vector_ops += 1;
+            drv.counts.vector_ops += 1;
             opts.span_bytes(vr_obs::SpanKind::VectorOp, 12 * n as u64, || {
                 simd::leaf_axpy_f32(-(lambda as f32), &z, &mut w)
             });
             fresh = false;
             just_replaced = false;
-            it += 1;
-        }
-    }
-    finish(x, termination, iterations, norms, counts, gamma, opts)
+            Step::Next
+        },
+    );
+    drv.finish(widen(&st.x), termination, iterations, norm(st.rr))
 }
 
-/// Append the final true-residual norm when it would otherwise be lost
-/// (early-exit paths that break before the per-iteration push).
-fn push_final(norms: &mut Vec<f64>, opts: &SolveOptions, rr_true: f64) {
-    let v = rr_true.max(0.0).sqrt();
-    if opts.record_residuals || norms.is_empty() {
-        norms.push(v);
-    } else {
-        *norms.last_mut().expect("nonempty") = v;
-    }
-}
-
-/// Overwrite the last recorded norm with the confirmed `f64` truth (the
-/// recursive value it replaces described the same iterate, less honestly).
-fn set_final(norms: &mut Vec<f64>, rr_true: f64) {
-    let v = rr_true.max(0.0).sqrt();
-    match norms.last_mut() {
-        Some(last) => *last = v,
-        None => norms.push(v),
-    }
-}
-
-/// Widen the `f32` iterate and assemble the [`SolveResult`].
-fn finish(
-    x32: Vec<f32>,
-    termination: Termination,
-    iterations: usize,
-    mut norms: Vec<f64>,
-    counts: OpCounts,
-    last_rr: f64,
-    _opts: &SolveOptions,
-) -> SolveResult {
-    if norms.is_empty() {
-        // record_residuals off and no confirmation fired before exit.
-        norms.push(last_rr.max(0.0).sqrt());
-    }
-    let x: Vec<f64> = x32.iter().map(|&v| f64::from(v)).collect();
-    SolveResult::new(x, termination, iterations, norms, counts)
+/// Widen the `f32` iterate for the result.
+fn widen(x32: &[f32]) -> Vec<f64> {
+    x32.iter().map(|&v| f64::from(v)).collect()
 }
 
 #[cfg(test)]

@@ -29,53 +29,112 @@
 //! inner products. The sequential overhead buys removal of one reduction
 //! from the critical cycle; E4/E7 quantify both sides.
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
+use crate::instrument::OpCounts;
 use crate::resilience::guard;
-use crate::solver::{util, BasisEngine, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{BasisEngine, CgVariant, SolveOptions, SolveResult, Termination};
+use std::sync::Arc;
 use vr_linalg::kernels::dot;
 use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
 use vr_linalg::LinearOperator;
 use vr_par::team::Team;
 
-/// `w ← A·p`, `v ← A·w` as one monomial matrix-powers call (`s = 2`): the
-/// cache-blocked kernel streams each operand tile through cache once for
-/// both applications instead of making two full-vector passes, and is
-/// **bit-identical** to the two plain matvecs by the
-/// [`LinearOperator::matrix_powers`] contract (every row goes through the
-/// exact `apply` arithmetic). The seed column is swapped in from `p` and
-/// the image columns swapped out into `w` and `v`, so the hot loop stays
-/// allocation-free after the buffers warm.
-#[allow(clippy::too_many_arguments)]
-fn mpk_powers2(
-    a: &dyn LinearOperator,
-    opts: &SolveOptions,
-    team: Option<&Team>,
-    ws: &mut MpkWorkspace,
-    cols_v: &mut [Vec<f64>],
-    cols_av: &mut [Vec<f64>],
-    p: &mut Vec<f64>,
-    w: &mut Vec<f64>,
-    v: &mut Vec<f64>,
-    counts: &mut OpCounts,
-) {
-    counts.matvecs += 2;
-    std::mem::swap(p, &mut cols_v[0]);
-    opts.span(vr_obs::SpanKind::MpkBuild, || {
-        a.matrix_powers(
-            &MpkTransform::Monomial,
-            cols_v,
-            cols_av,
-            team,
-            opts.mpk_tile,
-            ws,
+/// Overlap-k1's twins: the `f32`-storage loop and the whole-iteration
+/// sweep.
+const TWINS: Twins<OverlapK1Cg> = Twins {
+    mixed: Some(crate::mixed::solve_overlap_k1),
+    sweep: Some(crate::sweep::solve_overlap_k1),
+};
+
+/// Loop-carried state; a checkpoint snapshots `[x, r, p]` and the three
+/// carried scalars `[rr, rar, pap]` — `w` and `v` are recomputed on
+/// restore (two matvecs, per Cools' minimal-state checkpointing for
+/// pipelined CG).
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    /// `(r, r)`.
+    rr: f64,
+    /// `(r, A·r)`.
+    rar: f64,
+    /// `(p, A·p)`.
+    pap: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(
+            &mut [&mut self.x, &mut self.r, &mut self.p],
+            &mut [&mut self.rr, &mut self.rar, &mut self.pap],
         );
-    });
-    // Monomial, s = 2: av[0] = A·v[0] and av[1] = A·av[0] (v[1] is the
-    // kernel's copy of av[0] — scratch for the next call).
-    std::mem::swap(p, &mut cols_v[0]);
-    std::mem::swap(w, &mut cols_av[0]);
-    std::mem::swap(v, &mut cols_av[1]);
+    }
+}
+
+/// `w ← A·p`, `v ← A·w`. Under `BasisEngine::Mpk` both applications run
+/// as one monomial matrix-powers call (`s = 2`): the cache-blocked kernel
+/// streams each operand tile through cache once for both applications
+/// instead of making two full-vector passes, and is **bit-identical** to
+/// the two plain matvecs by the [`LinearOperator::matrix_powers`] contract
+/// (every row goes through the exact `apply` arithmetic). Under `Naive`
+/// they stay two plain matvecs. Buffers are allocated once, so the hot
+/// loop stays allocation-free.
+struct Powers2 {
+    /// Under `Mpk`: the workspace and the seed/image column pairs.
+    mpk: Option<MpkBuffers>,
+    team: Option<Arc<Team>>,
+}
+
+/// Matrix-powers workspace plus seed and image columns.
+type MpkBuffers = (MpkWorkspace, Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+impl Powers2 {
+    fn new(opts: &SolveOptions, n: usize) -> Self {
+        let mpk = (opts.basis_engine == BasisEngine::Mpk && n > 0).then(|| {
+            let mut ws = MpkWorkspace::new();
+            ws.set_tracer(opts.tracer.clone());
+            (ws, vec![vec![0.0; n]; 2], vec![vec![0.0; n]; 2])
+        });
+        Powers2 {
+            mpk,
+            team: opts.team(),
+        }
+    }
+
+    fn apply(
+        &mut self,
+        a: &dyn LinearOperator,
+        opts: &SolveOptions,
+        p: &mut Vec<f64>,
+        w: &mut Vec<f64>,
+        v: &mut Vec<f64>,
+        counts: &mut OpCounts,
+    ) {
+        let Some((ws, cols_v, cols_av)) = self.mpk.as_mut() else {
+            opts.matvec(a, p, w, counts);
+            opts.matvec(a, w, v, counts);
+            return;
+        };
+        counts.matvecs += 2;
+        // The seed column is swapped in from `p` and the image columns
+        // swapped out into `w` and `v`.
+        std::mem::swap(p, &mut cols_v[0]);
+        opts.span(vr_obs::SpanKind::MpkBuild, || {
+            a.matrix_powers(
+                &MpkTransform::Monomial,
+                cols_v,
+                cols_av,
+                self.team.as_deref(),
+                opts.mpk_tile,
+                ws,
+            );
+        });
+        // Monomial, s = 2: av[0] = A·v[0] and av[1] = A·av[0] (v[1] is the
+        // kernel's copy of av[0] — scratch for the next call).
+        std::mem::swap(p, &mut cols_v[0]);
+        std::mem::swap(w, &mut cols_av[0]);
+        std::mem::swap(v, &mut cols_av[1]);
+    }
 }
 
 /// One-step overlapped CG (paper §3).
@@ -118,11 +177,11 @@ impl CgVariant for OverlapK1Cg {
     }
 
     fn mixed_eligible(&self) -> bool {
-        true
+        TWINS.mixed.is_some()
     }
 
     fn sweep_eligible(&self) -> bool {
-        true
+        TWINS.sweep.is_some()
     }
 
     fn solve(
@@ -132,55 +191,34 @@ impl CgVariant for OverlapK1Cg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            return crate::sweep::solve_overlap_k1(a, b, x0, opts, self.resync);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::solve_overlap_k1(a, b, x0, opts);
+        if let Some(res) = driver::twin(self, &TWINS, a, b, x0, opts) {
+            return res;
         }
         let n = a.dim();
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+        let thresh_sq = drv.thresh_sq;
         let md = opts.dot_mode;
-
-        // Basis engine for the per-iteration `w = A·p`, `v = A·w` pair:
-        // under `Mpk` both applications run as one s = 2 matrix-powers
-        // build (bit-identical by contract); under `Naive` they stay two
-        // plain matvecs. Buffers are allocated once, outside the loop.
-        let use_mpk = opts.basis_engine == BasisEngine::Mpk && n > 0;
-        let team = opts.team();
-        let mut ws = MpkWorkspace::new();
-        ws.set_tracer(opts.tracer.clone());
-        let (mut cols_v, mut cols_av): (Vec<Vec<f64>>, Vec<Vec<f64>>) = if use_mpk {
-            (vec![vec![0.0; n]; 2], vec![vec![0.0; n]; 2])
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let mut powers = Powers2::new(opts, n);
 
         // State: p, w = A·p, v = A·w; scalars rr = (r,r), rar = (r,Ar),
         // pap = (p,Ap).
-        let mut p = r.clone();
-        counts.vector_ops += 1;
-        let mut w = opts.matvec_alloc(a, &p, &mut counts);
-        let mut v = opts.matvec_alloc(a, &w, &mut counts);
-
-        let mut rr = dot(md, &r, &r);
+        let p = r.clone();
+        drv.counts.vector_ops += 1;
+        let mut w = opts.matvec_alloc(a, &p, &mut drv.counts);
+        let mut v = opts.matvec_alloc(a, &w, &mut drv.counts);
+        let rr = dot(md, &r, &r);
         // p = r at start ⇒ (r, Ar) = (r, w).
-        let mut rar = dot(md, &r, &w);
-        counts.dots += 2;
-        let mut pap = rar;
-
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
+        let rar = dot(md, &r, &w);
+        drv.counts.dots += 2;
+        let mut st = State {
+            x,
+            r,
+            p,
+            rr,
+            rar,
+            pap: rar,
+        };
+        drv.record(st.rr);
 
         // Recurrence drift near convergence can push the carried `pap`
         // non-positive before the threshold trips. A suspicious signal is
@@ -191,78 +229,39 @@ impl CgVariant for OverlapK1Cg {
         // across restarts so the hot path stays allocation-free.
         let mut vscratch = vec![0.0; n];
 
-        // Checkpoint ring (policy-gated): snapshots [x, r, p] plus the three
-        // carried scalars [rr, rar, pap]; w and v are recomputed on restore
-        // (two matvecs — per Cools' minimal-state checkpointing for
-        // pipelined CG).
-        let mut rstats = RecoveryStats::default();
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 3, n, 3));
-
         let mut termination = Termination::MaxIterations;
         let mut iterations = 0;
-        if rr <= thresh_sq {
+        if st.rr <= thresh_sq {
             termination = Termination::Converged;
         } else {
             let mut it = 0;
             while it < opts.max_iters {
-                if guard::check_pivot(pap).is_err() || guard::check_pivot(rr).is_err() {
+                if guard::check_pivot(st.pap).is_err() || guard::check_pivot(st.rr).is_err() {
                     // validate against the true residual
                     let rr_true = opts.span(vr_obs::SpanKind::Guard, || {
-                        a.apply(&x, &mut vscratch);
+                        a.apply(&st.x, &mut vscratch);
                         for (vi, bi) in vscratch.iter_mut().zip(b) {
                             *vi = bi - *vi;
                         }
                         dot(md, &vscratch, &vscratch)
                     });
-                    counts.matvecs += 1;
-                    counts.vector_ops += 1;
-                    counts.dots += 1;
+                    drv.counts.matvecs += 1;
+                    drv.counts.vector_ops += 1;
+                    drv.counts.dots += 1;
                     if rr_true <= thresh_sq {
                         termination = Termination::Converged;
                         iterations = it;
-                        if let Some(last) = norms.last_mut() {
-                            *last = rr_true.max(0.0).sqrt();
-                        }
+                        drv.replace_last(norm(rr_true));
                         break;
                     }
                     // rollback rung: restore the newest checkpoint and
                     // replay ≤ C iterations — keeps the Krylov direction
                     // history a warm restart would throw away
-                    if let Some(rg) = ring.as_mut() {
-                        let mut scal = [0.0; 3];
-                        if let Some(c) = rg.rollback(opts, &mut [&mut x, &mut r, &mut p], &mut scal)
-                        {
-                            rr = scal[0];
-                            rar = scal[1];
-                            pap = scal[2];
-                            rstats.rollbacks += 1;
-                            if use_mpk {
-                                mpk_powers2(
-                                    a,
-                                    opts,
-                                    team.as_deref(),
-                                    &mut ws,
-                                    &mut cols_v,
-                                    &mut cols_av,
-                                    &mut p,
-                                    &mut w,
-                                    &mut v,
-                                    &mut counts,
-                                );
-                            } else {
-                                opts.matvec(a, &p, &mut w, &mut counts);
-                                opts.matvec(a, &w, &mut v, &mut counts);
-                            }
-                            if opts.record_residuals {
-                                norms.truncate(c + 1);
-                            }
-                            iterations = c;
-                            it = c;
-                            continue;
-                        }
+                    if let Some(c) = drv.rollback(&mut st) {
+                        powers.apply(a, opts, &mut st.p, &mut w, &mut v, &mut drv.counts);
+                        iterations = c;
+                        it = c;
+                        continue;
                     }
                     if rr_true >= 0.25 * last_restart_rr {
                         termination = Termination::Breakdown;
@@ -271,45 +270,25 @@ impl CgVariant for OverlapK1Cg {
                     }
                     // warm restart
                     last_restart_rr = rr_true;
-                    counts.restarts += 1;
+                    drv.counts.restarts += 1;
                     opts.span(vr_obs::SpanKind::Recovery, || {
-                        r.copy_from_slice(&vscratch);
-                        p.copy_from_slice(&r);
+                        st.r.copy_from_slice(&vscratch);
+                        st.p.copy_from_slice(&st.r);
                     });
-                    if use_mpk {
-                        mpk_powers2(
-                            a,
-                            opts,
-                            team.as_deref(),
-                            &mut ws,
-                            &mut cols_v,
-                            &mut cols_av,
-                            &mut p,
-                            &mut w,
-                            &mut v,
-                            &mut counts,
-                        );
-                    } else {
-                        opts.matvec(a, &p, &mut w, &mut counts);
-                        opts.matvec(a, &w, &mut v, &mut counts);
-                    }
-                    counts.vector_ops += 1;
-                    rr = rr_true;
-                    rar = dot(md, &r, &w);
-                    counts.dots += 1;
-                    pap = rar;
+                    powers.apply(a, opts, &mut st.p, &mut w, &mut v, &mut drv.counts);
+                    drv.counts.vector_ops += 1;
+                    st.rr = rr_true;
+                    st.rar = dot(md, &st.r, &w);
+                    drv.counts.dots += 1;
+                    st.pap = st.rar;
                     continue;
                 }
-                if let Some(rg) = ring.as_mut() {
-                    rg.maybe_save(opts, it, &[&x, &r, &p], &[rr, rar, pap]);
-                }
-                it += 1;
-                opts.iter_mark();
-                if opts.service_poll(it - 1, rr) {
+                if drv.top(it, st.rr, &mut st) {
                     termination = Termination::Cancelled;
-                    iterations = it - 1;
+                    iterations = it;
                     break;
                 }
+                it += 1;
                 // The four overlappable inner products — on CURRENT vectors,
                 // launched before any of this iteration's scalar results
                 // are needed (on the paper's machine their fan-ins overlap
@@ -322,11 +301,12 @@ impl CgVariant for OverlapK1Cg {
                 // tree_combine fan-ins run at the `.wait()` consume points
                 // below, so they overlap the x update in between — the
                 // paper's launch-early/consume-late schedule on the team.
-                let (rw_p, rv_p) = opts.dot2_deferred(&r, &w, &v, &mut counts);
-                let (ww_p, wv_p) = opts.dot2_deferred(&w, &w, &v, &mut counts);
+                let (rw_p, rv_p) = opts.dot2_deferred(&st.r, &w, &v, &mut drv.counts);
+                let (ww_p, wv_p) = opts.dot2_deferred(&w, &w, &v, &mut drv.counts);
 
+                let (rr, rar, pap) = (st.rr, st.rar, st.pap);
                 let lambda = rr / pap;
-                opts.axpy(lambda, &p, &mut x, &mut counts);
+                opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
 
                 // consume: deferred fan-ins resolve here, bit-identical to
                 // the eager dot2 values
@@ -339,11 +319,9 @@ impl CgVariant for OverlapK1Cg {
                 let alpha = rr_next / rr;
                 let rnext_w = rw - lambda * ww;
                 let pap_next = rar_next + 2.0 * alpha * rnext_w + alpha * alpha * pap;
-                counts.scalar_ops += 12;
+                drv.counts.scalar_ops += 12;
 
-                if opts.record_residuals {
-                    norms.push(rr_next.max(0.0).sqrt());
-                }
+                drv.record(rr_next);
                 iterations = it;
                 if rr_next <= thresh_sq {
                     termination = Termination::Converged;
@@ -351,60 +329,32 @@ impl CgVariant for OverlapK1Cg {
                 }
                 if guard::check_finite(rr_next).is_err() {
                     // route through the validation branch at the loop top
-                    rr = rr_next;
+                    st.rr = rr_next;
                     continue;
                 }
 
                 // vector updates
-                opts.axpy(-lambda, &w, &mut r, &mut counts);
-                opts.xpay(&r, alpha, &mut p, &mut counts);
-                if use_mpk {
-                    mpk_powers2(
-                        a,
-                        opts,
-                        team.as_deref(),
-                        &mut ws,
-                        &mut cols_v,
-                        &mut cols_av,
-                        &mut p,
-                        &mut w,
-                        &mut v,
-                        &mut counts,
-                    );
-                } else {
-                    opts.matvec(a, &p, &mut w, &mut counts);
-                    opts.matvec(a, &w, &mut v, &mut counts);
-                }
+                opts.axpy(-lambda, &w, &mut st.r, &mut drv.counts);
+                opts.xpay(&st.r, alpha, &mut st.p, &mut drv.counts);
+                powers.apply(a, opts, &mut st.p, &mut w, &mut v, &mut drv.counts);
 
-                rr = rr_next;
-                rar = rar_next;
-                pap = pap_next;
+                st.rr = rr_next;
+                st.rar = rar_next;
+                st.pap = pap_next;
 
                 if self.resync > 0 && it.is_multiple_of(self.resync) {
                     // residual replacement: recompute the carried scalars
                     // directly (one extra matvec for A·r)
-                    rr = dot(md, &r, &r);
-                    a.apply(&r, &mut vscratch);
-                    rar = dot(md, &r, &vscratch);
-                    pap = dot(md, &p, &w);
-                    counts.matvecs += 1;
-                    counts.dots += 3;
+                    st.rr = dot(md, &st.r, &st.r);
+                    a.apply(&st.r, &mut vscratch);
+                    st.rar = dot(md, &st.r, &vscratch);
+                    st.pap = dot(md, &st.p, &w);
+                    drv.counts.matvecs += 1;
+                    drv.counts.dots += 3;
                 }
             }
         }
-
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        // ABFT checksum verdicts from the split-phase reductions: repaired
-        // (or NaN-localized) leaf corruptions detected at the consume points
-        rstats.faults_detected += opts.drain_checksum_detections();
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        res.recovery = rstats;
-        res
+        drv.finish(st.x, termination, iterations, norm(st.rr))
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {

@@ -64,10 +64,10 @@
 //! the attainable-accuracy floor still terminates honestly.
 
 use crate::baselines::pipelined::solve_gv;
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
+use crate::instrument::OpCounts;
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use crate::standard::StandardCg;
 use vr_linalg::{kernels, LinearOperator};
 use vr_par::PendingScalar;
@@ -111,16 +111,12 @@ impl CgVariant for DeepPipelinedCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            // The depth-l basis/Gram bookkeeping spans l matvec depths (and
-            // the l = 1 delegation must not silently run the GV sweep twin
-            // this variant's conformance row declares unsupported).
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            // The depth-l Gram machinery has no f32 twin (and the l = 1
-            // special case must not silently diverge from l >= 2 behavior).
-            return crate::mixed::reject(a, b, x0, opts);
+        // No twins: the depth-l basis/Gram bookkeeping spans l matvec
+        // depths and has no f32 form — and the l = 1 delegation must not
+        // silently run the GV twins this variant's conformance rows
+        // declare unsupported.
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         if self.l == 1 {
             return solve_gv(a, b, x0, opts);
@@ -141,6 +137,41 @@ impl CgVariant for DeepPipelinedCg {
     }
 }
 
+/// Loop-carried state; in-flight reductions cannot be snapshotted, so a
+/// checkpoint saves only `[x]` (+ its residual norm² `[rr]`) at update
+/// boundaries, and a rollback restores `x` and refills the pipeline.
+struct State {
+    x: Vec<f64>,
+    rr: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(&mut [&mut self.x], &mut [&mut self.rr]);
+    }
+}
+
+/// `‖b − A·x‖²`, leaving the true residual in `scratch`; tallies one
+/// matvec, one vector op and one dot.
+fn true_rr(
+    a: &dyn LinearOperator,
+    b: &[f64],
+    x: &[f64],
+    scratch: &mut [f64],
+    opts: &SolveOptions,
+    counts: &mut OpCounts,
+) -> f64 {
+    opts.matvec(a, x, scratch, counts);
+    counts.vector_ops += 1;
+    counts.dots += 1;
+    opts.span(vr_obs::SpanKind::VectorOp, || {
+        for (si, bi) in scratch.iter_mut().zip(b) {
+            *si = bi - *si;
+        }
+    });
+    opts.dot(scratch, scratch)
+}
+
 /// The l ≥ 2 deep-pipelined loop (see module docs for the recurrences).
 #[allow(clippy::too_many_lines)]
 fn solve_deep(
@@ -151,30 +182,19 @@ fn solve_deep(
     l: usize,
 ) -> SolveResult {
     let n = a.dim();
-    let mut counts = OpCounts::default();
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
-    let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let thresh_sq = util::threshold_sq(opts, bnorm);
-    let _ = opts.drain_checksum_detections();
+    let (mut drv, x, mut r) = Driver::start(a, b, x0, opts);
+    let thresh_sq = drv.thresh_sq;
 
-    counts.dots += 1;
-    let mut rr = opts.dot(&r, &r);
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(rr.max(0.0).sqrt());
-    }
-    let mut last_rnorm = rr.max(0.0).sqrt();
+    drv.counts.dots += 1;
+    let rr = opts.dot(&r, &r);
+    drv.record(rr);
+    let mut st = State { x, rr };
+    let mut last_rnorm = norm(rr);
 
-    let mut rstats = RecoveryStats::default();
     let mut termination = Termination::MaxIterations;
     let mut updates = 0usize;
 
-    if rr <= thresh_sq {
+    if st.rr <= thresh_sq {
         termination = Termination::Converged;
     } else {
         // ---- startup: λ_max estimate and Chebyshev shifts -------------
@@ -187,10 +207,10 @@ fn solve_deep(
         let nv = kernels::norm2(&pv);
         kernels::scal(1.0 / nv.max(f64::MIN_POSITIVE), &mut pv);
         for _ in 0..POWER_ITERS {
-            opts.matvec(a, &pv, &mut pw, &mut counts);
+            opts.matvec(a, &pv, &mut pw, &mut drv.counts);
             let nw = kernels::norm2(&pw);
-            counts.dots += 1;
-            counts.vector_ops += 1;
+            drv.counts.dots += 1;
+            drv.counts.vector_ops += 1;
             if nw <= 0.0 || !nw.is_finite() {
                 break;
             }
@@ -226,103 +246,39 @@ fn solve_deep(
         let mut gam = vec![0.0f64; rt];
         let mut del = vec![0.0f64; rt];
 
-        // Checkpoint ring: in-flight reductions cannot be snapshotted, so
-        // the deep pipeline checkpoints only [x] (+ its residual norm²) at
-        // update boundaries; rollback restores x and refills the pipeline.
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 1, n, 1));
-        if let Some(rg) = ring.as_mut() {
-            rg.maybe_save(opts, 0, &[&x], &[rr]);
-        }
-
+        drv.save(0, &mut st);
         let mut kglob = 0usize;
-
-        // Rollback-and-refill: restore the checkpointed iterate, truncate
-        // the recorded history to it, and restart the epoch loop (whose
-        // top refills the Lanczos pipeline from the restored x). Falls
-        // through to `$fallback` when no checkpoint budget remains. The
-        // epoch label is a parameter because labels are macro-hygienic.
-        macro_rules! rollback_deep {
-            ($epochs:lifetime, $fallback:block) => {
-                if let Some(rg) = ring.as_mut() {
-                    let mut scal = [0.0f64; 1];
-                    if let Some(chk) = rg.rollback(opts, &mut [&mut x], &mut scal) {
-                        rr = scal[0];
-                        last_rnorm = rr.max(0.0).sqrt();
-                        rstats.rollbacks += 1;
-                        if opts.record_residuals {
-                            norms.truncate(chk + 1);
-                        }
-                        updates = chk;
-                        continue $epochs;
-                    }
-                }
-                $fallback
-            };
-        }
 
         // squared residual at the last Krylov-exhaustion restart: each
         // further restart must show real progress (10% in rr), else the
         // solve is pinned at its floor and ends honestly
         let mut last_exhaust_rr = f64::INFINITY;
 
-        // Numerical-drift restart: the deep Gram recurrence loses accuracy
-        // over long epochs, eventually driving a Cholesky/LDLᵀ pivot
-        // negative even though x itself is fine. Measure the TRUE residual
-        // of the current iterate; if it converged, say so, if it is still
-        // making progress, restart a fresh Lanczos epoch from x
-        // (residual-replacement style), and only when pinned give up.
-        macro_rules! restart_if_progress {
-            ($epochs:lifetime, $fallback:block) => {
-                opts.matvec(a, &x, &mut scratch, &mut counts);
-                counts.vector_ops += 1;
-                counts.dots += 1;
-                opts.span(vr_obs::SpanKind::VectorOp, || {
-                    for (si, bi) in scratch.iter_mut().zip(b) {
-                        *si = bi - *si;
-                    }
-                });
-                let rr_true = opts.dot(&scratch, &scratch);
-                last_rnorm = rr_true.max(0.0).sqrt();
-                if rr_true <= thresh_sq {
-                    termination = Termination::Converged;
-                    break $epochs;
-                }
-                if rr_true.is_finite() && rr_true < 0.9 * last_exhaust_rr {
-                    last_exhaust_rr = rr_true;
-                    continue $epochs;
-                }
-                $fallback
-            };
-        }
-
         'epochs: loop {
             // ---- (re)fill: fresh Lanczos process from the current x ---
             if kglob > 0 {
                 // refill after a rollback: recompute r = b − A·x
-                opts.matvec(a, &x, &mut scratch, &mut counts);
-                counts.vector_ops += 1;
+                opts.matvec(a, &st.x, &mut scratch, &mut drv.counts);
+                drv.counts.vector_ops += 1;
                 opts.span(vr_obs::SpanKind::VectorOp, || {
                     for ((ri, bi), axi) in r.iter_mut().zip(b).zip(&scratch) {
                         *ri = bi - axi;
                     }
                 });
-                counts.dots += 1;
-                rr = opts.dot(&r, &r);
-                last_rnorm = rr.max(0.0).sqrt();
-                if rr <= thresh_sq {
+                drv.counts.dots += 1;
+                st.rr = opts.dot(&r, &r);
+                last_rnorm = norm(st.rr);
+                if st.rr <= thresh_sq {
                     termination = Termination::Converged;
                     break 'epochs;
                 }
-                if guard::check_pivot(rr).is_err() {
+                if guard::check_pivot(st.rr).is_err() {
                     termination = Termination::Breakdown;
                     break 'epochs;
                 }
             }
-            let eta = rr.max(0.0).sqrt();
-            counts.vector_ops += 2;
+            let eta = norm(st.rr);
+            drv.counts.vector_ops += 2;
             opts.span(vr_obs::SpanKind::VectorOp, || {
                 zs[0].copy_from_slice(&r);
                 kernels::scal(1.0 / eta, &mut zs[0]);
@@ -330,20 +286,22 @@ fn solve_deep(
             for slot in pend.iter_mut().flatten() {
                 *slot = None; // stale in-flight reductions from before a rollback
             }
-            pend[0][0] = Some(opts.dot_deferred(&zs[0], &zs[0], &mut counts));
+            pend[0][0] = Some(opts.dot_deferred(&zs[0], &zs[0], &mut drv.counts));
 
             // per-epoch Lanczos / LDLᵀ state (all basis indices restart)
             let mut kloc = 0usize;
             let mut d_prev = 0.0f64;
             let mut ucoef = eta;
 
-            loop {
+            // The epoch runs until it ends the solve, starts a new epoch,
+            // or fails; a failure yields whether a true-residual restart
+            // may rescue it when no rollback can.
+            let restartable = loop {
                 if kglob >= opts.max_iters {
                     break 'epochs;
                 }
                 kglob += 1;
-                opts.iter_mark();
-                if opts.service_poll(kglob - 1, last_rnorm * last_rnorm) {
+                if drv.poll(kglob - 1, last_rnorm * last_rnorm) {
                     termination = Termination::Cancelled;
                     break 'epochs;
                 }
@@ -397,20 +355,11 @@ fn solve_deep(
                     for t in tstart..m {
                         pivot_sq -= bnew[m - t] * bnew[m - t];
                     }
-                    counts.scalar_ops += lo * (lo + 1) / 2 + 2;
+                    drv.counts.scalar_ops += lo * (lo + 1) / 2 + 2;
                     let exhausted = pivot_sq.is_finite()
                         && pivot_sq <= (EXHAUSTION_EPS * EXHAUSTION_EPS) * gnew[0].abs();
                     if guard::check_pivot(pivot_sq).is_err() && !(exhausted && m > 0) {
-                        rollback_deep!('epochs, {
-                            if m > 0 {
-                                restart_if_progress!('epochs, {
-                                    termination = Termination::Breakdown;
-                                    break 'epochs;
-                                });
-                            }
-                            termination = Termination::Breakdown;
-                            break 'epochs;
-                        });
+                        break m > 0;
                     }
                     bnew[0] = if exhausted { 0.0 } else { pivot_sq.sqrt() };
 
@@ -424,23 +373,18 @@ fn solve_deep(
                         let gprev = if j >= 1 { gam[(j - 1) % rt] } else { 0.0 };
                         let gamma_j = opts.scalar(u * bnew[0] / bjj);
                         let delta_j = opts.scalar((u * bnew[1] + c * bjj - gprev * bj1j) / bjj);
-                        counts.scalar_ops += 2;
+                        drv.counts.scalar_ops += 2;
                         if guard::check_finite(gamma_j).is_err()
                             || guard::check_finite(delta_j).is_err()
                         {
-                            rollback_deep!('epochs, {
-                                restart_if_progress!('epochs, {
-                                    termination = Termination::Breakdown;
-                                    break 'epochs;
-                                });
-                            });
+                            break true;
                         }
                         gam[j % rt] = gamma_j;
                         del[j % rt] = delta_j;
 
                         // ---- LDLᵀ step j and the lagged x-update -------
                         let d_cur = if j == 0 {
-                            counts.vector_ops += 1;
+                            drv.counts.vector_ops += 1;
                             opts.span(vr_obs::SpanKind::VectorOp, || {
                                 q.copy_from_slice(&vs[0]);
                             });
@@ -448,47 +392,30 @@ fn solve_deep(
                         } else {
                             let lj = gprev / d_prev;
                             ucoef *= -lj;
-                            opts.xpay(&vs[j % rv], -lj, &mut q, &mut counts);
+                            opts.xpay(&vs[j % rv], -lj, &mut q, &mut drv.counts);
                             delta_j - gprev * lj
                         };
-                        counts.scalar_ops += 2;
+                        drv.counts.scalar_ops += 2;
                         if guard::check_pivot(d_cur).is_err() {
-                            rollback_deep!('epochs, {
-                                restart_if_progress!('epochs, {
-                                    termination = Termination::Breakdown;
-                                    break 'epochs;
-                                });
-                            });
+                            break true;
                         }
                         d_prev = d_cur;
                         let zeta = opts.scalar(ucoef / d_cur);
-                        opts.axpy(zeta, &q, &mut x, &mut counts);
+                        opts.axpy(zeta, &q, &mut st.x, &mut drv.counts);
                         updates += 1;
                         let rn = (gamma_j * zeta).abs();
                         last_rnorm = rn;
-                        if opts.record_residuals {
-                            norms.push(rn);
-                        }
-                        rr = rn * rn;
+                        drv.record_norm(rn);
+                        st.rr = rn * rn;
 
                         if exhausted {
                             // Krylov space exhausted: the step above was
                             // the final lagged update. Its γ·ζ residual is
                             // forced to ~0, so validate against the TRUE
                             // residual before claiming convergence.
-                            opts.matvec(a, &x, &mut scratch, &mut counts);
-                            counts.vector_ops += 1;
-                            counts.dots += 1;
-                            opts.span(vr_obs::SpanKind::VectorOp, || {
-                                for (si, bi) in scratch.iter_mut().zip(b) {
-                                    *si = bi - *si;
-                                }
-                            });
-                            let rr_true = opts.dot(&scratch, &scratch);
-                            last_rnorm = rr_true.max(0.0).sqrt();
-                            if opts.record_residuals {
-                                *norms.last_mut().expect("pushed above") = last_rnorm;
-                            }
+                            let rr_true = true_rr(a, b, &st.x, &mut scratch, opts, &mut drv.counts);
+                            last_rnorm = norm(rr_true);
+                            drv.replace_last(last_rnorm);
                             if rr_true <= thresh_sq {
                                 termination = Termination::Converged;
                                 break 'epochs;
@@ -506,33 +433,26 @@ fn solve_deep(
                             termination = Termination::Breakdown;
                             break 'epochs;
                         }
-                        if rr <= thresh_sq {
+                        if st.rr <= thresh_sq {
                             termination = Termination::Converged;
                             break 'epochs;
                         }
-                        if guard::check_finite(rr).is_err() {
-                            rollback_deep!('epochs, {
-                                restart_if_progress!('epochs, {
-                                    termination = Termination::Breakdown;
-                                    break 'epochs;
-                                });
-                            });
+                        if guard::check_finite(st.rr).is_err() {
+                            break true;
                         }
-                        if let Some(rg) = ring.as_mut() {
-                            rg.maybe_save(opts, updates, &[&x], &[rr]);
-                        }
+                        drv.save(updates, &mut st);
                     }
 
                     // ---- store column m and recover v_m ----------------
                     bcols[m % rb][..=lo].copy_from_slice(&bnew[..=lo]);
                     let mut vnew = std::mem::take(&mut vs[m % rv]);
-                    counts.vector_ops += 2;
+                    drv.counts.vector_ops += 2;
                     opts.span(vr_obs::SpanKind::VectorOp, || {
                         vnew.copy_from_slice(&zs[m % rz]);
                     });
                     for d in 1..=lo {
                         let coef = bnew[d];
-                        opts.axpy(-coef, &vs[(m - d) % rv], &mut vnew, &mut counts);
+                        opts.axpy(-coef, &vs[(m - d) % rv], &mut vnew, &mut drv.counts);
                     }
                     opts.span(vr_obs::SpanKind::VectorOp, || {
                         kernels::scal(1.0 / bnew[0], &mut vnew);
@@ -543,27 +463,22 @@ fn solve_deep(
                 // ---- z-recurrence: form z_{kloc+1} and launch its dots -
                 let znext_idx = (kloc + 1) % rz;
                 let mut znext = std::mem::take(&mut zs[znext_idx]);
-                opts.matvec(a, &zs[kloc % rz], &mut znext, &mut counts);
+                opts.matvec(a, &zs[kloc % rz], &mut znext, &mut drv.counts);
                 if kloc < l {
-                    opts.axpy(-sigma[kloc], &zs[kloc % rz], &mut znext, &mut counts);
+                    opts.axpy(-sigma[kloc], &zs[kloc % rz], &mut znext, &mut drv.counts);
                 } else {
                     let dlag = del[(kloc - l) % rt];
                     let glag = gam[(kloc - l) % rt];
-                    opts.axpy(-dlag, &zs[kloc % rz], &mut znext, &mut counts);
+                    opts.axpy(-dlag, &zs[kloc % rz], &mut znext, &mut drv.counts);
                     if kloc > l {
                         let glag2 = gam[(kloc - l - 1) % rt];
-                        opts.axpy(-glag2, &zs[(kloc - 1) % rz], &mut znext, &mut counts);
+                        opts.axpy(-glag2, &zs[(kloc - 1) % rz], &mut znext, &mut drv.counts);
                     }
                     if guard::check_pivot(glag).is_err() {
                         zs[znext_idx] = znext;
-                        rollback_deep!('epochs, {
-                            restart_if_progress!('epochs, {
-                                termination = Termination::Breakdown;
-                                break 'epochs;
-                            });
-                        });
+                        break true;
                     }
-                    counts.vector_ops += 1;
+                    drv.counts.vector_ops += 1;
                     opts.span(vr_obs::SpanKind::VectorOp, || {
                         kernels::scal(1.0 / glag, &mut znext);
                     });
@@ -580,31 +495,50 @@ fn solve_deep(
                         &zs[mcol % rz],
                         &zs[(mcol - d) % rz],
                         &zs[(mcol - d - 1) % rz],
-                        &mut counts,
+                        &mut drv.counts,
                     );
                     pend[mcol % rp][d] = Some(p0);
                     pend[mcol % rp][d + 1] = Some(p1);
                     d += 2;
                 }
                 if d <= lo2 {
-                    pend[mcol % rp][d] =
-                        Some(opts.dot_deferred(&zs[mcol % rz], &zs[(mcol - d) % rz], &mut counts));
+                    pend[mcol % rp][d] = Some(opts.dot_deferred(
+                        &zs[mcol % rz],
+                        &zs[(mcol - d) % rz],
+                        &mut drv.counts,
+                    ));
                 }
                 kloc += 1;
+            };
+
+            // Failure: rollback-and-refill from the checkpointed iterate;
+            // else, when the iterate itself may be fine (numerical drift
+            // of the deep Gram recurrence drove a pivot negative), measure
+            // its TRUE residual — converged, or still making progress
+            // (restart a fresh Lanczos epoch from x, residual-replacement
+            // style) — and only when pinned give up.
+            if let Some(c) = drv.rollback(&mut st) {
+                last_rnorm = norm(st.rr);
+                updates = c;
+                continue 'epochs;
             }
+            if restartable {
+                let rr_true = true_rr(a, b, &st.x, &mut scratch, opts, &mut drv.counts);
+                last_rnorm = norm(rr_true);
+                if rr_true <= thresh_sq {
+                    termination = Termination::Converged;
+                    break 'epochs;
+                }
+                if rr_true.is_finite() && rr_true < 0.9 * last_exhaust_rr {
+                    last_exhaust_rr = rr_true;
+                    continue 'epochs;
+                }
+            }
+            termination = Termination::Breakdown;
+            break 'epochs;
         }
     }
-
-    if termination == Termination::Converged && rstats.rollbacks > 0 {
-        termination = Termination::RecoveredConverged;
-    }
-    if !opts.record_residuals {
-        norms.push(last_rnorm);
-    }
-    rstats.faults_detected += opts.drain_checksum_detections();
-    let mut res = SolveResult::new(x, termination, updates, norms, counts);
-    res.recovery = rstats;
-    res
+    drv.finish(st.x, termination, updates, last_rnorm)
 }
 
 #[cfg(test)]

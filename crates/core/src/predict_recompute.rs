@@ -29,10 +29,9 @@
 //! split-phase pairs ([`SolveOptions::dot2_deferred`]):
 //! `(r,r), (r,s)` and `(s,s), (s,p)`.
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use crate::standard::StandardCg;
 use vr_linalg::LinearOperator;
 
@@ -75,13 +74,10 @@ impl CgVariant for PredictRecomputeCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            // The predicted/recomputed scalar pairs straddle the matvec —
-            // no single-pass schedule exists.
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        // The predicted/recomputed scalar pairs straddle the matvec — no
+        // single-pass schedule exists — and there is no f32 form.
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         solve_pr(a, b, x0, opts, false)
     }
@@ -107,13 +103,10 @@ impl CgVariant for PipelinedPrCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            // Same as the plain variant: the predict/recompute scalar pairs
-            // straddle the matvec — no single-pass schedule exists.
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        // The predicted/recomputed scalar pairs straddle the matvec — no
+        // single-pass schedule exists — and there is no f32 form.
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         solve_pr(a, b, x0, opts, true)
     }
@@ -124,6 +117,63 @@ impl CgVariant for PipelinedPrCg {
 
     fn depth(&self) -> usize {
         1
+    }
+}
+
+/// Loop-carried state; a checkpoint snapshots the full loop-top vector
+/// state `[x, r, p, s, w, u]` plus the four recomputed dots
+/// `[nu, mu, delta, gamma]`. `w` and `u` exist only in the pipelined
+/// schedule (empty otherwise); `c` is recomputed.
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    s: Vec<f64>,
+    w: Vec<f64>,
+    u: Vec<f64>,
+    /// `(r, r)`.
+    nu: f64,
+    /// `(s, p)`.
+    mu: f64,
+    /// `(r, s)`.
+    delta: f64,
+    /// `(s, s)`.
+    gamma: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(
+            &mut [
+                &mut self.x,
+                &mut self.r,
+                &mut self.p,
+                &mut self.s,
+                &mut self.w,
+                &mut self.u,
+            ],
+            &mut [&mut self.nu, &mut self.mu, &mut self.delta, &mut self.gamma],
+        );
+    }
+}
+
+impl State {
+    /// The recompute batch: all four dots from the actual vectors, as two
+    /// shared-left split-phase pairs `(r,r), (r,s)` and `(s,s), (s,p)`,
+    /// consumed after `overlap` runs with the batch in flight.
+    fn recompute(
+        &mut self,
+        opts: &SolveOptions,
+        counts: &mut crate::OpCounts,
+        overlap: impl FnOnce(&mut Self, &mut crate::OpCounts),
+    ) {
+        let (nu_p, delta_p) = opts.dot2_deferred(&self.r, &self.r, &self.s, counts);
+        let (gamma_p, mu_p) = opts.dot2_deferred(&self.s, &self.s, &self.p, counts);
+        overlap(self, counts);
+        self.nu = nu_p.wait();
+        self.delta = delta_p.wait();
+        self.gamma = gamma_p.wait();
+        self.mu = mu_p.wait();
     }
 }
 
@@ -140,177 +190,80 @@ fn solve_pr(
     pipelined: bool,
 ) -> SolveResult {
     let n = a.dim();
-    let mut counts = OpCounts::default();
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
-    let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let thresh_sq = util::threshold_sq(opts, bnorm);
-    let _ = opts.drain_checksum_detections();
+    let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
     // p = r, s = A·p; the pipelined schedule also needs w = A·r (= s at
     // startup, but kept as its own buffer) and u = A·s.
-    let mut p = r.clone();
-    let mut s = opts.matvec_alloc(a, &p, &mut counts);
-    let mut w = if pipelined { s.clone() } else { Vec::new() };
-    let mut u = if pipelined {
-        opts.matvec_alloc(a, &s, &mut counts)
+    let p = r.clone();
+    let s = opts.matvec_alloc(a, &p, &mut drv.counts);
+    let w = if pipelined { s.clone() } else { Vec::new() };
+    let u = if pipelined {
+        opts.matvec_alloc(a, &s, &mut drv.counts)
     } else {
         Vec::new()
     };
     let mut c = if pipelined { vec![0.0; n] } else { Vec::new() };
+    let mut st = State {
+        x,
+        r,
+        p,
+        s,
+        w,
+        u,
+        nu: 0.0,
+        mu: 0.0,
+        delta: 0.0,
+        gamma: 0.0,
+    };
 
     // Startup dots, computed through the same split-phase launch the loop
     // uses (consumed immediately here — there is nothing to overlap yet).
-    let (nu_p, delta_p) = opts.dot2_deferred(&r, &r, &s, &mut counts);
-    let (gamma_p, mu_p) = opts.dot2_deferred(&s, &s, &p, &mut counts);
-    let (mut nu, mut delta) = (nu_p.wait(), delta_p.wait());
-    let (mut gamma, mut mu) = (gamma_p.wait(), mu_p.wait());
+    st.recompute(opts, &mut drv.counts, |_, _| {});
+    drv.record(st.nu);
 
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(nu.max(0.0).sqrt());
-    }
-
-    // Checkpoint ring (policy-gated). Snapshot = the full loop-top vector
-    // state plus the four recomputed dots; the pipelined schedule carries
-    // two extra recurrence vectors (u is snapshotted, c is recomputed).
-    let mut rstats = RecoveryStats::default();
-    let nvecs = if pipelined { 6 } else { 4 };
-    let mut ring = opts
-        .recovery
-        .as_ref()
-        .and_then(|policy| CheckpointRing::from_policy(policy, nvecs, n, 4));
-
-    let mut termination = Termination::MaxIterations;
-    let mut iterations = 0;
-    if nu <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        let mut it = 0usize;
-        macro_rules! rollback_or {
-            ($fallback:block) => {
-                if let Some(rg) = ring.as_mut() {
-                    let mut scal = [0.0; 4];
-                    let restored = if pipelined {
-                        rg.rollback(
-                            opts,
-                            &mut [&mut x, &mut r, &mut p, &mut s, &mut w, &mut u],
-                            &mut scal,
-                        )
-                    } else {
-                        rg.rollback(opts, &mut [&mut x, &mut r, &mut p, &mut s], &mut scal)
-                    };
-                    if let Some(chk) = restored {
-                        nu = scal[0];
-                        mu = scal[1];
-                        delta = scal[2];
-                        gamma = scal[3];
-                        rstats.rollbacks += 1;
-                        if opts.record_residuals {
-                            norms.truncate(chk + 1);
-                        }
-                        iterations = chk;
-                        it = chk;
-                        continue;
-                    }
-                }
-                $fallback
-            };
-        }
-        while it < opts.max_iters {
-            opts.iter_mark();
-            if opts.service_poll(it, nu) {
-                termination = Termination::Cancelled;
-                iterations = it;
-                break;
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.nu,
+        |drv, st, it| {
+            if guard::check_pivot(st.mu).is_err() || guard::check_pivot(st.nu).is_err() {
+                return Step::breakdown(it);
             }
-            if let Some(rg) = ring.as_mut() {
-                if pipelined {
-                    rg.maybe_save(opts, it, &[&x, &r, &p, &s, &w, &u], &[nu, mu, delta, gamma]);
-                } else {
-                    rg.maybe_save(opts, it, &[&x, &r, &p, &s], &[nu, mu, delta, gamma]);
-                }
-            }
-            if guard::check_pivot(mu).is_err() || guard::check_pivot(nu).is_err() {
-                rollback_or!({
-                    termination = Termination::Breakdown;
-                    iterations = it;
-                    break;
-                });
-            }
-            let alpha = nu / mu;
+            let alpha = st.nu / st.mu;
             // Predict ν′ = (r − αs, r − αs) from the recomputed dots of
             // this loop top — β never waits on a reduction.
-            let nu_pred = opts.scalar(nu - 2.0 * alpha * delta + alpha * alpha * gamma);
-            let beta = nu_pred / nu;
-            counts.scalar_ops += 3;
+            let nu_pred = opts.scalar(st.nu - 2.0 * alpha * st.delta + alpha * alpha * st.gamma);
+            let beta = nu_pred / st.nu;
+            drv.counts.scalar_ops += 3;
 
-            opts.axpy(alpha, &p, &mut x, &mut counts);
-            opts.axpy(-alpha, &s, &mut r, &mut counts);
+            opts.axpy(alpha, &st.p, &mut st.x, &mut drv.counts);
+            opts.axpy(-alpha, &st.s, &mut st.r, &mut drv.counts);
             if pipelined {
                 // w = A·r maintained by recurrence: w ← w − α·u.
-                opts.axpy(-alpha, &u, &mut w, &mut counts);
+                opts.axpy(-alpha, &st.u, &mut st.w, &mut drv.counts);
             }
-            opts.xpay(&r, beta, &mut p, &mut counts);
+            opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
             if pipelined {
                 // s = A·p by recurrence, then recompute every dot from the
                 // actual vectors; the matvec c = A·w runs with the batch
                 // in flight and lands in u ← c + β·u.
-                opts.xpay(&w, beta, &mut s, &mut counts);
-                let (nu_p, delta_p) = opts.dot2_deferred(&r, &r, &s, &mut counts);
-                let (gamma_p, mu_p) = opts.dot2_deferred(&s, &s, &p, &mut counts);
-                opts.matvec(a, &w, &mut c, &mut counts);
-                opts.xpay(&c, beta, &mut u, &mut counts);
-                nu = nu_p.wait();
-                delta = delta_p.wait();
-                gamma = gamma_p.wait();
-                mu = mu_p.wait();
+                opts.xpay(&st.w, beta, &mut st.s, &mut drv.counts);
+                st.recompute(opts, &mut drv.counts, |st, counts| {
+                    opts.matvec(a, &st.w, &mut c, counts);
+                    opts.xpay(&c, beta, &mut st.u, counts);
+                });
             } else {
                 // True matvec s = A·p, then the recompute batch. The four
                 // dots launch split-phase and are consumed after the loop
                 // tail bookkeeping — on the paper's machine they overlap
                 // the next iteration's control flow.
-                opts.matvec(a, &p, &mut s, &mut counts);
-                let (nu_p, delta_p) = opts.dot2_deferred(&r, &r, &s, &mut counts);
-                let (gamma_p, mu_p) = opts.dot2_deferred(&s, &s, &p, &mut counts);
-                nu = nu_p.wait();
-                delta = delta_p.wait();
-                gamma = gamma_p.wait();
-                mu = mu_p.wait();
+                opts.matvec(a, &st.p, &mut st.s, &mut drv.counts);
+                st.recompute(opts, &mut drv.counts, |_, _| {});
             }
-
-            if opts.record_residuals {
-                norms.push(nu.max(0.0).sqrt());
-            }
-            iterations = it + 1;
-            if nu <= thresh_sq {
-                termination = Termination::Converged;
-                break;
-            }
-            if guard::check_finite(nu).is_err() {
-                rollback_or!({
-                    termination = Termination::Breakdown;
-                    break;
-                });
-            }
-            it += 1;
-        }
-    }
-    if termination == Termination::Converged && rstats.rollbacks > 0 {
-        termination = Termination::RecoveredConverged;
-    }
-
-    if !opts.record_residuals {
-        norms.push(nu.max(0.0).sqrt());
-    }
-    rstats.faults_detected += opts.drain_checksum_detections();
-    let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-    res.recovery = rstats;
-    res
+            drv.record(st.nu);
+            Step::after(it, st.nu, drv.thresh_sq)
+        },
+    );
+    drv.finish(st.x, termination, iterations, norm(st.nu))
 }
 
 #[cfg(test)]

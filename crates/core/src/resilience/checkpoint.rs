@@ -5,7 +5,9 @@
 //! a small number of snapshots of the *minimal* per-variant state (following
 //! Cools et al., the iterate, residual, direction and the recurrence scalars
 //! are enough — everything else is recomputable), saved every `C` iterations
-//! into preallocated scratch so the hot path never allocates.
+//! into reused scratch so the hot path never allocates once both slots
+//! hold a snapshot. Each variant declares that state once (the iteration
+//! driver's `Checkpoint` declarations).
 //!
 //! The ring holds two slots: a rollback consumes the newest valid snapshot,
 //! so a second corruption inside the same replay window falls back to the
@@ -15,75 +17,50 @@
 use super::recovery::RecoveryPolicy;
 use crate::solver::SolveOptions;
 
-/// One preallocated snapshot: the iteration it was taken at, the vector
-/// state, and the recurrence scalars.
-#[derive(Debug, Clone)]
+/// One snapshot slot: the iteration it was taken at, the residual
+/// history's length then, the vector state, and the recurrence scalars.
+/// The buffers are sized by the first save into the slot and reused after,
+/// so the iteration path allocates only while the two slots first fill.
+#[derive(Debug, Clone, Default)]
 struct Slot {
     iter: usize,
+    history: usize,
     valid: bool,
     vecs: Vec<Vec<f64>>,
     scalars: Vec<f64>,
 }
 
-/// Preallocated ring of solver-state snapshots (see module docs).
-///
-/// Shapes are fixed at construction: `nvecs` vectors of length `n` and
-/// `nscalars` recurrence scalars per snapshot. [`CheckpointRing::save`] and
-/// [`CheckpointRing::rollback`] only `copy_from_slice` into that scratch —
-/// zero allocation on the iteration path.
+/// Ring of solver-state snapshots (see module docs). The iteration driver
+/// saves and restores each variant's declared checkpoint state through it.
 #[derive(Debug, Clone)]
 pub struct CheckpointRing {
     period: usize,
     max_rollbacks: usize,
     taken: usize,
     next: usize,
-    slots: Vec<Slot>,
+    slots: [Slot; 2],
 }
 
 impl CheckpointRing {
-    /// Ring with `period`-iteration checkpoints, a `max_rollbacks` budget,
-    /// and room for `nvecs` vectors of length `n` plus `nscalars` scalars.
+    /// Ring with `period`-iteration checkpoints and a `max_rollbacks`
+    /// budget.
     #[must_use]
-    pub fn new(
-        period: usize,
-        max_rollbacks: usize,
-        nvecs: usize,
-        n: usize,
-        nscalars: usize,
-    ) -> Self {
-        let slot = Slot {
-            iter: 0,
-            valid: false,
-            vecs: vec![vec![0.0; n]; nvecs],
-            scalars: vec![0.0; nscalars],
-        };
+    pub fn new(period: usize, max_rollbacks: usize) -> Self {
         CheckpointRing {
             period: period.max(1),
             max_rollbacks,
             taken: 0,
             next: 0,
-            slots: vec![slot.clone(), slot],
+            slots: Default::default(),
         }
     }
 
     /// Build from a [`RecoveryPolicy`]; `None` when `checkpoint_period == 0`
     /// (checkpointing disabled — the classic restart-only ladder).
     #[must_use]
-    pub fn from_policy(
-        policy: &RecoveryPolicy,
-        nvecs: usize,
-        n: usize,
-        nscalars: usize,
-    ) -> Option<Self> {
-        (policy.checkpoint_period > 0).then(|| {
-            CheckpointRing::new(
-                policy.checkpoint_period,
-                policy.max_rollbacks,
-                nvecs,
-                n,
-                nscalars,
-            )
-        })
+    pub fn from_policy(policy: &RecoveryPolicy) -> Option<Self> {
+        (policy.checkpoint_period > 0)
+            .then(|| CheckpointRing::new(policy.checkpoint_period, policy.max_rollbacks))
     }
 
     /// Is a checkpoint due at `iter`? (Every `period` iterations, including
@@ -93,48 +70,45 @@ impl CheckpointRing {
         iter.is_multiple_of(self.period)
     }
 
-    /// Snapshot `vecs`/`scalars` as the state at `iter` if a checkpoint is
-    /// due there; no-op otherwise. Traced as [`vr_obs::SpanKind::Checkpoint`].
-    pub fn maybe_save(
+    /// Snapshot `vecs`/`scalars` as the state at `iter`, with a residual
+    /// history `history` entries long. Traced as
+    /// [`vr_obs::SpanKind::Checkpoint`].
+    pub fn save(
         &mut self,
         opts: &SolveOptions,
         iter: usize,
-        vecs: &[&[f64]],
-        scalars: &[f64],
+        history: usize,
+        vecs: &[&mut [f64]],
+        scalars: &[&mut f64],
     ) {
-        if self.due(iter) {
-            self.save(opts, iter, vecs, scalars);
-        }
-    }
-
-    /// Unconditionally snapshot `vecs`/`scalars` as the state at `iter`.
-    pub fn save(&mut self, opts: &SolveOptions, iter: usize, vecs: &[&[f64]], scalars: &[f64]) {
         let slot_idx = self.next;
         self.next = (self.next + 1) % self.slots.len();
         let slot = &mut self.slots[slot_idx];
-        debug_assert_eq!(vecs.len(), slot.vecs.len());
-        debug_assert_eq!(scalars.len(), slot.scalars.len());
         opts.span(vr_obs::SpanKind::Checkpoint, || {
+            slot.vecs.resize_with(vecs.len(), Vec::new);
             for (dst, src) in slot.vecs.iter_mut().zip(vecs) {
-                dst.copy_from_slice(src);
+                dst.clear();
+                dst.extend_from_slice(src);
             }
-            slot.scalars.copy_from_slice(scalars);
+            slot.scalars.clear();
+            slot.scalars.extend(scalars.iter().map(|s| **s));
             slot.iter = iter;
+            slot.history = history;
             slot.valid = true;
         });
     }
 
     /// Restore the newest valid snapshot into `vecs`/`scalars`, consuming
-    /// it, and return the iteration it was taken at. `None` when the
-    /// rollback budget is spent or no valid snapshot remains — the caller
-    /// then falls through to the restart ladder. Traced as
+    /// it, and return `(iteration, history length)` as saved. `None` when
+    /// the rollback budget is spent or no valid snapshot remains — the
+    /// caller then falls through to the restart ladder. Traced as
     /// [`vr_obs::SpanKind::Recovery`].
     pub fn rollback(
         &mut self,
         opts: &SolveOptions,
         vecs: &mut [&mut [f64]],
-        scalars: &mut [f64],
-    ) -> Option<usize> {
+        scalars: &mut [&mut f64],
+    ) -> Option<(usize, usize)> {
         if self.taken >= self.max_rollbacks {
             return None;
         }
@@ -152,13 +126,15 @@ impl CheckpointRing {
             for (dst, src) in vecs.iter_mut().zip(&slot.vecs) {
                 dst.copy_from_slice(src);
             }
-            scalars.copy_from_slice(&slot.scalars);
+            for (dst, src) in scalars.iter_mut().zip(&slot.scalars) {
+                **dst = *src;
+            }
         });
         slot.valid = false;
         // next save overwrites the consumed slot first
         self.next = slot_idx;
         self.taken += 1;
-        Some(slot.iter)
+        Some((slot.iter, slot.history))
     }
 
     /// Rollbacks consumed so far.
@@ -178,85 +154,12 @@ impl CheckpointRing {
 mod tests {
     use super::*;
 
-    fn opts() -> SolveOptions {
-        SolveOptions::default()
-    }
-
     #[test]
     fn from_policy_respects_zero_period() {
         let p = RecoveryPolicy::default();
-        assert!(CheckpointRing::from_policy(&p, 3, 8, 1).is_none());
+        assert!(CheckpointRing::from_policy(&p).is_none());
         let p = p.with_checkpoint_period(10);
-        let ring = CheckpointRing::from_policy(&p, 3, 8, 1).unwrap();
+        let ring = CheckpointRing::from_policy(&p).unwrap();
         assert_eq!(ring.period(), 10);
-    }
-
-    #[test]
-    fn save_and_rollback_round_trip() {
-        let o = opts();
-        let mut ring = CheckpointRing::new(5, 4, 2, 4, 2);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let r = [5.0, 6.0, 7.0, 8.0];
-        ring.maybe_save(&o, 0, &[&x, &r], &[0.25, 0.5]);
-        // not due at 3: state unchanged
-        ring.maybe_save(&o, 3, &[&[9.0; 4], &[9.0; 4]], &[9.0, 9.0]);
-
-        let mut xb = [0.0; 4];
-        let mut rb = [0.0; 4];
-        let mut sb = [0.0; 2];
-        let iter = ring
-            .rollback(&o, &mut [&mut xb, &mut rb], &mut sb)
-            .expect("one valid snapshot");
-        assert_eq!(iter, 0);
-        assert_eq!(xb, x);
-        assert_eq!(rb, r);
-        assert_eq!(sb, [0.25, 0.5]);
-        assert_eq!(ring.rollbacks_taken(), 1);
-    }
-
-    #[test]
-    fn rollback_consumes_newest_then_falls_to_older() {
-        let o = opts();
-        let mut ring = CheckpointRing::new(5, 4, 1, 2, 1);
-        ring.maybe_save(&o, 0, &[&[1.0, 1.0]], &[1.0]);
-        ring.maybe_save(&o, 5, &[&[2.0, 2.0]], &[2.0]);
-
-        let mut v = [0.0; 2];
-        let mut s = [0.0];
-        assert_eq!(ring.rollback(&o, &mut [&mut v], &mut s), Some(5));
-        assert_eq!(s, [2.0]);
-        // newest consumed: second rollback reaches the older snapshot
-        assert_eq!(ring.rollback(&o, &mut [&mut v], &mut s), Some(0));
-        assert_eq!(s, [1.0]);
-        // ring empty now
-        assert_eq!(ring.rollback(&o, &mut [&mut v], &mut s), None);
-    }
-
-    #[test]
-    fn rollback_budget_is_enforced() {
-        let o = opts();
-        let mut ring = CheckpointRing::new(5, 1, 1, 2, 0);
-        ring.maybe_save(&o, 0, &[&[1.0, 1.0]], &[]);
-        ring.maybe_save(&o, 5, &[&[2.0, 2.0]], &[]);
-        let mut v = [0.0; 2];
-        assert!(ring.rollback(&o, &mut [&mut v], &mut []).is_some());
-        // budget of 1 spent: older snapshot still valid but unreachable
-        assert!(ring.rollback(&o, &mut [&mut v], &mut []).is_none());
-    }
-
-    #[test]
-    fn replay_resaves_into_consumed_slot() {
-        let o = opts();
-        let mut ring = CheckpointRing::new(5, 8, 1, 2, 1);
-        ring.maybe_save(&o, 0, &[&[1.0, 1.0]], &[1.0]);
-        ring.maybe_save(&o, 5, &[&[2.0, 2.0]], &[2.0]);
-        let mut v = [0.0; 2];
-        let mut s = [0.0];
-        // corruption at iter 7 → roll back to 5, replay, re-save at 5
-        assert_eq!(ring.rollback(&o, &mut [&mut v], &mut s), Some(5));
-        ring.maybe_save(&o, 5, &[&v[..]], &s);
-        // both snapshots valid again: newest is the re-saved iter 5
-        assert_eq!(ring.rollback(&o, &mut [&mut v], &mut s), Some(5));
-        assert_eq!(ring.rollback(&o, &mut [&mut v], &mut s), Some(0));
     }
 }

@@ -186,10 +186,14 @@ pub fn solve_with_recovery(
             };
             stats.restarts = restarts;
             stats.final_k = v.depth();
-            let mut out =
-                SolveResult::new(res.x, termination, total_iters, all_norms, total_counts);
-            out.recovery = stats;
-            return out;
+            return crate::driver::result(
+                res.x,
+                termination,
+                total_iters,
+                all_norms,
+                total_counts,
+                stats,
+            );
         }
 
         // ----- prepare the next rung of the ladder -----

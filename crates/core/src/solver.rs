@@ -80,26 +80,6 @@ pub enum BasisEngine {
     Mpk,
 }
 
-/// Which instruction-set backend the leaf kernels run on.
-///
-/// Every level of [`vr_par::simd`] produces **bit-identical** results — the
-/// lane-blocked accumulator layout is part of the numerical contract, not
-/// an implementation detail — so this policy only ever changes speed. It
-/// exists so measurements (and the differential suite) can pin a backend
-/// explicitly instead of depending on the `VR_SIMD` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimdPolicy {
-    /// Ambient selection: the thread-local override if one is installed,
-    /// else the process level (`VR_SIMD` env, else best available).
-    #[default]
-    Auto,
-    /// Force the portable scalar backend on the solve thread.
-    Scalar,
-    /// Force the widest available vector backend on the solve thread
-    /// (falls back to scalar on hosts without AVX2).
-    Simd,
-}
-
 /// Working precision of the iteration's vector recurrences.
 ///
 /// `Mixed` keeps the CG working vectors (`x`, `r`, `p`, and the variant's
@@ -125,7 +105,7 @@ pub enum Precision {
 
 /// Per-iteration progress callback: `(iteration, residual_norm)`.
 ///
-/// Invoked from [`SolveOptions::service_poll`] at the top of every
+/// Invoked by the iteration driver at the top of every
 /// iteration of every variant, with the *recursive* residual norm the
 /// variant is tracking (the square root of the same squared quantity its
 /// convergence test compares — for variants that push per-iteration
@@ -253,10 +233,6 @@ pub struct SolveOptions {
     /// stencils, matrix rows for CSR). `None` uses the operator's L2
     /// working-set heuristic. Ignored under [`BasisEngine::Naive`].
     pub mpk_tile: Option<usize>,
-    /// Instruction-set backend for leaf kernels (never changes bits; see
-    /// [`SimdPolicy`]). Variants install it on the solve thread via
-    /// [`SolveOptions::simd_guard`].
-    pub simd_policy: SimdPolicy,
     /// Working precision of the vector recurrences (see [`Precision`]).
     pub precision: Precision,
     /// Span tracer for critical-path profiling (None = untraced). When
@@ -266,7 +242,7 @@ pub struct SolveOptions {
     /// sequence — and the untraced path is a single branch per helper.
     pub tracer: Option<Arc<vr_obs::Tracer>>,
     /// Cooperative cancellation flag (None = uncancellable). Checked at
-    /// every iteration boundary by [`SolveOptions::service_poll`]: when
+    /// every iteration boundary by the iteration driver: when
     /// the flag is observed `true`, the variant stops *before* starting
     /// the iteration and returns [`Termination::Cancelled`] with the
     /// honest partial state (iterate, residual history, op counts) it had
@@ -298,7 +274,6 @@ impl Default for SolveOptions {
             checksum_detected: Arc::new(AtomicU64::new(0)),
             basis_engine: BasisEngine::default(),
             mpk_tile: None,
-            simd_policy: SimdPolicy::default(),
             precision: Precision::default(),
             tracer: None,
             cancel: None,
@@ -388,33 +363,11 @@ impl SolveOptions {
         self
     }
 
-    /// Set the instruction-set backend policy (see [`SimdPolicy`]).
-    #[must_use]
-    pub fn with_simd_policy(mut self, policy: SimdPolicy) -> Self {
-        self.simd_policy = policy;
-        self
-    }
-
     /// Set the working precision (see [`Precision`]).
     #[must_use]
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
         self
-    }
-
-    /// Install this solve's [`SimdPolicy`] on the calling thread for the
-    /// duration of the returned guard. Variants call this once at the top
-    /// of `solve`, next to [`SolveOptions::trace_attach`]. `Auto` installs
-    /// nothing (ambient level); `Scalar`/`Simd` pin the backend via
-    /// [`vr_par::simd::lane_guard`]. Team workers always run at the
-    /// process level — safe because every level produces the same bits.
-    #[must_use]
-    pub fn simd_guard(&self) -> Option<vr_par::simd::LaneGuard> {
-        match self.simd_policy {
-            SimdPolicy::Auto => None,
-            SimdPolicy::Scalar => Some(vr_par::simd::lane_guard(vr_par::simd::SimdLevel::Scalar)),
-            SimdPolicy::Simd => Some(vr_par::simd::lane_guard(vr_par::simd::auto_level())),
-        }
     }
 
     /// Attach a span tracer (size it with [`vr_obs::Tracer::for_width`] to
@@ -423,44 +376,6 @@ impl SolveOptions {
     pub fn with_tracer(mut self, tracer: Arc<vr_obs::Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
-    }
-
-    /// Attach the tracer (if any) to the calling thread as shard 0 — and to
-    /// the solve's worker team, so every worker records its barrier-epoch
-    /// busy window on its own shard — for the duration of the returned
-    /// guard. Variants call this once at the top of `solve` so the
-    /// TLS-instrumented layers (team epochs, reduction fan-ins, deferred
-    /// waits) record alongside the solver-level spans. Size the tracer with
-    /// [`vr_obs::Tracer::for_width`] to match `threads`; out-of-range
-    /// shards are silently dropped by the tracer, so a shard-0-only tracer
-    /// simply skips the worker-side detail.
-    #[must_use]
-    pub fn trace_attach(&self) -> Option<TraceGuard> {
-        self.tracer.as_ref().map(|tr| {
-            let team = self.team();
-            if let Some(t) = &team {
-                t.set_tracer(Some(Arc::clone(tr)));
-            }
-            TraceGuard {
-                // SAFETY: the tracer Arc lives in `self` for the whole solve
-                // and the guard is bound to a local in the variant's `solve`
-                // frame, which borrows `self` — so the guard cannot outlive
-                // the tracer, and it is dropped (not leaked) on every exit
-                // path. The solve thread is shard 0 by convention.
-                _tls: unsafe { vr_obs::tls::attach(tr, 0) },
-                team,
-            }
-        })
-    }
-
-    /// Record an iteration-boundary marker (shard 0). Variants call this
-    /// at the top of each iteration; the critical-path aggregator buckets
-    /// spans into the windows between consecutive marks.
-    #[inline]
-    pub fn iter_mark(&self) {
-        if let Some(tr) = self.tracer.as_deref() {
-            tr.mark(0, vr_obs::SpanKind::IterMark);
-        }
     }
 
     /// Attach a cooperative cancellation flag (see
@@ -476,26 +391,6 @@ impl SolveOptions {
     pub fn with_progress(mut self, f: impl Fn(usize, f64) + Send + Sync + 'static) -> Self {
         self.progress = Some(ProgressHook::new(f));
         self
-    }
-
-    /// Service hook, called by every variant at the top of each iteration
-    /// right after [`SolveOptions::iter_mark`], with the *squared*
-    /// recursive residual norm its convergence test is about to compare.
-    /// Streams progress (as `rr_sq.max(0.0).sqrt()` — exactly how variants
-    /// derive recorded norms from their squared recurrences) and polls the
-    /// cancellation flag; returns `true` when the solve should stop with
-    /// [`Termination::Cancelled`] instead of starting the iteration. The
-    /// unattached path is two `None` branches — no atomics, no arithmetic.
-    #[inline]
-    #[must_use]
-    pub fn service_poll(&self, iter: usize, rr_sq: f64) -> bool {
-        if let Some(p) = &self.progress {
-            p.call(iter, rr_sq.max(0.0).sqrt());
-        }
-        match &self.cancel {
-            None => false,
-            Some(flag) => flag.load(Ordering::Relaxed),
-        }
     }
 
     /// Run `f` under a shard-0 span of `kind` when traced; just run it
@@ -1067,23 +962,6 @@ impl SolveOptions {
     }
 }
 
-/// Guard returned by [`SolveOptions::trace_attach`]: detaches the calling
-/// thread's shard-0 tracer and clears the worker team's tracer slot when
-/// dropped, so spans from a later (possibly untraced) solve on the shared
-/// team never leak into this solve's recorder.
-pub struct TraceGuard {
-    _tls: vr_obs::tls::AttachGuard,
-    team: Option<Arc<Team>>,
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        if let Some(t) = &self.team {
-            t.set_tracer(None);
-        }
-    }
-}
-
 /// Why a solve stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Termination {
@@ -1277,46 +1155,6 @@ pub trait CgVariant {
     }
 }
 
-/// Shared solver-loop helpers.
-pub(crate) mod util {
-    use super::SolveOptions;
-    use vr_linalg::kernels;
-    use vr_linalg::LinearOperator;
-
-    /// Initial residual `r = b − A·x0` and starting point. Returns
-    /// `(x, r, ‖b‖)`.
-    pub fn init_residual(
-        a: &dyn LinearOperator,
-        b: &[f64],
-        x0: Option<&[f64]>,
-    ) -> (Vec<f64>, Vec<f64>, f64) {
-        let n = a.dim();
-        assert_eq!(b.len(), n, "rhs length != operator dim");
-        let bnorm = kernels::norm2(b);
-        match x0 {
-            None => (vec![0.0; n], b.to_vec(), bnorm),
-            Some(x0) => {
-                assert_eq!(x0.len(), n, "x0 length != operator dim");
-                // r ← A·x0, then r ← b − r in place: same bits as the
-                // two-buffer `sub(b, ax, r)`, one allocation fewer.
-                let mut r = vec![0.0; n];
-                a.apply(x0, &mut r);
-                for (ri, bi) in r.iter_mut().zip(b) {
-                    *ri = bi - *ri;
-                }
-                (x0.to_vec(), r, bnorm)
-            }
-        }
-    }
-
-    /// Convergence threshold on the *squared* residual norm. Floored at
-    /// the smallest positive normal so a zero rhs still terminates.
-    pub fn threshold_sq(opts: &SolveOptions, bnorm: f64) -> f64 {
-        let t = opts.tol * bnorm;
-        (t * t).max(f64::MIN_POSITIVE)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1394,29 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn service_poll_streams_progress_and_polls_cancel() {
-        use std::sync::Mutex;
-        // unattached: free and never cancels
-        let o = SolveOptions::default();
-        assert!(!o.service_poll(0, 4.0));
-
-        let seen: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let flag = Arc::new(AtomicBool::new(false));
-        let o = SolveOptions::default()
-            .with_cancel_flag(Arc::clone(&flag))
-            .with_progress(move |it, res| seen2.lock().unwrap().push((it, res)));
-        assert!(!o.service_poll(0, 4.0));
-        flag.store(true, Ordering::Relaxed);
-        assert!(o.service_poll(1, 1.0), "set flag must cancel");
-        // progress streamed the sqrt of the squared residual, both times
-        assert_eq!(*seen.lock().unwrap(), vec![(0, 2.0), (1, 1.0)]);
-        // a negative squared residual (breakdown in flight) streams 0, not NaN
-        let _ = o.service_poll(2, -1.0);
-        assert_eq!(seen.lock().unwrap().last(), Some(&(2, 0.0)));
-    }
-
-    #[test]
     fn routing_meta_attaches_without_perturbing_result() {
         let r = SolveResult::new(
             vec![0.0],
@@ -1444,33 +1259,6 @@ mod tests {
         assert_eq!(o.dot(&x, &x), 14.0);
         assert_eq!(o.scalar(2.5), 2.5);
         assert!(o.injector.is_none() && o.recovery.is_none());
-    }
-
-    #[test]
-    fn init_residual_zero_start_copies_b() {
-        let a = vr_linalg::gen::poisson1d(4);
-        let b = vec![1.0, 2.0, 3.0, 4.0];
-        let (x, r, bn) = util::init_residual(&a, &b, None);
-        assert_eq!(x, vec![0.0; 4]);
-        assert_eq!(r, b);
-        assert!((bn - (30.0_f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn init_residual_nonzero_start() {
-        let a = vr_linalg::gen::poisson1d(3);
-        let x0 = vec![1.0, 1.0, 1.0];
-        let b = vec![1.0, 0.0, 1.0];
-        // A*x0 = [1, 0, 1] → r = 0
-        let (_, r, _) = util::init_residual(&a, &b, Some(&x0));
-        assert_eq!(r, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn threshold_handles_zero_rhs() {
-        let o = SolveOptions::default();
-        let t = util::threshold_sq(&o, 0.0);
-        assert!(t > 0.0); // no divide-by-zero convergence trap
     }
 
     #[test]

@@ -28,10 +28,10 @@
 
 pub mod basis;
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
+use crate::instrument::OpCounts;
 use crate::resilience::guard;
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use basis::{BasisKind, KrylovBasis};
 use vr_linalg::dense::Cholesky;
 use vr_linalg::kernels::dot;
@@ -88,36 +88,26 @@ impl CgVariant for SStepCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            // The s-step block exchange (basis build + Gram solve) spans
-            // s matvec depths — no single-pass schedule exists.
-            return crate::sweep::reject(a, b, x0, opts);
-        }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::reject(a, b, x0, opts);
+        // The s-step block exchange (basis build + Gram solve) spans s
+        // matvec depths — no single-pass schedule exists.
+        if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
+            return res;
         }
         let s = self.s;
         let md = opts.dot_mode;
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+        let thresh_sq = drv.thresh_sq;
         let team = opts.team();
 
         // Basis parameters (shifts / interval) from a short Lanczos run.
-        let params = basis::BasisParams::estimate(self.basis, a, s, &mut counts);
+        let params = basis::BasisParams::estimate(self.basis, a, s, &mut drv.counts);
 
-        let mut norms = Vec::new();
-        let mut rr = dot(md, &r, &r);
-        counts.dots += 1;
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
+        let rr = dot(md, &r, &r);
+        drv.counts.dots += 1;
+        drv.record(rr);
+        // validation scratch for `validate_or_restart`
+        let mut vscratch = vec![0.0; r.len()];
+        let mut st = State { x, r, rr };
 
         // Two direction blocks, alternating roles each outer step:
         // `blocks[cur]` receives the fresh basis (becoming the current P),
@@ -135,214 +125,148 @@ impl CgVariant for SStepCg {
         let mut rhs = vec![0.0; s];
         let mut ycoef = vec![0.0; s];
         let mut bcoef = vec![0.0; s];
-        // validation scratch for `validate_or_restart`
-        let mut vscratch = vec![0.0; r.len()];
 
         let mut termination = Termination::MaxIterations;
         let mut iterations = 0usize;
         let mut last_restart_rr = f64::INFINITY;
 
-        // Checkpoint ring (policy-gated): snapshots [x, r] + [rr] at block
-        // boundaries; the direction blocks are NOT saved — a restore
-        // resumes with `prev_active = false`, so the next block starts
-        // unconjugated (exactly the state after a warm restart, but from a
-        // ≤ C-iterations-old known-good iterate).
-        let mut rstats = RecoveryStats::default();
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 2, r.len(), 1));
-        macro_rules! rollback_or_break {
-            ($lbl:lifetime) => {
-                if termination == Termination::Breakdown {
-                    if let Some(rg) = ring.as_mut() {
-                        let mut scal = [0.0];
-                        if let Some(c) = rg.rollback(opts, &mut [&mut x, &mut r], &mut scal) {
-                            rr = scal[0];
-                            rstats.rollbacks += 1;
-                            if opts.record_residuals {
-                                norms.truncate(c / s + 1);
-                            }
-                            iterations = c;
-                            termination = Termination::MaxIterations;
-                            prev_active = false;
-                            continue $lbl;
-                        }
-                    }
-                }
-                break $lbl;
-            };
-        }
-
-        if rr <= thresh_sq {
+        if st.rr <= thresh_sq {
             termination = Termination::Converged;
         }
 
         'outer: while termination == Termination::MaxIterations && iterations < opts.max_iters {
-            // 1) block basis from the current residual (one mark per outer
-            // block step — the natural iteration unit of s-step CG)
-            opts.iter_mark();
-            if opts.service_poll(iterations, rr) {
+            // one loop top per outer block step — the natural iteration
+            // unit of s-step CG
+            if drv.top(iterations, st.rr, &mut st) {
                 termination = Termination::Cancelled;
-                break 'outer;
-            }
-            if let Some(rg) = ring.as_mut() {
-                rg.maybe_save(opts, iterations, &[&x, &r], &[rr]);
-            }
-            opts.span(vr_obs::SpanKind::MpkBuild, || {
-                basis::build_into(
-                    a,
-                    &r,
-                    s,
-                    &params,
-                    opts.basis_engine,
-                    team.as_deref(),
-                    opts.mpk_tile,
-                    &mut ws,
-                    &mut blocks[cur],
-                    &mut counts,
-                );
-            });
-
-            // 2) A-conjugation against the previous block:
-            //    B = (P'ᵀAP')⁻¹ (P'ᵀAV);  P = V − P'B;  AP = AV − AP'B
-            let (lo, hi) = blocks.split_at_mut(1);
-            let (blk, prev) = if cur == 0 {
-                (&mut lo[0], &hi[0])
-            } else {
-                (&mut hi[0], &lo[0])
-            };
-            let (p, ap) = (&mut blk.v, &mut blk.av);
-            if prev_active {
-                let (p_prev, ap_prev) = (&prev.v, &prev.av);
-                let sp = p_prev.len();
-                for i in 0..sp {
-                    for j in 0..sp {
-                        gram[(i, j)] = dot(md, &p_prev[i], &ap_prev[j]);
-                    }
-                }
-                counts.dots += sp * sp;
-                if gram.cholesky_into(&mut chol).is_err() {
-                    if !validate_or_restart(
-                        a,
-                        b,
-                        md,
-                        thresh_sq,
-                        &x,
-                        &mut r,
-                        &mut rr,
-                        &mut last_restart_rr,
-                        &mut vscratch,
-                        &mut counts,
-                        &mut termination,
-                    ) {
-                        rollback_or_break!('outer);
-                    }
-                    prev_active = false;
-                    continue 'outer;
-                }
-                for (pc, apc) in p.iter_mut().zip(ap.iter_mut()) {
-                    // rhs_i = (p_prev_i, A·v) = (ap_prev_i, v)
-                    for (ri, api) in rhs.iter_mut().zip(ap_prev) {
-                        *ri = dot(md, api, &*pc);
-                    }
-                    counts.dots += sp;
-                    chol.solve_into(&rhs, &mut bcoef);
-                    for (i, &bi) in bcoef.iter().enumerate() {
-                        opts.axpy(-bi, &p_prev[i], pc, &mut counts);
-                        opts.axpy(-bi, &ap_prev[i], apc, &mut counts);
-                    }
-                    counts.scalar_ops += sp * sp;
-                }
-            }
-
-            // 3) small SPD solve: (PᵀAP) y = Pᵀ r
-            for i in 0..s {
-                for j in 0..s {
-                    gram[(i, j)] = dot(md, &p[i], &ap[j]);
-                }
-            }
-            for (ri, pi) in rhs.iter_mut().zip(p.iter()) {
-                *ri = dot(md, pi, &r);
-            }
-            counts.dots += s * s + s;
-
-            if gram.cholesky_into(&mut chol).is_err() {
-                if !validate_or_restart(
-                    a,
-                    b,
-                    md,
-                    thresh_sq,
-                    &x,
-                    &mut r,
-                    &mut rr,
-                    &mut last_restart_rr,
-                    &mut vscratch,
-                    &mut counts,
-                    &mut termination,
-                ) {
-                    rollback_or_break!('outer);
-                }
-                prev_active = false;
-                continue 'outer;
-            }
-            chol.solve_into(&rhs, &mut ycoef);
-            counts.scalar_ops += s * s * s / 3;
-
-            // 4) block update; the final r-axpy carries the residual norm
-            //    in the same sweep (bit-identical to axpy-then-dot)
-            let (&y_last, y_rest) = ycoef.split_last().expect("s >= 1");
-            for (i, &yi) in y_rest.iter().enumerate() {
-                opts.axpy(yi, &p[i], &mut x, &mut counts);
-                opts.axpy(-yi, &ap[i], &mut r, &mut counts);
-            }
-            opts.axpy(y_last, &p[s - 1], &mut x, &mut counts);
-
-            rr = opts.axpy_norm2_sq(-y_last, &ap[s - 1], &mut r, &mut counts);
-            iterations += s.min(opts.max_iters - iterations);
-            if opts.record_residuals {
-                norms.push(rr.max(0.0).sqrt());
-            }
-            if rr <= thresh_sq {
-                termination = Termination::Converged;
                 break;
             }
-            if guard::check_finite(rr).is_err() {
-                if !validate_or_restart(
-                    a,
-                    b,
-                    md,
-                    thresh_sq,
-                    &x,
-                    &mut r,
-                    &mut rr,
-                    &mut last_restart_rr,
-                    &mut vscratch,
-                    &mut counts,
-                    &mut termination,
-                ) {
-                    rollback_or_break!('outer);
+            // One block step; `false` flags a suspicious signal (a Gram
+            // matrix that is not numerically SPD, or a non-finite residual)
+            // for validation below.
+            let stepped = 'block: {
+                // 1) block basis from the current residual
+                opts.span(vr_obs::SpanKind::MpkBuild, || {
+                    basis::build_into(
+                        a,
+                        &st.r,
+                        s,
+                        &params,
+                        opts.basis_engine,
+                        team.as_deref(),
+                        opts.mpk_tile,
+                        &mut ws,
+                        &mut blocks[cur],
+                        &mut drv.counts,
+                    );
+                });
+
+                // 2) A-conjugation against the previous block:
+                //    B = (P'ᵀAP')⁻¹ (P'ᵀAV);  P = V − P'B;  AP = AV − AP'B
+                let (lo, hi) = blocks.split_at_mut(1);
+                let (blk, prev) = if cur == 0 {
+                    (&mut lo[0], &hi[0])
+                } else {
+                    (&mut hi[0], &lo[0])
+                };
+                let (p, ap) = (&mut blk.v, &mut blk.av);
+                if prev_active {
+                    let (p_prev, ap_prev) = (&prev.v, &prev.av);
+                    let sp = p_prev.len();
+                    for i in 0..sp {
+                        for j in 0..sp {
+                            gram[(i, j)] = dot(md, &p_prev[i], &ap_prev[j]);
+                        }
+                    }
+                    drv.counts.dots += sp * sp;
+                    if gram.cholesky_into(&mut chol).is_err() {
+                        break 'block false;
+                    }
+                    for (pc, apc) in p.iter_mut().zip(ap.iter_mut()) {
+                        // rhs_i = (p_prev_i, A·v) = (ap_prev_i, v)
+                        for (ri, api) in rhs.iter_mut().zip(ap_prev) {
+                            *ri = dot(md, api, &*pc);
+                        }
+                        drv.counts.dots += sp;
+                        chol.solve_into(&rhs, &mut bcoef);
+                        for (i, &bi) in bcoef.iter().enumerate() {
+                            opts.axpy(-bi, &p_prev[i], pc, &mut drv.counts);
+                            opts.axpy(-bi, &ap_prev[i], apc, &mut drv.counts);
+                        }
+                        drv.counts.scalar_ops += sp * sp;
+                    }
                 }
-                prev_active = false;
-                continue 'outer;
+
+                // 3) small SPD solve: (PᵀAP) y = Pᵀ r
+                for i in 0..s {
+                    for j in 0..s {
+                        gram[(i, j)] = dot(md, &p[i], &ap[j]);
+                    }
+                }
+                for (ri, pi) in rhs.iter_mut().zip(p.iter()) {
+                    *ri = dot(md, pi, &st.r);
+                }
+                drv.counts.dots += s * s + s;
+
+                if gram.cholesky_into(&mut chol).is_err() {
+                    break 'block false;
+                }
+                chol.solve_into(&rhs, &mut ycoef);
+                drv.counts.scalar_ops += s * s * s / 3;
+
+                // 4) block update; the final r-axpy carries the residual
+                //    norm in the same sweep (bit-identical to axpy-then-dot)
+                let (&y_last, y_rest) = ycoef.split_last().expect("s >= 1");
+                for (i, &yi) in y_rest.iter().enumerate() {
+                    opts.axpy(yi, &p[i], &mut st.x, &mut drv.counts);
+                    opts.axpy(-yi, &ap[i], &mut st.r, &mut drv.counts);
+                }
+                opts.axpy(y_last, &p[s - 1], &mut st.x, &mut drv.counts);
+
+                st.rr = opts.axpy_norm2_sq(-y_last, &ap[s - 1], &mut st.r, &mut drv.counts);
+                iterations += s.min(opts.max_iters - iterations);
+                drv.record(st.rr);
+                if st.rr <= thresh_sq {
+                    termination = Termination::Converged;
+                    break 'outer;
+                }
+                guard::check_finite(st.rr).is_ok()
+            };
+            if stepped {
+                // the fresh block becomes the previous block for the next step
+                cur = 1 - cur;
+                prev_active = true;
+                continue;
             }
-
-            // the fresh block becomes the previous block for the next step
-            cur = 1 - cur;
-            prev_active = true;
+            if !validate_or_restart(
+                a,
+                b,
+                md,
+                thresh_sq,
+                &mut st,
+                &mut last_restart_rr,
+                &mut vscratch,
+                &mut drv.counts,
+                &mut termination,
+            ) {
+                // a breakdown can still be rescued from a checkpoint; the
+                // restored block resumes unconjugated, exactly the state
+                // after a warm restart
+                if termination != Termination::Breakdown {
+                    break;
+                }
+                let Some(c) = drv.rollback(&mut st) else {
+                    break;
+                };
+                iterations = c;
+                termination = Termination::MaxIterations;
+            }
+            prev_active = false;
         }
 
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        rstats.restarts = counts.restarts;
-        rstats.final_k = s;
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        res.recovery = rstats;
-        res
+        drv.rstats.restarts = drv.counts.restarts;
+        drv.rstats.final_k = s;
+        drv.finish(st.x, termination, iterations, norm(st.rr))
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {
@@ -361,6 +285,22 @@ impl CgVariant for SStepCg {
     }
 }
 
+/// Loop-carried state; a checkpoint snapshots `[x, r]` and `[rr]` at
+/// block boundaries. The direction blocks are NOT saved — a restore
+/// resumes unconjugated (exactly the state after a warm restart, but from
+/// a ≤ C-iterations-old known-good iterate).
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    rr: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(&mut [&mut self.x, &mut self.r], &mut [&mut self.rr]);
+    }
+}
+
 /// Shared suspicious-signal handler: recompute the true residual; set
 /// `Converged` (returning false to stop), or refresh `r`/`rr` for a warm
 /// restart (returning true), or set `Breakdown` when no progress
@@ -371,15 +311,13 @@ fn validate_or_restart(
     b: &[f64],
     md: vr_linalg::kernels::DotMode,
     thresh_sq: f64,
-    x: &[f64],
-    r: &mut [f64],
-    rr: &mut f64,
+    st: &mut State,
     last_restart_rr: &mut f64,
     scratch: &mut [f64],
     counts: &mut OpCounts,
     termination: &mut Termination,
 ) -> bool {
-    a.apply(x, scratch);
+    a.apply(&st.x, scratch);
     // scratch ← b − A·x in place (same bits as the two-buffer sub)
     for (si, bi) in scratch.iter_mut().zip(b) {
         *si = bi - *si;
@@ -403,8 +341,8 @@ fn validate_or_restart(
     }
     *last_restart_rr = rr_true;
     counts.restarts += 1;
-    r.copy_from_slice(scratch);
-    *rr = rr_true;
+    st.r.copy_from_slice(scratch);
+    st.rr = rr_true;
     true
 }
 

@@ -4,36 +4,45 @@
 //! two inner products **in serial dependency** (`(r,r)` gates `α` gates `p`
 //! gates `Ap` gates `(p,Ap)` gates `λ`), three vector updates.
 
-use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
-use crate::resilience::guard::{self, GuardSignal, ResidualGuard};
-use crate::solver::{util, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
+use crate::instrument::OpCounts;
+use crate::resilience::guard::{self, GuardSignal};
+use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::LinearOperator;
 
-/// Roll the `[x, r, p]` + `[rr]` state back to the newest checkpoint, fixing
-/// up the residual history and rollback tally. Returns the checkpoint
-/// iteration to resume from, or `None` when the rollback rung is exhausted
-/// (the failure then falls through to the restart ladder as before).
-#[allow(clippy::too_many_arguments)]
-fn try_rollback(
-    ring: &mut Option<CheckpointRing>,
-    opts: &SolveOptions,
-    x: &mut [f64],
-    r: &mut [f64],
-    p: &mut [f64],
-    rr: &mut f64,
-    norms: &mut Vec<f64>,
-    rstats: &mut RecoveryStats,
-) -> Option<usize> {
-    let ring = ring.as_mut()?;
-    let mut scalars = [0.0];
-    let c = ring.rollback(opts, &mut [x, r, p], &mut scalars)?;
-    *rr = scalars[0];
-    rstats.rollbacks += 1;
-    if opts.record_residuals {
-        norms.truncate(c + 1);
+/// Standard CG's twins: the `f32`-storage loop and the whole-iteration
+/// sweep.
+const TWINS: Twins<StandardCg> = Twins {
+    mixed: Some(crate::mixed::solve_standard),
+    sweep: Some(crate::sweep::solve_standard),
+};
+
+/// Loop-carried state (shared with the sweep twin); a checkpoint
+/// snapshots `[x, r, p]` and `[rr]`.
+pub(crate) struct State {
+    pub(crate) x: Vec<f64>,
+    pub(crate) r: Vec<f64>,
+    pub(crate) p: Vec<f64>,
+    pub(crate) rr: f64,
+}
+
+impl Checkpoint for State {
+    fn state(&mut self, f: Visit<'_>) {
+        f(
+            &mut [&mut self.x, &mut self.r, &mut self.p],
+            &mut [&mut self.rr],
+        );
     }
-    Some(c)
+}
+
+impl State {
+    /// Residual replacement: adopt the true residual `r` and restart the
+    /// direction from it.
+    fn replace(&mut self, r: Vec<f64>, counts: &mut OpCounts) {
+        self.r = r;
+        self.p.copy_from_slice(&self.r);
+        counts.vector_ops += 2;
+    }
 }
 
 /// Standard CG solver.
@@ -54,11 +63,11 @@ impl CgVariant for StandardCg {
     }
 
     fn mixed_eligible(&self) -> bool {
-        true
+        TWINS.mixed.is_some()
     }
 
     fn sweep_eligible(&self) -> bool {
-        true
+        TWINS.sweep.is_some()
     }
 
     fn solve(
@@ -68,235 +77,135 @@ impl CgVariant for StandardCg {
         x0: Option<&[f64]>,
         opts: &SolveOptions,
     ) -> SolveResult {
-        if opts.sweep_policy == crate::solver::SweepPolicy::WholeIteration {
-            return crate::sweep::solve_standard(a, b, x0, opts);
+        if let Some(res) = driver::twin(self, &TWINS, a, b, x0, opts) {
+            return res;
         }
-        if opts.precision == crate::solver::Precision::Mixed {
-            return crate::mixed::solve_standard(a, b, x0, opts);
-        }
-        let n = a.dim();
-        let mut counts = OpCounts::default();
-        let _simd = opts.simd_guard();
-        let _trace = opts.trace_attach();
-        let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-        if x0.is_some() {
-            counts.matvecs += 1;
-            counts.vector_ops += 1;
-        }
-        let thresh_sq = util::threshold_sq(opts, bnorm);
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+        let thresh_sq = drv.thresh_sq;
+        let p = r.clone();
+        drv.counts.vector_ops += 1;
+        let mut w = vec![0.0; a.dim()];
+        let rr = guard::guarded_dot(opts, &r, &r, &mut drv.rstats);
+        drv.counts.dots += 1;
+        let mut st = State { x, r, p, rr };
+        drv.watch(a, b, st.rr);
+        drv.record(st.rr);
 
-        let mut p = r.clone();
-        counts.vector_ops += 1;
-        let mut w = vec![0.0; n];
-
-        let mut rstats = RecoveryStats::default();
-        let mut rr = guard::guarded_dot(opts, &r, &r, &mut rstats);
-        counts.dots += 1;
-        let mut rguard: Option<ResidualGuard<'_>> = opts
-            .recovery
-            .as_ref()
-            .map(|policy| ResidualGuard::new(a, b, policy.clone(), rr));
-        let mut norms = Vec::new();
-        if opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        let mut start_converged = rr <= thresh_sq;
-        if start_converged {
-            // same spurious-convergence hazard as in the loop below
-            if let Some((r_new, rr_new)) = rguard
+        if st.rr <= thresh_sq {
+            // same spurious-convergence hazard as in the loop below: a
+            // refuted claim restarts from the true residual, which then
+            // fails the threshold
+            if let Some((r_new, rr_new)) = drv
+                .guard
                 .as_mut()
-                .and_then(|g| g.confirm_convergence(&x, thresh_sq))
+                .and_then(|g| g.confirm_convergence(&st.x, thresh_sq))
             {
-                r = r_new;
-                rr = rr_new;
-                p.copy_from_slice(&r);
-                counts.vector_ops += 2;
-                start_converged = false;
+                st.replace(r_new, &mut drv.counts);
+                st.rr = rr_new;
             }
         }
-        // checkpoint ring (policy-gated): snapshots [x, r, p] + [rr]
-        let mut ring = opts
-            .recovery
-            .as_ref()
-            .and_then(|policy| CheckpointRing::from_policy(policy, 3, n, 1));
 
-        if start_converged {
-            termination = Termination::Converged;
-        } else {
-            let mut it = 0usize;
-            while it < opts.max_iters {
-                opts.iter_mark();
-                if opts.service_poll(it, rr) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                if let Some(ring) = ring.as_mut() {
-                    ring.maybe_save(opts, it, &[&x, &r, &p], &[rr]);
-                }
-                // Under the fused policy this iteration runs in three sweeps:
-                // matvec+(p,Ap) fused, then x/r updates+(r,r) fused, then the
-                // direction xpay. (The operator-level no-store kernels that
-                // skip materializing w trade that store for a second stencil
-                // evaluation — a loss on compute-bound cores, so the solver
-                // keeps w and fuses around it.)
-                let pap = guard::guarded_matvec_dot(opts, a, &p, &mut w, &mut counts, &mut rstats);
+        let (termination, iterations) = drv.iterate(
+            &mut st,
+            |st| st.rr,
+            |drv, st, it| {
+                // Under the fused policy this iteration runs in three
+                // sweeps: matvec+(p,Ap) fused, then x/r updates+(r,r) fused,
+                // then the direction xpay. (The operator-level no-store
+                // kernels that skip materializing w trade that store for a
+                // second stencil evaluation — a loss on compute-bound cores,
+                // so the solver keeps w and fuses around it.)
+                let pap = guard::guarded_matvec_dot(
+                    opts,
+                    a,
+                    &st.p,
+                    &mut w,
+                    &mut drv.counts,
+                    &mut drv.rstats,
+                );
                 if let Err(kind) = guard::check_pivot(pap) {
-                    if let Some(c) = try_rollback(
-                        &mut ring,
-                        opts,
-                        &mut x,
-                        &mut r,
-                        &mut p,
-                        &mut rr,
-                        &mut norms,
-                        &mut rstats,
-                    ) {
-                        iterations = c;
-                        it = c;
-                        continue;
-                    }
-                    termination = kind.termination();
-                    iterations = it;
-                    break;
+                    return Step::Fail(kind.termination(), it);
                 }
-                let lambda = opts.scalar(rr / pap);
-                counts.scalar_ops += 1;
+                let lambda = opts.scalar(st.rr / pap);
+                drv.counts.scalar_ops += 1;
                 let mut rr_next = guard::guarded_update_xr(
                     opts,
                     lambda,
-                    &p,
+                    &st.p,
                     &w,
-                    &mut x,
-                    &mut r,
-                    &mut counts,
-                    &mut rstats,
+                    &mut st.x,
+                    &mut st.r,
+                    &mut drv.counts,
+                    &mut drv.rstats,
                 );
-                iterations = it + 1;
 
                 // recovery hook: periodic true-residual check, residual
                 // replacement, stagnation/divergence detection
                 let mut replaced = false;
-                if let Some(g) = rguard.as_mut() {
-                    match g.inspect(iterations, &x, rr_next) {
-                        GuardSignal::Proceed => {}
-                        GuardSignal::Replace {
-                            r: r_new,
-                            rr: rr_new,
-                        } => {
-                            r = r_new;
-                            rr_next = rr_new;
-                            // direction restart from the replaced residual
-                            p.copy_from_slice(&r);
-                            counts.vector_ops += 2;
-                            replaced = true;
-                        }
-                        GuardSignal::Halt(t) => {
-                            // rollback can undo fault-driven divergence, but
-                            // stagnation persists in the guard's window — a
-                            // replay would halt again immediately
-                            if t != Termination::Stagnated {
-                                if let Some(c) = try_rollback(
-                                    &mut ring,
-                                    opts,
-                                    &mut x,
-                                    &mut r,
-                                    &mut p,
-                                    &mut rr,
-                                    &mut norms,
-                                    &mut rstats,
-                                ) {
-                                    iterations = c;
-                                    it = c;
-                                    continue;
-                                }
-                            }
-                            termination = t;
-                            if opts.record_residuals {
-                                norms.push(rr_next.max(0.0).sqrt());
-                            }
-                            rr = rr_next;
-                            break;
-                        }
+                match drv
+                    .guard
+                    .as_mut()
+                    .map(|g| g.inspect(it + 1, &st.x, rr_next))
+                {
+                    None | Some(GuardSignal::Proceed) => {}
+                    Some(GuardSignal::Replace {
+                        r: r_new,
+                        rr: rr_new,
+                    }) => {
+                        st.replace(r_new, &mut drv.counts);
+                        rr_next = rr_new;
+                        replaced = true;
+                    }
+                    Some(GuardSignal::Halt(t)) => {
+                        drv.record(rr_next);
+                        st.rr = rr_next;
+                        // rollback can undo fault-driven divergence, but
+                        // stagnation persists in the guard's window — a
+                        // replay would halt again immediately
+                        return if t == Termination::Stagnated {
+                            Step::End(t, it + 1)
+                        } else {
+                            Step::Fail(t, it + 1)
+                        };
                     }
                 }
 
-                if rr_next <= thresh_sq {
+                if rr_next <= drv.thresh_sq {
                     // a corrupted reduction can fake convergence (a dropped
                     // partial shrinks rr): under a recovery policy the
                     // signal must survive a true-residual check
-                    match rguard
+                    match drv
+                        .guard
                         .as_mut()
-                        .and_then(|g| g.confirm_convergence(&x, thresh_sq))
+                        .and_then(|g| g.confirm_convergence(&st.x, thresh_sq))
                     {
                         None => {
-                            if opts.record_residuals {
-                                norms.push(rr_next.max(0.0).sqrt());
-                            }
-                            termination = Termination::Converged;
-                            rr = rr_next;
-                            break;
+                            drv.record(rr_next);
+                            st.rr = rr_next;
+                            return Step::End(Termination::Converged, it + 1);
                         }
                         Some((r_new, rr_new)) => {
-                            r = r_new;
+                            st.replace(r_new, &mut drv.counts);
                             rr_next = rr_new;
-                            p.copy_from_slice(&r);
-                            counts.vector_ops += 2;
                             replaced = true;
                         }
                     }
                 }
-                if opts.record_residuals {
-                    norms.push(rr_next.max(0.0).sqrt());
-                }
+                drv.record(rr_next);
                 if guard::check_finite(rr_next).is_err() {
-                    if let Some(c) = try_rollback(
-                        &mut ring,
-                        opts,
-                        &mut x,
-                        &mut r,
-                        &mut p,
-                        &mut rr,
-                        &mut norms,
-                        &mut rstats,
-                    ) {
-                        iterations = c;
-                        it = c;
-                        continue;
-                    }
-                    termination = Termination::Breakdown;
-                    rr = rr_next;
-                    break;
+                    st.rr = rr_next;
+                    return Step::breakdown(it + 1);
                 }
                 if !replaced {
-                    let alpha = opts.scalar(rr_next / rr);
-                    counts.scalar_ops += 1;
-                    opts.xpay(&r, alpha, &mut p, &mut counts);
+                    let alpha = opts.scalar(rr_next / st.rr);
+                    drv.counts.scalar_ops += 1;
+                    opts.xpay(&st.r, alpha, &mut st.p, &mut drv.counts);
                 }
-                rr = rr_next;
-                it += 1;
-            }
-        }
-        if termination == Termination::Converged && rstats.rollbacks > 0 {
-            termination = Termination::RecoveredConverged;
-        }
-
-        if let Some(g) = rguard {
-            rstats.faults_detected += g.stats.faults_detected;
-            rstats.replacements += g.stats.replacements;
-            counts.matvecs += g.extra_matvecs;
-            counts.dots += g.extra_matvecs;
-            counts.vector_ops += g.extra_matvecs;
-        }
-        if !opts.record_residuals {
-            norms.push(rr.max(0.0).sqrt());
-        }
-        let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-        res.recovery = rstats;
-        res
+                st.rr = rr_next;
+                Step::Next
+            },
+        );
+        drv.finish(st.x, termination, iterations, norm(st.rr))
     }
 }
 

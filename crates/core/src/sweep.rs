@@ -16,9 +16,10 @@
 //!
 //! # Eligibility
 //!
-//! The sweep schedule replays the *fused tree* arithmetic, so it refuses —
-//! with [`Termination::Unsupported`], mirroring [`crate::mixed::reject`] —
-//! any configuration whose unfused bits it could not reproduce:
+//! The sweep schedule replays the *fused tree* arithmetic, so the iteration
+//! driver refuses — with [`Termination::Unsupported`], the same rejection
+//! ineligible variants get — any configuration whose unfused bits it could
+//! not reproduce ([`eligible`]):
 //!
 //! * `dot_mode != Tree` (serial/Kahan orders fold on the calling thread),
 //! * `kernel_policy != Fused` (the reference two-pass kernels pair
@@ -38,12 +39,16 @@
 //! cache-resident flops). The physical traffic is what the per-shard
 //! [`IterSweep`](vr_obs::SpanKind::IterSweep) spans record.
 
-use crate::instrument::{OpCounts, RecoveryStats};
+use crate::baselines::{chronopoulos_gear, pipelined, ChronopoulosGearCg, PipelinedCg};
+use crate::driver::{norm, Driver, Step};
+use crate::overlap_k1::OverlapK1Cg;
 use crate::resilience::guard;
-use crate::solver::{util, KernelPolicy, Precision, SolveOptions, SolveResult, Termination};
+use crate::solver::{KernelPolicy, Precision, SolveOptions, SolveResult, Termination};
+use crate::standard::{self, StandardCg};
 use vr_linalg::kernels::{dot, DotMode};
 use vr_linalg::sweep::FusedIterationSweep;
 use vr_linalg::LinearOperator;
+use vr_par::team::Team;
 
 /// Whether this (operator, options) pair can run the whole-iteration sweep
 /// with bits identical to the per-kernel fused path.
@@ -57,31 +62,18 @@ pub(crate) fn eligible(a: &dyn LinearOperator, opts: &SolveOptions) -> bool {
         && a.as_sweep().is_some()
 }
 
-/// Explicit rejection of a whole-iteration-sweep request: no iterations,
-/// the starting point handed back unchanged with its honest initial
-/// residual, and [`Termination::Unsupported`]. Used by every ineligible
-/// variant and by eligible variants on ineligible configurations (see the
-/// module docs for the eligibility rules).
-pub(crate) fn reject(
-    a: &dyn LinearOperator,
-    b: &[f64],
-    x0: Option<&[f64]>,
+/// The epoch engine over `a`'s sweep decomposition, staged with the
+/// solve's tile and tracer.
+fn engine<'a>(
+    a: &'a dyn LinearOperator,
     opts: &SolveOptions,
-) -> SolveResult {
-    let mut counts = OpCounts::default();
-    let (x, r, _bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let rr = dot(opts.dot_mode, &r, &r);
-    counts.dots += 1;
-    SolveResult::new(
-        x,
-        Termination::Unsupported,
-        0,
-        vec![rr.max(0.0).sqrt()],
-        counts,
+    tm: Option<&Team>,
+) -> FusedIterationSweep<'a> {
+    FusedIterationSweep::new(
+        a.as_sweep().expect("eligibility implies a sweep operator"),
+        tm,
+        opts.sweep_tile,
+        opts.tracer.clone(),
     )
 }
 
@@ -98,108 +90,58 @@ pub(crate) fn reject(
 /// for 72n logical bytes/iteration against the per-kernel fused path's
 /// 104n (matvec+dot 24n, update 48n, xpay 24n, `w` store 8n).
 pub(crate) fn solve_standard(
+    _: &StandardCg,
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    if !eligible(a, opts) {
-        return reject(a, b, x0, opts);
-    }
-    let mut counts = OpCounts::default();
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
+    let (mut drv, x, r) = Driver::start(a, b, x0, opts);
     let team = opts.team();
     let tm = team.as_deref();
-    let mut eng = FusedIterationSweep::new(
-        a.as_sweep().expect("eligibility implies a sweep operator"),
-        tm,
-        opts.sweep_tile,
-        opts.tracer.clone(),
-    );
-    let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let thresh_sq = util::threshold_sq(opts, bnorm);
+    let mut eng = engine(a, opts, tm);
 
-    let mut p = r.clone();
-    counts.vector_ops += 1;
+    let p = r.clone();
+    drv.counts.vector_ops += 1;
+    let rr = guard::guarded_dot(opts, &r, &r, &mut drv.rstats);
+    drv.counts.dots += 1;
+    drv.record(rr);
+    let mut st = standard::State { x, r, p, rr };
 
-    let mut rstats = RecoveryStats::default();
-    let mut rr = guard::guarded_dot(opts, &r, &r, &mut rstats);
-    counts.dots += 1;
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(rr.max(0.0).sqrt());
-    }
-
-    let mut termination = Termination::MaxIterations;
-    let mut iterations = 0;
-    if rr <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        let mut it = 0usize;
-        while it < opts.max_iters {
-            opts.iter_mark();
-            if opts.service_poll(it, rr) {
-                termination = Termination::Cancelled;
-                iterations = it;
-                break;
-            }
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.rr,
+        |drv, st, it| {
             // Epoch 1: pap = (p, A·p), no w store. Logically one
             // matvec+dot, like the unfused guarded_matvec_dot.
-            let pap = eng.epoch_matvec_dot_nostore(tm, &p);
-            counts.matvecs += 1;
-            counts.dots += 1;
-            if let Err(kind) = guard::check_pivot(pap) {
-                termination = kind.termination();
-                iterations = it;
-                break;
+            let pap = eng.epoch_matvec_dot_nostore(tm, &st.p);
+            drv.counts.matvecs += 1;
+            drv.counts.dots += 1;
+            if guard::check_pivot(pap).is_err() {
+                return Step::breakdown(it);
             }
-            let lambda = opts.scalar(rr / pap);
-            counts.scalar_ops += 1;
+            let lambda = opts.scalar(st.rr / pap);
+            drv.counts.scalar_ops += 1;
             // Epoch 2: x/r updates with A·p recomputed in-band, carrying
             // (r, r) — bit-identical to guarded_update_xr on a stored w.
-            let rr_next = eng.epoch_update_xr_recompute(tm, lambda, &p, &mut x, &mut r);
-            counts.vector_ops += 2;
-            counts.dots += 1;
-            counts.fused_ops += 1;
-            iterations = it + 1;
-
-            if rr_next <= thresh_sq {
-                if opts.record_residuals {
-                    norms.push(rr_next.max(0.0).sqrt());
-                }
-                termination = Termination::Converged;
-                rr = rr_next;
-                break;
+            let rr_next = eng.epoch_update_xr_recompute(tm, lambda, &st.p, &mut st.x, &mut st.r);
+            drv.counts.vector_ops += 2;
+            drv.counts.dots += 1;
+            drv.counts.fused_ops += 1;
+            drv.record(rr_next);
+            let verdict = Step::after(it, rr_next, drv.thresh_sq);
+            if verdict.is_next() {
+                let alpha = opts.scalar(rr_next / st.rr);
+                drv.counts.scalar_ops += 1;
+                // Epoch 3: direction update p ← r + α·p.
+                eng.epoch_xpay(tm, &st.r, alpha, &mut st.p);
+                drv.counts.vector_ops += 1;
             }
-            if opts.record_residuals {
-                norms.push(rr_next.max(0.0).sqrt());
-            }
-            if guard::check_finite(rr_next).is_err() {
-                termination = Termination::Breakdown;
-                rr = rr_next;
-                break;
-            }
-            let alpha = opts.scalar(rr_next / rr);
-            counts.scalar_ops += 1;
-            // Epoch 3: direction update p ← r + α·p.
-            eng.epoch_xpay(tm, &r, alpha, &mut p);
-            counts.vector_ops += 1;
-            rr = rr_next;
-            it += 1;
-        }
-    }
-
-    if !opts.record_residuals {
-        norms.push(rr.max(0.0).sqrt());
-    }
-    let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-    res.recovery = rstats;
-    res
+            st.rr = rr_next;
+            verdict
+        },
+    );
+    drv.finish(st.x, termination, iterations, norm(st.rr))
 }
 
 /// Chronopoulos-Gear CG as a two-epoch sweep per iteration.
@@ -209,111 +151,73 @@ pub(crate) fn solve_standard(
 /// (72n bytes); (2) `w ← A·r` carrying `μ = (r, w)` (16n) — 88n
 /// logical bytes/iteration against the per-kernel path's 128n.
 pub(crate) fn solve_chronopoulos_gear(
+    _: &ChronopoulosGearCg,
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    if !eligible(a, opts) {
-        return reject(a, b, x0, opts);
-    }
     let n = a.dim();
     let md = opts.dot_mode;
-    let mut counts = OpCounts::default();
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
+    let (mut drv, x, r) = Driver::start(a, b, x0, opts);
     let team = opts.team();
     let tm = team.as_deref();
-    let mut eng = FusedIterationSweep::new(
-        a.as_sweep().expect("eligibility implies a sweep operator"),
-        tm,
-        opts.sweep_tile,
-        opts.tracer.clone(),
-    );
-    let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let thresh_sq = util::threshold_sq(opts, bnorm);
+    let mut eng = engine(a, opts, tm);
 
-    let mut w = opts.matvec_alloc(a, &r, &mut counts);
-    let mut rho = dot(md, &r, &r);
-    let mut mu = dot(md, &r, &w);
-    counts.dots += 2;
+    let w = opts.matvec_alloc(a, &r, &mut drv.counts);
+    let rho = dot(md, &r, &r);
+    let mu = dot(md, &r, &w);
+    drv.counts.dots += 2;
+    drv.record(rho);
+    let mut st = chronopoulos_gear::State {
+        x,
+        r,
+        p: vec![0.0; n],
+        s: vec![0.0; n], // s = A·p maintained by recurrence
+        w,
+        rho,
+        mu,
+        lambda_prev: 0.0,
+        rho_prev: 0.0,
+    };
 
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(rho.max(0.0).sqrt());
-    }
-
-    let mut p = vec![0.0; n];
-    let mut s = vec![0.0; n]; // s = A·p maintained by recurrence
-    let mut lambda_prev = 0.0;
-    let mut rho_prev = 0.0;
-
-    let mut termination = Termination::MaxIterations;
-    let mut iterations = 0;
-    if rho <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        let mut it = 0usize;
-        while it < opts.max_iters {
-            opts.iter_mark();
-            if opts.service_poll(it, rho) {
-                termination = Termination::Cancelled;
-                iterations = it;
-                break;
-            }
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.rho,
+        |drv, st, it| {
             let (beta, denom) = if it == 0 {
-                (0.0, mu)
+                (0.0, st.mu)
             } else {
-                let beta = rho / rho_prev;
-                (beta, mu - beta * rho / lambda_prev)
+                let beta = st.rho / st.rho_prev;
+                (beta, st.mu - beta * st.rho / st.lambda_prev)
             };
-            counts.scalar_ops += 3;
+            drv.counts.scalar_ops += 3;
             if guard::check_pivot(denom).is_err() {
-                termination = Termination::Breakdown;
-                iterations = it;
-                break;
+                return Step::breakdown(it);
             }
-            let lambda = rho / denom;
+            let lambda = st.rho / denom;
 
-            rho_prev = rho;
+            st.rho_prev = st.rho;
             // Epoch 1: p ← r + β·p ; s ← w + β·s ; x ← x + λ·p ;
             // r ← r − λ·s carrying ρ = (r, r). Logically two xpay, one
             // axpy, and one fused axpy+norm — same tallies as unfused.
-            rho = eng.epoch_cg_update(tm, beta, lambda, &mut r, &mut p, &w, &mut s, &mut x);
-            counts.vector_ops += 4;
-            counts.dots += 1;
-            counts.fused_ops += 1;
+            st.rho = eng.epoch_cg_update(
+                tm, beta, lambda, &mut st.r, &mut st.p, &st.w, &mut st.s, &mut st.x,
+            );
+            drv.counts.vector_ops += 4;
+            drv.counts.dots += 1;
+            drv.counts.fused_ops += 1;
             // Epoch 2: w ← A·r carrying μ = (r, w) — the barrier above
             // finalizes r before any shard's matvec reads it.
-            mu = eng.epoch_matvec_store_dot(tm, &r, &mut w);
-            counts.matvecs += 1;
-            counts.dots += 1;
-            lambda_prev = lambda;
-
-            if opts.record_residuals {
-                norms.push(rho.max(0.0).sqrt());
-            }
-            iterations = it + 1;
-            if rho <= thresh_sq {
-                termination = Termination::Converged;
-                break;
-            }
-            if guard::check_finite(rho).is_err() {
-                termination = Termination::Breakdown;
-                break;
-            }
-            it += 1;
-        }
-    }
-
-    if !opts.record_residuals {
-        norms.push(rho.max(0.0).sqrt());
-    }
-    SolveResult::new(x, termination, iterations, norms, counts)
+            st.mu = eng.epoch_matvec_store_dot(tm, &st.r, &mut st.w);
+            drv.counts.matvecs += 1;
+            drv.counts.dots += 1;
+            st.lambda_prev = lambda;
+            drv.record(st.rho);
+            Step::after(it, st.rho, drv.thresh_sq)
+        },
+    );
+    drv.finish(st.x, termination, iterations, norm(st.rho))
 }
 
 /// Ghysels-Vanroose pipelined CG as a two-epoch sweep per iteration.
@@ -330,132 +234,94 @@ pub(crate) fn solve_chronopoulos_gear(
 /// the update on exit). Its tallies are added only when the unfused
 /// path would have executed it.
 pub(crate) fn solve_pipelined(
+    _: &PipelinedCg,
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    if !eligible(a, opts) {
-        return reject(a, b, x0, opts);
-    }
     let n = a.dim();
     let md = opts.dot_mode;
-    let mut counts = OpCounts::default();
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
+    let (mut drv, x, r) = Driver::start(a, b, x0, opts);
     let team = opts.team();
     let tm = team.as_deref();
-    let mut eng = FusedIterationSweep::new(
-        a.as_sweep().expect("eligibility implies a sweep operator"),
-        tm,
-        opts.sweep_tile,
-        opts.tracer.clone(),
-    );
-    let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let thresh_sq = util::threshold_sq(opts, bnorm);
+    let mut eng = engine(a, opts, tm);
 
-    let mut w = opts.matvec_alloc(a, &r, &mut counts);
-
-    let mut p = vec![0.0; n];
-    let mut s = vec![0.0; n];
-    let mut z = vec![0.0; n];
+    let w = opts.matvec_alloc(a, &r, &mut drv.counts);
     let mut q = vec![0.0; n];
-
-    let mut gamma_old = 1.0;
-    let mut lambda_old = 1.0;
-    let mut gamma = dot(md, &r, &r);
-    counts.dots += 1;
-
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(gamma.max(0.0).sqrt());
-    }
-
-    let mut termination = Termination::MaxIterations;
-    let mut iterations = 0;
+    let gamma = dot(md, &r, &r);
+    drv.counts.dots += 1;
+    drv.record(gamma);
     // Eligibility pins KernelPolicy::Fused, so as in the unfused loop the
     // w-update sweep of iteration `it` carries δ for iteration `it + 1`
     // (bit-identical association) and only startup pays a standalone dot.
-    let mut delta_carried = 0.0;
-    if gamma <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        let mut it = 0usize;
-        while it < opts.max_iters {
-            opts.iter_mark();
-            if opts.service_poll(it, gamma) {
-                termination = Termination::Cancelled;
-                iterations = it;
-                break;
-            }
+    let mut st = pipelined::State {
+        x,
+        r,
+        p: vec![0.0; n],
+        s: vec![0.0; n],
+        z: vec![0.0; n],
+        w,
+        gamma,
+        gamma_old: 1.0,
+        lambda_old: 1.0,
+        delta_carried: 0.0,
+    };
+
+    let (termination, iterations) = drv.iterate(
+        &mut st,
+        |st| st.gamma,
+        |drv, st, it| {
             let delta = if it > 0 {
-                delta_carried
+                st.delta_carried
             } else {
-                counts.dots += 1;
-                opts.dot(&w, &r)
+                drv.counts.dots += 1;
+                opts.dot(&st.w, &st.r)
             };
             // Epoch 1: q ← A·w (on the paper's machine this overlaps the
             // reductions; numerically it is just computed here).
-            eng.epoch_matvec_store(tm, &w, &mut q);
-            counts.matvecs += 1;
+            eng.epoch_matvec_store(tm, &st.w, &mut q);
+            drv.counts.matvecs += 1;
 
             let (beta, denom) = if it == 0 {
                 (0.0, delta)
             } else {
-                let beta = gamma / gamma_old;
-                (beta, delta - beta * gamma / lambda_old)
+                let beta = st.gamma / st.gamma_old;
+                (beta, delta - beta * st.gamma / st.lambda_old)
             };
-            counts.scalar_ops += 3;
+            drv.counts.scalar_ops += 3;
             if guard::check_pivot(denom).is_err() {
-                termination = Termination::Breakdown;
-                iterations = it;
-                break;
+                return Step::breakdown(it);
             }
-            let lambda = gamma / denom;
+            let lambda = st.gamma / denom;
 
-            gamma_old = gamma;
-            lambda_old = lambda;
+            st.gamma_old = st.gamma;
+            st.lambda_old = lambda;
             // Epoch 2: all six recurrence updates, carrying γ = (r, r) and
             // next iteration's δ = (w, r).
             let (g, d) = eng.epoch_pipelined_update(
-                tm, beta, lambda, &q, &mut r, &mut p, &mut w, &mut s, &mut z, &mut x,
+                tm, beta, lambda, &q, &mut st.r, &mut st.p, &mut st.w, &mut st.s, &mut st.z,
+                &mut st.x,
             );
-            gamma = g;
+            st.gamma = g;
             // three xpay + one axpy + the fused r-update norm
-            counts.vector_ops += 5;
-            counts.dots += 1;
-            counts.fused_ops += 1;
-
-            if opts.record_residuals {
-                norms.push(gamma.max(0.0).sqrt());
+            drv.counts.vector_ops += 5;
+            drv.counts.dots += 1;
+            drv.counts.fused_ops += 1;
+            drv.record(st.gamma);
+            let verdict = Step::after(it, st.gamma, drv.thresh_sq);
+            if verdict.is_next() {
+                // the w update executed in epoch 2; tally it where the
+                // unfused loop runs its axpy_dot
+                st.delta_carried = d;
+                drv.counts.vector_ops += 1;
+                drv.counts.dots += 1;
+                drv.counts.fused_ops += 1;
             }
-            iterations = it + 1;
-            if gamma <= thresh_sq {
-                termination = Termination::Converged;
-                break;
-            }
-            if guard::check_finite(gamma).is_err() {
-                termination = Termination::Breakdown;
-                break;
-            }
-            // the w update executed in epoch 2; tally it where the unfused
-            // loop runs its axpy_dot
-            delta_carried = d;
-            counts.vector_ops += 1;
-            counts.dots += 1;
-            counts.fused_ops += 1;
-            it += 1;
-        }
-    }
-
-    if !opts.record_residuals {
-        norms.push(gamma.max(0.0).sqrt());
-    }
-    SolveResult::new(x, termination, iterations, norms, counts)
+            verdict
+        },
+    );
+    drv.finish(st.x, termination, iterations, norm(st.gamma))
 }
 
 /// Overlap-k1 CG as a four-epoch sweep per iteration.
@@ -473,59 +339,40 @@ pub(crate) fn solve_pipelined(
 /// reads only `x` and `b`), so no observable bit changes. Its tally is
 /// added only when the unfused path would have executed the axpy.
 pub(crate) fn solve_overlap_k1(
+    cg: &OverlapK1Cg,
     a: &dyn LinearOperator,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
-    resync: usize,
 ) -> SolveResult {
-    if !eligible(a, opts) {
-        return reject(a, b, x0, opts);
-    }
     let n = a.dim();
     let md = opts.dot_mode;
-    let mut counts = OpCounts::default();
-    let _simd = opts.simd_guard();
-    let _trace = opts.trace_attach();
+    let (mut drv, mut x, mut r) = Driver::start(a, b, x0, opts);
+    let thresh_sq = drv.thresh_sq;
     let team = opts.team();
     let tm = team.as_deref();
-    let mut eng = FusedIterationSweep::new(
-        a.as_sweep().expect("eligibility implies a sweep operator"),
-        tm,
-        opts.sweep_tile,
-        opts.tracer.clone(),
-    );
-    let (mut x, mut r, bnorm) = util::init_residual(a, b, x0);
-    if x0.is_some() {
-        counts.matvecs += 1;
-        counts.vector_ops += 1;
-    }
-    let thresh_sq = util::threshold_sq(opts, bnorm);
+    let mut eng = engine(a, opts, tm);
 
     // State: p, w = A·p, v = A·w; scalars rr = (r,r), rar = (r,Ar),
     // pap = (p,Ap).
     let mut p = r.clone();
-    counts.vector_ops += 1;
-    let mut w = opts.matvec_alloc(a, &p, &mut counts);
-    let mut v = opts.matvec_alloc(a, &w, &mut counts);
+    drv.counts.vector_ops += 1;
+    let mut w = opts.matvec_alloc(a, &p, &mut drv.counts);
+    let mut v = opts.matvec_alloc(a, &w, &mut drv.counts);
 
     let mut rr = dot(md, &r, &r);
     // p = r at start ⇒ (r, Ar) = (r, w).
     let mut rar = dot(md, &r, &w);
-    counts.dots += 2;
+    drv.counts.dots += 2;
     let mut pap = rar;
 
-    let mut norms = Vec::new();
-    if opts.record_residuals {
-        norms.push(rr.max(0.0).sqrt());
-    }
+    drv.record(rr);
 
     let mut last_restart_rr = f64::INFINITY;
     // Scratch for true-residual validation and resync matvecs — reused
     // across restarts so the hot path stays allocation-free.
     let mut vscratch = vec![0.0; n];
 
-    let mut rstats = RecoveryStats::default();
     let mut termination = Termination::MaxIterations;
     let mut iterations = 0;
     if rr <= thresh_sq {
@@ -542,15 +389,13 @@ pub(crate) fn solve_overlap_k1(
                     }
                     dot(md, &vscratch, &vscratch)
                 });
-                counts.matvecs += 1;
-                counts.vector_ops += 1;
-                counts.dots += 1;
+                drv.counts.matvecs += 1;
+                drv.counts.vector_ops += 1;
+                drv.counts.dots += 1;
                 if rr_true <= thresh_sq {
                     termination = Termination::Converged;
                     iterations = it;
-                    if let Some(last) = norms.last_mut() {
-                        *last = rr_true.max(0.0).sqrt();
-                    }
+                    drv.replace_last(norm(rr_true));
                     break;
                 }
                 if rr_true >= 0.25 * last_restart_rr {
@@ -560,24 +405,23 @@ pub(crate) fn solve_overlap_k1(
                 }
                 // warm restart
                 last_restart_rr = rr_true;
-                counts.restarts += 1;
+                drv.counts.restarts += 1;
                 opts.span(vr_obs::SpanKind::Recovery, || {
                     r.copy_from_slice(&vscratch);
                     p.copy_from_slice(&r);
                 });
                 eng.epoch_matvec_store(tm, &p, &mut w);
                 eng.epoch_matvec_store(tm, &w, &mut v);
-                counts.matvecs += 2;
-                counts.vector_ops += 1;
+                drv.counts.matvecs += 2;
+                drv.counts.vector_ops += 1;
                 rr = rr_true;
                 rar = dot(md, &r, &w);
-                counts.dots += 1;
+                drv.counts.dots += 1;
                 pap = rar;
                 continue;
             }
             it += 1;
-            opts.iter_mark();
-            if opts.service_poll(it - 1, rr) {
+            if drv.poll(it - 1, rr) {
                 termination = Termination::Cancelled;
                 iterations = it - 1;
                 break;
@@ -588,9 +432,9 @@ pub(crate) fn solve_overlap_k1(
             // partials the unfused dot2_deferred launches before the
             // updates — fused with x ← x + λ·p and r ← r − λ·w.
             let (rw, rv, ww, wv) = eng.epoch_overlap_update(tm, lambda, &w, &v, &p, &mut r, &mut x);
-            counts.dots += 4;
-            counts.fused_ops += 2; // the two shared-sweep dot2 launches
-            counts.vector_ops += 1; // the x axpy; the r axpy tallies below
+            drv.counts.dots += 4;
+            drv.counts.fused_ops += 2; // the two shared-sweep dot2 launches
+            drv.counts.vector_ops += 1; // the x axpy; the r axpy tallies below
 
             // scalar recurrences (claim C3, k = 1)
             let rr_next = rr - 2.0 * lambda * rw + lambda * lambda * ww;
@@ -598,11 +442,9 @@ pub(crate) fn solve_overlap_k1(
             let alpha = rr_next / rr;
             let rnext_w = rw - lambda * ww;
             let pap_next = rar_next + 2.0 * alpha * rnext_w + alpha * alpha * pap;
-            counts.scalar_ops += 12;
+            drv.counts.scalar_ops += 12;
 
-            if opts.record_residuals {
-                norms.push(rr_next.max(0.0).sqrt());
-            }
+            drv.record(rr_next);
             iterations = it;
             if rr_next <= thresh_sq {
                 termination = Termination::Converged;
@@ -616,35 +458,29 @@ pub(crate) fn solve_overlap_k1(
 
             // the r update executed in epoch 1; epochs 2-4 rebuild the
             // direction and its operator images
-            counts.vector_ops += 1;
+            drv.counts.vector_ops += 1;
             eng.epoch_xpay(tm, &r, alpha, &mut p);
-            counts.vector_ops += 1;
+            drv.counts.vector_ops += 1;
             eng.epoch_matvec_store(tm, &p, &mut w);
             eng.epoch_matvec_store(tm, &w, &mut v);
-            counts.matvecs += 2;
+            drv.counts.matvecs += 2;
 
             rr = rr_next;
             rar = rar_next;
             pap = pap_next;
 
-            if resync > 0 && it.is_multiple_of(resync) {
+            if cg.resync > 0 && it.is_multiple_of(cg.resync) {
                 // residual replacement: recompute the carried scalars
                 // directly (one extra matvec for A·r)
                 rr = dot(md, &r, &r);
                 a.apply(&r, &mut vscratch);
                 rar = dot(md, &r, &vscratch);
                 pap = dot(md, &p, &w);
-                counts.matvecs += 1;
-                counts.dots += 3;
+                drv.counts.matvecs += 1;
+                drv.counts.dots += 3;
             }
         }
     }
 
-    if !opts.record_residuals {
-        norms.push(rr.max(0.0).sqrt());
-    }
-    rstats.faults_detected += opts.drain_checksum_detections();
-    let mut res = SolveResult::new(x, termination, iterations, norms, counts);
-    res.recovery = rstats;
-    res
+    drv.finish(x, termination, iterations, norm(rr))
 }

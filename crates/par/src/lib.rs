@@ -1,14 +1,12 @@
 //! # vr-par
 //!
-//! A small, deterministic fork-join runtime built on std scoped
-//! threads, standing in for the paper's idealized N-processor machine.
+//! A small, deterministic parallel runtime built on one persistent worker
+//! team, standing in for the paper's idealized N-processor machine.
 //!
 //! The 1983 paper reasons about summation *fan-in trees*: an inner product
 //! over N elements takes `⌈log₂ N⌉` addition steps when N processors
 //! cooperate. This crate makes that tree an explicit, inspectable object:
 //!
-//! * [`par`] — `par_for` / `par_map` data-parallel helpers (std scoped
-//!   threads, static chunking).
 //! * [`reduce`] — **deterministic** parallel reductions: the data is split
 //!   into a fixed number of chunks independent of thread count, each chunk
 //!   is reduced serially, and chunk results are combined by the same binary
@@ -17,11 +15,9 @@
 //! * [`team`] — a persistent SPMD worker [`team::Team`] with
 //!   barrier-stepped epochs and fixed per-worker chunk ownership; the
 //!   solver hot path runs on it, so no per-iteration thread spawns remain.
-//! * [`pool`] — a persistent worker pool for `'static` jobs.
-//! * [`batch`] — fused multi-dot / Gram-matrix reductions (one data pass,
-//!   one fan-in latency for a whole moment family).
 //! * [`pipeline`] — [`pipeline::PendingScalar`]: a handle to a reduction
-//!   that has been *launched* but not yet *consumed*. This is the runtime
+//!   that has been *launched* but not yet *consumed* (team-folded leaf
+//!   partials whose fan-in runs at the consume point). This is the runtime
 //!   realization of the paper's central move — start the inner products of
 //!   iteration `n` at iteration `n−k`, collect them k iterations later.
 //!
@@ -36,35 +32,12 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batch;
 pub mod cache;
 pub mod fault;
-pub mod par;
 pub mod pipeline;
-pub mod pool;
 pub mod reduce;
 pub mod simd;
 pub mod team;
 
 pub use pipeline::PendingScalar;
-pub use pool::ThreadPool;
 pub use team::{shared_team, Team};
-
-/// Number of worker threads to use by default: the available parallelism,
-/// capped at 8 (the experiments are about *structure*, not peak FLOPs).
-#[must_use]
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn default_threads_is_positive() {
-        let t = super::default_threads();
-        assert!((1..=8).contains(&t));
-    }
-}

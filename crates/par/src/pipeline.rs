@@ -4,35 +4,29 @@
 //! iteration n" with "launch inner products of *iteration n−k* vectors as
 //! soon as those vectors exist, and consume the finished sums k iterations
 //! later". [`PendingScalar`] is the handle to such an in-flight reduction:
+//! the team folds the fixed-layout leaf partials now, and the fan-in runs
+//! at the consume point.
 //!
 //! ```
-//! use vr_par::{ThreadPool, PendingScalar};
-//! use std::sync::Arc;
+//! use vr_par::{reduce, PendingScalar, Team};
 //!
-//! let pool = ThreadPool::new(2);
-//! let x: Arc<Vec<f64>> = Arc::new((0..4096).map(|i| i as f64).collect());
+//! let team = Team::new(2);
+//! let x: Vec<f64> = (0..4096).map(|i| i as f64).collect();
 //!
-//! // iteration n−k: launch
-//! let pending = PendingScalar::spawn_dot(&pool, Arc::clone(&x), Arc::clone(&x));
+//! // iteration n−k: launch (leaf partials folded on the team)
+//! let partials = reduce::par_dot_partials_in(Some(&team), &x, &x).unwrap();
+//! let pending = PendingScalar::deferred(partials);
 //! // ... k iterations of other work overlap with the fan-in ...
 //! // iteration n: consume
 //! let dot = pending.wait();
-//! assert!(dot > 0.0);
+//! assert_eq!(dot.to_bits(), reduce::par_dot_in(None, &x, &x).to_bits());
 //! ```
 
-use crate::pool::ThreadPool;
 use crate::reduce;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-struct Cell {
-    value: Mutex<Option<f64>>,
-    ready: Condvar,
-}
+use std::sync::Arc;
 
 enum Inner {
-    /// Produced asynchronously by a pool job.
-    Cell(Arc<Cell>),
     /// An already-resolved scalar. Unlike a one-partial `Deferred`, this
     /// carries no heap buffer, so pipeline start-up fallbacks (and the
     /// eager Serial/Kahan paths that return ready handles every
@@ -64,43 +58,13 @@ enum Inner {
 }
 
 /// Handle to a scalar reduction that has been *launched* but not yet
-/// *consumed* — either an asynchronous pool job or a split-phase team
-/// reduction whose fan-in is deferred to the consume point.
+/// *consumed*: a split-phase team reduction whose fan-in is deferred to
+/// the consume point (or an already-resolved value).
 pub struct PendingScalar {
     inner: Inner,
 }
 
 impl PendingScalar {
-    /// Launch an arbitrary scalar computation on the pool.
-    pub fn spawn(pool: &ThreadPool, f: impl FnOnce() -> f64 + Send + 'static) -> Self {
-        let cell = Arc::new(Cell {
-            value: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        let cell2 = Arc::clone(&cell);
-        pool.execute(move || {
-            let v = f();
-            let mut slot = cell2.value.lock().expect("pending-scalar lock poisoned");
-            *slot = Some(v);
-            cell2.ready.notify_all();
-        });
-        PendingScalar {
-            inner: Inner::Cell(cell),
-        }
-    }
-
-    /// Launch a deterministic dot product `Σ xᵢ·yᵢ` (single-threaded within
-    /// the job; overlap comes from running *concurrently with the caller*,
-    /// which is exactly the paper's overlap of summation with iteration
-    /// work).
-    ///
-    /// # Panics
-    /// The job panics (and [`PendingScalar::wait`] with it) on length
-    /// mismatch.
-    pub fn spawn_dot(pool: &ThreadPool, x: Arc<Vec<f64>>, y: Arc<Vec<f64>>) -> Self {
-        Self::spawn(pool, move || reduce::par_dot(&x, &y, 1))
-    }
-
     /// An already-resolved scalar (useful at pipeline start-up, where the
     /// first k iterations fall back to directly computed values).
     /// Allocation-free: hot loops that resolve eagerly (Serial/Kahan dot
@@ -158,7 +122,6 @@ impl PendingScalar {
     #[must_use]
     pub fn poll(&self) -> Option<f64> {
         match &self.inner {
-            Inner::Cell(cell) => *cell.value.lock().expect("pending-scalar lock poisoned"),
             Inner::Ready(v) => Some(*v),
             Inner::Deferred(partials) => Some(reduce::tree_combine(partials)),
             Inner::Checked {
@@ -170,52 +133,32 @@ impl PendingScalar {
         }
     }
 
-    /// Block until the reduction completes and return the value. For a
-    /// deferred (split-phase) handle this runs the `tree_combine` fan-in
-    /// now — the log-depth combine the paper charges at the consume point.
-    ///
-    /// # Panics
-    /// Panics if the producing job panicked (the value never arrives within
-    /// the 60 s watchdog).
+    /// Resolve the reduction. For a deferred (split-phase) handle this runs
+    /// the `tree_combine` fan-in now — the log-depth combine the paper
+    /// charges at the consume point.
     #[must_use]
     pub fn wait(&self) -> f64 {
-        let cell = match &self.inner {
-            Inner::Ready(v) => return *v,
+        match &self.inner {
+            Inner::Ready(v) => *v,
             Inner::Deferred(partials) if partials.len() > 1 => {
                 // A real split-phase fan-in: the consume-point combine is
                 // exactly the dependency-gated reduction wait the profiler
                 // charges (ready() handles carry one partial and cost
                 // nothing worth recording).
-                return vr_obs::tls::with_span(vr_obs::SpanKind::DeferredWait, || {
+                vr_obs::tls::with_span(vr_obs::SpanKind::DeferredWait, || {
                     reduce::tree_combine(partials)
-                });
+                })
             }
-            Inner::Deferred(partials) => return reduce::tree_combine(partials),
+            Inner::Deferred(partials) => reduce::tree_combine(partials),
             Inner::Checked {
                 a,
                 b,
                 detected,
                 counted,
-            } => {
-                return vr_obs::tls::with_span(vr_obs::SpanKind::DeferredWait, || {
-                    verify_and_combine(a, b, detected, counted)
-                });
-            }
-            Inner::Cell(cell) => cell,
-        };
-        let mut slot = cell.value.lock().expect("pending-scalar lock poisoned");
-        while slot.is_none() {
-            let (guard, timeout) = cell
-                .ready
-                .wait_timeout(slot, std::time::Duration::from_secs(60))
-                .expect("pending-scalar lock poisoned");
-            slot = guard;
-            assert!(
-                !(timeout.timed_out() && slot.is_none()),
-                "PendingScalar: producer never delivered (job panicked?)"
-            );
+            } => vr_obs::tls::with_span(vr_obs::SpanKind::DeferredWait, || {
+                verify_and_combine(a, b, detected, counted)
+            }),
         }
-        slot.expect("checked above")
     }
 }
 
@@ -264,22 +207,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spawn_and_wait() {
-        let pool = ThreadPool::new(2);
-        let p = PendingScalar::spawn(&pool, || 6.0 * 7.0);
-        assert_eq!(p.wait(), 42.0);
-        // waiting twice is fine
-        assert_eq!(p.wait(), 42.0);
-    }
-
-    #[test]
-    fn spawn_dot_matches_direct() {
-        let pool = ThreadPool::new(2);
-        let x: Arc<Vec<f64>> = Arc::new((0..2000).map(|i| i as f64 * 0.5).collect());
-        let y: Arc<Vec<f64>> = Arc::new((0..2000).map(|i| (i % 7) as f64).collect());
+    fn deferred_team_partials_match_direct_dot() {
+        let team = crate::Team::new(2);
+        let x: Vec<f64> = (0..20_000).map(|i| i as f64 * 0.5).collect();
+        let y: Vec<f64> = (0..20_000).map(|i| (i % 7) as f64).collect();
         let direct = reduce::par_dot(&x, &y, 1);
-        let p = PendingScalar::spawn_dot(&pool, Arc::clone(&x), Arc::clone(&y));
+        let partials = reduce::par_dot_partials_in(Some(&team), &x, &y).unwrap();
+        let p = PendingScalar::deferred(partials);
         assert_eq!(p.wait().to_bits(), direct.to_bits());
+        // waiting twice is fine
+        assert_eq!(p.wait().to_bits(), direct.to_bits());
+        assert_eq!(p.poll(), Some(direct));
     }
 
     #[test]
@@ -287,19 +225,6 @@ mod tests {
         let p = PendingScalar::ready(3.5);
         assert_eq!(p.poll(), Some(3.5));
         assert_eq!(p.wait(), 3.5);
-    }
-
-    #[test]
-    fn poll_eventually_some() {
-        let pool = ThreadPool::new(1);
-        let p = PendingScalar::spawn(&pool, || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            1.0
-        });
-        // may be None right away, must be Some after wait
-        let _ = p.poll();
-        assert_eq!(p.wait(), 1.0);
-        assert_eq!(p.poll(), Some(1.0));
     }
 
     #[test]
@@ -345,16 +270,18 @@ mod tests {
     #[test]
     fn many_inflight_reductions_overlap() {
         // The look-ahead solver keeps O(k) reductions in flight; make sure
-        // ordering and delivery hold for a batch.
-        let pool = ThreadPool::new(4);
-        let xs: Vec<Arc<Vec<f64>>> = (0..16)
-            .map(|s| Arc::new((0..1500).map(|i| ((i + s) % 11) as f64).collect()))
+        // ordering and delivery hold for a batch consumed out of order.
+        let team = crate::Team::new(2);
+        let xs: Vec<Vec<f64>> = (0..16)
+            .map(|s| (0..1500).map(|i| ((i + s) % 11) as f64).collect())
             .collect();
         let pending: Vec<PendingScalar> = xs
             .iter()
-            .map(|x| PendingScalar::spawn_dot(&pool, Arc::clone(x), Arc::clone(x)))
+            .map(|x| {
+                PendingScalar::deferred(reduce::par_dot_partials_in(Some(&team), x, x).unwrap())
+            })
             .collect();
-        for (p, x) in pending.iter().zip(&xs) {
+        for (p, x) in pending.iter().zip(&xs).rev() {
             let expect = reduce::par_dot(x, x, 1);
             assert_eq!(p.wait().to_bits(), expect.to_bits());
         }

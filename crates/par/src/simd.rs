@@ -22,7 +22,7 @@
 //!
 //! Backend selection is ambient rather than plumbed through every kernel
 //! signature: [`current`] reads a thread-local override (installed by
-//! [`with_level`] or [`lane_guard`], e.g. from a solver's `SimdPolicy`)
+//! [`with_level`] or [`lane_guard`], e.g. by a test pinning a backend)
 //! and falls back to the process-wide [`process_level`] (the `VR_SIMD`
 //! environment variable, else auto-detection). Requested levels are always
 //! clamped to what the host supports, and the portable scalar path is the

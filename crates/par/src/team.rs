@@ -1,11 +1,11 @@
 //! Persistent SPMD worker team with barrier-stepped epochs and worker
 //! failover.
 //!
-//! The scoped-thread helpers in [`crate::par`] and [`crate::reduce`] spawn
-//! OS threads on *every* call. For a CG iteration that performs a handful of
-//! vector sweeps per iteration, the spawn/join cost dwarfs the arithmetic,
-//! so `threads >= 2` mostly measured thread creation — the opposite of the
-//! paper's premise of an always-available N-processor machine.
+//! Scoped-thread helpers that spawn OS threads on *every* call would let
+//! the spawn/join cost dwarf the arithmetic of a CG iteration's handful of
+//! vector sweeps, so `threads >= 2` would mostly measure thread creation —
+//! the opposite of the paper's premise of an always-available
+//! N-processor machine.
 //!
 //! A [`Team`] is that machine: `width − 1` long-lived workers plus the
 //! caller (who participates as shard 0). Each kernel invocation is one
@@ -74,8 +74,8 @@ use std::time::Duration;
 /// elements per worker the wake-up dominates the arithmetic. 8192 elements
 /// (64 KiB of f64, one worker's L1-resident slice) keeps the crossover
 /// comfortably on the profitable side for every kernel in this workspace.
-/// Shared by [`crate::par`], [`crate::reduce`], and the team path so the
-/// serial/parallel cutover is consistent everywhere.
+/// Shared by [`crate::reduce`] and the team path so the serial/parallel
+/// cutover is consistent everywhere.
 pub const GRAIN: usize = 8192;
 
 /// Default epoch-barrier timeout tick in milliseconds. Each expiry triggers

@@ -4,16 +4,16 @@
 //!    graph rendered as an ASCII Gantt — inner-product fan-ins of iteration
 //!    n stretching under the vector work of iterations n+1..n+k.
 //! 2. **Real threads**: `vr_par::PendingScalar` reductions launched at
-//!    iteration n and consumed at iteration n+k, on an actual thread pool —
-//!    the launch-now/consume-later discipline in running code.
+//!    iteration n and consumed at iteration n+k, with their leaf partials
+//!    folded on a persistent worker team — the launch-now/consume-later
+//!    discipline in running code.
 //!
 //! Run with: `cargo run --release --example lookahead_pipeline`
 
-use cg_lookahead::par::{PendingScalar, ThreadPool};
+use cg_lookahead::par::{reduce, PendingScalar, Team};
 use cg_lookahead::sim::render::{gantt, GanttOptions};
 use cg_lookahead::sim::{builders, MachineModel};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 fn main() {
     // ---- part 1: the simulated Figure 1 ----
@@ -31,25 +31,22 @@ fn main() {
 
     // ---- part 2: launch-now / consume-later on real threads ----
     println!("\nReal pipelined reductions (launch at iteration i, consume at i+{k}):");
-    let pool = ThreadPool::with_default_threads();
+    let team = Team::new(2);
     let len = 1 << 16;
-    let vectors: Vec<Arc<Vec<f64>>> = (0..12)
+    let vectors: Vec<Vec<f64>> = (0..12)
         .map(|i| {
-            Arc::new(
-                (0..len)
-                    .map(|j| ((i * 31 + j) % 17) as f64 / 17.0)
-                    .collect::<Vec<f64>>(),
-            )
+            (0..len)
+                .map(|j| ((i * 31 + j) % 17) as f64 / 17.0)
+                .collect()
         })
         .collect();
 
     let mut in_flight: VecDeque<(usize, PendingScalar)> = VecDeque::new();
     for (i, v) in vectors.iter().enumerate() {
-        // launch this iteration's inner product — do NOT wait for it
-        in_flight.push_back((
-            i,
-            PendingScalar::spawn_dot(&pool, Arc::clone(v), Arc::clone(v)),
-        ));
+        // launch this iteration's inner product: the team folds the leaf
+        // partials now; the fan-in waits for the consume point
+        let partials = reduce::par_dot_partials_in(Some(&team), v, v).expect("healthy team");
+        in_flight.push_back((i, PendingScalar::deferred(partials)));
 
         // consume the result launched k iterations ago
         if in_flight.len() > k {

@@ -12,8 +12,9 @@
 //! * [`linalg`] — sparse/dense/banded matrices, kernels with explicit
 //!   summation orders, PDE generators, preconditioners, Lanczos, RCM,
 //!   Matrix Market I/O.
-//! * [`par`] — deterministic parallel runtime (bit-reproducible reductions,
-//!   fused batches, pipelined launch-now/consume-later scalars).
+//! * [`par`] — deterministic parallel runtime on a persistent worker team
+//!   (bit-reproducible reductions, SIMD leaf kernels, pipelined
+//!   launch-now/consume-later scalars).
 //! * [`obs`] — allocation-free span tracing and per-iteration critical-path
 //!   attribution: measures how much of an iteration is dependency-gated
 //!   reduction wait versus overlappable work, on real threads.

@@ -181,9 +181,7 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
     for (variant, label) in &mixed_variants {
         for precision in [vr_cg::Precision::F64, vr_cg::Precision::Mixed] {
             let measure = |max_iters: usize| {
-                let o = opts(max_iters, BasisEngine::Mpk)
-                    .with_simd_policy(vr_cg::SimdPolicy::Simd)
-                    .with_precision(precision);
+                let o = opts(max_iters, BasisEngine::Mpk).with_precision(precision);
                 let _ = variant.solve(&a, &b, None, &o); // warm-up
                 let mut best = u64::MAX;
                 for _ in 0..3 {
@@ -199,8 +197,9 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
                 }
                 best
             };
-            let short = measure(10);
-            let long = measure(40);
+            let lanes = vr_par::simd::auto_level();
+            let short = vr_par::simd::with_level(lanes, || measure(10));
+            let long = vr_par::simd::with_level(lanes, || measure(40));
             assert_eq!(
                 short, long,
                 "{label} (simd, {precision:?}): a 40-iteration solve \

@@ -6,55 +6,27 @@ use cg_lookahead::cg::standard::StandardCg;
 use cg_lookahead::cg::{CgVariant, SolveOptions, Termination};
 use cg_lookahead::linalg::kernels::DotMode;
 use cg_lookahead::linalg::{gen, kernels, LinearOperator};
-use cg_lookahead::par::{par, reduce, shared_team, PendingScalar, Team, ThreadPool};
+use cg_lookahead::par::{reduce, shared_team, team, PendingScalar, Team};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[test]
 fn parallel_spmv_matches_serial() {
-    // build a parallel matrix-free operator on top of the CSR matrix using
-    // par_for_mut over row blocks
-    struct ParOp {
-        a: cg_lookahead::linalg::CsrMatrix,
-        threads: usize,
-    }
-    impl LinearOperator for ParOp {
-        fn dim(&self) -> usize {
-            self.a.nrows()
-        }
-        fn apply(&self, x: &[f64], y: &mut [f64]) {
-            let n = self.a.nrows();
-            let chunk = n.div_ceil(self.threads.max(1));
-            par::par_for_mut(y, self.threads, |ci, yblock| {
-                let base = ci * chunk;
-                for (off, yi) in yblock.iter_mut().enumerate() {
-                    let row = base + off;
-                    let mut acc = 0.0;
-                    for (c, v) in self.a.row(row) {
-                        acc += v * x[c];
-                    }
-                    *yi = acc;
-                }
-            });
-        }
-        fn max_row_nnz(&self) -> usize {
-            self.a.max_row_nnz()
-        }
-    }
-
+    // the row-partitioned team matvec every solver runs
     let a = gen::poisson2d(40); // 1600 unknowns → parallel path engages
     let x = gen::rand_vector(1600, 3);
     let serial = a.spmv(&x);
-    let op = ParOp {
-        a: a.clone(),
-        threads: 4,
-    };
-    let par_y = op.apply_alloc(&x);
-    assert_eq!(serial, par_y, "chunked parallel SpMV must be exact");
+    let team = Team::new(4);
+    let mut par_y = vec![0.0; a.nrows()];
+    a.apply_team(Some(&team), &x, &mut par_y);
+    assert_eq!(serial, par_y, "row-partitioned parallel SpMV must be exact");
 
-    // and CG runs unchanged on the parallel operator
+    // and CG runs unchanged with its matvecs on the team
     let b = gen::poisson2d_rhs(40);
-    let res = StandardCg::new().solve(&op, &b, None, &SolveOptions::default().with_tol(1e-8));
+    let o = SolveOptions::default()
+        .with_tol(1e-8)
+        .with_team(Arc::new(team));
+    let res = StandardCg::new().solve(&a, &b, None, &o);
     assert!(res.converged);
     assert!(res.true_residual(&a, &b) < 1e-5);
 }
@@ -78,14 +50,16 @@ fn deterministic_reduction_equals_across_widths_on_cg_data() {
 
 #[test]
 fn pipelined_scalars_deliver_out_of_order_launches() {
-    let pool = ThreadPool::new(4);
-    let xs: Vec<Arc<Vec<f64>>> = (0..8)
-        .map(|i| Arc::new(vec![i as f64 + 1.0; 4096]))
-        .collect();
-    // launch all, consume in reverse order — values must still be right
+    let team = Team::new(4);
+    let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 + 1.0; 4096]).collect();
+    // launch all (leaf partials folded on the team), consume in reverse
+    // order — values must still be right
     let pending: Vec<PendingScalar> = xs
         .iter()
-        .map(|x| PendingScalar::spawn_dot(&pool, Arc::clone(x), Arc::clone(x)))
+        .map(|x| {
+            let partials = reduce::par_dot_partials_in(Some(&team), x, x).unwrap();
+            PendingScalar::deferred(partials)
+        })
         .collect();
     for (i, p) in pending.iter().enumerate().rev() {
         let v = (i as f64 + 1.0) * (i as f64 + 1.0) * 4096.0;
@@ -97,12 +71,14 @@ fn pipelined_scalars_deliver_out_of_order_launches() {
 fn overlapped_dot_during_spmv_equals_sequential() {
     // the §3 discipline on real threads: launch (r,r) while computing A·p
     let a = gen::poisson2d(48);
-    let r = Arc::new(gen::rand_vector(a.nrows(), 77));
+    let r = gen::rand_vector(a.nrows(), 77);
     let p = gen::rand_vector(a.nrows(), 78);
 
-    let pool = ThreadPool::new(2);
-    let pending_rr = PendingScalar::spawn_dot(&pool, Arc::clone(&r), Arc::clone(&r));
-    let w = a.spmv(&p); // overlaps with the reduction
+    let team = Team::new(2);
+    let partials = reduce::par_dot_partials_in(Some(&team), &r, &r).unwrap();
+    let pending_rr = PendingScalar::deferred(partials);
+    let mut w = vec![0.0; a.nrows()];
+    a.apply_team(Some(&team), &p, &mut w); // overlaps with the fan-in
     let rr = pending_rr.wait();
 
     let rr_seq = kernels::dot_serial(&r, &r);
@@ -113,10 +89,13 @@ fn overlapped_dot_during_spmv_equals_sequential() {
 
 #[test]
 fn par_map_and_axpy_compose() {
-    let x: Vec<f64> = (0..5000).map(|i| i as f64).collect();
-    let doubled = par::par_map(&x, 4, |_, v| v * 2.0);
-    let mut y = doubled.clone();
-    par::par_axpy(-2.0, &x, &mut y, 4);
+    // elementwise team kernels compose exactly: y ← x + 1·y doubles x,
+    // then y ← y − 2·x cancels it
+    let team = Team::new(4);
+    let x: Vec<f64> = (0..20_000).map(|i| i as f64).collect();
+    let mut y = x.clone();
+    team::par_xpay_in(Some(&team), &x, 1.0, &mut y);
+    team::par_axpy_in(Some(&team), -2.0, &x, &mut y);
     assert!(y.iter().all(|&v| v == 0.0));
 }
 
@@ -212,7 +191,6 @@ fn killed_worker_mid_solve_completes_bit_identically_on_survivors() {
     let reference = StandardCg::new().solve(&a, &b, None, &base.clone().with_threads(1));
 
     let team = Arc::new(Team::new(4));
-    team.set_health_params(1, 3);
     let killer = {
         let team = Arc::clone(&team);
         std::thread::spawn(move || {

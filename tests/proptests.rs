@@ -463,13 +463,15 @@ fn batched_dots_equal_tree_dots() {
     check(48, |rng| {
         let seed = (rng.next_u64() % 3000).max(1);
         let len = 1 + rng.below(2999);
-        use cg_lookahead::par::batch;
         let x = gen::rand_vector(len, seed);
         let y = gen::rand_vector(len, seed.wrapping_add(9));
-        let b = batch::multi_dot(&[(&x, &y), (&y, &x)], 4);
+        // shared-sweep dot pairs, the batched reduction the solvers launch
+        let team = cg_lookahead::par::shared_team(4);
+        let (xy, _) = fused::par_dot2_in(Some(&team), &x, &y, &x);
+        let (yx, _) = fused::par_dot2_in(Some(&team), &y, &x, &y);
         let d = reduce::par_dot(&x, &y, 1);
-        assert_eq!(b[0].to_bits(), d.to_bits());
-        assert_eq!(b[1].to_bits(), d.to_bits()); // commutative products
+        assert_eq!(xy.to_bits(), d.to_bits());
+        assert_eq!(yx.to_bits(), d.to_bits()); // commutative products
     });
 }
 
@@ -1241,7 +1243,8 @@ fn new_variants_survive_single_fault_with_checkpoint_rollback() {
 
 // ---------- ninth wave: SIMD lanes and mixed precision ----------
 
-use cg_lookahead::cg::{Precision, SimdPolicy};
+use cg_lookahead::cg::Precision;
+use cg_lookahead::par::simd;
 
 fn mixed_eligible_trio() -> Vec<Box<dyn CgVariant>> {
     vec![
@@ -1251,8 +1254,8 @@ fn mixed_eligible_trio() -> Vec<Box<dyn CgVariant>> {
     ]
 }
 
-/// Pinning the SIMD policy is unobservable on random SPD systems: under
-/// the order-preserving `Tree` reduction, `Scalar` and `Simd` solves are
+/// Pinning the SIMD lanes is unobservable on random SPD systems: under
+/// the order-preserving `Tree` reduction, scalar and vector solves are
 /// bit-for-bit identical — iterate and residual trace — for random
 /// dimensions straddling the 8-lane blocks.
 #[test]
@@ -1268,18 +1271,8 @@ fn simd_policy_is_bit_invariant_on_random_spd() {
             .with_max_iters(600)
             .with_dot_mode(DotMode::Tree);
         for v in mixed_eligible_trio() {
-            let s = v.solve(
-                &a,
-                &b,
-                None,
-                &opts.clone().with_simd_policy(SimdPolicy::Scalar),
-            );
-            let w = v.solve(
-                &a,
-                &b,
-                None,
-                &opts.clone().with_simd_policy(SimdPolicy::Simd),
-            );
+            let s = simd::with_level(simd::SimdLevel::Scalar, || v.solve(&a, &b, None, &opts));
+            let w = simd::with_level(simd::auto_level(), || v.solve(&a, &b, None, &opts));
             let eq =
                 s.x.iter()
                     .zip(&w.x)

@@ -2,7 +2,7 @@
 //!
 //! The lane-blocked reduction layout (8 accumulators, element `i` feeding
 //! accumulator `i mod 8`, one fixed `combine8` tree) is the contract that
-//! lets `SimdPolicy` be a pure performance knob: scalar, AVX2, and AVX-512
+//! makes the lane width a pure performance choice: scalar, AVX2, and AVX-512
 //! produce the same bits for every leaf kernel, every input length, and
 //! every whole solve. This suite pins that contract from the outside —
 //! through the facade, at every `DotMode`, on adversarial values
@@ -11,7 +11,7 @@
 //! shows up as a red diff here, not as a mystery divergence in a trace.
 
 use cg_lookahead::cg::registry::keyed_variants;
-use cg_lookahead::cg::{SimdPolicy, SolveOptions, SolveResult};
+use cg_lookahead::cg::{SolveOptions, SolveResult};
 use cg_lookahead::linalg::gen;
 use cg_lookahead::linalg::kernels::{self, DotMode};
 use cg_lookahead::par::simd::{self, SimdLevel};
@@ -251,9 +251,9 @@ fn bits(r: &SolveResult) -> (Vec<u64>, Vec<u64>) {
 }
 
 /// Whole-solve contract: for every registered variant under
-/// `DotMode::Tree`, a solve with `SimdPolicy::Auto` produces the same
-/// iterate and residual trace no matter which ambient lane width is
-/// installed, and the pinned `Scalar`/`Simd` policies match it.
+/// `DotMode::Tree`, a solve produces the same iterate and residual trace
+/// no matter which lane width is pinned on the solve thread (scalar,
+/// every available level, and the auto-selected vector level).
 #[test]
 fn whole_solve_traces_bit_identical_for_all_registry_variants() {
     let a = gen::poisson2d(16);
@@ -263,29 +263,23 @@ fn whole_solve_traces_bit_identical_for_all_registry_variants() {
         .with_max_iters(300)
         .with_dot_mode(DotMode::Tree);
     for (key, solver) in keyed_variants(&a) {
-        let base = bits(&solver.solve(
-            &a,
-            &b,
-            None,
-            &opts.clone().with_simd_policy(SimdPolicy::Scalar),
-        ));
-        // Auto under every ambient level
+        let base = simd::with_level(SimdLevel::Scalar, || {
+            bits(&solver.solve(&a, &b, None, &opts))
+        });
+        // every available level
         for lvl in levels() {
             let got = simd::with_level(lvl, || bits(&solver.solve(&a, &b, None, &opts)));
             assert_eq!(
                 base,
                 got,
-                "{key}: Auto at ambient {} diverged from pinned scalar",
+                "{key}: level {} diverged from pinned scalar",
                 lvl.name()
             );
         }
-        // pinned Simd
-        let got = bits(&solver.solve(
-            &a,
-            &b,
-            None,
-            &opts.clone().with_simd_policy(SimdPolicy::Simd),
-        ));
-        assert_eq!(base, got, "{key}: SimdPolicy::Simd diverged from Scalar");
+        // the auto-selected vector level
+        let got = simd::with_level(simd::auto_level(), || {
+            bits(&solver.solve(&a, &b, None, &opts))
+        });
+        assert_eq!(base, got, "{key}: auto level diverged from scalar");
     }
 }
