@@ -1,14 +1,17 @@
 //! E18 — extension: cache-blocked matrix-powers kernel (MPK).
 //!
 //! s-step CG builds its block Krylov basis `[r, Ar, …, A^{s−1}r]` with `s`
-//! operator applications. Done column by column (the `Naive` engine), each
-//! application streams the whole vector through memory — `s` full passes
-//! of traffic for data that is touched `s` times. The `Mpk` engine blocks
-//! the sweep into tiles sized to the L2 working set and computes all `s`
-//! levels of a tile before moving on, recomputing ghost zones redundantly
-//! so the result is **bit-identical** to the naive engine (the sixth-wave
-//! property tests and `tests/basis_engine.rs` enforce this; this binary
-//! re-asserts it on every measured configuration).
+//! operator applications. Done column by column (the `naive` engine,
+//! [`mpk::naive_powers`], reached here through the [`mpk::NaivePowers`]
+//! oracle operator), each application streams the whole vector through
+//! memory — `s` full passes of traffic for data that is touched `s` times.
+//! The stencil's own `mpk` engine (its `matrix_powers` override, which
+//! every solver calls) blocks the sweep into tiles sized to the L2 working
+//! set and computes all `s` levels of a tile before moving on, recomputing
+//! ghost zones redundantly so the result is **bit-identical** to the naive
+//! engine (the sixth-wave property tests and `tests/basis_engine.rs`
+//! enforce this; this binary re-asserts it on every measured
+//! configuration).
 //!
 //! Sweep: grid × s ∈ {2,4,8} × basis kind × engine × team width, fixed
 //! repetition count, interleaved min-of-reps wall clock. Headlines
@@ -26,9 +29,10 @@
 use std::time::Instant;
 use vr_bench::{write_json, Table};
 use vr_cg::sstep::basis::{self, BasisKind, BasisParams, KrylovBasis};
-use vr_cg::{BasisEngine, OpCounts};
-use vr_linalg::mpk::{self, MpkWorkspace};
+use vr_cg::OpCounts;
+use vr_linalg::mpk::{self, MpkWorkspace, NaivePowers};
 use vr_linalg::stencil::Stencil2d;
+use vr_linalg::LinearOperator;
 use vr_par::team::{Team, GRAIN};
 
 vr_bench::jsonable! {
@@ -65,6 +69,9 @@ fn main() {
 
     for &g in grids {
         let op = Stencil2d::poisson(g);
+        let naive_op = NaivePowers(&op);
+        // the two engines, as the operators that select them
+        let engines: [&dyn LinearOperator; 2] = [&naive_op, &op];
         let n = g * g;
         let r = vr_linalg::gen::rand_vector(n, 42);
         for &s in svals {
@@ -73,7 +80,6 @@ fn main() {
                 let params = BasisParams::estimate(kind, &op, s, &mut counts);
                 for &threads in widths {
                     let team = (threads > 1).then(|| Team::new(threads));
-                    let engines = [BasisEngine::Naive, BasisEngine::Mpk];
                     let mut best = [f64::INFINITY; 2];
                     let mut out = [KrylovBasis::default(), KrylovBasis::default()];
                     let mut ws = MpkWorkspace::new();
@@ -82,11 +88,10 @@ fn main() {
                     // hits both
                     for (e, &engine) in engines.iter().enumerate() {
                         basis::build_into(
-                            &op,
+                            engine,
                             &r,
                             s,
                             &params,
-                            engine,
                             team.as_ref(),
                             None,
                             &mut ws,
@@ -98,11 +103,10 @@ fn main() {
                         for (e, &engine) in engines.iter().enumerate() {
                             let t0 = Instant::now();
                             basis::build_into(
-                                &op,
+                                engine,
                                 &r,
                                 s,
                                 &params,
-                                engine,
                                 team.as_ref(),
                                 None,
                                 &mut ws,

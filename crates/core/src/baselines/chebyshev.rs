@@ -21,7 +21,7 @@
 //! `α₀ = 1/θ`, `ρ₀ = 1/σ` where `σ = θ/δ`, then
 //! `ρₖ = 1/(2σ − ρₖ₋₁)`, `αₖ = ρₖ·(2/δ)` — see Golub & Van Loan §10.1.5.
 
-use crate::driver::{self, norm, Driver, Twins};
+use crate::driver::{self, Driver, Twins};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::eig;
@@ -168,7 +168,7 @@ impl CgVariant for ChebyshevIteration {
             }
         }
 
-        drv.finish(x, termination, iterations, norm(rr))
+        drv.finish(x, termination, iterations)
     }
 }
 

@@ -12,7 +12,7 @@
 //! (valid under CG orthogonality), giving `λ = ρ / (μ − β·ρ/λ_prev)`.
 //! `Ap` is maintained by the recurrence `Ap ← w + β·Ap` — no extra matvec.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
@@ -150,7 +150,7 @@ impl CgVariant for ChronopoulosGearCg {
                 Step::after(it, st.rho, drv.thresh_sq)
             },
         );
-        drv.finish(st.x, termination, iterations, norm(st.rho))
+        drv.finish(st.x, termination, iterations)
     }
 }
 

@@ -105,7 +105,7 @@ impl CgVariant for ConjugateResidual {
                 verdict
             },
         );
-        drv.finish(st.x, termination, iterations, norm(st.rr))
+        drv.finish(st.x, termination, iterations)
     }
 }
 
@@ -259,7 +259,7 @@ impl CgVariant for OverlapCr {
                 verdict
             },
         );
-        drv.finish(st.x, termination, iterations, norm(st.rr))
+        drv.finish(st.x, termination, iterations)
     }
 }
 

@@ -14,7 +14,7 @@
 //! x ← x + λ·p;   r ← r − λ·s;   w ← w − λ·z
 //! ```
 
-use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, KernelPolicy, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
@@ -195,7 +195,7 @@ pub(crate) fn solve_gv(
             verdict
         },
     );
-    drv.finish(st.x, termination, iterations, norm(st.gamma))
+    drv.finish(st.x, termination, iterations)
 }
 
 #[cfg(test)]

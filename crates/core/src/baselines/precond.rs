@@ -6,7 +6,7 @@
 //! *parallel* profile (Jacobi is depth-1; SSOR/IC(0) serialize sweeps),
 //! which E10 exploits.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
@@ -106,7 +106,7 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
                 verdict
             },
         );
-        drv.finish(st.x, termination, iterations, norm(st.rr))
+        drv.finish(st.x, termination, iterations)
     }
 }
 

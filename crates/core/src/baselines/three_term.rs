@@ -15,7 +15,7 @@
 //! and because its dependency structure (two serialized reductions, like
 //! standard CG) makes a useful control in the machine-model experiments.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
@@ -121,7 +121,7 @@ impl CgVariant for ThreeTermCg {
                 Step::after(it, st.rr, drv.thresh_sq)
             },
         );
-        drv.finish(st.x, termination, iterations, norm(st.rr))
+        drv.finish(st.x, termination, iterations)
     }
 }
 

@@ -21,19 +21,22 @@
 //!    shape hand the whole loop to [`Driver::iterate`] and keep only a
 //!    step that reports a [`Step`].
 //! 4. **Rollback** ([`Driver::rollback`]): restore the declared vectors and
-//!    scalars from the newest snapshot, truncate the residual history to
-//!    its length at the snapshot, and count the rollback.
+//!    scalars from the newest snapshot, return the residual history to
+//!    where it stood at the snapshot, and count the rollback.
 //! 5. **Recording** ([`Driver::record`]): the per-iteration residual norm.
+//!    The driver tracks the history's length and last norm
+//!    ([`HistoryMark`]) even when `record_residuals` is off, so an
+//!    unrecorded solve ends on exactly the norm a recorded one would.
 //! 6. **Exit** ([`Driver::finish`]): `RecoveredConverged` after a rollback,
 //!    the residual-guard and checksum folds, the final-norm rule (the
-//!    history always ends with at least one norm), and the
-//!    [`SolveResult`].
+//!    history always ends with at least one norm — the last one recorded),
+//!    and the [`SolveResult`].
 //!
 //! A variant keeps only its recurrence: it declares its twins and its
 //! checkpoint state once and calls these hooks where its loop needs them.
 
 use crate::instrument::{OpCounts, RecoveryStats};
-use crate::resilience::checkpoint::CheckpointRing;
+use crate::resilience::checkpoint::{CheckpointRing, HistoryMark};
 use crate::resilience::guard::ResidualGuard;
 use crate::solver::{Precision, SolveOptions, SolveResult, SweepPolicy, Termination};
 use std::sync::atomic::Ordering;
@@ -179,7 +182,8 @@ pub(crate) fn reject(
     let (mut drv, x, r) = Driver::start(a, b, x0, opts);
     let rr = kernels::dot(opts.dot_mode, &r, &r);
     drv.counts.dots += 1;
-    drv.finish(x, Termination::Unsupported, 0, norm(rr))
+    drv.record(rr);
+    drv.finish(x, Termination::Unsupported, 0)
 }
 
 /// The residual norm of a squared recurrence value, as every loop records
@@ -257,6 +261,8 @@ pub(crate) struct Driver<'a> {
     pub rstats: RecoveryStats,
     /// Residual-norm history (index 0 = initial), when recording.
     pub norms: Vec<f64>,
+    /// Length and last norm of the history, recorded or not.
+    mark: HistoryMark,
     /// Convergence threshold on the squared residual norm.
     pub thresh_sq: f64,
     /// In-loop true-residual monitor (see [`Driver::watch`]); its tallies
@@ -277,6 +283,7 @@ impl<'a> Driver<'a> {
             counts: OpCounts::default(),
             rstats: RecoveryStats::default(),
             norms: Vec::new(),
+            mark: HistoryMark::default(),
             thresh_sq: f64::MIN_POSITIVE,
             guard: None,
             ring: opts.recovery.as_ref().and_then(CheckpointRing::from_policy),
@@ -335,26 +342,27 @@ impl<'a> Driver<'a> {
     }
 
     /// Snapshot `st` as the state at iteration `it` if a checkpoint is due
-    /// there, remembering the residual history's length.
+    /// there, remembering where the residual history stands.
     pub fn save(&mut self, it: usize, st: &mut dyn Checkpoint) {
         let opts = self.opts;
-        let history = self.norms.len();
+        let history = self.mark;
         if let Some(ring) = self.ring.as_mut().filter(|ring| ring.due(it)) {
             st.state(&mut |v, s| ring.save(opts, it, history, v, s));
         }
     }
 
-    /// Restore `st` from the newest snapshot, truncate the residual history
-    /// to its length then, and count the rollback. Returns the iteration to
-    /// resume from; `None` when checkpointing is off or the rollback budget
-    /// is spent (the failure then stands).
+    /// Restore `st` from the newest snapshot, return the residual history
+    /// to where it stood then, and count the rollback. Returns the
+    /// iteration to resume from; `None` when checkpointing is off or the
+    /// rollback budget is spent (the failure then stands).
     pub fn rollback(&mut self, st: &mut dyn Checkpoint) -> Option<usize> {
         let opts = self.opts;
         let ring = self.ring.as_mut()?;
         let mut restored = None;
         st.state(&mut |v, s| restored = ring.rollback(opts, v, s));
         let (iter, history) = restored?;
-        self.norms.truncate(history);
+        self.norms.truncate(history.len);
+        self.mark = history;
         self.rstats.rollbacks += 1;
         Some(iter)
     }
@@ -399,6 +407,10 @@ impl<'a> Driver<'a> {
 
     /// Record a residual norm.
     pub fn record_norm(&mut self, v: f64) {
+        self.mark = HistoryMark {
+            len: self.mark.len + 1,
+            last: v,
+        };
         if self.opts.record_residuals {
             self.norms.push(v);
         }
@@ -407,22 +419,32 @@ impl<'a> Driver<'a> {
     /// Replace the last recorded norm (the recursive value) with a
     /// validated one for the same iterate; a no-op on an empty history.
     pub fn replace_last(&mut self, v: f64) {
+        if self.mark.len > 0 {
+            self.mark.last = v;
+        }
         if let Some(last) = self.norms.last_mut() {
             *last = v;
         }
     }
 
+    /// How many norms the history holds (counted even when they are not
+    /// recorded).
+    #[must_use]
+    pub fn history_len(&self) -> usize {
+        self.mark.len
+    }
+
     /// The exit: [`Termination::RecoveredConverged`] when a rollback
     /// preceded convergence, the residual-guard and checksum folds, and
-    /// the final-norm rule — `final_norm` ends the history when nothing
-    /// was recorded, so `final_residual` always has a value.
+    /// the final-norm rule — an unrecorded history ends with the norm a
+    /// recorded one would end with, so `final_residual` never depends on
+    /// `record_residuals`.
     #[must_use]
     pub fn finish(
         mut self,
         x: Vec<f64>,
         mut termination: Termination,
         iterations: usize,
-        final_norm: f64,
     ) -> SolveResult {
         if termination == Termination::Converged && self.rstats.rollbacks > 0 {
             termination = Termination::RecoveredConverged;
@@ -436,8 +458,9 @@ impl<'a> Driver<'a> {
         }
         // ABFT verdicts from checksum-guarded split-phase reductions
         self.rstats.faults_detected += self.opts.drain_checksum_detections();
+        debug_assert!(self.mark.len > 0, "every loop records its initial norm");
         if self.norms.is_empty() {
-            self.norms.push(final_norm);
+            self.norms.push(self.mark.last);
         }
         result(
             x,
@@ -644,6 +667,36 @@ mod tests {
         assert_eq!(drv.rstats.rollbacks, 1);
         // the consumed snapshot is gone
         assert_eq!(drv.rollback(&mut st), None);
+    }
+
+    #[test]
+    fn unrecorded_history_ends_on_the_norm_a_recorded_one_would() {
+        let a = gen::poisson1d(4);
+        let b = vec![1.0; 4];
+        // (rolled back before finishing?, expected final norm)
+        for (roll, want) in [(false, 0.75), (true, 2.0)] {
+            for record in [true, false] {
+                let opts = SolveOptions {
+                    record_residuals: record,
+                    ..SolveOptions::default()
+                        .with_recovery(RecoveryPolicy::default().with_checkpoint_period(2))
+                };
+                let (mut drv, x, _) = Driver::start(&a, &b, None, &opts);
+                let mut st = snap(&[&[1.0]], &[]);
+                drv.record(4.0);
+                assert!(!drv.top(0, 4.0, &mut st)); // saved at history [2]
+                drv.record(1.0);
+                drv.replace_last(0.75);
+                if roll {
+                    assert_eq!(drv.rollback(&mut st), Some(0));
+                }
+                let res = drv.finish(x, Termination::MaxIterations, 1);
+                let ctx = format!("record={record} roll={roll}");
+                assert_eq!(res.final_residual, want, "{ctx}");
+                let len = if record { 2 - usize::from(roll) } else { 1 };
+                assert_eq!(res.residual_norms.len(), len, "{ctx}");
+            }
+        }
     }
 
     #[test]

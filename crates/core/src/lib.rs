@@ -73,6 +73,6 @@ pub mod sweep;
 
 pub use instrument::{OpCounts, RecoveryStats};
 pub use solver::{
-    BasisEngine, CgVariant, KernelPolicy, Precision, ProgressHook, RoutingMeta, SolveOptions,
-    SolveResult, SweepPolicy, Termination,
+    CgVariant, KernelPolicy, Precision, ProgressHook, RoutingMeta, SolveOptions, SolveResult,
+    SweepPolicy, Termination,
 };

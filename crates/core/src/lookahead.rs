@@ -54,9 +54,9 @@
 use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
 use crate::recurrence::moments::MomentWindow;
 use crate::resilience::guard;
-use crate::solver::{BasisEngine, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::kernels::dot;
-use vr_linalg::mpk::{self, MpkTransform, MpkWorkspace};
+use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
 use vr_linalg::LinearOperator;
 
 /// Loop-carried state: the iterate and the `z = Aⁱ·r` family. A
@@ -171,23 +171,19 @@ impl CgVariant for LookaheadCg {
             // One monomial matrix-powers pass of depth k+1 yields the whole
             // z family plus its images; the top image A·z[k] IS the startup
             // w[k+1] = A^{k+1}·p (p = r), so no extra application is needed.
-            // Either engine computes every column through the exact `apply`
-            // row arithmetic — bit-identical to the legacy per-level loop.
+            // The operator's kernel computes every column through the exact
+            // `apply` row arithmetic — bit-identical to the per-level
+            // `mpk::naive_powers` oracle.
             let z = &mut st.z;
-            opts.span(vr_obs::SpanKind::MpkBuild, || match opts.basis_engine {
-                BasisEngine::Naive => {
-                    mpk::naive_powers(a, &MpkTransform::Monomial, z, &mut avfam, team.as_deref());
-                }
-                BasisEngine::Mpk => {
-                    a.matrix_powers(
-                        &MpkTransform::Monomial,
-                        z,
-                        &mut avfam,
-                        team.as_deref(),
-                        opts.mpk_tile,
-                        &mut ws,
-                    );
-                }
+            opts.span(vr_obs::SpanKind::MpkBuild, || {
+                a.matrix_powers(
+                    &MpkTransform::Monomial,
+                    z,
+                    &mut avfam,
+                    team.as_deref(),
+                    opts.mpk_tile,
+                    &mut ws,
+                );
             });
             drv.counts.matvecs += k + 1;
             for (wi, zi) in w.iter_mut().zip(st.z.iter()) {
@@ -199,7 +195,7 @@ impl CgVariant for LookaheadCg {
             let spent = win.direct_in(&st.z, &w, m, md);
             drv.counts.dots += spent;
 
-            if drv.norms.is_empty() {
+            if drv.history_len() == 0 {
                 drv.record(win.mu[0]);
             }
             if win.mu[0] <= thresh_sq {
@@ -332,7 +328,7 @@ impl CgVariant for LookaheadCg {
         }
         drv.rstats.restarts = drv.counts.restarts;
         drv.rstats.final_k = k;
-        drv.finish(st.x, termination, iterations, norm(final_rr))
+        drv.finish(st.x, termination, iterations)
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {

@@ -10,7 +10,7 @@
 //! * every `f32` reduction leaf widens each product to `f64` *before*
 //!   summing ([`vr_par::simd::leaf_dot_f32`] and friends), in the same
 //!   lane-blocked accumulator layout as the `f64` leaves, so reduction
-//!   values are bit-identical across scalar/AVX2/AVX-512 backends;
+//!   values are bit-identical across the scalar and AVX2 backends;
 //! * the scalar recurrences (`λ`, `β`, and the overlapped identities of
 //!   the paper's §3) run entirely in `f64`;
 //! * a **shadow guard** periodically widens the `f32` iterate to `f64`,
@@ -185,13 +185,10 @@ impl Shadow {
     ) -> Result<f64, Step> {
         match self.confirm(a, opts, b, &st.x, &mut drv.counts) {
             Confirm::End(t, rt) => {
-                if early && opts.record_residuals {
-                    drv.norms.push(norm(rt));
+                if early || drv.history_len() == 0 {
+                    drv.record(rt);
                 } else {
-                    match drv.norms.last_mut() {
-                        Some(last) => *last = norm(rt),
-                        None => drv.norms.push(norm(rt)),
-                    }
+                    drv.replace_last(norm(rt));
                 }
                 Err(Step::End(t, n))
             }
@@ -320,7 +317,7 @@ pub(crate) fn solve_standard(
             Step::Next
         },
     );
-    drv.finish(widen(&st.x), termination, iterations, norm(st.rr))
+    drv.finish(widen(&st.x), termination, iterations)
 }
 
 /// Warm restart of the overlapped recurrences from the residual `r`:
@@ -455,7 +452,7 @@ pub(crate) fn solve_overlap_k1(
             Step::Next
         },
     );
-    drv.finish(widen(&st.x), termination, iterations, norm(st.rr))
+    drv.finish(widen(&st.x), termination, iterations)
 }
 
 /// Mixed-precision Ghysels-Vanroose pipelined CG. Recurrence-maintained
@@ -577,7 +574,7 @@ pub(crate) fn solve_pipelined(
             Step::Next
         },
     );
-    drv.finish(widen(&st.x), termination, iterations, norm(st.rr))
+    drv.finish(widen(&st.x), termination, iterations)
 }
 
 /// Widen the `f32` iterate for the result.

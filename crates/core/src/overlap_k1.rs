@@ -32,7 +32,7 @@
 use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
 use crate::instrument::OpCounts;
 use crate::resilience::guard;
-use crate::solver::{BasisEngine, CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use std::sync::Arc;
 use vr_linalg::kernels::dot;
 use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
@@ -71,16 +71,16 @@ impl Checkpoint for State {
     }
 }
 
-/// `w ← A·p`, `v ← A·w`. Under `BasisEngine::Mpk` both applications run
-/// as one monomial matrix-powers call (`s = 2`): the cache-blocked kernel
-/// streams each operand tile through cache once for both applications
-/// instead of making two full-vector passes, and is **bit-identical** to
-/// the two plain matvecs by the [`LinearOperator::matrix_powers`] contract
-/// (every row goes through the exact `apply` arithmetic). Under `Naive`
-/// they stay two plain matvecs. Buffers are allocated once, so the hot
-/// loop stays allocation-free.
+/// `w ← A·p`, `v ← A·w`, as one monomial matrix-powers call (`s = 2`): an
+/// operator with a cache-blocked kernel streams each operand tile through
+/// cache once for both applications instead of making two full-vector
+/// passes, and is **bit-identical** to the two plain matvecs by the
+/// [`LinearOperator::matrix_powers`] contract (every row goes through the
+/// exact `apply` arithmetic). An empty system falls back to two plain
+/// matvecs. Buffers are allocated once, so the hot loop stays
+/// allocation-free.
 struct Powers2 {
-    /// Under `Mpk`: the workspace and the seed/image column pairs.
+    /// The workspace and the seed/image column pairs (`None` when `n = 0`).
     mpk: Option<MpkBuffers>,
     team: Option<Arc<Team>>,
 }
@@ -90,7 +90,7 @@ type MpkBuffers = (MpkWorkspace, Vec<Vec<f64>>, Vec<Vec<f64>>);
 
 impl Powers2 {
     fn new(opts: &SolveOptions, n: usize) -> Self {
-        let mpk = (opts.basis_engine == BasisEngine::Mpk && n > 0).then(|| {
+        let mpk = (n > 0).then(|| {
             let mut ws = MpkWorkspace::new();
             ws.set_tracer(opts.tracer.clone());
             (ws, vec![vec![0.0; n]; 2], vec![vec![0.0; n]; 2])
@@ -354,7 +354,7 @@ impl CgVariant for OverlapK1Cg {
                 }
             }
         }
-        drv.finish(st.x, termination, iterations, norm(st.rr))
+        drv.finish(st.x, termination, iterations)
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {

@@ -538,7 +538,7 @@ fn solve_deep(
             break 'epochs;
         }
     }
-    drv.finish(st.x, termination, updates, last_rnorm)
+    drv.finish(st.x, termination, updates)
 }
 
 #[cfg(test)]

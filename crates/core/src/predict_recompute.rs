@@ -29,7 +29,7 @@
 //! split-phase pairs ([`SolveOptions::dot2_deferred`]):
 //! `(r,r), (r,s)` and `(s,s), (s,p)`.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use crate::standard::StandardCg;
@@ -263,7 +263,7 @@ fn solve_pr(
             Step::after(it, st.nu, drv.thresh_sq)
         },
     );
-    drv.finish(st.x, termination, iterations, norm(st.nu))
+    drv.finish(st.x, termination, iterations)
 }
 
 #[cfg(test)]

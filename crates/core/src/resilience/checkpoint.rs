@@ -17,14 +17,35 @@
 use super::recovery::RecoveryPolicy;
 use crate::solver::SolveOptions;
 
+/// Where a solve's residual history stands: how many norms it holds and
+/// the last of them. The iteration driver tracks it whether or not the
+/// norms themselves are recorded, so a snapshot restores the same final
+/// norm either way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HistoryMark {
+    /// Norms recorded so far (the history's length when recording).
+    pub len: usize,
+    /// The last of them; NaN while `len == 0`.
+    pub last: f64,
+}
+
+impl Default for HistoryMark {
+    fn default() -> Self {
+        HistoryMark {
+            len: 0,
+            last: f64::NAN,
+        }
+    }
+}
+
 /// One snapshot slot: the iteration it was taken at, the residual
-/// history's length then, the vector state, and the recurrence scalars.
+/// history's mark then, the vector state, and the recurrence scalars.
 /// The buffers are sized by the first save into the slot and reused after,
 /// so the iteration path allocates only while the two slots first fill.
 #[derive(Debug, Clone, Default)]
 struct Slot {
     iter: usize,
-    history: usize,
+    history: HistoryMark,
     valid: bool,
     vecs: Vec<Vec<f64>>,
     scalars: Vec<f64>,
@@ -70,14 +91,13 @@ impl CheckpointRing {
         iter.is_multiple_of(self.period)
     }
 
-    /// Snapshot `vecs`/`scalars` as the state at `iter`, with a residual
-    /// history `history` entries long. Traced as
-    /// [`vr_obs::SpanKind::Checkpoint`].
+    /// Snapshot `vecs`/`scalars` as the state at `iter`, with the residual
+    /// history at `history`. Traced as [`vr_obs::SpanKind::Checkpoint`].
     pub fn save(
         &mut self,
         opts: &SolveOptions,
         iter: usize,
-        history: usize,
+        history: HistoryMark,
         vecs: &[&mut [f64]],
         scalars: &[&mut f64],
     ) {
@@ -99,7 +119,7 @@ impl CheckpointRing {
     }
 
     /// Restore the newest valid snapshot into `vecs`/`scalars`, consuming
-    /// it, and return `(iteration, history length)` as saved. `None` when
+    /// it, and return `(iteration, history mark)` as saved. `None` when
     /// the rollback budget is spent or no valid snapshot remains — the
     /// caller then falls through to the restart ladder. Traced as
     /// [`vr_obs::SpanKind::Recovery`].
@@ -108,7 +128,7 @@ impl CheckpointRing {
         opts: &SolveOptions,
         vecs: &mut [&mut [f64]],
         scalars: &mut [&mut f64],
-    ) -> Option<(usize, usize)> {
+    ) -> Option<(usize, HistoryMark)> {
         if self.taken >= self.max_rollbacks {
             return None;
         }

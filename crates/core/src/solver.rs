@@ -60,26 +60,6 @@ pub enum SweepPolicy {
     WholeIteration,
 }
 
-/// How block Krylov bases (s-step columns, lookahead startup families)
-/// are constructed.
-///
-/// Both engines compute every element through the exact same per-row
-/// arithmetic, so solver traces are **bit-identical** between them for
-/// any `(dot_mode, threads)` configuration — the difference is purely
-/// memory traffic: `Mpk` streams each operand tile through cache once
-/// per `s` operator applications where `Naive` makes `s` full-vector
-/// passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BasisEngine {
-    /// Level-by-level full-vector sweeps (the reference formulation all
-    /// op-count claims are stated in).
-    Naive,
-    /// Cache-blocked matrix-powers kernel: one temporally-tiled sweep
-    /// builds all `s` columns (see [`vr_linalg::mpk`]).
-    #[default]
-    Mpk,
-}
-
 /// Working precision of the iteration's vector recurrences.
 ///
 /// `Mixed` keeps the CG working vectors (`x`, `r`, `p`, and the variant's
@@ -227,11 +207,13 @@ pub struct SolveOptions {
     /// [`RecoveryStats::faults_detected`] (see
     /// [`SolveOptions::drain_checksum_detections`]).
     pub checksum_detected: Arc<AtomicU64>,
-    /// Engine for block Krylov basis construction (s-step / lookahead).
-    pub basis_engine: BasisEngine,
     /// Explicit matrix-powers tile size (rows/planes per tile for
-    /// stencils, matrix rows for CSR). `None` uses the operator's L2
-    /// working-set heuristic. Ignored under [`BasisEngine::Naive`].
+    /// stencils, matrix rows for CSR) handed to every
+    /// [`LinearOperator::matrix_powers`] call (s-step bases, look-ahead
+    /// start-up, overlap-k1's `A·p`/`A²·p` pair). `None` uses the
+    /// operator's L2 working-set heuristic. Numerically inert: every tile
+    /// size produces identical bits. Operators without a tiled kernel
+    /// (the trait default, [`vr_linalg::mpk::naive_powers`]) ignore it.
     pub mpk_tile: Option<usize>,
     /// Working precision of the vector recurrences (see [`Precision`]).
     pub precision: Precision,
@@ -272,7 +254,6 @@ impl Default for SolveOptions {
             thread_clamp: None,
             checksum: false,
             checksum_detected: Arc::new(AtomicU64::new(0)),
-            basis_engine: BasisEngine::default(),
             mpk_tile: None,
             precision: Precision::default(),
             tracer: None,
@@ -347,13 +328,6 @@ impl SolveOptions {
     #[must_use]
     pub fn nt_stores(&self, len: usize) -> bool {
         len * std::mem::size_of::<f64>() > self.nt_cutoff_bytes
-    }
-
-    /// Set the block Krylov basis engine.
-    #[must_use]
-    pub fn with_basis_engine(mut self, engine: BasisEngine) -> Self {
-        self.basis_engine = engine;
-        self
     }
 
     /// Override the matrix-powers tile size (see [`SolveOptions::mpk_tile`]).

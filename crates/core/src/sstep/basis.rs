@@ -14,9 +14,8 @@
 //! Both need one matvec per column, same as monomial (claim C4 preserved).
 
 use crate::instrument::OpCounts;
-use crate::solver::BasisEngine;
 use vr_linalg::eig;
-use vr_linalg::mpk::{self, MpkTransform, MpkWorkspace};
+use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
 use vr_linalg::LinearOperator;
 
 /// Which polynomial family spans the block Krylov basis.
@@ -238,15 +237,15 @@ impl KrylovBasis {
 /// matvecs — `av` levels double as the next column under the shift/
 /// three-term recurrences, so no column costs more than one application.
 ///
-/// `engine` selects the execution strategy: `Naive` sweeps the full
-/// vector once per level ([`mpk::naive_powers`]); `Mpk` runs the
-/// operator's cache-blocked [`LinearOperator::matrix_powers`] kernel,
-/// which is bit-identical by contract for every tile size and team
+/// The columns come from the operator's [`LinearOperator::matrix_powers`]
+/// kernel — cache-blocked for CSR and stencils, the level-by-level
+/// [`vr_linalg::mpk::naive_powers`] oracle otherwise — which is
+/// bit-identical to that oracle by contract for every tile size and team
 /// width. `ws` carries the kernel's reusable scratch; `out` is reshaped
 /// in place, so repeated builds at a fixed `(s, n)` are allocation-free.
 ///
 /// Op tallies are stated in the reference (per-column) formulation and
-/// are engine-independent: 1 vector op for seeding `v[0]`, `s` matvecs,
+/// are kernel-independent: 1 vector op for seeding `v[0]`, `s` matvecs,
 /// plus per level the column recurrence (Newton: shift-axpy + scale = 2
 /// ops; Chebyshev: one fused three-term op; monomial: free).
 #[allow(clippy::too_many_arguments)]
@@ -255,7 +254,6 @@ pub fn build_into(
     r: &[f64],
     s: usize,
     params: &BasisParams,
-    engine: BasisEngine,
     team: Option<&vr_par::Team>,
     tile: Option<usize>,
     ws: &mut MpkWorkspace,
@@ -266,10 +264,7 @@ pub fn build_into(
     out.v[0].copy_from_slice(r);
     counts.vector_ops += 1;
     let transform = params.transform();
-    match engine {
-        BasisEngine::Naive => mpk::naive_powers(a, &transform, &mut out.v, &mut out.av, team),
-        BasisEngine::Mpk => a.matrix_powers(&transform, &mut out.v, &mut out.av, team, tile, ws),
-    }
+    a.matrix_powers(&transform, &mut out.v, &mut out.av, team, tile, ws);
     counts.matvecs += s;
     counts.vector_ops += match params.kind {
         BasisKind::Monomial => 0,
@@ -279,7 +274,7 @@ pub fn build_into(
 }
 
 /// Build an `s`-column basis of `K_s(A, r)` with exactly `s` matvecs
-/// (convenience wrapper over [`build_into`]: naive engine, serial, fresh
+/// (convenience wrapper over [`build_into`]: serial, heuristic tile, fresh
 /// scratch).
 #[must_use]
 pub fn build(
@@ -291,18 +286,7 @@ pub fn build(
 ) -> KrylovBasis {
     let mut out = KrylovBasis::default();
     let mut ws = MpkWorkspace::new();
-    build_into(
-        a,
-        r,
-        s,
-        params,
-        BasisEngine::Naive,
-        None,
-        None,
-        &mut ws,
-        &mut out,
-        counts,
-    );
+    build_into(a, r, s, params, None, None, &mut ws, &mut out, counts);
     out
 }
 

@@ -28,7 +28,7 @@
 
 pub mod basis;
 
-use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Twins, Visit};
 use crate::instrument::OpCounts;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
@@ -152,7 +152,6 @@ impl CgVariant for SStepCg {
                         &st.r,
                         s,
                         &params,
-                        opts.basis_engine,
                         team.as_deref(),
                         opts.mpk_tile,
                         &mut ws,
@@ -266,7 +265,7 @@ impl CgVariant for SStepCg {
 
         drv.rstats.restarts = drv.counts.restarts;
         drv.rstats.final_k = s;
-        drv.finish(st.x, termination, iterations, norm(st.rr))
+        drv.finish(st.x, termination, iterations)
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {

@@ -4,7 +4,7 @@
 //! two inner products **in serial dependency** (`(r,r)` gates `α` gates `p`
 //! gates `Ap` gates `(p,Ap)` gates `λ`), three vector updates.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::instrument::OpCounts;
 use crate::resilience::guard::{self, GuardSignal};
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
@@ -205,7 +205,7 @@ impl CgVariant for StandardCg {
                 Step::Next
             },
         );
-        drv.finish(st.x, termination, iterations, norm(st.rr))
+        drv.finish(st.x, termination, iterations)
     }
 }
 

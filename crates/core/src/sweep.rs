@@ -141,7 +141,7 @@ pub(crate) fn solve_standard(
             verdict
         },
     );
-    drv.finish(st.x, termination, iterations, norm(st.rr))
+    drv.finish(st.x, termination, iterations)
 }
 
 /// Chronopoulos-Gear CG as a two-epoch sweep per iteration.
@@ -217,7 +217,7 @@ pub(crate) fn solve_chronopoulos_gear(
             Step::after(it, st.rho, drv.thresh_sq)
         },
     );
-    drv.finish(st.x, termination, iterations, norm(st.rho))
+    drv.finish(st.x, termination, iterations)
 }
 
 /// Ghysels-Vanroose pipelined CG as a two-epoch sweep per iteration.
@@ -321,7 +321,7 @@ pub(crate) fn solve_pipelined(
             verdict
         },
     );
-    drv.finish(st.x, termination, iterations, norm(st.gamma))
+    drv.finish(st.x, termination, iterations)
 }
 
 /// Overlap-k1 CG as a four-epoch sweep per iteration.
@@ -482,5 +482,5 @@ pub(crate) fn solve_overlap_k1(
         }
     }
 
-    drv.finish(x, termination, iterations, norm(rr))
+    drv.finish(x, termination, iterations)
 }

@@ -19,6 +19,8 @@
 //!   so repeated basis builds allocate nothing after the first.
 //! * [`naive_powers`] — the reference level-by-level engine; also the
 //!   default body of [`crate::LinearOperator::matrix_powers`].
+//! * [`NaivePowers`] — a forwarding operator that keeps that default, so a
+//!   whole solve can run on the reference engine as a test oracle.
 //! * The CSR halo-expansion plan and executor used by
 //!   [`crate::CsrMatrix`]'s tiled override.
 //!
@@ -30,8 +32,9 @@
 //! compute*: an element of `v_{l+1}` near a tile boundary is recomputed
 //! inside each neighboring tile by the exact per-row operation sequence of
 //! `apply`, so its bits never depend on where the tile boundary fell. This
-//! is what lets `BasisEngine::Mpk` be the solver default while the golden
-//! scalar traces pinned against the naive engine keep passing.
+//! is why the solvers have no engine choice: they always call the
+//! operator's kernel, and the differential suites check it against the
+//! same solve through [`NaivePowers`].
 
 use crate::{CsrMatrix, LinearOperator};
 use vr_par::team::{dispatch_width, SendPtr};
@@ -43,8 +46,8 @@ use vr_par::Team;
 /// The 3/4 fraction reproduces the E18 sweep optimum (1.5 MiB on the 2 MiB
 /// measurement host): the larger tile amortizes the `2·(s−1)` recomputed
 /// ghost rows (≈ 25% redundant work at half the budget, ≈ 14% here) while
-/// keeping the bands L2-resident. `VR_L2_BYTES` overrides the probe for
-/// experiments; a conservative 1 MiB fallback applies when sysfs is absent.
+/// keeping the bands L2-resident. A conservative 1 MiB fallback applies
+/// when sysfs is absent.
 #[must_use]
 pub fn mpk_l2_budget_bytes() -> usize {
     vr_par::cache::cache_info().l2_bytes / 4 * 3
@@ -272,8 +275,8 @@ pub(crate) fn poison_outputs(v: &mut [Vec<f64>], av: &mut [Vec<f64>]) {
 /// team-parallel and width-invariant; the elementwise transform passes are
 /// exact per element and run on the caller.
 ///
-/// This is the default body of [`LinearOperator::matrix_powers`] and the
-/// engine `BasisEngine::Naive` selects; every tiled override must match it
+/// This is the default body of [`LinearOperator::matrix_powers`] (and so
+/// the engine [`NaivePowers`] exposes); every tiled override must match it
 /// bit for bit.
 ///
 /// # Panics
@@ -301,6 +304,58 @@ pub fn naive_powers<A: LinearOperator + ?Sized>(
             let next = &mut tail[0];
             transform.combine_row(l, img, cur, prev, next);
         }
+    }
+}
+
+/// The reference-engine oracle: `NaivePowers(a)` forwards every
+/// [`LinearOperator`] entry point to `a` except
+/// [`LinearOperator::matrix_powers`], which it leaves at the trait default
+/// [`naive_powers`].
+///
+/// A solve through `&NaivePowers(&a)` is therefore the solve through `&a`
+/// with every Krylov basis built level by level; by the bit-identity
+/// contract the two must agree bit for bit. The differential suites and
+/// the E18 reference arm compare the operators' tiled kernels against it.
+#[derive(Debug, Clone, Copy)]
+pub struct NaivePowers<A>(pub A);
+
+impl<A: LinearOperator> LinearOperator for NaivePowers<A> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply(x, y);
+    }
+    fn max_row_nnz(&self) -> usize {
+        self.0.max_row_nnz()
+    }
+    fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
+        self.0.apply_f32(x, y)
+    }
+    fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
+        self.0.apply_dot(mode, x, y)
+    }
+    fn apply_dot_nostore(&self, mode: crate::kernels::DotMode, x: &[f64]) -> Option<f64> {
+        self.0.apply_dot_nostore(mode, x)
+    }
+    fn fused_update_xr(
+        &self,
+        mode: crate::kernels::DotMode,
+        lambda: f64,
+        p: &[f64],
+        x: &mut [f64],
+        r: &mut [f64],
+    ) -> Option<f64> {
+        self.0.fused_update_xr(mode, lambda, p, x, r)
+    }
+    fn apply_team(&self, team: Option<&Team>, x: &[f64], y: &mut [f64]) {
+        self.0.apply_team(team, x, y);
+    }
+    fn apply_dot_team(&self, team: Option<&Team>, x: &[f64], y: &mut [f64]) -> f64 {
+        self.0.apply_dot_team(team, x, y)
+    }
+    fn as_sweep(&self) -> Option<crate::sweep::SweepOperator<'_>> {
+        self.0.as_sweep()
     }
 }
 
@@ -682,6 +737,30 @@ mod tests {
     }
 
     #[test]
+    fn naive_powers_oracle_forwards_apply_and_skips_the_tiled_kernel() {
+        let a = gen::poisson2d(13);
+        let n = a.nrows();
+        let oracle = NaivePowers(&a);
+        assert_eq!(oracle.dim(), n);
+        assert_eq!(oracle.max_row_nnz(), a.max_row_nnz());
+        let x: Vec<f64> = (0..n).map(|i| i as f64 - 7.0).collect();
+        assert_eq!(oracle.apply_alloc(&x), a.apply_alloc(&x));
+        // (columns, whether the CSR halo plan was built)
+        let powers = |op: &dyn LinearOperator| {
+            let (mut v, mut av) = cols(n, 3);
+            let mut ws = MpkWorkspace::new();
+            let t = MpkTransform::Monomial;
+            op.matrix_powers(&t, &mut v, &mut av, None, Some(8), &mut ws);
+            (v, av, ws.plan.is_some())
+        };
+        let (v_ref, av_ref, tiled) = powers(&a);
+        assert!(tiled, "CSR runs its tiled kernel");
+        let (v, av, tiled) = powers(&oracle);
+        assert!(!tiled, "the oracle must not reach the tiled kernel");
+        assert_eq!((v, av), (v_ref, av_ref));
+    }
+
+    #[test]
     fn csr_plan_is_cached_and_rebuilt_on_key_change() {
         let a = gen::poisson1d(64);
         let (mut v, mut av) = cols(64, 3);
@@ -721,7 +800,7 @@ mod tests {
     #[test]
     fn tile_heuristics_are_sane() {
         // 2-D Poisson at ny = 1024: derived from the probed L2 budget so the
-        // test holds on any host (and under a `VR_L2_BYTES` override).
+        // test holds on any host.
         let budget = mpk_l2_budget_bytes();
         let expect = (budget / (1024 * 3 * 8)).saturating_sub(14).clamp(4, 4096);
         assert_eq!(default_tile_rows(1024, 8), expect);

@@ -10,11 +10,8 @@
 //! absent (non-Linux, sandboxes, exotic containers).
 //!
 //! Probed values are clamped to a sane range — a corrupt or wildly
-//! misreported sysfs entry must not drive tile sizes to 0 or 2 GiB.
-//!
-//! Overrides for experiments: `VR_L1D_BYTES` / `VR_L2_BYTES` (plain byte
-//! counts) replace the probe entirely. They are read at first use, like the
-//! probe itself.
+//! misreported sysfs entry must not drive tile sizes to 0 or 2 GiB. The
+//! probe is the only source: no environment variable overrides it.
 
 use std::sync::OnceLock;
 
@@ -32,7 +29,7 @@ pub struct CacheInfo {
     /// Unified L2 size per core.
     pub l2_bytes: usize,
     /// Whether the values came from a live sysfs probe (`false` = fallback
-    /// constants and/or env override).
+    /// constants).
     pub probed: bool,
 }
 
@@ -82,23 +79,16 @@ fn probe_sysfs() -> (Option<usize>, Option<usize>) {
     (None, None)
 }
 
-fn env_bytes(var: &str) -> Option<usize> {
-    std::env::var(var).ok()?.trim().parse().ok()
-}
-
 fn resolve() -> CacheInfo {
     let (sys_l1d, sys_l2) = probe_sysfs();
     // 4 KiB..2 MiB for L1d, 64 KiB..64 MiB for L2 — anything outside is
     // treated as a misreport and replaced by the fallback
     let l1d_probed = sys_l1d.and_then(|b| plausible(b, 4 << 10, 2 << 20));
     let l2_probed = sys_l2.and_then(|b| plausible(b, 64 << 10, 64 << 20));
-    let env_l1d = env_bytes("VR_L1D_BYTES");
-    let env_l2 = env_bytes("VR_L2_BYTES");
     CacheInfo {
-        l1d_bytes: env_l1d.or(l1d_probed).unwrap_or(FALLBACK_L1D_BYTES),
-        l2_bytes: env_l2.or(l2_probed).unwrap_or(FALLBACK_L2_BYTES),
-        probed: (l1d_probed.is_some() && env_l1d.is_none())
-            || (l2_probed.is_some() && env_l2.is_none()),
+        l1d_bytes: l1d_probed.unwrap_or(FALLBACK_L1D_BYTES),
+        l2_bytes: l2_probed.unwrap_or(FALLBACK_L2_BYTES),
+        probed: l1d_probed.is_some() || l2_probed.is_some(),
     }
 }
 

@@ -8,8 +8,8 @@
 //! results are combined by a binary fan-in tree. Consequences:
 //!
 //! 1. results are bit-for-bit identical for any thread count *and* any
-//!    SIMD backend (the lane-blocked leaf order is what scalar, AVX2 and
-//!    AVX-512 all execute), and
+//!    SIMD backend (the lane-blocked leaf order is what both the scalar and
+//!    the AVX2 backend execute), and
 //! 2. the combine stage is literally the `⌈log₂ CHUNKS⌉`-deep tree the
 //!    paper's complexity argument counts.
 
@@ -435,11 +435,9 @@ mod tests {
         let x: Vec<f64> = (0..33_333).map(|i| (i as f64 * 0.01).sin()).collect();
         let y: Vec<f64> = (0..33_333).map(|i| (i as f64 * 0.02).cos()).collect();
         let reference = with_level(SimdLevel::Scalar, || par_dot(&x, &y, 2));
-        for l in [SimdLevel::Avx2, SimdLevel::Avx512] {
-            if available(l) {
-                let got = with_level(l, || par_dot(&x, &y, 2));
-                assert_eq!(got.to_bits(), reference.to_bits(), "{l:?}");
-            }
+        if available(SimdLevel::Avx2) {
+            let got = with_level(SimdLevel::Avx2, || par_dot(&x, &y, 2));
+            assert_eq!(got.to_bits(), reference.to_bits());
         }
     }
 

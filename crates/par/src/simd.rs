@@ -12,22 +12,22 @@
 //! ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
 //! ```
 //!
-//! The scalar backend executes exactly this recipe one element at a time;
-//! the AVX2 backend keeps the eight accumulators in two 4-lane registers;
-//! the AVX-512 backend keeps them in one 8-lane register. All three perform
-//! the *same* IEEE-754 additions in the *same* association, so every
-//! kernel here is **bit-identical across backends** — SIMD selection is a
-//! pure performance knob, never a numerics knob. (FMA is deliberately never
-//! used: contracting `mul + add` would change the bits.)
+//! Two backends execute this recipe: the scalar backend one element at a
+//! time, the AVX2 backend with the eight accumulators in two 4-lane
+//! registers. Both perform the *same* IEEE-754 additions in the *same*
+//! association, so every kernel here is **bit-identical across backends** —
+//! SIMD selection is a pure performance knob, never a numerics knob. (FMA is
+//! deliberately never used: contracting `mul + add` would change the bits.)
+//! The kernels are store- and bandwidth-bound (E22), so no wider register
+//! backend is kept: it would have no bytes left to save.
 //!
 //! Backend selection is ambient rather than plumbed through every kernel
-//! signature: [`current`] reads a thread-local override (installed by
-//! [`with_level`] or [`lane_guard`], e.g. by a test pinning a backend)
-//! and falls back to the process-wide [`process_level`] (the `VR_SIMD`
-//! environment variable, else auto-detection). Requested levels are always
-//! clamped to what the host supports, and the portable scalar path is the
-//! compile-time fallback on non-x86_64 targets or with the `simd` cargo
-//! feature disabled.
+//! signature: [`current`] reads a thread-local override installed by
+//! [`with_level`] (e.g. a test or bench pinning a backend) and falls back
+//! to [`auto_level`], the best backend the host supports. Requested levels
+//! are always clamped to what the host supports, and the portable scalar
+//! path is the compile-time fallback on non-x86_64 targets or with the
+//! `simd` cargo feature disabled.
 //!
 //! `f32` kernels (the mixed-precision working mode) perform elementwise
 //! arithmetic in `f32` and widen each product term to `f64` *before*
@@ -38,9 +38,8 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Number of interleaved accumulators in the canonical lane-blocked
-/// reduction layout. Fixed at 8 (one AVX-512 register of `f64`) on every
-/// backend, including scalar — this is what makes the bits lane-width
-/// invariant.
+/// reduction layout. Fixed at 8 on every backend, including scalar — this
+/// is what makes the bits lane-width invariant.
 pub const LANES: usize = 8;
 
 /// Combine the eight lane accumulators in the canonical association.
@@ -62,19 +61,16 @@ pub enum SimdLevel {
     Scalar,
     /// AVX2: the eight lane accumulators live in two 4×`f64` registers.
     Avx2,
-    /// AVX-512F: the eight lane accumulators live in one 8×`f64` register.
-    Avx512,
 }
 
 impl SimdLevel {
-    /// Stable lowercase name (`scalar` / `avx2` / `avx512`), matching the
-    /// `VR_SIMD` environment values.
+    /// Stable lowercase name (`scalar` / `avx2`), as recorded in bench
+    /// artifacts.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -86,78 +82,48 @@ pub fn available(level: SimdLevel) -> bool {
         SimdLevel::Scalar => true,
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Avx512 => {
-            // clamp to hosts that also have AVX2: the f32 widening kernels
-            // use 256-bit loads, and every real AVX-512 part has AVX2
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx2")
-        }
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        _ => false,
+        SimdLevel::Avx2 => false,
     }
 }
 
 /// Clamp a requested level down to the best available one at or below it.
 #[must_use]
-pub fn clamp(level: SimdLevel) -> SimdLevel {
+fn clamp(level: SimdLevel) -> SimdLevel {
     if available(level) {
-        return level;
-    }
-    if level == SimdLevel::Avx512 && available(SimdLevel::Avx2) {
-        return SimdLevel::Avx2;
-    }
-    SimdLevel::Scalar
-}
-
-/// The best auto-detected level for this host.
-///
-/// Prefers AVX2 over AVX-512: on the measured bench hosts the 2×256-bit
-/// accumulator bank sustains equal-or-better streaming throughput than one
-/// 512-bit register (and avoids downclocking); AVX-512 stays selectable
-/// explicitly via `VR_SIMD=avx512` or [`with_level`] for measurement.
-#[must_use]
-pub fn auto_level() -> SimdLevel {
-    if available(SimdLevel::Avx2) {
-        SimdLevel::Avx2
+        level
     } else {
         SimdLevel::Scalar
     }
 }
 
-/// Process-wide default level: `VR_SIMD` ∈ {`scalar`, `avx2`, `avx512`}
-/// (clamped to availability; unknown values fall back to auto), else
-/// [`auto_level`]. Resolved once, on first use.
+/// The best level this host supports: AVX2 where present, else scalar.
+/// This is the process-wide default every thread runs at unless
+/// [`with_level`] pins another. Detected once, on first use: every leaf
+/// kernel call reads it.
 #[must_use]
-pub fn process_level() -> SimdLevel {
+pub fn auto_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| match std::env::var("VR_SIMD").as_deref() {
-        Ok("scalar") => SimdLevel::Scalar,
-        Ok("avx2") => clamp(SimdLevel::Avx2),
-        Ok("avx512") => clamp(SimdLevel::Avx512),
-        _ => auto_level(),
-    })
+    *LEVEL.get_or_init(|| clamp(SimdLevel::Avx2))
 }
 
 thread_local! {
     static TLS_LEVEL: Cell<Option<SimdLevel>> = const { Cell::new(None) };
 }
 
-/// The level in effect on this thread: the innermost [`with_level`] /
-/// [`lane_guard`] override, else [`process_level`].
+/// The level in effect on this thread: the innermost [`with_level`]
+/// override, else [`auto_level`].
 ///
 /// Team worker threads have no override installed, so they run at the
-/// process level — which is safe precisely because every level produces
-/// the same bits.
+/// auto-detected level — which is safe precisely because every level
+/// produces the same bits.
 #[must_use]
 pub fn current() -> SimdLevel {
-    TLS_LEVEL.with(|c| c.get()).unwrap_or_else(process_level)
+    TLS_LEVEL.with(|c| c.get()).unwrap_or_else(auto_level)
 }
 
 /// RAII guard restoring the previous thread-local level on drop.
-/// Construct via [`lane_guard`].
-#[derive(Debug)]
-pub struct LaneGuard {
+struct LaneGuard {
     prev: Option<SimdLevel>,
 }
 
@@ -167,17 +133,12 @@ impl Drop for LaneGuard {
     }
 }
 
-/// Install `level` (clamped to availability) as this thread's backend until
-/// the returned guard drops.
-#[must_use]
-pub fn lane_guard(level: SimdLevel) -> LaneGuard {
-    let prev = TLS_LEVEL.with(|c| c.replace(Some(clamp(level))));
-    LaneGuard { prev }
-}
-
-/// Run `f` with `level` (clamped to availability) installed on this thread.
+/// Run `f` with `level` (clamped to availability) installed on this thread;
+/// the previous level is restored when `f` returns or unwinds.
 pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
-    let _guard = lane_guard(level);
+    let _guard = LaneGuard {
+        prev: TLS_LEVEL.with(|c| c.replace(Some(clamp(level)))),
+    };
     f()
 }
 
@@ -185,17 +146,15 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-// SAFETY of the `unsafe` arms: `current()` only ever returns `Avx2` /
-// `Avx512` after `available()` confirmed the host supports the feature
-// (both `process_level` and `lane_guard` clamp), so the `#[target_feature]`
-// functions are always called on capable hardware.
+// SAFETY of the `unsafe` arm: `current()` only ever returns `Avx2` after
+// `available()` confirmed the host supports the feature (both `auto_level`
+// and `with_level` clamp), so the `#[target_feature]` functions are always
+// called on capable hardware.
 macro_rules! dispatch {
     ($fn:ident ( $($arg:expr),* $(,)? )) => {
         match current() {
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             SimdLevel::Avx2 => unsafe { avx2::$fn($($arg),*) },
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            SimdLevel::Avx512 => unsafe { avx512::$fn($($arg),*) },
             _ => scalar::$fn($($arg),*),
         }
     };
@@ -1553,663 +1512,12 @@ mod avx2 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512 backend: all eight lanes in one register
-// ---------------------------------------------------------------------------
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx512 {
-    use super::{combine8, LANES};
-    use std::arch::x86_64::*;
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn spill(v: __m512d) -> [f64; LANES] {
-        let mut acc = [0.0f64; LANES];
-        _mm512_storeu_pd(acc.as_mut_ptr(), v);
-        acc
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let mut av = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let xv = _mm512_loadu_pd(x.as_ptr().add(i));
-            let yv = _mm512_loadu_pd(y.as_ptr().add(i));
-            av = _mm512_add_pd(av, _mm512_mul_pd(xv, yv));
-            i += LANES;
-        }
-        let mut acc = spill(av);
-        for t in m..n {
-            acc[t & (LANES - 1)] += x[t] * y[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn sum(x: &[f64]) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let mut av = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            av = _mm512_add_pd(av, _mm512_loadu_pd(x.as_ptr().add(i)));
-            i += LANES;
-        }
-        let mut acc = spill(av);
-        for t in m..n {
-            acc[t & (LANES - 1)] += x[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let mut ayv = _mm512_setzero_pd();
-        let mut azv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let xv = _mm512_loadu_pd(x.as_ptr().add(i));
-            ayv = _mm512_add_pd(ayv, _mm512_mul_pd(xv, _mm512_loadu_pd(y.as_ptr().add(i))));
-            azv = _mm512_add_pd(azv, _mm512_mul_pd(xv, _mm512_loadu_pd(z.as_ptr().add(i))));
-            i += LANES;
-        }
-        let mut ay = spill(ayv);
-        let mut az = spill(azv);
-        for t in m..n {
-            ay[t & (LANES - 1)] += x[t] * y[t];
-            az[t & (LANES - 1)] += x[t] * z[t];
-        }
-        (combine8(&ay), combine8(&az))
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn update_xr(
-        lambda: f64,
-        p: &[f64],
-        w: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-    ) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let lv = _mm512_set1_pd(lambda);
-        let nlv = _mm512_set1_pd(-lambda);
-        let mut av = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let xv = _mm512_add_pd(
-                _mm512_loadu_pd(x.as_ptr().add(i)),
-                _mm512_mul_pd(lv, _mm512_loadu_pd(p.as_ptr().add(i))),
-            );
-            _mm512_storeu_pd(x.as_mut_ptr().add(i), xv);
-            let rv = _mm512_add_pd(
-                _mm512_loadu_pd(r.as_ptr().add(i)),
-                _mm512_mul_pd(nlv, _mm512_loadu_pd(w.as_ptr().add(i))),
-            );
-            _mm512_storeu_pd(r.as_mut_ptr().add(i), rv);
-            av = _mm512_add_pd(av, _mm512_mul_pd(rv, rv));
-            i += LANES;
-        }
-        let mut acc = spill(av);
-        for t in m..n {
-            x[t] += lambda * p[t];
-            r[t] += (-lambda) * w[t];
-            acc[t & (LANES - 1)] += r[t] * r[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm512_set1_pd(a);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let yv = _mm512_add_pd(
-                _mm512_loadu_pd(y.as_ptr().add(i)),
-                _mm512_mul_pd(av, _mm512_loadu_pd(x.as_ptr().add(i))),
-            );
-            _mm512_storeu_pd(y.as_mut_ptr().add(i), yv);
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(yv, _mm512_loadu_pd(z.as_ptr().add(i))));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            y[t] += a * x[t];
-            acc[t & (LANES - 1)] += y[t] * z[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm512_set1_pd(a);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let yv = _mm512_add_pd(
-                _mm512_loadu_pd(y.as_ptr().add(i)),
-                _mm512_mul_pd(av, _mm512_loadu_pd(x.as_ptr().add(i))),
-            );
-            _mm512_storeu_pd(y.as_mut_ptr().add(i), yv);
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(yv, yv));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            y[t] += a * x[t];
-            acc[t & (LANES - 1)] += y[t] * y[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn xpay_norm2_sq(x: &[f64], a: f64, y: &mut [f64]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm512_set1_pd(a);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let yv = _mm512_add_pd(
-                _mm512_loadu_pd(x.as_ptr().add(i)),
-                _mm512_mul_pd(av, _mm512_loadu_pd(y.as_ptr().add(i))),
-            );
-            _mm512_storeu_pd(y.as_mut_ptr().add(i), yv);
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(yv, yv));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            y[t] = x[t] + a * y[t];
-            acc[t & (LANES - 1)] += y[t] * y[t];
-        }
-        combine8(&acc)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn waxpby_dot(
-        a: f64,
-        x: &[f64],
-        b: f64,
-        y: &[f64],
-        w: &mut [f64],
-        z: &[f64],
-        nt: bool,
-    ) -> f64 {
-        let n = w.len();
-        let m = n & !(LANES - 1);
-        let av = _mm512_set1_pd(a);
-        let bv = _mm512_set1_pd(b);
-        let stream = nt && w.as_ptr().cast::<u8>().align_offset(64) == 0;
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let wv = _mm512_add_pd(
-                _mm512_mul_pd(av, _mm512_loadu_pd(x.as_ptr().add(i))),
-                _mm512_mul_pd(bv, _mm512_loadu_pd(y.as_ptr().add(i))),
-            );
-            if stream {
-                _mm512_stream_pd(w.as_mut_ptr().add(i), wv);
-            } else {
-                _mm512_storeu_pd(w.as_mut_ptr().add(i), wv);
-            }
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(wv, _mm512_loadu_pd(z.as_ptr().add(i))));
-            i += LANES;
-        }
-        if stream {
-            _mm_sfence();
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            w[t] = a * x[t] + b * y[t];
-            acc[t & (LANES - 1)] += w[t] * z[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm512_set1_pd(a);
-        let mut i = 0;
-        while i < m {
-            let yv = _mm512_add_pd(
-                _mm512_loadu_pd(y.as_ptr().add(i)),
-                _mm512_mul_pd(av, _mm512_loadu_pd(x.as_ptr().add(i))),
-            );
-            _mm512_storeu_pd(y.as_mut_ptr().add(i), yv);
-            i += LANES;
-        }
-        for t in m..n {
-            y[t] += a * x[t];
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn xpay(x: &[f64], a: f64, y: &mut [f64]) {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm512_set1_pd(a);
-        let mut i = 0;
-        while i < m {
-            let yv = _mm512_add_pd(
-                _mm512_loadu_pd(x.as_ptr().add(i)),
-                _mm512_mul_pd(av, _mm512_loadu_pd(y.as_ptr().add(i))),
-            );
-            _mm512_storeu_pd(y.as_mut_ptr().add(i), yv);
-            i += LANES;
-        }
-        for t in m..n {
-            y[t] = x[t] + a * y[t];
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64], nt: bool) {
-        let n = w.len();
-        let m = n & !(LANES - 1);
-        let av = _mm512_set1_pd(a);
-        let bv = _mm512_set1_pd(b);
-        let stream = nt && w.as_ptr().cast::<u8>().align_offset(64) == 0;
-        let mut i = 0;
-        while i < m {
-            let wv = _mm512_add_pd(
-                _mm512_mul_pd(av, _mm512_loadu_pd(x.as_ptr().add(i))),
-                _mm512_mul_pd(bv, _mm512_loadu_pd(y.as_ptr().add(i))),
-            );
-            if stream {
-                _mm512_stream_pd(w.as_mut_ptr().add(i), wv);
-            } else {
-                _mm512_storeu_pd(w.as_mut_ptr().add(i), wv);
-            }
-            i += LANES;
-        }
-        if stream {
-            _mm_sfence();
-        }
-        for t in m..n {
-            w[t] = a * x[t] + b * y[t];
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn newton_row(
-        sigma: f64,
-        gamma: f64,
-        img: &[f64],
-        cur: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let m = n & !(LANES - 1);
-        let sv = _mm512_set1_pd(sigma);
-        let gv = _mm512_set1_pd(gamma);
-        let mut i = 0;
-        while i < m {
-            let ov = _mm512_mul_pd(
-                _mm512_sub_pd(
-                    _mm512_loadu_pd(img.as_ptr().add(i)),
-                    _mm512_mul_pd(sv, _mm512_loadu_pd(cur.as_ptr().add(i))),
-                ),
-                gv,
-            );
-            _mm512_storeu_pd(out.as_mut_ptr().add(i), ov);
-            i += LANES;
-        }
-        for t in m..n {
-            out[t] = (img[t] - sigma * cur[t]) * gamma;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn cheb0_row(
-        center: f64,
-        half_width: f64,
-        img: &[f64],
-        cur: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let m = n & !(LANES - 1);
-        let cv = _mm512_set1_pd(center);
-        let hv = _mm512_set1_pd(half_width);
-        let mut i = 0;
-        while i < m {
-            let ov = _mm512_div_pd(
-                _mm512_sub_pd(
-                    _mm512_loadu_pd(img.as_ptr().add(i)),
-                    _mm512_mul_pd(cv, _mm512_loadu_pd(cur.as_ptr().add(i))),
-                ),
-                hv,
-            );
-            _mm512_storeu_pd(out.as_mut_ptr().add(i), ov);
-            i += LANES;
-        }
-        for t in m..n {
-            out[t] = (img[t] - center * cur[t]) / half_width;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn chebl_row(
-        center: f64,
-        half_width: f64,
-        img: &[f64],
-        cur: &[f64],
-        prev: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let m = n & !(LANES - 1);
-        let cv = _mm512_set1_pd(center);
-        let hv = _mm512_set1_pd(half_width);
-        let two = _mm512_set1_pd(2.0);
-        let mut i = 0;
-        while i < m {
-            let ov = _mm512_sub_pd(
-                _mm512_div_pd(
-                    _mm512_mul_pd(
-                        two,
-                        _mm512_sub_pd(
-                            _mm512_loadu_pd(img.as_ptr().add(i)),
-                            _mm512_mul_pd(cv, _mm512_loadu_pd(cur.as_ptr().add(i))),
-                        ),
-                    ),
-                    hv,
-                ),
-                _mm512_loadu_pd(prev.as_ptr().add(i)),
-            );
-            _mm512_storeu_pd(out.as_mut_ptr().add(i), ov);
-            i += LANES;
-        }
-        for t in m..n {
-            out[t] = 2.0 * (img[t] - center * cur[t]) / half_width - prev[t];
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn stencil2d_row(
-        center: f64,
-        eps: f64,
-        up: Option<&[f64]>,
-        down: Option<&[f64]>,
-        cur: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        if n < 2 + LANES {
-            super::scalar::stencil2d_row(center, eps, up, down, cur, out);
-            return;
-        }
-        let cv = _mm512_set1_pd(center);
-        let ev = _mm512_set1_pd(eps);
-        let mut j = 1;
-        while j + LANES < n {
-            let mut a0 = _mm512_mul_pd(cv, _mm512_loadu_pd(cur.as_ptr().add(j)));
-            if let Some(u) = up {
-                a0 = _mm512_sub_pd(a0, _mm512_loadu_pd(u.as_ptr().add(j)));
-            }
-            if let Some(d) = down {
-                a0 = _mm512_sub_pd(a0, _mm512_loadu_pd(d.as_ptr().add(j)));
-            }
-            a0 = _mm512_sub_pd(
-                a0,
-                _mm512_mul_pd(ev, _mm512_loadu_pd(cur.as_ptr().add(j - 1))),
-            );
-            a0 = _mm512_sub_pd(
-                a0,
-                _mm512_mul_pd(ev, _mm512_loadu_pd(cur.as_ptr().add(j + 1))),
-            );
-            _mm512_storeu_pd(out.as_mut_ptr().add(j), a0);
-            j += LANES;
-        }
-        let head = j;
-        for t in (0..1).chain(head..n) {
-            let mut acc = center * cur[t];
-            if let Some(u) = up {
-                acc -= u[t];
-            }
-            if let Some(d) = down {
-                acc -= d[t];
-            }
-            if t > 0 {
-                acc -= eps * cur[t - 1];
-            }
-            if t + 1 < n {
-                acc -= eps * cur[t + 1];
-            }
-            out[t] = acc;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn stencil3d_row(
-        ilo: Option<&[f64]>,
-        ihi: Option<&[f64]>,
-        jlo: Option<&[f64]>,
-        jhi: Option<&[f64]>,
-        cur: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        if n < 2 + LANES {
-            super::scalar::stencil3d_row(ilo, ihi, jlo, jhi, cur, out);
-            return;
-        }
-        let six = _mm512_set1_pd(6.0);
-        let mut k = 1;
-        while k + LANES < n {
-            let mut a0 = _mm512_mul_pd(six, _mm512_loadu_pd(cur.as_ptr().add(k)));
-            for s in [ilo, ihi, jlo, jhi].into_iter().flatten() {
-                a0 = _mm512_sub_pd(a0, _mm512_loadu_pd(s.as_ptr().add(k)));
-            }
-            a0 = _mm512_sub_pd(a0, _mm512_loadu_pd(cur.as_ptr().add(k - 1)));
-            a0 = _mm512_sub_pd(a0, _mm512_loadu_pd(cur.as_ptr().add(k + 1)));
-            _mm512_storeu_pd(out.as_mut_ptr().add(k), a0);
-            k += LANES;
-        }
-        let head = k;
-        for t in (0..1).chain(head..n) {
-            let mut acc = 6.0 * cur[t];
-            for s in [ilo, ihi, jlo, jhi].into_iter().flatten() {
-                acc -= s[t];
-            }
-            if t > 0 {
-                acc -= cur[t - 1];
-            }
-            if t + 1 < n {
-                acc -= cur[t + 1];
-            }
-            out[t] = acc;
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot_f32(x: &[f32], y: &[f32]) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let xv = _mm512_cvtps_pd(_mm256_loadu_ps(x.as_ptr().add(i)));
-            let yv = _mm512_cvtps_pd(_mm256_loadu_ps(y.as_ptr().add(i)));
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(xv, yv));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            acc[t & (LANES - 1)] += f64::from(x[t]) * f64::from(y[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot2_f32(x: &[f32], y: &[f32], z: &[f32]) -> (f64, f64) {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let mut ayv = _mm512_setzero_pd();
-        let mut azv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let xv = _mm512_cvtps_pd(_mm256_loadu_ps(x.as_ptr().add(i)));
-            let yv = _mm512_cvtps_pd(_mm256_loadu_ps(y.as_ptr().add(i)));
-            let zv = _mm512_cvtps_pd(_mm256_loadu_ps(z.as_ptr().add(i)));
-            ayv = _mm512_add_pd(ayv, _mm512_mul_pd(xv, yv));
-            azv = _mm512_add_pd(azv, _mm512_mul_pd(xv, zv));
-            i += LANES;
-        }
-        let mut ay = spill(ayv);
-        let mut az = spill(azv);
-        for t in m..n {
-            ay[t & (LANES - 1)] += f64::from(x[t]) * f64::from(y[t]);
-            az[t & (LANES - 1)] += f64::from(x[t]) * f64::from(z[t]);
-        }
-        (combine8(&ay), combine8(&az))
-    }
-
-    #[target_feature(enable = "avx512f,avx2")]
-    pub(super) unsafe fn update_xr_f32(
-        lambda: f32,
-        p: &[f32],
-        w: &[f32],
-        x: &mut [f32],
-        r: &mut [f32],
-    ) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let lv = _mm256_set1_ps(lambda);
-        let nlv = _mm256_set1_ps(-lambda);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let xv = _mm256_add_ps(
-                _mm256_loadu_ps(x.as_ptr().add(i)),
-                _mm256_mul_ps(lv, _mm256_loadu_ps(p.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(x.as_mut_ptr().add(i), xv);
-            let rv = _mm256_add_ps(
-                _mm256_loadu_ps(r.as_ptr().add(i)),
-                _mm256_mul_ps(nlv, _mm256_loadu_ps(w.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(r.as_mut_ptr().add(i), rv);
-            let rw = _mm512_cvtps_pd(rv);
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(rw, rw));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            x[t] += lambda * p[t];
-            r[t] += (-lambda) * w[t];
-            acc[t & (LANES - 1)] += f64::from(r[t]) * f64::from(r[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f,avx2")]
-    pub(super) unsafe fn axpy_dot_f32(a: f32, x: &[f32], y: &mut [f32], z: &[f32]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_ps(a);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let yv = _mm256_add_ps(
-                _mm256_loadu_ps(y.as_ptr().add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(x.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), yv);
-            let yw = _mm512_cvtps_pd(yv);
-            let zw = _mm512_cvtps_pd(_mm256_loadu_ps(z.as_ptr().add(i)));
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(yw, zw));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            y[t] += a * x[t];
-            acc[t & (LANES - 1)] += f64::from(y[t]) * f64::from(z[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f,avx2")]
-    pub(super) unsafe fn axpy_norm2_sq_f32(a: f32, x: &[f32], y: &mut [f32]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_ps(a);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let yv = _mm256_add_ps(
-                _mm256_loadu_ps(y.as_ptr().add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(x.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), yv);
-            let yw = _mm512_cvtps_pd(yv);
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(yw, yw));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            y[t] += a * x[t];
-            acc[t & (LANES - 1)] += f64::from(y[t]) * f64::from(y[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx512f,avx2")]
-    pub(super) unsafe fn xpay_norm2_sq_f32(x: &[f32], a: f32, y: &mut [f32]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_ps(a);
-        let mut accv = _mm512_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let yv = _mm256_add_ps(
-                _mm256_loadu_ps(x.as_ptr().add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(y.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), yv);
-            let yw = _mm512_cvtps_pd(yv);
-            accv = _mm512_add_pd(accv, _mm512_mul_pd(yw, yw));
-            i += LANES;
-        }
-        let mut acc = spill(accv);
-        for t in m..n {
-            y[t] = x[t] + a * y[t];
-            acc[t & (LANES - 1)] += f64::from(y[t]) * f64::from(y[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
-        super::avx2::axpy_f32(a, x, y);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn xpay_f32(x: &[f32], a: f32, y: &mut [f32]) {
-        super::avx2::xpay_f32(x, a, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn levels() -> Vec<SimdLevel> {
-        [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+        [SimdLevel::Scalar, SimdLevel::Avx2]
             .into_iter()
             .filter(|&l| available(l))
             .collect()
@@ -2538,11 +1846,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_guard_restores_previous_level() {
+    fn with_level_restores_previous_level() {
         let outer = current();
         with_level(SimdLevel::Scalar, || {
             assert_eq!(current(), SimdLevel::Scalar);
-            with_level(SimdLevel::Avx512, || {
+            with_level(SimdLevel::Avx2, || {
                 // clamped to something available; never panics
                 assert!(available(current()));
             });
@@ -2553,7 +1861,7 @@ mod tests {
 
     #[test]
     fn clamp_only_returns_available_levels() {
-        for l in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+        for l in [SimdLevel::Scalar, SimdLevel::Avx2] {
             assert!(available(clamp(l)), "clamp({l:?}) not available");
         }
     }

@@ -18,9 +18,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vr_cg::lookahead::LookaheadCg;
 use vr_cg::sstep::SStepCg;
 use vr_cg::standard::StandardCg;
-use vr_cg::{BasisEngine, CgVariant, SolveOptions, Termination};
+use vr_cg::{CgVariant, SolveOptions, Termination};
 use vr_linalg::gen;
 use vr_linalg::kernels::DotMode;
+use vr_linalg::mpk::NaivePowers;
+use vr_linalg::LinearOperator;
 
 struct CountingAlloc;
 
@@ -50,13 +52,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn opts(max_iters: usize, engine: BasisEngine) -> SolveOptions {
+fn opts(max_iters: usize) -> SolveOptions {
     let mut o = SolveOptions::default()
         .with_tol(0.0) // never converges → exact MaxIterations run
         .with_max_iters(max_iters)
         .with_dot_mode(DotMode::Serial)
-        .with_threads(1)
-        .with_basis_engine(engine);
+        .with_threads(1);
     o.record_residuals = false; // norms Vec must not grow with iterations
     o
 }
@@ -69,14 +70,8 @@ fn opts(max_iters: usize, engine: BasisEngine) -> SolveOptions {
 /// measurement is then the minimum over a few repeats: solver allocation
 /// behaviour is deterministic, so the minimum strips any allocations the
 /// libtest harness thread interleaves into the window.
-fn allocs_for(
-    variant: &dyn CgVariant,
-    a: &dyn vr_linalg::LinearOperator,
-    b: &[f64],
-    max_iters: usize,
-    engine: BasisEngine,
-) -> u64 {
-    let o = opts(max_iters, engine);
+fn allocs_for(variant: &dyn CgVariant, a: &dyn LinearOperator, b: &[f64], max_iters: usize) -> u64 {
+    let o = opts(max_iters);
     let _ = variant.solve(a, b, None, &o);
     let mut best = u64::MAX;
     for _ in 0..3 {
@@ -98,6 +93,10 @@ fn allocs_for(
 fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
     let a = gen::poisson2d(48);
     let b = gen::poisson2d_rhs(48);
+    // both basis engines: the CSR tiled matrix-powers kernel, and the
+    // level-by-level oracle the `NaivePowers` wrapper exposes
+    let naive = NaivePowers(&a);
+    let engines: [(&dyn LinearOperator, &str); 2] = [(&a, "mpk"), (&naive, "naive")];
 
     // (variant, label). The short budget already covers every warm-up
     // transient: s-step's second direction block is first built on outer
@@ -110,12 +109,12 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
     ];
 
     for (variant, label) in &variants {
-        for engine in [BasisEngine::Mpk, BasisEngine::Naive] {
-            let short = allocs_for(variant.as_ref(), &a, &b, 10, engine);
-            let long = allocs_for(variant.as_ref(), &a, &b, 40, engine);
+        for (op, engine) in engines {
+            let short = allocs_for(variant.as_ref(), op, &b, 10);
+            let long = allocs_for(variant.as_ref(), op, &b, 40);
             assert_eq!(
                 short, long,
-                "{label} ({engine:?}): a 40-iteration solve allocated \
+                "{label} ({engine}): a 40-iteration solve allocated \
                  {long} times vs {short} for 10 iterations — the extra 30 \
                  iterations must be allocation-free"
             );
@@ -133,8 +132,8 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
         .with_checkpoint_period(4)
         .with_true_residual_period(0);
     for (variant, label) in &variants {
-        let o10 = opts(10, BasisEngine::Mpk).with_recovery(ck.clone());
-        let o40 = opts(40, BasisEngine::Mpk).with_recovery(ck.clone());
+        let o10 = opts(10).with_recovery(ck.clone());
+        let o40 = opts(40).with_recovery(ck.clone());
         let measure = |o: &SolveOptions| {
             let _ = variant.solve(&a, &b, None, o);
             let mut best = u64::MAX;
@@ -181,7 +180,7 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
     for (variant, label) in &mixed_variants {
         for precision in [vr_cg::Precision::F64, vr_cg::Precision::Mixed] {
             let measure = |max_iters: usize| {
-                let o = opts(max_iters, BasisEngine::Mpk).with_precision(precision);
+                let o = opts(max_iters).with_precision(precision);
                 let _ = variant.solve(&a, &b, None, &o); // warm-up
                 let mut best = u64::MAX;
                 for _ in 0..3 {
@@ -274,8 +273,8 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
     ];
     for (variant, label) in &traced_variants {
         for max_iters in [10usize, 40] {
-            let untraced = allocs_for(variant.as_ref(), &a, &b, max_iters, BasisEngine::Mpk);
-            let o = opts(max_iters, BasisEngine::Mpk).with_tracer(std::sync::Arc::clone(&tracer));
+            let untraced = allocs_for(variant.as_ref(), &a, &b, max_iters);
+            let o = opts(max_iters).with_tracer(std::sync::Arc::clone(&tracer));
             let _ = variant.solve(&a, &b, None, &o); // warm-up
             let _ = tracer.drain();
             let mut best = u64::MAX;

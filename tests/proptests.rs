@@ -867,8 +867,7 @@ fn poisoned_team_reductions_return_nan_at_any_width() {
 // ---------- sixth wave: matrix-powers kernel ----------
 
 use cg_lookahead::cg::sstep::basis::{self, BasisKind, BasisParams, KrylovBasis};
-use cg_lookahead::cg::BasisEngine;
-use cg_lookahead::linalg::mpk::{self, MpkTransform, MpkWorkspace};
+use cg_lookahead::linalg::mpk::{self, MpkTransform, MpkWorkspace, NaivePowers};
 use cg_lookahead::linalg::stencil::{Stencil2d, Stencil3d};
 use cg_lookahead::linalg::LinearOperator;
 
@@ -898,11 +897,10 @@ fn mpk_stencil_powers_bit_match_naive_for_any_tile_width_and_basis() {
                 let mut ws = MpkWorkspace::new();
                 let mut naive = KrylovBasis::default();
                 basis::build_into(
-                    a.as_ref(),
+                    &NaivePowers(a.as_ref()),
                     &r,
                     s,
                     &params,
-                    BasisEngine::Naive,
                     None,
                     None,
                     &mut ws,
@@ -919,7 +917,6 @@ fn mpk_stencil_powers_bit_match_naive_for_any_tile_width_and_basis() {
                             &r,
                             s,
                             &params,
-                            BasisEngine::Mpk,
                             team.as_ref(),
                             tile,
                             &mut ws,

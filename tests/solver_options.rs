@@ -7,6 +7,7 @@ use cg_lookahead::cg::baselines::{
 };
 use cg_lookahead::cg::lookahead::LookaheadCg;
 use cg_lookahead::cg::overlap_k1::OverlapK1Cg;
+use cg_lookahead::cg::registry::keyed_variants;
 use cg_lookahead::cg::sstep::SStepCg;
 use cg_lookahead::cg::standard::StandardCg;
 use cg_lookahead::cg::{CgVariant, SolveOptions};
@@ -46,6 +47,42 @@ fn record_residuals_off_changes_history_not_solution() {
         assert!(r_on.residual_norms.len() > 1, "{}", s.name());
         assert_eq!(r_off.residual_norms.len(), 1, "{}", s.name());
         assert_eq!(r_on.x, r_off.x, "{}: deterministic solvers", s.name());
+    }
+
+    // Near the attainable floor (the E21 floor problem) several loops
+    // replace their last recursive norm with a validated true residual at
+    // the exit. An unrecorded solve must end on that same value, not on
+    // the stale recursive one: recording changes the history, never the
+    // answer.
+    let a = gen::tridiag_toeplitz(2000, 2.0 + 4e-4, -1.0);
+    let b = gen::rand_vector(2000, 5);
+    let on = SolveOptions::default().with_tol(1e-8);
+    let off = SolveOptions {
+        record_residuals: false,
+        ..on.clone()
+    };
+    let solvers = keyed_variants(&a)
+        .into_iter()
+        .map(|(_, v)| v)
+        .chain(all_solvers());
+    for s in solvers {
+        let r_on = s.solve(&a, &b, None, &on);
+        let r_off = s.solve(&a, &b, None, &off);
+        let ctx = format!("{} (floor problem, tol 1e-8)", s.name());
+        assert_eq!(r_on.termination, r_off.termination, "{ctx}: termination");
+        assert_eq!(r_on.iterations, r_off.iterations, "{ctx}: iterations");
+        assert_eq!(
+            r_on.final_residual.to_bits(),
+            r_off.final_residual.to_bits(),
+            "{ctx}: final_residual {:e} recorded vs {:e} unrecorded",
+            r_on.final_residual,
+            r_off.final_residual
+        );
+        assert_eq!(
+            r_on.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            r_off.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{ctx}: x bits"
+        );
     }
 }
 

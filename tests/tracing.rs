@@ -4,10 +4,12 @@
 //! everything else rests on is that attaching it changes *nothing*: the
 //! iterates, the recorded residual history, and the iteration count of a
 //! traced solve must be bit-identical to the untraced solve, for every
-//! variant, at every team width, under both basis engines. On top of that
-//! the trace itself must be coherent: iteration marks match the reported
-//! iteration count, the expected span kinds show up for each variant's
-//! dependency structure, and the critical-path aggregator conserves time.
+//! variant, at every team width, under both basis engines (the operator's
+//! tiled matrix-powers kernel and the `mpk::NaivePowers` oracle). On top
+//! of that the trace itself must be coherent: iteration marks match the
+//! reported iteration count, the expected span kinds show up for each
+//! variant's dependency structure, and the critical-path aggregator
+//! conserves time.
 
 use std::sync::Arc;
 use vr_cg::baselines::{ChronopoulosGearCg, PipelinedCg, ThreeTermCg};
@@ -15,9 +17,11 @@ use vr_cg::lookahead::LookaheadCg;
 use vr_cg::overlap_k1::OverlapK1Cg;
 use vr_cg::sstep::SStepCg;
 use vr_cg::standard::StandardCg;
-use vr_cg::{BasisEngine, CgVariant, SolveOptions};
+use vr_cg::{CgVariant, SolveOptions};
 use vr_linalg::gen;
 use vr_linalg::kernels::DotMode;
+use vr_linalg::mpk::NaivePowers;
+use vr_linalg::LinearOperator;
 use vr_obs::{PhaseClass, SpanKind, Tracer};
 
 fn variants() -> Vec<Box<dyn CgVariant>> {
@@ -41,20 +45,21 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 fn attached_tracer_leaves_every_variant_bit_identical() {
     let a = gen::poisson2d(16);
     let b = gen::poisson2d_rhs(16);
+    let naive = NaivePowers(&a);
+    let engines: [(&dyn LinearOperator, &str); 2] = [(&a, "mpk"), (&naive, "naive")];
     for threads in [1usize, 2] {
-        for engine in [BasisEngine::Mpk, BasisEngine::Naive] {
+        for (op, engine) in engines {
             let opts = SolveOptions::default()
                 .with_tol(1e-10)
                 .with_max_iters(400)
                 .with_dot_mode(DotMode::Tree)
-                .with_threads(threads)
-                .with_basis_engine(engine);
+                .with_threads(threads);
             for v in variants() {
-                let plain = v.solve(&a, &b, None, &opts);
+                let plain = v.solve(op, &b, None, &opts);
                 let tracer = Arc::new(Tracer::for_width(threads));
                 let traced_opts = opts.clone().with_tracer(Arc::clone(&tracer));
-                let traced = v.solve(&a, &b, None, &traced_opts);
-                let ctx = format!("{} (threads {threads}, {engine:?})", v.name());
+                let traced = v.solve(op, &b, None, &traced_opts);
+                let ctx = format!("{} (threads {threads}, {engine})", v.name());
                 assert_eq!(plain.iterations, traced.iterations, "{ctx}: iterations");
                 assert_eq!(bits(&plain.x), bits(&traced.x), "{ctx}: iterate bits");
                 assert_eq!(
@@ -191,18 +196,8 @@ fn overlap_k1_mpk_and_naive_engines_are_bit_identical() {
             .with_max_iters(600)
             .with_dot_mode(DotMode::Tree)
             .with_threads(threads);
-        let mpk = OverlapK1Cg::new().solve(
-            &a,
-            &b,
-            None,
-            &base.clone().with_basis_engine(BasisEngine::Mpk),
-        );
-        let naive = OverlapK1Cg::new().solve(
-            &a,
-            &b,
-            None,
-            &base.clone().with_basis_engine(BasisEngine::Naive),
-        );
+        let mpk = OverlapK1Cg::new().solve(&a, &b, None, &base);
+        let naive = OverlapK1Cg::new().solve(&NaivePowers(&a), &b, None, &base);
         assert_eq!(mpk.iterations, naive.iterations, "threads {threads}");
         assert_eq!(bits(&mpk.x), bits(&naive.x), "threads {threads}: x bits");
         assert_eq!(
