@@ -4,8 +4,8 @@
 
 use std::hint::black_box;
 use vr_bench::timing::Bench;
-use vr_linalg::kernels;
-use vr_par::reduce;
+use vr_linalg::{kernels, LinearOperator};
+use vr_par::{reduce, Team};
 
 fn bench_dot_orders(b: &mut Bench) {
     for log_n in [12u32, 16, 20] {
@@ -28,8 +28,9 @@ fn bench_parallel_reduce(b: &mut Bench) {
     let n = 1usize << 22;
     let x: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
     for threads in [1usize, 2, 4, 8] {
+        let team = (threads > 1).then(|| Team::new(threads));
         b.run(format!("par/dot/threads/{threads}"), || {
-            black_box(reduce::par_dot(&x, &x, threads))
+            black_box(reduce::par_dot_in(team.as_ref(), &x, &x))
         });
     }
 }
@@ -53,7 +54,7 @@ fn bench_batched_reductions(b: &mut Bench) {
     b.run("par/batch/six-separate-dots", || {
         let mut acc = 0.0;
         for v in &vs {
-            acc += vr_par::reduce::par_dot(black_box(v), black_box(&vs[0]), 1);
+            acc += reduce::par_dot_in(None, black_box(v), black_box(&vs[0]));
         }
         black_box(acc)
     });
@@ -75,8 +76,9 @@ fn bench_parallel_spmv(b: &mut Bench) {
         a.spmv_into(black_box(&x), black_box(&mut y));
     });
     for t in [2usize, 4, 8] {
+        let team = Team::new(t);
         b.run(format!("linalg/spmv-65k/par/{t}"), || {
-            a.par_spmv_into(black_box(&x), black_box(&mut y), t);
+            a.apply_team(Some(&team), black_box(&x), black_box(&mut y));
         });
     }
 }

@@ -1,6 +1,6 @@
 //! JSON serialization for experiment results.
 //!
-//! The value tree, parser, and `ToJson` trait live in [`vr_obs::json`]
+//! The value tree, parser, and `ToJson` trait live in [`vr_obs::json`](mod@vr_obs::json)
 //! (the leaf crate) so the solve service can share one JSON
 //! implementation with the harness without a dependency cycle; this
 //! module re-exports them and keeps the harness-specific part — the

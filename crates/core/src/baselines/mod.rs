@@ -9,7 +9,7 @@
 //! * [`pipelined`] — Ghysels & Vanroose (2014): the single reduction is
 //!   overlapped with the matvec.
 //! * [`three_term`] — the Concus-Golub-O'Leary / Rutishauser three-term
-//!   form of CG (the formulation the paper's reference [3] uses).
+//!   form of CG (the formulation the paper's reference \[3\] uses).
 //! * [`precond`] — standard preconditioned CG (the paper's §1 nod to
 //!   preconditioning).
 //! * [`conjugate_residual`] — CR and overlap-CR: the paper's §4 "large

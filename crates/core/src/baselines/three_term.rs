@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Mathematically equivalent to CG; included because the paper's reference
-//! [3] (Concus, Golub & O'Leary 1976) presents CG in this generalized form,
+//! \[3\] (Concus, Golub & O'Leary 1976) presents CG in this generalized form,
 //! and because its dependency structure (two serialized reductions, like
 //! standard CG) makes a useful control in the machine-model experiments.
 

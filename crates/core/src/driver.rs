@@ -53,8 +53,9 @@ impl SolveOptions {
     /// guard, so the TLS-instrumented layers (team epochs, reduction
     /// fan-ins, deferred waits) record alongside the solver-level spans.
     /// Size the tracer with [`vr_obs::Tracer::for_width`] to match
-    /// `threads`; out-of-range shards are silently dropped by the tracer,
-    /// so a shard-0-only tracer simply skips the worker-side detail.
+    /// [`SolveOptions::threads`]; out-of-range shards are silently dropped
+    /// by the tracer, so a shard-0-only tracer simply skips the worker-side
+    /// detail.
     fn trace_attach(&self) -> Option<TraceGuard> {
         self.tracer.as_ref().map(|tr| {
             let team = self.team();

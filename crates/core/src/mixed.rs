@@ -33,7 +33,7 @@
 //! [`Termination::Unsupported`] — an explicit error beats a silent `f64`
 //! fallback whose numbers the caller would misattribute. Likewise an
 //! operator without a native `f32` path ([`LinearOperator::apply_f32`],
-//! probed by [`supported`]).
+//! probed by `supported`).
 
 use crate::baselines::PipelinedCg;
 use crate::driver::{norm, Checkpoint, Driver, Step};

@@ -79,7 +79,7 @@ const MAX_REDUCTION_RETRIES: usize = 2;
 /// Computes `xᵀy` through the options' fault path. If the result is
 /// non-finite *and* a recovery policy is active, the reduction is
 /// re-executed (still through the injector — a retry can fault too) up to
-/// [`MAX_REDUCTION_RETRIES`] times, counting each detection in `stats`.
+/// `MAX_REDUCTION_RETRIES` times, counting each detection in `stats`.
 /// This models the checksum-detect-and-recompute defense for reductions:
 /// a NaN/∞ in a global sum is detectable at the combine node, and
 /// re-running one reduction is far cheaper than restarting the solve.

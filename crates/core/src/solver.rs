@@ -14,7 +14,7 @@ use vr_par::{reduce, PendingScalar};
 /// are executed.
 ///
 /// Both policies compute *bit-identical* scalar sequences for a given
-/// `(dot_mode, threads, injector)` configuration — the fused kernels in
+/// `(dot_mode, team width, injector)` configuration — the fused kernels in
 /// [`vr_linalg::fused`] preserve the exact association order of their
 /// two-pass compositions. The difference is purely memory traffic: `Fused`
 /// streams each vector through memory once where `Reference` makes separate
@@ -165,27 +165,18 @@ pub struct SolveOptions {
     /// degenerate (1-element / whole-domain) coverage. Ignored under
     /// [`SweepPolicy::Fused`].
     pub sweep_tile: Option<usize>,
-    /// Resolved non-temporal-store cutoff (bytes), read once from the
-    /// [`vr_par::cache`] sysfs probe when the options are built. Kernels
-    /// that stream a pure output compare their output size against this
-    /// precomputed value ([`SolveOptions::nt_stores`]) instead of
-    /// re-deriving the cutoff per invocation.
-    pub nt_cutoff_bytes: usize,
-    /// Worker threads for vector kernels and reductions. `1` (the default)
-    /// keeps everything on the calling thread; `>= 2` runs matvecs, vector
-    /// updates and `DotMode::Tree` reductions on a persistent SPMD team
-    /// (see [`vr_par::team`]). Thread count never changes result bits:
+    /// Persistent worker team for vector kernels and reductions. `None`
+    /// (the default) keeps everything on the calling thread; a team of
+    /// width `>= 2` runs matvecs, vector updates and `DotMode::Tree`
+    /// reductions on its long-lived workers (see [`vr_par::team`]), so
+    /// solver hot loops never spawn threads. Attached by
+    /// [`SolveOptions::with_threads`] (the process-shared team of that
+    /// width) or [`SolveOptions::with_team`]; its width is
+    /// [`SolveOptions::threads`]. Width never changes result bits:
     /// elementwise kernels and row-partitioned matvecs are exact, and
     /// `Tree` reductions use a fixed 256-leaf chunk layout at *every*
-    /// width, including 1. Order-preserving modes (`Serial`, `Kahan`)
-    /// keep their reductions on the calling thread (see
-    /// [`SolveOptions::dot`]).
-    pub threads: usize,
-    /// Persistent worker team backing multi-threaded solves. Attached once
-    /// by [`SolveOptions::with_threads`] (shared per-process, keyed by
-    /// width) so solver hot loops never spawn threads; `None` for
-    /// single-threaded solves. [`SolveOptions::team`] re-resolves the
-    /// handle if `threads` was mutated directly.
+    /// width, including 1. Order-preserving modes (`Serial`, `Kahan`) keep
+    /// their reductions on the calling thread (see [`SolveOptions::dot`]).
     pub team: Option<Arc<Team>>,
     /// Set when [`SolveOptions::with_threads`] clamped an oversubscribing
     /// request down to the host's parallelism (graceful degradation on
@@ -248,8 +239,6 @@ impl Default for SolveOptions {
             kernel_policy: KernelPolicy::default(),
             sweep_policy: SweepPolicy::default(),
             sweep_tile: None,
-            nt_cutoff_bytes: vr_par::cache::nt_store_cutoff_bytes(),
-            threads: 1,
             team: None,
             thread_clamp: None,
             checksum: false,
@@ -321,15 +310,6 @@ impl SolveOptions {
         self
     }
 
-    /// Whether a pure streaming write of `len` `f64` elements should bypass
-    /// the cache with non-temporal stores, decided against the cutoff
-    /// resolved once at option-build time (values are unchanged either way;
-    /// this is purely a traffic heuristic).
-    #[must_use]
-    pub fn nt_stores(&self, len: usize) -> bool {
-        len * std::mem::size_of::<f64>() > self.nt_cutoff_bytes
-    }
-
     /// Override the matrix-powers tile size (see [`SolveOptions::mpk_tile`]).
     #[must_use]
     pub fn with_mpk_tile(mut self, tile: Option<usize>) -> Self {
@@ -345,7 +325,7 @@ impl SolveOptions {
     }
 
     /// Attach a span tracer (size it with [`vr_obs::Tracer::for_width`] to
-    /// match `threads` if worker-side detail is wanted).
+    /// match [`SolveOptions::threads`] if worker-side detail is wanted).
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<vr_obs::Tracer>) -> Self {
         self.tracer = Some(tracer);
@@ -417,12 +397,7 @@ impl SolveOptions {
         let requested = threads.max(1);
         let granted = requested.min(host_cpus());
         self.thread_clamp = (granted < requested).then_some(ThreadClamp { requested, granted });
-        self.threads = granted;
-        self.team = if self.threads >= 2 {
-            Some(team::shared_team(self.threads))
-        } else {
-            None
-        };
+        self.team = (granted >= 2).then(|| team::shared_team(granted));
         self
     }
 
@@ -432,7 +407,6 @@ impl SolveOptions {
     /// behavior on small hosts.
     #[must_use]
     pub fn with_team(mut self, team: Arc<Team>) -> Self {
-        self.threads = team.width();
         self.thread_clamp = None;
         self.team = Some(team);
         self
@@ -456,23 +430,29 @@ impl SolveOptions {
         self.checksum_detected.swap(0, Ordering::Relaxed)
     }
 
+    /// Worker width of this solve: the attached team's width, or 1 when
+    /// none is attached.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.team.as_ref().map_or(1, |t| t.width())
+    }
+
     /// The persistent team handle for this solve (`None` ⇒ single-threaded).
     ///
-    /// Fast path: the handle attached by [`SolveOptions::with_threads`] /
+    /// The handle attached by [`SolveOptions::with_threads`] /
     /// [`SolveOptions::with_team`] — *unless it is poisoned*: a poisoned
     /// handle is never returned (the solve that poisoned it already
     /// surfaced its breakdown; later consumers must not inherit the dying
     /// team, which used to be a race when two solves observed the poison
-    /// concurrently). A *degraded* team (lost workers, failover active) is
-    /// still returned: mid-solve worker loss keeps the solve on the
-    /// surviving members, bit-identically. If `threads` was mutated
-    /// directly (leaving `team` stale) or the attached team is poisoned,
-    /// this re-resolves the shared team so the fields cannot disagree.
+    /// concurrently), and the process-shared team of the same width
+    /// stands in for it. A *degraded* team (lost workers, failover active)
+    /// is still returned: mid-solve worker loss keeps the solve on the
+    /// surviving members, bit-identically.
     #[must_use]
     pub fn team(&self) -> Option<Arc<Team>> {
         match &self.team {
-            Some(t) if t.width() == self.threads && !t.is_poisoned() => Some(Arc::clone(t)),
-            _ if self.threads >= 2 => Some(team::shared_team(self.threads)),
+            Some(t) if !t.is_poisoned() => Some(Arc::clone(t)),
+            Some(t) if t.width() >= 2 => Some(team::shared_team(t.width())),
             _ => None,
         }
     }
@@ -558,11 +538,9 @@ impl SolveOptions {
             return self.dot(x, y);
         }
         match self.dot_mode {
-            // Tree: matvec + fixed-layout chunk-tree dot at every width.
-            // Written as the two calls [`LinearOperator::apply_dot_team`]'s
-            // default body composes (bit-identical by its contract) so the
-            // matvec sweep and the eager, dependency-gated dot are
-            // attributed separately.
+            // Tree: matvec + fixed-layout chunk-tree dot at every width,
+            // as two calls so the matvec sweep and the eager,
+            // dependency-gated dot are attributed separately.
             DotMode::Tree => {
                 let t = t.as_deref();
                 self.span_bytes(vr_obs::SpanKind::Matvec, mv_bytes, || a.apply_team(t, x, y));
@@ -1238,12 +1216,12 @@ mod tests {
     #[test]
     fn kernel_policy_default_is_fused() {
         assert_eq!(SolveOptions::default().kernel_policy, KernelPolicy::Fused);
-        assert_eq!(SolveOptions::default().threads, 1);
+        assert_eq!(SolveOptions::default().threads(), 1);
         let o = SolveOptions::default()
             .with_kernel_policy(KernelPolicy::Reference)
             .with_threads(0);
         assert_eq!(o.kernel_policy, KernelPolicy::Reference);
-        assert_eq!(o.threads, 1, "with_threads clamps to >= 1");
+        assert_eq!(o.threads(), 1, "with_threads clamps to >= 1");
     }
 
     #[test]
@@ -1301,7 +1279,7 @@ mod tests {
                 assert_eq!(cr.fused_ops, 0);
                 // matvec_dot fuses (apply_dot) only on the serial
                 // order-preserving path: Tree always takes the
-                // width-invariant apply_dot_team two-pass, and an attached
+                // width-invariant apply_team + par_dot_in pair, and an attached
                 // team parallelizes the matvec instead of fusing. The four
                 // sweep kernels (update_xr, axpy_norm2_sq, axpy_dot, dot2)
                 // fuse under every fault-free configuration.

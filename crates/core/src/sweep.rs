@@ -19,7 +19,7 @@
 //! The sweep schedule replays the *fused tree* arithmetic, so the iteration
 //! driver refuses — with [`Termination::Unsupported`], the same rejection
 //! ineligible variants get — any configuration whose unfused bits it could
-//! not reproduce ([`eligible`]):
+//! not reproduce (`eligible`):
 //!
 //! * `dot_mode != Tree` (serial/Kahan orders fold on the calling thread),
 //! * `kernel_policy != Fused` (the reference two-pass kernels pair
@@ -32,7 +32,8 @@
 //!
 //! # Operation accounting
 //!
-//! Twins tally the *logical* algorithm — the same [`OpCounts`] as the
+//! Twins tally the *logical* algorithm — the same
+//! [`OpCounts`](crate::instrument::OpCounts) as the
 //! unfused path — even though the standard-CG schedule physically evaluates
 //! the operator twice per iteration (the `p·Ap` pass does not store `A·p`;
 //! the update pass recomputes it in-band, trading a streamed store for

@@ -183,7 +183,8 @@ impl LinearOperator for SymBanded {
         2 * self.width() + 1
     }
 
-    /// Row-fused band SpMV + dot (see [`SymBanded::row_value`]).
+    /// Row-fused band SpMV + dot (each row through `row_value`, the
+    /// operation sequence of `apply`).
     fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);

@@ -15,16 +15,21 @@
 //!   [`kernels::dot`] with the same [`DotMode`] — the fused elementwise
 //!   update `r[i] += (-λ)·w[i]` is the same IEEE operation sequence as
 //!   [`kernels::axpy`]`(-λ, w, r)`;
-//! * the `par_*` chunked variants reproduce the fixed 256-leaf chunk tree of
-//!   [`vr_par::reduce`] with its canonical lane-blocked leaves
-//!   ([`vr_par::simd`]), so they are bit-identical for any thread count,
-//!   any SIMD backend, and to the composition `axpy` +
-//!   [`vr_par::reduce::par_dot`];
-//! * the `par_*_with` forms pass every leaf partial through the injector at
-//!   [`FaultSite::DotPartial`] and the combined value through
+//! * the team-backed `par_*_in` kernels reproduce the fixed 256-leaf chunk
+//!   tree of [`vr_par::reduce`] with its canonical lane-blocked leaves
+//!   ([`vr_par::simd`]), so they are bit-identical for any team width, any
+//!   SIMD backend, and to the composition `axpy` +
+//!   [`vr_par::reduce::par_dot_in`];
+//! * the `par_*_with_in` forms pass every leaf partial through the injector
+//!   at [`FaultSite::DotPartial`] and the combined value through
 //!   [`FaultSite::DotFinal`], in the same order as
-//!   [`vr_par::reduce::par_dot_with`], so seeded fault patterns are
+//!   [`vr_par::reduce::par_dot_with_in`], so seeded fault patterns are
 //!   reproducible bit-for-bit at fused reduction sites too.
+//!
+//! The solver layer (`SolveOptions` in `vr-cg`) dispatches to the serial
+//! kernels for the order-preserving modes and to the team kernels for
+//! `DotMode::Tree` and injected runs; this module holds exactly those
+//! forms.
 //!
 //! **Aliasing.** The in-place buffers (`x`/`r` in [`update_xr`], `y` in
 //! [`axpy_dot`]) are read-modify-written elementwise, which is always safe;
@@ -32,9 +37,8 @@
 //! [`kernels::overlaps`], like the unfused kernels.
 
 use crate::kernels::{self, DotMode};
-use crate::LinearOperator;
 use vr_par::fault::{FaultInjector, FaultSite, NoFaults};
-use vr_par::reduce::{resolve_team, tree_combine, CHUNKS};
+use vr_par::reduce::{tree_combine, CHUNKS};
 use vr_par::team::{run_leaves_team, Poisoned, Team};
 
 // ---------------------------------------------------------------------------
@@ -229,49 +233,6 @@ pub fn axpy_norm2_sq(mode: DotMode, a: f64, x: &[f64], y: &mut [f64]) -> f64 {
     })
 }
 
-/// Fused `y ← x + a·y` followed by `(y, y)`, in one sweep.
-///
-/// Bit-identical to `xpay(x, a, y); dot(mode, y, y)`.
-#[must_use]
-pub fn xpay_norm2_sq(mode: DotMode, x: &[f64], a: f64, y: &mut [f64]) -> f64 {
-    let n = y.len();
-    assert_eq!(x.len(), n, "xpay_norm2_sq: x length mismatch");
-    debug_assert!(!kernels::overlaps(x, y), "xpay_norm2_sq: x aliases y");
-    fused_sum(mode, n, |i| {
-        y[i] = x[i] + a * y[i];
-        y[i] * y[i]
-    })
-}
-
-/// Fused `w ← a·x + b·y` followed by `(w, z)`, in one sweep.
-///
-/// Bit-identical to `waxpby(a, x, b, y, w); dot(mode, w, z)`.
-///
-/// Aliasing: no input may overlap the output `w`; inputs may alias each
-/// other.
-#[must_use]
-pub fn waxpby_dot(
-    mode: DotMode,
-    a: f64,
-    x: &[f64],
-    b: f64,
-    y: &[f64],
-    w: &mut [f64],
-    z: &[f64],
-) -> f64 {
-    let n = w.len();
-    assert_eq!(x.len(), n, "waxpby_dot: x length mismatch");
-    assert_eq!(y.len(), n, "waxpby_dot: y length mismatch");
-    assert_eq!(z.len(), n, "waxpby_dot: z length mismatch");
-    debug_assert!(!kernels::overlaps(x, w), "waxpby_dot: x aliases w");
-    debug_assert!(!kernels::overlaps(y, w), "waxpby_dot: y aliases w");
-    debug_assert!(!kernels::overlaps(z, w), "waxpby_dot: z aliases w");
-    fused_sum(mode, n, |i| {
-        w[i] = a * x[i] + b * y[i];
-        w[i] * z[i]
-    })
-}
-
 /// Two inner products sharing the left vector, `((x,y), (x,z))`, in one
 /// sweep over `x`.
 ///
@@ -283,21 +244,6 @@ pub fn dot2(mode: DotMode, x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
     assert_eq!(y.len(), n, "dot2: y length mismatch");
     assert_eq!(z.len(), n, "dot2: z length mismatch");
     fused_sum2(mode, n, |i| (x[i] * y[i], x[i] * z[i]))
-}
-
-/// Fused operator application + inner product: `y ← A·x`, returning `(x, y)`.
-///
-/// Delegates to [`LinearOperator::apply_dot`], which operators override with
-/// a genuinely single-pass row-fused form; the default is the two-pass
-/// composition, so the value is bit-identical either way.
-#[must_use]
-pub fn matvec_dot<A: LinearOperator + ?Sized>(
-    mode: DotMode,
-    a: &A,
-    x: &[f64],
-    y: &mut [f64],
-) -> f64 {
-    a.apply_dot(mode, x, y)
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +259,7 @@ pub fn matvec_dot<A: LinearOperator + ?Sized>(
 // breakdown termination.
 
 /// Corrupt the leaf partials and combined value exactly as
-/// [`vr_par::reduce::par_dot_with`] does, then tree-combine.
+/// [`vr_par::reduce::par_dot_with_in`] does, then tree-combine.
 fn inject_and_combine(partials: &mut [f64], inj: &dyn FaultInjector) -> f64 {
     for p in partials.iter_mut() {
         *p = inj.corrupt(FaultSite::DotPartial, *p);
@@ -325,33 +271,12 @@ fn inject_and_combine(partials: &mut [f64], inj: &dyn FaultInjector) -> f64 {
     })
 }
 
-/// Chunked-parallel [`update_xr`] with fault injection on the reduction.
+/// Team-backed [`update_xr`] with fault injection on the reduction, on an
+/// explicit [`Team`] (or serially for `None`).
 ///
 /// Bit-identical to `axpy(λ, p, x); axpy(−λ, w, r);`
-/// [`vr_par::reduce::par_dot_with`]`(r, r, threads, inj)` — for any thread
-/// count, because the 256-leaf chunk tree is fixed.
-#[must_use]
-pub fn par_update_xr_with(
-    lambda: f64,
-    p: &[f64],
-    w: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-    threads: usize,
-    inj: &dyn FaultInjector,
-) -> f64 {
-    par_update_xr_with_in(
-        resolve_team(x.len(), threads).as_deref(),
-        lambda,
-        p,
-        w,
-        x,
-        r,
-        inj,
-    )
-}
-
-/// [`par_update_xr_with`] on an explicit [`Team`] (or serially for `None`).
+/// [`vr_par::reduce::par_dot_with_in`]`(team, r, r, inj)` — for any team
+/// width, because the 256-leaf chunk tree is fixed.
 #[must_use]
 pub fn par_update_xr_with_in(
     team: Option<&Team>,
@@ -363,12 +288,21 @@ pub fn par_update_xr_with_in(
     inj: &dyn FaultInjector,
 ) -> f64 {
     let n = x.len();
-    assert_eq!(p.len(), n, "par_update_xr: p length mismatch");
-    assert_eq!(w.len(), n, "par_update_xr: w length mismatch");
-    assert_eq!(r.len(), n, "par_update_xr: r length mismatch");
-    debug_assert!(!kernels::overlaps(p, x), "par_update_xr: p aliases x");
-    debug_assert!(!kernels::overlaps(w, r), "par_update_xr: w aliases r");
-    debug_assert!(!kernels::overlaps(x, r), "par_update_xr: x aliases r");
+    assert_eq!(p.len(), n, "par_update_xr_with_in: p length mismatch");
+    assert_eq!(w.len(), n, "par_update_xr_with_in: w length mismatch");
+    assert_eq!(r.len(), n, "par_update_xr_with_in: r length mismatch");
+    debug_assert!(
+        !kernels::overlaps(p, x),
+        "par_update_xr_with_in: p aliases x"
+    );
+    debug_assert!(
+        !kernels::overlaps(w, r),
+        "par_update_xr_with_in: w aliases r"
+    );
+    debug_assert!(
+        !kernels::overlaps(x, r),
+        "par_update_xr_with_in: x aliases r"
+    );
     if n == 0 {
         return inj.corrupt(FaultSite::DotFinal, 0.0);
     }
@@ -399,19 +333,6 @@ pub fn par_update_xr_with_in(
     }
 }
 
-/// Chunked-parallel [`update_xr`] (fault-free).
-#[must_use]
-pub fn par_update_xr(
-    lambda: f64,
-    p: &[f64],
-    w: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-    threads: usize,
-) -> f64 {
-    par_update_xr_with(lambda, p, w, x, r, threads, &NoFaults)
-}
-
 /// Team-backed [`update_xr`] (fault-free).
 #[must_use]
 pub fn par_update_xr_in(
@@ -425,20 +346,8 @@ pub fn par_update_xr_in(
     par_update_xr_with_in(team, lambda, p, w, x, r, &NoFaults)
 }
 
-/// Chunked-parallel [`axpy_dot`] with fault injection on the reduction.
-#[must_use]
-pub fn par_axpy_dot_with(
-    a: f64,
-    x: &[f64],
-    y: &mut [f64],
-    z: &[f64],
-    threads: usize,
-    inj: &dyn FaultInjector,
-) -> f64 {
-    par_axpy_dot_with_in(resolve_team(y.len(), threads).as_deref(), a, x, y, z, inj)
-}
-
-/// [`par_axpy_dot_with`] on an explicit [`Team`] (or serially for `None`).
+/// Team-backed [`axpy_dot`] with fault injection on the reduction, on an
+/// explicit [`Team`] (or serially for `None`).
 #[must_use]
 pub fn par_axpy_dot_with_in(
     team: Option<&Team>,
@@ -449,10 +358,16 @@ pub fn par_axpy_dot_with_in(
     inj: &dyn FaultInjector,
 ) -> f64 {
     let n = y.len();
-    assert_eq!(x.len(), n, "par_axpy_dot: x length mismatch");
-    assert_eq!(z.len(), n, "par_axpy_dot: z length mismatch");
-    debug_assert!(!kernels::overlaps(x, y), "par_axpy_dot: x aliases y");
-    debug_assert!(!kernels::overlaps(z, y), "par_axpy_dot: z aliases y");
+    assert_eq!(x.len(), n, "par_axpy_dot_with_in: x length mismatch");
+    assert_eq!(z.len(), n, "par_axpy_dot_with_in: z length mismatch");
+    debug_assert!(
+        !kernels::overlaps(x, y),
+        "par_axpy_dot_with_in: x aliases y"
+    );
+    debug_assert!(
+        !kernels::overlaps(z, y),
+        "par_axpy_dot_with_in: z aliases y"
+    );
     if n == 0 {
         return inj.corrupt(FaultSite::DotFinal, 0.0);
     }
@@ -480,32 +395,14 @@ pub fn par_axpy_dot_with_in(
     }
 }
 
-/// Chunked-parallel [`axpy_dot`] (fault-free).
-#[must_use]
-pub fn par_axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64], threads: usize) -> f64 {
-    par_axpy_dot_with(a, x, y, z, threads, &NoFaults)
-}
-
 /// Team-backed [`axpy_dot`] (fault-free).
 #[must_use]
 pub fn par_axpy_dot_in(team: Option<&Team>, a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
     par_axpy_dot_with_in(team, a, x, y, z, &NoFaults)
 }
 
-/// Chunked-parallel [`axpy_norm2_sq`] with fault injection on the reduction.
-#[must_use]
-pub fn par_axpy_norm2_sq_with(
-    a: f64,
-    x: &[f64],
-    y: &mut [f64],
-    threads: usize,
-    inj: &dyn FaultInjector,
-) -> f64 {
-    par_axpy_norm2_sq_with_in(resolve_team(y.len(), threads).as_deref(), a, x, y, inj)
-}
-
-/// [`par_axpy_norm2_sq_with`] on an explicit [`Team`] (or serially for
-/// `None`).
+/// Team-backed [`axpy_norm2_sq`] with fault injection on the reduction,
+/// on an explicit [`Team`] (or serially for `None`).
 #[must_use]
 pub fn par_axpy_norm2_sq_with_in(
     team: Option<&Team>,
@@ -515,8 +412,11 @@ pub fn par_axpy_norm2_sq_with_in(
     inj: &dyn FaultInjector,
 ) -> f64 {
     let n = y.len();
-    assert_eq!(x.len(), n, "par_axpy_norm2_sq: x length mismatch");
-    debug_assert!(!kernels::overlaps(x, y), "par_axpy_norm2_sq: x aliases y");
+    assert_eq!(x.len(), n, "par_axpy_norm2_sq_with_in: x length mismatch");
+    debug_assert!(
+        !kernels::overlaps(x, y),
+        "par_axpy_norm2_sq_with_in: x aliases y"
+    );
     if n == 0 {
         return inj.corrupt(FaultSite::DotFinal, 0.0);
     }
@@ -538,208 +438,20 @@ pub fn par_axpy_norm2_sq_with_in(
     }
 }
 
-/// Chunked-parallel [`axpy_norm2_sq`] (fault-free).
-#[must_use]
-pub fn par_axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64], threads: usize) -> f64 {
-    par_axpy_norm2_sq_with(a, x, y, threads, &NoFaults)
-}
-
 /// Team-backed [`axpy_norm2_sq`] (fault-free).
 #[must_use]
 pub fn par_axpy_norm2_sq_in(team: Option<&Team>, a: f64, x: &[f64], y: &mut [f64]) -> f64 {
     par_axpy_norm2_sq_with_in(team, a, x, y, &NoFaults)
 }
 
-/// Chunked-parallel [`xpay_norm2_sq`] with fault injection on the reduction.
-#[must_use]
-pub fn par_xpay_norm2_sq_with(
-    x: &[f64],
-    a: f64,
-    y: &mut [f64],
-    threads: usize,
-    inj: &dyn FaultInjector,
-) -> f64 {
-    par_xpay_norm2_sq_with_in(resolve_team(y.len(), threads).as_deref(), x, a, y, inj)
-}
-
-/// [`par_xpay_norm2_sq_with`] on an explicit [`Team`] (or serially for
-/// `None`).
-#[must_use]
-pub fn par_xpay_norm2_sq_with_in(
-    team: Option<&Team>,
-    x: &[f64],
-    a: f64,
-    y: &mut [f64],
-    inj: &dyn FaultInjector,
-) -> f64 {
-    let n = y.len();
-    assert_eq!(x.len(), n, "par_xpay_norm2_sq: x length mismatch");
-    debug_assert!(!kernels::overlaps(x, y), "par_xpay_norm2_sq: x aliases y");
-    if n == 0 {
-        return inj.corrupt(FaultSite::DotFinal, 0.0);
-    }
-    let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<_> = x.chunks(chunk).zip(y.chunks_mut(chunk)).collect();
-    let partials = run_leaves_team(team, &mut work, n, &|(xc, yc): &mut (
-        &[f64],
-        &mut [f64],
-    )| {
-        vr_par::simd::leaf_xpay_norm2_sq(xc, a, yc)
-    });
-    drop(work);
-    match partials {
-        Ok(mut partials) => inject_and_combine(&mut partials, inj),
-        Err(Poisoned) => {
-            y.fill(f64::NAN);
-            f64::NAN
-        }
-    }
-}
-
-/// Chunked-parallel [`xpay_norm2_sq`] (fault-free).
-#[must_use]
-pub fn par_xpay_norm2_sq(x: &[f64], a: f64, y: &mut [f64], threads: usize) -> f64 {
-    par_xpay_norm2_sq_with(x, a, y, threads, &NoFaults)
-}
-
-/// Team-backed [`xpay_norm2_sq`] (fault-free).
-#[must_use]
-pub fn par_xpay_norm2_sq_in(team: Option<&Team>, x: &[f64], a: f64, y: &mut [f64]) -> f64 {
-    par_xpay_norm2_sq_with_in(team, x, a, y, &NoFaults)
-}
-
-/// Chunked-parallel [`waxpby_dot`] with fault injection on the reduction.
-///
-/// `nt` selects non-temporal stores for the streaming write of `w`
-/// (values bit-identical either way); callers resolve the cutoff once per
-/// solve via `SolveOptions::nt_stores` rather than per invocation.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn par_waxpby_dot_with(
-    a: f64,
-    x: &[f64],
-    b: f64,
-    y: &[f64],
-    w: &mut [f64],
-    z: &[f64],
-    nt: bool,
-    threads: usize,
-    inj: &dyn FaultInjector,
-) -> f64 {
-    par_waxpby_dot_with_in(
-        resolve_team(w.len(), threads).as_deref(),
-        a,
-        x,
-        b,
-        y,
-        w,
-        z,
-        nt,
-        inj,
-    )
-}
-
-/// [`par_waxpby_dot_with`] on an explicit [`Team`] (or serially for
-/// `None`).
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn par_waxpby_dot_with_in(
-    team: Option<&Team>,
-    a: f64,
-    x: &[f64],
-    b: f64,
-    y: &[f64],
-    w: &mut [f64],
-    z: &[f64],
-    nt: bool,
-    inj: &dyn FaultInjector,
-) -> f64 {
-    let n = w.len();
-    assert_eq!(x.len(), n, "par_waxpby_dot: x length mismatch");
-    assert_eq!(y.len(), n, "par_waxpby_dot: y length mismatch");
-    assert_eq!(z.len(), n, "par_waxpby_dot: z length mismatch");
-    debug_assert!(!kernels::overlaps(x, w), "par_waxpby_dot: x aliases w");
-    debug_assert!(!kernels::overlaps(y, w), "par_waxpby_dot: y aliases w");
-    debug_assert!(!kernels::overlaps(z, w), "par_waxpby_dot: z aliases w");
-    if n == 0 {
-        return inj.corrupt(FaultSite::DotFinal, 0.0);
-    }
-    let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<_> = x
-        .chunks(chunk)
-        .zip(y.chunks(chunk))
-        .zip(z.chunks(chunk))
-        .zip(w.chunks_mut(chunk))
-        .map(|(((xc, yc), zc), wc)| (xc, yc, zc, wc))
-        .collect();
-    let partials = run_leaves_team(team, &mut work, n, &|(xc, yc, zc, wc): &mut (
-        &[f64],
-        &[f64],
-        &[f64],
-        &mut [f64],
-    )| {
-        vr_par::simd::leaf_waxpby_dot(a, xc, b, yc, wc, zc, nt)
-    });
-    drop(work);
-    match partials {
-        Ok(mut partials) => inject_and_combine(&mut partials, inj),
-        Err(Poisoned) => {
-            w.fill(f64::NAN);
-            f64::NAN
-        }
-    }
-}
-
-/// Chunked-parallel [`waxpby_dot`] (fault-free).
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn par_waxpby_dot(
-    a: f64,
-    x: &[f64],
-    b: f64,
-    y: &[f64],
-    w: &mut [f64],
-    z: &[f64],
-    nt: bool,
-    threads: usize,
-) -> f64 {
-    par_waxpby_dot_with(a, x, b, y, w, z, nt, threads, &NoFaults)
-}
-
-/// Team-backed [`waxpby_dot`] (fault-free).
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn par_waxpby_dot_in(
-    team: Option<&Team>,
-    a: f64,
-    x: &[f64],
-    b: f64,
-    y: &[f64],
-    w: &mut [f64],
-    z: &[f64],
-    nt: bool,
-) -> f64 {
-    par_waxpby_dot_with_in(team, a, x, b, y, w, z, nt, &NoFaults)
-}
-
-/// Chunked-parallel [`dot2`] with fault injection on both reductions.
+/// Team-backed [`dot2`] with fault injection on both reductions, on an
+/// explicit [`Team`] (or serially for `None`).
 ///
 /// The corruption sequence is exactly two consecutive
-/// [`vr_par::reduce::par_dot_with`] calls: all `(x,y)` partials, the `(x,y)`
-/// final, then all `(x,z)` partials, the `(x,z)` final — so a seeded
-/// injector sees the same event stream as the unfused two-call reference.
-#[must_use]
-pub fn par_dot2_with(
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    threads: usize,
-    inj: &dyn FaultInjector,
-) -> (f64, f64) {
-    par_dot2_with_in(resolve_team(x.len(), threads).as_deref(), x, y, z, inj)
-}
-
-/// [`par_dot2_with`] on an explicit [`Team`] (or serially for `None`).
+/// [`vr_par::reduce::par_dot_with_in`] calls: all `(x,y)` partials, the
+/// `(x,y)` final, then all `(x,z)` partials, the `(x,z)` final — so a
+/// seeded injector sees the same event stream as the unfused two-call
+/// reference.
 #[must_use]
 pub fn par_dot2_with_in(
     team: Option<&Team>,
@@ -749,8 +461,8 @@ pub fn par_dot2_with_in(
     inj: &dyn FaultInjector,
 ) -> (f64, f64) {
     if x.is_empty() {
-        assert_eq!(y.len(), 0, "par_dot2: y length mismatch");
-        assert_eq!(z.len(), 0, "par_dot2: z length mismatch");
+        assert_eq!(y.len(), 0, "par_dot2_with_in: y length mismatch");
+        assert_eq!(z.len(), 0, "par_dot2_with_in: z length mismatch");
         return (
             inj.corrupt(FaultSite::DotFinal, 0.0),
             inj.corrupt(FaultSite::DotFinal, 0.0),
@@ -769,7 +481,7 @@ pub fn par_dot2_with_in(
 /// the team, leaving the [`tree_combine`] fan-ins to the caller — who may
 /// overlap them with the next epoch's vector work (the paper's C2/C3
 /// move). `tree_combine` of each partial vector reproduces the eager
-/// [`par_dot2`] values bit-for-bit, and the partials themselves are
+/// [`par_dot2_in`] values bit-for-bit, and the partials themselves are
 /// bit-identical to two separate [`vr_par::reduce::par_dot_partials_in`]
 /// sweeps (each chunk accumulator is an independent lane-blocked leaf sum).
 ///
@@ -785,8 +497,8 @@ pub fn par_dot2_partials_in(
     z: &[f64],
 ) -> Result<(Vec<f64>, Vec<f64>), Poisoned> {
     let n = x.len();
-    assert_eq!(y.len(), n, "par_dot2: y length mismatch");
-    assert_eq!(z.len(), n, "par_dot2: z length mismatch");
+    assert_eq!(y.len(), n, "par_dot2_partials_in: y length mismatch");
+    assert_eq!(z.len(), n, "par_dot2_partials_in: z length mismatch");
     if n == 0 {
         return Ok((Vec::new(), Vec::new()));
     }
@@ -809,12 +521,6 @@ pub fn par_dot2_partials_in(
     Ok((py, pz))
 }
 
-/// Chunked-parallel [`dot2`] (fault-free).
-#[must_use]
-pub fn par_dot2(x: &[f64], y: &[f64], z: &[f64], threads: usize) -> (f64, f64) {
-    par_dot2_with(x, y, z, threads, &NoFaults)
-}
-
 /// Team-backed [`dot2`] (fault-free).
 #[must_use]
 pub fn par_dot2_in(team: Option<&Team>, x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
@@ -824,8 +530,8 @@ pub fn par_dot2_in(team: Option<&Team>, x: &[f64], y: &[f64], z: &[f64]) -> (f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{axpy, dot, waxpby, xpay};
-    use vr_par::reduce::{par_dot, par_dot_with};
+    use crate::kernels::{axpy, dot};
+    use vr_par::reduce::{par_dot_in, par_dot_with_in};
 
     fn pseudo(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed | 1;
@@ -916,29 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn xpay_and_waxpby_variants_match_two_pass_bitwise() {
-        for mode in MODES {
-            let n = 400;
-            let x = pseudo(n, 31);
-            let mut y1 = pseudo(n, 33);
-            let mut y2 = y1.clone();
-            let fused = xpay_norm2_sq(mode, &x, 1.9, &mut y1);
-            xpay(&x, 1.9, &mut y2);
-            assert_eq!(y1, y2);
-            assert_eq!(fused.to_bits(), dot(mode, &y2, &y2).to_bits(), "{mode:?}");
-
-            let yv = pseudo(n, 35);
-            let z = pseudo(n, 37);
-            let mut w1 = vec![0.0; n];
-            let mut w2 = vec![0.0; n];
-            let fused = waxpby_dot(mode, 2.0, &x, -0.5, &yv, &mut w1, &z);
-            waxpby(2.0, &x, -0.5, &yv, &mut w2, false);
-            assert_eq!(w1, w2);
-            assert_eq!(fused.to_bits(), dot(mode, &w2, &z).to_bits(), "{mode:?}");
-        }
-    }
-
-    #[test]
     fn dot2_matches_two_dots_bitwise() {
         for n in [0usize, 1, 7, 256, 999] {
             let x = pseudo(n, 41);
@@ -978,47 +661,37 @@ mod tests {
         let p = pseudo(n, 51);
         let w = pseudo(n, 53);
         for threads in [1usize, 2, 4, 7] {
+            let team = (threads > 1).then(|| Team::new(threads));
+            let t = team.as_ref();
             let (mut x1, mut r1) = (pseudo(n, 55), pseudo(n, 57));
             let (mut x2, mut r2) = (x1.clone(), r1.clone());
-            let fused = par_update_xr(0.625, &p, &w, &mut x1, &mut r1, threads);
+            let fused = par_update_xr_in(t, 0.625, &p, &w, &mut x1, &mut r1);
             axpy(0.625, &p, &mut x2);
             axpy(-0.625, &w, &mut r2);
             assert_eq!(x1, x2, "threads={threads}");
             assert_eq!(r1, r2, "threads={threads}");
             assert_eq!(
                 fused.to_bits(),
-                par_dot(&r2, &r2, threads).to_bits(),
+                par_dot_in(t, &r2, &r2).to_bits(),
                 "threads={threads}"
             );
 
             let mut y1 = pseudo(n, 59);
             let mut y2 = y1.clone();
             let z = pseudo(n, 61);
-            let fd = par_axpy_dot(-1.5, &p, &mut y1, &z, threads);
+            let fd = par_axpy_dot_in(t, -1.5, &p, &mut y1, &z);
             axpy(-1.5, &p, &mut y2);
-            assert_eq!(fd.to_bits(), par_dot(&y2, &z, threads).to_bits());
+            assert_eq!(fd.to_bits(), par_dot_in(t, &y2, &z).to_bits());
 
             let mut y1 = pseudo(n, 63);
             let mut y2 = y1.clone();
-            let fnorm = par_axpy_norm2_sq(0.9, &p, &mut y1, threads);
+            let fnorm = par_axpy_norm2_sq_in(t, 0.9, &p, &mut y1);
             axpy(0.9, &p, &mut y2);
-            assert_eq!(fnorm.to_bits(), par_dot(&y2, &y2, threads).to_bits());
+            assert_eq!(fnorm.to_bits(), par_dot_in(t, &y2, &y2).to_bits());
 
-            let mut y1 = pseudo(n, 65);
-            let mut y2 = y1.clone();
-            let fx = par_xpay_norm2_sq(&p, -0.25, &mut y1, threads);
-            xpay(&p, -0.25, &mut y2);
-            assert_eq!(fx.to_bits(), par_dot(&y2, &y2, threads).to_bits());
-
-            let mut w1 = vec![0.0; n];
-            let mut w2 = vec![0.0; n];
-            let fw = par_waxpby_dot(1.25, &p, 0.5, &w, &mut w1, &z, false, threads);
-            waxpby(1.25, &p, 0.5, &w, &mut w2, false);
-            assert_eq!(fw.to_bits(), par_dot(&w2, &z, threads).to_bits());
-
-            let (dy, dz) = par_dot2(&p, &w, &z, threads);
-            assert_eq!(dy.to_bits(), par_dot(&p, &w, threads).to_bits());
-            assert_eq!(dz.to_bits(), par_dot(&p, &z, threads).to_bits());
+            let (dy, dz) = par_dot2_in(t, &p, &w, &z);
+            assert_eq!(dy.to_bits(), par_dot_in(t, &p, &w).to_bits());
+            assert_eq!(dz.to_bits(), par_dot_in(t, &p, &z).to_bits());
         }
     }
 
@@ -1057,12 +730,12 @@ mod tests {
         let y = pseudo(n, 73);
         let z = pseudo(n, 77);
         let a = CountingInjector::new(99);
-        let (dy, dz) = par_dot2_with(&x, &y, &z, 3, &a);
-        // fresh injector, same seed: two sequential par_dot_with calls must
-        // consume the identical corruption stream
+        let (dy, dz) = par_dot2_with_in(Some(&Team::new(3)), &x, &y, &z, &a);
+        // fresh injector, same seed: two sequential par_dot_with_in calls
+        // must consume the identical corruption stream
         let b = CountingInjector::new(99);
-        let ry = par_dot_with(&x, &y, 1, &b);
-        let rz = par_dot_with(&x, &z, 1, &b);
+        let ry = par_dot_with_in(None, &x, &y, &b);
+        let rz = par_dot_with_in(None, &x, &z, &b);
         assert_eq!(dy.to_bits(), ry.to_bits());
         assert_eq!(dz.to_bits(), rz.to_bits());
     }
@@ -1075,11 +748,12 @@ mod tests {
         let (mut x1, mut r1) = (pseudo(n, 85), pseudo(n, 87));
         let (mut x2, mut r2) = (x1.clone(), r1.clone());
         let a = CountingInjector::new(7);
-        let fused = par_update_xr_with(0.4, &p, &w, &mut x1, &mut r1, 4, &a);
+        let team = Team::new(4);
+        let fused = par_update_xr_with_in(Some(&team), 0.4, &p, &w, &mut x1, &mut r1, &a);
         axpy(0.4, &p, &mut x2);
         axpy(-0.4, &w, &mut r2);
         let b = CountingInjector::new(7);
-        let reference = par_dot_with(&r2, &r2, 1, &b);
+        let reference = par_dot_with_in(None, &r2, &r2, &b);
         assert_eq!(fused.to_bits(), reference.to_bits());
         // the corruption only touches the reduction, never the vectors
         assert_eq!(r1, r2);
@@ -1088,15 +762,12 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_the_empty_sum() {
-        assert_eq!(par_update_xr(2.0, &[], &[], &mut [], &mut [], 4), 0.0);
-        assert_eq!(par_axpy_dot(2.0, &[], &mut [], &[], 4), 0.0);
-        assert_eq!(par_axpy_norm2_sq(2.0, &[], &mut [], 4), 0.0);
-        assert_eq!(par_xpay_norm2_sq(&[], 2.0, &mut [], 4), 0.0);
-        assert_eq!(
-            par_waxpby_dot(1.0, &[], 1.0, &[], &mut [], &[], false, 4),
-            0.0
-        );
-        assert_eq!(par_dot2(&[], &[], &[], 4), (0.0, 0.0));
+        let team = Team::new(4);
+        let t = Some(&team);
+        assert_eq!(par_update_xr_in(t, 2.0, &[], &[], &mut [], &mut []), 0.0);
+        assert_eq!(par_axpy_dot_in(t, 2.0, &[], &mut [], &[]), 0.0);
+        assert_eq!(par_axpy_norm2_sq_in(t, 2.0, &[], &mut []), 0.0);
+        assert_eq!(par_dot2_in(t, &[], &[], &[]), (0.0, 0.0));
         for mode in MODES {
             assert_eq!(update_xr(mode, 2.0, &[], &[], &mut [], &mut []), 0.0);
             assert_eq!(dot2(mode, &[], &[], &[]), (0.0, 0.0));

@@ -13,7 +13,7 @@
 //!
 //! All kernels panic on length mismatch via `debug_assert` in release-hot
 //! paths and explicit asserts on entry; slices are the lingua franca so that
-//! the same kernels serve `Vec<f64>`, [`crate::Vector`], and sub-slices.
+//! the same kernels serve `Vec<f64>` and sub-slices alike.
 
 /// Summation/reduction strategy for inner products.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,24 +35,6 @@ pub fn dot(mode: DotMode, x: &[f64], y: &[f64]) -> f64 {
         DotMode::Tree => dot_tree(x, y),
         DotMode::Kahan => dot_kahan(x, y),
     }
-}
-
-/// Inner product through a fault injector.
-///
-/// When simulating reduction faults the summation always follows the
-/// chunked deterministic tree of [`vr_par::reduce`] regardless of `mode`:
-/// the faults being modeled live in the *parallel* reduction (leaf partial
-/// sums and the combined result), so that is the path the corrupted values
-/// must flow through. With [`vr_par::fault::NoFaults`] this is simply a
-/// chunk-tree dot.
-#[must_use]
-pub fn dot_with(
-    _mode: DotMode,
-    x: &[f64],
-    y: &[f64],
-    inj: &dyn vr_par::fault::FaultInjector,
-) -> f64 {
-    vr_par::reduce::par_dot_with(x, y, 1, inj)
 }
 
 /// Serial left-to-right inner product `Σ xᵢ·yᵢ`.
@@ -129,24 +111,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot_serial(x, x).sqrt()
 }
 
-/// Euclidean norm with an explicit summation mode.
-#[must_use]
-pub fn norm2_mode(mode: DotMode, x: &[f64]) -> f64 {
-    dot(mode, x, x).sqrt()
-}
-
-/// Max norm `‖x‖∞`.
-#[must_use]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
-/// 1-norm `‖x‖₁`.
-#[must_use]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Whether two slices overlap in memory (share at least one element).
 ///
 /// Safe Rust cannot construct an overlapping `&[f64]` / `&mut [f64]` pair,
@@ -186,37 +150,11 @@ pub fn xpay(x: &[f64], a: f64, y: &mut [f64]) {
     vr_par::simd::leaf_xpay(x, a, y);
 }
 
-/// `w ← a·x + b·y` into a separate output.
-///
-/// `nt` selects non-temporal (cache-bypassing) stores for the pure
-/// streaming write of `w`; values are bit-identical either way. Callers
-/// resolve the cutoff once per solve (`SolveOptions::nt_stores`) instead
-/// of re-reading the cache probe per invocation.
-///
-/// Aliasing: neither input may overlap the output `w`; `x` and `y` may
-/// alias each other (both are only read).
-pub fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64], nt: bool) {
-    assert_eq!(x.len(), y.len(), "waxpby: x/y length mismatch");
-    assert_eq!(x.len(), w.len(), "waxpby: x/w length mismatch");
-    debug_assert!(!overlaps(x, w), "waxpby: x aliases w");
-    debug_assert!(!overlaps(y, w), "waxpby: y aliases w");
-    vr_par::simd::leaf_waxpby(a, x, b, y, w, nt);
-}
-
 /// `x ← a·x`.
 pub fn scal(a: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= a;
     }
-}
-
-/// `y ← x`.
-///
-/// Aliasing: `x` must not overlap `y` (see [`overlaps`]).
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "copy: length mismatch");
-    debug_assert!(!overlaps(x, y), "copy: x aliases y");
-    y.copy_from_slice(x);
 }
 
 /// `w ← x − y`.
@@ -245,26 +183,6 @@ pub fn add(x: &[f64], y: &[f64], w: &mut [f64]) {
     }
 }
 
-/// Elementwise (Hadamard) product `w ← x ⊙ y`.
-///
-/// Aliasing: neither input may overlap the output `w`.
-pub fn hadamard(x: &[f64], y: &[f64], w: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "hadamard: x/y length mismatch");
-    assert_eq!(x.len(), w.len(), "hadamard: x/w length mismatch");
-    debug_assert!(!overlaps(x, w), "hadamard: x aliases w");
-    debug_assert!(!overlaps(y, w), "hadamard: y aliases w");
-    for ((wi, xi), yi) in w.iter_mut().zip(x).zip(y) {
-        *wi = xi * yi;
-    }
-}
-
-/// Fill with a constant.
-pub fn fill(x: &mut [f64], v: f64) {
-    for xi in x.iter_mut() {
-        *xi = v;
-    }
-}
-
 /// `‖x − y‖₂` without allocating.
 #[must_use]
 pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
@@ -275,18 +193,6 @@ pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
         acc += d * d;
     }
     acc.sqrt()
-}
-
-/// Depth (in additions) of the binary fan-in tree over `n` leaves: `⌈log₂ n⌉`.
-///
-/// This is the paper's `c·log(N)` inner-product latency, in units of one add.
-#[must_use]
-pub fn fan_in_depth(n: usize) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        (n - 1).ilog2() + 1
-    }
 }
 
 #[cfg(test)]
@@ -361,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_xpay_waxpby() {
+    fn axpy_xpay() {
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
@@ -370,53 +276,28 @@ mod tests {
         let mut p = vec![1.0, 1.0, 1.0];
         xpay(&x, 3.0, &mut p); // p = x + 3p
         assert_eq!(p, vec![4.0, 5.0, 6.0]);
-
-        let mut w = vec![0.0; 3];
-        waxpby(2.0, &x, -1.0, &p, &mut w, false);
-        assert_eq!(w, vec![-2.0, -1.0, 0.0]);
     }
 
     #[test]
-    fn scal_copy_sub_add_hadamard_fill() {
+    fn scal_sub_add() {
         let mut x = vec![1.0, -2.0, 4.0];
         scal(0.5, &mut x);
         assert_eq!(x, vec![0.5, -1.0, 2.0]);
 
-        let mut y = vec![0.0; 3];
-        copy(&x, &mut y);
-        assert_eq!(y, x);
+        let y = x.clone();
 
         let mut w = vec![0.0; 3];
         sub(&x, &y, &mut w);
         assert_eq!(w, vec![0.0, 0.0, 0.0]);
         add(&x, &y, &mut w);
         assert_eq!(w, vec![1.0, -2.0, 4.0]);
-        hadamard(&x, &y, &mut w);
-        assert_eq!(w, vec![0.25, 1.0, 4.0]);
-        fill(&mut w, 7.0);
-        assert_eq!(w, vec![7.0; 3]);
     }
 
     #[test]
     fn norms() {
         let x = vec![3.0, -4.0];
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm_inf(&x), 4.0);
-        assert_eq!(norm1(&x), 7.0);
-        assert_eq!(norm2_mode(DotMode::Tree, &x), 5.0);
         assert_eq!(dist2(&x, &[0.0, 0.0]), 5.0);
-    }
-
-    #[test]
-    fn fan_in_depth_is_ceil_log2() {
-        assert_eq!(fan_in_depth(0), 0);
-        assert_eq!(fan_in_depth(1), 0);
-        assert_eq!(fan_in_depth(2), 1);
-        assert_eq!(fan_in_depth(3), 2);
-        assert_eq!(fan_in_depth(4), 2);
-        assert_eq!(fan_in_depth(5), 3);
-        assert_eq!(fan_in_depth(1024), 10);
-        assert_eq!(fan_in_depth(1025), 11);
     }
 
     #[test]

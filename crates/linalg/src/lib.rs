@@ -11,7 +11,6 @@
 //! * [`kernels`] — level-1 BLAS-style kernels on `&[f64]` slices, including a
 //!   **deterministic binary fan-in dot product** ([`kernels::dot_tree`]) that
 //!   mirrors the `log₂ N`-depth summation trees the paper reasons about.
-//! * [`Vector`] — a thin owned wrapper with ergonomic methods.
 //! * [`sparse`] — COO and CSR matrices with validated invariants and SpMV.
 //! * [`DenseMatrix`] — row-major dense matrices with Cholesky, used for
 //!   reference solves in tests and small experiments.
@@ -57,12 +56,10 @@ pub mod reorder;
 pub mod sparse;
 pub mod stencil;
 pub mod sweep;
-pub mod vector;
 
 pub use dense::DenseMatrix;
 pub use error::{Error, Result};
 pub use sparse::{CooMatrix, CsrMatrix};
-pub use vector::Vector;
 
 /// Trait for anything that behaves as a linear operator `y = A·x` on ℝⁿ.
 ///
@@ -121,37 +118,6 @@ pub trait LinearOperator {
         kernels::dot(mode, x, y)
     }
 
-    /// Fused `(x, A·x)` *without materializing* `A·x`, if the operator
-    /// supports recomputing rows on the fly (stencils do; stored-matrix
-    /// formats generally gain nothing). Returns `None` when unsupported —
-    /// callers must then use [`LinearOperator::apply_dot`].
-    ///
-    /// Contract: an operator returning `Some` here must also implement
-    /// [`LinearOperator::fused_update_xr`], since a caller that skipped
-    /// storing `A·p` needs the fused update to apply `r ← r − λ·A·p`.
-    fn apply_dot_nostore(&self, _mode: kernels::DotMode, _x: &[f64]) -> Option<f64> {
-        None
-    }
-
-    /// Fused CG update `x ← x + λp`, `r ← r − λ·(A·p)` returning `(r, r)`,
-    /// recomputing `A·p` row-by-row instead of reading a stored `w` buffer.
-    /// Returns `None` when unsupported (see
-    /// [`LinearOperator::apply_dot_nostore`]).
-    ///
-    /// Bit-compatibility: the row values must be the exact bits `apply`
-    /// would store, and the update/summation the exact operation sequence of
-    /// [`fused::update_xr`].
-    fn fused_update_xr(
-        &self,
-        _mode: kernels::DotMode,
-        _lambda: f64,
-        _p: &[f64],
-        _x: &mut [f64],
-        _r: &mut [f64],
-    ) -> Option<f64> {
-        None
-    }
-
     /// Parallel `y ← A·x` on a persistent SPMD team (`None` ⇒ serial).
     ///
     /// Every output row `y[i]` is a function of `x` alone, so *any* row
@@ -164,18 +130,6 @@ pub trait LinearOperator {
     fn apply_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) {
         let _ = team;
         self.apply(x, y);
-    }
-
-    /// Parallel fused matvec + dot on a team: `y ← A·x`, returning `(x, y)`
-    /// under the deterministic fixed-layout chunk tree of
-    /// [`vr_par::reduce`] (the parallel realization of `DotMode::Tree`).
-    /// Bit-identical for any team width, and identical to
-    /// [`LinearOperator::apply_team`] followed by
-    /// [`vr_par::reduce::par_dot_in`] — which is exactly the default body.
-    /// Returns NaN on a poisoned team.
-    fn apply_dot_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) -> f64 {
-        self.apply_team(team, x, y);
-        vr_par::reduce::par_dot_in(team, x, y)
     }
 
     /// Matrix-powers kernel: build the Krylov column family seeded by
@@ -219,6 +173,8 @@ pub trait LinearOperator {
     }
 }
 
+// Forward every method explicitly: falling back to a default body here
+// would silently discard `T`'s override behind a reference.
 impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn dim(&self) -> usize {
         (**self).dim()
@@ -229,32 +185,17 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn max_row_nnz(&self) -> usize {
         (**self).max_row_nnz()
     }
+    fn apply_alloc(&self, x: &[f64]) -> Vec<f64> {
+        (**self).apply_alloc(x)
+    }
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         (**self).apply_f32(x, y)
     }
-    // Forward the fused entry points explicitly: falling back to the default
-    // bodies here would silently discard `T`'s overrides behind a reference.
     fn apply_dot(&self, mode: kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
         (**self).apply_dot(mode, x, y)
     }
-    fn apply_dot_nostore(&self, mode: kernels::DotMode, x: &[f64]) -> Option<f64> {
-        (**self).apply_dot_nostore(mode, x)
-    }
-    fn fused_update_xr(
-        &self,
-        mode: kernels::DotMode,
-        lambda: f64,
-        p: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-    ) -> Option<f64> {
-        (**self).fused_update_xr(mode, lambda, p, x, r)
-    }
     fn apply_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) {
         (**self).apply_team(team, x, y)
-    }
-    fn apply_dot_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) -> f64 {
-        (**self).apply_dot_team(team, x, y)
     }
     fn matrix_powers(
         &self,
@@ -286,5 +227,124 @@ mod tests {
         let y1 = a.apply_alloc(&x);
         let y2 = r.apply_alloc(&x);
         assert_eq!(y1, y2);
+    }
+
+    /// An operator whose every trait method is an override that records
+    /// its own name, so a caller can see which body a wrapper reached.
+    #[derive(Default)]
+    struct Probe(std::cell::RefCell<Vec<&'static str>>);
+
+    impl Probe {
+        fn hit(&self, method: &'static str) {
+            self.0.borrow_mut().push(method);
+        }
+        fn take(&self) -> Vec<&'static str> {
+            self.0.take()
+        }
+    }
+
+    impl LinearOperator for Probe {
+        fn dim(&self) -> usize {
+            self.hit("dim");
+            0
+        }
+        fn apply(&self, _x: &[f64], _y: &mut [f64]) {
+            self.hit("apply");
+        }
+        fn max_row_nnz(&self) -> usize {
+            self.hit("max_row_nnz");
+            0
+        }
+        fn apply_alloc(&self, _x: &[f64]) -> Vec<f64> {
+            self.hit("apply_alloc");
+            Vec::new()
+        }
+        fn apply_f32(&self, _x: &[f32], _y: &mut [f32]) -> bool {
+            self.hit("apply_f32");
+            true
+        }
+        fn apply_dot(&self, _mode: kernels::DotMode, _x: &[f64], _y: &mut [f64]) -> f64 {
+            self.hit("apply_dot");
+            0.0
+        }
+        fn apply_team(&self, _team: Option<&vr_par::Team>, _x: &[f64], _y: &mut [f64]) {
+            self.hit("apply_team");
+        }
+        fn matrix_powers(
+            &self,
+            _transform: &mpk::MpkTransform<'_>,
+            _v: &mut [Vec<f64>],
+            _av: &mut [Vec<f64>],
+            _team: Option<&vr_par::Team>,
+            _tile: Option<usize>,
+            _ws: &mut mpk::MpkWorkspace,
+        ) {
+            self.hit("matrix_powers");
+        }
+        fn as_sweep(&self) -> Option<sweep::SweepOperator<'_>> {
+            self.hit("as_sweep");
+            None
+        }
+    }
+
+    /// A call of one trait method on an operator.
+    type Call = fn(&dyn LinearOperator);
+
+    /// One call per trait method, named after the method it makes. A new
+    /// trait method needs a row here, and a forward in both wrappers.
+    const CALLS: [(&str, Call); 9] = [
+        ("dim", |op| {
+            op.dim();
+        }),
+        ("apply", |op| op.apply(&[], &mut [])),
+        ("max_row_nnz", |op| {
+            op.max_row_nnz();
+        }),
+        ("apply_alloc", |op| {
+            op.apply_alloc(&[]);
+        }),
+        ("apply_f32", |op| {
+            op.apply_f32(&[], &mut []);
+        }),
+        ("apply_dot", |op| {
+            op.apply_dot(kernels::DotMode::Serial, &[], &mut []);
+        }),
+        ("apply_team", |op| op.apply_team(None, &[], &mut [])),
+        ("matrix_powers", |op| {
+            let mut ws = mpk::MpkWorkspace::new();
+            op.matrix_powers(
+                &mpk::MpkTransform::Monomial,
+                &mut [],
+                &mut [],
+                None,
+                None,
+                &mut ws,
+            );
+        }),
+        ("as_sweep", |op| {
+            op.as_sweep();
+        }),
+    ];
+
+    #[test]
+    fn wrappers_forward_every_trait_method() {
+        // A missed forward changes no bits (the default bodies compute the
+        // same values), so only the override that ran can show it.
+        let probe = Probe::default();
+        let by_ref: &dyn LinearOperator = &&probe;
+        let oracle = mpk::NaivePowers(Probe::default());
+        for (method, call) in CALLS {
+            call(by_ref);
+            assert_eq!(probe.take(), [method], "&T must forward {method}");
+            call(&oracle);
+            let reached = oracle.0.take();
+            if method == "matrix_powers" {
+                // the oracle's whole point: the trait's naive engine runs
+                // (it only asks the inner operator for its dimension)
+                assert_eq!(reached, ["dim"], "NaivePowers must not forward {method}");
+            } else {
+                assert_eq!(reached, [method], "NaivePowers must forward {method}");
+            }
+        }
     }
 }

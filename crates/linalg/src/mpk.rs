@@ -329,30 +329,17 @@ impl<A: LinearOperator> LinearOperator for NaivePowers<A> {
     fn max_row_nnz(&self) -> usize {
         self.0.max_row_nnz()
     }
+    fn apply_alloc(&self, x: &[f64]) -> Vec<f64> {
+        self.0.apply_alloc(x)
+    }
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         self.0.apply_f32(x, y)
     }
     fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
         self.0.apply_dot(mode, x, y)
     }
-    fn apply_dot_nostore(&self, mode: crate::kernels::DotMode, x: &[f64]) -> Option<f64> {
-        self.0.apply_dot_nostore(mode, x)
-    }
-    fn fused_update_xr(
-        &self,
-        mode: crate::kernels::DotMode,
-        lambda: f64,
-        p: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-    ) -> Option<f64> {
-        self.0.fused_update_xr(mode, lambda, p, x, r)
-    }
     fn apply_team(&self, team: Option<&Team>, x: &[f64], y: &mut [f64]) {
         self.0.apply_team(team, x, y);
-    }
-    fn apply_dot_team(&self, team: Option<&Team>, x: &[f64], y: &mut [f64]) -> f64 {
-        self.0.apply_dot_team(team, x, y)
     }
     fn as_sweep(&self) -> Option<crate::sweep::SweepOperator<'_>> {
         self.0.as_sweep()

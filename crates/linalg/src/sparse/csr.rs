@@ -438,73 +438,6 @@ impl LinearOperator for CsrMatrix {
         })
     }
 
-    /// `(x, A·x)` without materializing `A·x`: the CSR row accumulation is
-    /// re-run per row and dotted immediately. A stored format gains no
-    /// memory traffic from this (the matrix stream dominates), but the
-    /// entry point exists so callers can treat all operators uniformly —
-    /// the arithmetic contract matches `Stencil2d::apply_dot_nostore`.
-    fn apply_dot_nostore(&self, mode: crate::kernels::DotMode, x: &[f64]) -> Option<f64> {
-        assert_eq!(x.len(), self.ncols, "apply_dot_nostore: x length != ncols");
-        assert_eq!(
-            self.nrows, self.ncols,
-            "apply_dot_nostore: operator must be square"
-        );
-        Some(crate::fused::fused_sum(mode, self.nrows, |r| {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.data[k] * x[self.indices[k]];
-            }
-            x[r] * acc
-        }))
-    }
-
-    /// Fully fused CG update `x ← x + λp`, `r ← r − λ·(A·p)` returning
-    /// `(r, r)`, with each row of `A·p` recomputed by the exact
-    /// [`CsrMatrix::spmv_into`] accumulation — the row sweep never reads a
-    /// stored `w` buffer.
-    fn fused_update_xr(
-        &self,
-        mode: crate::kernels::DotMode,
-        lambda: f64,
-        p: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-    ) -> Option<f64> {
-        let n = self.nrows;
-        assert_eq!(
-            self.nrows, self.ncols,
-            "fused_update_xr: operator must be square"
-        );
-        assert_eq!(p.len(), n);
-        assert_eq!(x.len(), n);
-        assert_eq!(r.len(), n);
-        debug_assert!(
-            !crate::kernels::overlaps(p, x),
-            "fused_update_xr: p aliases x"
-        );
-        debug_assert!(
-            !crate::kernels::overlaps(p, r),
-            "fused_update_xr: p aliases r"
-        );
-        debug_assert!(
-            !crate::kernels::overlaps(x, r),
-            "fused_update_xr: x aliases r"
-        );
-        Some(crate::fused::fused_sum(mode, n, |i| {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.data[k] * p[self.indices[k]];
-            }
-            x[i] += lambda * p[i];
-            r[i] += (-lambda) * acc;
-            r[i] * r[i]
-        }))
-    }
-
     /// Row-range-blocked matrix-powers kernel with per-level halo
     /// expansion — see [`crate::mpk`] for the plan construction and the
     /// bit-identity argument. Falls back to the naive engine when the
@@ -697,23 +630,9 @@ mod tests {
     }
 }
 
-/// Parallel SpMV support (row-block decomposition over `vr-par`).
+/// Row-band SpMV, the unit of work of [`LinearOperator::apply_team`] and
+/// of the whole-iteration sweep.
 impl CsrMatrix {
-    /// Parallel sparse matrix-vector product `y ← A·x` over `threads`
-    /// row blocks. Exact — row sums are computed in the same order as the
-    /// serial [`CsrMatrix::spmv_into`], so results are bit-identical for
-    /// any thread count.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn par_spmv_into(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        self.apply_team(
-            vr_par::reduce::resolve_team(self.nrows, threads).as_deref(),
-            x,
-            y,
-        );
-    }
-
     /// Row-range SpMV of rows `lo..hi` into `yband` (`yband[0]` is row
     /// `lo`). The per-row accumulation is the exact operation sequence of
     /// [`CsrMatrix::spmv_into`], so any row partition is bit-identical to
@@ -729,49 +648,6 @@ impl CsrMatrix {
             *yi = acc;
         }
     }
-
-    /// Wrap this matrix as a [`LinearOperator`] whose `apply` uses
-    /// [`CsrMatrix::par_spmv_into`] with a fixed thread count.
-    #[must_use]
-    pub fn parallel(self, threads: usize) -> ParallelCsr {
-        ParallelCsr {
-            inner: self,
-            threads: threads.max(1),
-        }
-    }
-}
-
-/// A CSR matrix applied with multithreaded SpMV.
-#[derive(Debug, Clone)]
-pub struct ParallelCsr {
-    inner: CsrMatrix,
-    threads: usize,
-}
-
-impl ParallelCsr {
-    /// Borrow the underlying matrix.
-    #[must_use]
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.inner
-    }
-
-    /// Configured thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl LinearOperator for ParallelCsr {
-    fn dim(&self) -> usize {
-        self.inner.nrows()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.par_spmv_into(x, y, self.threads);
-    }
-    fn max_row_nnz(&self) -> usize {
-        self.inner.max_row_nnz()
-    }
 }
 
 #[cfg(test)]
@@ -786,18 +662,18 @@ mod par_tests {
         let x = gen::rand_vector(40_000, 5);
         let serial = a.spmv(&x);
         for t in [1usize, 2, 3, 8] {
+            let team = vr_par::team::Team::new(t);
             let mut y = vec![0.0; 40_000];
-            a.par_spmv_into(&x, &mut y, t);
+            a.apply_team(Some(&team), &x, &mut y);
             assert_eq!(y, serial, "threads = {t}");
         }
-        // explicit team handle through the LinearOperator entry point
+        // the Tree-mode matvec + dot pair the solvers run on a team
         for w in [2usize, 4] {
             let team = vr_par::team::Team::new(w);
             let mut y = vec![0.0; 40_000];
             a.apply_team(Some(&team), &x, &mut y);
             assert_eq!(y, serial, "team width {w}");
-            let mut y = vec![0.0; 40_000];
-            let d = a.apply_dot_team(Some(&team), &x, &mut y);
+            let d = vr_par::reduce::par_dot_in(Some(&team), &x, &y);
             assert_eq!(
                 d.to_bits(),
                 vr_par::reduce::par_dot_in(None, &x, &serial).to_bits(),
@@ -811,20 +687,7 @@ mod par_tests {
         let a = gen::poisson1d(10);
         let x = gen::rand_vector(10, 6);
         let mut y = vec![0.0; 10];
-        a.par_spmv_into(&x, &mut y, 8);
+        a.apply_team(Some(&vr_par::team::Team::new(8)), &x, &mut y);
         assert_eq!(y, a.spmv(&x));
-    }
-
-    #[test]
-    fn parallel_operator_wrapper() {
-        let a = gen::poisson2d(36);
-        let x = gen::rand_vector(a.nrows(), 7);
-        let expect = a.spmv(&x);
-        let op = a.clone().parallel(4);
-        assert_eq!(op.threads(), 4);
-        assert_eq!(op.matrix().nnz(), a.nnz());
-        assert_eq!(LinearOperator::dim(&op), a.nrows());
-        assert_eq!(LinearOperator::max_row_nnz(&op), 5);
-        assert_eq!(op.apply_alloc(&x), expect);
     }
 }

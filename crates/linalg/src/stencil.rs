@@ -312,7 +312,7 @@ impl LinearOperator for Stencil2d {
         Some(crate::sweep::SweepOperator::Stencil2d(self))
     }
 
-    /// Native `f32` sweep: the [`Stencil2d::row_value`] operation sequence
+    /// Native `f32` sweep: the `Stencil2d::row_value` operation sequence
     /// with every coefficient and operand narrowed to `f32`.
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         let (nx, ny) = (self.nx, self.ny);
@@ -369,84 +369,8 @@ impl LinearOperator for Stencil2d {
         }
     }
 
-    /// `(x, A·x)` with `A·x` recomputed on the fly and never stored: the
-    /// sweep reads `x` once and writes nothing, the cheapest possible
-    /// matvec-dot for a stencil.
-    fn apply_dot_nostore(&self, mode: crate::kernels::DotMode, x: &[f64]) -> Option<f64> {
-        use crate::kernels::DotMode;
-        let n = self.nx * self.ny;
-        assert_eq!(x.len(), n);
-        Some(match mode {
-            DotMode::Serial => self.grid_sweep_sum::<false>(x, |idx, v| x[idx] * v),
-            DotMode::Kahan => self.grid_sweep_sum::<true>(x, |idx, v| x[idx] * v),
-            DotMode::Tree => {
-                let mut g = GridWalk::new(self.ny);
-                crate::fused::fused_sum(mode, n, |idx| {
-                    let v = self.row_value(x, g.i, g.j, idx);
-                    g.advance();
-                    x[idx] * v
-                })
-            }
-        })
-    }
-
-    /// Fully fused CG update: `x ← x + λp`, `r ← r − λ·(A·p)` with the
-    /// stencil rows of `A·p` recomputed in the sweep, returning `(r, r)`.
-    /// Together with [`Stencil2d::apply_dot_nostore`] this removes the `w`
-    /// buffer from the iteration entirely: 3 streamed reads + 2 writes per
-    /// iteration instead of the reference formulation's 4 sweeps over four
-    /// vectors plus two reductions.
-    fn fused_update_xr(
-        &self,
-        mode: crate::kernels::DotMode,
-        lambda: f64,
-        p: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-    ) -> Option<f64> {
-        let n = self.nx * self.ny;
-        assert_eq!(p.len(), n);
-        assert_eq!(x.len(), n);
-        assert_eq!(r.len(), n);
-        debug_assert!(
-            !crate::kernels::overlaps(p, x),
-            "fused_update_xr: p aliases x"
-        );
-        debug_assert!(
-            !crate::kernels::overlaps(p, r),
-            "fused_update_xr: p aliases r"
-        );
-        debug_assert!(
-            !crate::kernels::overlaps(x, r),
-            "fused_update_xr: x aliases r"
-        );
-        use crate::kernels::DotMode;
-        Some(match mode {
-            DotMode::Serial => self.grid_sweep_sum::<false>(p, |idx, v| {
-                x[idx] += lambda * p[idx];
-                r[idx] += (-lambda) * v;
-                r[idx] * r[idx]
-            }),
-            DotMode::Kahan => self.grid_sweep_sum::<true>(p, |idx, v| {
-                x[idx] += lambda * p[idx];
-                r[idx] += (-lambda) * v;
-                r[idx] * r[idx]
-            }),
-            DotMode::Tree => {
-                let mut g = GridWalk::new(self.ny);
-                crate::fused::fused_sum(mode, n, |idx| {
-                    let v = self.row_value(p, g.i, g.j, idx);
-                    g.advance();
-                    x[idx] += lambda * p[idx];
-                    r[idx] += (-lambda) * v;
-                    r[idx] * r[idx]
-                })
-            }
-        })
-    }
-
     /// Team-parallel stencil application by contiguous grid-row bands,
-    /// reusing the const-generic [`Stencil2d::row_sweep`] fast path inside
+    /// reusing the const-generic `Stencil2d::row_sweep` fast path inside
     /// each band — bit-identical to the serial `apply` for any team width.
     fn apply_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) {
         let (nx, ny) = (self.nx, self.ny);
@@ -490,7 +414,7 @@ impl LinearOperator for Stencil2d {
     /// range `[t0 − (s−1−l), t1 + (s−1−l))`: the sweep narrows by one ghost
     /// row per level, so all `s` levels complete from three rotating
     /// L2-resident bands without reloading `v` columns from memory. Ghost
-    /// rows are *recomputed* by the exact [`Stencil2d::row_value`] sequence
+    /// rows are *recomputed* by the exact `Stencil2d::row_value` sequence
     /// in each neighboring tile, so every output bit is independent of the
     /// tile size and team width — identical to [`crate::mpk::naive_powers`].
     fn matrix_powers(
@@ -764,7 +688,7 @@ impl LinearOperator for Stencil3d {
         Some(crate::sweep::SweepOperator::Stencil3d(self))
     }
 
-    /// Native `f32` sweep: the [`Stencil3d::row_value`] operation sequence
+    /// Native `f32` sweep: the `Stencil3d::row_value` operation sequence
     /// with every operand narrowed to `f32`.
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         let n = self.n;
@@ -824,76 +748,9 @@ impl LinearOperator for Stencil3d {
         })
     }
 
-    /// `(x, A·x)` with the seven-point rows recomputed on the fly and never
-    /// stored — same contract as [`Stencil2d::apply_dot_nostore`].
-    fn apply_dot_nostore(&self, mode: crate::kernels::DotMode, x: &[f64]) -> Option<f64> {
-        let n = self.n;
-        let dim = n * n * n;
-        assert_eq!(x.len(), dim);
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        Some(crate::fused::fused_sum(mode, dim, |idx| {
-            let v = self.row_value(x, i, j, k, idx);
-            k += 1;
-            if k == n {
-                k = 0;
-                j += 1;
-                if j == n {
-                    j = 0;
-                    i += 1;
-                }
-            }
-            x[idx] * v
-        }))
-    }
-
-    /// Fully fused CG update with recomputed `A·p` rows — the
-    /// [`Stencil2d::fused_update_xr`] arithmetic on the 3-D stencil walk.
-    fn fused_update_xr(
-        &self,
-        mode: crate::kernels::DotMode,
-        lambda: f64,
-        p: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-    ) -> Option<f64> {
-        let n = self.n;
-        let dim = n * n * n;
-        assert_eq!(p.len(), dim);
-        assert_eq!(x.len(), dim);
-        assert_eq!(r.len(), dim);
-        debug_assert!(
-            !crate::kernels::overlaps(p, x),
-            "fused_update_xr: p aliases x"
-        );
-        debug_assert!(
-            !crate::kernels::overlaps(p, r),
-            "fused_update_xr: p aliases r"
-        );
-        debug_assert!(
-            !crate::kernels::overlaps(x, r),
-            "fused_update_xr: x aliases r"
-        );
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        Some(crate::fused::fused_sum(mode, dim, |idx| {
-            let v = self.row_value(p, i, j, k, idx);
-            k += 1;
-            if k == n {
-                k = 0;
-                j += 1;
-                if j == n {
-                    j = 0;
-                    i += 1;
-                }
-            }
-            x[idx] += lambda * p[idx];
-            r[idx] += (-lambda) * v;
-            r[idx] * r[idx]
-        }))
-    }
-
     /// Team-parallel stencil application by contiguous bands of `i`-planes
     /// (each plane is `n²` contiguous flat indices) — every row value is
-    /// the exact [`Stencil3d::row_value`] sequence, so bands are
+    /// the exact `Stencil3d::row_value` sequence, so bands are
     /// bit-identical to the serial `apply` for any team width.
     fn apply_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) {
         let n = self.n;
@@ -937,7 +794,7 @@ impl LinearOperator for Stencil3d {
     /// Trapezoidal matrix-powers kernel over bands of `i`-planes — the
     /// [`Stencil2d::matrix_powers`] scheme with a grid row generalized to a
     /// contiguous `n²`-element plane. Ghost planes are recomputed by the
-    /// exact [`Stencil3d::row_value`] sequence, so outputs are bit-identical
+    /// exact `Stencil3d::row_value` sequence, so outputs are bit-identical
     /// to [`crate::mpk::naive_powers`] for any tile size and team width.
     fn matrix_powers(
         &self,
@@ -1174,7 +1031,7 @@ mod tests {
 
     #[test]
     fn fused_entry_points_bit_match_two_pass() {
-        use crate::kernels::{axpy, dot, DotMode};
+        use crate::kernels::{dot, DotMode};
         let ops: Vec<Box<dyn LinearOperator>> = vec![
             Box::new(Stencil1d::new(37)),
             Box::new(Stencil2d::poisson(9)),
@@ -1196,38 +1053,8 @@ mod tests {
                 let fused = op.apply_dot(mode, &x, &mut y_fused);
                 assert_eq!(y_fused, y_ref, "{mode:?}");
                 assert_eq!(fused.to_bits(), reference.to_bits(), "{mode:?}");
-
-                if let Some(nostore) = op.apply_dot_nostore(mode, &x) {
-                    assert_eq!(nostore.to_bits(), reference.to_bits(), "{mode:?}");
-                    // the nostore contract requires the fused update too
-                    let p = gen::rand_vector(n, 23);
-                    let lambda = 0.375;
-                    let mut w = vec![0.0; n];
-                    op.apply(&p, &mut w);
-                    let (mut x1, mut r1) = (x.clone(), gen::rand_vector(n, 29));
-                    let (mut x2, mut r2) = (x1.clone(), r1.clone());
-                    let rr = op
-                        .fused_update_xr(mode, lambda, &p, &mut x1, &mut r1)
-                        .expect("nostore implies fused_update_xr");
-                    axpy(lambda, &p, &mut x2);
-                    axpy(-lambda, &w, &mut r2);
-                    assert_eq!(x1, x2, "{mode:?}");
-                    assert_eq!(r1, r2, "{mode:?}");
-                    assert_eq!(rr.to_bits(), dot(mode, &r2, &r2).to_bits(), "{mode:?}");
-                }
             }
         }
-        // 2-D and 3-D stencils (and CSR) support the no-store path; the
-        // 1-D stencil intentionally stays on the two-pass default.
-        let s2 = Stencil2d::poisson(6);
-        let x = gen::rand_vector(36, 31);
-        assert!(s2.apply_dot_nostore(DotMode::Serial, &x).is_some());
-        assert!(Stencil3d::new(3)
-            .apply_dot_nostore(DotMode::Serial, &x[..27])
-            .is_some());
-        assert!(Stencil1d::new(5)
-            .apply_dot_nostore(DotMode::Serial, &x[..5])
-            .is_none());
     }
 
     #[test]
@@ -1297,8 +1124,7 @@ mod tests {
             let mut y = vec![0.0; 40_000];
             s2.apply_team(Some(&team), &x2, &mut y);
             assert_eq!(ser2, y, "stencil2d width {w}");
-            let mut y = vec![0.0; 40_000];
-            let d = s2.apply_dot_team(Some(&team), &x2, &mut y);
+            let d = vr_par::reduce::par_dot_in(Some(&team), &x2, &y);
             assert_eq!(d.to_bits(), dot_ref.to_bits(), "stencil2d dot width {w}");
             let mut y = vec![0.0; x3.len()];
             s3.apply_team(Some(&team), &x3, &mut y);

@@ -738,7 +738,7 @@ mod tests {
         a.apply(&p, &mut w);
         let mut xref = test_vec(n, 4);
         let mut rref = test_vec(n, 5);
-        let rr_ref = crate::fused::par_update_xr(lambda, &p, &w, &mut xref, &mut rref, 1);
+        let rr_ref = crate::fused::par_update_xr_in(None, lambda, &p, &w, &mut xref, &mut rref);
         for (tile, team) in [(Some(1), None), (None, Some(Team::new(4)))] {
             let mut eng =
                 FusedIterationSweep::new(a.as_sweep().unwrap(), team.as_ref(), tile, None);

@@ -12,10 +12,10 @@
 //!
 //! ## Design
 //!
-//! * [`Clock`](clock::Clock) — one monotonic origin (`Instant`), all
+//! * [`Clock`] — one monotonic origin (`Instant`), all
 //!   timestamps are `u64` nanoseconds since it. No atomics.
-//! * [`Tracer`](tracer::Tracer) — one fixed-capacity ring buffer of
-//!   [`Span`](span::Span) records *per shard* (per SPMD worker). Recording
+//! * [`Tracer`] — one fixed-capacity ring buffer of
+//!   [`Span`] records *per shard* (per SPMD worker). Recording
 //!   is a bounds check, two stores and a counter increment: no locks, no
 //!   atomics, no allocation. Shard exclusivity (worker `w` writes only slot
 //!   `w`, epochs are serialized by the team's run lock) makes the

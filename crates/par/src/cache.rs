@@ -1,8 +1,8 @@
-//! Cache-hierarchy probe: effective L1d/L2 sizes for tiling and streaming
+//! Cache-hierarchy probe: effective L1d/L2 sizes for the tiling
 //! heuristics.
 //!
-//! The MPK tiling model and the non-temporal-store cutoff both need to know
-//! how big the per-core caches actually are. A static guess (the old
+//! The MPK tiling model (L2) and the whole-iteration sweep's staging tile
+//! (L1d) both need to know how big the per-core caches actually are. A static guess (the old
 //! `MPK_L2_BUDGET_BYTES = 1.5 MiB` constant) is wrong on both small
 //! client parts and big server parts, so this module reads the sizes once
 //! from Linux sysfs (`/sys/devices/system/cpu/cpu0/cache/index*/`), falling
@@ -100,15 +100,6 @@ pub fn cache_info() -> CacheInfo {
     *INFO.get_or_init(resolve)
 }
 
-/// Byte length above which a pure streaming write should bypass the cache
-/// with non-temporal stores: 4× the probed L2 size, so writes that could
-/// plausibly be consumed from L2 by the next kernel stay cached, while
-/// DRAM-bound streams skip the read-for-ownership traffic.
-#[must_use]
-pub fn nt_store_cutoff_bytes() -> usize {
-    cache_info().l2_bytes.saturating_mul(4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,11 +129,6 @@ mod tests {
         assert!(info.l2_bytes >= info.l1d_bytes, "{info:?}");
         // stable across calls (OnceLock)
         assert_eq!(info, cache_info());
-    }
-
-    #[test]
-    fn nt_cutoff_scales_with_l2() {
-        assert_eq!(nt_store_cutoff_bytes(), cache_info().l2_bytes * 4);
     }
 
     #[cfg(target_os = "linux")]

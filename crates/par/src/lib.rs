@@ -22,11 +22,12 @@
 //!   iteration `n` at iteration `n−k`, collect them k iterations later.
 //!
 //! ```
-//! use vr_par::reduce;
-//! let x: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-//! let s2 = reduce::par_dot(&x, &x, 2);
-//! let s8 = reduce::par_dot(&x, &x, 8);
-//! assert_eq!(s2.to_bits(), s8.to_bits()); // deterministic across widths
+//! use vr_par::{reduce, Team};
+//! let x: Vec<f64> = (0..20_000).map(|i| i as f64).collect();
+//! let serial = reduce::par_dot_in(None, &x, &x);
+//! let team = Team::new(2);
+//! let pooled = reduce::par_dot_in(Some(&team), &x, &x);
+//! assert_eq!(serial.to_bits(), pooled.to_bits()); // deterministic across widths
 //! ```
 
 #![deny(missing_docs)]

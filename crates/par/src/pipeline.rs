@@ -211,7 +211,7 @@ mod tests {
         let team = crate::Team::new(2);
         let x: Vec<f64> = (0..20_000).map(|i| i as f64 * 0.5).collect();
         let y: Vec<f64> = (0..20_000).map(|i| (i % 7) as f64).collect();
-        let direct = reduce::par_dot(&x, &y, 1);
+        let direct = reduce::par_dot_in(None, &x, &y);
         let partials = reduce::par_dot_partials_in(Some(&team), &x, &y).unwrap();
         let p = PendingScalar::deferred(partials);
         assert_eq!(p.wait().to_bits(), direct.to_bits());
@@ -282,7 +282,7 @@ mod tests {
             })
             .collect();
         for (p, x) in pending.iter().zip(&xs).rev() {
-            let expect = reduce::par_dot(x, x, 1);
+            let expect = reduce::par_dot_in(None, x, x);
             assert_eq!(p.wait().to_bits(), expect.to_bits());
         }
     }

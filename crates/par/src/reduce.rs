@@ -15,41 +15,12 @@
 
 use crate::fault::{FaultInjector, FaultSite};
 use crate::team::{self, Team};
-use std::sync::Arc;
 
 /// Number of leaf chunks in the deterministic reduction tree.
 ///
 /// 256 leaves ≈ the partial sums a 256-processor machine would fan in;
 /// `⌈log₂ 256⌉ = 8` combine levels.
 pub const CHUNKS: usize = 256;
-
-/// Resolve a legacy `threads` argument to a persistent shared team.
-///
-/// `None` when the grain says the call stays serial anyway; otherwise the
-/// process-wide [`team::shared_team`] of that width. This is how the old
-/// `par_*(…, threads)` entry points shed their per-call `thread::scope`
-/// spawns without an API break.
-#[must_use]
-pub fn resolve_team(n: usize, threads: usize) -> Option<Arc<Team>> {
-    if team::dispatch_width(n, threads) <= 1 {
-        None
-    } else {
-        Some(team::shared_team(threads))
-    }
-}
-
-/// Deterministic parallel dot product.
-///
-/// `threads` only controls execution width; the value is identical for any
-/// `threads >= 1` because the summation tree is fixed. Runs on the
-/// process-wide persistent team (no per-call thread spawns).
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[must_use]
-pub fn par_dot(x: &[f64], y: &[f64], threads: usize) -> f64 {
-    par_dot_in(resolve_team(x.len(), threads).as_deref(), x, y)
-}
 
 /// Deterministic dot product on an explicit [`Team`] (or serially for
 /// `None`). Bit-identical for any team width; returns NaN if the team is
@@ -59,7 +30,7 @@ pub fn par_dot(x: &[f64], y: &[f64], threads: usize) -> f64 {
 /// Panics if `x.len() != y.len()`.
 #[must_use]
 pub fn par_dot_in(team: Option<&Team>, x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "par_dot: length mismatch");
+    assert_eq!(x.len(), y.len(), "par_dot_in: length mismatch");
     if x.is_empty() {
         return 0.0;
     }
@@ -88,7 +59,7 @@ pub fn par_dot_partials_in(
     x: &[f64],
     y: &[f64],
 ) -> Result<Vec<f64>, team::Poisoned> {
-    assert_eq!(x.len(), y.len(), "par_dot: length mismatch");
+    assert_eq!(x.len(), y.len(), "par_dot_partials_in: length mismatch");
     let n = x.len();
     if n == 0 {
         return Ok(Vec::new());
@@ -101,42 +72,8 @@ pub fn par_dot_partials_in(
     )| { serial_dot(xc, yc) })
 }
 
-/// Deterministic parallel sum (persistent shared team, no per-call spawns).
-#[must_use]
-pub fn par_sum(x: &[f64], threads: usize) -> f64 {
-    par_sum_in(resolve_team(x.len(), threads).as_deref(), x)
-}
-
-/// Deterministic sum on an explicit [`Team`] (or serially for `None`).
-/// Returns NaN if the team is poisoned.
-#[must_use]
-pub fn par_sum_in(team: Option<&Team>, x: &[f64]) -> f64 {
-    let n = x.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<&[f64]> = x.chunks(chunk).collect();
-    match team::run_leaves_team(team, &mut work, n, &|xc: &mut &[f64]| serial_sum(xc)) {
-        Ok(partials) => tree_combine(&partials),
-        Err(team::Poisoned) => f64::NAN,
-    }
-}
-
-/// Deterministic parallel squared norm.
-#[must_use]
-pub fn par_norm2_sq(x: &[f64], threads: usize) -> f64 {
-    par_dot(x, x, threads)
-}
-
-/// Deterministic squared norm on an explicit [`Team`].
-#[must_use]
-pub fn par_norm2_sq_in(team: Option<&Team>, x: &[f64]) -> f64 {
-    par_dot_in(team, x, x)
-}
-
 /// Deterministic chunked-tree widening dot over `f32` slices: the same
-/// fixed 256-leaf layout as [`par_dot`], with every product term widened to
+/// fixed 256-leaf layout as [`par_dot_in`], with every product term widened to
 /// `f64` before accumulation (the mixed-precision working mode's dot).
 /// Serial by design — the mixed-precision solve loops are single-sweep.
 ///
@@ -165,33 +102,21 @@ fn serial_dot(x: &[f64], y: &[f64]) -> f64 {
     crate::simd::leaf_dot(x, y)
 }
 
-fn serial_sum(x: &[f64]) -> f64 {
-    crate::simd::leaf_sum(x)
-}
-
-/// Deterministic parallel dot product with fault injection on the
-/// reduction tree.
+/// Deterministic dot product with fault injection on the reduction tree.
 ///
-/// Identical to [`par_dot`] except that every leaf partial passes through
-/// `inj` at [`FaultSite::DotPartial`] and the combined result passes
-/// through [`FaultSite::DotFinal`]. Corruption happens serially on the
-/// calling thread *after* the workers join, so the fault pattern is a
-/// function of the injector state alone — bit-for-bit reproducible for any
-/// thread count, like the fault-free path.
-#[must_use]
-pub fn par_dot_with(x: &[f64], y: &[f64], threads: usize, inj: &dyn FaultInjector) -> f64 {
-    par_dot_with_in(resolve_team(x.len(), threads).as_deref(), x, y, inj)
-}
-
-/// [`par_dot_with`] on an explicit [`Team`]: the injector sees the same
-/// serial DotPartial/DotFinal event order for any team width. A poisoned
-/// team yields NaN without consuming injector events.
+/// Identical to [`par_dot_in`] except that every leaf partial passes
+/// through `inj` at [`FaultSite::DotPartial`] and the combined result
+/// passes through [`FaultSite::DotFinal`]. Corruption happens serially on
+/// the calling thread *after* the team's epoch, so the injector sees the
+/// same event order for any team width and the fault pattern is
+/// bit-for-bit reproducible, like the fault-free path. A poisoned team
+/// yields NaN without consuming injector events.
 ///
 /// # Panics
 /// Panics if `x.len() != y.len()`.
 #[must_use]
 pub fn par_dot_with_in(team: Option<&Team>, x: &[f64], y: &[f64], inj: &dyn FaultInjector) -> f64 {
-    assert_eq!(x.len(), y.len(), "par_dot_with: length mismatch");
+    assert_eq!(x.len(), y.len(), "par_dot_with_in: length mismatch");
     if x.is_empty() {
         return inj.corrupt(FaultSite::DotFinal, 0.0);
     }
@@ -233,40 +158,29 @@ mod tests {
     fn par_dot_deterministic_across_thread_counts() {
         let x: Vec<f64> = (0..100_000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let y: Vec<f64> = (0..100_000).map(|i| ((i % 17) as f64) - 8.0).collect();
-        let d1 = par_dot(&x, &y, 1);
-        let d2 = par_dot(&x, &y, 2);
-        let d3 = par_dot(&x, &y, 3);
-        let d8 = par_dot(&x, &y, 8);
-        assert_eq!(d1.to_bits(), d2.to_bits());
-        assert_eq!(d1.to_bits(), d3.to_bits());
-        assert_eq!(d1.to_bits(), d8.to_bits());
+        let d1 = par_dot_in(None, &x, &y);
+        for width in [2usize, 3, 8] {
+            let team = Team::new(width);
+            let d = par_dot_in(Some(&team), &x, &y);
+            assert_eq!(d1.to_bits(), d.to_bits(), "width {width}");
+        }
     }
 
     #[test]
     fn par_dot_close_to_serial() {
         let x: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
         let serial: f64 = x.iter().map(|v| v * v).sum();
-        let par = par_dot(&x, &x, 4);
+        let par = par_dot_in(Some(&Team::new(4)), &x, &x);
         assert!((serial - par).abs() < 1e-9 * (1.0 + serial.abs()));
     }
 
     #[test]
-    fn par_sum_deterministic_and_correct() {
-        let x: Vec<f64> = (0..50_000).map(|i| (i as f64) * 1e-5).collect();
-        let s1 = par_sum(&x, 1);
-        let s4 = par_sum(&x, 4);
-        assert_eq!(s1.to_bits(), s4.to_bits());
-        let exact = (49_999.0 * 50_000.0 / 2.0) * 1e-5;
-        assert!((s1 - exact).abs() < 1e-6);
-    }
-
-    #[test]
     fn empty_and_tiny_inputs() {
-        assert_eq!(par_dot(&[], &[], 4), 0.0);
-        assert_eq!(par_sum(&[], 4), 0.0);
-        assert_eq!(par_dot(&[2.0], &[3.0], 4), 6.0);
-        assert_eq!(par_sum(&[5.0], 4), 5.0);
-        assert_eq!(par_norm2_sq(&[3.0, 4.0], 4), 25.0);
+        let team = Team::new(4);
+        let t = Some(&team);
+        assert_eq!(par_dot_in(t, &[], &[]), 0.0);
+        assert_eq!(par_dot_in(t, &[2.0], &[3.0]), 6.0);
+        assert_eq!(par_dot_in(t, &[3.0, 4.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]
@@ -314,10 +228,11 @@ mod tests {
     fn par_dot_with_no_faults_matches_par_dot() {
         use crate::fault::NoFaults;
         let x: Vec<f64> = (0..10_000).map(|i| (i as f64).cos()).collect();
-        let a = par_dot(&x, &x, 3);
-        let b = par_dot_with(&x, &x, 3, &NoFaults);
+        let team = Team::new(3);
+        let a = par_dot_in(Some(&team), &x, &x);
+        let b = par_dot_with_in(Some(&team), &x, &x, &NoFaults);
         assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(par_dot_with(&[], &[], 2, &NoFaults), 0.0);
+        assert_eq!(par_dot_with_in(Some(&team), &[], &[], &NoFaults), 0.0);
     }
 
     #[test]
@@ -338,7 +253,7 @@ mod tests {
         }
         let x = vec![1.0; 4096];
         let inj = PoisonFirstPartial(std::sync::atomic::AtomicU64::new(0));
-        assert!(par_dot_with(&x, &x, 2, &inj).is_nan());
+        assert!(par_dot_with_in(Some(&Team::new(2)), &x, &x, &inj).is_nan());
     }
 
     #[test]
@@ -352,11 +267,6 @@ mod tests {
         let partials = par_dot_partials_in(Some(&team), &x, &y).unwrap();
         assert!(!partials.is_empty() && partials.len() <= CHUNKS);
         assert_eq!(tree_combine(&partials).to_bits(), serial.to_bits());
-        // sums too
-        assert_eq!(
-            par_sum_in(Some(&team), &x).to_bits(),
-            par_sum_in(None, &x).to_bits()
-        );
     }
 
     #[test]
@@ -375,10 +285,6 @@ mod tests {
         assert_eq!(team.try_run(&|_| {}), Ok(()));
         assert_eq!(team.live_width(), 1);
         assert_eq!(par_dot_in(Some(&team), &x, &y).to_bits(), serial.to_bits());
-        assert_eq!(
-            par_sum_in(Some(&team), &x).to_bits(),
-            par_sum_in(None, &x).to_bits()
-        );
     }
 
     #[test]
@@ -387,7 +293,6 @@ mod tests {
         let _ = team.try_run(&|_| panic!("poison"));
         let x = vec![1.0; 65_536];
         assert!(par_dot_in(Some(&team), &x, &x).is_nan());
-        assert!(par_sum_in(Some(&team), &x).is_nan());
         assert!(par_dot_partials_in(Some(&team), &x, &x).is_err());
         use crate::fault::NoFaults;
         assert!(par_dot_with_in(Some(&team), &x, &x, &NoFaults).is_nan());
@@ -398,7 +303,7 @@ mod tests {
         // Exactly CHUNKS chunks of length 1: par tree == plain fan-in tree.
         let x: Vec<f64> = (0..CHUNKS).map(|i| (i as f64).exp2().recip()).collect();
         let ones = vec![1.0; CHUNKS];
-        let a = par_dot(&x, &ones, 1);
+        let a = par_dot_in(None, &x, &ones);
         let b = tree_combine(&x);
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -434,9 +339,10 @@ mod tests {
         use crate::simd::{available, with_level, SimdLevel};
         let x: Vec<f64> = (0..33_333).map(|i| (i as f64 * 0.01).sin()).collect();
         let y: Vec<f64> = (0..33_333).map(|i| (i as f64 * 0.02).cos()).collect();
-        let reference = with_level(SimdLevel::Scalar, || par_dot(&x, &y, 2));
+        let team = Team::new(2);
+        let reference = with_level(SimdLevel::Scalar, || par_dot_in(Some(&team), &x, &y));
         if available(SimdLevel::Avx2) {
-            let got = with_level(SimdLevel::Avx2, || par_dot(&x, &y, 2));
+            let got = with_level(SimdLevel::Avx2, || par_dot_in(Some(&team), &x, &y));
             assert_eq!(got.to_bits(), reference.to_bits());
         }
     }
@@ -450,7 +356,7 @@ mod tests {
         // widening reference: upcast then full-precision chunked dot
         let xw: Vec<f64> = x.iter().map(|&v| f64::from(v)).collect();
         let yw: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
-        assert_eq!(d.to_bits(), par_dot(&xw, &yw, 1).to_bits());
+        assert_eq!(d.to_bits(), par_dot_in(None, &xw, &yw).to_bits());
         assert_eq!(dot_f32_wide(&[], &[]), 0.0);
     }
 }

@@ -600,8 +600,8 @@ fn depart(inner: &Inner, st: &mut State, slot: usize) {
 }
 
 /// Process-wide team cache: one long-lived team per width, shared by every
-/// solve and by the legacy `par_*(…, threads)` entry points so nothing on
-/// the solver hot path spawns threads per call.
+/// solve that asks for a width (`SolveOptions::with_threads` in `vr-cg`)
+/// so nothing on the solver hot path spawns threads per call.
 ///
 /// A cached team found poisoned (some earlier caller's job panicked) or
 /// degraded (it lost workers to failover) is replaced with a fresh one, so

@@ -2,7 +2,8 @@
 //!
 //! The library crates solve one system per call; this crate turns them
 //! into a daemon that accepts concurrent solve jobs over a socket
-//! (Unix-domain or TCP, newline-delimited JSON in the same [`vr_obs::json`]
+//! (Unix-domain or TCP, newline-delimited JSON in the same
+//! [`vr_obs::json`](mod@vr_obs::json)
 //! value model as the committed `BENCH_*.json` envelopes), schedules them
 //! onto the **one** shared persistent [`vr_par::team::Team`], and streams
 //! per-iteration convergence events back to each client.

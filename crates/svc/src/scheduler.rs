@@ -10,7 +10,8 @@
 //! Scheduling decisions:
 //!
 //! - **Batching** — jobs are coalesced into one block-CG solve when they
-//!   agree on operator fingerprint, tolerance bits, iteration budget,
+//!   agree on the operator (compared in full, never by fingerprint
+//!   alone), tolerance bits, iteration budget,
 //!   deadline class and rhs column count, all opted in (`batch: true`),
 //!   and none pins a variant. One batched Gram reduction then serves
 //!   every tenant in the batch (the paper's reduction-amortization,
@@ -149,7 +150,62 @@ pub struct Scheduler {
     tracer: Arc<Tracer>,
     /// Operator cache keyed by fingerprint — batch members share one
     /// matrix, and tenants resubmitting the same operator skip the build.
-    operators: HashMap<u64, Arc<CsrMatrix>>,
+    /// Each entry keeps the grid it was generated from (`None` for an
+    /// upload) so [`built_from`] can confirm a hit.
+    operators: HashMap<u64, (Option<usize>, Arc<CsrMatrix>)>,
+}
+
+/// Whether two `f64` slices hold the same value bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Whether two specs describe the same operator: the same generator grid,
+/// or the same dimension, structure and value bits.
+///
+/// [`OperatorSpec::fingerprint`] is a 64-bit FNV-1a hash of tenant bytes,
+/// which a crafted upload can collide with, so it only keys the operator
+/// cache; this comparison (and [`built_from`] for cache hits) decides
+/// whether two jobs share an operator.
+fn same_operator(a: &OperatorSpec, b: &OperatorSpec) -> bool {
+    match (a, b) {
+        (OperatorSpec::Poisson2d { grid: ga }, OperatorSpec::Poisson2d { grid: gb }) => ga == gb,
+        (
+            OperatorSpec::Csr {
+                n,
+                indptr,
+                indices,
+                data,
+            },
+            OperatorSpec::Csr {
+                n: nb,
+                indptr: pb,
+                indices: ib,
+                data: db,
+            },
+        ) => n == nb && indptr == pb && indices == ib && same_bits(data, db),
+        _ => false,
+    }
+}
+
+/// Whether `built`, generated from `grid` (`None` for an upload), is the
+/// operator `spec` describes — the cache-hit form of [`same_operator`].
+fn built_from(spec: &OperatorSpec, grid: Option<usize>, built: &CsrMatrix) -> bool {
+    match spec {
+        OperatorSpec::Poisson2d { grid: g } => grid == Some(*g),
+        OperatorSpec::Csr {
+            n,
+            indptr,
+            indices,
+            data,
+        } => {
+            grid.is_none()
+                && built.nrows() == *n
+                && built.indptr() == indptr.as_slice()
+                && built.indices() == indices.as_slice()
+                && same_bits(built.data(), data)
+        }
+    }
 }
 
 /// Two jobs may share a block solve only when every convergence-relevant
@@ -160,7 +216,7 @@ fn pairwise_compatible(a: &Job, b: &Job) -> bool {
         && b.spec.batch
         && a.spec.variant.is_none()
         && b.spec.variant.is_none()
-        && a.spec.operator.fingerprint() == b.spec.operator.fingerprint()
+        && same_operator(&a.spec.operator, &b.spec.operator)
         && a.spec.tol.to_bits() == b.spec.tol.to_bits()
         && a.spec.max_iters == b.spec.max_iters
         && a.spec.class == b.spec.class
@@ -205,25 +261,31 @@ impl Scheduler {
 
     fn operator(&mut self, spec: &OperatorSpec) -> Result<Arc<CsrMatrix>, String> {
         let fp = spec.fingerprint();
-        if let Some(m) = self.operators.get(&fp) {
-            return Ok(Arc::clone(m));
+        if let Some((grid, m)) = self.operators.get(&fp) {
+            if built_from(spec, *grid, m) {
+                return Ok(Arc::clone(m));
+            }
         }
-        let built = match spec {
-            OperatorSpec::Poisson2d { grid } => gen::poisson2d(*grid),
+        let (grid, built) = match spec {
+            OperatorSpec::Poisson2d { grid } => (Some(*grid), gen::poisson2d(*grid)),
             OperatorSpec::Csr {
                 n,
                 indptr,
                 indices,
                 data,
-            } => CsrMatrix::new(*n, *n, indptr.clone(), indices.clone(), data.clone())
-                .map_err(|e| format!("invalid csr upload: {e:?}"))?,
+            } => (
+                None,
+                CsrMatrix::new(*n, *n, indptr.clone(), indices.clone(), data.clone())
+                    .map_err(|e| format!("invalid csr upload: {e:?}"))?,
+            ),
         };
         // unbounded growth guard: uploads are tenant-controlled
         if self.operators.len() >= 32 {
             self.operators.clear();
         }
+        // a colliding entry is replaced: the newest operator owns the key
         let arc = Arc::new(built);
-        self.operators.insert(fp, Arc::clone(&arc));
+        self.operators.insert(fp, (grid, Arc::clone(&arc)));
         Ok(arc)
     }
 
@@ -564,6 +626,35 @@ mod tests {
         let batch = [wide(7, 6)];
         assert!(!batch_compatible(&batch, &wide(8, 4)));
         assert!(batch_compatible(&batch, &wide(9, 2)));
+    }
+
+    #[test]
+    fn colliding_fingerprint_is_solved_against_its_own_operator() {
+        let solve = |sched: &mut Scheduler| {
+            let (tx, rx) = channel();
+            let mut spec = poisson_spec(8);
+            spec.variant = Some("standard".into());
+            sched.execute(vec![job(13, spec, tx)]);
+            match rx.try_iter().last() {
+                Some(Event::Done {
+                    iterations,
+                    residuals,
+                    ..
+                }) => (iterations, residuals[0].to_bits()),
+                other => panic!("last event must be done, got {other:?}"),
+            }
+        };
+        let (mut clean, _) = scheduler();
+        let own = solve(&mut clean);
+        // Plant a different operator of the same dimension under the
+        // spec's fingerprint, as an upload whose hash collides would.
+        let (mut sched, _) = scheduler();
+        let fp = poisson_spec(8).operator.fingerprint();
+        let planted = Arc::new(gen::tridiag_toeplitz(64, 3.0, -1.0));
+        sched.operators.insert(fp, (None, planted));
+        assert_eq!(solve(&mut sched), own, "solved against the planted matrix");
+        let (grid, cached) = &sched.operators[&fp];
+        assert_eq!((*grid, cached.as_ref()), (Some(8), &gen::poisson2d(8)));
     }
 
     #[test]

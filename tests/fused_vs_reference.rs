@@ -173,14 +173,17 @@ fn standard_cg_bit_matches_reference_on_stencil() {
 
 #[test]
 fn nostore_kernels_bit_match_two_pass_composition_on_all_operators() {
-    // The operator-level no-store kernels (never materializing w = A·p)
-    // are kept as API for bandwidth-bound targets even though the solvers
-    // prefer the with-w fused schedule on compute-bound cores. Lock down
-    // their bit contract against the two-pass composition directly, on
-    // every operator family that implements them: both stencil dims and
-    // general CSR (structured and random sparsity).
+    // The no-store kernels (never materializing w = A·p) are the
+    // whole-iteration sweep engine's recompute epochs, which stage rows of
+    // A·p in cache-resident scratch. Lock down their bit contract against
+    // the two-pass composition directly, on every operator family the
+    // engine accepts: both stencil dims and general CSR (structured and
+    // random sparsity). The engine reduces in the fixed-layout chunk tree,
+    // so the composition's dot is `par_dot_in`.
     use cg_lookahead::linalg::stencil::Stencil3d;
+    use cg_lookahead::linalg::sweep::FusedIterationSweep;
     use cg_lookahead::linalg::LinearOperator;
+    use cg_lookahead::par::reduce::par_dot_in;
     let ops: Vec<Box<dyn LinearOperator>> = vec![
         Box::new(Stencil2d::poisson(17)),
         Box::new(Stencil2d::anisotropic(5, 31, 0.25)),
@@ -192,36 +195,32 @@ fn nostore_kernels_bit_match_two_pass_composition_on_all_operators() {
     for op in &ops {
         let n = op.dim();
         let p = pseudo(n, 11);
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
-            let mut w = vec![0.0; n];
-            op.apply(&p, &mut w);
-            let pap = op
-                .apply_dot_nostore(mode, &p)
-                .expect("operator supports no-store apply_dot");
-            assert_eq!(
-                pap.to_bits(),
-                kernels::dot(mode, &w, &p).to_bits(),
-                "{mode:?}: apply_dot_nostore"
-            );
+        let sweep = op.as_sweep().expect("operator supports the sweep engine");
+        let mut eng = FusedIterationSweep::new(sweep, None, None, None);
+        let mut w = vec![0.0; n];
+        op.apply(&p, &mut w);
+        let pap = eng.epoch_matvec_dot_nostore(None, &p);
+        assert_eq!(
+            pap.to_bits(),
+            par_dot_in(None, &w, &p).to_bits(),
+            "n={n}: matvec_dot_nostore"
+        );
 
-            let lambda = 0.41;
-            let mut x1 = pseudo(n, 12);
-            let mut r1 = pseudo(n, 13);
-            let mut x2 = x1.clone();
-            let mut r2 = r1.clone();
-            let rr = op
-                .fused_update_xr(mode, lambda, &p, &mut x1, &mut r1)
-                .expect("operator supports fused update_xr");
-            kernels::axpy(lambda, &p, &mut x2);
-            kernels::axpy(-lambda, &w, &mut r2);
-            assert_eq!(bits(&x1), bits(&x2), "{mode:?}: fused_update_xr x");
-            assert_eq!(bits(&r1), bits(&r2), "{mode:?}: fused_update_xr r");
-            assert_eq!(
-                rr.to_bits(),
-                kernels::dot(mode, &r2, &r2).to_bits(),
-                "{mode:?}: fused_update_xr rr"
-            );
-        }
+        let lambda = 0.41;
+        let mut x1 = pseudo(n, 12);
+        let mut r1 = pseudo(n, 13);
+        let mut x2 = x1.clone();
+        let mut r2 = r1.clone();
+        let rr = eng.epoch_update_xr_recompute(None, lambda, &p, &mut x1, &mut r1);
+        kernels::axpy(lambda, &p, &mut x2);
+        kernels::axpy(-lambda, &w, &mut r2);
+        assert_eq!(bits(&x1), bits(&x2), "n={n}: update_xr_recompute x");
+        assert_eq!(bits(&r1), bits(&r2), "n={n}: update_xr_recompute r");
+        assert_eq!(
+            rr.to_bits(),
+            par_dot_in(None, &r2, &r2).to_bits(),
+            "n={n}: update_xr_recompute rr"
+        );
     }
 }
 

@@ -39,9 +39,11 @@ fn deterministic_reduction_equals_across_widths_on_cg_data() {
     let b = gen::poisson2d_rhs(32);
     let res = StandardCg::new().solve(&a, &b, None, &SolveOptions::default());
     let x = &res.x;
-    let d1 = reduce::par_dot(x, x, 1);
+    let d1 = reduce::par_dot_in(None, x, x);
     for t in [2usize, 4, 8] {
-        assert_eq!(d1.to_bits(), reduce::par_dot(x, x, t).to_bits(), "t={t}");
+        let team = Team::new(t);
+        let dt = reduce::par_dot_in(Some(&team), x, x);
+        assert_eq!(d1.to_bits(), dt.to_bits(), "t={t}");
     }
     // and matches the serial kernel to high accuracy
     let serial = kernels::dot_serial(x, x);
@@ -82,7 +84,7 @@ fn overlapped_dot_during_spmv_equals_sequential() {
     let rr = pending_rr.wait();
 
     let rr_seq = kernels::dot_serial(&r, &r);
-    assert_eq!(rr.to_bits(), reduce::par_dot(&r, &r, 1).to_bits());
+    assert_eq!(rr.to_bits(), reduce::par_dot_in(None, &r, &r).to_bits());
     assert!((rr - rr_seq).abs() <= 1e-10 * (1.0 + rr_seq));
     assert_eq!(w.len(), a.nrows());
 }
@@ -140,10 +142,9 @@ fn worker_panic_poisons_team_and_later_solves_do_not_inherit_it() {
     let b = gen::poisson2d_rhs(40);
     let opts = SolveOptions {
         team: Some(Arc::clone(&team)),
-        threads: 4,
         ..SolveOptions::default().with_dot_mode(DotMode::Tree)
     };
-    let resolved = opts.team().expect("threads=4 resolves a team");
+    let resolved = opts.team().expect("a width-4 team resolves a team");
     assert!(!Arc::ptr_eq(&resolved, &team), "poisoned Arc must not leak");
     assert!(!resolved.is_poisoned());
     let res = StandardCg::new().solve(&a, &b, None, &opts);

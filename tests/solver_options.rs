@@ -250,7 +250,7 @@ fn with_threads_clamps_to_host_parallelism_and_records_it() {
     // recorded rather than silent.
     let over = cpus + 7;
     let o = SolveOptions::default().with_threads(over);
-    assert_eq!(o.threads, cpus);
+    assert_eq!(o.threads(), cpus);
     assert_eq!(
         o.thread_clamp,
         Some(ThreadClamp {
@@ -261,16 +261,16 @@ fn with_threads_clamps_to_host_parallelism_and_records_it() {
 
     // A satisfiable request records nothing.
     let ok = SolveOptions::default().with_threads(1);
-    assert_eq!(ok.threads, 1);
+    assert_eq!(ok.threads(), 1);
     assert_eq!(ok.thread_clamp, None);
     // threads=0 is treated as 1, also unclamped
-    assert_eq!(SolveOptions::default().with_threads(0).threads, 1);
+    assert_eq!(SolveOptions::default().with_threads(0).threads(), 1);
 
     // An explicit team bypasses the clamp entirely — the caller owns the
     // width choice (failover tests need widths the host doesn't have) —
     // and clears any stale clamp record.
     let wide = o.with_team(Arc::new(Team::new(cpus + 3)));
-    assert_eq!(wide.threads, cpus + 3);
+    assert_eq!(wide.threads(), cpus + 3);
     assert_eq!(wide.thread_clamp, None);
 }
 
