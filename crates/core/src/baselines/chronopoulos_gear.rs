@@ -13,34 +13,35 @@
 //! `Ap` is maintained by the recurrence `Ap ← w + β·Ap` — no extra matvec.
 
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
+use crate::exec::Exec;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
-/// Chronopoulos-Gear CG's one twin: the whole-iteration sweep.
+/// Chronopoulos-Gear CG has no mixed twin; its step also runs under the
+/// whole-iteration sweep.
 const TWINS: Twins<ChronopoulosGearCg> = Twins {
     mixed: None,
-    sweep: Some(crate::sweep::solve_chronopoulos_gear),
+    sweep: true,
 };
 
-/// Loop-carried state (shared with the sweep twin); a checkpoint
-/// snapshots `[x, r, p, s, w]` and the
+/// Loop-carried state; a checkpoint snapshots `[x, r, p, s, w]` and the
 /// four carried scalars `[rho, mu, lambda_prev, rho_prev]` — `s = A·p`
 /// and `w = A·r` are snapshotted rather than recomputed so a restore
 /// costs zero matvecs.
-pub(crate) struct State {
-    pub(crate) x: Vec<f64>,
-    pub(crate) r: Vec<f64>,
-    pub(crate) p: Vec<f64>,
-    pub(crate) s: Vec<f64>,
-    pub(crate) w: Vec<f64>,
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    s: Vec<f64>,
+    w: Vec<f64>,
     /// `(r, r)`.
-    pub(crate) rho: f64,
+    rho: f64,
     /// `(r, A·r)`.
-    pub(crate) mu: f64,
-    pub(crate) lambda_prev: f64,
-    pub(crate) rho_prev: f64,
+    mu: f64,
+    lambda_prev: f64,
+    rho_prev: f64,
 }
 
 impl Checkpoint for State {
@@ -85,7 +86,7 @@ impl CgVariant for ChronopoulosGearCg {
     }
 
     fn sweep_eligible(&self) -> bool {
-        TWINS.sweep.is_some()
+        TWINS.sweep
     }
 
     fn solve(
@@ -101,6 +102,7 @@ impl CgVariant for ChronopoulosGearCg {
         let n = a.dim();
         let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+        let mut ex = Exec::new(a, opts);
 
         let w = opts.matvec_alloc(a, &r, &mut drv.counts);
         let rho = dot(md, &r, &r);
@@ -135,16 +137,14 @@ impl CgVariant for ChronopoulosGearCg {
                 }
                 let lambda = st.rho / denom;
 
-                // p ← r + β·p ; s ← w + β·s (= A·p)
-                opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
-                opts.xpay(&st.w, beta, &mut st.s, &mut drv.counts);
-                opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
-
                 st.rho_prev = st.rho;
-                // r ← r − λ·s carries ρ = (r,r) in its sweep; the matvec
+                // p ← r + β·p ; s ← w + β·s (= A·p) ; x ← x + λ·p ;
+                // r ← r − λ·s carrying ρ = (r,r); then the matvec
                 // w = A·r carries μ = (r,w) in its sweep
-                st.rho = opts.axpy_norm2_sq(-lambda, &st.s, &mut st.r, &mut drv.counts);
-                st.mu = opts.matvec_dot(a, &st.r, &mut st.w, &mut drv.counts);
+                st.rho = ex.cg_update(
+                    drv, beta, lambda, &mut st.r, &mut st.p, &st.w, &mut st.s, &mut st.x,
+                );
+                st.mu = ex.matvec_store_dot(drv, &st.r, &mut st.w);
                 st.lambda_prev = lambda;
                 drv.record(st.rho);
                 Step::after(it, st.rho, drv.thresh_sq)

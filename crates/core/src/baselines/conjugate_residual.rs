@@ -204,14 +204,7 @@ impl CgVariant for OverlapCr {
                 if guard::check_pivot(apap).is_err() || guard::check_pivot(st.rar).is_err() {
                     // validate: near convergence the drifted recursive
                     // scalars can cross zero just before the threshold trips
-                    a.apply(&st.x, &mut vscratch);
-                    for (vi, bi) in vscratch.iter_mut().zip(b) {
-                        *vi = bi - *vi;
-                    }
-                    let rr_true = dot(md, &vscratch, &vscratch);
-                    drv.counts.matvecs += 1;
-                    drv.counts.vector_ops += 1;
-                    drv.counts.dots += 1;
+                    let rr_true = drv.true_rr(a, b, &st.x, &mut vscratch);
                     drv.replace_last(norm(rr_true));
                     return if rr_true <= drv.thresh_sq {
                         Step::End(Termination::Converged, it)

@@ -15,16 +15,17 @@
 //! ```
 
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
+use crate::exec::Exec;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, KernelPolicy, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
-/// Pipelined CG's twins: the `f32`-storage loop and the whole-iteration
-/// sweep.
+/// Pipelined CG's twin, the `f32`-storage loop; its step also runs under
+/// the whole-iteration sweep.
 const TWINS: Twins<PipelinedCg> = Twins {
     mixed: Some(crate::mixed::solve_pipelined),
-    sweep: Some(crate::sweep::solve_pipelined),
+    sweep: true,
 };
 
 /// Pipelined CG solver (Ghysels-Vanroose).
@@ -49,7 +50,7 @@ impl CgVariant for PipelinedCg {
     }
 
     fn sweep_eligible(&self) -> bool {
-        TWINS.sweep.is_some()
+        TWINS.sweep
     }
 
     fn solve(
@@ -66,24 +67,23 @@ impl CgVariant for PipelinedCg {
     }
 }
 
-/// Loop-carried state (shared with the sweep twin); the pipelined
-/// recurrences maintain five live
+/// Loop-carried state; the pipelined recurrences maintain five live
 /// vectors besides `x` — `q` alone is recomputed each iteration — so a
 /// checkpoint snapshots `[x, r, p, s, z, w]` plus the carried scalar
 /// chain `[gamma, gamma_old, lambda_old, delta_carried]`.
-pub(crate) struct State {
-    pub(crate) x: Vec<f64>,
-    pub(crate) r: Vec<f64>,
-    pub(crate) p: Vec<f64>,
-    pub(crate) s: Vec<f64>,
-    pub(crate) z: Vec<f64>,
-    pub(crate) w: Vec<f64>,
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    s: Vec<f64>,
+    z: Vec<f64>,
+    w: Vec<f64>,
     /// `(r, r)`.
-    pub(crate) gamma: f64,
-    pub(crate) gamma_old: f64,
-    pub(crate) lambda_old: f64,
+    gamma: f64,
+    gamma_old: f64,
+    lambda_old: f64,
     /// Next iteration's `δ = (w, r)`, carried by the fused w-update.
-    pub(crate) delta_carried: f64,
+    delta_carried: f64,
 }
 
 impl Checkpoint for State {
@@ -121,6 +121,7 @@ pub(crate) fn solve_gv(
     let n = a.dim();
     let md = opts.dot_mode;
     let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+    let mut ex = Exec::new(a, opts);
 
     let w = opts.matvec_alloc(a, &r, &mut drv.counts);
     let mut q = vec![0.0; n];
@@ -156,7 +157,7 @@ pub(crate) fn solve_gv(
             };
             // q = A·w — on the paper's machine this overlaps the two
             // reductions above; numerically it is just computed here.
-            opts.matvec(a, &st.w, &mut q, &mut drv.counts);
+            ex.matvec(drv, &st.w, &mut q);
 
             let (beta, denom) = if it == 0 {
                 (0.0, delta)
@@ -170,26 +171,22 @@ pub(crate) fn solve_gv(
             }
             let lambda = st.gamma / denom;
 
-            opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
-            opts.xpay(&st.w, beta, &mut st.s, &mut drv.counts);
-            opts.xpay(&q, beta, &mut st.z, &mut drv.counts);
-            opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
-
             st.gamma_old = st.gamma;
             st.lambda_old = lambda;
-            // r ← r − λ·s carries γ = (r,r) in its sweep
-            st.gamma = opts.axpy_norm2_sq(-lambda, &st.s, &mut st.r, &mut drv.counts);
+            // p, s, z xpays and the x axpy; r ← r − λ·s carries γ = (r,r)
+            // in its sweep
+            st.gamma = ex.pipelined_update(
+                drv, beta, lambda, &q, &mut st.r, &mut st.p, &mut st.w, &mut st.s, &mut st.z,
+                &mut st.x,
+            );
             drv.record(st.gamma);
             let verdict = Step::after(it, st.gamma, drv.thresh_sq);
             // w ← w − λ·z; fused, the same sweep yields next iteration's
             // δ = (w,r) (w is dead on exit, so skipping the update then
             // changes nothing)
             if verdict.is_next() {
-                if fused {
-                    st.delta_carried =
-                        opts.axpy_dot(-lambda, &st.z, &mut st.w, &st.r, &mut drv.counts);
-                } else {
-                    opts.axpy(-lambda, &st.z, &mut st.w, &mut drv.counts);
+                if let Some(d) = ex.pipelined_w_update(drv, lambda, &st.z, &mut st.w, &st.r) {
+                    st.delta_carried = d;
                 }
             }
             verdict

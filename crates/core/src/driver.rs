@@ -7,10 +7,11 @@
 //! recurrence is one protocol, and it lives here:
 //!
 //! 1. **Dispatch** ([`twin`]): under `SweepPolicy::WholeIteration` a variant
-//!    runs its declared whole-iteration sweep twin, under
-//!    `Precision::Mixed` its declared mixed-precision twin ([`Twins`]); a
-//!    variant without the twin, or a configuration the twin cannot
-//!    reproduce, gets the one explicit [`reject`].
+//!    whose step declares the sweep runs that step on the sweep engine
+//!    (`crate::exec`), under `Precision::Mixed` its declared
+//!    mixed-precision twin ([`Twins`]); a variant without the declaration,
+//!    or a configuration it cannot reproduce, gets the one explicit
+//!    [`reject`].
 //! 2. **Set-up** ([`Driver::start`]): attach the tracer, form
 //!    `r = b − A·x0` (tallying the warm-start matvec), the squared
 //!    convergence threshold, a drain of stale checksum detections, and the
@@ -121,32 +122,34 @@ impl Drop for TraceGuard {
 }
 
 /// A twin loop of variant `V`: the same recurrence under another storage
-/// or schedule (see [`Twins`]).
+/// (see [`Twins`]).
 pub(crate) type Twin<V> =
     fn(&V, &dyn LinearOperator, &[f64], Option<&[f64]>, &SolveOptions) -> SolveResult;
 
-/// A variant's declared twins. `CgVariant::mixed_eligible` and
-/// `CgVariant::sweep_eligible` read the same declaration [`twin`]
-/// dispatches on.
+/// A variant's declarations for the mixed/sweep dispatch.
+/// `CgVariant::mixed_eligible` and `CgVariant::sweep_eligible` read the
+/// same declaration [`twin`] dispatches on.
 pub(crate) struct Twins<V> {
     /// The `f32`-storage loop run under `Precision::Mixed`.
     pub mixed: Option<Twin<V>>,
-    /// The one-pass-per-iteration loop run under
-    /// `SweepPolicy::WholeIteration`.
-    pub sweep: Option<Twin<V>>,
+    /// Whether the variant's own step runs under
+    /// `SweepPolicy::WholeIteration` (on the sweep engine of its
+    /// `crate::exec::Exec`).
+    pub sweep: bool,
 }
 
 impl<V> Twins<V> {
     /// No twins: mixed and sweep requests are rejected.
     pub const NONE: Self = Twins {
         mixed: None,
-        sweep: None,
+        sweep: false,
     };
 }
 
 /// The mixed/sweep dispatch at the top of every `solve`: `Some` when the
-/// options select a twin (its result, or the explicit rejection), `None`
-/// when the variant's own `f64` per-kernel loop should run.
+/// options select a twin (its result) or a configuration the variant
+/// cannot run (the explicit rejection), `None` when the variant's own
+/// `f64` loop should run — per kernel, or on the sweep engine.
 #[must_use]
 pub(crate) fn twin<V>(
     v: &V,
@@ -156,14 +159,14 @@ pub(crate) fn twin<V>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> Option<SolveResult> {
-    let run = if opts.sweep_policy == SweepPolicy::WholeIteration {
-        twins.sweep.filter(|_| crate::sweep::eligible(a, opts))
-    } else if opts.precision == Precision::Mixed {
-        twins.mixed.filter(|_| crate::mixed::supported(a))
-    } else {
+    if opts.sweep_policy == SweepPolicy::WholeIteration {
+        let runs = twins.sweep && crate::sweep::eligible(a, opts);
+        return (!runs).then(|| reject(a, b, x0, opts));
+    }
+    if opts.precision != Precision::Mixed {
         return None;
-    };
-    Some(match run {
+    }
+    Some(match twins.mixed.filter(|_| crate::mixed::supported(a)) {
         Some(f) => f(v, a, b, x0, opts),
         None => reject(a, b, x0, opts),
     })
@@ -399,6 +402,31 @@ impl<'a> Driver<'a> {
             }
         }
         (Termination::MaxIterations, it)
+    }
+
+    /// The true squared residual `‖b − A·x‖²` under a `Guard` span, with
+    /// `b − A·x` left in `scratch`: one matvec, one vector op and one
+    /// `dot_mode` dot tallied. Shared by the loops that validate a
+    /// suspicious recurrence signal against the true residual.
+    pub fn true_rr(
+        &mut self,
+        a: &dyn LinearOperator,
+        b: &[f64],
+        x: &[f64],
+        scratch: &mut [f64],
+    ) -> f64 {
+        let opts = self.opts;
+        let rr = opts.span(vr_obs::SpanKind::Guard, || {
+            a.apply_team(opts.team().as_deref(), x, scratch);
+            for (si, bi) in scratch.iter_mut().zip(b) {
+                *si = bi - *si;
+            }
+            kernels::dot(opts.dot_mode, scratch, scratch)
+        });
+        self.counts.matvecs += 1;
+        self.counts.vector_ops += 1;
+        self.counts.dots += 1;
+        rr
     }
 
     /// Record the residual norm of the squared value `rr_sq`.

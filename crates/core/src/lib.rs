@@ -57,6 +57,7 @@
 pub mod baselines;
 pub mod block;
 mod driver;
+mod exec;
 pub mod instrument;
 pub mod lookahead;
 pub mod mixed;

@@ -55,7 +55,6 @@ use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
 use crate::recurrence::moments::MomentWindow;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
-use vr_linalg::kernels::dot;
 use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
 use vr_linalg::LinearOperator;
 
@@ -281,16 +280,7 @@ impl CgVariant for LookaheadCg {
             }
 
             // validate against the TRUE residual (scratch, no allocation)
-            let rr_true = opts.span(vr_obs::SpanKind::Guard, || {
-                a.apply_team(team.as_deref(), &st.x, &mut vscratch);
-                for (vi, bi) in vscratch.iter_mut().zip(b) {
-                    *vi = bi - *vi;
-                }
-                dot(md, &vscratch, &vscratch)
-            });
-            drv.counts.matvecs += 1;
-            drv.counts.vector_ops += 1;
-            drv.counts.dots += 1;
+            let rr_true = drv.true_rr(a, b, &st.x, &mut vscratch);
             final_rr = rr_true;
             if rr_true <= thresh_sq {
                 break 'outer Termination::Converged;

@@ -30,20 +30,17 @@
 //! from the critical cycle; E4/E7 quantify both sides.
 
 use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
-use crate::instrument::OpCounts;
+use crate::exec::Exec;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
-use std::sync::Arc;
 use vr_linalg::kernels::dot;
-use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
 use vr_linalg::LinearOperator;
-use vr_par::team::Team;
 
-/// Overlap-k1's twins: the `f32`-storage loop and the whole-iteration
-/// sweep.
+/// Overlap-k1's twin, the `f32`-storage loop; its step also runs under
+/// the whole-iteration sweep.
 const TWINS: Twins<OverlapK1Cg> = Twins {
     mixed: Some(crate::mixed::solve_overlap_k1),
-    sweep: Some(crate::sweep::solve_overlap_k1),
+    sweep: true,
 };
 
 /// Loop-carried state; a checkpoint snapshots `[x, r, p]` and the three
@@ -68,72 +65,6 @@ impl Checkpoint for State {
             &mut [&mut self.x, &mut self.r, &mut self.p],
             &mut [&mut self.rr, &mut self.rar, &mut self.pap],
         );
-    }
-}
-
-/// `w ← A·p`, `v ← A·w`, as one monomial matrix-powers call (`s = 2`): an
-/// operator with a cache-blocked kernel streams each operand tile through
-/// cache once for both applications instead of making two full-vector
-/// passes, and is **bit-identical** to the two plain matvecs by the
-/// [`LinearOperator::matrix_powers`] contract (every row goes through the
-/// exact `apply` arithmetic). An empty system falls back to two plain
-/// matvecs. Buffers are allocated once, so the hot loop stays
-/// allocation-free.
-struct Powers2 {
-    /// The workspace and the seed/image column pairs (`None` when `n = 0`).
-    mpk: Option<MpkBuffers>,
-    team: Option<Arc<Team>>,
-}
-
-/// Matrix-powers workspace plus seed and image columns.
-type MpkBuffers = (MpkWorkspace, Vec<Vec<f64>>, Vec<Vec<f64>>);
-
-impl Powers2 {
-    fn new(opts: &SolveOptions, n: usize) -> Self {
-        let mpk = (n > 0).then(|| {
-            let mut ws = MpkWorkspace::new();
-            ws.set_tracer(opts.tracer.clone());
-            (ws, vec![vec![0.0; n]; 2], vec![vec![0.0; n]; 2])
-        });
-        Powers2 {
-            mpk,
-            team: opts.team(),
-        }
-    }
-
-    fn apply(
-        &mut self,
-        a: &dyn LinearOperator,
-        opts: &SolveOptions,
-        p: &mut Vec<f64>,
-        w: &mut Vec<f64>,
-        v: &mut Vec<f64>,
-        counts: &mut OpCounts,
-    ) {
-        let Some((ws, cols_v, cols_av)) = self.mpk.as_mut() else {
-            opts.matvec(a, p, w, counts);
-            opts.matvec(a, w, v, counts);
-            return;
-        };
-        counts.matvecs += 2;
-        // The seed column is swapped in from `p` and the image columns
-        // swapped out into `w` and `v`.
-        std::mem::swap(p, &mut cols_v[0]);
-        opts.span(vr_obs::SpanKind::MpkBuild, || {
-            a.matrix_powers(
-                &MpkTransform::Monomial,
-                cols_v,
-                cols_av,
-                self.team.as_deref(),
-                opts.mpk_tile,
-                ws,
-            );
-        });
-        // Monomial, s = 2: av[0] = A·v[0] and av[1] = A·av[0] (v[1] is the
-        // kernel's copy of av[0] — scratch for the next call).
-        std::mem::swap(p, &mut cols_v[0]);
-        std::mem::swap(w, &mut cols_av[0]);
-        std::mem::swap(v, &mut cols_av[1]);
     }
 }
 
@@ -181,7 +112,7 @@ impl CgVariant for OverlapK1Cg {
     }
 
     fn sweep_eligible(&self) -> bool {
-        TWINS.sweep.is_some()
+        TWINS.sweep
     }
 
     fn solve(
@@ -198,7 +129,7 @@ impl CgVariant for OverlapK1Cg {
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
         let thresh_sq = drv.thresh_sq;
         let md = opts.dot_mode;
-        let mut powers = Powers2::new(opts, n);
+        let mut ex = Exec::new(a, opts).with_powers2();
 
         // State: p, w = A·p, v = A·w; scalars rr = (r,r), rar = (r,Ar),
         // pap = (p,Ap).
@@ -238,16 +169,7 @@ impl CgVariant for OverlapK1Cg {
             while it < opts.max_iters {
                 if guard::check_pivot(st.pap).is_err() || guard::check_pivot(st.rr).is_err() {
                     // validate against the true residual
-                    let rr_true = opts.span(vr_obs::SpanKind::Guard, || {
-                        a.apply(&st.x, &mut vscratch);
-                        for (vi, bi) in vscratch.iter_mut().zip(b) {
-                            *vi = bi - *vi;
-                        }
-                        dot(md, &vscratch, &vscratch)
-                    });
-                    drv.counts.matvecs += 1;
-                    drv.counts.vector_ops += 1;
-                    drv.counts.dots += 1;
+                    let rr_true = drv.true_rr(a, b, &st.x, &mut vscratch);
                     if rr_true <= thresh_sq {
                         termination = Termination::Converged;
                         iterations = it;
@@ -258,7 +180,7 @@ impl CgVariant for OverlapK1Cg {
                     // replay ≤ C iterations — keeps the Krylov direction
                     // history a warm restart would throw away
                     if let Some(c) = drv.rollback(&mut st) {
-                        powers.apply(a, opts, &mut st.p, &mut w, &mut v, &mut drv.counts);
+                        ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
                         iterations = c;
                         it = c;
                         continue;
@@ -275,7 +197,7 @@ impl CgVariant for OverlapK1Cg {
                         st.r.copy_from_slice(&vscratch);
                         st.p.copy_from_slice(&st.r);
                     });
-                    powers.apply(a, opts, &mut st.p, &mut w, &mut v, &mut drv.counts);
+                    ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
                     drv.counts.vector_ops += 1;
                     st.rr = rr_true;
                     st.rar = dot(md, &st.r, &w);
@@ -289,29 +211,22 @@ impl CgVariant for OverlapK1Cg {
                     break;
                 }
                 it += 1;
+                let (rr, rar, pap) = (st.rr, st.rar, st.pap);
+                let lambda = rr / pap;
                 // The four overlappable inner products — on CURRENT vectors,
                 // launched before any of this iteration's scalar results
                 // are needed (on the paper's machine their fan-ins overlap
-                // the rest of this iteration).
+                // the rest of this iteration) — with x ← x + λ·p.
                 // Fused pairing: (r,w)/(r,v) share the sweep over r and
                 // (w,w)/(w,v) the sweep over w; the per-element products are
                 // commutative so the scalars are bit-identical to the four
                 // separate dots of the reference formulation.
                 // Split-phase: the sweeps fold leaf partials *now*; the
-                // tree_combine fan-ins run at the `.wait()` consume points
-                // below, so they overlap the x update in between — the
-                // paper's launch-early/consume-late schedule on the team.
-                let (rw_p, rv_p) = opts.dot2_deferred(&st.r, &w, &v, &mut drv.counts);
-                let (ww_p, wv_p) = opts.dot2_deferred(&w, &w, &v, &mut drv.counts);
-
-                let (rr, rar, pap) = (st.rr, st.rar, st.pap);
-                let lambda = rr / pap;
-                opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
-
-                // consume: deferred fan-ins resolve here, bit-identical to
-                // the eager dot2 values
-                let (rw, rv) = (rw_p.wait(), rv_p.wait());
-                let (ww, wv) = (ww_p.wait(), wv_p.wait());
+                // tree_combine fan-ins run at the consume points after the
+                // x update — the paper's launch-early/consume-late schedule
+                // on the team.
+                let (rw, rv, ww, wv) =
+                    ex.overlap_update(&mut drv, lambda, &w, &v, &st.p, &mut st.r, &mut st.x);
 
                 // scalar recurrences (claim C3, k = 1)
                 let rr_next = rr - 2.0 * lambda * rw + lambda * lambda * ww;
@@ -334,9 +249,9 @@ impl CgVariant for OverlapK1Cg {
                 }
 
                 // vector updates
-                opts.axpy(-lambda, &w, &mut st.r, &mut drv.counts);
-                opts.xpay(&st.r, alpha, &mut st.p, &mut drv.counts);
-                powers.apply(a, opts, &mut st.p, &mut w, &mut v, &mut drv.counts);
+                ex.overlap_r_update(&mut drv, lambda, &w, &mut st.r);
+                ex.xpay(&mut drv, &st.r, alpha, &mut st.p);
+                ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
 
                 st.rr = rr_next;
                 st.rar = rar_next;

@@ -113,8 +113,8 @@ impl CgVariant for DeepPipelinedCg {
     ) -> SolveResult {
         // No twins: the depth-l basis/Gram bookkeeping spans l matvec
         // depths and has no f32 form — and the l = 1 delegation must not
-        // silently run the GV twins this variant's conformance rows
-        // declare unsupported.
+        // silently run GV's mixed twin or sweep schedule, which this
+        // variant's conformance rows declare unsupported.
         if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
             return res;
         }

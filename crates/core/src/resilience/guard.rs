@@ -74,6 +74,15 @@ pub fn all_finite<I: IntoIterator<Item = f64>>(vals: I) -> bool {
 /// Retries for a reduction that produced a non-finite value.
 const MAX_REDUCTION_RETRIES: usize = 2;
 
+/// Relative norm deviation `|‖r_true‖ − ‖r_rec‖| / ‖r_true‖` above which
+/// [`ResidualGuard`]'s periodic check replaces the recursive residual with
+/// the true one.
+const REPLACEMENT_THRESHOLD: f64 = 0.5;
+
+/// [`ResidualGuard`] halts with [`Termination::Diverged`] when the true
+/// residual norm exceeds this factor times the initial residual norm.
+const DIVERGENCE_FACTOR: f64 = 1e8;
+
 /// Inner product with detect-and-retry.
 ///
 /// Computes `xᵀy` through the options' fault path. If the result is
@@ -268,7 +277,7 @@ impl<'a> ResidualGuard<'a> {
         // 2) divergence: the recursive residual exploded relative to the
         //    start. Validate against the true residual before giving up —
         //    a corrupted recurrence can *look* divergent while x is fine.
-        let div_sq = self.policy.divergence_factor * self.policy.divergence_factor;
+        let div_sq = DIVERGENCE_FACTOR * DIVERGENCE_FACTOR;
         if rr > div_sq * self.initial_rr {
             let (r_true, rr_true) = self.true_residual(x);
             if rr_true > div_sq * self.initial_rr {
@@ -301,7 +310,7 @@ impl<'a> ResidualGuard<'a> {
         {
             let (r_true, rr_true) = self.true_residual(x);
             let dev = (rr_true.max(0.0).sqrt() - rr.max(0.0).sqrt()).abs();
-            if dev > self.policy.replacement_threshold * rr_true.max(0.0).sqrt().max(1e-300) {
+            if dev > REPLACEMENT_THRESHOLD * rr_true.max(0.0).sqrt().max(1e-300) {
                 self.stats.replacements += 1;
                 return self.finish_replacement(r_true, rr_true);
             }

@@ -22,20 +22,12 @@ pub struct RecoveryPolicy {
     /// and compare against the recursive one (0 = never). Catches silent
     /// data corruption the finiteness guards cannot see.
     pub true_residual_period: usize,
-    /// Relative norm deviation `|‖r_true‖ − ‖r_rec‖| / ‖r_true‖` above
-    /// which the recursive residual is replaced by the true one.
-    pub replacement_threshold: f64,
     /// Halt with [`Termination::Stagnated`] after this many consecutive
     /// iterations without 1% progress on the best residual (0 = never).
     pub stagnation_window: usize,
-    /// Halt with [`Termination::Diverged`] when the residual norm exceeds
-    /// this factor times the initial residual norm.
-    pub divergence_factor: f64,
-    /// Retry budget for the restart ladder.
+    /// Retry budget for the restart ladder. Every restart backs off the
+    /// look-ahead depth (`k → k/2 → … → standard CG`).
     pub max_restarts: usize,
-    /// Back off the look-ahead depth (`k → k/2 → … → standard CG`) on each
-    /// restart; `false` retries the same variant (faults are transient).
-    pub backoff: bool,
     /// Restart from the best finite iterate seen so far (`true`, the
     /// default) or from the caller's `x0` (`false` — the classic cold
     /// restart, the baseline the checkpoint/rollback rung is measured
@@ -56,11 +48,8 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             true_residual_period: 25,
-            replacement_threshold: 0.5,
             stagnation_window: 400,
-            divergence_factor: 1e8,
             max_restarts: 8,
-            backoff: true,
             warm_restart: true,
             checkpoint_period: 0,
             max_rollbacks: 8,
@@ -76,13 +65,6 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Set the residual-replacement deviation threshold.
-    #[must_use]
-    pub fn with_replacement_threshold(mut self, t: f64) -> Self {
-        self.replacement_threshold = t;
-        self
-    }
-
     /// Set the stagnation window.
     #[must_use]
     pub fn with_stagnation_window(mut self, w: usize) -> Self {
@@ -94,13 +76,6 @@ impl RecoveryPolicy {
     #[must_use]
     pub fn with_max_restarts(mut self, n: usize) -> Self {
         self.max_restarts = n;
-        self
-    }
-
-    /// Enable or disable look-ahead-depth backoff.
-    #[must_use]
-    pub fn with_backoff(mut self, on: bool) -> Self {
-        self.backoff = on;
         self
     }
 
@@ -132,7 +107,7 @@ impl RecoveryPolicy {
 /// Each attempt runs the variant's own guarded solve. On a failed attempt
 /// (breakdown, stagnation, divergence) the ladder warm-restarts from the
 /// best finite iterate seen so far, backing off the look-ahead depth via
-/// [`CgVariant::backoff`] when the policy asks for it, until the retry
+/// [`CgVariant::backoff`] at every restart, until the retry
 /// budget `policy.max_restarts` is spent or the total iteration budget
 /// `opts.max_iters` runs out. A convergence reached after ≥ 1 restart is
 /// reported as [`Termination::RecoveredConverged`].
@@ -219,10 +194,8 @@ pub fn solve_with_recovery(
             }
         }
 
-        if policy.backoff {
-            if let Some(next) = v.backoff() {
-                owned = Some(next);
-            }
+        if let Some(next) = v.backoff() {
+            owned = Some(next);
         }
     }
 }
@@ -274,18 +247,14 @@ mod tests {
     fn policy_builders() {
         let p = RecoveryPolicy::default()
             .with_true_residual_period(10)
-            .with_replacement_threshold(0.25)
             .with_stagnation_window(50)
             .with_max_restarts(3)
-            .with_backoff(false)
             .with_warm_restart(false)
             .with_checkpoint_period(16)
             .with_max_rollbacks(4);
         assert_eq!(p.true_residual_period, 10);
-        assert_eq!(p.replacement_threshold, 0.25);
         assert_eq!(p.stagnation_window, 50);
         assert_eq!(p.max_restarts, 3);
-        assert!(!p.backoff);
         assert!(!p.warm_restart);
         assert_eq!(p.checkpoint_period, 16);
         assert_eq!(p.max_rollbacks, 4);

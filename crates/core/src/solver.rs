@@ -1097,9 +1097,8 @@ pub trait CgVariant {
     }
 
     /// Whether this variant supports [`SweepPolicy::WholeIteration`].
-    /// Defaults to `false`; variants whose dependency structure permits a
-    /// single-pass iteration schedule (a whole-iteration twin in
-    /// [`crate::sweep`]) override it. A sweep solve on an ineligible
+    /// Defaults to `false`; variants whose step runs as whole-iteration
+    /// sweep epochs (see [`crate::sweep`]) override it. A sweep solve on an ineligible
     /// variant terminates with [`Termination::Unsupported`] instead of
     /// silently running per-kernel.
     fn sweep_eligible(&self) -> bool {

@@ -29,7 +29,6 @@
 pub mod basis;
 
 use crate::driver::{self, Checkpoint, Driver, Twins, Visit};
-use crate::instrument::OpCounts;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use basis::{BasisKind, KrylovBasis};
@@ -238,14 +237,12 @@ impl CgVariant for SStepCg {
                 continue;
             }
             if !validate_or_restart(
+                &mut drv,
                 a,
                 b,
-                md,
-                thresh_sq,
                 &mut st,
                 &mut last_restart_rr,
                 &mut vscratch,
-                &mut drv.counts,
                 &mut termination,
             ) {
                 // a breakdown can still be rescued from a checkpoint; the
@@ -303,29 +300,19 @@ impl Checkpoint for State {
 /// Shared suspicious-signal handler: recompute the true residual; set
 /// `Converged` (returning false to stop), or refresh `r`/`rr` for a warm
 /// restart (returning true), or set `Breakdown` when no progress
-/// (returning false). `scratch` holds `A·x` transiently (no allocation).
-#[allow(clippy::too_many_arguments)]
+/// (returning false). `scratch` holds `b − A·x` transiently (no
+/// allocation).
 fn validate_or_restart(
+    drv: &mut Driver<'_>,
     a: &dyn LinearOperator,
     b: &[f64],
-    md: vr_linalg::kernels::DotMode,
-    thresh_sq: f64,
     st: &mut State,
     last_restart_rr: &mut f64,
     scratch: &mut [f64],
-    counts: &mut OpCounts,
     termination: &mut Termination,
 ) -> bool {
-    a.apply(&st.x, scratch);
-    // scratch ← b − A·x in place (same bits as the two-buffer sub)
-    for (si, bi) in scratch.iter_mut().zip(b) {
-        *si = bi - *si;
-    }
-    let rr_true = dot(md, scratch, scratch);
-    counts.matvecs += 1;
-    counts.vector_ops += 1;
-    counts.dots += 1;
-    if rr_true <= thresh_sq {
+    let rr_true = drv.true_rr(a, b, &st.x, scratch);
+    if rr_true <= drv.thresh_sq {
         *termination = Termination::Converged;
         return false;
     }
@@ -339,7 +326,7 @@ fn validate_or_restart(
         return false;
     }
     *last_restart_rr = rr_true;
-    counts.restarts += 1;
+    drv.counts.restarts += 1;
     st.r.copy_from_slice(scratch);
     st.rr = rr_true;
     true

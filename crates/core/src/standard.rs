@@ -5,25 +5,25 @@
 //! gates `Ap` gates `(p,Ap)` gates `λ`), three vector updates.
 
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
+use crate::exec::Exec;
 use crate::instrument::OpCounts;
 use crate::resilience::guard::{self, GuardSignal};
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::LinearOperator;
 
-/// Standard CG's twins: the `f32`-storage loop and the whole-iteration
-/// sweep.
+/// Standard CG's twin, the `f32`-storage loop; its step also runs under
+/// the whole-iteration sweep.
 const TWINS: Twins<StandardCg> = Twins {
     mixed: Some(crate::mixed::solve_standard),
-    sweep: Some(crate::sweep::solve_standard),
+    sweep: true,
 };
 
-/// Loop-carried state (shared with the sweep twin); a checkpoint
-/// snapshots `[x, r, p]` and `[rr]`.
-pub(crate) struct State {
-    pub(crate) x: Vec<f64>,
-    pub(crate) r: Vec<f64>,
-    pub(crate) p: Vec<f64>,
-    pub(crate) rr: f64,
+/// Loop-carried state; a checkpoint snapshots `[x, r, p]` and `[rr]`.
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    rr: f64,
 }
 
 impl Checkpoint for State {
@@ -67,7 +67,7 @@ impl CgVariant for StandardCg {
     }
 
     fn sweep_eligible(&self) -> bool {
-        TWINS.sweep.is_some()
+        TWINS.sweep
     }
 
     fn solve(
@@ -82,8 +82,10 @@ impl CgVariant for StandardCg {
         }
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
         let thresh_sq = drv.thresh_sq;
+        let mut ex = Exec::new(a, opts);
         let p = r.clone();
         drv.counts.vector_ops += 1;
+        // w = A·p (the sweep evaluates it in-band and leaves w untouched)
         let mut w = vec![0.0; a.dim()];
         let rr = guard::guarded_dot(opts, &r, &r, &mut drv.rstats);
         drv.counts.dots += 1;
@@ -111,33 +113,16 @@ impl CgVariant for StandardCg {
             |drv, st, it| {
                 // Under the fused policy this iteration runs in three
                 // sweeps: matvec+(p,Ap) fused, then x/r updates+(r,r) fused,
-                // then the direction xpay. (The operator-level no-store
-                // kernels that skip materializing w trade that store for a
-                // second stencil evaluation — a loss on compute-bound cores,
-                // so the solver keeps w and fuses around it.)
-                let pap = guard::guarded_matvec_dot(
-                    opts,
-                    a,
-                    &st.p,
-                    &mut w,
-                    &mut drv.counts,
-                    &mut drv.rstats,
-                );
+                // then the direction xpay. Per kernel the solver keeps w
+                // and fuses around it; the whole-iteration sweep trades the
+                // w store for a second in-band operator evaluation.
+                let pap = ex.matvec_dot(drv, &st.p, &mut w);
                 if let Err(kind) = guard::check_pivot(pap) {
                     return Step::Fail(kind.termination(), it);
                 }
                 let lambda = opts.scalar(st.rr / pap);
                 drv.counts.scalar_ops += 1;
-                let mut rr_next = guard::guarded_update_xr(
-                    opts,
-                    lambda,
-                    &st.p,
-                    &w,
-                    &mut st.x,
-                    &mut st.r,
-                    &mut drv.counts,
-                    &mut drv.rstats,
-                );
+                let mut rr_next = ex.update_xr(drv, lambda, &st.p, &w, &mut st.x, &mut st.r);
 
                 // recovery hook: periodic true-residual check, residual
                 // replacement, stagnation/divergence detection
@@ -199,7 +184,7 @@ impl CgVariant for StandardCg {
                 if !replaced {
                     let alpha = opts.scalar(rr_next / st.rr);
                     drv.counts.scalar_ops += 1;
-                    opts.xpay(&st.r, alpha, &mut st.p, &mut drv.counts);
+                    ex.xpay(drv, &st.r, alpha, &mut st.p);
                 }
                 st.rr = rr_next;
                 Step::Next

@@ -532,6 +532,7 @@ mod tests {
     use super::*;
     use crate::kernels::{axpy, dot};
     use vr_par::reduce::{par_dot_in, par_dot_with_in};
+    use vr_par::team::{dispatch_width, GRAIN};
 
     fn pseudo(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed | 1;
@@ -657,10 +658,12 @@ mod tests {
 
     #[test]
     fn par_variants_match_par_dot_composition_for_any_thread_count() {
-        let n = 10_000;
+        // long enough that every width below dispatches that many shards
+        let n = 7 * GRAIN + 1000;
         let p = pseudo(n, 51);
         let w = pseudo(n, 53);
         for threads in [1usize, 2, 4, 7] {
+            assert_eq!(dispatch_width(n, threads), threads);
             let team = (threads > 1).then(|| Team::new(threads));
             let t = team.as_ref();
             let (mut x1, mut r1) = (pseudo(n, 55), pseudo(n, 57));

@@ -213,8 +213,8 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
     // epoch runs in that fixed storage — extra iterations must be
     // allocation-free for all four sweep-eligible variants. (overlap-k1's
     // per-kernel path allocates per-iteration deferred-scalar launches;
-    // the sweep twin folds those reductions inside the epochs, so here it
-    // is held to the exact 10-vs-40 contract as well.)
+    // on the sweep engine the same step folds those reductions inside the
+    // epochs, so here it is held to the exact 10-vs-40 contract as well.)
     let sweep_variants: Vec<(Box<dyn CgVariant>, &str)> = vec![
         (Box::new(StandardCg::new()), "standard"),
         (

@@ -4,7 +4,7 @@
 //! registry variants. This suite pins what the loop *around* each
 //! recurrence does — set-up tallies, the loop top (progress stream,
 //! cancellation, checkpoint saves), rollback, restarts, the exit rules,
-//! and the mixed-precision and whole-iteration-sweep twins — for every
+//! the mixed-precision twins, and the whole-iteration sweep — for every
 //! solve loop in `vr-cg`: the registry variants, block CG with two
 //! columns, Chebyshev iteration, conjugate residual, and overlapped CR.
 //!
@@ -120,7 +120,7 @@ fn options(config: &str, team: &Arc<Team>) -> (SolveOptions, Stream) {
         }
         "floor_1e-12" => o = o.with_tol(1e-12),
         "mixed" => o = o.with_precision(Precision::Mixed),
-        // The sweep twins require Tree dots; other modes reject.
+        // The sweep requires Tree dots; other modes reject.
         "sweep" => {
             o = o
                 .with_dot_mode(DotMode::Tree)

@@ -11,6 +11,7 @@ use cg_lookahead::cg::{CgVariant, SolveOptions};
 use cg_lookahead::linalg::kernels;
 use cg_lookahead::linalg::{gen, CooMatrix, DenseMatrix};
 use cg_lookahead::par::reduce;
+use cg_lookahead::par::team::{dispatch_width, GRAIN};
 use cg_lookahead::poly::{Monomial, MultiPoly};
 use gen::XorShift64;
 
@@ -49,8 +50,12 @@ fn tree_dot_close_to_serial() {
 
 #[test]
 fn par_dot_is_thread_invariant() {
+    // long enough that width 3 and width 7 each dispatch that many shards
+    let n = 7 * GRAIN + 1000;
+    assert_eq!(dispatch_width(n, 3), 3);
+    assert_eq!(dispatch_width(n, 7), 7);
     check(16, |rng| {
-        let x = small_vec(rng, 2048);
+        let x = small_vec(rng, n);
         let d1 = reduce::par_dot_in(None, &x, &x);
         let d3 = reduce::par_dot_in(Some(&Team::new(3)), &x, &x);
         let d7 = reduce::par_dot_in(Some(&Team::new(7)), &x, &x);
@@ -690,7 +695,9 @@ fn par_fused_fault_injection_is_seed_reproducible_and_thread_invariant() {
     // independent of thread count
     check(12, |rng| {
         let seed = rng.next_u64();
-        let n = 2048 + rng.below(2048);
+        // long enough that width 4 dispatches four shards
+        let n = 4 * GRAIN + rng.below(2048);
+        assert_eq!(dispatch_width(n, 4), 4);
         let p = small_vec(rng, n);
         let w = small_vec(rng, n);
         let x0 = small_vec(rng, n);

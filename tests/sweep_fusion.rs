@@ -9,6 +9,7 @@
 //! explicit [`Termination::Unsupported`] rejection for every variant and
 //! configuration outside the sweep's eligibility envelope.
 
+use std::sync::Arc;
 use vr_cg::baselines::{ChronopoulosGearCg, PipelinedCg};
 use vr_cg::overlap_k1::OverlapK1Cg;
 use vr_cg::registry;
@@ -19,6 +20,7 @@ use vr_cg::{
 use vr_linalg::kernels::DotMode;
 use vr_linalg::stencil::{Stencil2d, Stencil3d};
 use vr_linalg::{gen, LinearOperator};
+use vr_par::team::{dispatch_width, Team};
 
 /// The four sweep-eligible variants, constructed as the registry does.
 fn eligible_variants() -> Vec<(&'static str, Box<dyn CgVariant>)> {
@@ -128,6 +130,51 @@ fn whole_iteration_sweep_is_bit_identical_to_fused() {
                         &sweep,
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The operators above are small enough (n ≈ 1k, below one team grain)
+/// that every kernel and every epoch runs as a single shard. At n ≈ 37k an
+/// explicit team of width 2 or 4 dispatches that many shards on any host,
+/// so this pins the sweep's multi-shard epochs (chunk-aligned shard
+/// ownership, `try_run_shards`) against the team kernels.
+#[test]
+fn sweep_matches_fused_across_multi_shard_teams() {
+    let ops: Vec<(&str, Box<dyn LinearOperator>)> = vec![
+        (
+            "stencil2d",
+            Box::new(Stencil2d::anisotropic(193, 191, 0.35)),
+        ),
+        ("stencil3d", Box::new(Stencil3d::new(34))),
+        ("csr", Box::new(gen::poisson2d(193))),
+    ];
+    for width in [2, 4] {
+        let team = Arc::new(Team::new(width));
+        for (okey, op) in &ops {
+            let a = op.as_ref();
+            let n = a.dim();
+            assert_eq!(
+                dispatch_width(n, width),
+                width,
+                "{okey}: n = {n} must dispatch {width} shards"
+            );
+            let b = gen::rand_vector(n, 31);
+            let opts = SolveOptions::default()
+                .with_dot_mode(DotMode::Tree)
+                .with_tol(1e-8)
+                .with_max_iters(30)
+                .with_team(Arc::clone(&team));
+            for (vkey, variant) in eligible_variants() {
+                let fused = variant.solve(a, &b, None, &opts);
+                let sweep = variant.solve(
+                    a,
+                    &b,
+                    None,
+                    &opts.clone().with_sweep_policy(SweepPolicy::WholeIteration),
+                );
+                assert_bits_eq(&format!("{vkey}/{okey}/team={width}"), &fused, &sweep);
             }
         }
     }
