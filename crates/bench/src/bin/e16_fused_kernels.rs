@@ -3,24 +3,25 @@
 //! The paper removes inner-product *latency* from the critical path; this
 //! experiment measures the complementary sequential cost: memory traffic.
 //! Standard CG touches its vectors in six separate sweeps per iteration
-//! (matvec, (p,Ap), two axpys, (r,r), direction update); the `Fused`
-//! kernel policy collapses those to three on a matrix-free stencil —
-//! `apply_dot` evaluates the stencil and accumulates (p,Ap) in one
-//! branch-free row sweep, and the fused `update_xr` kernel applies both
-//! vector updates and the (r,r) reduction in a second single pass. The
+//! (matvec, (p,Ap), two axpys, (r,r), direction update); the
+//! `Execution::Fused` kernels collapse those to three on a matrix-free
+//! stencil — `apply_dot` evaluates the stencil and accumulates (p,Ap) in
+//! one branch-free row sweep, and the fused `update_xr` kernel applies
+//! both vector updates and the (r,r) reduction in a second single pass. The
 //! scalar iterates are bit-identical by construction (the differential
 //! suite enforces this), so the comparison is pure throughput.
 //!
-//! Sweep: grid size × variant × kernel policy, fixed iteration budget,
-//! min-of-reps wall clock. Headline (asserted outside `--smoke`): on the
-//! 2-D Poisson stencil at N ≥ 1e6, fused standard CG sustains ≥ 1.3× the
-//! single-thread iteration throughput of the reference policy.
+//! Sweep: grid size × variant × execution {`Reference`, `Fused`}, fixed
+//! iteration budget, min-of-reps wall clock. Headline (asserted outside
+//! `--smoke`): on the 2-D Poisson stencil at N ≥ 1e6, fused standard CG
+//! sustains ≥ 1.3× the single-thread iteration throughput of the
+//! reference kernels.
 
 use std::time::Instant;
 use vr_bench::{write_json, Table};
 use vr_cg::baselines::{ChronopoulosGearCg, PipelinedCg};
 use vr_cg::standard::StandardCg;
-use vr_cg::{CgVariant, KernelPolicy, SolveOptions};
+use vr_cg::{CgVariant, Execution, SolveOptions};
 use vr_linalg::stencil::Stencil2d;
 
 vr_bench::jsonable! {
@@ -72,15 +73,18 @@ fn main() {
             // interleave the reps across policies so transient machine noise
             // (frequency shifts, noisy neighbors) hits both sides of the
             // ratio, not just whichever happened to run second
-            let policies = [KernelPolicy::Reference, KernelPolicy::Fused];
+            let policies = [
+                (Execution::Reference, "reference"),
+                (Execution::Fused, "fused"),
+            ];
             let mut best = [f64::INFINITY; 2];
             let mut last = [None, None];
             for _ in 0..reps {
-                for (k, &policy) in policies.iter().enumerate() {
+                for (k, &(execution, _)) in policies.iter().enumerate() {
                     let opts = SolveOptions::default()
                         .with_tol(0.0)
                         .with_max_iters(iters)
-                        .with_kernel_policy(policy);
+                        .with_execution(execution);
                     let t0 = Instant::now();
                     let res = solver.solve(&op, &b, None, &opts);
                     best[k] = best[k].min(t0.elapsed().as_secs_f64());
@@ -88,25 +92,21 @@ fn main() {
                 }
             }
             let mut ref_spi = f64::NAN;
-            for (k, policy) in policies.into_iter().enumerate() {
+            for (k, (_, plabel)) in policies.into_iter().enumerate() {
                 let best = best[k];
                 let res = last[k].take().expect("reps >= 1");
                 assert!(
                     res.iterations == iters,
-                    "{vname}/{policy:?} grid {g}: expected {iters} iterations, ran {}",
+                    "{vname}/{plabel} grid {g}: expected {iters} iterations, ran {}",
                     res.iterations
                 );
                 let spi = best / res.iterations as f64;
-                let speedup = match policy {
-                    KernelPolicy::Reference => {
-                        ref_spi = spi;
-                        1.0
-                    }
-                    KernelPolicy::Fused => ref_spi / spi,
-                };
-                let plabel = match policy {
-                    KernelPolicy::Reference => "reference",
-                    KernelPolicy::Fused => "fused",
+                // the reference row comes first and is the ratio's base
+                let speedup = if k == 0 {
+                    ref_spi = spi;
+                    1.0
+                } else {
+                    ref_spi / spi
                 };
                 table.row(&[
                     g.to_string(),

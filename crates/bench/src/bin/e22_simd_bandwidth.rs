@@ -4,7 +4,7 @@
 //! memory-bandwidth-bound, so the next factor must come from within a
 //! core. This experiment measures the two in-core levers this repo adds —
 //! explicit SIMD lanes (pinned with [`simd::with_level`]) and f32 working vectors with f64
-//! guard arithmetic ([`Precision::Mixed`]) — against a STREAM-triad-style
+//! guard arithmetic ([`Execution::Mixed`]) — against a STREAM-triad-style
 //! roofline measured on the same host, using the `vr_obs` bytes-moved
 //! counter to report every configuration as a *fraction of measured host
 //! streaming bandwidth per iteration* (the 2205.08909 framing: bytes per
@@ -22,7 +22,7 @@
 //!    sweep sustains ≥ 1.2× scalar throughput (the dot-carrying sweeps
 //!    in practice; the rmw-heavy `update_xr` is store-bound).
 //! 3. **Whole solves** — grid × variant {standard, overlap-k1, pipelined}
-//!    × lanes {scalar, auto} × Precision {F64, Mixed}, fixed
+//!    × lanes {scalar, auto} × execution {Fused, Mixed}, fixed
 //!    iteration budget, fused kernels, one traced rep per cell harvesting
 //!    logical bytes/iteration from the tracer. Headline: mixed precision
 //!    moves measurably fewer bytes per iteration than f64 (≤ 0.75×) on
@@ -40,7 +40,7 @@ use vr_bench::{write_json, Table};
 use vr_cg::baselines::PipelinedCg;
 use vr_cg::overlap_k1::OverlapK1Cg;
 use vr_cg::standard::StandardCg;
-use vr_cg::{registry, CgVariant, KernelPolicy, Precision, SolveOptions, Termination};
+use vr_cg::{registry, CgVariant, Execution, SolveOptions, Termination};
 use vr_linalg::gen;
 use vr_linalg::kernels::DotMode;
 use vr_linalg::stencil::Stencil2d;
@@ -198,11 +198,11 @@ fn main() {
         (&[256, 512, 1024], 40, 3)
     };
     // lanes are pinned on the solve thread with `simd::with_level`
-    let configs: [(SimdLevel, Precision, &str, &str); 4] = [
-        (SimdLevel::Scalar, Precision::F64, "scalar", "f64"),
-        (vector_level, Precision::F64, "simd", "f64"),
-        (SimdLevel::Scalar, Precision::Mixed, "scalar", "mixed"),
-        (vector_level, Precision::Mixed, "simd", "mixed"),
+    let configs: [(SimdLevel, Execution, &str, &str); 4] = [
+        (SimdLevel::Scalar, Execution::Fused, "scalar", "f64"),
+        (vector_level, Execution::Fused, "simd", "f64"),
+        (SimdLevel::Scalar, Execution::Mixed, "scalar", "mixed"),
+        (vector_level, Execution::Mixed, "simd", "mixed"),
     ];
     let mut solve_rows: Vec<SolveRow> = Vec::new();
     let mut solve_table = Table::new(&[
@@ -217,12 +217,11 @@ fn main() {
             // every arm of the comparison, not just whichever ran last
             let mut best = [f64::INFINITY; 4];
             let mut last: [Option<vr_cg::SolveResult>; 4] = [None, None, None, None];
-            let opts_for = |&(_, prec, _, _): &(SimdLevel, Precision, &str, &str)| {
+            let opts_for = |&(_, execution, _, _): &(SimdLevel, Execution, &str, &str)| {
                 SolveOptions::default()
                     .with_tol(0.0)
                     .with_max_iters(iters)
-                    .with_kernel_policy(KernelPolicy::Fused)
-                    .with_precision(prec)
+                    .with_execution(execution)
             };
             for _ in 0..reps {
                 for (k, cfg) in configs.iter().enumerate() {

@@ -3,7 +3,7 @@
 //!
 //! E22 established that the fused per-kernel sweeps are pinned to the
 //! memory wall: bytes per iteration is the metric, FLOPs are free. This
-//! experiment measures the next rung — [`SweepPolicy::WholeIteration`]
+//! experiment measures the next rung — [`Execution::WholeIteration`]
 //! executes an *entire* CG iteration as a handful of barrier epochs over
 //! cache-resident row slices, so intermediate vectors (the stored `A·p`
 //! stream above all) never round-trip through memory. The engine recomputes
@@ -13,16 +13,16 @@
 //!
 //! Three parts:
 //!
-//! 1. **Policy shoot-out** — the four sweep-eligible variants {standard,
+//! 1. **Execution shoot-out** — the four sweep-eligible variants {standard,
 //!    overlap-k1, chronopoulos-gear, pipelined} on 2-D Poisson at
 //!    N = 2^20, single thread, fixed iteration budget, `Fused` vs
-//!    `WholeIteration`, reps interleaved across policies. One traced rep
+//!    `WholeIteration`, reps interleaved across executions. One traced rep
 //!    per cell harvests logical bytes/iteration (`IterSweep` spans for the
 //!    sweep path, the per-kernel spans for the fused path) and must not
 //!    perturb the untraced bits.
 //! 2. **Headlines** (asserted outside `--smoke`): for standard CG at
 //!    N = 2^20 the whole-iteration sweep moves ≤ 0.7× the measured
-//!    bytes/iteration of `KernelPolicy::Fused` (the logical tally says
+//!    bytes/iteration of `Execution::Fused` (the logical tally says
 //!    72n vs 104n = 0.69×) and sustains ≥ 1.15× single-thread wall-clock
 //!    iteration throughput.
 //! 3. **Bit-identity** (asserted in smoke *and* full runs) — every
@@ -36,7 +36,7 @@ use vr_bench::{write_json, Table};
 use vr_cg::baselines::{ChronopoulosGearCg, PipelinedCg};
 use vr_cg::overlap_k1::OverlapK1Cg;
 use vr_cg::standard::StandardCg;
-use vr_cg::{CgVariant, SolveOptions, SweepPolicy, Termination};
+use vr_cg::{CgVariant, Execution, SolveOptions, Termination};
 use vr_linalg::kernels::DotMode;
 use vr_linalg::stencil::Stencil2d;
 use vr_linalg::{gen, LinearOperator};
@@ -88,16 +88,16 @@ fn main() {
     let op = Stencil2d::poisson(grid);
     let n = grid * grid;
     let b = vec![1.0; n];
-    // the sweep's eligibility envelope: Tree dots, fused kernels (the
-    // default), f64 — identical options on both sides except the policy
+    // the sweep's eligibility envelope: Tree dots, no injector, recovery
+    // or checksum — identical options on both sides except the execution
     let base = SolveOptions::default()
         .with_tol(0.0)
         .with_max_iters(iters)
         .with_dot_mode(DotMode::Tree)
         .with_threads(1);
     let policies = [
-        ("fused", SweepPolicy::Fused),
-        ("sweep", SweepPolicy::WholeIteration),
+        ("fused", Execution::Fused),
+        ("sweep", Execution::WholeIteration { tile: None }),
     ];
     println!("E23 — whole-iteration sweep fusion: 2-D Poisson {grid}x{grid} (N = {n}), 1 thread");
     let mut rows: Vec<PolicyRow> = Vec::new();
@@ -111,7 +111,7 @@ fn main() {
         let mut last: [Option<vr_cg::SolveResult>; 2] = [None, None];
         for _ in 0..reps {
             for (k, (_, policy)) in policies.iter().enumerate() {
-                let opts = base.clone().with_sweep_policy(*policy);
+                let opts = base.clone().with_execution(*policy);
                 let t0 = Instant::now();
                 let res = solver.solve(&op, &b, None, &opts);
                 best[k] = best[k].min(t0.elapsed().as_secs_f64());
@@ -131,7 +131,7 @@ fn main() {
             let tracer = Arc::new(Tracer::for_width(1));
             let opts = base
                 .clone()
-                .with_sweep_policy(*policy)
+                .with_execution(*policy)
                 .with_tracer(Arc::clone(&tracer));
             let traced = solver.solve(&op, &b, None, &opts);
             assert_eq!(
@@ -227,8 +227,7 @@ fn main() {
             for tile in tiles {
                 let sopts = opts
                     .clone()
-                    .with_sweep_policy(SweepPolicy::WholeIteration)
-                    .with_sweep_tile(tile);
+                    .with_execution(Execution::WholeIteration { tile });
                 let sweep = solver.solve(&ia, &ib, None, &sopts);
                 identical &= sweep.x == fused.x
                     && sweep.residual_norms == fused.residual_norms
@@ -237,7 +236,7 @@ fn main() {
             }
             assert!(
                 identical,
-                "{vname}/threads={threads}: sweep policy changed the bits"
+                "{vname}/threads={threads}: the sweep changed the bits"
             );
             identity_rows.push(IdentityRow {
                 variant: vname.into(),

@@ -15,7 +15,7 @@
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::exec::Exec;
 use crate::resilience::guard;
-use crate::solver::{CgVariant, SolveOptions, SolveResult};
+use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
@@ -81,12 +81,8 @@ impl CgVariant for ChronopoulosGearCg {
         "chronopoulos-gear-cg".into()
     }
 
-    fn mixed_eligible(&self) -> bool {
-        TWINS.mixed.is_some()
-    }
-
-    fn sweep_eligible(&self) -> bool {
-        TWINS.sweep
+    fn supports(&self, execution: Execution) -> bool {
+        TWINS.supports(execution)
     }
 
     fn solve(

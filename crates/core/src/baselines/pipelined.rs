@@ -17,7 +17,7 @@
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::exec::Exec;
 use crate::resilience::guard;
-use crate::solver::{CgVariant, KernelPolicy, SolveOptions, SolveResult};
+use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
@@ -45,12 +45,8 @@ impl CgVariant for PipelinedCg {
         "pipelined-cg".into()
     }
 
-    fn mixed_eligible(&self) -> bool {
-        TWINS.mixed.is_some()
-    }
-
-    fn sweep_eligible(&self) -> bool {
-        TWINS.sweep
+    fn supports(&self, execution: Execution) -> bool {
+        TWINS.supports(execution)
     }
 
     fn solve(
@@ -141,10 +137,11 @@ pub(crate) fn solve_gv(
         delta_carried: 0.0,
     };
 
-    // Under the fused policy the w-update sweep of iteration `it` carries
-    // δ for iteration `it + 1` (bit-identical association), so the loop
-    // top only pays a standalone reduction at startup.
-    let fused = opts.kernel_policy == KernelPolicy::Fused;
+    // Unless the kernels are the two-pass reference ones, the w-update
+    // sweep of iteration `it` carries δ for iteration `it + 1`
+    // (bit-identical association), so the loop top only pays a standalone
+    // reduction at startup.
+    let fused = opts.execution != Execution::Reference;
     let (termination, iterations) = drv.iterate(
         &mut st,
         |st| st.gamma,

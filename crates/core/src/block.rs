@@ -28,7 +28,7 @@
 use crate::driver::Driver;
 use crate::instrument::OpCounts;
 use crate::resilience::guard;
-use crate::solver::{SolveOptions, Termination};
+use crate::solver::{Execution, SolveOptions, Termination};
 use vr_linalg::kernels;
 use vr_linalg::{DenseMatrix, LinearOperator};
 use vr_par::simd::leaf_dot;
@@ -69,6 +69,11 @@ impl BlockCg {
     }
 
     /// Solve for all columns of `b` simultaneously.
+    ///
+    /// Runs under `Execution::Reference` and `Execution::Fused` alike;
+    /// under `WholeIteration` or `Mixed` it returns
+    /// [`Termination::Unsupported`] after no iterations, with `x = 0` and
+    /// the initial residual norms.
     ///
     /// # Panics
     /// Panics if `b` is empty or its columns mismatch the operator
@@ -111,6 +116,20 @@ impl BlockCg {
             for (h, v) in norms.iter_mut().zip(&rr) {
                 h.push(v.max(0.0).sqrt());
             }
+        }
+
+        // One loop, run alike under `Reference` and `Fused`: with no
+        // mixed-precision twin or sweep schedule, the other executions
+        // reject after no iterations, like a single-rhs loop without twins.
+        if !matches!(opts.execution, Execution::Reference | Execution::Fused) {
+            return BlockSolveResult {
+                x,
+                termination: Termination::Unsupported,
+                iterations: 0,
+                residual_norms: norms,
+                counts,
+                converged: false,
+            };
         }
 
         let mut termination = Termination::MaxIterations;

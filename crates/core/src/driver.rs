@@ -6,9 +6,10 @@
 //! each iteration's inner products are computed. Everything around the
 //! recurrence is one protocol, and it lives here:
 //!
-//! 1. **Dispatch** ([`twin`]): under `SweepPolicy::WholeIteration` a variant
-//!    whose step declares the sweep runs that step on the sweep engine
-//!    (`crate::exec`), under `Precision::Mixed` its declared
+//! 1. **Dispatch** ([`twin`]): one `match` on the solve's `Execution`.
+//!    `Reference` and `Fused` run the variant's own loop; under
+//!    `WholeIteration` a variant whose step declares the sweep runs that
+//!    step on the sweep engine (`crate::exec`), under `Mixed` its declared
 //!    mixed-precision twin ([`Twins`]); a variant without the declaration,
 //!    or a configuration it cannot reproduce, gets the one explicit
 //!    [`reject`].
@@ -39,7 +40,7 @@
 use crate::instrument::{OpCounts, RecoveryStats};
 use crate::resilience::checkpoint::{CheckpointRing, HistoryMark};
 use crate::resilience::guard::ResidualGuard;
-use crate::solver::{Precision, SolveOptions, SolveResult, SweepPolicy, Termination};
+use crate::solver::{Execution, SolveOptions, SolveResult, Termination};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use vr_linalg::{kernels, LinearOperator};
@@ -126,14 +127,14 @@ impl Drop for TraceGuard {
 pub(crate) type Twin<V> =
     fn(&V, &dyn LinearOperator, &[f64], Option<&[f64]>, &SolveOptions) -> SolveResult;
 
-/// A variant's declarations for the mixed/sweep dispatch.
-/// `CgVariant::mixed_eligible` and `CgVariant::sweep_eligible` read the
-/// same declaration [`twin`] dispatches on.
+/// A variant's declarations for the execution dispatch.
+/// `CgVariant::supports` reads the same declaration [`twin`] dispatches
+/// on ([`Twins::supports`]).
 pub(crate) struct Twins<V> {
-    /// The `f32`-storage loop run under `Precision::Mixed`.
+    /// The `f32`-storage loop run under `Execution::Mixed`.
     pub mixed: Option<Twin<V>>,
     /// Whether the variant's own step runs under
-    /// `SweepPolicy::WholeIteration` (on the sweep engine of its
+    /// `Execution::WholeIteration` (on the sweep engine of its
     /// `crate::exec::Exec`).
     pub sweep: bool,
 }
@@ -144,9 +145,19 @@ impl<V> Twins<V> {
         mixed: None,
         sweep: false,
     };
+
+    /// Whether a variant with these declarations has a loop for
+    /// `execution`.
+    pub fn supports(&self, execution: Execution) -> bool {
+        match execution {
+            Execution::Reference | Execution::Fused => true,
+            Execution::WholeIteration { .. } => self.sweep,
+            Execution::Mixed => self.mixed.is_some(),
+        }
+    }
 }
 
-/// The mixed/sweep dispatch at the top of every `solve`: `Some` when the
+/// The execution dispatch at the top of every `solve`: `Some` when the
 /// options select a twin (its result) or a configuration the variant
 /// cannot run (the explicit rejection), `None` when the variant's own
 /// `f64` loop should run — per kernel, or on the sweep engine.
@@ -159,17 +170,17 @@ pub(crate) fn twin<V>(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> Option<SolveResult> {
-    if opts.sweep_policy == SweepPolicy::WholeIteration {
-        let runs = twins.sweep && crate::sweep::eligible(a, opts);
-        return (!runs).then(|| reject(a, b, x0, opts));
+    match opts.execution {
+        Execution::Reference | Execution::Fused => None,
+        Execution::WholeIteration { .. } => {
+            let runs = twins.sweep && crate::sweep::eligible(a, opts);
+            (!runs).then(|| reject(a, b, x0, opts))
+        }
+        Execution::Mixed => Some(match twins.mixed.filter(|_| crate::mixed::supported(a)) {
+            Some(f) => f(v, a, b, x0, opts),
+            None => reject(a, b, x0, opts),
+        }),
     }
-    if opts.precision != Precision::Mixed {
-        return None;
-    }
-    Some(match twins.mixed.filter(|_| crate::mixed::supported(a)) {
-        Some(f) => f(v, a, b, x0, opts),
-        None => reject(a, b, x0, opts),
-    })
 }
 
 /// Explicit rejection of a configuration the variant has no loop for: no

@@ -9,7 +9,7 @@
 //!
 //! * **per kernel** — the `SolveOptions` helpers and `guard::guarded_*`,
 //!   one kernel per operation, in the step's program order;
-//! * **as one sweep epoch** — under `SweepPolicy::WholeIteration` (once
+//! * **as one sweep epoch** — under `Execution::WholeIteration` (once
 //!   the dispatch has checked `sweep::eligible`), a
 //!   [`FusedIterationSweep`] epoch whose chunks run the per-kernel leaf
 //!   sequence, so the bits are the same (see `vr_linalg::sweep`).
@@ -23,7 +23,7 @@
 use crate::driver::Driver;
 use crate::instrument::OpCounts;
 use crate::resilience::guard;
-use crate::solver::{KernelPolicy, SolveOptions, SweepPolicy};
+use crate::solver::{Execution, SolveOptions};
 use std::sync::Arc;
 use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
 use vr_linalg::sweep::FusedIterationSweep;
@@ -52,17 +52,18 @@ enum Arm<'a> {
 
 impl<'a> Exec<'a> {
     /// The handle for this solve: the sweep engine under
-    /// `SweepPolicy::WholeIteration`, per kernel otherwise.
+    /// `Execution::WholeIteration`, per kernel otherwise.
     pub fn new(a: &'a dyn LinearOperator, opts: &'a SolveOptions) -> Self {
-        let arm = if opts.sweep_policy == SweepPolicy::WholeIteration {
-            let team = opts.team();
-            Arm::Sweep {
-                eng: crate::sweep::engine(a, opts, team.as_deref()),
-                team,
-                delta: 0.0,
+        let arm = match opts.execution {
+            Execution::WholeIteration { tile } => {
+                let team = opts.team();
+                Arm::Sweep {
+                    eng: crate::sweep::engine(a, opts, tile, team.as_deref()),
+                    team,
+                    delta: 0.0,
+                }
             }
-        } else {
-            Arm::Kernels(None)
+            _ => Arm::Kernels(None),
         };
         Exec { a, opts, arm }
     }
@@ -230,7 +231,7 @@ impl<'a> Exec<'a> {
 
     /// The sixth: `w ← w − λz`, returning the next iteration's
     /// `δ = (w, r)` when it is carried (`None` under
-    /// `KernelPolicy::Reference`, whose step recomputes δ). Per kernel it
+    /// `Execution::Reference`, whose step recomputes δ). Per kernel it
     /// runs here, after the convergence test; the sweep ran it in
     /// [`Exec::pipelined_update`]'s epoch and only tallies it here.
     pub fn pipelined_w_update(
@@ -243,7 +244,7 @@ impl<'a> Exec<'a> {
     ) -> Option<f64> {
         let (o, c) = (self.opts, &mut drv.counts);
         match &self.arm {
-            Arm::Kernels(_) if o.kernel_policy == KernelPolicy::Fused => {
+            Arm::Kernels(_) if o.execution == Execution::Fused => {
                 Some(o.axpy_dot(-lambda, z, w, r, c))
             }
             Arm::Kernels(_) => {

@@ -24,7 +24,8 @@ pub struct OpCounts {
     /// Warm restarts taken after window validation failed (look-ahead
     /// solvers only).
     pub restarts: usize,
-    /// Single-pass fused kernel invocations (`KernelPolicy::Fused` only).
+    /// Single-pass fused kernel invocations (none under
+    /// `Execution::Reference`).
     ///
     /// The *logical* tallies above always count reference-equivalent work —
     /// a fused matvec+dot still increments `matvecs` and `dots` — so the

@@ -35,6 +35,17 @@
 //! [`registry`] holds the canonical list of all registered variants; test
 //! suites and the stability shoot-out derive their sweeps from it.
 //!
+//! ## One execution choice per solve
+//!
+//! How a solve runs its recurrence's vector work and reductions is one
+//! value, [`SolveOptions::execution`] (an [`Execution`]): `Reference`
+//! two-pass kernels, `Fused` single-pass kernels (the default),
+//! `WholeIteration` sweep epochs ([`sweep`]), or `Mixed` `f32` storage
+//! behind an `f64` guard ([`mixed`]). Every variant runs `Reference` and
+//! `Fused`, bit-identically; [`CgVariant::supports`] says which of the
+//! other two it has, and an unsupported value ends the solve with
+//! [`Termination::Unsupported`] after no iterations.
+//!
 //! All solvers implement [`CgVariant`] and are *numerically equivalent to
 //! CG in exact arithmetic* — the integration tests verify iterate-level
 //! agreement, and [`recurrence::symbolic`] machine-derives the (*)
@@ -74,6 +85,5 @@ pub mod sweep;
 
 pub use instrument::{OpCounts, RecoveryStats};
 pub use solver::{
-    CgVariant, KernelPolicy, Precision, ProgressHook, RoutingMeta, SolveOptions, SolveResult,
-    SweepPolicy, Termination,
+    CgVariant, Execution, ProgressHook, RoutingMeta, SolveOptions, SolveResult, Termination,
 };

@@ -26,10 +26,10 @@
 //! with [`Termination::Stagnated`] instead of falsely converging.
 //!
 //! Only variants whose dependency structure has a faithful `f32` twin here
-//! are eligible ([`CgVariant::mixed_eligible`]): standard CG, the paper's
+//! are eligible ([`CgVariant::supports`]): standard CG, the paper's
 //! one-step overlapped CG, and Ghysels-Vanroose pipelined CG — each
 //! declares its twin to the iteration driver, which dispatches to it. Every
-//! other variant rejects [`Precision::Mixed`] with
+//! other variant rejects [`Execution::Mixed`] with
 //! [`Termination::Unsupported`] — an explicit error beats a silent `f64`
 //! fallback whose numbers the caller would misattribute. Likewise an
 //! operator without a native `f32` path ([`LinearOperator::apply_f32`],
@@ -47,7 +47,7 @@ use vr_linalg::LinearOperator;
 use vr_par::{reduce, simd};
 
 #[cfg(doc)]
-use crate::solver::{CgVariant, Precision};
+use crate::solver::{CgVariant, Execution};
 
 /// Confirm the `f32` recurrence against the `f64` truth every this many
 /// iterations (in addition to every convergence claim and every suspicious
@@ -585,13 +585,13 @@ fn widen(x32: &[f32]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{CgVariant, Precision, SolveOptions};
+    use crate::solver::{CgVariant, Execution, SolveOptions};
     use crate::standard::StandardCg;
     use vr_linalg::gen;
 
     fn mixed_opts(tol: f64) -> SolveOptions {
         SolveOptions::default()
-            .with_precision(Precision::Mixed)
+            .with_execution(Execution::Mixed)
             .with_tol(tol)
     }
 

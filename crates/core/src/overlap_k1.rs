@@ -32,7 +32,7 @@
 use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
 use crate::exec::Exec;
 use crate::resilience::guard;
-use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult, Termination};
 use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
@@ -107,12 +107,8 @@ impl CgVariant for OverlapK1Cg {
         }
     }
 
-    fn mixed_eligible(&self) -> bool {
-        TWINS.mixed.is_some()
-    }
-
-    fn sweep_eligible(&self) -> bool {
-        TWINS.sweep
+    fn supports(&self, execution: Execution) -> bool {
+        TWINS.supports(execution)
     }
 
     fn solve(

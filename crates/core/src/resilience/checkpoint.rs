@@ -157,12 +157,6 @@ impl CheckpointRing {
         Some((slot.iter, slot.history))
     }
 
-    /// Rollbacks consumed so far.
-    #[must_use]
-    pub fn rollbacks_taken(&self) -> usize {
-        self.taken
-    }
-
     /// Checkpoint period in iterations.
     #[must_use]
     pub fn period(&self) -> usize {

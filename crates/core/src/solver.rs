@@ -10,17 +10,30 @@ use vr_par::fault::{FaultInjector, FaultSite};
 use vr_par::team::{self, Team};
 use vr_par::{reduce, PendingScalar};
 
-/// How per-iteration vector updates and the reductions that consume them
-/// are executed.
+/// How one solve executes its recurrence's vector work and reductions.
 ///
-/// Both policies compute *bit-identical* scalar sequences for a given
-/// `(dot_mode, team width, injector)` configuration — the fused kernels in
-/// [`vr_linalg::fused`] preserve the exact association order of their
-/// two-pass compositions. The difference is purely memory traffic: `Fused`
-/// streams each vector through memory once where `Reference` makes separate
-/// passes for the update and the reduction.
+/// Every value runs the same recurrence; they differ in how its kernels
+/// and reductions are grouped and in the storage of the working vectors:
+///
+/// * `Reference` and `Fused` run the variant's own loop, one kernel per
+///   operation. They compute *bit-identical* scalar sequences for a given
+///   `(dot_mode, team width, injector)` configuration — the fused kernels
+///   in [`vr_linalg::fused`] preserve the exact association order of their
+///   two-pass compositions — and differ only in memory traffic: `Fused`
+///   streams each vector through memory once where `Reference` makes
+///   separate passes for the update and the reduction.
+/// * `WholeIteration` runs the variant's step as whole-iteration sweep
+///   epochs ([`crate::sweep`]), bit-identical to `Fused` for an eligible
+///   configuration.
+/// * `Mixed` runs the variant's `f32`-storage twin ([`crate::mixed`]).
+///
+/// A variant answers [`CgVariant::supports`] for each value; a value it
+/// does not support, or a configuration the value cannot reproduce,
+/// terminates with [`Termination::Unsupported`] after no iterations —
+/// rejecting explicitly beats silently falling back and reporting numbers
+/// the caller would misattribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPolicy {
+pub enum Execution {
     /// Textbook composition: separate axpy/xpay passes followed by separate
     /// inner products. The formulation all op-count claims are stated in.
     Reference,
@@ -28,57 +41,30 @@ pub enum KernelPolicy {
     /// operators that support it, matvec+dot without materializing `A·p`.
     #[default]
     Fused,
-}
-
-/// How much of an iteration a single kernel invocation covers.
-///
-/// [`KernelPolicy`] fuses *pairs* (an update with the reduction that
-/// consumes it); `SweepPolicy::WholeIteration` generalizes that to the whole
-/// iteration: matvec staging, both dot reductions, and the x/r/p updates run
-/// as one pass over cache-resident chunk slices (the
-/// [`vr_linalg::sweep::FusedIterationSweep`] engine), so each vector element
-/// is loaded from DRAM once per iteration instead of once per kernel.
-///
-/// Both policies compute **bit-identical** solves for an eligible
-/// configuration — the sweep engine reproduces the fixed 256-leaf chunk
-/// reduction layout and the exact elementwise operation sequences of the
-/// unfused path at any tile size, lane width, and thread width. The sweep is
-/// opt-in and deliberately narrow: it requires `DotMode::Tree`,
-/// `Precision::F64`, no fault injector, no recovery policy, no reduction
-/// checksum, a sweepable operator ([`LinearOperator::as_sweep`]), and a
-/// variant whose dependency structure permits a single-pass schedule
-/// ([`CgVariant::sweep_eligible`]). Anything else terminates with
-/// [`Termination::Unsupported`] — rejecting explicitly beats silently
-/// falling back and reporting numbers the caller would misattribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepPolicy {
-    /// Per-kernel execution under [`KernelPolicy`] (the default).
-    #[default]
-    Fused,
-    /// One cache-resident pass per CG iteration (see
-    /// [`vr_linalg::sweep`]).
-    WholeIteration,
-}
-
-/// Working precision of the iteration's vector recurrences.
-///
-/// `Mixed` keeps the CG working vectors (`x`, `r`, `p`, and the variant's
-/// auxiliaries) in `f32` — halving the bytes every sweep streams — while
-/// *all* safety-critical arithmetic stays in `f64`: reduction accumulation
-/// (the `f32` leaf kernels widen every product before summing), the scalar
-/// recurrences, periodic true-residual recomputation, residual replacement,
-/// and convergence confirmation. A mixed solve never reports convergence
-/// from the `f32` recurrence alone; the claim is always confirmed against
-/// the `f64` true residual (see [`crate::mixed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Full double precision everywhere (the reference formulation).
-    #[default]
-    F64,
-    /// `f32` working vectors with `f64` guard arithmetic. Only variants
-    /// with [`CgVariant::mixed_eligible`]` == true` support it; others
-    /// terminate immediately with [`Termination::Unsupported`]. Requires
-    /// an operator with a native `f32` path
+    /// One cache-resident pass per CG epoch: matvec staging, the dot
+    /// reductions, and the vector updates of an epoch run as one pass over
+    /// chunk slices (the [`vr_linalg::sweep::FusedIterationSweep`] engine),
+    /// so each vector element is loaded from DRAM once per epoch instead of
+    /// once per kernel. It replays the fused kernels' arithmetic, so it
+    /// requires `DotMode::Tree`, no fault injector, no recovery policy, no
+    /// reduction checksum, and a sweepable operator
+    /// ([`LinearOperator::as_sweep`]).
+    WholeIteration {
+        /// Staging-tile size in *elements* per staged sub-range; `None`
+        /// uses the L1-derived heuristic from the [`vr_par::cache`] probe.
+        /// Numerically inert — any tile size produces identical bits — so
+        /// it exists for cache experiments and the differential tests'
+        /// degenerate (1-element / whole-domain) coverage.
+        tile: Option<usize>,
+    },
+    /// `f32` working vectors (`x`, `r`, `p`, and the variant's
+    /// auxiliaries) — halving the bytes every sweep streams — while *all*
+    /// safety-critical arithmetic stays in `f64`: reduction accumulation
+    /// (the `f32` leaf kernels widen every product before summing), the
+    /// scalar recurrences, periodic true-residual recomputation, residual
+    /// replacement, and convergence confirmation. A mixed solve never
+    /// reports convergence from the `f32` recurrence alone (see
+    /// [`crate::mixed`]). Requires an operator with a native `f32` path
     /// ([`LinearOperator::apply_f32`]).
     Mixed,
 }
@@ -152,19 +138,9 @@ pub struct SolveOptions {
     /// Breakdown-recovery policy (None = classic behavior: fail on the
     /// first suspicious scalar). See [`crate::resilience::recovery`].
     pub recovery: Option<RecoveryPolicy>,
-    /// Kernel execution policy (fused single-pass vs reference two-pass).
-    pub kernel_policy: KernelPolicy,
-    /// Iteration execution policy (per-kernel vs whole-iteration sweep
-    /// fusion; see [`SweepPolicy`]).
-    pub sweep_policy: SweepPolicy,
-    /// Explicit whole-iteration sweep staging-tile size, in *elements* per
-    /// staged sub-range (see [`vr_linalg::sweep::FusedIterationSweep`]).
-    /// `None` uses the L1-derived heuristic from the [`vr_par::cache`]
-    /// probe. Numerically inert — any tile size produces identical bits —
-    /// so it exists for cache experiments and the differential tests'
-    /// degenerate (1-element / whole-domain) coverage. Ignored under
-    /// [`SweepPolicy::Fused`].
-    pub sweep_tile: Option<usize>,
+    /// How the recurrence's kernels and reductions execute (see
+    /// [`Execution`]).
+    pub execution: Execution,
     /// Persistent worker team for vector kernels and reductions. `None`
     /// (the default) keeps everything on the calling thread; a team of
     /// width `>= 2` runs matvecs, vector updates and `DotMode::Tree`
@@ -206,8 +182,6 @@ pub struct SolveOptions {
     /// size produces identical bits. Operators without a tiled kernel
     /// (the trait default, [`vr_linalg::mpk::naive_powers`]) ignore it.
     pub mpk_tile: Option<usize>,
-    /// Working precision of the vector recurrences (see [`Precision`]).
-    pub precision: Precision,
     /// Span tracer for critical-path profiling (None = untraced). When
     /// attached, solver helpers record [`vr_obs`] spans on shard 0 and the
     /// team/kernel layers add worker-side detail. Tracing never changes
@@ -236,15 +210,12 @@ impl Default for SolveOptions {
             record_residuals: true,
             injector: None,
             recovery: None,
-            kernel_policy: KernelPolicy::default(),
-            sweep_policy: SweepPolicy::default(),
-            sweep_tile: None,
+            execution: Execution::default(),
             team: None,
             thread_clamp: None,
             checksum: false,
             checksum_detected: Arc::new(AtomicU64::new(0)),
             mpk_tile: None,
-            precision: Precision::default(),
             tracer: None,
             cancel: None,
             progress: None,
@@ -288,25 +259,10 @@ impl SolveOptions {
         self
     }
 
-    /// Set the kernel execution policy.
+    /// Set how the solve executes (see [`Execution`]).
     #[must_use]
-    pub fn with_kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.kernel_policy = policy;
-        self
-    }
-
-    /// Set the iteration execution policy (see [`SweepPolicy`]).
-    #[must_use]
-    pub fn with_sweep_policy(mut self, policy: SweepPolicy) -> Self {
-        self.sweep_policy = policy;
-        self
-    }
-
-    /// Override the whole-iteration sweep staging tile (see
-    /// [`SolveOptions::sweep_tile`]).
-    #[must_use]
-    pub fn with_sweep_tile(mut self, tile: Option<usize>) -> Self {
-        self.sweep_tile = tile;
+    pub fn with_execution(mut self, execution: Execution) -> Self {
+        self.execution = execution;
         self
     }
 
@@ -314,13 +270,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_mpk_tile(mut self, tile: Option<usize>) -> Self {
         self.mpk_tile = tile;
-        self
-    }
-
-    /// Set the working precision (see [`Precision`]).
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -501,9 +450,11 @@ impl SolveOptions {
         }
     }
 
-    /// Whether this configuration executes fused kernels.
+    /// Whether this configuration executes fused kernels (every value
+    /// but `Reference`; the mixed twins and the sweep engine do not call
+    /// these helpers for the work they fuse themselves).
     fn fuse(&self) -> bool {
-        self.kernel_policy == KernelPolicy::Fused
+        self.execution != Execution::Reference
     }
 
     /// Fused `y ← A·x` + `(x, y)`, tallying one matvec and one dot
@@ -802,11 +753,15 @@ impl SolveOptions {
                 // Fixed serial corruption order (copy A then copy B),
                 // matching the dot2 checked path's width-independent
                 // fault determinism.
-                for p in pa.iter_mut().chain(&mut pb) {
+                for p in pa.iter_mut().chain(pb.iter_mut()) {
                     *p = inj.corrupt(FaultSite::DotPartial, *p);
                 }
             }
-            return PendingScalar::checked_deferred(pa, pb, Arc::clone(&self.checksum_detected));
+            return PendingScalar::checked_deferred(
+                pa.to_vec(),
+                pb.to_vec(),
+                Arc::clone(&self.checksum_detected),
+            );
         }
         let folded = self.span_bytes(vr_obs::SpanKind::DotLaunch, 16 * x.len() as u64, || {
             reduce::par_dot_partials_in(t, x, y)
@@ -853,13 +808,19 @@ impl SolveOptions {
             // Fixed serial corruption order (copy A of both dots, then
             // copy B) so a given seed reproduces the same fault pattern at
             // any team width, like the eager path.
-            for p in ya.iter_mut().chain(&mut za).chain(&mut yb).chain(&mut zb) {
+            for p in ya
+                .iter_mut()
+                .chain(za.iter_mut())
+                .chain(yb.iter_mut())
+                .chain(zb.iter_mut())
+            {
                 *p = inj.corrupt(FaultSite::DotPartial, *p);
             }
         }
+        let detected = &self.checksum_detected;
         (
-            PendingScalar::checked_deferred(ya, yb, Arc::clone(&self.checksum_detected)),
-            PendingScalar::checked_deferred(za, zb, Arc::clone(&self.checksum_detected)),
+            PendingScalar::checked_deferred(ya.to_vec(), yb.to_vec(), Arc::clone(detected)),
+            PendingScalar::checked_deferred(za.to_vec(), zb.to_vec(), Arc::clone(detected)),
         )
     }
 
@@ -934,7 +895,7 @@ pub enum Termination {
     /// (recovery-guarded solves only).
     Diverged,
     /// The requested configuration is not supported by this variant — e.g.
-    /// [`Precision::Mixed`] on a variant without a mixed-precision path, or
+    /// [`Execution::Mixed`] on a variant without a mixed-precision path, or
     /// on an operator without [`LinearOperator::apply_f32`]. The solve
     /// performed no iterations; rejecting explicitly beats silently
     /// falling back to `f64` and reporting numbers the caller would
@@ -1088,21 +1049,15 @@ pub trait CgVariant {
         0
     }
 
-    /// Whether this variant supports [`Precision::Mixed`]. Defaults to
-    /// `false`; variants with a mixed-precision twin in [`crate::mixed`]
-    /// override it. A mixed solve on an ineligible variant terminates with
-    /// [`Termination::Unsupported`] instead of silently running in `f64`.
-    fn mixed_eligible(&self) -> bool {
-        false
-    }
-
-    /// Whether this variant supports [`SweepPolicy::WholeIteration`].
-    /// Defaults to `false`; variants whose step runs as whole-iteration
-    /// sweep epochs (see [`crate::sweep`]) override it. A sweep solve on an ineligible
-    /// variant terminates with [`Termination::Unsupported`] instead of
-    /// silently running per-kernel.
-    fn sweep_eligible(&self) -> bool {
-        false
+    /// Whether this variant has a loop for `execution`. `Reference` and
+    /// `Fused` run every variant's own loop; variants with a
+    /// mixed-precision twin ([`crate::mixed`]) or a step that runs as
+    /// whole-iteration sweep epochs ([`crate::sweep`]) override this to
+    /// accept `Mixed` or `WholeIteration`. A solve under an unsupported
+    /// value terminates with [`Termination::Unsupported`] instead of
+    /// silently running another execution.
+    fn supports(&self, execution: Execution) -> bool {
+        matches!(execution, Execution::Reference | Execution::Fused)
     }
 }
 
@@ -1213,13 +1168,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_policy_default_is_fused() {
-        assert_eq!(SolveOptions::default().kernel_policy, KernelPolicy::Fused);
+    fn execution_default_is_fused() {
+        assert_eq!(SolveOptions::default().execution, Execution::Fused);
         assert_eq!(SolveOptions::default().threads(), 1);
         let o = SolveOptions::default()
-            .with_kernel_policy(KernelPolicy::Reference)
+            .with_execution(Execution::Reference)
             .with_threads(0);
-        assert_eq!(o.kernel_policy, KernelPolicy::Reference);
+        assert_eq!(o.execution, Execution::Reference);
         assert_eq!(o.threads(), 1, "with_threads clamps to >= 1");
     }
 
@@ -1240,8 +1195,8 @@ mod tests {
                 } else {
                     SolveOptions::default().with_dot_mode(mode).with_threads(1)
                 };
-                let fo = base.clone().with_kernel_policy(KernelPolicy::Fused);
-                let ro = base.with_kernel_policy(KernelPolicy::Reference);
+                let fo = base.clone().with_execution(Execution::Fused);
+                let ro = base.with_execution(Execution::Reference);
                 let (mut cf, mut cr) = (OpCounts::default(), OpCounts::default());
 
                 let mut yf = vec![0.0; n];

@@ -8,7 +8,7 @@ use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::exec::Exec;
 use crate::instrument::OpCounts;
 use crate::resilience::guard::{self, GuardSignal};
-use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult, Termination};
 use vr_linalg::LinearOperator;
 
 /// Standard CG's twin, the `f32`-storage loop; its step also runs under
@@ -62,12 +62,8 @@ impl CgVariant for StandardCg {
         "standard-cg".into()
     }
 
-    fn mixed_eligible(&self) -> bool {
-        TWINS.mixed.is_some()
-    }
-
-    fn sweep_eligible(&self) -> bool {
-        TWINS.sweep
+    fn supports(&self, execution: Execution) -> bool {
+        TWINS.supports(execution)
     }
 
     fn solve(

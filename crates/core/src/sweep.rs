@@ -1,6 +1,6 @@
 //! Whole-iteration sweep fusion: one cache-resident pass per CG epoch.
 //!
-//! Under [`SweepPolicy::WholeIteration`](crate::solver::SweepPolicy) an
+//! Under [`Execution::WholeIteration`](crate::solver::Execution) an
 //! eligible variant runs its *own* step — standard, Chronopoulos-Gear,
 //! pipelined and overlap-k1 CG each write theirs once — with the step's
 //! vector work grouped into a few barrier-separated team epochs on a
@@ -12,7 +12,7 @@
 //! processed by the identical leaf-kernel call sequence as the per-kernel
 //! path (see `vr_linalg::sweep`), the produced bits — `x`, residual norms,
 //! iteration counts, termination — are identical to
-//! [`SweepPolicy::Fused`](crate::solver::SweepPolicy) at any staging tile,
+//! [`Execution::Fused`](crate::solver::Execution) at any staging tile,
 //! SIMD lane width, and team width.
 //!
 //! # Epoch schedules
@@ -45,11 +45,8 @@
 //! not reproduce (`eligible`):
 //!
 //! * `dot_mode != Tree` (serial/Kahan orders fold on the calling thread),
-//! * `kernel_policy != Fused` (the reference two-pass kernels pair
-//!   reductions differently),
 //! * fault injection, recovery policies, or checksum-guarded reductions
 //!   (their retry/validation hooks interleave with the kernels),
-//! * `precision != F64`,
 //! * operators without a native sweep decomposition
 //!   ([`LinearOperator::as_sweep`] returning `None`).
 //!
@@ -63,7 +60,7 @@
 //! flops). The physical traffic is what the per-shard
 //! [`IterSweep`](vr_obs::SpanKind::IterSweep) spans record.
 
-use crate::solver::{KernelPolicy, Precision, SolveOptions};
+use crate::solver::SolveOptions;
 use vr_linalg::kernels::DotMode;
 use vr_linalg::sweep::FusedIterationSweep;
 use vr_linalg::LinearOperator;
@@ -76,25 +73,24 @@ use crate::solver::Termination;
 /// with bits identical to the per-kernel fused path.
 pub(crate) fn eligible(a: &dyn LinearOperator, opts: &SolveOptions) -> bool {
     opts.dot_mode == DotMode::Tree
-        && opts.kernel_policy == KernelPolicy::Fused
         && opts.injector.is_none()
         && opts.recovery.is_none()
         && !opts.checksum
-        && opts.precision == Precision::F64
         && a.as_sweep().is_some()
 }
 
 /// The epoch engine over `a`'s sweep decomposition, staged with the
-/// solve's tile and tracer.
+/// `tile` of the solve's `Execution::WholeIteration` and its tracer.
 pub(crate) fn engine<'a>(
     a: &'a dyn LinearOperator,
     opts: &SolveOptions,
+    tile: Option<usize>,
     tm: Option<&Team>,
 ) -> FusedIterationSweep<'a> {
     FusedIterationSweep::new(
         a.as_sweep().expect("eligibility implies a sweep operator"),
         tm,
-        opts.sweep_tile,
+        tile,
         opts.tracer.clone(),
     )
 }

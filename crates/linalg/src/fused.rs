@@ -38,8 +38,8 @@
 
 use crate::kernels::{self, DotMode};
 use vr_par::fault::{FaultInjector, FaultSite, NoFaults};
-use vr_par::reduce::{tree_combine, CHUNKS};
-use vr_par::team::{run_leaves_team, Poisoned, Team};
+use vr_par::reduce::{leaves_in, tree_combine, Partials, CHUNKS};
+use vr_par::team::{Poisoned, Team};
 
 // ---------------------------------------------------------------------------
 // Mode-dispatched fused summation drivers
@@ -251,7 +251,7 @@ pub fn dot2(mode: DotMode, x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
 // ---------------------------------------------------------------------------
 
 // Chunk leaves are distributed over the persistent SPMD team via
-// `vr_par::team::run_leaves_team` — the partial *values* depend only on the
+// `vr_par::reduce::leaves_in` — the partial *values* depend only on the
 // fixed 256-leaf chunk layout, never on the team width, so results stay
 // bit-identical for any width (and for the serial `team = None` path). A
 // poisoned team (a worker panicked) makes the `par_*_in` kernels NaN-fill
@@ -307,14 +307,13 @@ pub fn par_update_xr_with_in(
         return inj.corrupt(FaultSite::DotFinal, 0.0);
     }
     let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<_> = p
+    let chunks = p
         .chunks(chunk)
         .zip(w.chunks(chunk))
         .zip(x.chunks_mut(chunk))
         .zip(r.chunks_mut(chunk))
-        .map(|(((pc, wc), xc), rc)| (pc, wc, xc, rc))
-        .collect();
-    let partials = run_leaves_team(team, &mut work, n, &|(pc, wc, xc, rc): &mut (
+        .map(|(((pc, wc), xc), rc)| (pc, wc, xc, rc));
+    let partials = leaves_in(team, chunks, n, &|(pc, wc, xc, rc): &mut (
         &[f64],
         &[f64],
         &mut [f64],
@@ -322,7 +321,6 @@ pub fn par_update_xr_with_in(
     )| {
         vr_par::simd::leaf_update_xr(lambda, pc, wc, xc, rc)
     });
-    drop(work);
     match partials {
         Ok(mut partials) => inject_and_combine(&mut partials, inj),
         Err(Poisoned) => {
@@ -372,20 +370,18 @@ pub fn par_axpy_dot_with_in(
         return inj.corrupt(FaultSite::DotFinal, 0.0);
     }
     let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<_> = x
+    let chunks = x
         .chunks(chunk)
         .zip(z.chunks(chunk))
         .zip(y.chunks_mut(chunk))
-        .map(|((xc, zc), yc)| (xc, zc, yc))
-        .collect();
-    let partials = run_leaves_team(team, &mut work, n, &|(xc, zc, yc): &mut (
+        .map(|((xc, zc), yc)| (xc, zc, yc));
+    let partials = leaves_in(team, chunks, n, &|(xc, zc, yc): &mut (
         &[f64],
         &[f64],
         &mut [f64],
     )| {
         vr_par::simd::leaf_axpy_dot(a, xc, yc, zc)
     });
-    drop(work);
     match partials {
         Ok(mut partials) => inject_and_combine(&mut partials, inj),
         Err(Poisoned) => {
@@ -421,14 +417,10 @@ pub fn par_axpy_norm2_sq_with_in(
         return inj.corrupt(FaultSite::DotFinal, 0.0);
     }
     let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<_> = x.chunks(chunk).zip(y.chunks_mut(chunk)).collect();
-    let partials = run_leaves_team(team, &mut work, n, &|(xc, yc): &mut (
-        &[f64],
-        &mut [f64],
-    )| {
+    let chunks = x.chunks(chunk).zip(y.chunks_mut(chunk));
+    let partials = leaves_in(team, chunks, n, &|(xc, yc): &mut (&[f64], &mut [f64])| {
         vr_par::simd::leaf_axpy_norm2_sq(a, xc, yc)
     });
-    drop(work);
     match partials {
         Ok(mut partials) => inject_and_combine(&mut partials, inj),
         Err(Poisoned) => {
@@ -495,30 +487,27 @@ pub fn par_dot2_partials_in(
     x: &[f64],
     y: &[f64],
     z: &[f64],
-) -> Result<(Vec<f64>, Vec<f64>), Poisoned> {
+) -> Result<(Partials, Partials), Poisoned> {
     let n = x.len();
     assert_eq!(y.len(), n, "par_dot2_partials_in: y length mismatch");
     assert_eq!(z.len(), n, "par_dot2_partials_in: z length mismatch");
     if n == 0 {
-        return Ok((Vec::new(), Vec::new()));
+        return Ok((Partials::default(), Partials::default()));
     }
     let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<_> = x
+    let chunks = x
         .chunks(chunk)
         .zip(y.chunks(chunk))
         .zip(z.chunks(chunk))
-        .map(|((xc, yc), zc)| (xc, yc, zc))
-        .collect();
-    let pairs = run_leaves_team(team, &mut work, n, &|(xc, yc, zc): &mut (
+        .map(|((xc, yc), zc)| (xc, yc, zc));
+    let pairs = leaves_in(team, chunks, n, &|(xc, yc, zc): &mut (
         &[f64],
         &[f64],
         &[f64],
     )| {
         vr_par::simd::leaf_dot2(xc, yc, zc)
     })?;
-    let py: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-    let pz: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-    Ok((py, pz))
+    Ok((pairs.map(|p| p.0), pairs.map(|p| p.1)))
 }
 
 /// Team-backed [`dot2`] (fault-free).

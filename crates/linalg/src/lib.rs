@@ -165,7 +165,7 @@ pub trait LinearOperator {
     /// supports band-addressable row staging (`y[lo..hi] ← (A·x)[lo..hi]`
     /// through the exact `apply` operation sequence). Returning `Some`
     /// opts the operator into [`sweep::FusedIterationSweep`], the engine
-    /// behind `SweepPolicy::WholeIteration` in the solver crate; the
+    /// behind `Execution::WholeIteration` in the solver crate; the
     /// default `None` makes whole-iteration fusion an explicit per-format
     /// capability rather than a silent fallback.
     fn as_sweep(&self) -> Option<sweep::SweepOperator<'_>> {

@@ -9,62 +9,6 @@
 
 use crate::LinearOperator;
 
-/// Matrix-free 1-D Laplacian `tridiag(−1, 2, −1)` (Dirichlet).
-#[derive(Debug, Clone, Copy)]
-pub struct Stencil1d {
-    n: usize,
-}
-
-impl Stencil1d {
-    /// Operator of dimension `n`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "stencil1d: n must be positive");
-        Stencil1d { n }
-    }
-}
-
-impl Stencil1d {
-    /// Row `i` of `A·x` — shared by `apply` and `apply_dot` so both use
-    /// the identical floating-point operation sequence.
-    #[inline]
-    fn row_value(&self, x: &[f64], i: usize) -> f64 {
-        let left = if i > 0 { x[i - 1] } else { 0.0 };
-        let right = if i + 1 < self.n { x[i + 1] } else { 0.0 };
-        2.0 * x[i] - left - right
-    }
-}
-
-impl LinearOperator for Stencil1d {
-    fn dim(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = self.row_value(x, i);
-        }
-    }
-    fn max_row_nnz(&self) -> usize {
-        3
-    }
-
-    /// Row-fused stencil application + dot.
-    fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        crate::fused::fused_sum(mode, self.n, |i| {
-            let v = self.row_value(x, i);
-            y[i] = v;
-            x[i] * v
-        })
-    }
-}
-
 /// Matrix-free 2-D five-point Laplacian on an `nx × ny` grid (Dirichlet),
 /// with optional anisotropy ratio `eps` on the y-direction coupling.
 #[derive(Debug, Clone, Copy)]
@@ -946,37 +890,6 @@ impl LinearOperator for Stencil3d {
     }
 }
 
-/// A diagonally shifted operator `A + s·I` (matrix-free), used to tune
-/// conditioning in experiments and to build shifted bases.
-#[derive(Debug, Clone, Copy)]
-pub struct Shifted<Op> {
-    inner: Op,
-    shift: f64,
-}
-
-impl<Op: LinearOperator> Shifted<Op> {
-    /// Wrap `inner` as `inner + shift·I`.
-    #[must_use]
-    pub fn new(inner: Op, shift: f64) -> Self {
-        Shifted { inner, shift }
-    }
-}
-
-impl<Op: LinearOperator> LinearOperator for Shifted<Op> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply(x, y);
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += self.shift * xi;
-        }
-    }
-    fn max_row_nnz(&self) -> usize {
-        self.inner.max_row_nnz()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,12 +903,6 @@ mod tests {
         for (a, b) in y_op.iter().zip(&y_csr) {
             assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn stencil1d_matches_csr() {
-        agree(&Stencil1d::new(33), &gen::poisson1d(33), 1);
-        assert_eq!(Stencil1d::new(33).max_row_nnz(), 3);
     }
 
     #[test]
@@ -1016,24 +923,9 @@ mod tests {
     }
 
     #[test]
-    fn shifted_adds_diagonal() {
-        let base = Stencil1d::new(10);
-        let sh = Shifted::new(base, 3.0);
-        let x = vec![1.0; 10];
-        let y0 = base.apply_alloc(&x);
-        let y1 = sh.apply_alloc(&x);
-        for (a, b) in y1.iter().zip(&y0) {
-            assert!((a - (b + 3.0)).abs() < 1e-14);
-        }
-        assert_eq!(sh.dim(), 10);
-        assert_eq!(sh.max_row_nnz(), 3);
-    }
-
-    #[test]
     fn fused_entry_points_bit_match_two_pass() {
         use crate::kernels::{dot, DotMode};
         let ops: Vec<Box<dyn LinearOperator>> = vec![
-            Box::new(Stencil1d::new(37)),
             Box::new(Stencil2d::poisson(9)),
             Box::new(Stencil2d::anisotropic(7, 11, 0.125)),
             Box::new(Stencil2d::anisotropic(1, 13, 0.5)),

@@ -150,7 +150,7 @@ fn default_tile_elems() -> usize {
     (vr_par::cache::cache_info().l1d_bytes / 16).max(1)
 }
 
-/// The whole-iteration sweep engine behind `SweepPolicy::WholeIteration`.
+/// The whole-iteration sweep engine behind `Execution::WholeIteration`.
 ///
 /// Construction preallocates all scratch (per-shard staging bands and four
 /// partials arrays), so every epoch is allocation-free. One engine serves
@@ -229,13 +229,6 @@ impl<'a> FusedIterationSweep<'a> {
     #[must_use]
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Staging tile in elements (resolved from the construction override or
-    /// the L1 heuristic).
-    #[must_use]
-    pub fn tile_elems(&self) -> usize {
-        self.tile
     }
 
     /// Chunk index range `[lo, hi)` owned by shard `w`.
@@ -697,51 +690,84 @@ mod tests {
         }
     }
 
+    /// The three matvec epochs of an engine over `a` bit-match `apply` and
+    /// the Tree dot. With a team, `a` must be large enough that the engine
+    /// really runs `team.width()` shards.
+    fn check_matvec_epochs(
+        name: &str,
+        a: &dyn LinearOperator,
+        tile: Option<usize>,
+        team: Option<&Team>,
+    ) {
+        let n = a.dim();
+        let x = test_vec(n, 2);
+        let mut yref = vec![0.0; n];
+        a.apply(&x, &mut yref);
+        let dref = par_dot_in(None, &x, &yref);
+        let sw = a.as_sweep().unwrap();
+        let mut eng = FusedIterationSweep::new(sw, team, tile, None);
+        assert_eq!(
+            eng.width(),
+            team.map_or(1, Team::width),
+            "{name}: shard width"
+        );
+        let d1 = eng.epoch_matvec_dot_nostore(team, &x);
+        let mut y = vec![0.0; n];
+        let d2 = eng.epoch_matvec_store_dot(team, &x, &mut y);
+        let mut y2 = vec![0.0; n];
+        eng.epoch_matvec_store(team, &x, &mut y2);
+        assert_eq!(d1.to_bits(), dref.to_bits(), "{name} nostore tile {tile:?}");
+        assert_eq!(
+            d2.to_bits(),
+            dref.to_bits(),
+            "{name} store_dot tile {tile:?}"
+        );
+        for i in 0..n {
+            assert_eq!(y[i].to_bits(), yref[i].to_bits(), "{name} y[{i}]");
+            assert_eq!(y2[i].to_bits(), yref[i].to_bits(), "{name} y2[{i}]");
+        }
+    }
+
     #[test]
     fn matvec_epochs_bit_match_unfused_composition() {
         for (name, a) in operators() {
-            let n = a.dim();
-            let x = test_vec(n, 2);
-            let mut yref = vec![0.0; n];
-            a.apply(&x, &mut yref);
-            let dref = par_dot_in(None, &x, &yref);
-            for (tile, team) in [(Some(1), None), (None, None), (Some(3), Some(Team::new(3)))] {
-                let sw = a.as_sweep().unwrap();
-                let mut eng = FusedIterationSweep::new(sw, team.as_ref(), tile, None);
-                let d1 = eng.epoch_matvec_dot_nostore(team.as_ref(), &x);
-                let mut y = vec![0.0; n];
-                let d2 = eng.epoch_matvec_store_dot(team.as_ref(), &x, &mut y);
-                let mut y2 = vec![0.0; n];
-                eng.epoch_matvec_store(team.as_ref(), &x, &mut y2);
-                assert_eq!(d1.to_bits(), dref.to_bits(), "{name} nostore tile {tile:?}");
-                assert_eq!(
-                    d2.to_bits(),
-                    dref.to_bits(),
-                    "{name} store_dot tile {tile:?}"
-                );
-                for i in 0..n {
-                    assert_eq!(y[i].to_bits(), yref[i].to_bits(), "{name} y[{i}]");
-                    assert_eq!(y2[i].to_bits(), yref[i].to_bits(), "{name} y2[{i}]");
-                }
+            for tile in [Some(1), None] {
+                check_matvec_epochs(&name, a.as_ref(), tile, None);
             }
+        }
+        // n ≥ 3·GRAIN, so a 3-wide team runs three shards and the chunk
+        // layout is cut at shard boundaries
+        let team = Team::new(3);
+        let large: Vec<(&str, Box<dyn LinearOperator>)> = vec![
+            (
+                "stencil2d",
+                Box::new(Stencil2d::anisotropic(193, 191, 0.35)),
+            ),
+            ("stencil3d", Box::new(Stencil3d::new(30))),
+            ("csr", Box::new(gen::poisson2d(160))),
+        ];
+        for (name, a) in large {
+            check_matvec_epochs(name, a.as_ref(), Some(3), Some(&team));
         }
     }
 
     #[test]
     fn update_epoch_bit_matches_fused_kernels() {
-        let a = Stencil2d::poisson(11);
-        let n = a.dim();
-        let p = test_vec(n, 3);
-        let lambda = 0.731;
-        // Reference: apply + the par fused update (the unfused Tree path).
-        let mut w = vec![0.0; n];
-        a.apply(&p, &mut w);
-        let mut xref = test_vec(n, 4);
-        let mut rref = test_vec(n, 5);
-        let rr_ref = crate::fused::par_update_xr_in(None, lambda, &p, &w, &mut xref, &mut rref);
-        for (tile, team) in [(Some(1), None), (None, Some(Team::new(4)))] {
+        // the serial cases on n = 121; the 4-wide team case on n ≥ 4·GRAIN
+        for (grid, tile, team) in [(11, Some(1), None), (182, None, Some(Team::new(4)))] {
+            let a = Stencil2d::poisson(grid);
+            let n = a.dim();
+            let p = test_vec(n, 3);
+            let lambda = 0.731;
+            // Reference: apply + the par fused update (the unfused Tree path).
+            let mut w = vec![0.0; n];
+            a.apply(&p, &mut w);
+            let mut xref = test_vec(n, 4);
+            let mut rref = test_vec(n, 5);
+            let rr_ref = crate::fused::par_update_xr_in(None, lambda, &p, &w, &mut xref, &mut rref);
             let mut eng =
                 FusedIterationSweep::new(a.as_sweep().unwrap(), team.as_ref(), tile, None);
+            assert_eq!(eng.width(), team.as_ref().map_or(1, Team::width));
             let mut x = test_vec(n, 4);
             let mut r = test_vec(n, 5);
             let rr = eng.epoch_update_xr_recompute(team.as_ref(), lambda, &p, &mut x, &mut r);

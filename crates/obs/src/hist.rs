@@ -117,17 +117,6 @@ impl DurationHist {
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
-
-    /// Non-empty buckets as `(upper_bound_ns, count)` pairs.
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper_ns(i), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub enum SpanKind {
     /// An epoch-timeout health check: the caller inspecting per-worker
     /// heartbeat counters for stragglers or dead workers.
     HealthCheck = 15,
-    /// One whole-iteration fused sweep epoch (`SweepPolicy::WholeIteration`)
+    /// One whole-iteration fused sweep epoch (`Execution::WholeIteration`)
     /// on one shard: matvec staging, dot partials, and vector updates in a
     /// single cache-resident pass over the shard's chunks.
     IterSweep = 16,

@@ -27,17 +27,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 enum Inner {
-    /// An already-resolved scalar. Unlike a one-partial `Deferred`, this
-    /// carries no heap buffer, so pipeline start-up fallbacks (and the
-    /// eager Serial/Kahan paths that return ready handles every
-    /// iteration) stay allocation-free on the solver hot loop.
+    /// An already-resolved scalar: no partials to carry or combine, so
+    /// pipeline start-up fallbacks (and the eager Serial/Kahan paths that
+    /// return ready handles every iteration) cost nothing on the solver
+    /// hot loop.
     Ready(f64),
-    /// Split-phase team reduction: the fixed-layout leaf partials are
-    /// already folded (during the producing sweep's epoch); the
-    /// deterministic [`reduce::tree_combine`] fan-in runs lazily at the
-    /// consume point, overlapping the combine with whatever vector work
-    /// the caller scheduled in between.
-    Deferred(Vec<f64>),
+    /// Split-phase team reduction: the fixed-layout leaf partials (the
+    /// handle's `partials`) are already folded (during the producing
+    /// sweep's epoch); the deterministic
+    /// [`reduce::tree_combine`] fan-in runs lazily at the consume point,
+    /// overlapping the combine with whatever vector work the caller
+    /// scheduled in between.
+    Deferred,
     /// A checksum-guarded split-phase reduction: two *independently
     /// computed* copies of the leaf partials. Because the leaf layout and
     /// summation order are deterministic, the copies are bit-identical
@@ -62,6 +63,10 @@ enum Inner {
 /// the consume point (or an already-resolved value).
 pub struct PendingScalar {
     inner: Inner,
+    /// The folded leaf partials of a `Deferred` handle (empty for the
+    /// other kinds), held inline so a deferred reduction allocates
+    /// nothing.
+    partials: reduce::Partials,
 }
 
 impl PendingScalar {
@@ -73,6 +78,7 @@ impl PendingScalar {
     pub fn ready(v: f64) -> Self {
         PendingScalar {
             inner: Inner::Ready(v),
+            partials: reduce::Partials::default(),
         }
     }
 
@@ -83,9 +89,10 @@ impl PendingScalar {
     /// latency overlaps whatever work the caller does in between — the
     /// paper's C2/C3 overlap on a real team.
     #[must_use]
-    pub fn deferred(partials: Vec<f64>) -> Self {
+    pub fn deferred(partials: reduce::Partials) -> Self {
         PendingScalar {
-            inner: Inner::Deferred(partials),
+            inner: Inner::Deferred,
+            partials,
         }
     }
 
@@ -114,6 +121,7 @@ impl PendingScalar {
                 detected,
                 counted: AtomicBool::new(false),
             },
+            partials: reduce::Partials::default(),
         }
     }
 
@@ -123,7 +131,7 @@ impl PendingScalar {
     pub fn poll(&self) -> Option<f64> {
         match &self.inner {
             Inner::Ready(v) => Some(*v),
-            Inner::Deferred(partials) => Some(reduce::tree_combine(partials)),
+            Inner::Deferred => Some(reduce::tree_combine(&self.partials)),
             Inner::Checked {
                 a,
                 b,
@@ -140,16 +148,16 @@ impl PendingScalar {
     pub fn wait(&self) -> f64 {
         match &self.inner {
             Inner::Ready(v) => *v,
-            Inner::Deferred(partials) if partials.len() > 1 => {
+            Inner::Deferred if self.partials.len() > 1 => {
                 // A real split-phase fan-in: the consume-point combine is
                 // exactly the dependency-gated reduction wait the profiler
                 // charges (ready() handles carry one partial and cost
                 // nothing worth recording).
                 vr_obs::tls::with_span(vr_obs::SpanKind::DeferredWait, || {
-                    reduce::tree_combine(partials)
+                    reduce::tree_combine(&self.partials)
                 })
             }
-            Inner::Deferred(partials) => reduce::tree_combine(partials),
+            Inner::Deferred => reduce::tree_combine(&self.partials),
             Inner::Checked {
                 a,
                 b,

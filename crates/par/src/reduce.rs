@@ -15,12 +15,98 @@
 
 use crate::fault::{FaultInjector, FaultSite};
 use crate::team::{self, Team};
+use std::ops::{Deref, DerefMut};
 
 /// Number of leaf chunks in the deterministic reduction tree.
 ///
 /// 256 leaves ≈ the partial sums a 256-processor machine would fan in;
 /// `⌈log₂ 256⌉ = 8` combine levels.
 pub const CHUNKS: usize = 256;
+
+/// The per-chunk leaf results of one fixed-layout reduction, in chunk
+/// order: at most [`CHUNKS`] values, held inline, so launching, deferring
+/// and combining a reduction allocates nothing. Dereferences to the slice
+/// of results.
+#[derive(Debug, Clone, Copy)]
+pub struct Partials<R = f64> {
+    vals: [R; CHUNKS],
+    len: usize,
+}
+
+impl<R: Copy + Default> Default for Partials<R> {
+    /// No chunks: the partials of an empty input.
+    fn default() -> Self {
+        Partials {
+            vals: [R::default(); CHUNKS],
+            len: 0,
+        }
+    }
+}
+
+impl<R: Copy + Default> Partials<R> {
+    /// `f` applied to every result, in the same chunk layout.
+    #[must_use]
+    pub fn map<S: Copy + Default>(&self, f: impl Fn(R) -> S) -> Partials<S> {
+        let mut out = Partials {
+            vals: [S::default(); CHUNKS],
+            len: self.len,
+        };
+        for (o, &v) in out.vals.iter_mut().zip(self.iter()) {
+            *o = f(v);
+        }
+        out
+    }
+}
+
+impl<R> Deref for Partials<R> {
+    type Target = [R];
+    fn deref(&self) -> &[R] {
+        &self.vals[..self.len]
+    }
+}
+
+impl<R> DerefMut for Partials<R> {
+    fn deref_mut(&mut self) -> &mut [R] {
+        &mut self.vals[..self.len]
+    }
+}
+
+/// Run `leaf` over the chunk list `chunks` of a fixed-layout reduction (at
+/// most [`CHUNKS`] items; `n` is the element count the chunks cover, which
+/// picks the dispatch width) on the team, returning one result per chunk
+/// in order. The chunk list and the results stay on the stack, so the
+/// reduction allocates nothing.
+///
+/// # Errors
+/// Returns [`team::Poisoned`] if the team is poisoned.
+///
+/// # Panics
+/// Panics if `chunks` yields more than [`CHUNKS`] items.
+pub fn leaves_in<T: Send + Default, R: Send + Copy + Default>(
+    team: Option<&Team>,
+    mut chunks: impl Iterator<Item = T>,
+    n: usize,
+    leaf: &(dyn Fn(&mut T) -> R + Sync),
+) -> Result<Partials<R>, team::Poisoned> {
+    let mut len = 0;
+    let mut work: [T; CHUNKS] = std::array::from_fn(|_| match chunks.next() {
+        Some(c) => {
+            len += 1;
+            c
+        }
+        None => T::default(),
+    });
+    assert!(
+        chunks.next().is_none(),
+        "leaves_in: more than CHUNKS chunks"
+    );
+    let mut out = Partials {
+        vals: [R::default(); CHUNKS],
+        len,
+    };
+    team::run_leaves_team(team, &mut work[..len], &mut out, n, leaf)?;
+    Ok(out)
+}
 
 /// Deterministic dot product on an explicit [`Team`] (or serially for
 /// `None`). Bit-identical for any team width; returns NaN if the team is
@@ -58,18 +144,17 @@ pub fn par_dot_partials_in(
     team: Option<&Team>,
     x: &[f64],
     y: &[f64],
-) -> Result<Vec<f64>, team::Poisoned> {
+) -> Result<Partials, team::Poisoned> {
     assert_eq!(x.len(), y.len(), "par_dot_partials_in: length mismatch");
     let n = x.len();
     if n == 0 {
-        return Ok(Vec::new());
+        return Ok(Partials::default());
     }
     let chunk = n.div_ceil(CHUNKS);
-    let mut work: Vec<(&[f64], &[f64])> = x.chunks(chunk).zip(y.chunks(chunk)).collect();
-    team::run_leaves_team(team, &mut work, n, &|&mut (xc, yc): &mut (
-        &[f64],
-        &[f64],
-    )| { serial_dot(xc, yc) })
+    let chunks = x.chunks(chunk).zip(y.chunks(chunk));
+    leaves_in(team, chunks, n, &|&mut (xc, yc): &mut (&[f64], &[f64])| {
+        serial_dot(xc, yc)
+    })
 }
 
 /// Deterministic chunked-tree widening dot over `f32` slices: the same
@@ -123,7 +208,7 @@ pub fn par_dot_with_in(team: Option<&Team>, x: &[f64], y: &[f64], inj: &dyn Faul
     let Ok(mut partials) = par_dot_partials_in(team, x, y) else {
         return f64::NAN;
     };
-    for p in &mut partials {
+    for p in partials.iter_mut() {
         *p = inj.corrupt(FaultSite::DotPartial, *p);
     }
     inj.corrupt(FaultSite::DotFinal, tree_combine(&partials))

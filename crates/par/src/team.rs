@@ -652,8 +652,8 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Run `leaf` over every item of `work` on the team, returning the per-item
-/// results in order.
+/// Run `leaf` over every item of `work` on the team, writing the per-item
+/// results in order into `out` (one slot per item).
 ///
 /// `n` is the underlying element count, used only to pick the dispatch
 /// width via [`dispatch_width`] over the team's *surviving* members; the
@@ -662,16 +662,20 @@ impl<T> SendPtr<T> {
 /// shard `w` owns items `[w·per, (w+1)·per)` with `per = ⌈m / width⌉`.
 ///
 /// # Errors
-/// Returns [`Poisoned`] if the team is or becomes poisoned; the returned
-/// results are then unspecified and must be discarded.
-pub fn run_leaves_team<T: Send, R: Send + Copy + Default>(
+/// Returns [`Poisoned`] if the team is or becomes poisoned; the results in
+/// `out` are then unspecified and must be discarded.
+///
+/// # Panics
+/// Panics if `out` and `work` differ in length.
+pub(crate) fn run_leaves_team<T: Send, R: Send>(
     team: Option<&Team>,
     work: &mut [T],
+    out: &mut [R],
     n: usize,
     leaf: &(dyn Fn(&mut T) -> R + Sync),
-) -> Result<Vec<R>, Poisoned> {
+) -> Result<(), Poisoned> {
     let m = work.len();
-    let mut out = vec![R::default(); m];
+    assert_eq!(out.len(), m, "run_leaves_team: one result slot per item");
     let width = dispatch_width(n, team.map_or(1, Team::live_width)).min(m.max(1));
     if width <= 1 {
         if let Some(t) = team {
@@ -682,7 +686,7 @@ pub fn run_leaves_team<T: Send, R: Send + Copy + Default>(
         for (item, slot) in work.iter_mut().zip(out.iter_mut()) {
             *slot = leaf(item);
         }
-        return Ok(out);
+        return Ok(());
     }
     let team = team.expect("width > 1 implies a team");
     let per = m.div_ceil(width);
@@ -705,8 +709,7 @@ pub fn run_leaves_team<T: Send, R: Send + Copy + Default>(
             }
         },
         width,
-    )?;
-    Ok(out)
+    )
 }
 
 /// Team-backed `y ← a·x + y`. Elementwise, hence exact (bit-identical) for
@@ -947,12 +950,14 @@ mod tests {
         let mut work: Vec<(usize, f64)> = (0..CHUNK_ITEMS).map(|i| (i, i as f64)).collect();
         let expect: Vec<f64> = work.iter().map(|&(i, v)| v * 2.0 + i as f64).collect();
         let team = Team::new(4);
-        let got = run_leaves_team(Some(&team), &mut work, 32 * GRAIN, &|&mut (i, v): &mut (
-            usize,
-            f64,
-        )| {
-            v * 2.0 + i as f64
-        })
+        let mut got = vec![0.0; CHUNK_ITEMS];
+        run_leaves_team(
+            Some(&team),
+            &mut work,
+            &mut got,
+            32 * GRAIN,
+            &|&mut (i, v): &mut (usize, f64)| v * 2.0 + i as f64,
+        )
         .unwrap();
         assert_eq!(got, expect);
         const CHUNK_ITEMS: usize = 257;

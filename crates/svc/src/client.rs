@@ -7,9 +7,9 @@
 //! [`JobHandle::next_event`] for streamed convergence samples,
 //! [`JobHandle::wait`] to block until the terminal event.
 //!
-//! Events for a job id the client has not yet registered (the scheduler
-//! can race the accepted reply on a fast solve) are buffered and flushed
-//! the moment the handle is created, so no progress sample is ever lost.
+//! The daemon sends a job's `accepted` reply before any event of the job,
+//! and the reader registers the job's channel as it reads that reply, so
+//! every progress sample finds its handle's channel.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -105,12 +105,13 @@ pub struct Completed {
     pub progress: Vec<(usize, f64)>,
 }
 
+/// A submit's reply, with the job's event channel when it was accepted.
+type SubmitReply = (Event, Option<Receiver<Event>>);
+
 #[derive(Default)]
 struct Demux {
-    submit_waiters: HashMap<i64, Sender<Event>>,
+    submit_waiters: HashMap<i64, Sender<SubmitReply>>,
     jobs: HashMap<u64, Sender<Event>>,
-    /// Events that arrived before the job's channel was registered.
-    orphans: HashMap<u64, Vec<Event>>,
     misc: Option<Sender<Event>>,
     closed: bool,
 }
@@ -187,24 +188,11 @@ impl Client {
             });
         }
         match reply_rx.recv() {
-            Ok(Event::Accepted { job_id, .. }) => {
-                let (ev_tx, ev_rx) = channel();
-                let mut g = self.demux.lock().unwrap();
-                // flush anything the scheduler raced ahead of the reply
-                if let Some(early) = g.orphans.remove(&job_id) {
-                    for ev in early {
-                        let _ = ev_tx.send(ev);
-                    }
-                }
-                g.jobs.insert(job_id, ev_tx);
-                drop(g);
-                Ok(JobHandle {
-                    id: job_id,
-                    events: ev_rx,
-                })
+            Ok((Event::Accepted { job_id, .. }, Some(events))) => {
+                Ok(JobHandle { id: job_id, events })
             }
-            Ok(Event::Rejected { reason, detail, .. }) => Err(Rejection { reason, detail }),
-            Ok(other) => Err(Rejection {
+            Ok((Event::Rejected { reason, detail, .. }, _)) => Err(Rejection { reason, detail }),
+            Ok((other, _)) => Err(Rejection {
                 reason: "protocol".into(),
                 detail: format!("unexpected submit reply: {other:?}"),
             }),
@@ -353,7 +341,17 @@ fn reader_loop(sock: Sock, demux: &Arc<Mutex<Demux>>) {
         match &event {
             Event::Accepted { tag, .. } | Event::Rejected { tag, .. } => {
                 if let Some(tx) = g.submit_waiters.remove(tag) {
-                    let _ = tx.send(event);
+                    // register an accepted job's channel before reading on:
+                    // the job's own events follow its `accepted`
+                    let job = match &event {
+                        Event::Accepted { job_id, .. } => {
+                            let (ev_tx, ev_rx) = channel();
+                            g.jobs.insert(*job_id, ev_tx);
+                            Some(ev_rx)
+                        }
+                        _ => None,
+                    };
+                    let _ = tx.send((event, job));
                 } else if let Some(misc) = &g.misc {
                     // unsolicited rejection (e.g. malformed line, tag -1)
                     let _ = misc.send(event);
@@ -362,14 +360,11 @@ fn reader_loop(sock: Sock, demux: &Arc<Mutex<Demux>>) {
             Event::Progress { job_id, .. } | Event::Done { job_id, .. } => {
                 let id = *job_id;
                 let terminal = matches!(event, Event::Done { .. });
-                match g.jobs.get(&id) {
-                    Some(tx) => {
-                        let _ = tx.send(event);
-                        if terminal {
-                            g.jobs.remove(&id);
-                        }
+                if let Some(tx) = g.jobs.get(&id) {
+                    let _ = tx.send(event);
+                    if terminal {
+                        g.jobs.remove(&id);
                     }
-                    None => g.orphans.entry(id).or_default().push(event),
                 }
             }
             Event::Stats { .. } | Event::Pong | Event::Error { .. } => {

@@ -425,32 +425,32 @@ fn connection_loop(sock: Sock, shared: &Arc<Shared>, events: &Sender<Event>) {
                     cancel: shared.ledger.register(id),
                     events: events.clone(),
                 };
-                match shared.queue.try_push(job) {
-                    Ok(depth) => {
-                        shared.ledger.admitted.fetch_add(1, Ordering::Relaxed);
-                        let _ = events.send(Event::Accepted {
-                            tag,
-                            job_id: id,
-                            queue_depth: depth,
-                        });
-                    }
-                    Err(reason) => {
-                        shared.ledger.unregister(id);
-                        shared.ledger.rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = events.send(Event::Rejected {
-                            tag,
-                            reason: reason.name().into(),
-                            detail: match reason {
-                                crate::queue::RejectReason::QueueFull => format!(
-                                    "admission queue at capacity {}",
-                                    shared.queue.capacity()
-                                ),
-                                crate::queue::RejectReason::Draining => {
-                                    "daemon is draining toward shutdown".into()
-                                }
-                            },
-                        });
-                    }
+                // `accepted` is sent under the queue lock, so it reaches the
+                // connection's event channel before anything the scheduler
+                // sends for the job
+                let admitted = shared.queue.try_push(job, |depth| {
+                    shared.ledger.admitted.fetch_add(1, Ordering::Relaxed);
+                    let _ = events.send(Event::Accepted {
+                        tag,
+                        job_id: id,
+                        queue_depth: depth,
+                    });
+                });
+                if let Err(reason) = admitted {
+                    shared.ledger.unregister(id);
+                    shared.ledger.rejected.fetch_add(1, Ordering::Relaxed);
+                    let _ = events.send(Event::Rejected {
+                        tag,
+                        reason: reason.name().into(),
+                        detail: match reason {
+                            crate::queue::RejectReason::QueueFull => {
+                                format!("admission queue at capacity {}", shared.queue.capacity())
+                            }
+                            crate::queue::RejectReason::Draining => {
+                                "daemon is draining toward shutdown".into()
+                            }
+                        },
+                    });
                 }
             }
         }

@@ -79,10 +79,12 @@ impl<T> AdmissionQueue<T> {
         self.inner.lock().unwrap().items.len()
     }
 
-    /// Admit a job or reject it with a reason. On success returns the
-    /// queue depth *after* admission (the accepted event reports it so
-    /// tenants can self-pace).
-    pub fn try_push(&self, item: T) -> Result<usize, RejectReason> {
+    /// Admit a job or reject it with a reason. On admission `on_admit`
+    /// runs with the queue depth *after* admission while the queue lock is
+    /// still held — before the scheduler can pop the job — so a reply sent
+    /// from it precedes every event the job produces (the accepted event
+    /// reports the depth so tenants can self-pace). Returns that depth.
+    pub fn try_push(&self, item: T, on_admit: impl FnOnce(usize)) -> Result<usize, RejectReason> {
         let mut g = self.inner.lock().unwrap();
         if g.draining {
             return Err(RejectReason::Draining);
@@ -92,6 +94,7 @@ impl<T> AdmissionQueue<T> {
         }
         g.items.push_back(item);
         let depth = g.items.len();
+        on_admit(depth);
         drop(g);
         self.ready.notify_one();
         Ok(depth)
@@ -138,12 +141,6 @@ impl<T> AdmissionQueue<T> {
         self.ready.notify_all();
     }
 
-    /// Whether the queue has begun draining.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.inner.lock().unwrap().draining
-    }
-
     /// Remove and return every queued job without waiting (used by
     /// immediate shutdown to cancel the backlog explicitly).
     pub fn drain_now(&self) -> Vec<T> {
@@ -160,22 +157,23 @@ impl<T> AdmissionQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn rejects_above_capacity_with_queue_full() {
         let q = AdmissionQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
-        assert_eq!(q.try_push(3), Err(RejectReason::QueueFull));
+        assert_eq!(q.try_push(1, |_| {}), Ok(1));
+        assert_eq!(q.try_push(2, |_| {}), Ok(2));
+        assert_eq!(q.try_push(3, |_| {}), Err(RejectReason::QueueFull));
         assert_eq!(q.depth(), 2);
     }
 
     #[test]
     fn rejects_when_draining_and_pop_returns_none_after_backlog() {
         let q = AdmissionQueue::new(4);
-        q.try_push(1).unwrap();
+        q.try_push(1, |_| {}).unwrap();
         q.drain();
-        assert_eq!(q.try_push(2), Err(RejectReason::Draining));
+        assert_eq!(q.try_push(2, |_| {}), Err(RejectReason::Draining));
         // the backlog is still served...
         assert_eq!(q.pop_batch(|_, _| false), Some(vec![1]));
         // ...then the drain is observable
@@ -186,7 +184,7 @@ mod tests {
     fn pop_batch_coalesces_compatible_preserving_fifo_for_rest() {
         let q = AdmissionQueue::new(8);
         for v in [10, 21, 12, 23, 14] {
-            q.try_push(v).unwrap();
+            q.try_push(v, |_| {}).unwrap();
         }
         // head 10; evens are compatible with it
         let batch = q.pop_batch(|b, c| b[0] % 2 == c % 2).unwrap();
@@ -200,7 +198,7 @@ mod tests {
     fn pop_batch_honours_aggregate_caps_via_the_batch_view() {
         let q = AdmissionQueue::new(8);
         for v in 0..6 {
-            q.try_push(v).unwrap();
+            q.try_push(v, |_| {}).unwrap();
         }
         let batch = q.pop_batch(|b, _| b.len() < 3).unwrap();
         assert_eq!(batch.len(), 3);
@@ -213,15 +211,38 @@ mod tests {
         let q2 = Arc::clone(&q);
         let popper = std::thread::spawn(move || q2.pop_batch(|_, _| false));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_push(7usize).unwrap();
+        q.try_push(7usize, |_| {}).unwrap();
         assert_eq!(popper.join().unwrap(), Some(vec![7]));
+    }
+
+    #[test]
+    fn admission_callback_completes_before_a_concurrent_pop_returns_the_job() {
+        let q = Arc::new(AdmissionQueue::new(2));
+        let (popped_tx, popped) = std::sync::mpsc::channel();
+        let mut popper = None;
+        let pushed = q.try_push(7usize, |depth| {
+            assert_eq!(depth, 1);
+            // a popper started mid-admission must not get the job while
+            // the callback (the daemon's `accepted` reply) still runs
+            let q2 = Arc::clone(&q);
+            popper = Some(std::thread::spawn(move || {
+                let _ = popped_tx.send(q2.pop_batch(|_, _| false));
+            }));
+            assert!(
+                popped.recv_timeout(Duration::from_millis(50)).is_err(),
+                "the job was popped before its admission callback returned"
+            );
+        });
+        assert_eq!(pushed, Ok(1));
+        assert_eq!(popped.recv().unwrap(), Some(vec![7]));
+        popper.unwrap().join().unwrap();
     }
 
     #[test]
     fn drain_now_returns_backlog() {
         let q = AdmissionQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.try_push(1, |_| {}).unwrap();
+        q.try_push(2, |_| {}).unwrap();
         assert_eq!(q.drain_now(), vec![1, 2]);
         assert_eq!(q.pop_batch(|_, _| false), None);
     }

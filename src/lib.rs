@@ -8,7 +8,9 @@
 //! * [`cg`] — the solvers: standard CG, the paper's §3 overlap and §4-5
 //!   look-ahead algorithms, s-step CG (monomial/Newton/Chebyshev bases),
 //!   block CG, and the baselines (three-term, Chronopoulos-Gear, pipelined,
-//!   conjugate residual, Chebyshev iteration, preconditioned CG).
+//!   conjugate residual, Chebyshev iteration, preconditioned CG). Each
+//!   solve makes one execution choice (`cg::Execution`: reference or
+//!   fused kernels, whole-iteration sweep epochs, or mixed precision).
 //! * [`linalg`] — sparse/dense/banded matrices, kernels with explicit
 //!   summation orders, PDE generators, preconditioners, Lanczos, RCM,
 //!   Matrix Market I/O.

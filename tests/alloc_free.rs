@@ -14,8 +14,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use vr_cg::lookahead::LookaheadCg;
+use vr_cg::registry;
 use vr_cg::sstep::SStepCg;
 use vr_cg::standard::StandardCg;
 use vr_cg::{CgVariant, SolveOptions, Termination};
@@ -23,6 +25,7 @@ use vr_linalg::gen;
 use vr_linalg::kernels::DotMode;
 use vr_linalg::mpk::NaivePowers;
 use vr_linalg::LinearOperator;
+use vr_par::team::{dispatch_width, Team};
 
 struct CountingAlloc;
 
@@ -178,9 +181,9 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
         (Box::new(vr_cg::baselines::PipelinedCg::new()), "pipelined"),
     ];
     for (variant, label) in &mixed_variants {
-        for precision in [vr_cg::Precision::F64, vr_cg::Precision::Mixed] {
+        for execution in [vr_cg::Execution::Fused, vr_cg::Execution::Mixed] {
             let measure = |max_iters: usize| {
-                let o = opts(max_iters).with_precision(precision);
+                let o = opts(max_iters).with_execution(execution);
                 let _ = variant.solve(&a, &b, None, &o); // warm-up
                 let mut best = u64::MAX;
                 for _ in 0..3 {
@@ -190,7 +193,7 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
                     assert_eq!(
                         res.termination,
                         Termination::MaxIterations,
-                        "{label} ({precision:?}): tol=0 run must exhaust its budget"
+                        "{label} ({execution:?}): tol=0 run must exhaust its budget"
                     );
                     best = best.min(after - before);
                 }
@@ -201,7 +204,7 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
             let long = vr_par::simd::with_level(lanes, || measure(40));
             assert_eq!(
                 short, long,
-                "{label} (simd, {precision:?}): a 40-iteration solve \
+                "{label} (simd, {execution:?}): a 40-iteration solve \
                  allocated {long} times vs {short} for 10 iterations — the \
                  extra 30 iterations must be allocation-free"
             );
@@ -234,7 +237,7 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
                 .with_max_iters(max_iters)
                 .with_dot_mode(DotMode::Tree)
                 .with_threads(1)
-                .with_sweep_policy(vr_cg::SweepPolicy::WholeIteration);
+                .with_execution(vr_cg::Execution::WholeIteration { tile: None });
             o.record_residuals = false;
             let _ = variant.solve(&a, &b, None, &o); // warm-up
             let mut best = u64::MAX;
@@ -260,6 +263,57 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
              allocated {long} times vs {short} for 10 iterations — sweep \
              epochs must run entirely in the engine's preallocated storage"
         );
+    }
+
+    // `DotMode::Tree` on an attached team — the configuration the solve
+    // daemon and the library benchmark run — must be allocation-free as
+    // well: every Tree reduction keeps its chunk list and leaf partials in
+    // fixed `CHUNKS`-sized stack buffers, and a deferred reduction holds
+    // its partials inline. Every registry variant runs on an explicit
+    // two-worker team, at n = 16,384 (two shards) and on serve-small's
+    // largest grid (one shard).
+    let team = Arc::new(Team::new(2));
+    for (grid, shards) in [(128usize, 2usize), (48, 1)] {
+        let a = gen::poisson2d(grid);
+        let b = gen::poisson2d_rhs(grid);
+        assert_eq!(
+            dispatch_width(a.dim(), 2),
+            shards,
+            "grid {grid}: n = {} must dispatch {shards} shard(s)",
+            a.dim()
+        );
+        for (key, variant) in registry::keyed_variants(&a) {
+            let measure = |max_iters: usize| {
+                let mut o = SolveOptions::default()
+                    .with_tol(0.0)
+                    .with_max_iters(max_iters)
+                    .with_dot_mode(DotMode::Tree)
+                    .with_team(Arc::clone(&team));
+                o.record_residuals = false;
+                let _ = variant.solve(&a, &b, None, &o); // warm-up
+                let mut best = u64::MAX;
+                for _ in 0..3 {
+                    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+                    let res = variant.solve(&a, &b, None, &o);
+                    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+                    assert_eq!(
+                        res.termination,
+                        Termination::MaxIterations,
+                        "{key} (tree, grid {grid}): tol=0 run must exhaust its budget"
+                    );
+                    best = best.min(after - before);
+                }
+                best
+            };
+            let short = measure(10);
+            let long = measure(40);
+            assert_eq!(
+                short, long,
+                "{key} (tree on a 2-wide team, grid {grid}): a 40-iteration \
+                 solve allocated {long} times vs {short} for 10 iterations — \
+                 Tree reductions must run in fixed stack buffers"
+            );
+        }
     }
 
     let tracer = std::sync::Arc::new(vr_obs::Tracer::for_width(1));

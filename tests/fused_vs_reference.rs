@@ -1,8 +1,9 @@
-//! Differential harness for the fused single-pass kernels (`KernelPolicy`).
+//! Differential harness for the fused single-pass kernels
+//! (`Execution::Fused` against `Execution::Reference`).
 //!
 //! The contract under test: for every solver variant and every
-//! configuration (dot mode × thread count), the `Fused` kernel policy
-//! produces **exactly the bits** of the `Reference` two-pass policy —
+//! configuration (dot mode × thread count), the `Fused` execution
+//! produces **exactly the bits** of the `Reference` two-pass execution —
 //! same iteration count, same termination, same residual-norm sequence,
 //! same solution vector. Under the order-preserving summation modes
 //! (Serial, Tree) this is asserted bitwise; in Kahan mode the issue
@@ -19,7 +20,7 @@ use cg_lookahead::cg::lookahead::LookaheadCg;
 use cg_lookahead::cg::overlap_k1::OverlapK1Cg;
 use cg_lookahead::cg::sstep::SStepCg;
 use cg_lookahead::cg::standard::StandardCg;
-use cg_lookahead::cg::{CgVariant, KernelPolicy, SolveOptions, SolveResult};
+use cg_lookahead::cg::{CgVariant, Execution, SolveOptions, SolveResult};
 use cg_lookahead::linalg::kernels::{self, DotMode};
 use cg_lookahead::linalg::precond::Jacobi;
 use cg_lookahead::linalg::stencil::Stencil2d;
@@ -69,9 +70,9 @@ fn every_variant_bit_identical_under_order_preserving_summation() {
                     &a,
                     &b,
                     None,
-                    &base.clone().with_kernel_policy(KernelPolicy::Reference),
+                    &base.clone().with_execution(Execution::Reference),
                 );
-                let fused = s.solve(&a, &b, None, &base.with_kernel_policy(KernelPolicy::Fused));
+                let fused = s.solve(&a, &b, None, &base.with_execution(Execution::Fused));
                 let ctx = format!("{} / {mode:?} / threads={threads}", s.name());
                 assert_bit_identical(&reference, &fused, &ctx);
                 assert!(reference.converged, "{ctx}: converged");
@@ -94,9 +95,9 @@ fn every_variant_agrees_to_1e14_in_kahan_mode() {
                 &a,
                 &b,
                 None,
-                &base.clone().with_kernel_policy(KernelPolicy::Reference),
+                &base.clone().with_execution(Execution::Reference),
             );
-            let fused = s.solve(&a, &b, None, &base.with_kernel_policy(KernelPolicy::Fused));
+            let fused = s.solve(&a, &b, None, &base.with_execution(Execution::Fused));
             let ctx = format!("{} / Kahan / threads={threads}", s.name());
             assert_eq!(reference.iterations, fused.iterations, "{ctx}");
             for (i, (r, f)) in reference
@@ -133,9 +134,9 @@ fn fused_ops_are_tallied_and_reference_work_is_preserved() {
             &a,
             &b,
             None,
-            &base.clone().with_kernel_policy(KernelPolicy::Reference),
+            &base.clone().with_execution(Execution::Reference),
         );
-        let fused = s.solve(&a, &b, None, &base.with_kernel_policy(KernelPolicy::Fused));
+        let fused = s.solve(&a, &b, None, &base.with_execution(Execution::Fused));
         let name = s.name();
         assert_eq!(reference.counts.matvecs, fused.counts.matvecs, "{name}");
         assert_eq!(reference.counts.dots, fused.counts.dots, "{name}");
@@ -162,9 +163,9 @@ fn standard_cg_bit_matches_reference_on_stencil() {
             &op,
             &b,
             None,
-            &base.clone().with_kernel_policy(KernelPolicy::Reference),
+            &base.clone().with_execution(Execution::Reference),
         );
-        let fused = s.solve(&op, &b, None, &base.with_kernel_policy(KernelPolicy::Fused));
+        let fused = s.solve(&op, &b, None, &base.with_execution(Execution::Fused));
         let ctx = format!("standard-cg stencil / {mode:?}");
         assert_bit_identical(&reference, &fused, &ctx);
         assert!(fused.counts.fused_ops > 0, "{ctx}: fused tally");

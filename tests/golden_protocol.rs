@@ -36,7 +36,7 @@ use cg_lookahead::cg::baselines::{ChebyshevIteration, ConjugateResidual, Overlap
 use cg_lookahead::cg::block::BlockCg;
 use cg_lookahead::cg::registry::{keyed_variants, VARIANT_COUNT};
 use cg_lookahead::cg::resilience::{FaultKind, RecoveryPolicy, SeededInjector};
-use cg_lookahead::cg::{CgVariant, Precision, SolveOptions, SweepPolicy};
+use cg_lookahead::cg::{CgVariant, Execution, SolveOptions};
 use cg_lookahead::linalg::kernels::DotMode;
 use cg_lookahead::linalg::{gen, CsrMatrix};
 use cg_lookahead::par::Team;
@@ -119,12 +119,12 @@ fn options(config: &str, team: &Arc<Team>) -> (SolveOptions, Stream) {
                 .with_recovery(RecoveryPolicy::default().with_checkpoint_period(8));
         }
         "floor_1e-12" => o = o.with_tol(1e-12),
-        "mixed" => o = o.with_precision(Precision::Mixed),
+        "mixed" => o = o.with_execution(Execution::Mixed),
         // The sweep requires Tree dots; other modes reject.
         "sweep" => {
             o = o
                 .with_dot_mode(DotMode::Tree)
-                .with_sweep_policy(SweepPolicy::WholeIteration);
+                .with_execution(Execution::WholeIteration { tile: None });
         }
         other => panic!("unknown config {other}"),
     }

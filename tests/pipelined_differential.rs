@@ -8,7 +8,7 @@
 
 use cg_lookahead::cg::baselines::PipelinedCg;
 use cg_lookahead::cg::pipelined_deep::DeepPipelinedCg;
-use cg_lookahead::cg::{CgVariant, KernelPolicy, SolveOptions, SolveResult};
+use cg_lookahead::cg::{CgVariant, Execution, SolveOptions, SolveResult};
 use cg_lookahead::linalg::gen;
 use cg_lookahead::linalg::kernels::DotMode;
 use cg_lookahead::par::Team;
@@ -39,14 +39,14 @@ fn depth1_matches_pipelined_across_modes_and_policies() {
     let a = gen::poisson2d(12);
     let b = gen::poisson2d_rhs(12);
     for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
-        for policy in [KernelPolicy::Fused, KernelPolicy::Reference] {
+        for execution in [Execution::Fused, Execution::Reference] {
             let opts = SolveOptions::default()
                 .with_tol(1e-9)
                 .with_dot_mode(mode)
-                .with_kernel_policy(policy);
+                .with_execution(execution);
             let gv = PipelinedCg::new().solve(&a, &b, None, &opts);
             let d1 = DeepPipelinedCg::new(1).solve(&a, &b, None, &opts);
-            assert_bitwise_equal(&gv, &d1, &format!("{mode:?}/{policy:?}"));
+            assert_bitwise_equal(&gv, &d1, &format!("{mode:?}/{execution:?}"));
         }
     }
 }

@@ -1243,7 +1243,7 @@ fn new_variants_survive_single_fault_with_checkpoint_rollback() {
 
 // ---------- ninth wave: SIMD lanes and mixed precision ----------
 
-use cg_lookahead::cg::Precision;
+use cg_lookahead::cg::Execution;
 use cg_lookahead::par::simd;
 
 fn mixed_eligible_trio() -> Vec<Box<dyn CgVariant>> {
@@ -1309,7 +1309,7 @@ fn mixed_precision_residual_replacement_bound_on_random_spd() {
         let opts = SolveOptions::default()
             .with_tol(tol)
             .with_max_iters(2000)
-            .with_precision(Precision::Mixed);
+            .with_execution(Execution::Mixed);
         // ‖A‖_∞ from the row sums (exact for CSR)
         let norm_a = (0..n)
             .map(|i| a.row(i).map(|(_, v)| v.abs()).sum::<f64>())

@@ -1,6 +1,6 @@
 //! Differential suite for whole-iteration sweep fusion.
 //!
-//! [`SweepPolicy::WholeIteration`] promises *bit-identical* whole-solve
+//! [`Execution::WholeIteration`] promises *bit-identical* whole-solve
 //! traces to the per-kernel fused path: same `x`, same recorded residual
 //! norms, same iteration count, termination, and operation tallies — at
 //! any staging tile size, any team width, on every sweep-capable operator.
@@ -14,9 +14,7 @@ use vr_cg::baselines::{ChronopoulosGearCg, PipelinedCg};
 use vr_cg::overlap_k1::OverlapK1Cg;
 use vr_cg::registry;
 use vr_cg::standard::StandardCg;
-use vr_cg::{
-    CgVariant, KernelPolicy, Precision, SolveOptions, SolveResult, SweepPolicy, Termination,
-};
+use vr_cg::{CgVariant, Execution, SolveOptions, SolveResult, Termination};
 use vr_linalg::kernels::DotMode;
 use vr_linalg::stencil::{Stencil2d, Stencil3d};
 use vr_linalg::{gen, LinearOperator};
@@ -121,8 +119,7 @@ fn whole_iteration_sweep_is_bit_identical_to_fused() {
                 for tile in [Some(1), Some(3), Some(30), None, Some(n)] {
                     let sopts = opts
                         .clone()
-                        .with_sweep_policy(SweepPolicy::WholeIteration)
-                        .with_sweep_tile(tile);
+                        .with_execution(Execution::WholeIteration { tile });
                     let sweep = variant.solve(a, &b, None, &sopts);
                     assert_bits_eq(
                         &format!("{vkey}/{okey}/threads={threads}/tile={tile:?}"),
@@ -172,7 +169,9 @@ fn sweep_matches_fused_across_multi_shard_teams() {
                     a,
                     &b,
                     None,
-                    &opts.clone().with_sweep_policy(SweepPolicy::WholeIteration),
+                    &opts
+                        .clone()
+                        .with_execution(Execution::WholeIteration { tile: None }),
                 );
                 assert_bits_eq(&format!("{vkey}/{okey}/team={width}"), &fused, &sweep);
             }
@@ -195,7 +194,9 @@ fn sweep_matches_fused_from_nonzero_x0() {
                 &a,
                 &b,
                 Some(&x0),
-                &opts.clone().with_sweep_policy(SweepPolicy::WholeIteration),
+                &opts
+                    .clone()
+                    .with_execution(Execution::WholeIteration { tile: None }),
             );
             assert_bits_eq(&format!("{vkey}/x0/threads={threads}"), &fused, &sweep);
         }
@@ -216,7 +217,9 @@ fn sweep_matches_fused_through_overlap_resync() {
             &a,
             &b,
             None,
-            &opts.clone().with_sweep_policy(SweepPolicy::WholeIteration),
+            &opts
+                .clone()
+                .with_execution(Execution::WholeIteration { tile: None }),
         );
         assert_bits_eq(
             &format!("overlap_resync3/threads={threads}"),
@@ -228,22 +231,23 @@ fn sweep_matches_fused_through_overlap_resync() {
 
 /// Every registry variant without a single-pass schedule must reject a
 /// whole-iteration request with `Unsupported` after zero iterations —
-/// and the registry's `sweep_eligible` flags must match the hard-coded
+/// and the registry's `supports` answers must match the hard-coded
 /// eligibility set this suite sweeps.
 #[test]
 fn ineligible_variants_reject_explicitly() {
     const ELIGIBLE: [&str; 4] = ["standard", "overlap_k1", "chronopoulos_gear", "pipelined"];
     let a = gen::poisson2d(12);
     let b = gen::poisson2d_rhs(12);
-    let opts = base_opts(1).with_sweep_policy(SweepPolicy::WholeIteration);
+    let sweep = Execution::WholeIteration { tile: None };
+    let opts = base_opts(1).with_execution(sweep);
     let mut seen = 0;
     for (key, variant) in registry::keyed_variants(&a) {
         seen += 1;
         let expect_eligible = ELIGIBLE.contains(&key);
         assert_eq!(
-            variant.sweep_eligible(),
+            variant.supports(sweep),
             expect_eligible,
-            "{key}: sweep_eligible flag disagrees with the suite's eligibility set"
+            "{key}: supports(WholeIteration) disagrees with the suite's eligibility set"
         );
         let res = variant.solve(&a, &b, None, &opts);
         if expect_eligible {
@@ -261,8 +265,8 @@ fn ineligible_variants_reject_explicitly() {
 }
 
 /// Eligible variants must also reject configurations whose unfused bits
-/// the sweep schedule cannot reproduce: order-preserving dot modes, the
-/// reference kernel policy, and mixed precision.
+/// the sweep schedule cannot reproduce: order-preserving dot modes and
+/// checksum-guarded reductions.
 #[test]
 fn eligible_variants_reject_unsupported_configurations() {
     let a = gen::poisson2d(12);
@@ -273,31 +277,19 @@ fn eligible_variants_reject_unsupported_configurations() {
                 "serial-dot",
                 base_opts(1)
                     .with_dot_mode(DotMode::Serial)
-                    .with_sweep_policy(SweepPolicy::WholeIteration),
+                    .with_execution(Execution::WholeIteration { tile: None }),
             ),
             (
                 "kahan-dot",
                 base_opts(1)
                     .with_dot_mode(DotMode::Kahan)
-                    .with_sweep_policy(SweepPolicy::WholeIteration),
-            ),
-            (
-                "reference-kernels",
-                base_opts(1)
-                    .with_kernel_policy(KernelPolicy::Reference)
-                    .with_sweep_policy(SweepPolicy::WholeIteration),
-            ),
-            (
-                "mixed-precision",
-                base_opts(1)
-                    .with_precision(Precision::Mixed)
-                    .with_sweep_policy(SweepPolicy::WholeIteration),
+                    .with_execution(Execution::WholeIteration { tile: None }),
             ),
             (
                 "checksum",
                 base_opts(1)
                     .with_reduction_checksum(true)
-                    .with_sweep_policy(SweepPolicy::WholeIteration),
+                    .with_execution(Execution::WholeIteration { tile: None }),
             ),
         ];
         for (ckey, opts) in cases {
@@ -325,7 +317,7 @@ fn non_sweepable_operator_rejects() {
         &a,
         &b,
         None,
-        &base_opts(1).with_sweep_policy(SweepPolicy::WholeIteration),
+        &base_opts(1).with_execution(Execution::WholeIteration { tile: None }),
     );
     assert_eq!(res.termination, Termination::Unsupported);
 }

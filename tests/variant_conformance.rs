@@ -16,8 +16,9 @@
 //! 3. **Tracing is observation** — an attached tracer changes no bits.
 //! 4. **Width invariance** — under the order-preserving `Tree` reduction,
 //!    team widths 1/2/4 produce identical bits.
-//! 5. **Fused ≡ Reference** — the fused kernel policy matches the two-pass
-//!    reference policy bitwise under Serial/Tree, to 1e-14 under Kahan.
+//! 5. **Fused ≡ Reference** — `Execution::Fused` matches the two-pass
+//!    `Execution::Reference` bitwise under Serial/Tree, to 1e-14 under
+//!    Kahan.
 //! 6. **Zero hot-path allocations** — after warm-up, extra iterations
 //!    allocate nothing (counting global allocator, 10- vs 40-iteration
 //!    budgets).
@@ -26,9 +27,9 @@
 //!    residual (never false convergence); ineligible variants reject with
 //!    [`Termination::Unsupported`] and zero iterations, not a silent f64
 //!    fallback.
-//! 8. **Sweep policy** — variants flagged `sweep_eligible` produce bits
-//!    identical to the per-kernel fused path under
-//!    `SweepPolicy::WholeIteration`; the rest reject with
+//! 8. **Whole-iteration sweep** — variants that support
+//!    `Execution::WholeIteration` produce bits identical to the per-kernel
+//!    fused path under it; the rest reject with
 //!    [`Termination::Unsupported`] and zero iterations.
 //!
 //! The allocation column needs a quiet window, so a process-wide mutex
@@ -39,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cg_lookahead::cg::registry::{keyed_variants, VARIANT_COUNT};
-use cg_lookahead::cg::{KernelPolicy, Precision, SolveOptions, SolveResult, Termination};
+use cg_lookahead::cg::{Execution, SolveOptions, SolveResult, Termination};
 use cg_lookahead::linalg::kernels::{self, DotMode};
 use cg_lookahead::linalg::{gen, CsrMatrix};
 use cg_lookahead::obs::Tracer;
@@ -240,7 +241,7 @@ fn thread_width_is_bit_invariant_under_tree_reduction() {
     }
 }
 
-// ------------------------------------------------ column 5: fused policy
+// --------------------------------------------- column 5: fused execution
 
 #[test]
 fn fused_policy_matches_reference_for_every_variant_and_dot_mode() {
@@ -254,14 +255,9 @@ fn fused_policy_matches_reference_for_every_variant_and_dot_mode() {
                 &a,
                 &b,
                 None,
-                &base.clone().with_kernel_policy(KernelPolicy::Reference),
+                &base.clone().with_execution(Execution::Reference),
             );
-            let fused = solver.solve(
-                &a,
-                &b,
-                None,
-                &base.clone().with_kernel_policy(KernelPolicy::Fused),
-            );
+            let fused = solver.solve(&a, &b, None, &base.clone().with_execution(Execution::Fused));
             let ctx = format!("{key} / {mode:?}");
             if matches!(mode, DotMode::Serial | DotMode::Tree) {
                 assert_bit_identical(&reference, &fused, &ctx);
@@ -356,13 +352,13 @@ fn mixed_precision_converges_or_rejects_explicitly_per_eligibility() {
     let opts = SolveOptions::default()
         .with_tol(1e-5) // comfortably above the f32 recurrence floor
         .with_max_iters(2000)
-        .with_precision(Precision::Mixed);
+        .with_execution(Execution::Mixed);
     let variants = keyed_variants(&a);
     assert_eq!(variants.len(), VARIANT_COUNT, "registry drifted");
     let mut eligible = 0;
     for (key, solver) in variants {
         let res = solver.solve(&a, &b, None, &opts);
-        if solver.mixed_eligible() {
+        if solver.supports(Execution::Mixed) {
             eligible += 1;
             assert!(
                 res.converged,
@@ -396,9 +392,9 @@ fn mixed_precision_converges_or_rejects_explicitly_per_eligibility() {
     );
 }
 
-// -------------------------------------------------- column 8: sweep policy
+// ----------------------------------------- column 8: whole-iteration sweep
 
-/// Variants flagged `sweep_eligible` must run the whole-iteration sweep
+/// Variants that support `Execution::WholeIteration` must run the sweep
 /// bit-identically to the per-kernel fused path (same x, norms, iteration
 /// count); every other registered variant must reject the request
 /// explicitly with zero iterations — never silently fall back to the
@@ -424,9 +420,9 @@ fn sweep_policy_matches_fused_or_rejects_explicitly_per_eligibility() {
                 None,
                 &base
                     .clone()
-                    .with_sweep_policy(cg_lookahead::cg::SweepPolicy::WholeIteration),
+                    .with_execution(Execution::WholeIteration { tile: None }),
             );
-            if solver.sweep_eligible() {
+            if solver.supports(Execution::WholeIteration { tile: None }) {
                 eligible += 1;
                 let fused = solver.solve(&a, &b, None, &base);
                 assert_bit_identical(&fused, &sweep, &format!("{key} (sweep, threads {threads})"));
@@ -466,9 +462,9 @@ fn mixed_precision_never_reports_unbacked_convergence_below_f32_floor() {
     let opts = SolveOptions::default()
         .with_tol(tol)
         .with_max_iters(800)
-        .with_precision(Precision::Mixed);
+        .with_execution(Execution::Mixed);
     for (key, solver) in keyed_variants(&a) {
-        if !solver.mixed_eligible() {
+        if !solver.supports(Execution::Mixed) {
             continue;
         }
         let res = solver.solve(&a, &b, None, &opts);
