@@ -84,6 +84,4 @@ pub mod standard;
 pub mod sweep;
 
 pub use instrument::{OpCounts, RecoveryStats};
-pub use solver::{
-    CgVariant, Execution, ProgressHook, RoutingMeta, SolveOptions, SolveResult, Termination,
-};
+pub use solver::{CgVariant, Execution, ProgressHook, SolveOptions, SolveResult, Termination};

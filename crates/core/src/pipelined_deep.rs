@@ -525,6 +525,7 @@ fn solve_deep(
             if restartable {
                 let rr_true = true_rr(a, b, &st.x, &mut scratch, opts, &mut drv.counts);
                 last_rnorm = norm(rr_true);
+                drv.replace_last(last_rnorm);
                 if rr_true <= thresh_sq {
                     termination = Termination::Converged;
                     break 'epochs;
@@ -607,6 +608,29 @@ mod tests {
             res.termination, res.iterations
         );
         assert!(res.true_residual(&a, &b) < 1e-6);
+    }
+
+    #[test]
+    fn restart_exit_reports_the_true_residual_it_measured() {
+        // On this system a pivot breakdown sends the loop to its
+        // restartable exit, which measures the true residual and claims
+        // convergence on it: the reported final residual must be that
+        // measurement, not the stale recursive norm above the tolerance,
+        // whether or not the history is recorded.
+        let a = gen::poisson1d(12);
+        let b = gen::rand_vector(12, 3);
+        let bound = 1e-8 * b.iter().map(|v| v * v).sum::<f64>().sqrt();
+        for record in [true, false] {
+            let mut opts = SolveOptions::default().with_tol(1e-8);
+            opts.record_residuals = record;
+            let res = DeepPipelinedCg::new(2).solve(&a, &b, None, &opts);
+            assert!(res.converged, "record={record}: {:?}", res.termination);
+            assert!(
+                res.final_residual <= bound,
+                "record={record}: converged with final residual {:e} > {bound:e}",
+                res.final_residual
+            );
+        }
     }
 
     #[test]

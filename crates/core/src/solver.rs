@@ -101,17 +101,6 @@ impl std::fmt::Debug for ProgressHook {
     }
 }
 
-/// Record of a thread request clamped to the host's parallelism by
-/// [`SolveOptions::with_threads`] — the recorded warning that replaces
-/// silent oversubscription on small containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadClamp {
-    /// What the caller asked for.
-    pub requested: usize,
-    /// What the host could grant (`available_parallelism`).
-    pub granted: usize,
-}
-
 /// The host's available parallelism (1 if it cannot be determined).
 #[must_use]
 pub fn host_cpus() -> usize {
@@ -154,11 +143,6 @@ pub struct SolveOptions {
     /// width, including 1. Order-preserving modes (`Serial`, `Kahan`) keep
     /// their reductions on the calling thread (see [`SolveOptions::dot`]).
     pub team: Option<Arc<Team>>,
-    /// Set when [`SolveOptions::with_threads`] clamped an oversubscribing
-    /// request down to the host's parallelism (graceful degradation on
-    /// small containers; `None` when the request was granted as asked).
-    /// Explicit [`SolveOptions::with_team`] attachments are never clamped.
-    pub thread_clamp: Option<ThreadClamp>,
     /// Duplicate-leaf checksum guard on split-phase reductions
     /// ([`SolveOptions::dot2_deferred`]): when `true` under
     /// `DotMode::Tree`, every deferred dot computes its fixed-layout leaf
@@ -212,7 +196,6 @@ impl Default for SolveOptions {
             recovery: None,
             execution: Execution::default(),
             team: None,
-            thread_clamp: None,
             checksum: false,
             checksum_detected: Arc::new(AtomicU64::new(0)),
             mpk_tile: None,
@@ -330,10 +313,9 @@ impl SolveOptions {
     ///
     /// The request is clamped to the host's available parallelism — a team
     /// wider than the machine only adds context-switch latency to every
-    /// barrier epoch, so oversubscription degrades gracefully instead of
-    /// silently: a clamp is recorded in [`SolveOptions::thread_clamp`].
-    /// (Values are width-invariant, so clamping never changes result
-    /// bits.) Callers that genuinely want an oversubscribed or
+    /// barrier epoch — and [`SolveOptions::threads`] reports the width
+    /// granted. (Values are width-invariant, so clamping never changes
+    /// result bits.) Callers that genuinely want an oversubscribed or
     /// fault-injected team attach one explicitly with
     /// [`SolveOptions::with_team`].
     ///
@@ -343,9 +325,7 @@ impl SolveOptions {
     /// epochs instead.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        let requested = threads.max(1);
-        let granted = requested.min(host_cpus());
-        self.thread_clamp = (granted < requested).then_some(ThreadClamp { requested, granted });
+        let granted = threads.max(1).min(host_cpus());
         self.team = (granted >= 2).then(|| team::shared_team(granted));
         self
     }
@@ -356,7 +336,6 @@ impl SolveOptions {
     /// behavior on small hosts.
     #[must_use]
     pub fn with_team(mut self, team: Arc<Team>) -> Self {
-        self.thread_clamp = None;
         self.team = Some(team);
         self
     }
@@ -757,11 +736,7 @@ impl SolveOptions {
                     *p = inj.corrupt(FaultSite::DotPartial, *p);
                 }
             }
-            return PendingScalar::checked_deferred(
-                pa.to_vec(),
-                pb.to_vec(),
-                Arc::clone(&self.checksum_detected),
-            );
+            return PendingScalar::checked_deferred(pa, pb, Arc::clone(&self.checksum_detected));
         }
         let folded = self.span_bytes(vr_obs::SpanKind::DotLaunch, 16 * x.len() as u64, || {
             reduce::par_dot_partials_in(t, x, y)
@@ -819,8 +794,8 @@ impl SolveOptions {
         }
         let detected = &self.checksum_detected;
         (
-            PendingScalar::checked_deferred(ya.to_vec(), yb.to_vec(), Arc::clone(detected)),
-            PendingScalar::checked_deferred(za.to_vec(), zb.to_vec(), Arc::clone(detected)),
+            PendingScalar::checked_deferred(ya, yb, Arc::clone(detected)),
+            PendingScalar::checked_deferred(za, zb, Arc::clone(detected)),
         )
     }
 
@@ -921,25 +896,6 @@ impl Termination {
     }
 }
 
-/// How a solve was routed by a scheduling layer (the solve daemon): which
-/// registry variant ran, why it was chosen, and whether the job was
-/// coalesced into a block-CG batch. Attached after the fact by the
-/// scheduler via [`SolveResult::with_routing`] — the variants themselves
-/// never populate it (a library solve has no routing decision to record).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutingMeta {
-    /// Registry key of the variant that ran (e.g. `"predict_recompute"`),
-    /// or `"block"` for batched solves.
-    pub variant_key: String,
-    /// Why the router picked it (e.g. `"accuracy: lowest measured residual
-    /// floor"`, `"explicit request"`, `"batched with 3 compatible jobs"`).
-    pub reason: String,
-    /// Whether the job was coalesced into a block-CG batch.
-    pub batched: bool,
-    /// Number of right-hand sides sharing the batch (1 for singletons).
-    pub batch_width: usize,
-}
-
 /// Outcome of a solve.
 #[derive(Debug, Clone)]
 pub struct SolveResult {
@@ -966,9 +922,6 @@ pub struct SolveResult {
     pub recovery: RecoveryStats,
     /// Whether the tolerance was met ([`Termination::is_converged`]).
     pub converged: bool,
-    /// Routing metadata attached by a scheduling layer (`None` for plain
-    /// library solves; see [`RoutingMeta`]).
-    pub routing: Option<RoutingMeta>,
 }
 
 impl SolveResult {
@@ -997,15 +950,7 @@ impl SolveResult {
             final_residual,
             counts,
             recovery: RecoveryStats::default(),
-            routing: None,
         }
-    }
-
-    /// Attach routing metadata (builder used by scheduling layers).
-    #[must_use]
-    pub fn with_routing(mut self, routing: RoutingMeta) -> Self {
-        self.routing = Some(routing);
-        self
     }
 
     /// True residual norm `‖b − A·x‖₂`, recomputed from scratch.
@@ -1135,27 +1080,6 @@ mod tests {
         ] {
             assert!(!t.is_converged(), "{t:?}");
         }
-    }
-
-    #[test]
-    fn routing_meta_attaches_without_perturbing_result() {
-        let r = SolveResult::new(
-            vec![0.0],
-            Termination::Converged,
-            3,
-            vec![1.0, 0.01],
-            OpCounts::default(),
-        );
-        assert_eq!(r.routing, None, "library solves carry no routing");
-        let routed = r.clone().with_routing(RoutingMeta {
-            variant_key: "predict_recompute".into(),
-            reason: "accuracy: lowest measured residual floor".into(),
-            batched: false,
-            batch_width: 1,
-        });
-        assert_eq!(routed.routing.as_ref().unwrap().batch_width, 1);
-        assert_eq!(routed.x, r.x);
-        assert_eq!(routed.final_residual, r.final_residual);
     }
 
     #[test]

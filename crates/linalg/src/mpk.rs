@@ -119,8 +119,8 @@ pub enum MpkTransform<'a> {
 impl MpkTransform<'_> {
     /// Evaluate the recurrence for level `l` on one element.
     ///
-    /// `prev` is ignored unless [`MpkTransform::needs_prev`] returns true
-    /// and `l >= 1`; callers may pass any value in that case.
+    /// `prev` (`v_{l−1}`) is read only by the Chebyshev recurrence at
+    /// `l >= 1`; callers may pass any value otherwise.
     #[inline]
     #[must_use]
     pub fn level(&self, l: usize, image: f64, cur: f64, prev: f64) -> f64 {
@@ -197,13 +197,6 @@ impl MpkTransform<'_> {
                 }
             }
         }
-    }
-
-    /// Whether the recurrence reads `v_{l−1}` (true only for Chebyshev).
-    /// Tiled engines use this to know how many live levels a sweep needs.
-    #[must_use]
-    pub fn needs_prev(&self) -> bool {
-        matches!(self, MpkTransform::Chebyshev { .. })
     }
 }
 

@@ -26,6 +26,9 @@ use crate::reduce;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+// `Checked` holds its second partial copy inline on purpose: boxing it
+// would allocate on every guarded launch, the cost this layout removes.
+#[allow(clippy::large_enum_variant)]
 enum Inner {
     /// An already-resolved scalar: no partials to carry or combine, so
     /// pipeline start-up fallbacks (and the eager Serial/Kahan paths that
@@ -40,16 +43,17 @@ enum Inner {
     /// scheduled in between.
     Deferred,
     /// A checksum-guarded split-phase reduction: two *independently
-    /// computed* copies of the leaf partials. Because the leaf layout and
-    /// summation order are deterministic, the copies are bit-identical
-    /// absent corruption, so the consume point can compare them exactly
-    /// (an ABFT-style duplicate-leaf invariant). A mismatched leaf with
-    /// exactly one finite copy is repaired in place; anything else
-    /// resolves to NaN so downstream guards trip *this* iteration instead
-    /// of letting the corruption smear forward through the recurrences.
+    /// computed* copies of the leaf partials, both held inline. Because
+    /// the leaf layout and summation order are deterministic, the copies
+    /// are bit-identical absent corruption, so the consume point can
+    /// compare them exactly (an ABFT-style duplicate-leaf invariant). A
+    /// mismatched leaf with exactly one finite copy is repaired in place;
+    /// anything else resolves to NaN so downstream guards trip *this*
+    /// iteration instead of letting the corruption smear forward through
+    /// the recurrences.
     Checked {
-        a: Vec<f64>,
-        b: Vec<f64>,
+        /// The second copy (the first is the handle's `partials`).
+        b: reduce::Partials,
         /// Corrupted-leaf detections, reported to the owner of the counter
         /// (the solver folds it into its `RecoveryStats`).
         detected: Arc<AtomicU64>,
@@ -63,9 +67,9 @@ enum Inner {
 /// the consume point (or an already-resolved value).
 pub struct PendingScalar {
     inner: Inner,
-    /// The folded leaf partials of a `Deferred` handle (empty for the
-    /// other kinds), held inline so a deferred reduction allocates
-    /// nothing.
+    /// The folded leaf partials of a `Deferred` handle, or the first copy
+    /// of a `Checked` one (empty for `Ready`), held inline so a deferred
+    /// reduction allocates nothing, checked or not.
     partials: reduce::Partials,
 }
 
@@ -108,7 +112,11 @@ impl PendingScalar {
     /// Panics if the copies differ in length (they must come from the same
     /// fixed chunk layout).
     #[must_use]
-    pub fn checked_deferred(a: Vec<f64>, b: Vec<f64>, detected: Arc<AtomicU64>) -> Self {
+    pub fn checked_deferred(
+        a: reduce::Partials,
+        b: reduce::Partials,
+        detected: Arc<AtomicU64>,
+    ) -> Self {
         assert_eq!(
             a.len(),
             b.len(),
@@ -116,12 +124,11 @@ impl PendingScalar {
         );
         PendingScalar {
             inner: Inner::Checked {
-                a,
                 b,
                 detected,
                 counted: AtomicBool::new(false),
             },
-            partials: reduce::Partials::default(),
+            partials: a,
         }
     }
 
@@ -133,11 +140,10 @@ impl PendingScalar {
             Inner::Ready(v) => Some(*v),
             Inner::Deferred => Some(reduce::tree_combine(&self.partials)),
             Inner::Checked {
-                a,
                 b,
                 detected,
                 counted,
-            } => Some(verify_and_combine(a, b, detected, counted)),
+            } => Some(verify_and_combine(&self.partials, b, detected, counted)),
         }
     }
 
@@ -159,12 +165,11 @@ impl PendingScalar {
             }
             Inner::Deferred => reduce::tree_combine(&self.partials),
             Inner::Checked {
-                a,
                 b,
                 detected,
                 counted,
             } => vr_obs::tls::with_span(vr_obs::SpanKind::DeferredWait, || {
-                verify_and_combine(a, b, detected, counted)
+                verify_and_combine(&self.partials, b, detected, counted)
             }),
         }
     }
@@ -235,12 +240,17 @@ mod tests {
         assert_eq!(p.wait(), 3.5);
     }
 
+    /// `vals` as a fixed-layout partial set, one chunk result per value.
+    fn partials(vals: &[f64]) -> reduce::Partials {
+        reduce::leaves_in(None, vals.iter().copied(), vals.len(), &|v: &mut f64| *v).unwrap()
+    }
+
     #[test]
     fn checked_deferred_clean_copies_match_plain_deferred() {
-        let partials: Vec<f64> = (0..256).map(|i| (i as f64).sin()).collect();
+        let partials = partials(&(0..256).map(|i| (i as f64).sin()).collect::<Vec<_>>());
         let expect = reduce::tree_combine(&partials);
         let detected = Arc::new(AtomicU64::new(0));
-        let p = PendingScalar::checked_deferred(partials.clone(), partials, Arc::clone(&detected));
+        let p = PendingScalar::checked_deferred(partials, partials, Arc::clone(&detected));
         assert_eq!(p.wait().to_bits(), expect.to_bits());
         assert_eq!(p.poll(), Some(expect));
         assert_eq!(detected.load(Ordering::Relaxed), 0);
@@ -254,9 +264,10 @@ mod tests {
         hit[17] = f64::NAN;
         let detected = Arc::new(AtomicU64::new(0));
         // corruption in either copy must repair to the same clean value
-        let p = PendingScalar::checked_deferred(hit.clone(), clean.clone(), Arc::clone(&detected));
+        let (hit, clean) = (partials(&hit), partials(&clean));
+        let p = PendingScalar::checked_deferred(hit, clean, Arc::clone(&detected));
         assert_eq!(p.wait().to_bits(), expect.to_bits());
-        let q = PendingScalar::checked_deferred(clean.clone(), hit, Arc::clone(&detected));
+        let q = PendingScalar::checked_deferred(clean, hit, Arc::clone(&detected));
         assert_eq!(q.wait().to_bits(), expect.to_bits());
         assert_eq!(detected.load(Ordering::Relaxed), 2);
         // double consume counts each handle's detection once
@@ -270,7 +281,11 @@ mod tests {
         let mut flipped = clean.clone();
         flipped[5] += 1.0; // both copies finite, values disagree: no vote
         let detected = Arc::new(AtomicU64::new(0));
-        let p = PendingScalar::checked_deferred(clean, flipped, Arc::clone(&detected));
+        let p = PendingScalar::checked_deferred(
+            partials(&clean),
+            partials(&flipped),
+            Arc::clone(&detected),
+        );
         assert!(p.wait().is_nan());
         assert_eq!(detected.load(Ordering::Relaxed), 1);
     }

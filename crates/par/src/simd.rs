@@ -12,14 +12,19 @@
 //! ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
 //! ```
 //!
-//! Two backends execute this recipe: the scalar backend one element at a
-//! time, the AVX2 backend with the eight accumulators in two 4-lane
-//! registers. Both perform the *same* IEEE-754 additions in the *same*
-//! association, so every kernel here is **bit-identical across backends** —
-//! SIMD selection is a pure performance knob, never a numerics knob. (FMA is
-//! deliberately never used: contracting `mul + add` would change the bits.)
-//! The kernels are store- and bandwidth-bound (E22), so no wider register
-//! backend is kept: it would have no bytes left to save.
+//! Two backends execute this recipe. The scalar backend is the reference:
+//! one element at a time, in plain index loops. The AVX2 backend compiles
+//! one safe body per kernel with AVX2 enabled: each reduction walks its
+//! slices as whole `LANES`-element chunks (accumulator `j` takes element
+//! `j` of every chunk, the tail feeds accumulators `0..tail`), which the
+//! compiler turns into two 4-lane registers of accumulators. Both perform
+//! the *same* IEEE-754 additions in the *same* association, so every
+//! kernel here is **bit-identical across backends** — SIMD selection is a
+//! pure performance knob, never a numerics knob. (FMA is never used: Rust
+//! does not contract `mul + add`, and contracting would change the bits.)
+//! Only the non-temporal stores of [`leaf_waxpby`] and [`nt_fence`] are
+//! written with `std::arch` intrinsics. No wider register backend is
+//! kept: no workload runs one (DESIGN §15).
 //!
 //! Backend selection is ambient rather than plumbed through every kernel
 //! signature: [`current`] reads a thread-local override installed by
@@ -265,7 +270,7 @@ pub fn leaf_chebl_row(
 ///
 /// `up`/`down` are the neighboring grid rows (`None` on boundary rows).
 /// Boundary *columns* (first/last element) are evaluated scalar in the same
-/// order; the interior is vectorized with unaligned neighbor loads. Outputs
+/// order; the interior is vectorized over shifted windows of the row. Outputs
 /// are bit-identical at every lane width because each element is an exact,
 /// independent FP expression.
 pub fn leaf_stencil2d_row(
@@ -589,356 +594,191 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 backend: lanes {0..3} in `lo`, lanes {4..7} in `hi`
+// Chunked bodies: the scalar recipe as whole `LANES`-element chunks
 // ---------------------------------------------------------------------------
 
+/// One safe body per kernel, compiled for AVX2 by the `avx2` module. The
+/// reductions walk their slices as whole `LANES`-element chunks:
+/// accumulator `j` takes element `j` of every chunk and the tail feeds
+/// accumulators `0..tail`, so each accumulator receives the scalar
+/// backend's terms in the scalar order, while the fixed chunk width lets
+/// the compiler keep all eight accumulators in two vector registers. The
+/// elementwise kernels and stencil rows carry no accumulators and are
+/// plain loops over whole slices. No FMA: Rust never contracts a `mul` and
+/// an `add`. Every body is `#[inline(always)]`, so its code is generated
+/// inside its `#[target_feature]` wrapper, with AVX2 enabled.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
+mod chunked {
     use super::{combine8, LANES};
-    use std::arch::x86_64::*;
+    use std::ops::{Add, Mul, Neg};
 
-    /// Spill the two accumulator registers into the canonical lane array.
-    #[target_feature(enable = "avx2")]
-    unsafe fn spill(lo: __m256d, hi: __m256d) -> [f64; LANES] {
-        let mut acc = [0.0f64; LANES];
-        _mm256_storeu_pd(acc.as_mut_ptr(), lo);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(4), hi);
-        acc
+    /// A working precision: elementwise arithmetic in `Self`, each product
+    /// term widened to `f64` before it is summed.
+    pub(super) trait Real:
+        Copy + Into<f64> + Add<Output = Self> + Mul<Output = Self> + Neg<Output = Self>
+    {
+    }
+    impl Real for f32 {}
+    impl Real for f64 {}
+
+    /// The term a reduction accumulates: `f64(a)·f64(b)`.
+    #[inline(always)]
+    fn prod<T: Real>(a: T, b: T) -> f64 {
+        a.into() * b.into()
     }
 
-    /// Widen the low/high halves of 8 packed `f32` to two 4×`f64` registers.
-    #[target_feature(enable = "avx2")]
-    unsafe fn widen(v: __m256) -> (__m256d, __m256d) {
-        (
-            _mm256_cvtps_pd(_mm256_castps256_ps128(v)),
-            _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)),
-        )
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let x0 = _mm256_loadu_pd(x.as_ptr().add(i));
-            let y0 = _mm256_loadu_pd(y.as_ptr().add(i));
-            lo = _mm256_add_pd(lo, _mm256_mul_pd(x0, y0));
-            let x1 = _mm256_loadu_pd(x.as_ptr().add(i + 4));
-            let y1 = _mm256_loadu_pd(y.as_ptr().add(i + 4));
-            hi = _mm256_add_pd(hi, _mm256_mul_pd(x1, y1));
-            i += LANES;
-        }
-        let mut acc = spill(lo, hi);
-        for t in m..n {
-            acc[t & (LANES - 1)] += x[t] * y[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let (mut ylo, mut yhi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut zlo, mut zhi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let x0 = _mm256_loadu_pd(x.as_ptr().add(i));
-            let x1 = _mm256_loadu_pd(x.as_ptr().add(i + 4));
-            ylo = _mm256_add_pd(ylo, _mm256_mul_pd(x0, _mm256_loadu_pd(y.as_ptr().add(i))));
-            yhi = _mm256_add_pd(
-                yhi,
-                _mm256_mul_pd(x1, _mm256_loadu_pd(y.as_ptr().add(i + 4))),
-            );
-            zlo = _mm256_add_pd(zlo, _mm256_mul_pd(x0, _mm256_loadu_pd(z.as_ptr().add(i))));
-            zhi = _mm256_add_pd(
-                zhi,
-                _mm256_mul_pd(x1, _mm256_loadu_pd(z.as_ptr().add(i + 4))),
-            );
-            i += LANES;
-        }
-        let mut ay = spill(ylo, yhi);
-        let mut az = spill(zlo, zhi);
-        for t in m..n {
-            ay[t & (LANES - 1)] += x[t] * y[t];
-            az[t & (LANES - 1)] += x[t] * z[t];
-        }
-        (combine8(&ay), combine8(&az))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn update_xr(
-        lambda: f64,
-        p: &[f64],
-        w: &[f64],
-        x: &mut [f64],
-        r: &mut [f64],
-    ) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let lv = _mm256_set1_pd(lambda);
-        let nlv = _mm256_set1_pd(-lambda);
-        let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let x0 = _mm256_loadu_pd(x.as_ptr().add(i));
-            let p0 = _mm256_loadu_pd(p.as_ptr().add(i));
-            _mm256_storeu_pd(
-                x.as_mut_ptr().add(i),
-                _mm256_add_pd(x0, _mm256_mul_pd(lv, p0)),
-            );
-            let r0 = _mm256_add_pd(
-                _mm256_loadu_pd(r.as_ptr().add(i)),
-                _mm256_mul_pd(nlv, _mm256_loadu_pd(w.as_ptr().add(i))),
-            );
-            _mm256_storeu_pd(r.as_mut_ptr().add(i), r0);
-            lo = _mm256_add_pd(lo, _mm256_mul_pd(r0, r0));
-            let x1 = _mm256_loadu_pd(x.as_ptr().add(i + 4));
-            let p1 = _mm256_loadu_pd(p.as_ptr().add(i + 4));
-            _mm256_storeu_pd(
-                x.as_mut_ptr().add(i + 4),
-                _mm256_add_pd(x1, _mm256_mul_pd(lv, p1)),
-            );
-            let r1 = _mm256_add_pd(
-                _mm256_loadu_pd(r.as_ptr().add(i + 4)),
-                _mm256_mul_pd(nlv, _mm256_loadu_pd(w.as_ptr().add(i + 4))),
-            );
-            _mm256_storeu_pd(r.as_mut_ptr().add(i + 4), r1);
-            hi = _mm256_add_pd(hi, _mm256_mul_pd(r1, r1));
-            i += LANES;
-        }
-        let mut acc = spill(lo, hi);
-        for t in m..n {
-            x[t] += lambda * p[t];
-            r[t] += (-lambda) * w[t];
-            acc[t & (LANES - 1)] += r[t] * r[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_pd(a);
-        let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let y0 = _mm256_add_pd(
-                _mm256_loadu_pd(y.as_ptr().add(i)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), y0);
-            lo = _mm256_add_pd(lo, _mm256_mul_pd(y0, _mm256_loadu_pd(z.as_ptr().add(i))));
-            let y1 = _mm256_add_pd(
-                _mm256_loadu_pd(y.as_ptr().add(i + 4)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i + 4))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i + 4), y1);
-            hi = _mm256_add_pd(
-                hi,
-                _mm256_mul_pd(y1, _mm256_loadu_pd(z.as_ptr().add(i + 4))),
-            );
-            i += LANES;
-        }
-        let mut acc = spill(lo, hi);
-        for t in m..n {
-            y[t] += a * x[t];
-            acc[t & (LANES - 1)] += y[t] * z[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_pd(a);
-        let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let y0 = _mm256_add_pd(
-                _mm256_loadu_pd(y.as_ptr().add(i)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), y0);
-            lo = _mm256_add_pd(lo, _mm256_mul_pd(y0, y0));
-            let y1 = _mm256_add_pd(
-                _mm256_loadu_pd(y.as_ptr().add(i + 4)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i + 4))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i + 4), y1);
-            hi = _mm256_add_pd(hi, _mm256_mul_pd(y1, y1));
-            i += LANES;
-        }
-        let mut acc = spill(lo, hi);
-        for t in m..n {
-            y[t] += a * x[t];
-            acc[t & (LANES - 1)] += y[t] * y[t];
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_pd(a);
-        let mut i = 0;
-        while i < m {
-            let y0 = _mm256_add_pd(
-                _mm256_loadu_pd(y.as_ptr().add(i)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), y0);
-            let y1 = _mm256_add_pd(
-                _mm256_loadu_pd(y.as_ptr().add(i + 4)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i + 4))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i + 4), y1);
-            i += LANES;
-        }
-        for t in m..n {
-            y[t] += a * x[t];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn xpay(x: &[f64], a: f64, y: &mut [f64]) {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_pd(a);
-        let mut i = 0;
-        while i < m {
-            let y0 = _mm256_add_pd(
-                _mm256_loadu_pd(x.as_ptr().add(i)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(y.as_ptr().add(i))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), y0);
-            let y1 = _mm256_add_pd(
-                _mm256_loadu_pd(x.as_ptr().add(i + 4)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(y.as_ptr().add(i + 4))),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i + 4), y1);
-            i += LANES;
-        }
-        for t in m..n {
-            y[t] = x[t] + a * y[t];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64], nt: bool) {
-        let n = w.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_pd(a);
-        let bv = _mm256_set1_pd(b);
-        let stream = nt && w.as_ptr().cast::<u8>().align_offset(32) == 0;
-        let mut i = 0;
-        while i < m {
-            let w0 = _mm256_add_pd(
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i))),
-                _mm256_mul_pd(bv, _mm256_loadu_pd(y.as_ptr().add(i))),
-            );
-            let w1 = _mm256_add_pd(
-                _mm256_mul_pd(av, _mm256_loadu_pd(x.as_ptr().add(i + 4))),
-                _mm256_mul_pd(bv, _mm256_loadu_pd(y.as_ptr().add(i + 4))),
-            );
-            if stream {
-                _mm256_stream_pd(w.as_mut_ptr().add(i), w0);
-                _mm256_stream_pd(w.as_mut_ptr().add(i + 4), w1);
-            } else {
-                _mm256_storeu_pd(w.as_mut_ptr().add(i), w0);
-                _mm256_storeu_pd(w.as_mut_ptr().add(i + 4), w1);
+    /// The tail's terms: `term(j)` on lanes `0..t`, `−0.0` on the rest.
+    /// Each body computes them before its chunk loop and adds them after it
+    /// ([`sum`]); computed afterwards, they drag the loop's accumulators
+    /// out of their vector registers.
+    #[inline(always)]
+    fn tail_terms(t: usize, mut term: impl FnMut(usize) -> f64) -> [f64; LANES] {
+        let mut terms = [-0.0f64; LANES];
+        for (j, v) in terms.iter_mut().enumerate() {
+            if j < t {
+                *v = term(j);
             }
-            i += LANES;
         }
-        if stream {
-            _mm_sfence();
+        terms
+    }
+
+    /// Add the tail's terms to the chunk sums, then fan in. A lane with no
+    /// tail element adds `−0.0`, the exact additive identity (`−0.0 + −0.0`
+    /// stays `−0.0`), so every accumulator ends as the scalar one does.
+    #[inline(always)]
+    fn sum(acc: [f64; LANES], tail: [f64; LANES]) -> f64 {
+        combine8(&std::array::from_fn(|j| acc[j] + tail[j]))
+    }
+
+    #[inline(always)]
+    pub(super) fn dot<T: Real>(x: &[T], y: &[T]) -> f64 {
+        let ((xc, xt), (yc, yt)) = (x.as_chunks::<LANES>(), y.as_chunks::<LANES>());
+        let tail = tail_terms(xt.len(), |j| prod(xt[j], yt[j]));
+        let mut acc = [0.0f64; LANES];
+        for (xs, ys) in xc.iter().zip(yc) {
+            for j in 0..LANES {
+                acc[j] += prod(xs[j], ys[j]);
+            }
         }
-        for t in m..n {
-            w[t] = a * x[t] + b * y[t];
+        sum(acc, tail)
+    }
+
+    #[inline(always)]
+    pub(super) fn dot2<T: Real>(x: &[T], y: &[T], z: &[T]) -> (f64, f64) {
+        let (xc, xt) = x.as_chunks::<LANES>();
+        let ((yc, yt), (zc, zt)) = (y.as_chunks::<LANES>(), z.as_chunks::<LANES>());
+        let ty = tail_terms(xt.len(), |j| prod(xt[j], yt[j]));
+        let tz = tail_terms(xt.len(), |j| prod(xt[j], zt[j]));
+        let (mut ay, mut az) = ([0.0f64; LANES], [0.0f64; LANES]);
+        for ((xs, ys), zs) in xc.iter().zip(yc).zip(zc) {
+            for j in 0..LANES {
+                ay[j] += prod(xs[j], ys[j]);
+                az[j] += prod(xs[j], zs[j]);
+            }
+        }
+        (sum(ay, ty), sum(az, tz))
+    }
+
+    #[inline(always)]
+    pub(super) fn update_xr<T: Real>(lambda: T, p: &[T], w: &[T], x: &mut [T], r: &mut [T]) -> f64 {
+        let step = |x: &mut T, r: &mut T, p: T, w: T| {
+            *x = *x + lambda * p;
+            *r = *r + (-lambda) * w;
+            prod(*r, *r)
+        };
+        let ((xc, xt), (rc, rt)) = (x.as_chunks_mut::<LANES>(), r.as_chunks_mut::<LANES>());
+        let ((pc, pt), (wc, wt)) = (p.as_chunks::<LANES>(), w.as_chunks::<LANES>());
+        let tail = tail_terms(xt.len(), |j| step(&mut xt[j], &mut rt[j], pt[j], wt[j]));
+        let mut acc = [0.0f64; LANES];
+        for (((xs, rs), ps), ws) in xc.iter_mut().zip(rc).zip(pc).zip(wc) {
+            for j in 0..LANES {
+                acc[j] += step(&mut xs[j], &mut rs[j], ps[j], ws[j]);
+            }
+        }
+        sum(acc, tail)
+    }
+
+    #[inline(always)]
+    pub(super) fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
+        let step = |y: &mut f64, x: f64, z: f64| {
+            *y += a * x;
+            *y * z
+        };
+        let ((xc, xt), (yc, yt)) = (x.as_chunks::<LANES>(), y.as_chunks_mut::<LANES>());
+        let (zc, zt) = z.as_chunks::<LANES>();
+        let tail = tail_terms(xt.len(), |j| step(&mut yt[j], xt[j], zt[j]));
+        let mut acc = [0.0f64; LANES];
+        for ((xs, ys), zs) in xc.iter().zip(yc).zip(zc) {
+            for j in 0..LANES {
+                acc[j] += step(&mut ys[j], xs[j], zs[j]);
+            }
+        }
+        sum(acc, tail)
+    }
+
+    #[inline(always)]
+    pub(super) fn axpy_norm2_sq<T: Real>(a: T, x: &[T], y: &mut [T]) -> f64 {
+        let step = |y: &mut T, x: T| {
+            *y = *y + a * x;
+            prod(*y, *y)
+        };
+        let ((xc, xt), (yc, yt)) = (x.as_chunks::<LANES>(), y.as_chunks_mut::<LANES>());
+        let tail = tail_terms(xt.len(), |j| step(&mut yt[j], xt[j]));
+        let mut acc = [0.0f64; LANES];
+        for (xs, ys) in xc.iter().zip(yc) {
+            for j in 0..LANES {
+                acc[j] += step(&mut ys[j], xs[j]);
+            }
+        }
+        sum(acc, tail)
+    }
+
+    // The elementwise kernels: a plain zip over whole slices, which the
+    // compiler vectorizes on its own.
+
+    #[inline(always)]
+    pub(super) fn axpy<T: Real>(a: T, x: &[T], y: &mut [T]) {
+        for (y, &x) in y.iter_mut().zip(x) {
+            *y = *y + a * x;
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn newton_row(
-        sigma: f64,
-        gamma: f64,
-        img: &[f64],
-        cur: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let m = n & !(LANES - 1);
-        let sv = _mm256_set1_pd(sigma);
-        let gv = _mm256_set1_pd(gamma);
-        let mut i = 0;
-        while i < m {
-            let o0 = _mm256_mul_pd(
-                _mm256_sub_pd(
-                    _mm256_loadu_pd(img.as_ptr().add(i)),
-                    _mm256_mul_pd(sv, _mm256_loadu_pd(cur.as_ptr().add(i))),
-                ),
-                gv,
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), o0);
-            let o1 = _mm256_mul_pd(
-                _mm256_sub_pd(
-                    _mm256_loadu_pd(img.as_ptr().add(i + 4)),
-                    _mm256_mul_pd(sv, _mm256_loadu_pd(cur.as_ptr().add(i + 4))),
-                ),
-                gv,
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(i + 4), o1);
-            i += LANES;
-        }
-        for t in m..n {
-            out[t] = (img[t] - sigma * cur[t]) * gamma;
+    #[inline(always)]
+    pub(super) fn xpay<T: Real>(x: &[T], a: T, y: &mut [T]) {
+        for (y, &x) in y.iter_mut().zip(x) {
+            *y = x + a * *y;
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cheb0_row(
+    #[inline(always)]
+    pub(super) fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64]) {
+        for ((w, &x), &y) in w.iter_mut().zip(x).zip(y) {
+            *w = a * x + b * y;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn newton_row(sigma: f64, gamma: f64, img: &[f64], cur: &[f64], out: &mut [f64]) {
+        for ((o, &img), &cur) in out.iter_mut().zip(img).zip(cur) {
+            *o = (img - sigma * cur) * gamma;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn cheb0_row(
         center: f64,
         half_width: f64,
         img: &[f64],
         cur: &[f64],
         out: &mut [f64],
     ) {
-        let n = out.len();
-        let m = n & !(LANES - 1);
-        let cv = _mm256_set1_pd(center);
-        let hv = _mm256_set1_pd(half_width);
-        let mut i = 0;
-        while i < m {
-            let o0 = _mm256_div_pd(
-                _mm256_sub_pd(
-                    _mm256_loadu_pd(img.as_ptr().add(i)),
-                    _mm256_mul_pd(cv, _mm256_loadu_pd(cur.as_ptr().add(i))),
-                ),
-                hv,
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), o0);
-            let o1 = _mm256_div_pd(
-                _mm256_sub_pd(
-                    _mm256_loadu_pd(img.as_ptr().add(i + 4)),
-                    _mm256_mul_pd(cv, _mm256_loadu_pd(cur.as_ptr().add(i + 4))),
-                ),
-                hv,
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(i + 4), o1);
-            i += LANES;
-        }
-        for t in m..n {
-            out[t] = (img[t] - center * cur[t]) / half_width;
+        for ((o, &img), &cur) in out.iter_mut().zip(img).zip(cur) {
+            *o = (img - center * cur) / half_width;
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn chebl_row(
+    #[inline(always)]
+    pub(super) fn chebl_row(
         center: f64,
         half_width: f64,
         img: &[f64],
@@ -946,52 +786,89 @@ mod avx2 {
         prev: &[f64],
         out: &mut [f64],
     ) {
-        let n = out.len();
-        let m = n & !(LANES - 1);
-        let cv = _mm256_set1_pd(center);
-        let hv = _mm256_set1_pd(half_width);
-        let two = _mm256_set1_pd(2.0);
-        let mut i = 0;
-        while i < m {
-            // same op sequence as the scalar expression:
-            // ((2·(img − c·cur)) / δ) − prev
-            let o0 = _mm256_sub_pd(
-                _mm256_div_pd(
-                    _mm256_mul_pd(
-                        two,
-                        _mm256_sub_pd(
-                            _mm256_loadu_pd(img.as_ptr().add(i)),
-                            _mm256_mul_pd(cv, _mm256_loadu_pd(cur.as_ptr().add(i))),
-                        ),
-                    ),
-                    hv,
-                ),
-                _mm256_loadu_pd(prev.as_ptr().add(i)),
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), o0);
-            let o1 = _mm256_sub_pd(
-                _mm256_div_pd(
-                    _mm256_mul_pd(
-                        two,
-                        _mm256_sub_pd(
-                            _mm256_loadu_pd(img.as_ptr().add(i + 4)),
-                            _mm256_mul_pd(cv, _mm256_loadu_pd(cur.as_ptr().add(i + 4))),
-                        ),
-                    ),
-                    hv,
-                ),
-                _mm256_loadu_pd(prev.as_ptr().add(i + 4)),
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(i + 4), o1);
-            i += LANES;
-        }
-        for t in m..n {
-            out[t] = 2.0 * (img[t] - center * cur[t]) / half_width - prev[t];
+        for (((o, &img), &cur), &prev) in out.iter_mut().zip(img).zip(cur).zip(prev) {
+            *o = 2.0 * (img - center * cur) / half_width - prev;
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stencil2d_row(
+    /// One stencil row, shared by the 2-D and 3-D kernels:
+    /// `out[k] = diag·cur[k] − planes…[k] − side(cur[k−1]) − side(cur[k+1])`,
+    /// subtracting in that order, with `side(v) = eps·v` (or `v` when `eps`
+    /// is `None`), the absent planes skipped and the two in-row neighbours
+    /// only where they exist.
+    #[inline(always)]
+    fn stencil_row<const P: usize>(
+        diag: f64,
+        eps: Option<f64>,
+        planes: [Option<&[f64]>; P],
+        cur: &[f64],
+        out: &mut [f64],
+    ) {
+        let n = out.len();
+        let side = |v: f64| eps.map_or(v, |e| e * v);
+        let at = |t: usize| {
+            let mut acc = diag * cur[t];
+            for s in planes.iter().flatten() {
+                acc -= s[t];
+            }
+            if t > 0 {
+                acc -= side(cur[t - 1]);
+            }
+            if t + 1 < n {
+                acc -= side(cur[t + 1]);
+            }
+            acc
+        };
+        if n < 3 {
+            for (t, o) in out.iter_mut().enumerate() {
+                *o = at(t);
+            }
+            return;
+        }
+        (out[0], out[n - 1]) = (at(0), at(n - 1));
+        // the present planes as a fixed-length list: one loop per count
+        let mut list = [cur; P];
+        let mut m = 0;
+        for s in planes.iter().flatten() {
+            list[m] = &s[1..n - 1];
+            m += 1;
+        }
+        let inner = &mut out[1..n - 1];
+        match list[..m] {
+            [] => interior(diag, side, [], cur, inner),
+            [a] => interior(diag, side, [a], cur, inner),
+            [a, b] => interior(diag, side, [a, b], cur, inner),
+            [a, b, c] => interior(diag, side, [a, b, c], cur, inner),
+            [a, b, c, d] => interior(diag, side, [a, b, c, d], cur, inner),
+            _ => unreachable!("at most four neighbour planes"),
+        }
+    }
+
+    /// The interior columns of [`stencil_row`] with `M` planes present.
+    /// Every element is its own expression, so no chunks are needed: the
+    /// in-row neighbours are `cur` shifted one element either way.
+    #[inline(always)]
+    fn interior<const M: usize>(
+        diag: f64,
+        side: impl Fn(f64) -> f64,
+        planes: [&[f64]; M],
+        cur: &[f64],
+        out: &mut [f64],
+    ) {
+        let n = out.len();
+        let (left, mid, right) = (&cur[..n], &cur[1..=n], &cur[2..n + 2]);
+        let planes = planes.map(|s| &s[..n]);
+        for (k, o) in out.iter_mut().enumerate() {
+            let mut acc = diag * mid[k];
+            for s in planes {
+                acc -= s[k];
+            }
+            *o = acc - side(left[k]) - side(right[k]);
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn stencil2d_row(
         center: f64,
         eps: f64,
         up: Option<&[f64]>,
@@ -999,70 +876,11 @@ mod avx2 {
         cur: &[f64],
         out: &mut [f64],
     ) {
-        let n = out.len();
-        if n < 2 + LANES {
-            super::scalar::stencil2d_row(center, eps, up, down, cur, out);
-            return;
-        }
-        let cv = _mm256_set1_pd(center);
-        let ev = _mm256_set1_pd(eps);
-        // interior columns j in [1, n−1): vectorized, neighbors via
-        // unaligned loads. The Option branches are loop-invariant and
-        // hoisted by loop unswitching.
-        let mut j = 1;
-        while j + LANES < n {
-            let mut a0 = _mm256_mul_pd(cv, _mm256_loadu_pd(cur.as_ptr().add(j)));
-            let mut a1 = _mm256_mul_pd(cv, _mm256_loadu_pd(cur.as_ptr().add(j + 4)));
-            if let Some(u) = up {
-                a0 = _mm256_sub_pd(a0, _mm256_loadu_pd(u.as_ptr().add(j)));
-                a1 = _mm256_sub_pd(a1, _mm256_loadu_pd(u.as_ptr().add(j + 4)));
-            }
-            if let Some(d) = down {
-                a0 = _mm256_sub_pd(a0, _mm256_loadu_pd(d.as_ptr().add(j)));
-                a1 = _mm256_sub_pd(a1, _mm256_loadu_pd(d.as_ptr().add(j + 4)));
-            }
-            a0 = _mm256_sub_pd(
-                a0,
-                _mm256_mul_pd(ev, _mm256_loadu_pd(cur.as_ptr().add(j - 1))),
-            );
-            a1 = _mm256_sub_pd(
-                a1,
-                _mm256_mul_pd(ev, _mm256_loadu_pd(cur.as_ptr().add(j + 3))),
-            );
-            a0 = _mm256_sub_pd(
-                a0,
-                _mm256_mul_pd(ev, _mm256_loadu_pd(cur.as_ptr().add(j + 1))),
-            );
-            a1 = _mm256_sub_pd(
-                a1,
-                _mm256_mul_pd(ev, _mm256_loadu_pd(cur.as_ptr().add(j + 5))),
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(j), a0);
-            _mm256_storeu_pd(out.as_mut_ptr().add(j + 4), a1);
-            j += LANES;
-        }
-        // boundary columns and interior tail: exact scalar order
-        let head = j;
-        for t in (0..1).chain(head..n) {
-            let mut acc = center * cur[t];
-            if let Some(u) = up {
-                acc -= u[t];
-            }
-            if let Some(d) = down {
-                acc -= d[t];
-            }
-            if t > 0 {
-                acc -= eps * cur[t - 1];
-            }
-            if t + 1 < n {
-                acc -= eps * cur[t + 1];
-            }
-            out[t] = acc;
-        }
+        stencil_row(center, Some(eps), [up, down], cur, out);
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stencil3d_row(
+    #[inline(always)]
+    pub(super) fn stencil3d_row(
         ilo: Option<&[f64]>,
         ihi: Option<&[f64]>,
         jlo: Option<&[f64]>,
@@ -1070,191 +888,87 @@ mod avx2 {
         cur: &[f64],
         out: &mut [f64],
     ) {
-        let n = out.len();
-        if n < 2 + LANES {
-            super::scalar::stencil3d_row(ilo, ihi, jlo, jhi, cur, out);
-            return;
-        }
-        let six = _mm256_set1_pd(6.0);
-        let mut k = 1;
-        while k + LANES < n {
-            let mut a0 = _mm256_mul_pd(six, _mm256_loadu_pd(cur.as_ptr().add(k)));
-            let mut a1 = _mm256_mul_pd(six, _mm256_loadu_pd(cur.as_ptr().add(k + 4)));
-            for s in [ilo, ihi, jlo, jhi].into_iter().flatten() {
-                a0 = _mm256_sub_pd(a0, _mm256_loadu_pd(s.as_ptr().add(k)));
-                a1 = _mm256_sub_pd(a1, _mm256_loadu_pd(s.as_ptr().add(k + 4)));
+        stencil_row(6.0, None, [ilo, ihi, jlo, jhi], cur, out);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// AVX2 backend: the chunked bodies compiled with AVX2 enabled
+// ---------------------------------------------------------------------------
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod avx2 {
+    use super::{chunked, LANES};
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_stream_pd, _mm_sfence,
+    };
+
+    /// Wrap chunked bodies in `#[target_feature(enable = "avx2")]`
+    /// functions carrying the scalar backend's names and signatures.
+    macro_rules! compile_for_avx2 {
+        ($(fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $body:ident;)*) => {$(
+            #[target_feature(enable = "avx2")]
+            pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+                chunked::$body($($arg),*)
             }
-            a0 = _mm256_sub_pd(a0, _mm256_loadu_pd(cur.as_ptr().add(k - 1)));
-            a1 = _mm256_sub_pd(a1, _mm256_loadu_pd(cur.as_ptr().add(k + 3)));
-            a0 = _mm256_sub_pd(a0, _mm256_loadu_pd(cur.as_ptr().add(k + 1)));
-            a1 = _mm256_sub_pd(a1, _mm256_loadu_pd(cur.as_ptr().add(k + 5)));
-            _mm256_storeu_pd(out.as_mut_ptr().add(k), a0);
-            _mm256_storeu_pd(out.as_mut_ptr().add(k + 4), a1);
-            k += LANES;
+        )*};
+    }
+
+    compile_for_avx2! {
+        fn dot(x: &[f64], y: &[f64]) -> f64 = dot;
+        fn dot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) = dot2;
+        fn update_xr(l: f64, p: &[f64], w: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 = update_xr;
+        fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 = axpy_dot;
+        fn axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64]) -> f64 = axpy_norm2_sq;
+        fn axpy(a: f64, x: &[f64], y: &mut [f64]) = axpy;
+        fn xpay(x: &[f64], a: f64, y: &mut [f64]) = xpay;
+        fn newton_row(s: f64, g: f64, img: &[f64], cur: &[f64], out: &mut [f64]) = newton_row;
+        fn cheb0_row(c: f64, h: f64, img: &[f64], cur: &[f64], out: &mut [f64]) = cheb0_row;
+        fn chebl_row(
+            c: f64, h: f64, img: &[f64], cur: &[f64], prev: &[f64], out: &mut [f64]
+        ) = chebl_row;
+        fn stencil2d_row(
+            c: f64, e: f64, up: Option<&[f64]>, dn: Option<&[f64]>, cur: &[f64], out: &mut [f64]
+        ) = stencil2d_row;
+        fn stencil3d_row(
+            il: Option<&[f64]>, ih: Option<&[f64]>, jl: Option<&[f64]>, jh: Option<&[f64]>,
+            cur: &[f64], out: &mut [f64]
+        ) = stencil3d_row;
+        fn dot_f32(x: &[f32], y: &[f32]) -> f64 = dot;
+        fn dot2_f32(x: &[f32], y: &[f32], z: &[f32]) -> (f64, f64) = dot2;
+        fn update_xr_f32(l: f32, p: &[f32], w: &[f32], x: &mut [f32], r: &mut [f32]) -> f64 = update_xr;
+        fn axpy_norm2_sq_f32(a: f32, x: &[f32], y: &mut [f32]) -> f64 = axpy_norm2_sq;
+        fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) = axpy;
+        fn xpay_f32(x: &[f32], a: f32, y: &mut [f32]) = xpay;
+    }
+
+    /// The triad, with non-temporal stores when `nt` is set and `w` is
+    /// 32-byte aligned (E22's roofline); otherwise the chunked body.
+    /// Streaming stores the same values, so `nt` never changes bits.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64], nt: bool) {
+        if !nt || w.as_ptr().cast::<u8>().align_offset(32) != 0 {
+            return chunked::waxpby(a, x, b, y, w);
         }
-        let head = k;
-        for t in (0..1).chain(head..n) {
-            let mut acc = 6.0 * cur[t];
-            for s in [ilo, ihi, jlo, jhi].into_iter().flatten() {
-                acc -= s[t];
+        let ((wc, wt), (xc, xt)) = (w.as_chunks_mut::<LANES>(), x.as_chunks::<LANES>());
+        let (yc, yt) = y.as_chunks::<LANES>();
+        let (av, bv) = (_mm256_set1_pd(a), _mm256_set1_pd(b));
+        for ((ws, xs), ys) in wc.iter_mut().zip(xc).zip(yc) {
+            for h in [0, 4] {
+                // SAFETY: `h + 4 <= LANES`, so every access stays inside its
+                // chunk, and `ws` is 32-byte aligned: `w` is, and a chunk is
+                // 64 bytes long.
+                unsafe {
+                    let v = _mm256_add_pd(
+                        _mm256_mul_pd(av, _mm256_loadu_pd(xs.as_ptr().add(h))),
+                        _mm256_mul_pd(bv, _mm256_loadu_pd(ys.as_ptr().add(h))),
+                    );
+                    _mm256_stream_pd(ws.as_mut_ptr().add(h), v);
+                }
             }
-            if t > 0 {
-                acc -= cur[t - 1];
-            }
-            if t + 1 < n {
-                acc -= cur[t + 1];
-            }
-            out[t] = acc;
         }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_f32(x: &[f32], y: &[f32]) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let (x0, x1) = widen(_mm256_loadu_ps(x.as_ptr().add(i)));
-            let (y0, y1) = widen(_mm256_loadu_ps(y.as_ptr().add(i)));
-            lo = _mm256_add_pd(lo, _mm256_mul_pd(x0, y0));
-            hi = _mm256_add_pd(hi, _mm256_mul_pd(x1, y1));
-            i += LANES;
-        }
-        let mut acc = spill(lo, hi);
-        for t in m..n {
-            acc[t & (LANES - 1)] += f64::from(x[t]) * f64::from(y[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot2_f32(x: &[f32], y: &[f32], z: &[f32]) -> (f64, f64) {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let (mut ylo, mut yhi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut zlo, mut zhi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let (x0, x1) = widen(_mm256_loadu_ps(x.as_ptr().add(i)));
-            let (y0, y1) = widen(_mm256_loadu_ps(y.as_ptr().add(i)));
-            let (z0, z1) = widen(_mm256_loadu_ps(z.as_ptr().add(i)));
-            ylo = _mm256_add_pd(ylo, _mm256_mul_pd(x0, y0));
-            yhi = _mm256_add_pd(yhi, _mm256_mul_pd(x1, y1));
-            zlo = _mm256_add_pd(zlo, _mm256_mul_pd(x0, z0));
-            zhi = _mm256_add_pd(zhi, _mm256_mul_pd(x1, z1));
-            i += LANES;
-        }
-        let mut ay = spill(ylo, yhi);
-        let mut az = spill(zlo, zhi);
-        for t in m..n {
-            ay[t & (LANES - 1)] += f64::from(x[t]) * f64::from(y[t]);
-            az[t & (LANES - 1)] += f64::from(x[t]) * f64::from(z[t]);
-        }
-        (combine8(&ay), combine8(&az))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn update_xr_f32(
-        lambda: f32,
-        p: &[f32],
-        w: &[f32],
-        x: &mut [f32],
-        r: &mut [f32],
-    ) -> f64 {
-        let n = x.len();
-        let m = n & !(LANES - 1);
-        let lv = _mm256_set1_ps(lambda);
-        let nlv = _mm256_set1_ps(-lambda);
-        let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let xv = _mm256_add_ps(
-                _mm256_loadu_ps(x.as_ptr().add(i)),
-                _mm256_mul_ps(lv, _mm256_loadu_ps(p.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(x.as_mut_ptr().add(i), xv);
-            let rv = _mm256_add_ps(
-                _mm256_loadu_ps(r.as_ptr().add(i)),
-                _mm256_mul_ps(nlv, _mm256_loadu_ps(w.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(r.as_mut_ptr().add(i), rv);
-            let (r0, r1) = widen(rv);
-            lo = _mm256_add_pd(lo, _mm256_mul_pd(r0, r0));
-            hi = _mm256_add_pd(hi, _mm256_mul_pd(r1, r1));
-            i += LANES;
-        }
-        let mut acc = spill(lo, hi);
-        for t in m..n {
-            x[t] += lambda * p[t];
-            r[t] += (-lambda) * w[t];
-            acc[t & (LANES - 1)] += f64::from(r[t]) * f64::from(r[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_norm2_sq_f32(a: f32, x: &[f32], y: &mut [f32]) -> f64 {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_ps(a);
-        let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let mut i = 0;
-        while i < m {
-            let yv = _mm256_add_ps(
-                _mm256_loadu_ps(y.as_ptr().add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(x.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), yv);
-            let (y0, y1) = widen(yv);
-            lo = _mm256_add_pd(lo, _mm256_mul_pd(y0, y0));
-            hi = _mm256_add_pd(hi, _mm256_mul_pd(y1, y1));
-            i += LANES;
-        }
-        let mut acc = spill(lo, hi);
-        for t in m..n {
-            y[t] += a * x[t];
-            acc[t & (LANES - 1)] += f64::from(y[t]) * f64::from(y[t]);
-        }
-        combine8(&acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_ps(a);
-        let mut i = 0;
-        while i < m {
-            let yv = _mm256_add_ps(
-                _mm256_loadu_ps(y.as_ptr().add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(x.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), yv);
-            i += LANES;
-        }
-        for t in m..n {
-            y[t] += a * x[t];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn xpay_f32(x: &[f32], a: f32, y: &mut [f32]) {
-        let n = y.len();
-        let m = n & !(LANES - 1);
-        let av = _mm256_set1_ps(a);
-        let mut i = 0;
-        while i < m {
-            let yv = _mm256_add_ps(
-                _mm256_loadu_ps(x.as_ptr().add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(y.as_ptr().add(i))),
-            );
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), yv);
-            i += LANES;
-        }
-        for t in m..n {
-            y[t] = x[t] + a * y[t];
-        }
+        _mm_sfence();
+        chunked::waxpby(a, xt, b, yt, wt);
     }
 }
 

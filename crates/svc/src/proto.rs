@@ -509,8 +509,8 @@ impl Request {
 }
 
 jsonable! {
-    /// Routing decision attached to a done event (mirrors
-    /// [`vr_cg::RoutingMeta`] on the wire).
+    /// Routing decision attached to a done event: which variant the
+    /// scheduler ran for the job, and why.
     #[derive(Debug, Clone, PartialEq)]
     pub struct WireRouting {
         /// Registry key of the variant that ran (`"block"` for batches).

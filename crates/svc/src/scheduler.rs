@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use vr_cg::block::BlockCg;
 use vr_cg::registry::variant_by_key;
-use vr_cg::{RoutingMeta, SolveOptions, Termination};
+use vr_cg::{SolveOptions, Termination};
 use vr_linalg::kernels::DotMode;
 use vr_linalg::{gen, CsrMatrix};
 use vr_obs::{PhaseClass, Tracer};
@@ -397,13 +397,6 @@ impl Scheduler {
         let res = solver.solve(a, b, None, &opts);
         let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
         let shares = self.phase_shares();
-        let routing = RoutingMeta {
-            variant_key: variant_key.clone(),
-            reason: reason.clone(),
-            batched: false,
-            batch_width: 1,
-        };
-        let res = res.with_routing(routing);
         self.ledger.finish(
             job,
             Event::Done {

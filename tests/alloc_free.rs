@@ -269,11 +269,15 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
     // daemon and the library benchmark run — must be allocation-free as
     // well: every Tree reduction keeps its chunk list and leaf partials in
     // fixed `CHUNKS`-sized stack buffers, and a deferred reduction holds
-    // its partials inline. Every registry variant runs on an explicit
+    // its partials inline, both copies of them when the duplicate-leaf
+    // checksum guards it. Every registry variant runs on an explicit
     // two-worker team, at n = 16,384 (two shards) and on serve-small's
-    // largest grid (one shard).
+    // largest grid (one shard), with the checksum off and on.
     let team = Arc::new(Team::new(2));
-    for (grid, shards) in [(128usize, 2usize), (48, 1)] {
+    for ((grid, shards), checksum) in [(128usize, 2usize), (48, 1)]
+        .into_iter()
+        .flat_map(|g| [(g, false), (g, true)])
+    {
         let a = gen::poisson2d(grid);
         let b = gen::poisson2d_rhs(grid);
         assert_eq!(
@@ -288,6 +292,7 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
                     .with_tol(0.0)
                     .with_max_iters(max_iters)
                     .with_dot_mode(DotMode::Tree)
+                    .with_reduction_checksum(checksum)
                     .with_team(Arc::clone(&team));
                 o.record_residuals = false;
                 let _ = variant.solve(&a, &b, None, &o); // warm-up
@@ -299,7 +304,8 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
                     assert_eq!(
                         res.termination,
                         Termination::MaxIterations,
-                        "{key} (tree, grid {grid}): tol=0 run must exhaust its budget"
+                        "{key} (tree, grid {grid}, checksum {checksum}): tol=0 run \
+                         must exhaust its budget"
                     );
                     best = best.min(after - before);
                 }
@@ -309,9 +315,10 @@ fn hot_loops_allocate_nothing_per_iteration_after_warmup() {
             let long = measure(40);
             assert_eq!(
                 short, long,
-                "{key} (tree on a 2-wide team, grid {grid}): a 40-iteration \
-                 solve allocated {long} times vs {short} for 10 iterations — \
-                 Tree reductions must run in fixed stack buffers"
+                "{key} (tree on a 2-wide team, grid {grid}, checksum \
+                 {checksum}): a 40-iteration solve allocated {long} times vs \
+                 {short} for 10 iterations — Tree reductions must run in \
+                 fixed stack buffers"
             );
         }
     }

@@ -47,6 +47,11 @@ fn levels() -> Vec<SimdLevel> {
     out
 }
 
+/// Bit `bit` of `mask` decides whether a stencil row gets neighbour `v`.
+fn neighbour(mask: u32, bit: u32, v: &[f64]) -> Option<&[f64]> {
+    (mask >> bit & 1 == 1).then_some(v)
+}
+
 /// Lengths straddling the 8-lane blocks and the 256-element tree leaves:
 /// empty, sub-block, odd, around one block, around a leaf, and large+odd.
 const LENGTHS: &[usize] = &[0, 1, 2, 3, 7, 8, 9, 17, 255, 256, 257, 1000, 4096, 4097];
@@ -81,6 +86,34 @@ fn f64_leaf_kernels_bit_identical_across_levels() {
                 for nt in [false, true] {
                     simd::leaf_waxpby(1.5, &x, -0.5, &y, &mut wv, nt);
                     acc.extend(wv.iter().map(|v| v.to_bits()));
+                }
+
+                let mut yv = y.clone();
+                simd::leaf_axpy(0.75, &x, &mut yv);
+                acc.extend(yv.iter().map(|v| v.to_bits()));
+                simd::leaf_xpay(&z, -1.5, &mut yv);
+                acc.extend(yv.iter().map(|v| v.to_bits()));
+
+                // the matrix-powers rows: x as the operator image, y the
+                // current level, z the previous one
+                let mut out = vec![0.0; n];
+                simd::leaf_newton_row(1.7, 0.5, &x, &y, &mut out);
+                acc.extend(out.iter().map(|v| v.to_bits()));
+                simd::leaf_cheb0_row(4.1, 3.9, &x, &y, &mut out);
+                acc.extend(out.iter().map(|v| v.to_bits()));
+                simd::leaf_chebl_row(4.1, 3.9, &x, &y, &z, &mut out);
+                acc.extend(out.iter().map(|v| v.to_bits()));
+
+                // the stencil rows under every neighbour pattern
+                for mask in 0..16u32 {
+                    let on = |bit, v| neighbour(mask, bit, v);
+                    if mask < 4 {
+                        simd::leaf_stencil2d_row(4.2, 0.3, on(0, &x), on(1, &z), &y, &mut out);
+                        acc.extend(out.iter().map(|v| v.to_bits()));
+                    }
+                    let (il, ih, jl, jh) = (on(0, &x), on(1, &z), on(2, &yv), on(3, &wv));
+                    simd::leaf_stencil3d_row(il, ih, jl, jh, &y, &mut out);
+                    acc.extend(out.iter().map(|v| v.to_bits()));
                 }
                 acc
             })
@@ -118,6 +151,11 @@ fn f32_widening_leaves_bit_identical_across_levels() {
 
                 let mut yv = y.clone();
                 acc.push(simd::leaf_axpy_norm2_sq_f32(0.5, &x, &mut yv).to_bits());
+                acc.extend(yv.iter().map(|v| u64::from(v.to_bits())));
+
+                simd::leaf_axpy_f32(0.75, &x, &mut yv);
+                acc.extend(yv.iter().map(|v| u64::from(v.to_bits())));
+                simd::leaf_xpay_f32(&z, -1.5, &mut yv);
                 acc.extend(yv.iter().map(|v| u64::from(v.to_bits())));
                 acc
             })
@@ -188,6 +226,13 @@ fn adversarial_values_bit_identical_across_levels() {
     y[71] = -0.0;
     x[72] = -0.0;
     y[72] = -0.0;
+    // a run of alternating signed zeros across two lane blocks, so the
+    // fused and stencil outputs include zeros of both signs, which must
+    // match bit for bit
+    for i in 80..97 {
+        x[i] = if i % 2 == 0 { -0.0 } else { 0.0 };
+        y[i] = if i % 3 == 0 { -0.0 } else { 0.0 };
+    }
     // huge/tiny cancellation pairs
     x[100] = 1e300;
     y[100] = 1e-300;
@@ -217,6 +262,27 @@ fn adversarial_values_bit_identical_across_levels() {
     assert!(
         nans.windows(2).all(|w| w[0] == w[1]),
         "NaN propagation diverged across levels: {nans:x?}"
+    );
+
+    // the same payloads through a fused update and a stencil row: outputs
+    // and the returned sum, bit for bit
+    let fused: Vec<Vec<u64>> = lvls
+        .iter()
+        .map(|&lvl| {
+            simd::with_level(lvl, || {
+                let (mut xv, mut rv) = (y.clone(), x.clone());
+                let s = simd::leaf_update_xr(-0.5, &x, &y, &mut xv, &mut rv);
+                let mut out = vec![0.0; x.len()];
+                simd::leaf_stencil2d_row(4.0, 1.0, Some(&y), None, &x, &mut out);
+                let mut bits = vec![s.to_bits()];
+                bits.extend(xv.iter().chain(&rv).chain(&out).map(|v| v.to_bits()));
+                bits
+            })
+        })
+        .collect();
+    assert!(
+        fused.windows(2).all(|w| w[0] == w[1]),
+        "adversarial fused update or stencil row diverged across levels"
     );
 
     // signed-zero preservation in the elementwise kernels

@@ -239,39 +239,26 @@ fn tree_mode_traces_are_bit_identical_across_team_widths() {
 }
 
 #[test]
-fn with_threads_clamps_to_host_parallelism_and_records_it() {
-    use cg_lookahead::cg::solver::{host_cpus, ThreadClamp};
+fn with_threads_clamps_to_host_parallelism() {
+    use cg_lookahead::cg::solver::host_cpus;
     use cg_lookahead::par::Team;
     use std::sync::Arc;
 
     let cpus = host_cpus();
 
-    // An over-ask is clamped, never oversubscribed, and the clamp is
-    // recorded rather than silent.
-    let over = cpus + 7;
-    let o = SolveOptions::default().with_threads(over);
+    // An over-ask is clamped, never oversubscribed.
+    let o = SolveOptions::default().with_threads(cpus + 7);
     assert_eq!(o.threads(), cpus);
-    assert_eq!(
-        o.thread_clamp,
-        Some(ThreadClamp {
-            requested: over,
-            granted: cpus
-        })
-    );
 
-    // A satisfiable request records nothing.
-    let ok = SolveOptions::default().with_threads(1);
-    assert_eq!(ok.threads(), 1);
-    assert_eq!(ok.thread_clamp, None);
-    // threads=0 is treated as 1, also unclamped
+    // A satisfiable request is granted as asked.
+    assert_eq!(SolveOptions::default().with_threads(1).threads(), 1);
+    // threads=0 is treated as 1
     assert_eq!(SolveOptions::default().with_threads(0).threads(), 1);
 
     // An explicit team bypasses the clamp entirely — the caller owns the
-    // width choice (failover tests need widths the host doesn't have) —
-    // and clears any stale clamp record.
+    // width choice (failover tests need widths the host doesn't have).
     let wide = o.with_team(Arc::new(Team::new(cpus + 3)));
     assert_eq!(wide.threads(), cpus + 3);
-    assert_eq!(wide.thread_clamp, None);
 }
 
 #[test]
