@@ -19,6 +19,48 @@
 
 use crate::sparse::{CooMatrix, CsrMatrix};
 
+/// Row-by-row CSR assembly for the structured generators. Each row's
+/// entries are pushed in increasing column order, so the arrays are built
+/// in place: no COO triplets, no sort, and only the final arrays in memory.
+struct RowsBuilder {
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+    data: Vec<f64>,
+}
+
+impl RowsBuilder {
+    fn with_capacity(nrows: usize, nnz: usize) -> Self {
+        let mut indptr = Vec::with_capacity(nrows + 1);
+        indptr.push(0);
+        RowsBuilder {
+            indptr,
+            indices: Vec::with_capacity(nnz),
+            data: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Append `(col, v)` to the current row, right of its last entry.
+    fn push(&mut self, col: usize, v: f64) {
+        let row_start = self.indptr[self.indptr.len() - 1];
+        debug_assert!(
+            self.indices[row_start..].last().is_none_or(|&c| c < col),
+            "columns must increase within a row"
+        );
+        self.indices.push(col);
+        self.data.push(v);
+    }
+
+    fn end_row(&mut self) {
+        self.indptr.push(self.indices.len());
+    }
+
+    /// The square matrix of the rows pushed so far.
+    fn finish(self) -> CsrMatrix {
+        let n = self.indptr.len() - 1;
+        CsrMatrix::new_unchecked(n, n, self.indptr, self.indices, self.data)
+    }
+}
+
 /// 1-D Poisson matrix `tridiag(−1, 2, −1)` of dimension `n` (d = 3).
 ///
 /// # Panics
@@ -26,15 +68,7 @@ use crate::sparse::{CooMatrix, CsrMatrix};
 #[must_use]
 pub fn poisson1d(n: usize) -> CsrMatrix {
     assert!(n > 0, "poisson1d: n must be positive");
-    let mut coo = CooMatrix::with_capacity(n, n, 3 * n);
-    for i in 0..n {
-        coo.push(i, i, 2.0).unwrap();
-        if i + 1 < n {
-            coo.push(i, i + 1, -1.0).unwrap();
-            coo.push(i + 1, i, -1.0).unwrap();
-        }
-    }
-    coo.to_csr()
+    tridiag_toeplitz(n, 2.0, -1.0)
 }
 
 /// 2-D five-point Laplacian on an `n × n` grid with Dirichlet boundaries
@@ -59,27 +93,27 @@ pub fn anisotropic2d(n: usize, eps: f64) -> CsrMatrix {
     assert!(n > 0, "anisotropic2d: n must be positive");
     assert!(eps > 0.0, "anisotropic2d: eps must be positive");
     let dim = n * n;
-    let idx = |i: usize, j: usize| i * n + j;
-    let mut coo = CooMatrix::with_capacity(dim, dim, 5 * dim);
+    let mut a = RowsBuilder::with_capacity(dim, dim + 4 * n * (n - 1));
     for i in 0..n {
         for j in 0..n {
-            let row = idx(i, j);
-            coo.push(row, row, 2.0 + 2.0 * eps).unwrap();
+            let row = i * n + j;
             if i > 0 {
-                coo.push(row, idx(i - 1, j), -1.0).unwrap();
-            }
-            if i + 1 < n {
-                coo.push(row, idx(i + 1, j), -1.0).unwrap();
+                a.push(row - n, -1.0);
             }
             if j > 0 {
-                coo.push(row, idx(i, j - 1), -eps).unwrap();
+                a.push(row - 1, -eps);
             }
+            a.push(row, 2.0 + 2.0 * eps);
             if j + 1 < n {
-                coo.push(row, idx(i, j + 1), -eps).unwrap();
+                a.push(row + 1, -eps);
             }
+            if i + 1 < n {
+                a.push(row + n, -1.0);
+            }
+            a.end_row();
         }
     }
-    coo.to_csr()
+    a.finish()
 }
 
 /// 3-D seven-point Laplacian on an `n × n × n` grid (dimension `n³`, d = 7).
@@ -89,36 +123,36 @@ pub fn anisotropic2d(n: usize, eps: f64) -> CsrMatrix {
 #[must_use]
 pub fn poisson3d(n: usize) -> CsrMatrix {
     assert!(n > 0, "poisson3d: n must be positive");
-    let dim = n * n * n;
-    let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
-    let mut coo = CooMatrix::with_capacity(dim, dim, 7 * dim);
+    let (plane, dim) = (n * n, n * n * n);
+    let mut a = RowsBuilder::with_capacity(dim, dim + 6 * plane * (n - 1));
     for i in 0..n {
         for j in 0..n {
             for k in 0..n {
-                let row = idx(i, j, k);
-                coo.push(row, row, 6.0).unwrap();
+                let row = (i * n + j) * n + k;
                 if i > 0 {
-                    coo.push(row, idx(i - 1, j, k), -1.0).unwrap();
-                }
-                if i + 1 < n {
-                    coo.push(row, idx(i + 1, j, k), -1.0).unwrap();
+                    a.push(row - plane, -1.0);
                 }
                 if j > 0 {
-                    coo.push(row, idx(i, j - 1, k), -1.0).unwrap();
-                }
-                if j + 1 < n {
-                    coo.push(row, idx(i, j + 1, k), -1.0).unwrap();
+                    a.push(row - n, -1.0);
                 }
                 if k > 0 {
-                    coo.push(row, idx(i, j, k - 1), -1.0).unwrap();
+                    a.push(row - 1, -1.0);
                 }
+                a.push(row, 6.0);
                 if k + 1 < n {
-                    coo.push(row, idx(i, j, k + 1), -1.0).unwrap();
+                    a.push(row + 1, -1.0);
                 }
+                if j + 1 < n {
+                    a.push(row + n, -1.0);
+                }
+                if i + 1 < n {
+                    a.push(row + plane, -1.0);
+                }
+                a.end_row();
             }
         }
     }
-    coo.to_csr()
+    a.finish()
 }
 
 /// 3-D 27-point stencil on an `n × n × n` grid (HPCG-style: 26 at the
@@ -131,29 +165,27 @@ pub fn poisson3d_27pt(n: usize) -> CsrMatrix {
     assert!(n > 0, "poisson3d_27pt: n must be positive");
     let dim = n * n * n;
     let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
-    let mut coo = CooMatrix::with_capacity(dim, dim, 27 * dim);
-    let ni = n as isize;
-    for i in 0..ni {
-        for j in 0..ni {
-            for k in 0..ni {
-                let row = idx(i as usize, j as usize, k as usize);
-                for di in -1..=1 {
-                    for dj in -1..=1 {
-                        for dk in -1..=1 {
-                            let (a, b, c) = (i + di, j + dj, k + dk);
-                            if a < 0 || a >= ni || b < 0 || b >= ni || c < 0 || c >= ni {
-                                continue;
-                            }
-                            let col = idx(a as usize, b as usize, c as usize);
-                            let v = if col == row { 26.0 } else { -1.0 };
-                            coo.push(row, col, v).unwrap();
+    // Neighbours along one axis, in increasing order.
+    let near = |i: usize| i.saturating_sub(1)..(i + 2).min(n);
+    let mut a = RowsBuilder::with_capacity(dim, (3 * n - 2).pow(3));
+    for i in 0..n {
+        for j in 0..n {
+            for k in 0..n {
+                let row = idx(i, j, k);
+                // Lexicographic neighbour order is increasing column order.
+                for ii in near(i) {
+                    for jj in near(j) {
+                        for kk in near(k) {
+                            let col = idx(ii, jj, kk);
+                            a.push(col, if col == row { 26.0 } else { -1.0 });
                         }
                     }
                 }
+                a.end_row();
             }
         }
     }
-    coo.to_csr()
+    a.finish()
 }
 
 /// Tridiagonal Toeplitz matrix `tridiag(off, diag, off)` (d = 3).
@@ -166,15 +198,18 @@ pub fn poisson3d_27pt(n: usize) -> CsrMatrix {
 #[must_use]
 pub fn tridiag_toeplitz(n: usize, diag: f64, off: f64) -> CsrMatrix {
     assert!(n > 0, "tridiag_toeplitz: n must be positive");
-    let mut coo = CooMatrix::with_capacity(n, n, 3 * n);
+    let mut a = RowsBuilder::with_capacity(n, 3 * n - 2);
     for i in 0..n {
-        coo.push(i, i, diag).unwrap();
-        if i + 1 < n {
-            coo.push(i, i + 1, off).unwrap();
-            coo.push(i + 1, i, off).unwrap();
+        if i > 0 {
+            a.push(i - 1, off);
         }
+        a.push(i, diag);
+        if i + 1 < n {
+            a.push(i + 1, off);
+        }
+        a.end_row();
     }
-    coo.to_csr()
+    a.finish()
 }
 
 /// Deterministic xorshift PRNG so that generators need no external crate in
@@ -354,6 +389,117 @@ mod tests {
         let indef = tridiag_toeplitz(4, 1.0, -1.0);
         let d = DenseMatrix::from_rows(&indef.to_dense()).unwrap();
         assert!(d.cholesky().is_err()); // not SPD
+    }
+
+    /// The COO route the structured generators took before they assembled
+    /// CSR directly, kept as their oracle: `entries(row, push)` pushes each
+    /// row's triplets in any order, and `to_csr` sorts them.
+    fn coo_route(dim: usize, entries: impl Fn(usize, &mut dyn FnMut(usize, f64))) -> CsrMatrix {
+        let mut coo = CooMatrix::new(dim, dim);
+        for r in 0..dim {
+            entries(r, &mut |c, v| coo.push(r, c, v).unwrap());
+        }
+        coo.to_csr()
+    }
+
+    fn assert_same_bits(direct: &CsrMatrix, oracle: &CsrMatrix, what: &str) {
+        assert_eq!(direct.nrows(), oracle.nrows(), "{what}: nrows");
+        assert_eq!(direct.ncols(), oracle.ncols(), "{what}: ncols");
+        assert_eq!(direct.indptr(), oracle.indptr(), "{what}: indptr");
+        assert_eq!(direct.indices(), oracle.indices(), "{what}: indices");
+        let bits = |m: &CsrMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(direct), bits(oracle), "{what}: values");
+    }
+
+    /// Grid neighbours of `i` along one axis of side `n`, in the order the
+    /// COO generators pushed them (lower first, then upper).
+    fn axis(i: usize, n: usize) -> impl Iterator<Item = usize> {
+        [i.checked_sub(1), (i + 1 < n).then_some(i + 1)]
+            .into_iter()
+            .flatten()
+    }
+
+    #[test]
+    fn anisotropic2d_matches_its_coo_route() {
+        for n in [1, 2, 3, 7, 16, 48, 300] {
+            for eps in [1.0, 0.3, 0.01] {
+                let oracle = coo_route(n * n, |row, push| {
+                    let (i, j) = (row / n, row % n);
+                    push(row, 2.0 + 2.0 * eps);
+                    for ii in axis(i, n) {
+                        push(ii * n + j, -1.0);
+                    }
+                    for jj in axis(j, n) {
+                        push(i * n + jj, -eps);
+                    }
+                });
+                assert_same_bits(&anisotropic2d(n, eps), &oracle, &format!("n={n} eps={eps}"));
+            }
+            let iso = anisotropic2d(n, 1.0);
+            assert_same_bits(&poisson2d(n), &iso, &format!("poisson2d({n})"));
+        }
+    }
+
+    #[test]
+    fn poisson3d_matches_its_coo_route() {
+        for n in [1, 2, 3, 5, 9] {
+            let oracle = coo_route(n * n * n, |row, push| {
+                let (i, j, k) = (row / (n * n), (row / n) % n, row % n);
+                push(row, 6.0);
+                for ii in axis(i, n) {
+                    push((ii * n + j) * n + k, -1.0);
+                }
+                for jj in axis(j, n) {
+                    push((i * n + jj) * n + k, -1.0);
+                }
+                for kk in axis(k, n) {
+                    push((i * n + j) * n + kk, -1.0);
+                }
+            });
+            assert_same_bits(&poisson3d(n), &oracle, &format!("n={n}"));
+        }
+    }
+
+    #[test]
+    fn poisson3d_27pt_matches_its_coo_route() {
+        for n in [1, 2, 3, 5] {
+            let oracle = coo_route(n * n * n, |row, push| {
+                let (i, j, k) = (row / (n * n), (row / n) % n, row % n);
+                let ni = n as isize;
+                let (i, j, k) = (i as isize, j as isize, k as isize);
+                for di in -1..=1 {
+                    for dj in -1..=1 {
+                        for dk in -1..=1 {
+                            let (a, b, c) = (i + di, j + dj, k + dk);
+                            if a < 0 || a >= ni || b < 0 || b >= ni || c < 0 || c >= ni {
+                                continue;
+                            }
+                            let col = ((a * ni + b) * ni + c) as usize;
+                            push(col, if col == row { 26.0 } else { -1.0 });
+                        }
+                    }
+                }
+            });
+            assert_same_bits(&poisson3d_27pt(n), &oracle, &format!("n={n}"));
+        }
+    }
+
+    #[test]
+    fn tridiagonal_generators_match_their_coo_route() {
+        for n in [1, 2, 3, 10] {
+            for (diag, off) in [(2.0, -1.0), (2.0 + 4e-4, -1.0), (1.0, -1.0), (-3.5, 0.25)] {
+                let oracle = coo_route(n, |i, push| {
+                    push(i, diag);
+                    for c in axis(i, n) {
+                        push(c, off);
+                    }
+                });
+                let what = format!("n={n} diag={diag} off={off}");
+                assert_same_bits(&tridiag_toeplitz(n, diag, off), &oracle, &what);
+            }
+            let p = tridiag_toeplitz(n, 2.0, -1.0);
+            assert_same_bits(&poisson1d(n), &p, &format!("poisson1d({n})"));
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::error::{Error, Result};
 use crate::sparse::CooMatrix;
 use crate::LinearOperator;
+use std::sync::OnceLock;
 
 /// A sparse matrix in compressed sparse row (CSR) format.
 ///
@@ -31,13 +32,20 @@ pub struct CsrMatrix {
     /// Lazily narrowed copy of `data` backing [`LinearOperator::apply_f32`]
     /// (built on first mixed-precision matvec, invalidated by value
     /// mutation). Cache state is excluded from `PartialEq`.
-    data_f32: std::sync::OnceLock<Vec<f32>>,
+    data_f32: OnceLock<Vec<f32>>,
+    /// Runs of rows that share one column-offset pattern, which every
+    /// product walks, reading the rows of 4- and 5-entry runs without
+    /// `indices` or `indptr`. Built on the
+    /// first product and never invalidated: it depends on structure only,
+    /// and values are the only mutable part. `None` when runs are too
+    /// short to pay (see [`RowRuns::detect`]).
+    row_runs: OnceLock<Option<RowRuns>>,
 }
 
 impl PartialEq for CsrMatrix {
     fn eq(&self, other: &Self) -> bool {
-        // Structural equality only: whether the f32 value cache has been
-        // materialized is not part of the matrix's identity.
+        // Structural equality only: whether the f32 value cache or the
+        // row-run index has been built is not part of the matrix's identity.
         self.nrows == other.nrows
             && self.ncols == other.ncols
             && self.indptr == other.indptr
@@ -114,7 +122,8 @@ impl CsrMatrix {
             indptr,
             indices,
             data,
-            data_f32: std::sync::OnceLock::new(),
+            data_f32: OnceLock::new(),
+            row_runs: OnceLock::new(),
         })
     }
 
@@ -136,7 +145,8 @@ impl CsrMatrix {
             indptr,
             indices,
             data,
-            data_f32: std::sync::OnceLock::new(),
+            data_f32: OnceLock::new(),
+            row_runs: OnceLock::new(),
         }
     }
 
@@ -149,7 +159,8 @@ impl CsrMatrix {
             indptr: (0..=n).collect(),
             indices: (0..n).collect(),
             data: vec![1.0; n],
-            data_f32: std::sync::OnceLock::new(),
+            data_f32: OnceLock::new(),
+            row_runs: OnceLock::new(),
         }
     }
 
@@ -207,7 +218,8 @@ impl CsrMatrix {
     }
 
     /// Mutable value array (structure is immutable; values may be edited).
-    /// Invalidates the lazily-built `f32` value cache.
+    /// Invalidates the lazily-built `f32` value cache; the row-run index
+    /// depends on structure only and stays valid.
     pub fn data_mut(&mut self) -> &mut [f64] {
         self.data_f32.take();
         &mut self.data
@@ -261,35 +273,10 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    #[allow(clippy::needless_range_loop)] // CSR row loop indexes indptr
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length != ncols");
         assert_eq!(y.len(), self.nrows, "spmv: y length != nrows");
-        for r in 0..self.nrows {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.data[k] * x[self.indices[k]];
-            }
-            y[r] = acc;
-        }
-    }
-
-    /// `y ← A·x + beta·y` (fused SpMV update).
-    #[allow(clippy::needless_range_loop)] // CSR row loop indexes indptr
-    pub fn spmv_acc(&self, x: &[f64], beta: f64, y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv_acc: x length != ncols");
-        assert_eq!(y.len(), self.nrows, "spmv_acc: y length != nrows");
-        for r in 0..self.nrows {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.data[k] * x[self.indices[k]];
-            }
-            y[r] = acc + beta * y[r];
-        }
+        self.rows_into(&self.data, x, 0, self.nrows, y);
     }
 
     /// Transpose (produces sorted CSR).
@@ -346,7 +333,8 @@ impl CsrMatrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Scale all values in place. Invalidates the `f32` value cache.
+    /// Scale all values in place. Invalidates the `f32` value cache (the
+    /// row-run index stays valid).
     pub fn scale(&mut self, s: f64) {
         self.data_f32.take();
         for v in &mut self.data {
@@ -392,6 +380,8 @@ impl LinearOperator for CsrMatrix {
     }
 
     fn as_sweep(&self) -> Option<crate::sweep::SweepOperator<'_>> {
+        // Build the row-run index here, so no sweep shard waits on it.
+        self.runs();
         (self.nrows == self.ncols).then_some(crate::sweep::SweepOperator::Csr(self))
     }
 
@@ -399,42 +389,34 @@ impl LinearOperator for CsrMatrix {
     /// (built once, cached; see [`CsrMatrix::data_mut`] for invalidation).
     /// The row accumulation is the [`CsrMatrix::spmv_into`] operation
     /// sequence in `f32`.
-    #[allow(clippy::needless_range_loop)] // CSR row loop indexes indptr
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         assert_eq!(x.len(), self.ncols, "apply_f32: x length != ncols");
         assert_eq!(y.len(), self.nrows, "apply_f32: y length != nrows");
         let data = self
             .data_f32
             .get_or_init(|| self.data.iter().map(|&v| v as f32).collect());
-        for r in 0..self.nrows {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let mut acc = 0.0f32;
-            for k in lo..hi {
-                acc += data[k] * x[self.indices[k]];
-            }
-            y[r] = acc;
-        }
+        self.rows_into(data, x, 0, self.nrows, y);
         true
     }
 
-    /// Row-fused SpMV + dot: each row result is dotted with `x[r]` the
-    /// moment it is produced, so `x` and `y` stream through memory once.
-    /// Bit-identical to `spmv_into` + `kernels::dot` because the row
-    /// accumulation is the identical operation sequence and the outer
-    /// summation runs through [`crate::fused::fused_sum`].
+    /// Row-fused SpMV + dot: each row result is dotted with `x[r]` while
+    /// it is still in L1, so `x` and `y` stream through memory once.
+    /// Rows are produced `DOT_BLOCK` (256) at a time, just ahead of the sum
+    /// that consumes them ([`crate::fused::fused_sum`] visits rows in
+    /// increasing order). Bit-identical to `spmv_into` + `kernels::dot`
+    /// because each row is the identical operation sequence and the outer
+    /// summation runs through `fused_sum`.
     fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.ncols, "apply_dot: x length != ncols");
         assert_eq!(y.len(), self.nrows, "apply_dot: y length != nrows");
-        crate::fused::fused_sum(mode, self.nrows, |r| {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.data[k] * x[self.indices[k]];
+        let n = self.nrows;
+        let mut done = 0;
+        crate::fused::fused_sum(mode, n, |r| {
+            if r >= done {
+                done = (r + DOT_BLOCK).min(n);
+                self.rows_into(&self.data, x, r, done, &mut y[r..done]);
             }
-            y[r] = acc;
-            x[r] * acc
+            x[r] * y[r]
         })
     }
 
@@ -468,6 +450,8 @@ impl LinearOperator for CsrMatrix {
             return;
         }
         let team = team.expect("width > 1 implies a team");
+        // Build the row-run index on this thread, not inside a shard.
+        self.runs();
         let per = n.div_ceil(width);
         let yp = vr_par::team::SendPtr(y.as_mut_ptr());
         let res = team.try_run_shards(
@@ -494,6 +478,7 @@ impl LinearOperator for CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen;
 
     fn small() -> CsrMatrix {
         // [2 1 0]
@@ -537,15 +522,6 @@ mod tests {
         let a = small();
         let x = vec![1.0, 2.0, 3.0];
         assert_eq!(a.spmv(&x), vec![4.0, 8.0, 8.0]);
-    }
-
-    #[test]
-    fn spmv_acc_fuses_beta() {
-        let a = small();
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![1.0, 1.0, 1.0];
-        a.spmv_acc(&x, -1.0, &mut y);
-        assert_eq!(y, vec![3.0, 7.0, 7.0]);
     }
 
     #[test]
@@ -628,25 +604,236 @@ mod tests {
         assert_eq!(a.indices().len(), 7);
         assert_eq!(a.data().len(), 7);
     }
+
+    /// Runs found, or `None` when products run the plain row loop.
+    fn run_count(a: &CsrMatrix) -> Option<usize> {
+        a.runs().map(|runs| runs.runs.len())
+    }
+
+    /// 25 groups of `group` rows, alternating between a diagonal and a
+    /// tridiagonal pattern, so that every group is exactly one run.
+    fn grouped(group: usize) -> CsrMatrix {
+        let n = 25 * group;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 2.0).unwrap();
+            if (i / group) % 2 == 1 {
+                coo.push(i, i - 1, -1.0).unwrap();
+                coo.push(i, i + 1, -1.0).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn row_runs_are_built_when_they_average_five_rows() {
+        // Three runs per grid row (both boundary columns and the
+        // interior), and likewise per grid line in 3-D.
+        for m in [16, 32, 48] {
+            assert_eq!(run_count(&gen::poisson2d(m)), Some(3 * m), "poisson2d({m})");
+        }
+        assert_eq!(run_count(&gen::poisson3d(16)), Some(3 * 16 * 16));
+        assert_eq!(run_count(&gen::poisson3d_27pt(15)), Some(3 * 15 * 15));
+        assert!(run_count(&gen::poisson1d(40)).is_some());
+        // A band of empty rows is one zero-entry run.
+        let mut coo = CooMatrix::new(90, 90);
+        for i in (0..30).chain(45..90) {
+            coo.push(i, i, 1.0).unwrap();
+        }
+        assert_eq!(run_count(&coo.to_csr()), Some(3));
+        // At the bound, and one row per run below it.
+        assert_eq!(run_count(&grouped(5)), Some(25));
+        assert_eq!(run_count(&grouped(4)), None);
+        assert_eq!(run_count(&gen::rand_spd(300, 4, 1.0, 7)), None);
+        assert_eq!(run_count(&gen::rand_spd(1 << 15, 6, 1.0, 3)), None);
+        assert_eq!(run_count(&gen::poisson2d(2)), None);
+        assert_eq!(run_count(&gen::poisson3d(13)), None);
+        assert_eq!(run_count(&gen::poisson3d_27pt(12)), None);
+        assert_eq!(run_count(&CsrMatrix::identity(1)), None);
+        assert_eq!(run_count(&CsrMatrix::identity(0)), None);
+    }
+
+    #[test]
+    fn value_edits_keep_the_row_run_index() {
+        let mut a = gen::poisson2d(16);
+        let _ = a.spmv(&[1.0; 256]);
+        a.data_mut()[0] = 7.0;
+        a.scale(-0.5);
+        assert_eq!(a.row_runs.get().map(Option::is_some), Some(true));
+    }
 }
 
-/// Row-band SpMV, the unit of work of [`LinearOperator::apply_team`] and
-/// of the whole-iteration sweep.
+/// Rows produced per [`CsrMatrix::rows_into`] call by `apply_dot`: 2 KiB
+/// of `y`, still in L1 when the dot reads it back.
+const DOT_BLOCK: usize = 256;
+
+/// Row-band SpMV, the unit of work of every product: `spmv_into`,
+/// [`LinearOperator::apply_team`]'s shards, `apply_dot`, `apply_f32` and
+/// the whole-iteration sweep's staging.
 impl CsrMatrix {
     /// Row-range SpMV of rows `lo..hi` into `yband` (`yband[0]` is row
     /// `lo`). The per-row accumulation is the exact operation sequence of
     /// [`CsrMatrix::spmv_into`], so any row partition is bit-identical to
     /// the serial product.
     pub(crate) fn spmv_rows_into(&self, x: &[f64], lo: usize, hi: usize, yband: &mut [f64]) {
-        for (off, yi) in yband.iter_mut().enumerate() {
-            let r = lo + off;
-            debug_assert!(r < hi);
-            let mut acc = 0.0;
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                acc += self.data[k] * x[self.indices[k]];
+        self.rows_into(&self.data, x, lo, hi, yband);
+    }
+
+    /// The row-run index, built on first use.
+    fn runs(&self) -> Option<&RowRuns> {
+        self.row_runs
+            .get_or_init(|| RowRuns::detect(&self.indptr, &self.indices))
+            .as_ref()
+    }
+
+    /// `out[r − lo] ← Σ_k data[k]·x[indices[k]]` for each row `r` in
+    /// `lo..hi`, over `data` (the values or their `f32` copy). With a
+    /// run index, rows of 4- and 5-entry runs go through [`run_rows`] and
+    /// every other row through the plain row loop; a range may start and
+    /// end mid-run. Either way each row sums from `+0.0` in column order.
+    fn rows_into<T: Entry>(&self, data: &[T], x: &[T], lo: usize, hi: usize, out: &mut [T]) {
+        debug_assert_eq!(out.len(), hi - lo);
+        let Some(runs) = self.runs() else {
+            return self.plain_rows(data, x, lo, hi, out);
+        };
+        let mut at = runs.runs.partition_point(|run| run.end <= lo);
+        let mut r = lo;
+        while r < hi {
+            let run = runs.runs[at];
+            let end = run.end.min(hi);
+            let out = &mut out[r - lo..end - lo];
+            let rel = &runs.rel[run.pat..run.pat + run.len];
+            // Sliced only for the compiled widths: a zero-entry run's
+            // `lead` names no column. `xs` starts at row `r`'s first column.
+            let vals = || &data[run.base + (r - run.first) * run.len..][..(end - r) * run.len];
+            let xs = || &x[r.wrapping_add(run.lead)..];
+            match run.len {
+                4 => run_rows::<T, 4>(rel, vals(), xs(), out),
+                5 => run_rows::<T, 5>(rel, vals(), xs(), out),
+                _ => self.plain_rows(data, x, r, end, out),
             }
-            *yi = acc;
+            r = end;
+            at += 1;
         }
+    }
+
+    /// The plain CSR row loop over rows `lo..hi`.
+    fn plain_rows<T: Entry>(&self, data: &[T], x: &[T], lo: usize, hi: usize, out: &mut [T]) {
+        for (yr, row) in out.iter_mut().zip(self.indptr[lo..=hi].windows(2)) {
+            let (vals, cols) = (&data[row[0]..row[1]], &self.indices[row[0]..row[1]]);
+            let mut acc = T::default();
+            for (&v, &c) in vals.iter().zip(cols) {
+                acc += v * x[c];
+            }
+            *yr = acc;
+        }
+    }
+}
+
+/// The element types a product runs over: `f64` values, and the `f32`
+/// copy behind `apply_f32`. `T::default()` is `+0.0`, the row sum's seed.
+trait Entry: Copy + Default + std::ops::AddAssign + std::ops::Mul<Output = Self> {}
+impl Entry for f32 {}
+impl Entry for f64 {}
+
+/// Maximal runs of consecutive rows with the same entry count and the same
+/// column offsets `indices[k] − r`. A stencil-assembled matrix has few:
+/// `gen::poisson2d(m)` has `3m` (the two boundary columns and the interior
+/// of each grid row). A run's rows store their values back to back, so the
+/// walk reads each row's values from `data` and its columns from one shared
+/// pattern: for the rows of 4- and 5-entry runs (all but the 4 corner rows
+/// of `poisson2d`) a product streams `8·nnz` bytes of matrix instead of
+/// `16·nnz + 8(n + 1)`.
+#[derive(Debug, Clone)]
+struct RowRuns {
+    runs: Vec<Run>,
+    /// Every run's pattern, back to back: each column's distance from the
+    /// row's first column.
+    rel: Vec<usize>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// First row.
+    first: usize,
+    /// One past the last row.
+    end: usize,
+    /// Index of the first row's first value in `data`.
+    base: usize,
+    /// Row `r`'s first column is `r.wrapping_add(lead)`.
+    lead: usize,
+    /// The pattern is `rel[pat..pat + len]`.
+    pat: usize,
+    /// Entries per row.
+    len: usize,
+}
+
+impl RowRuns {
+    /// Runs must average at least this many rows for the index to be
+    /// built; below it, per-run overhead would eat the saving.
+    const MIN_AVG_ROWS: usize = 5;
+
+    /// Find the runs, giving up (`None`) as soon as there are more than
+    /// `nrows / MIN_AVG_ROWS` of them.
+    fn detect(indptr: &[usize], indices: &[usize]) -> Option<RowRuns> {
+        let nrows = indptr.len() - 1;
+        if nrows < Self::MIN_AVG_ROWS {
+            return None;
+        }
+        let max_runs = nrows / Self::MIN_AVG_ROWS;
+        let row = |r: usize| &indices[indptr[r]..indptr[r + 1]];
+        let mut firsts = vec![0];
+        for r in 1..nrows {
+            // Row `r` continues row `r − 1`'s run when every column moved
+            // one to the right.
+            let (prev, cur) = (row(r - 1), row(r));
+            if prev.len() != cur.len() || prev.iter().zip(cur).any(|(&p, &c)| c != p + 1) {
+                firsts.push(r);
+                if firsts.len() > max_runs {
+                    return None;
+                }
+            }
+        }
+        firsts.push(nrows);
+        let mut rel = Vec::new();
+        let runs = firsts
+            .windows(2)
+            .map(|w| {
+                let (first, end) = (w[0], w[1]);
+                let cols = row(first);
+                let c0 = cols.first().copied().unwrap_or(first);
+                let pat = rel.len();
+                rel.extend(cols.iter().map(|&c| c - c0));
+                Run {
+                    first,
+                    end,
+                    base: indptr[first],
+                    lead: c0.wrapping_sub(first),
+                    pat,
+                    len: cols.len(),
+                }
+            })
+            .collect();
+        Some(RowRuns { runs, rel })
+    }
+}
+
+/// The row kernel, compiled for `N` entries per row (the 2-D five-point
+/// stencil's 4- and 5-entry rows; rows of other widths run the plain row
+/// loop, which a generic-width walk did not beat). Row `i` of the run segment has values `vals[N·i..N·(i + 1)]`
+/// and columns `xs[i + rel[k]]`, and sums them as
+/// `acc = 0.0; acc += vals[N·i + k]·xs[i + rel[k]]` in column order: the
+/// operation sequence of the plain CSR row loop, so the walk changes no
+/// bit.
+fn run_rows<T: Entry, const N: usize>(rel: &[usize], vals: &[T], xs: &[T], out: &mut [T]) {
+    let rel: &[usize; N] = rel.try_into().expect("the pattern has N entries");
+    let (rows, _) = vals.as_chunks::<N>();
+    for (i, (row, yr)) in rows.iter().zip(out).enumerate() {
+        let mut acc = T::default();
+        for k in 0..N {
+            acc += row[k] * xs[i + rel[k]];
+        }
+        *yr = acc;
     }
 }
 
