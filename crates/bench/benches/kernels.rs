@@ -16,7 +16,7 @@ fn bench_dot_orders(b: &mut Bench) {
             black_box(kernels::dot_serial(&x, &y))
         });
         b.run(format!("kernels/dot/tree/{log_n}"), || {
-            black_box(kernels::dot_tree(&x, &y))
+            black_box(kernels::dot(kernels::DotMode::Tree, &x, &y))
         });
         b.run(format!("kernels/dot/kahan/{log_n}"), || {
             black_box(kernels::dot_kahan(&x, &y))

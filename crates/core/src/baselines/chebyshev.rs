@@ -25,7 +25,6 @@ use crate::driver::{self, Driver, Twins};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::eig;
-use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
 /// Chebyshev iteration with spectral bounds supplied or Lanczos-estimated.
@@ -84,7 +83,6 @@ impl CgVariant for ChebyshevIteration {
             return res;
         }
         let n = a.dim();
-        let md = opts.dot_mode;
         let (mut drv, mut x, mut r) = Driver::start(a, b, x0, opts);
         let thresh_sq = drv.thresh_sq;
 
@@ -109,7 +107,7 @@ impl CgVariant for ChebyshevIteration {
         let delta = 0.5 * (hi - lo);
         let sigma = theta / delta;
 
-        let mut rr = dot(md, &r, &r);
+        let mut rr = opts.dot(&r, &r);
         drv.counts.dots += 1;
         drv.record(rr);
 
@@ -142,7 +140,7 @@ impl CgVariant for ChebyshevIteration {
 
                 // periodic (paid-for) residual check — the only reduction
                 if iterations % self.check_every == 0 || iterations == opts.max_iters {
-                    rr = dot(md, &r, &r);
+                    rr = opts.dot(&r, &r);
                     drv.counts.dots += 1;
                     drv.record(rr);
                     if rr <= thresh_sq {

@@ -16,7 +16,6 @@ use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::exec::Exec;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult};
-use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
 /// Chronopoulos-Gear CG has no mixed twin; its step also runs under the
@@ -96,13 +95,12 @@ impl CgVariant for ChronopoulosGearCg {
             return res;
         }
         let n = a.dim();
-        let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
         let mut ex = Exec::new(a, opts);
 
         let w = opts.matvec_alloc(a, &r, &mut drv.counts);
-        let rho = dot(md, &r, &r);
-        let mu = dot(md, &r, &w);
+        let rho = opts.dot(&r, &r);
+        let mu = opts.dot(&r, &w);
         drv.counts.dots += 2;
         drv.record(rho);
         let mut st = State {

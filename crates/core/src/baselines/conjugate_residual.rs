@@ -19,7 +19,6 @@
 use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
-use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
 /// Classical conjugate residual iteration.
@@ -52,7 +51,6 @@ impl CgVariant for ConjugateResidual {
         if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
             return res;
         }
-        let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
         let ar = opts.matvec_alloc(a, &r, &mut drv.counts);
@@ -60,9 +58,9 @@ impl CgVariant for ConjugateResidual {
         let ap = ar.clone();
         drv.counts.vector_ops += 2;
 
-        let rar = dot(md, &r, &ar);
+        let rar = opts.dot(&r, &ar);
         drv.counts.dots += 1;
-        let rr = dot(md, &r, &r);
+        let rr = opts.dot(&r, &r);
         drv.counts.dots += 1;
         drv.record(rr);
         let mut st = State {
@@ -79,7 +77,7 @@ impl CgVariant for ConjugateResidual {
             &mut st,
             |st| st.rr,
             |drv, st, it| {
-                let apap = dot(md, &st.ap, &st.ap);
+                let apap = opts.dot(&st.ap, &st.ap);
                 drv.counts.dots += 1;
                 if guard::check_pivot(apap).is_err() || guard::check_pivot(st.rar).is_err() {
                     return Step::breakdown(it);
@@ -90,8 +88,8 @@ impl CgVariant for ConjugateResidual {
                 drv.counts.scalar_ops += 1;
 
                 opts.matvec(a, &st.r, &mut st.ar, &mut drv.counts);
-                let rar_next = dot(md, &st.r, &st.ar);
-                st.rr = dot(md, &st.r, &st.r);
+                let rar_next = opts.dot(&st.r, &st.ar);
+                st.rr = opts.dot(&st.r, &st.r);
                 drv.counts.dots += 2;
                 drv.record(st.rr);
                 let verdict = Step::after(it, st.rr, drv.thresh_sq);
@@ -172,7 +170,6 @@ impl CgVariant for OverlapCr {
         if let Some(res) = driver::twin(self, &Twins::NONE, a, b, x0, opts) {
             return res;
         }
-        let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
         let ar = opts.matvec_alloc(a, &r, &mut drv.counts);
@@ -181,9 +178,9 @@ impl CgVariant for OverlapCr {
         drv.counts.vector_ops += 2;
         let mut v = opts.matvec_alloc(a, &ap, &mut drv.counts); // A·Ap
 
-        let rr = dot(md, &r, &r);
-        let rar = dot(md, &r, &ar);
-        let mut apap = dot(md, &ap, &ap);
+        let rr = opts.dot(&r, &r);
+        let rar = opts.dot(&r, &ar);
+        let mut apap = opts.dot(&ap, &ap);
         drv.counts.dots += 3;
         drv.record(rr);
         let mut vscratch = vec![0.0; b.len()];
@@ -213,12 +210,12 @@ impl CgVariant for OverlapCr {
                     };
                 }
                 // overlappable inner products on CURRENT vectors
-                let arap = dot(md, &st.ar, &st.ap);
-                let apv = dot(md, &st.ap, &v);
-                let arar = dot(md, &st.ar, &st.ar);
-                let arv = dot(md, &st.ar, &v);
-                let vv = dot(md, &v, &v);
-                let rw = dot(md, &st.r, &st.ap); // for ‖r⁺‖ tracking
+                let arap = opts.dot(&st.ar, &st.ap);
+                let apv = opts.dot(&st.ap, &v);
+                let arar = opts.dot(&st.ar, &st.ar);
+                let arv = opts.dot(&st.ar, &v);
+                let vv = opts.dot(&v, &v);
+                let rw = opts.dot(&st.r, &st.ap); // for ‖r⁺‖ tracking
                 let ww = apap;
                 drv.counts.dots += 6;
 

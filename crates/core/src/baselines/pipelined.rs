@@ -18,7 +18,6 @@ use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::exec::Exec;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult};
-use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
 /// Pipelined CG's twin, the `f32`-storage loop; its step also runs under
@@ -115,13 +114,12 @@ pub(crate) fn solve_gv(
     opts: &SolveOptions,
 ) -> SolveResult {
     let n = a.dim();
-    let md = opts.dot_mode;
     let (mut drv, x, r) = Driver::start(a, b, x0, opts);
     let mut ex = Exec::new(a, opts);
 
     let w = opts.matvec_alloc(a, &r, &mut drv.counts);
     let mut q = vec![0.0; n];
-    let gamma = dot(md, &r, &r);
+    let gamma = opts.dot(&r, &r);
     drv.counts.dots += 1;
     drv.record(gamma);
     let mut st = State {

@@ -9,7 +9,6 @@
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult};
-use vr_linalg::kernels::dot;
 use vr_linalg::precond::Preconditioner;
 use vr_linalg::LinearOperator;
 
@@ -57,7 +56,6 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
             n,
             "preconditioner dimension mismatches operator"
         );
-        let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
         let mut z = self.precond.apply_alloc(&r);
@@ -66,8 +64,8 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
         drv.counts.vector_ops += 1;
         let mut w = vec![0.0; n];
 
-        let rz = dot(md, &r, &z);
-        let rr = dot(md, &r, &r);
+        let rz = opts.dot(&r, &z);
+        let rr = opts.dot(&r, &r);
         drv.counts.dots += 2;
         drv.record(rr);
         let mut st = State { x, r, p, rz, rr };
@@ -92,7 +90,7 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
 
                 self.precond.apply(&st.r, &mut z);
                 drv.counts.precond_applies += 1;
-                let rz_next = dot(md, &st.r, &z);
+                let rz_next = opts.dot(&st.r, &z);
                 drv.counts.dots += 1;
 
                 drv.record(st.rr);

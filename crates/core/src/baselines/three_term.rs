@@ -18,7 +18,6 @@
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult};
-use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
 /// Three-term recurrence CG solver.
@@ -51,7 +50,6 @@ impl CgVariant for ThreeTermCg {
             return res;
         }
         let n = a.dim();
-        let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
         let x_prev = x.clone();
@@ -62,7 +60,7 @@ impl CgVariant for ThreeTermCg {
         let mut x_next = vec![0.0; n];
         let mut r_next = vec![0.0; n];
 
-        let rr = dot(md, &r, &r);
+        let rr = opts.dot(&r, &r);
         drv.counts.dots += 1;
         let mut st = State {
             x,
@@ -115,7 +113,7 @@ impl CgVariant for ThreeTermCg {
                 st.rr_prev = st.rr;
                 st.gamma_prev = gamma;
                 st.rho_prev = rho;
-                st.rr = dot(md, &st.r, &st.r);
+                st.rr = opts.dot(&st.r, &st.r);
                 drv.counts.dots += 1;
                 drv.record(st.rr);
                 Step::after(it, st.rr, drv.thresh_sq)

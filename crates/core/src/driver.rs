@@ -195,7 +195,7 @@ pub(crate) fn reject(
     opts: &SolveOptions,
 ) -> SolveResult {
     let (mut drv, x, r) = Driver::start(a, b, x0, opts);
-    let rr = kernels::dot(opts.dot_mode, &r, &r);
+    let rr = opts.dot(&r, &r);
     drv.counts.dots += 1;
     drv.record(rr);
     drv.finish(x, Termination::Unsupported, 0)
@@ -329,11 +329,7 @@ impl<'a> Driver<'a> {
     /// checks, residual replacement, convergence confirmation) from the
     /// initial squared residual `rr0`.
     pub fn watch(&mut self, a: &'a dyn LinearOperator, b: &'a [f64], rr0: f64) {
-        self.guard = self
-            .opts
-            .recovery
-            .as_ref()
-            .map(|policy| ResidualGuard::new(a, b, policy.clone(), rr0));
+        self.guard = ResidualGuard::new(a, b, self.opts, rr0);
     }
 
     /// Loop top without a checkpoint: the iteration mark, then the
@@ -416,9 +412,11 @@ impl<'a> Driver<'a> {
     }
 
     /// The true squared residual `‖b − A·x‖²` under a `Guard` span, with
-    /// `b − A·x` left in `scratch`: one matvec, one vector op and one
-    /// `dot_mode` dot tallied. Shared by the loops that validate a
-    /// suspicious recurrence signal against the true residual.
+    /// `b − A·x` left in `scratch`: one matvec, one vector op and one dot
+    /// tallied. Shared by the loops that validate a suspicious recurrence
+    /// signal against the true residual; it takes the solve's team and
+    /// summation order but not its injector
+    /// ([`SolveOptions::true_rr_into`]).
     pub fn true_rr(
         &mut self,
         a: &dyn LinearOperator,
@@ -428,11 +426,7 @@ impl<'a> Driver<'a> {
     ) -> f64 {
         let opts = self.opts;
         let rr = opts.span(vr_obs::SpanKind::Guard, || {
-            a.apply_team(opts.team().as_deref(), x, scratch);
-            for (si, bi) in scratch.iter_mut().zip(b) {
-                *si = bi - *si;
-            }
-            kernels::dot(opts.dot_mode, scratch, scratch)
+            opts.true_rr_into(a, b, x, scratch)
         });
         self.counts.matvecs += 1;
         self.counts.vector_ops += 1;

@@ -262,7 +262,9 @@ impl<'a> Exec<'a> {
 
     /// Overlap-k1's four look-ahead dots `((r,w), (r,v), (w,w), (w,v))`
     /// on the pre-update `r`, with `x ← x + λp`. Per kernel the dots are
-    /// split-phase, launched before the `x` update and resolved after it;
+    /// split-phase, launched before the `x` update and resolved after it,
+    /// with the guarded dots' detect-and-retry on each resolved value
+    /// unless the duplicate-leaf checksum guards them;
     /// the sweep's epoch also runs `r ← r − λw`, which
     /// [`Exec::overlap_r_update`] tallies.
     #[allow(clippy::too_many_arguments)]
@@ -284,7 +286,22 @@ impl<'a> Exec<'a> {
                 let (rw, rv) = o.dot2_deferred(r, w, v, c);
                 let (ww, wv) = o.dot2_deferred(w, w, v, c);
                 o.axpy(lambda, p, x, c);
-                (rw.wait(), rv.wait(), ww.wait(), wv.wait())
+                let dots = (rw.wait(), rv.wait(), ww.wait(), wv.wait());
+                if o.checksum {
+                    // a value the checksum could not repair stays NaN for
+                    // the guards: an unchecked re-run could hand back the
+                    // silent corruption the checksum exists to catch
+                    return dots;
+                }
+                // under a recovery policy a non-finite value is re-run
+                // before the recurrences consume it, as a guarded dot is
+                let s = &mut drv.rstats;
+                (
+                    guard::retry_reduction(o, r, w, dots.0, s),
+                    guard::retry_reduction(o, r, v, dots.1, s),
+                    guard::retry_reduction(o, w, w, dots.2, s),
+                    guard::retry_reduction(o, w, v, dots.3, s),
+                )
             }
             Arm::Sweep { eng, team, .. } => {
                 c.dots += 4;

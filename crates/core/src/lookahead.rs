@@ -58,6 +58,13 @@ use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::mpk::{MpkTransform, MpkWorkspace};
 use vr_linalg::LinearOperator;
 
+/// A pass whose recursive `‖r‖²` rises this far above its smallest value
+/// (10⁴ in the norm) has diverged: drifted vector families make λ and α
+/// steps that no longer reduce the residual, with every pivot positive.
+/// Healthy passes peak far lower: the largest rise measured on converging
+/// solves, anisotropic ones, was about 430 in the norm.
+const DIVERGED_RISE: f64 = 1e8;
+
 /// Loop-carried state: the iterate and the `z = Aⁱ·r` family. A
 /// checkpoint snapshots `[x, z₀]` (`z₀` is the residual) — the rest of
 /// the family and the moment window are rebuilt by the outer startup pass
@@ -127,7 +134,6 @@ impl CgVariant for LookaheadCg {
         let n = a.dim();
         let k = self.k;
         let m = 2 * k; // window order for μ
-        let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
         let thresh_sq = drv.thresh_sq;
 
@@ -161,7 +167,7 @@ impl CgVariant for LookaheadCg {
         // Outer restart loop: each pass performs the paper's "initial start
         // up" (build vector families + moment window from the current true
         // residual z₀) and then iterates on recurrences. When the drifted
-        // window signals convergence or breaks down, the signal is
+        // window signals convergence, breaks down or diverges, the signal is
         // VALIDATED against the true residual; a spurious signal triggers a
         // warm restart from the current iterate, and lack of progress
         // between restarts terminates with `Breakdown`.
@@ -191,7 +197,9 @@ impl CgVariant for LookaheadCg {
             w[k + 1].copy_from_slice(&avfam[k]);
             drv.counts.vector_ops += k + 1;
 
-            let spent = win.direct_in(&st.z, &w, m, md);
+            let spent = win.direct_in(&st.z, &w, m, |x, y| {
+                guard::guarded_dot(opts, x, y, &mut drv.rstats)
+            });
             drv.counts.dots += spent;
 
             if drv.history_len() == 0 {
@@ -206,6 +214,7 @@ impl CgVariant for LookaheadCg {
 
             // inner recurrence loop
             let mut suspicious = false;
+            let mut best_mu0 = win.mu[0];
             while iterations < opts.max_iters {
                 if drv.poll(iterations, win.mu[0]) {
                     final_rr = win.mu[0];
@@ -228,10 +237,14 @@ impl CgVariant for LookaheadCg {
 
                 drv.record(mu_scratch[0]);
                 iterations += 1;
-                if mu_scratch[0] <= thresh_sq || guard::check_finite(mu_scratch[0]).is_err() {
+                if mu_scratch[0] <= thresh_sq
+                    || guard::check_finite(mu_scratch[0]).is_err()
+                    || mu_scratch[0] > DIVERGED_RISE * best_mu0
+                {
                     suspicious = true;
                     break;
                 }
+                best_mu0 = best_mu0.min(mu_scratch[0]);
                 win.finish_step_in_place(&mut mu_scratch, lambda, alpha);
 
                 // vector family updates: z_i ← z_i − λ·w_{i+1} (old w)
@@ -247,7 +260,9 @@ impl CgVariant for LookaheadCg {
                     let (head, tail) = w.split_at_mut(k + 1);
                     opts.matvec(a, &head[k], &mut tail[0], &mut drv.counts);
                     // periodic drift correction: rebuild the window in place
-                    let spent = win.direct_in(&st.z, &w, m, md);
+                    let spent = win.direct_in(&st.z, &w, m, |x, y| {
+                        guard::guarded_dot(opts, x, y, &mut drv.rstats)
+                    });
                     drv.counts.dots += spent;
                 } else {
                     // three direct top-of-window inner products — these
@@ -525,6 +540,23 @@ mod tests {
             }
         }
         assert!(total_rollbacks >= 1, "no seed exercised the rollback path");
+    }
+
+    #[test]
+    fn diverging_recurrence_restarts_instead_of_running_out() {
+        // On this grid, in chunk-tree order, the recursive residual of the
+        // registry's k = 2, resync 12 configuration bottoms out near
+        // iteration 517 and then climbs without a pivot turning
+        // non-positive; the progress rule restarts it from the true
+        // residual instead of spending the whole iteration budget
+        use vr_linalg::kernels::{norm2, DotMode};
+        let a = gen::poisson2d(182);
+        let b = gen::poisson2d_rhs(182);
+        let o = opts().with_dot_mode(DotMode::Tree).with_max_iters(4000);
+        let res = LookaheadCg::new(2).with_resync(12).solve(&a, &b, None, &o);
+        assert_eq!(res.termination, Termination::Converged);
+        assert!(res.counts.restarts >= 1, "{:?}", res.counts);
+        assert!(res.true_residual(&a, &b) <= 1e-9 * norm2(&b));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   the paper's §3) run entirely in `f64`;
 //! * a **shadow guard** periodically widens the `f32` iterate to `f64`,
 //!   recomputes the true residual `b − A·x` through the operator's full
-//!   `f64` [`LinearOperator::apply`], and either *confirms* convergence,
+//!   `f64` matvec ([`LinearOperator::apply_team`] on the solve's team,
+//!   summed in its `dot_mode`, never through the fault injector), and
+//!   either *confirms* convergence,
 //!   *replaces* the working residual (Cools-style residual replacement —
 //!   the `f32` recurrence restarts from the `f64` truth), or declares
 //!   stagnation at the `f32`-attainable floor.
@@ -42,7 +44,6 @@ use crate::overlap_k1::OverlapK1Cg;
 use crate::resilience::guard;
 use crate::solver::{SolveOptions, SolveResult, Termination};
 use crate::standard::StandardCg;
-use vr_linalg::kernels;
 use vr_linalg::LinearOperator;
 use vr_par::{reduce, simd};
 
@@ -96,8 +97,6 @@ struct Shadow {
     xw: Vec<f64>,
     /// True residual `b − A·xw` as of the last confirmation.
     rt: Vec<f64>,
-    /// Scratch for `A·xw`.
-    ax: Vec<f64>,
     thresh_sq: f64,
     /// Best confirmed squared true-residual norm so far.
     best: f64,
@@ -116,7 +115,6 @@ impl Shadow {
         Shadow {
             xw: vec![0.0; n],
             rt: vec![0.0; n],
-            ax: vec![0.0; n],
             thresh_sq,
             best: f64::INFINITY,
             strikes: 0,
@@ -139,11 +137,7 @@ impl Shadow {
         let guard_bytes = 68 * x32.len() as u64;
         let rr_true = opts.span_bytes(vr_obs::SpanKind::Guard, guard_bytes, || {
             widen_into(x32, &mut self.xw);
-            a.apply(&self.xw, &mut self.ax);
-            for (rt, (bi, axi)) in self.rt.iter_mut().zip(b.iter().zip(&self.ax)) {
-                *rt = bi - axi;
-            }
-            kernels::dot(opts.dot_mode, &self.rt, &self.rt)
+            opts.true_rr_into(a, b, &self.xw, &mut self.rt)
         });
         counts.matvecs += 1;
         counts.vector_ops += 1;
@@ -225,7 +219,7 @@ fn mixed_start<'a>(
     opts: &'a SolveOptions,
 ) -> (Driver<'a>, Working) {
     let (mut drv, xw, rw) = Driver::start(a, b, x0, opts);
-    let rr = kernels::dot(opts.dot_mode, &rw, &rw);
+    let rr = opts.dot(&rw, &rw);
     drv.counts.dots += 1;
     let x: Vec<f32> = xw.iter().map(|&v| v as f32).collect();
     let r: Vec<f32> = rw.iter().map(|&v| v as f32).collect();

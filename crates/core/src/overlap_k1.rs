@@ -33,7 +33,6 @@ use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
 use crate::exec::Exec;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult, Termination};
-use vr_linalg::kernels::dot;
 use vr_linalg::LinearOperator;
 
 /// Overlap-k1's twin, the `f32`-storage loop; its step also runs under
@@ -124,7 +123,6 @@ impl CgVariant for OverlapK1Cg {
         let n = a.dim();
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
         let thresh_sq = drv.thresh_sq;
-        let md = opts.dot_mode;
         let mut ex = Exec::new(a, opts).with_powers2();
 
         // State: p, w = A·p, v = A·w; scalars rr = (r,r), rar = (r,Ar),
@@ -133,9 +131,9 @@ impl CgVariant for OverlapK1Cg {
         drv.counts.vector_ops += 1;
         let mut w = opts.matvec_alloc(a, &p, &mut drv.counts);
         let mut v = opts.matvec_alloc(a, &w, &mut drv.counts);
-        let rr = dot(md, &r, &r);
+        let rr = guard::guarded_dot(opts, &r, &r, &mut drv.rstats);
         // p = r at start ⇒ (r, Ar) = (r, w).
-        let rar = dot(md, &r, &w);
+        let rar = guard::guarded_dot(opts, &r, &w, &mut drv.rstats);
         drv.counts.dots += 2;
         let mut st = State {
             x,
@@ -196,7 +194,7 @@ impl CgVariant for OverlapK1Cg {
                     ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
                     drv.counts.vector_ops += 1;
                     st.rr = rr_true;
-                    st.rar = dot(md, &st.r, &w);
+                    st.rar = guard::guarded_dot(opts, &st.r, &w, &mut drv.rstats);
                     drv.counts.dots += 1;
                     st.pap = st.rar;
                     continue;
@@ -256,11 +254,10 @@ impl CgVariant for OverlapK1Cg {
                 if self.resync > 0 && it.is_multiple_of(self.resync) {
                     // residual replacement: recompute the carried scalars
                     // directly (one extra matvec for A·r)
-                    st.rr = dot(md, &st.r, &st.r);
-                    a.apply(&st.r, &mut vscratch);
-                    st.rar = dot(md, &st.r, &vscratch);
-                    st.pap = dot(md, &st.p, &w);
-                    drv.counts.matvecs += 1;
+                    st.rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
+                    opts.matvec(a, &st.r, &mut vscratch, &mut drv.counts);
+                    st.rar = guard::guarded_dot(opts, &st.r, &vscratch, &mut drv.rstats);
+                    st.pap = guard::guarded_dot(opts, &st.p, &w, &mut drv.rstats);
                     drv.counts.dots += 3;
                 }
             }
@@ -376,9 +373,9 @@ mod tests {
 
     #[test]
     fn checkpoint_rollback_beats_warm_restart_under_faults() {
-        // with the ring active, guard-detected corruption replays ≤ C
-        // iterations instead of warm-restarting; the solve still reaches
-        // the fault-free answer
+        // with the ring active, corruption the reduction retries cannot
+        // repair replays ≤ C iterations instead of warm-restarting; every
+        // solve still reaches the fault-free answer
         use crate::resilience::{FaultKind, RecoveryPolicy, SeededInjector};
         use std::sync::Arc;
         use vr_par::fault::FaultSite;
@@ -387,15 +384,17 @@ mod tests {
         let mut total_rollbacks = 0usize;
         for seed in 0..10u64 {
             // overlap-k1's fault surface is its reductions (the scalar
-            // recurrences consume them): corrupt the dot partials
+            // recurrences consume them): corrupt the dot partials, often
+            // enough that some reduction faults on all three attempts
             let inj =
-                SeededInjector::new(seed, 0.001, FaultKind::Nan).at_site(FaultSite::DotPartial);
+                SeededInjector::new(seed, 0.002, FaultKind::Nan).at_site(FaultSite::DotPartial);
             let o = SolveOptions::default()
                 .with_tol(1e-6)
                 .with_injector(Arc::new(inj))
                 .with_recovery(RecoveryPolicy::default().with_checkpoint_period(8));
             let res = OverlapK1Cg::new().with_resync(20).solve(&a, &b, None, &o);
-            if res.recovery.rollbacks > 0 && res.converged {
+            assert!(res.converged, "seed {seed}: {:?}", res.termination);
+            if res.recovery.rollbacks > 0 {
                 assert_eq!(
                     res.termination,
                     Termination::RecoveredConverged,

@@ -65,7 +65,6 @@
 
 use crate::baselines::pipelined::solve_gv;
 use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
-use crate::instrument::OpCounts;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use crate::standard::StandardCg;
@@ -149,27 +148,6 @@ impl Checkpoint for State {
     fn state(&mut self, f: Visit<'_>) {
         f(&mut [&mut self.x], &mut [&mut self.rr]);
     }
-}
-
-/// `‖b − A·x‖²`, leaving the true residual in `scratch`; tallies one
-/// matvec, one vector op and one dot.
-fn true_rr(
-    a: &dyn LinearOperator,
-    b: &[f64],
-    x: &[f64],
-    scratch: &mut [f64],
-    opts: &SolveOptions,
-    counts: &mut OpCounts,
-) -> f64 {
-    opts.matvec(a, x, scratch, counts);
-    counts.vector_ops += 1;
-    counts.dots += 1;
-    opts.span(vr_obs::SpanKind::VectorOp, || {
-        for (si, bi) in scratch.iter_mut().zip(b) {
-            *si = bi - *si;
-        }
-    });
-    opts.dot(scratch, scratch)
 }
 
 /// The l ≥ 2 deep-pipelined loop (see module docs for the recurrences).
@@ -413,7 +391,7 @@ fn solve_deep(
                             // the final lagged update. Its γ·ζ residual is
                             // forced to ~0, so validate against the TRUE
                             // residual before claiming convergence.
-                            let rr_true = true_rr(a, b, &st.x, &mut scratch, opts, &mut drv.counts);
+                            let rr_true = drv.true_rr(a, b, &st.x, &mut scratch);
                             last_rnorm = norm(rr_true);
                             drv.replace_last(last_rnorm);
                             if rr_true <= thresh_sq {
@@ -523,7 +501,7 @@ fn solve_deep(
                 continue 'epochs;
             }
             if restartable {
-                let rr_true = true_rr(a, b, &st.x, &mut scratch, opts, &mut drv.counts);
+                let rr_true = drv.true_rr(a, b, &st.x, &mut scratch);
                 last_rnorm = norm(rr_true);
                 drv.replace_last(last_rnorm);
                 if rr_true <= thresh_sq {

@@ -18,8 +18,6 @@
 //! of `A` — no CG orthogonality is assumed, so round-off does not break
 //! them structurally (it only accumulates).
 
-use vr_linalg::kernels::{dot, DotMode};
-
 /// Scalar moment window of order `m` (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MomentWindow {
@@ -52,20 +50,27 @@ impl MomentWindow {
 
     /// Compute the whole window of order `m` directly from the vector
     /// families `z[i] = Aⁱr` (i ≤ k) and `w[i] = Aⁱp` (i ≤ k+1), using
-    /// symmetry `(Aᵃx, Aᵇy) = (x, Aᵃ⁺ᵇy)`. Returns the window and the
-    /// number of inner products spent.
+    /// symmetry `(Aᵃx, Aᵇy) = (x, Aᵃ⁺ᵇy)`, with every inner product taken
+    /// by `dot` (a solver passes its guarded `SolveOptions::dot`), in a
+    /// fixed order: μ, then ν, then σ. Returns the window and the number of
+    /// inner products spent.
     ///
     /// # Panics
     /// Panics if the families are too short for order `m`
     /// (needs `z.len() ≥ ⌈m/2⌉+1` and `w.len() ≥ ⌈(m+2)/2⌉+1`).
     #[must_use]
-    pub fn direct(z: &[Vec<f64>], w: &[Vec<f64>], m: usize, md: DotMode) -> (MomentWindow, usize) {
+    pub fn direct(
+        z: &[Vec<f64>],
+        w: &[Vec<f64>],
+        m: usize,
+        dot: impl FnMut(&[f64], &[f64]) -> f64,
+    ) -> (MomentWindow, usize) {
         let mut win = MomentWindow {
             mu: Vec::new(),
             nu: Vec::new(),
             sigma: Vec::new(),
         };
-        let spent = win.direct_in(z, w, m, md);
+        let spent = win.direct_in(z, w, m, dot);
         (win, spent)
     }
 
@@ -76,7 +81,13 @@ impl MomentWindow {
     /// # Panics
     /// Panics if the families are too short for order `m` (see
     /// [`MomentWindow::direct`]).
-    pub fn direct_in(&mut self, z: &[Vec<f64>], w: &[Vec<f64>], m: usize, md: DotMode) -> usize {
+    pub fn direct_in(
+        &mut self,
+        z: &[Vec<f64>],
+        w: &[Vec<f64>],
+        m: usize,
+        mut dot: impl FnMut(&[f64], &[f64]) -> f64,
+    ) -> usize {
         let zmax = z.len() - 1;
         let wmax = w.len() - 1;
         assert!(2 * zmax >= m, "z family too short for order {m}");
@@ -84,17 +95,17 @@ impl MomentWindow {
         self.mu.clear();
         self.mu.extend((0..=m).map(|i| {
             let a = (i / 2).min(zmax);
-            dot(md, &z[a], &z[i - a])
+            dot(&z[a], &z[i - a])
         }));
         self.nu.clear();
         self.nu.extend((0..=m + 1).map(|i| {
             let a = (i / 2).min(zmax);
-            dot(md, &z[a], &w[i - a])
+            dot(&z[a], &w[i - a])
         }));
         self.sigma.clear();
         self.sigma.extend((0..=m + 2).map(|i| {
             let a = (i / 2).min(wmax);
-            dot(md, &w[a], &w[i - a])
+            dot(&w[a], &w[i - a])
         }));
         (m + 1) + (m + 2) + (m + 3)
     }
@@ -173,7 +184,7 @@ impl MomentWindow {
 mod tests {
     use super::*;
     use vr_linalg::gen;
-    use vr_linalg::kernels::{axpy, xpay};
+    use vr_linalg::kernels::{axpy, dot_serial, xpay};
     use vr_linalg::CsrMatrix;
 
     fn families(a: &CsrMatrix, r: &[f64], p: &[f64], k: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
@@ -197,7 +208,7 @@ mod tests {
         let p = gen::rand_vector(18, 33);
         let k = 2;
         let (z, w) = families(&a, &r, &p, k);
-        let (win, spent) = MomentWindow::direct(&z, &w, 2 * k, DotMode::Serial);
+        let (win, spent) = MomentWindow::direct(&z, &w, 2 * k, dot_serial);
         assert_eq!(spent, (2 * k + 1) + (2 * k + 2) + (2 * k + 3));
         // brute-force check: μ_i = (r, A^i r) etc.
         let mut air = r.clone();
@@ -239,7 +250,7 @@ mod tests {
         let m = 2 * k;
         for step in 0..5 {
             let (z, w) = families(&a, &r, &p, k);
-            let (mut win, _) = MomentWindow::direct(&z, &w, m, DotMode::Serial);
+            let (mut win, _) = MomentWindow::direct(&z, &w, m, dot_serial);
             let lambda = win.rr() / win.pap();
             let mu_new = win.mu_step(lambda);
             let alpha = mu_new[0] / win.rr();
@@ -251,7 +262,7 @@ mod tests {
             xpay(&r, alpha, &mut p);
 
             let (z2, w2) = families(&a, &r, &p, k);
-            let (win2, _) = MomentWindow::direct(&z2, &w2, m, DotMode::Serial);
+            let (win2, _) = MomentWindow::direct(&z2, &w2, m, dot_serial);
             for i in 0..=m {
                 assert!(
                     (win.mu[i] - win2.mu[i]).abs() <= 1e-7 * (1.0 + win2.mu[i].abs()),
@@ -293,6 +304,6 @@ mod tests {
     fn direct_rejects_short_families() {
         let z = vec![vec![1.0, 2.0]];
         let w = vec![vec![1.0, 2.0], vec![0.5, 0.5]];
-        let _ = MomentWindow::direct(&z, &w, 4, DotMode::Serial);
+        let _ = MomentWindow::direct(&z, &w, 4, dot_serial);
     }
 }

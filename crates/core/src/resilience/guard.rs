@@ -17,7 +17,6 @@
 use crate::instrument::RecoveryStats;
 use crate::resilience::recovery::RecoveryPolicy;
 use crate::solver::{SolveOptions, Termination};
-use vr_linalg::kernels;
 use vr_linalg::LinearOperator;
 
 /// How a scalar failed its guard.
@@ -160,8 +159,9 @@ pub fn guarded_dot2(
 /// Shared retry tail: if `v` is non-finite and recovery is active,
 /// re-execute the reduction `xᵀy` (still through the injector) up to
 /// [`MAX_REDUCTION_RETRIES`] times. The same policy [`guarded_dot`]
-/// applies after its first attempt.
-fn retry_reduction(
+/// applies after its first attempt; split-phase callers apply it to a
+/// resolved [`vr_par::PendingScalar`].
+pub(crate) fn retry_reduction(
     opts: &SolveOptions,
     x: &[f64],
     y: &[f64],
@@ -211,13 +211,11 @@ pub enum GuardSignal {
 pub struct ResidualGuard<'a> {
     a: &'a dyn LinearOperator,
     b: &'a [f64],
+    opts: &'a SolveOptions,
     policy: RecoveryPolicy,
     initial_rr: f64,
     best_rr: f64,
     since_progress: usize,
-    /// Scratch for `A·x` during true-residual recomputation, lazily sized
-    /// on first use and reused across inspections.
-    ax: Vec<f64>,
     /// Counters surfaced through `SolveResult::recovery`.
     pub stats: RecoveryStats,
     /// Extra matvecs spent on true-residual recomputation (for `OpCounts`).
@@ -225,36 +223,38 @@ pub struct ResidualGuard<'a> {
 }
 
 impl<'a> ResidualGuard<'a> {
-    /// Monitor for the system `A·x = b`, starting from the squared
-    /// initial residual norm `rr0`.
+    /// Monitor for the system `A·x = b` under the recovery policy of
+    /// `opts`, starting from the squared initial residual norm `rr0`;
+    /// `None` when `opts` carries no policy. True residuals take the
+    /// solve's team and summation order, never its injector.
     #[must_use]
-    pub fn new(a: &'a dyn LinearOperator, b: &'a [f64], policy: RecoveryPolicy, rr0: f64) -> Self {
-        ResidualGuard {
+    pub fn new(
+        a: &'a dyn LinearOperator,
+        b: &'a [f64],
+        opts: &'a SolveOptions,
+        rr0: f64,
+    ) -> Option<Self> {
+        Some(ResidualGuard {
             a,
             b,
-            policy,
+            opts,
+            policy: opts.recovery.clone()?,
             initial_rr: rr0.max(f64::MIN_POSITIVE),
             best_rr: rr0.max(f64::MIN_POSITIVE),
             since_progress: 0,
-            ax: Vec::new(),
             stats: RecoveryStats::default(),
             extra_matvecs: 0,
-        }
+        })
     }
 
     fn true_residual(&mut self, x: &[f64]) -> (Vec<f64>, f64) {
-        // Recorded through the solve thread's TLS attachment (the guard
-        // has no handle on `SolveOptions`); a detached thread skips it.
-        vr_obs::tls::with_span(vr_obs::SpanKind::Guard, || {
-            self.ax.resize(self.b.len(), 0.0);
-            self.a.apply(x, &mut self.ax);
-            // The residual vector itself is still allocated: `GuardSignal::
-            // Replace` hands ownership to the solver, and replacements only
-            // fire on (rare) fault events — never on the per-iteration path.
+        self.extra_matvecs += 1;
+        self.opts.span(vr_obs::SpanKind::Guard, || {
+            // The residual vector is allocated: `GuardSignal::Replace`
+            // hands ownership to the solver, and replacements only fire on
+            // (rare) fault events — never on the per-iteration path.
             let mut r = vec![0.0; self.b.len()];
-            kernels::sub(self.b, &self.ax, &mut r);
-            self.extra_matvecs += 1;
-            let rr = kernels::dot_serial(&r, &r);
+            let rr = self.opts.true_rr_into(self.a, self.b, x, &mut r);
             (r, rr)
         })
     }
@@ -384,7 +384,8 @@ mod tests {
     fn guard_replaces_non_finite_recursive_residual() {
         let a = gen::poisson1d(8);
         let b = vec![1.0; 8];
-        let mut g = ResidualGuard::new(&a, &b, RecoveryPolicy::default(), 8.0);
+        let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
+        let mut g = ResidualGuard::new(&a, &b, &opts, 8.0).unwrap();
         let x = vec![0.0; 8]; // true residual = b, ‖b‖² = 8
         match g.inspect(1, &x, f64::NAN) {
             GuardSignal::Replace { r, rr } => {
@@ -401,7 +402,8 @@ mod tests {
     fn guard_halts_on_poisoned_iterate() {
         let a = gen::poisson1d(4);
         let b = vec![1.0; 4];
-        let mut g = ResidualGuard::new(&a, &b, RecoveryPolicy::default(), 4.0);
+        let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
+        let mut g = ResidualGuard::new(&a, &b, &opts, 4.0).unwrap();
         let x = vec![0.0, f64::NAN, 0.0, 0.0];
         assert!(matches!(
             g.inspect(1, &x, 1.0),
@@ -416,7 +418,8 @@ mod tests {
         let policy = RecoveryPolicy::default()
             .with_stagnation_window(5)
             .with_true_residual_period(0);
-        let mut g = ResidualGuard::new(&a, &b, policy, 4.0);
+        let opts = SolveOptions::default().with_recovery(policy);
+        let mut g = ResidualGuard::new(&a, &b, &opts, 4.0).unwrap();
         let x = vec![0.1; 4];
         let mut halted = None;
         for it in 1..20 {
@@ -430,7 +433,8 @@ mod tests {
         assert!(it <= 6, "stagnated at iter {it}");
 
         // divergence: recursive AND true residual both enormous
-        let mut g = ResidualGuard::new(&a, &b, RecoveryPolicy::default(), 1.0);
+        let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
+        let mut g = ResidualGuard::new(&a, &b, &opts, 1.0).unwrap();
         let x_far = vec![1e12; 4];
         assert!(matches!(
             g.inspect(1, &x_far, 1e30),
@@ -442,7 +446,8 @@ mod tests {
     fn confirm_convergence_rejects_fake_and_accepts_real() {
         let a = gen::poisson1d(8);
         let b = vec![1.0; 8];
-        let mut g = ResidualGuard::new(&a, &b, RecoveryPolicy::default(), 8.0);
+        let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
+        let mut g = ResidualGuard::new(&a, &b, &opts, 8.0).unwrap();
         // x = 0 with a claimed rr of 0 (a dropped reduction): spurious
         let (r, rr) = g
             .confirm_convergence(&[0.0; 8], 1e-16)
@@ -462,7 +467,8 @@ mod tests {
         let a = gen::poisson1d(8);
         let b = vec![1.0; 8];
         let policy = RecoveryPolicy::default().with_true_residual_period(10);
-        let mut g = ResidualGuard::new(&a, &b, policy, 8.0);
+        let opts = SolveOptions::default().with_recovery(policy);
+        let mut g = ResidualGuard::new(&a, &b, &opts, 8.0).unwrap();
         let x = vec![0.0; 8]; // true ‖r‖² = 8
                               // at a non-check iteration a drifted rr passes
         assert!(matches!(g.inspect(9, &x, 0.5), GuardSignal::Proceed));

@@ -11,7 +11,6 @@
 
 use crate::instrument::{OpCounts, RecoveryStats};
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
-use vr_linalg::kernels;
 use vr_linalg::LinearOperator;
 
 /// Knobs for the recovery machinery. Attach to a solve with
@@ -181,11 +180,7 @@ pub fn solve_with_recovery(
         // cold-restart policy skips this entirely and replays from `x0`.
         if policy.warm_restart && res.x.iter().all(|v| v.is_finite()) {
             let rr = inner_opts.span(vr_obs::SpanKind::Recovery, || {
-                a.apply(&res.x, &mut vscratch);
-                for (vi, bi) in vscratch.iter_mut().zip(b) {
-                    *vi = bi - *vi;
-                }
-                kernels::dot_serial(&vscratch, &vscratch)
+                inner_opts.true_rr_into(a, b, &res.x, &mut vscratch)
             });
             total_counts.matvecs += 1;
             if rr.is_finite() && rr < best_start_rr {

@@ -385,7 +385,11 @@ impl SolveOptions {
         }
     }
 
-    /// Inner product through this solve's fault and threading path.
+    /// Inner product through this solve's fault and threading path: the
+    /// one path every inner product of a solver's recurrence takes (the
+    /// fused helpers below are its single-sweep forms), so each one runs
+    /// on the solve's team, records its `DotWait` span, and meets the
+    /// injector.
     ///
     /// * **Injector attached** — the deterministic 256-leaf chunk tree with
     ///   per-partial and final-value corruption
@@ -394,7 +398,7 @@ impl SolveOptions {
     ///   the thread count.
     /// * **`DotMode::Tree`** — the same fixed-layout chunk tree at *every*
     ///   width, including 1, so `Tree` solves are bit-identical for any
-    ///   team size.
+    ///   team size. It is the only `Tree` order in the workspace.
     /// * **`DotMode::Serial` / `DotMode::Kahan`** — order-preserving
     ///   left-to-right sums that no partitioned reduction can reproduce
     ///   bit-exactly, so they stay on the calling thread even when a team
@@ -405,16 +409,45 @@ impl SolveOptions {
     pub fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
         // The caller consumes the scalar immediately, so the whole call —
         // leaf sweep plus fan-in — is dependency-gated (`DotWait`).
-        self.span_bytes(vr_obs::SpanKind::DotWait, 16 * x.len() as u64, || {
-            let t = self.team();
-            match &self.injector {
-                Some(inj) => reduce::par_dot_with_in(t.as_deref(), x, y, inj.as_ref()),
-                None => match self.dot_mode {
-                    DotMode::Tree => reduce::par_dot_in(t.as_deref(), x, y),
-                    DotMode::Serial | DotMode::Kahan => kernels::dot(self.dot_mode, x, y),
-                },
-            }
-        })
+        self.span_bytes(
+            vr_obs::SpanKind::DotWait,
+            16 * x.len() as u64,
+            || match &self.injector {
+                Some(inj) => reduce::par_dot_with_in(self.team().as_deref(), x, y, inj.as_ref()),
+                None => self.clean_dot(x, y),
+            },
+        )
+    }
+
+    /// [`SolveOptions::dot`] without the injector and the span: `dot_mode`'s
+    /// order on the solve's team.
+    fn clean_dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        match self.dot_mode {
+            DotMode::Tree => reduce::par_dot_in(self.team().as_deref(), x, y),
+            DotMode::Serial | DotMode::Kahan => kernels::dot(self.dot_mode, x, y),
+        }
+    }
+
+    /// The true residual `r ← b − A·x` and its squared norm `‖r‖²`: the
+    /// one reduction every check of a claim against the truth takes
+    /// (`Driver::true_rr`, the residual guard, the recovery ladder's
+    /// warm-start check and the mixed twins' `f64` confirmation). It runs
+    /// on the solve's team and in its `dot_mode` order but never through
+    /// the injector, so a validation measures the iterate the recurrence
+    /// produced rather than a fresh fault. Untallied and unspanned: each
+    /// caller accounts for it in its own terms.
+    pub(crate) fn true_rr_into(
+        &self,
+        a: &dyn LinearOperator,
+        b: &[f64],
+        x: &[f64],
+        r: &mut [f64],
+    ) -> f64 {
+        a.apply_team(self.team().as_deref(), x, r);
+        for (ri, bi) in r.iter_mut().zip(b) {
+            *ri = bi - *ri;
+        }
+        self.clean_dot(r, r)
     }
 
     /// Pass a scalar-recurrence result through this solve's fault path.
@@ -484,15 +517,13 @@ impl SolveOptions {
                     // Single fused sweep: the dot rides the matvec's memory
                     // traffic, so the whole pass is attributed as matvec.
                     self.span_bytes(vr_obs::SpanKind::Matvec, mv_bytes, || {
-                        a.apply_dot(self.dot_mode, x, y)
+                        a.apply_dot(self.dot_mode == DotMode::Kahan, x, y)
                     })
                 } else {
                     self.span_bytes(vr_obs::SpanKind::Matvec, mv_bytes, || {
                         a.apply_team(t.as_deref(), x, y)
                     });
-                    self.span_bytes(vr_obs::SpanKind::DotWait, mv_bytes, || {
-                        kernels::dot(self.dot_mode, x, y)
-                    })
+                    self.span_bytes(vr_obs::SpanKind::DotWait, mv_bytes, || self.clean_dot(x, y))
                 }
             }
         }
@@ -534,7 +565,7 @@ impl SolveOptions {
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_update_xr_in(t, lambda, p, w, x, r),
                     DotMode::Serial | DotMode::Kahan => {
-                        fused::update_xr(self.dot_mode, lambda, p, w, x, r)
+                        fused::update_xr(self.dot_mode == DotMode::Kahan, lambda, p, w, x, r)
                     }
                 },
             }
@@ -569,7 +600,9 @@ impl SolveOptions {
                 Some(inj) => fused::par_axpy_dot_with_in(t, a, x, y, z, inj.as_ref()),
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_axpy_dot_in(t, a, x, y, z),
-                    DotMode::Serial | DotMode::Kahan => fused::axpy_dot(self.dot_mode, a, x, y, z),
+                    DotMode::Serial | DotMode::Kahan => {
+                        fused::axpy_dot(self.dot_mode == DotMode::Kahan, a, x, y, z)
+                    }
                 },
             }
         })
@@ -597,7 +630,7 @@ impl SolveOptions {
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_axpy_norm2_sq_in(t, a, x, y),
                     DotMode::Serial | DotMode::Kahan => {
-                        fused::axpy_norm2_sq(self.dot_mode, a, x, y)
+                        fused::axpy_norm2_sq(self.dot_mode == DotMode::Kahan, a, x, y)
                     }
                 },
             }
@@ -625,7 +658,9 @@ impl SolveOptions {
                 Some(inj) => fused::par_dot2_with_in(t, x, y, z, inj.as_ref()),
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_dot2_in(t, x, y, z),
-                    DotMode::Serial | DotMode::Kahan => fused::dot2(self.dot_mode, x, y, z),
+                    DotMode::Serial | DotMode::Kahan => {
+                        fused::dot2(self.dot_mode == DotMode::Kahan, x, y, z)
+                    }
                 },
             },
         )

@@ -33,7 +33,6 @@ use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use basis::{BasisKind, KrylovBasis};
 use vr_linalg::dense::Cholesky;
-use vr_linalg::kernels::dot;
 use vr_linalg::mpk::MpkWorkspace;
 use vr_linalg::{DenseMatrix, LinearOperator};
 
@@ -93,7 +92,6 @@ impl CgVariant for SStepCg {
             return res;
         }
         let s = self.s;
-        let md = opts.dot_mode;
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
         let thresh_sq = drv.thresh_sq;
         let team = opts.team();
@@ -101,7 +99,7 @@ impl CgVariant for SStepCg {
         // Basis parameters (shifts / interval) from a short Lanczos run.
         let params = basis::BasisParams::estimate(self.basis, a, s, &mut drv.counts);
 
-        let rr = dot(md, &r, &r);
+        let rr = opts.dot(&r, &r);
         drv.counts.dots += 1;
         drv.record(rr);
         // validation scratch for `validate_or_restart`
@@ -173,7 +171,7 @@ impl CgVariant for SStepCg {
                     let sp = p_prev.len();
                     for i in 0..sp {
                         for j in 0..sp {
-                            gram[(i, j)] = dot(md, &p_prev[i], &ap_prev[j]);
+                            gram[(i, j)] = opts.dot(&p_prev[i], &ap_prev[j]);
                         }
                     }
                     drv.counts.dots += sp * sp;
@@ -183,7 +181,7 @@ impl CgVariant for SStepCg {
                     for (pc, apc) in p.iter_mut().zip(ap.iter_mut()) {
                         // rhs_i = (p_prev_i, A·v) = (ap_prev_i, v)
                         for (ri, api) in rhs.iter_mut().zip(ap_prev) {
-                            *ri = dot(md, api, &*pc);
+                            *ri = opts.dot(api, &*pc);
                         }
                         drv.counts.dots += sp;
                         chol.solve_into(&rhs, &mut bcoef);
@@ -198,11 +196,11 @@ impl CgVariant for SStepCg {
                 // 3) small SPD solve: (PᵀAP) y = Pᵀ r
                 for i in 0..s {
                     for j in 0..s {
-                        gram[(i, j)] = dot(md, &p[i], &ap[j]);
+                        gram[(i, j)] = opts.dot(&p[i], &ap[j]);
                     }
                 }
                 for (ri, pi) in rhs.iter_mut().zip(p.iter()) {
-                    *ri = dot(md, pi, &st.r);
+                    *ri = opts.dot(pi, &st.r);
                 }
                 drv.counts.dots += s * s + s;
 

@@ -1,15 +1,15 @@
 //! Level-1 BLAS-style kernels on `&[f64]` slices.
 //!
-//! Three dot-product summation orders are provided, because summation *order*
+//! Two dot-product summation orders live here, because summation *order*
 //! is the object the 1983 paper restructures the algorithm around:
 //!
 //! * [`dot_serial`] — left-to-right accumulation (what a sequential machine
 //!   does).
-//! * [`dot_tree`] — binary fan-in of depth `⌈log₂ N⌉`, the exact order an
-//!   N-processor machine performs the paper's summations in. Deterministic:
-//!   independent of thread count, reproducible bit-for-bit.
 //! * [`dot_kahan`] — compensated summation, used as a high-accuracy reference
 //!   in tests.
+//!
+//! The third, [`DotMode::Tree`] — the paper's fan-in — is the fixed-layout
+//! chunk tree of [`vr_par::reduce`]; [`dot`] runs it on the calling thread.
 //!
 //! All kernels panic on length mismatch via `debug_assert` in release-hot
 //! paths and explicit asserts on entry; slices are the lingua franca so that
@@ -21,18 +21,22 @@ pub enum DotMode {
     /// Left-to-right serial accumulation.
     #[default]
     Serial,
-    /// Binary fan-in tree of depth `⌈log₂ N⌉` (the paper's machine model).
+    /// The paper's fan-in: [`vr_par::reduce`]'s fixed-layout tree of 256
+    /// lane-blocked chunk sums combined by a binary tree of depth 8. The
+    /// layout depends on the vector length only, so the bits are the same
+    /// at every team width, on every SIMD backend, and whether or not a
+    /// kernel fuses the reduction into an update sweep.
     Tree,
     /// Kahan compensated summation.
     Kahan,
 }
 
-/// Inner product with an explicit summation order.
+/// Inner product with an explicit summation order, on the calling thread.
 #[must_use]
 pub fn dot(mode: DotMode, x: &[f64], y: &[f64]) -> f64 {
     match mode {
         DotMode::Serial => dot_serial(x, y),
-        DotMode::Tree => dot_tree(x, y),
+        DotMode::Tree => vr_par::reduce::par_dot_in(None, x, y),
         DotMode::Kahan => dot_kahan(x, y),
     }
 }
@@ -46,48 +50,6 @@ pub fn dot_serial(x: &[f64], y: &[f64]) -> f64 {
         acc += a * b;
     }
     acc
-}
-
-/// Inner product summed by a binary fan-in tree of depth `⌈log₂ N⌉`.
-///
-/// This reproduces the summation order of the paper's idealized N-processor
-/// machine: leaves are the products `xᵢ·yᵢ`, internal nodes add pairs. The
-/// recursion splits at the largest power of two strictly less than the
-/// length, which yields the same tree a hardware fan-in network would use.
-#[must_use]
-pub fn dot_tree(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot_tree: length mismatch");
-    if x.is_empty() {
-        return 0.0;
-    }
-    tree_sum_products(x, y)
-}
-
-fn tree_sum_products(x: &[f64], y: &[f64]) -> f64 {
-    match x.len() {
-        1 => x[0] * y[0],
-        2 => x[0] * y[0] + x[1] * y[1],
-        n => {
-            let half = n.next_power_of_two() / 2;
-            let half = if half == n { n / 2 } else { half };
-            tree_sum_products(&x[..half], &y[..half]) + tree_sum_products(&x[half..], &y[half..])
-        }
-    }
-}
-
-/// Sum of a slice via the same binary fan-in tree as [`dot_tree`].
-#[must_use]
-pub fn tree_sum(x: &[f64]) -> f64 {
-    match x.len() {
-        0 => 0.0,
-        1 => x[0],
-        2 => x[0] + x[1],
-        n => {
-            let half = n.next_power_of_two() / 2;
-            let half = if half == n { n / 2 } else { half };
-            tree_sum(&x[..half]) + tree_sum(&x[half..])
-        }
-    }
 }
 
 /// Kahan-compensated inner product (high-accuracy reference).
@@ -208,43 +170,35 @@ mod tests {
         let x: Vec<f64> = (1..=7).map(|i| i as f64).collect();
         let y: Vec<f64> = (1..=7).map(|i| (8 - i) as f64).collect();
         let expect = 1.0 * 7.0 + 2.0 * 6.0 + 3.0 * 5.0 + 4.0 * 4.0 + 5.0 * 3.0 + 6.0 * 2.0 + 7.0;
-        assert_eq!(dot_serial(&x, &y), expect);
-        assert_eq!(dot_tree(&x, &y), expect);
-        assert_eq!(dot_kahan(&x, &y), expect);
-        assert_eq!(dot(DotMode::Tree, &x, &y), expect);
-    }
-
-    #[test]
-    fn dot_empty_is_zero() {
-        assert_eq!(dot_serial(&[], &[]), 0.0);
-        assert_eq!(dot_tree(&[], &[]), 0.0);
-        assert_eq!(dot_kahan(&[], &[]), 0.0);
-        assert_eq!(tree_sum(&[]), 0.0);
-    }
-
-    #[test]
-    fn dot_single_element() {
-        assert_eq!(dot_tree(&[3.0], &[4.0]), 12.0);
-        assert_eq!(tree_sum(&[5.0]), 5.0);
-    }
-
-    #[test]
-    fn tree_sum_matches_serial_on_powers_of_two_and_odd_sizes() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 100, 128, 1000] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-            let serial: f64 = x.iter().sum();
-            let tree = tree_sum(&x);
-            assert!(approx(serial, tree, 1e-12), "n={n}: {serial} vs {tree}");
+        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+            assert_eq!(dot(mode, &x, &y), expect, "{mode:?}");
         }
     }
 
     #[test]
-    fn tree_is_deterministic() {
-        let x: Vec<f64> = (0..1023).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let y: Vec<f64> = (0..1023).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-        let a = dot_tree(&x, &y);
-        let b = dot_tree(&x, &y);
-        assert_eq!(a.to_bits(), b.to_bits());
+    fn dot_empty_is_zero() {
+        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+            assert_eq!(dot(mode, &[], &[]), 0.0, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn dot_single_element() {
+        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+            assert_eq!(dot(mode, &[3.0], &[4.0]), 12.0, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn tree_mode_is_the_chunk_tree_at_every_width() {
+        // longer than 2·GRAIN, so a width-2 team splits the leaves
+        let n = 2 * vr_par::team::GRAIN + 1023;
+        let x: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+        let y: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let team = vr_par::Team::new(2);
+        let wide = vr_par::reduce::par_dot_in(Some(&team), &x, &y);
+        assert_eq!(dot(DotMode::Tree, &x, &y).to_bits(), wide.to_bits());
+        assert!(approx(dot_serial(&x, &y), wide, 1e-12));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! workload of the era). This crate provides everything the solvers in
 //! `vr-cg` need:
 //!
-//! * [`kernels`] — level-1 BLAS-style kernels on `&[f64]` slices, including a
-//!   **deterministic binary fan-in dot product** ([`kernels::dot_tree`]) that
-//!   mirrors the `log₂ N`-depth summation trees the paper reasons about.
+//! * [`kernels`] — level-1 BLAS-style kernels on `&[f64]` slices and the
+//!   dot product in each summation order ([`kernels::DotMode`]). Its
+//!   `Tree` order is the **deterministic fixed-layout fan-in** of
+//!   [`vr_par::reduce`], the `log₂`-depth summation tree the paper reasons
+//!   about, with the same bits at every team width.
 //! * [`sparse`] — COO and CSR matrices with validated invariants and SpMV.
 //! * [`DenseMatrix`] — row-major dense matrices with Cholesky, used for
 //!   reference solves in tests and small experiments.
@@ -105,16 +107,24 @@ pub trait LinearOperator {
         false
     }
 
-    /// Fused `y ← A·x` returning `(x, y)` in the given summation order.
+    /// Fused `y ← A·x` returning `(x, y)` summed in row order, compensated
+    /// when `kahan`: the `Serial` (or `Kahan`) order of [`kernels::dot`].
     ///
     /// The default is the two-pass composition `apply` + [`kernels::dot`].
     /// Concrete operators override this with a single-pass form that dots
-    /// each row result as it is produced; the override must be bit-identical
-    /// to the default (same products, same association), which holds
-    /// whenever the row value is computed by the same operation sequence as
-    /// `apply` — see [`fused::fused_sum`].
-    fn apply_dot(&self, mode: kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
+    /// each row result as it is produced. An override must be
+    /// bit-identical to the default (same products, same association),
+    /// which holds whenever the row value is computed by the same
+    /// operation sequence as `apply`. `Tree` has no single-pass form: its
+    /// chunk sums do not follow row order, so its product and dot are
+    /// [`LinearOperator::apply_team`] and [`vr_par::reduce::par_dot_in`].
+    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
         self.apply(x, y);
+        let mode = if kahan {
+            kernels::DotMode::Kahan
+        } else {
+            kernels::DotMode::Serial
+        };
         kernels::dot(mode, x, y)
     }
 
@@ -191,8 +201,8 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         (**self).apply_f32(x, y)
     }
-    fn apply_dot(&self, mode: kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
-        (**self).apply_dot(mode, x, y)
+    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
+        (**self).apply_dot(kahan, x, y)
     }
     fn apply_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) {
         (**self).apply_team(team, x, y)
@@ -263,7 +273,7 @@ mod tests {
             self.hit("apply_f32");
             true
         }
-        fn apply_dot(&self, _mode: kernels::DotMode, _x: &[f64], _y: &mut [f64]) -> f64 {
+        fn apply_dot(&self, _kahan: bool, _x: &[f64], _y: &mut [f64]) -> f64 {
             self.hit("apply_dot");
             0.0
         }
@@ -307,7 +317,7 @@ mod tests {
             op.apply_f32(&[], &mut []);
         }),
         ("apply_dot", |op| {
-            op.apply_dot(kernels::DotMode::Serial, &[], &mut []);
+            op.apply_dot(false, &[], &mut []);
         }),
         ("apply_team", |op| op.apply_team(None, &[], &mut [])),
         ("matrix_powers", |op| {

@@ -401,17 +401,17 @@ impl LinearOperator for CsrMatrix {
 
     /// Row-fused SpMV + dot: each row result is dotted with `x[r]` while
     /// it is still in L1, so `x` and `y` stream through memory once.
-    /// Rows are produced `DOT_BLOCK` (256) at a time, just ahead of the sum
-    /// that consumes them ([`crate::fused::fused_sum`] visits rows in
-    /// increasing order). Bit-identical to `spmv_into` + `kernels::dot`
-    /// because each row is the identical operation sequence and the outer
-    /// summation runs through `fused_sum`.
-    fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
+    /// Rows are produced `DOT_BLOCK` (256) at a time, just ahead of the
+    /// left-to-right sum that consumes them in row order. Bit-identical to
+    /// `spmv_into` + `kernels::dot` because each row is the identical
+    /// operation sequence and the sum associates as `kernels::dot` does in
+    /// `Serial` and `Kahan` mode.
+    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.ncols, "apply_dot: x length != ncols");
         assert_eq!(y.len(), self.nrows, "apply_dot: y length != nrows");
         let n = self.nrows;
         let mut done = 0;
-        crate::fused::fused_sum(mode, n, |r| {
+        crate::fused::fused_sum(kahan, n, |r| {
             if r >= done {
                 done = (r + DOT_BLOCK).min(n);
                 self.rows_into(&self.data, x, r, done, &mut y[r..done]);

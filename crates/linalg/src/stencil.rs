@@ -44,37 +44,14 @@ impl Stencil2d {
 }
 
 impl Stencil2d {
-    /// Row `(i, j)` of `A·x` (with `idx = i·ny + j`) — the single source of
-    /// truth for the floating-point operation sequence, shared by `apply`
-    /// and all fused entry points so every path produces identical bits.
-    #[inline]
-    fn row_value(&self, x: &[f64], i: usize, j: usize, idx: usize) -> f64 {
-        let (nx, ny, eps) = (self.nx, self.ny, self.eps);
-        let center = 2.0 + 2.0 * eps;
-        let mut acc = center * x[idx];
-        if i > 0 {
-            acc -= x[idx - ny];
-        }
-        if i + 1 < nx {
-            acc -= x[idx + ny];
-        }
-        if j > 0 {
-            acc -= eps * x[idx - 1];
-        }
-        if j + 1 < ny {
-            acc -= eps * x[idx + 1];
-        }
-        acc
-    }
-}
-
-impl Stencil2d {
-    /// One grid row of the stencil: `emit(idx, v)` receives every
-    /// `v = row_value(x, i, j, idx)` of row `i` (starting at flat index
-    /// `row = i·ny`) in column order. `UP`/`DOWN` encode the row kind at
-    /// compile time, so the monomorphized interior loop carries no
-    /// per-element conditionals — the floating-point sequence per element
-    /// is still exactly [`Stencil2d::row_value`].
+    /// One grid row of the stencil: `emit(idx, v)` receives every value
+    /// `v = (A·x)[idx]` of row `i` (starting at flat index `row = i·ny`) in
+    /// column order. This is the single source of truth for the
+    /// floating-point operation sequence every path shares:
+    /// `(2 + 2ε)·x[idx]`, then minus the up, down, `ε·`left and `ε·`right
+    /// neighbors that exist, in that order. `UP`/`DOWN` encode the row kind
+    /// at compile time, so the monomorphized interior loop carries no
+    /// per-element conditionals.
     #[inline]
     fn row_sweep<const UP: bool, const DOWN: bool>(
         &self,
@@ -128,7 +105,7 @@ impl Stencil2d {
 
     /// One grid row of the stencil written contiguously into `out` via the
     /// SIMD row kernel ([`vr_par::simd::leaf_stencil2d_row`]). The
-    /// per-element operation sequence is exactly [`Stencil2d::row_value`]
+    /// per-element operation sequence is exactly [`Stencil2d::row_sweep`]
     /// and bit-identical at every lane width, so this is interchangeable
     /// with an emit-based [`Stencil2d::row_sweep`] that stores each value.
     /// `row = i·ny` is the flat index of the row inside `x` (which may be a
@@ -175,7 +152,7 @@ impl Stencil2d {
     /// Sweep grid rows `ilo..ihi` writing the stencil row values into
     /// `yband` (`yband[0]` is flat index `ilo·ny`), choosing the
     /// const-generic [`Stencil2d::row_sweep`] kind per row position. The
-    /// per-element operation sequence is exactly [`Stencil2d::row_value`],
+    /// per-element operation sequence is exactly [`Stencil2d::row_sweep`],
     /// so any band partition is bit-identical to the serial `apply`.
     fn band_sweep_into(&self, x: &[f64], ilo: usize, ihi: usize, yband: &mut [f64]) {
         let (nx, ny) = (self.nx, self.ny);
@@ -186,9 +163,8 @@ impl Stencil2d {
 
     /// Serial (`KAHAN = false`) or compensated (`KAHAN = true`) left-to-
     /// right accumulation of `term(idx, v)` over a [`Stencil2d::grid_sweep`]
-    /// — the same associations [`crate::fused::fused_sum`] uses, so results
-    /// are bit-identical to the generic path; `Tree` mode keeps using the
-    /// generic path because its fan-in order is not row-decomposable.
+    /// — the associations of [`crate::kernels::dot`] in those modes, so
+    /// results are bit-identical to the two-pass path.
     #[inline]
     fn grid_sweep_sum<const KAHAN: bool>(
         &self,
@@ -212,30 +188,6 @@ impl Stencil2d {
     }
 }
 
-/// Walks grid coordinates `(i, j)` in row-major `idx` order without
-/// divisions — [`crate::fused::fused_sum`] visits indices strictly in
-/// order, so incrementing is enough, and the Tree-mode loops stay free
-/// of integer division.
-struct GridWalk {
-    i: usize,
-    j: usize,
-    ny: usize,
-}
-
-impl GridWalk {
-    fn new(ny: usize) -> Self {
-        GridWalk { i: 0, j: 0, ny }
-    }
-    #[inline]
-    fn advance(&mut self) {
-        self.j += 1;
-        if self.j == self.ny {
-            self.j = 0;
-            self.i += 1;
-        }
-    }
-}
-
 impl LinearOperator for Stencil2d {
     fn dim(&self) -> usize {
         self.nx * self.ny
@@ -256,7 +208,7 @@ impl LinearOperator for Stencil2d {
         Some(crate::sweep::SweepOperator::Stencil2d(self))
     }
 
-    /// Native `f32` sweep: the `Stencil2d::row_value` operation sequence
+    /// Native `f32` sweep: the `Stencil2d::row_sweep` operation sequence
     /// with every coefficient and operand narrowed to `f32`.
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         let (nx, ny) = (self.nx, self.ny);
@@ -287,29 +239,18 @@ impl LinearOperator for Stencil2d {
     }
 
     /// Row-fused stencil application + dot: one sweep instead of two.
-    fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
-        use crate::kernels::DotMode;
+    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
         let n = self.nx * self.ny;
         assert_eq!(x.len(), n);
         assert_eq!(y.len(), n);
-        match mode {
-            DotMode::Serial => self.grid_sweep_sum::<false>(x, |idx, v| {
-                y[idx] = v;
-                x[idx] * v
-            }),
-            DotMode::Kahan => self.grid_sweep_sum::<true>(x, |idx, v| {
-                y[idx] = v;
-                x[idx] * v
-            }),
-            DotMode::Tree => {
-                let mut g = GridWalk::new(self.ny);
-                crate::fused::fused_sum(mode, n, |idx| {
-                    let v = self.row_value(x, g.i, g.j, idx);
-                    g.advance();
-                    y[idx] = v;
-                    x[idx] * v
-                })
-            }
+        let term = |idx: usize, v: f64| {
+            y[idx] = v;
+            x[idx] * v
+        };
+        if kahan {
+            self.grid_sweep_sum::<true>(x, term)
+        } else {
+            self.grid_sweep_sum::<false>(x, term)
         }
     }
 
@@ -358,7 +299,7 @@ impl LinearOperator for Stencil2d {
     /// range `[t0 − (s−1−l), t1 + (s−1−l))`: the sweep narrows by one ghost
     /// row per level, so all `s` levels complete from three rotating
     /// L2-resident bands without reloading `v` columns from memory. Ghost
-    /// rows are *recomputed* by the exact `Stencil2d::row_value` sequence
+    /// rows are *recomputed* by the exact `Stencil2d::row_sweep` sequence
     /// in each neighboring tile, so every output bit is independent of the
     /// tile size and team width — identical to [`crate::mpk::naive_powers`].
     fn matrix_powers(
@@ -670,13 +611,13 @@ impl LinearOperator for Stencil3d {
     }
 
     /// Row-fused stencil application + dot.
-    fn apply_dot(&self, mode: crate::kernels::DotMode, x: &[f64], y: &mut [f64]) -> f64 {
+    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
         let n = self.n;
         let dim = n * n * n;
         assert_eq!(x.len(), dim);
         assert_eq!(y.len(), dim);
         let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        crate::fused::fused_sum(mode, dim, |idx| {
+        crate::fused::fused_sum(kahan, dim, |idx| {
             let v = self.row_value(x, i, j, k, idx);
             k += 1;
             if k == n {
@@ -936,13 +877,13 @@ mod tests {
         for op in &ops {
             let n = op.dim();
             let x = gen::rand_vector(n, 17);
-            for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+            for (kahan, mode) in [(false, DotMode::Serial), (true, DotMode::Kahan)] {
                 let mut y_ref = vec![0.0; n];
                 op.apply(&x, &mut y_ref);
                 let reference = dot(mode, &x, &y_ref);
 
                 let mut y_fused = vec![0.0; n];
-                let fused = op.apply_dot(mode, &x, &mut y_fused);
+                let fused = op.apply_dot(kahan, &x, &mut y_fused);
                 assert_eq!(y_fused, y_ref, "{mode:?}");
                 assert_eq!(fused.to_bits(), reference.to_bits(), "{mode:?}");
             }

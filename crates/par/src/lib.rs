@@ -9,9 +9,11 @@
 //!
 //! * [`reduce`] — **deterministic** parallel reductions: the data is split
 //!   into a fixed number of chunks independent of thread count, each chunk
-//!   is reduced serially, and chunk results are combined by the same binary
-//!   fan-in tree as `vr_linalg::kernels::tree_sum`. Results are
-//!   bit-for-bit reproducible across thread counts.
+//!   is reduced serially in a lane-blocked order, and chunk results are
+//!   combined by a binary fan-in tree ([`reduce::tree_combine`]). Results
+//!   are bit-for-bit reproducible across thread counts. This is the one
+//!   summation order behind `DotMode::Tree` in `vr_linalg`, on a team or
+//!   on the calling thread alike.
 //! * [`team`] — a persistent SPMD worker [`team::Team`] with
 //!   barrier-stepped epochs and fixed per-worker chunk ownership; the
 //!   solver hot path runs on it, so no per-iteration thread spawns remain.

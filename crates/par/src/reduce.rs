@@ -214,8 +214,9 @@ pub fn par_dot_with_in(team: Option<&Team>, x: &[f64], y: &[f64], inj: &dyn Faul
     inj.corrupt(FaultSite::DotFinal, tree_combine(&partials))
 }
 
-/// Combine partial results by a binary fan-in tree (same shape as
-/// `vr_linalg::kernels::tree_sum`).
+/// Combine partial results by a binary fan-in tree: the left half is the
+/// largest power of two strictly below the length, evaluated before the
+/// right half.
 ///
 /// An empty slice is the empty sum and combines to exactly `+0.0` — this
 /// is a contract, not an accident: reduction call sites rely on it when a
@@ -384,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_vr_linalg_tree_order_on_chunk_boundary_sizes() {
+    fn one_element_chunks_reduce_as_a_plain_fan_in_tree() {
         // Exactly CHUNKS chunks of length 1: par tree == plain fan-in tree.
         let x: Vec<f64> = (0..CHUNKS).map(|i| (i as f64).exp2().recip()).collect();
         let ones = vec![1.0; CHUNKS];

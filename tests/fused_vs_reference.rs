@@ -265,13 +265,20 @@ fn fused_kernels_match_two_pass_composition_elementwise() {
         let (p, w, seed) = inputs;
         let n = p.len();
         for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+            // the serial kernels sum in index order; Tree's fused forms are
+            // the team kernels, here on the calling thread
+            let (tree, kahan) = (mode == DotMode::Tree, mode == DotMode::Kahan);
             // update_xr vs axpy; axpy; dot
             let lambda = 0.37;
             let mut x1 = seed.clone();
             let mut r1 = pseudo(n, 9);
             let mut x2 = x1.clone();
             let mut r2 = r1.clone();
-            let rr = fused::update_xr(mode, lambda, &p, &w, &mut x1, &mut r1);
+            let rr = if tree {
+                fused::par_update_xr_in(None, lambda, &p, &w, &mut x1, &mut r1)
+            } else {
+                fused::update_xr(kahan, lambda, &p, &w, &mut x1, &mut r1)
+            };
             kernels::axpy(lambda, &p, &mut x2);
             kernels::axpy(-lambda, &w, &mut r2);
             assert_eq!(bits(&x1), bits(&x2), "{mode:?}: update_xr x");
@@ -285,7 +292,11 @@ fn fused_kernels_match_two_pass_composition_elementwise() {
             // axpy_norm2_sq vs axpy; dot
             let mut y1 = r1.clone();
             let mut y2 = y1.clone();
-            let s1 = fused::axpy_norm2_sq(mode, -lambda, &w, &mut y1);
+            let s1 = if tree {
+                fused::par_axpy_norm2_sq_in(None, -lambda, &w, &mut y1)
+            } else {
+                fused::axpy_norm2_sq(kahan, -lambda, &w, &mut y1)
+            };
             kernels::axpy(-lambda, &w, &mut y2);
             assert_eq!(bits(&y1), bits(&y2), "{mode:?}: axpy_norm2_sq y");
             assert_eq!(
@@ -297,7 +308,11 @@ fn fused_kernels_match_two_pass_composition_elementwise() {
             // axpy_dot vs axpy; dot
             let mut y1 = x1.clone();
             let mut y2 = y1.clone();
-            let d1 = fused::axpy_dot(mode, 1.5, &p, &mut y1, &w);
+            let d1 = if tree {
+                fused::par_axpy_dot_in(None, 1.5, &p, &mut y1, &w)
+            } else {
+                fused::axpy_dot(kahan, 1.5, &p, &mut y1, &w)
+            };
             kernels::axpy(1.5, &p, &mut y2);
             assert_eq!(bits(&y1), bits(&y2), "{mode:?}: axpy_dot y");
             assert_eq!(
@@ -307,7 +322,11 @@ fn fused_kernels_match_two_pass_composition_elementwise() {
             );
 
             // dot2 vs two separate dots
-            let (d_a, d_b) = fused::dot2(mode, &p, &w, &r1);
+            let (d_a, d_b) = if tree {
+                fused::par_dot2_in(None, &p, &w, &r1)
+            } else {
+                fused::dot2(kahan, &p, &w, &r1)
+            };
             assert_eq!(d_a.to_bits(), kernels::dot(mode, &p, &w).to_bits());
             assert_eq!(d_b.to_bits(), kernels::dot(mode, &p, &r1).to_bits());
         }
@@ -329,5 +348,5 @@ fn update_xr_rejects_aliased_x_and_r_in_debug_builds() {
     // Deliberately construct the aliasing view the guard exists to reject.
     let x = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
     let r = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-    let _ = fused::update_xr(DotMode::Serial, 0.25, &p, &w, x, r);
+    let _ = fused::update_xr(false, 0.25, &p, &w, x, r);
 }

@@ -42,7 +42,7 @@ fn tree_dot_close_to_serial() {
         let x = small_vec(rng, 257);
         let y = small_vec(rng, 257);
         let s = kernels::dot_serial(&x, &y);
-        let t = kernels::dot_tree(&x, &y);
+        let t = kernels::dot(kernels::DotMode::Tree, &x, &y);
         let scale = x.iter().zip(&y).map(|(a, b)| (a * b).abs()).sum::<f64>();
         assert!((s - t).abs() <= 1e-10 * (1.0 + scale));
     });
@@ -418,7 +418,6 @@ fn scheduler_invariants_on_random_dags() {
 fn moment_window_step_is_exact_algebra() {
     check(48, |rng| {
         use cg_lookahead::cg::recurrence::moments::MomentWindow;
-        use cg_lookahead::linalg::kernels::DotMode;
         let seed = rng.next_u64() % 2000;
         let lambda = rng.range_f64(0.01, 2.0);
         let alpha = rng.range_f64(0.0, 2.0);
@@ -438,7 +437,7 @@ fn moment_window_step_is_exact_algebra() {
             (z, w)
         };
         let (z, w) = fam(&r, &p);
-        let (mut win, _) = MomentWindow::direct(&z, &w, 2 * k, DotMode::Serial);
+        let (mut win, _) = MomentWindow::direct(&z, &w, 2 * k, kernels::dot_serial);
         let mu_new = win.mu_step(lambda);
         win.finish_step(mu_new, lambda, alpha);
 
@@ -449,7 +448,7 @@ fn moment_window_step_is_exact_algebra() {
         let mut p2 = r2.clone();
         kernels::axpy(alpha, &p, &mut p2);
         let (z2, w2) = fam(&r2, &p2);
-        let (win2, _) = MomentWindow::direct(&z2, &w2, 2 * k, DotMode::Serial);
+        let (win2, _) = MomentWindow::direct(&z2, &w2, 2 * k, kernels::dot_serial);
         for i in 0..=2 * k {
             assert!(
                 (win.mu[i] - win2.mu[i]).abs() <= 1e-7 * (1.0 + win2.mu[i].abs()),
@@ -641,6 +640,22 @@ const FUSED_MODES: [FusedDotMode; 3] = [
     FusedDotMode::Kahan,
 ];
 
+/// The fused `update_xr` in `mode`: the serial kernel for the
+/// order-preserving modes, the team kernel on the calling thread for Tree.
+fn fused_update_xr(
+    mode: FusedDotMode,
+    lambda: f64,
+    p: &[f64],
+    w: &[f64],
+    x: &mut [f64],
+    r: &mut [f64],
+) -> f64 {
+    match mode {
+        FusedDotMode::Tree => fused::par_update_xr_in(None, lambda, p, w, x, r),
+        _ => fused::update_xr(mode == FusedDotMode::Kahan, lambda, p, w, x, r),
+    }
+}
+
 #[test]
 fn fused_kernels_are_total_and_finite_preserving() {
     // any finite bounded input, any mode, any length: every fused kernel
@@ -654,16 +669,27 @@ fn fused_kernels_are_total_and_finite_preserving() {
         for mode in FUSED_MODES {
             let mut x = small_vec(rng, n);
             let mut r = small_vec(rng, n);
-            let rr = fused::update_xr(mode, lambda, &p, &w, &mut x, &mut r);
+            let rr = fused_update_xr(mode, lambda, &p, &w, &mut x, &mut r);
             assert!(rr.is_finite());
             assert!(x.iter().chain(r.iter()).all(|v| v.is_finite()));
 
             let mut y = small_vec(rng, n);
-            assert!(fused::axpy_dot(mode, lambda, &p, &mut y, &z).is_finite());
-            assert!(fused::axpy_norm2_sq(mode, lambda, &w, &mut y).is_finite());
+            let (yz, yy, (d1, d2)) = if mode == FusedDotMode::Tree {
+                (
+                    fused::par_axpy_dot_in(None, lambda, &p, &mut y, &z),
+                    fused::par_axpy_norm2_sq_in(None, lambda, &w, &mut y),
+                    fused::par_dot2_in(None, &p, &w, &z),
+                )
+            } else {
+                let kahan = mode == FusedDotMode::Kahan;
+                (
+                    fused::axpy_dot(kahan, lambda, &p, &mut y, &z),
+                    fused::axpy_norm2_sq(kahan, lambda, &w, &mut y),
+                    fused::dot2(kahan, &p, &w, &z),
+                )
+            };
+            assert!(yz.is_finite() && yy.is_finite());
             assert!(y.iter().all(|v| v.is_finite()));
-
-            let (d1, d2) = fused::dot2(mode, &p, &w, &z);
             assert!(d1.is_finite() && d2.is_finite());
         }
     });
@@ -681,7 +707,7 @@ fn update_xr_return_equals_dot_of_output_residual() {
         for mode in FUSED_MODES {
             let mut x = small_vec(rng, n);
             let mut r = small_vec(rng, n);
-            let rr = fused::update_xr(mode, lambda, &p, &w, &mut x, &mut r);
+            let rr = fused_update_xr(mode, lambda, &p, &w, &mut x, &mut r);
             assert_eq!(rr.to_bits(), kernels::dot(mode, &r, &r).to_bits());
         }
     });

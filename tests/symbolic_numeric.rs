@@ -4,7 +4,7 @@
 use cg_lookahead::cg::recurrence::moments::MomentWindow;
 use cg_lookahead::cg::recurrence::symbolic::Derivation;
 use cg_lookahead::linalg::gen;
-use cg_lookahead::linalg::kernels::{axpy, dot_serial, xpay, DotMode};
+use cg_lookahead::linalg::kernels::{axpy, dot_serial, xpay};
 use cg_lookahead::linalg::CsrMatrix;
 
 /// Run standard CG from (r, p), returning per-step (λ, α).
@@ -50,7 +50,7 @@ fn star_relation_equals_window_evolution_equals_direct_cg() {
         // 1) build the base moment window directly
         let (z, w) = families(&a, &r, &p, k);
         let m = 2 * k;
-        let (win0, _) = MomentWindow::direct(&z, &w, m, DotMode::Serial);
+        let (win0, _) = MomentWindow::direct(&z, &w, m, dot_serial);
 
         // star_pap needs μ up to order 2k+1: μ_{2k+1} = (z_k, A·z_k)
         let mut mu_ext = win0.mu.clone();

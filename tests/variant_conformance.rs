@@ -31,6 +31,12 @@
 //!    `Execution::WholeIteration` produce bits identical to the per-kernel
 //!    fused path under it; the rest reject with
 //!    [`Termination::Unsupported`] and zero iterations.
+//! 9. **Cancellation** — a raised cancel flag stops every variant at a
+//!    loop top with honest partial state.
+//! 10. **Block CG** — the multi-rhs solver holds columns 1, 2, 4 and 9.
+//! 11. **One reduction path** — every inner product a solver tallies in
+//!     `OpCounts::dots` reaches the solve's fault injector, so each one
+//!     runs on the solve's team and reduction order.
 //!
 //! The allocation column needs a quiet window, so a process-wide mutex
 //! serializes every test in this binary against the measured solves.
@@ -39,11 +45,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use cg_lookahead::cg::baselines::{ChebyshevIteration, ConjugateResidual, OverlapCr};
 use cg_lookahead::cg::registry::{keyed_variants, VARIANT_COUNT};
-use cg_lookahead::cg::{Execution, SolveOptions, SolveResult, Termination};
+use cg_lookahead::cg::{CgVariant, Execution, SolveOptions, SolveResult, Termination};
 use cg_lookahead::linalg::kernels::{self, DotMode};
-use cg_lookahead::linalg::{gen, CsrMatrix};
+use cg_lookahead::linalg::{gen, CsrMatrix, LinearOperator};
 use cg_lookahead::obs::Tracer;
+use cg_lookahead::par::fault::{FaultInjector, FaultSite};
+use cg_lookahead::par::team::{dispatch_width, GRAIN};
 use cg_lookahead::par::Team;
 
 // ---------------------------------------------------------------- plumbing
@@ -221,11 +230,20 @@ fn attached_tracer_changes_no_bits_for_any_variant() {
 #[test]
 fn thread_width_is_bit_invariant_under_tree_reduction() {
     let _g = gate();
-    let a = gen::anisotropic2d(12, 0.1);
-    let b = gen::rand_vector(144, 23);
+    // n = 33,124 ≥ 4·GRAIN, so widths 2 and 4 really split every vector
+    // kernel and every reduction across that many shards.
+    let a = gen::anisotropic2d(182, 0.1);
+    let n = a.dim();
+    assert!(n >= 4 * GRAIN);
+    for width in [2usize, 4] {
+        assert_eq!(dispatch_width(n, width), width, "width {width}");
+    }
+    let b = gen::rand_vector(n, 23);
     let solve_at = |width: usize| {
+        // tol 0 with a 40-iteration budget bounds the debug runtime
         let opts = SolveOptions::default()
-            .with_tol(1e-9)
+            .with_tol(0.0)
+            .with_max_iters(40)
             .with_dot_mode(DotMode::Tree)
             .with_team(Arc::new(Team::new(width)));
         keyed_variants(&a)
@@ -713,4 +731,71 @@ fn block_cg_honours_cancellation() {
     assert_eq!(res.termination, Termination::Cancelled);
     assert!(!res.converged);
     assert_eq!(res.iterations, 0);
+}
+
+// ------------------------------------------- column 11: one reduction path
+
+/// Pass-through injector counting the combined values of the reductions
+/// it sees ([`FaultSite::DotFinal`]): one per inner product that takes
+/// the solve's reduction path.
+#[derive(Debug, Default)]
+struct DotFinalCounter(AtomicU64);
+
+impl FaultInjector for DotFinalCounter {
+    fn corrupt(&self, site: FaultSite, value: f64) -> f64 {
+        if site == FaultSite::DotFinal {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+}
+
+/// Every inner product an iteration tallies in `OpCounts::dots` goes
+/// through `SolveOptions` — the solve's team, summation order and fault
+/// injector — so a counting injector sees exactly as many combined
+/// reductions as the tallies add. Start-up probes and exit checks run in
+/// both the 10- and the 40-iteration solve, so the difference isolates
+/// the iterations.
+#[test]
+fn every_tallied_inner_product_reaches_the_fault_injector() {
+    let _g = gate();
+    let a = gen::poisson2d(48);
+    let b = gen::poisson2d_rhs(48);
+    let mut solvers: Vec<(&str, Box<dyn CgVariant>)> = keyed_variants(&a);
+    assert_eq!(solvers.len(), VARIANT_COUNT, "registry drifted");
+    solvers.push(("conjugate_residual", Box::new(ConjugateResidual::new())));
+    solvers.push(("overlap_cr", Box::new(OverlapCr::new())));
+    solvers.push(("chebyshev", Box::new(ChebyshevIteration::auto())));
+    let mut off_path = Vec::new();
+    for mode in [DotMode::Serial, DotMode::Tree] {
+        for (key, solver) in &solvers {
+            let run = |max_iters: usize| {
+                let counter = Arc::new(DotFinalCounter::default());
+                let opts = SolveOptions::default()
+                    .with_tol(0.0)
+                    .with_max_iters(max_iters)
+                    .with_dot_mode(mode)
+                    .with_execution(Execution::Fused)
+                    .with_injector(Arc::clone(&counter) as Arc<dyn FaultInjector>);
+                let res = solver.solve(&a, &b, None, &opts);
+                assert_eq!(
+                    res.termination,
+                    Termination::MaxIterations,
+                    "{key} / {mode:?}"
+                );
+                (res.counts.dots as u64, counter.0.load(Ordering::Relaxed))
+            };
+            let (tallied_short, seen_short) = run(10);
+            let (tallied_long, seen_long) = run(40);
+            let (tallied, seen) = (tallied_long - tallied_short, seen_long - seen_short);
+            if tallied != seen {
+                off_path.push(format!("{key} / {mode:?}: tallied {tallied}, seen {seen}"));
+            }
+        }
+    }
+    assert!(
+        off_path.is_empty(),
+        "inner products off the reduction path in iterations 10..40:\n{}",
+        off_path.join("\n")
+    );
 }
