@@ -21,9 +21,8 @@
 //! `α₀ = 1/θ`, `ρ₀ = 1/σ` where `σ = θ/δ`, then
 //! `ρₖ = 1/(2σ − ρₖ₋₁)`, `αₖ = ρₖ·(2/δ)` — see Golub & Van Loan §10.1.5.
 
-use crate::driver::{self, Driver, Twins};
-use crate::resilience::guard;
-use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins};
+use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::eig;
 use vr_linalg::LinearOperator;
 
@@ -83,8 +82,14 @@ impl CgVariant for ChebyshevIteration {
             return res;
         }
         let n = a.dim();
-        let (mut drv, mut x, mut r) = Driver::start(a, b, x0, opts);
-        let thresh_sq = drv.thresh_sq;
+        let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+        let mut st = State {
+            x,
+            r,
+            d: vec![0.0; n],
+            rr: 0.0,
+            rho: 0.0,
+        };
 
         // spectral interval
         let (lo, hi) = match self.bounds {
@@ -107,66 +112,78 @@ impl CgVariant for ChebyshevIteration {
         let delta = 0.5 * (hi - lo);
         let sigma = theta / delta;
 
-        let mut rr = opts.dot(&r, &r);
+        // The start-up, and a warm restart, from `r` of squared norm `rr`:
+        // the scaled update direction d = r/θ (x ← x + d) and ρ₀ = 1/σ.
+        let start = |drv: &mut Driver<'_>, st: &mut State, rr: f64| {
+            st.rr = rr;
+            for (di, ri) in st.d.iter_mut().zip(&st.r) {
+                *di = ri / theta;
+            }
+            drv.counts.vector_ops += 1;
+            st.rho = 1.0 / sigma;
+        };
+        let rr = opts.dot(&st.r, &st.r);
         drv.counts.dots += 1;
         drv.record(rr);
+        start(&mut drv, &mut st, rr);
+        let mut w = vec![0.0; n];
 
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        if rr <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            // d = current update direction (scaled), x ← x + d
-            let mut d: Vec<f64> = r.iter().map(|ri| ri / theta).collect();
-            drv.counts.vector_ops += 1;
-            let mut rho = 1.0 / sigma;
-            let mut w = vec![0.0; n];
-
-            for it in 0..opts.max_iters {
-                // rr is only refreshed every check_every iterations — the
-                // streamed value is the latest *paid-for* residual, honest
-                // to this method's reduction-avoidance contract
-                if drv.poll(it, rr) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                opts.axpy(1.0, &d, &mut x, &mut drv.counts);
+        // `rr` is only refreshed every check_every iterations — the
+        // streamed value is the latest *paid-for* residual, honest to this
+        // method's reduction-avoidance contract
+        let (termination, iterations) = drv.iterate(
+            &mut st,
+            |st| st.rr,
+            |drv, st, it| {
+                opts.axpy(1.0, &st.d, &mut st.x, &mut drv.counts);
                 // r ← r − A·d
-                opts.matvec(a, &d, &mut w, &mut drv.counts);
-                opts.axpy(-1.0, &w, &mut r, &mut drv.counts);
-
-                iterations = it + 1;
+                opts.matvec(a, &st.d, &mut w, &mut drv.counts);
+                opts.axpy(-1.0, &w, &mut st.r, &mut drv.counts);
 
                 // periodic (paid-for) residual check — the only reduction
-                if iterations % self.check_every == 0 || iterations == opts.max_iters {
-                    rr = opts.dot(&r, &r);
+                if (it + 1) % self.check_every == 0 || it + 1 == opts.max_iters {
+                    st.rr = opts.dot(&st.r, &st.r);
                     drv.counts.dots += 1;
-                    drv.record(rr);
-                    if rr <= thresh_sq {
-                        termination = Termination::Converged;
-                        break;
-                    }
-                    if guard::check_finite(rr).is_err() {
-                        termination = Termination::Breakdown;
-                        break;
+                    drv.record(st.rr);
+                    let verdict = Step::after(it, st.rr, drv.thresh_sq);
+                    if !verdict.is_next() {
+                        return verdict;
                     }
                 }
 
                 // Chebyshev parameter recursion (no reductions)
-                let rho_next = 1.0 / (2.0 * sigma - rho);
-                let gamma = rho_next * rho; // = ρₖ·ρₖ₋₁
+                let rho_next = 1.0 / (2.0 * sigma - st.rho);
+                let gamma = rho_next * st.rho; // = ρₖ·ρₖ₋₁
                 drv.counts.scalar_ops += 2;
                 // d ← ρₖ₊₁·(2/δ)·r + γ·d
-                for (di, ri) in d.iter_mut().zip(&r) {
+                for (di, ri) in st.d.iter_mut().zip(&st.r) {
                     *di = rho_next * (2.0 / delta) * ri + gamma * *di;
                 }
                 drv.counts.vector_ops += 1;
-                rho = rho_next;
-            }
-        }
+                st.rho = rho_next;
+                Step::Next
+            },
+            start,
+        );
 
-        drv.finish(x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
+    }
+}
+
+/// The iterate, its recursively updated residual, the update direction
+/// and the latest paid-for `(r, r)` and `ρ`. No checkpoint state is
+/// declared.
+struct State {
+    x: Vec<f64>,
+    r: Vec<f64>,
+    d: Vec<f64>,
+    rr: f64,
+    rho: f64,
+}
+
+impl Checkpoint for State {
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
     }
 }
 

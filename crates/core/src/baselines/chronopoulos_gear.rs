@@ -29,6 +29,7 @@ const TWINS: Twins<ChronopoulosGearCg> = Twins {
 /// four carried scalars `[rho, mu, lambda_prev, rho_prev]` — `s = A·p`
 /// and `w = A·r` are snapshotted rather than recomputed so a restore
 /// costs zero matvecs.
+#[derive(Default)]
 struct State {
     x: Vec<f64>,
     r: Vec<f64>,
@@ -60,6 +61,25 @@ impl Checkpoint for State {
                 &mut self.rho_prev,
             ],
         );
+    }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
+    }
+}
+
+impl State {
+    /// The start-up, and a warm restart, from `(x, r)`: `w = A·r`,
+    /// `ρ = (r, r)` and `μ = (r, w)`, with no direction yet — `ρ_prev = 0`
+    /// marks the step that takes `β = 0`.
+    fn start(&mut self, drv: &mut Driver<'_>, a: &dyn LinearOperator, opts: &SolveOptions) {
+        opts.matvec(a, &self.r, &mut self.w, &mut drv.counts);
+        self.rho = guard::guarded_dot(opts, &self.r, &self.r, &mut drv.rstats);
+        self.mu = guard::guarded_dot(opts, &self.r, &self.w, &mut drv.rstats);
+        drv.counts.dots += 2;
+        self.p.fill(0.0);
+        self.s.fill(0.0);
+        self.rho_prev = 0.0;
     }
 }
 
@@ -98,28 +118,22 @@ impl CgVariant for ChronopoulosGearCg {
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
         let mut ex = Exec::new(a, opts);
 
-        let w = opts.matvec_alloc(a, &r, &mut drv.counts);
-        let rho = opts.dot(&r, &r);
-        let mu = opts.dot(&r, &w);
-        drv.counts.dots += 2;
-        drv.record(rho);
         let mut st = State {
             x,
             r,
             p: vec![0.0; n],
             s: vec![0.0; n], // s = A·p maintained by recurrence
-            w,
-            rho,
-            mu,
-            lambda_prev: 0.0,
-            rho_prev: 0.0,
+            w: vec![0.0; n],
+            ..State::default()
         };
+        st.start(&mut drv, a, opts);
+        drv.record(st.rho);
 
         let (termination, iterations) = drv.iterate(
             &mut st,
             |st| st.rho,
             |drv, st, it| {
-                let (beta, denom) = if it == 0 {
+                let (beta, denom) = if st.rho_prev == 0.0 {
                     (0.0, st.mu)
                 } else {
                     let beta = st.rho / st.rho_prev;
@@ -143,8 +157,9 @@ impl CgVariant for ChronopoulosGearCg {
                 drv.record(st.rho);
                 Step::after(it, st.rho, drv.thresh_sq)
             },
+            |drv, st, _| st.start(drv, a, opts),
         );
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
     }
 }
 

@@ -16,9 +16,9 @@
 //! scalar recurrences — evidence that the restructuring is method-generic,
 //! not CG-specific.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Step, Twins};
+use crate::driver::{self, Checkpoint, Driver, Step, Twins};
 use crate::resilience::guard;
-use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
+use crate::solver::{CgVariant, SolveOptions, SolveResult};
 use vr_linalg::LinearOperator;
 
 /// Classical conjugate residual iteration.
@@ -52,32 +52,15 @@ impl CgVariant for ConjugateResidual {
             return res;
         }
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
-
-        let ar = opts.matvec_alloc(a, &r, &mut drv.counts);
-        let p = r.clone();
-        let ap = ar.clone();
-        drv.counts.vector_ops += 2;
-
-        let rar = opts.dot(&r, &ar);
-        drv.counts.dots += 1;
-        let rr = opts.dot(&r, &r);
-        drv.counts.dots += 1;
-        drv.record(rr);
-        let mut st = State {
-            x,
-            r,
-            p,
-            ar,
-            ap,
-            rr,
-            rar,
-        };
+        let mut st = State::new(x, r, false);
+        st.start(a, opts, &mut drv);
+        drv.record(st.rr);
 
         let (termination, iterations) = drv.iterate(
             &mut st,
             |st| st.rr,
             |drv, st, it| {
-                let apap = opts.dot(&st.ap, &st.ap);
+                let apap = guard::guarded_dot(opts, &st.ap, &st.ap, &mut drv.rstats);
                 drv.counts.dots += 1;
                 if guard::check_pivot(apap).is_err() || guard::check_pivot(st.rar).is_err() {
                     return Step::breakdown(it);
@@ -88,8 +71,8 @@ impl CgVariant for ConjugateResidual {
                 drv.counts.scalar_ops += 1;
 
                 opts.matvec(a, &st.r, &mut st.ar, &mut drv.counts);
-                let rar_next = opts.dot(&st.r, &st.ar);
-                st.rr = opts.dot(&st.r, &st.r);
+                let rar_next = guard::guarded_dot(opts, &st.r, &st.ar, &mut drv.rstats);
+                st.rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
                 drv.counts.dots += 2;
                 drv.record(st.rr);
                 let verdict = Step::after(it, st.rr, drv.thresh_sq);
@@ -102,13 +85,15 @@ impl CgVariant for ConjugateResidual {
                 }
                 verdict
             },
+            |drv, st, _| st.start(a, opts, drv),
         );
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
     }
 }
 
 /// Loop-carried state of both CR iterations. CR declares no checkpoint
 /// state, so a failed guard ends the solve with `Breakdown`.
+#[derive(Default)]
 struct State {
     x: Vec<f64>,
     r: Vec<f64>,
@@ -117,13 +102,55 @@ struct State {
     ar: Vec<f64>,
     /// `A·p`.
     ap: Vec<f64>,
+    /// `A·(A·p)`, carried by the overlapped iteration only (empty in CR).
+    v: Vec<f64>,
     /// `(r, r)`.
     rr: f64,
     /// `(r, A·r)`.
     rar: f64,
+    /// `(A·p, A·p)`, carried by the overlapped iteration only.
+    apap: f64,
 }
 
-impl Checkpoint for State {}
+impl Checkpoint for State {
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
+    }
+}
+
+impl State {
+    /// The state at `(x, r)`, with `A·(A·p)` carried when `overlap`.
+    fn new(x: Vec<f64>, r: Vec<f64>, overlap: bool) -> Self {
+        let n = r.len();
+        State {
+            x,
+            r,
+            p: vec![0.0; n],
+            ar: vec![0.0; n],
+            ap: vec![0.0; n],
+            v: vec![0.0; if overlap { n } else { 0 }],
+            ..State::default()
+        }
+    }
+
+    /// The start-up, and a warm restart, from `(x, r)`: `A·r`, `p = r`,
+    /// `A·p = A·r`, `(r, A·r)` and `(r, r)`; the overlapped iteration also
+    /// forms `v = A·(A·p)` and `(A·p, A·p)`.
+    fn start(&mut self, a: &dyn LinearOperator, opts: &SolveOptions, drv: &mut Driver<'_>) {
+        opts.matvec(a, &self.r, &mut self.ar, &mut drv.counts);
+        self.p.copy_from_slice(&self.r);
+        self.ap.copy_from_slice(&self.ar);
+        drv.counts.vector_ops += 2;
+        self.rar = guard::guarded_dot(opts, &self.r, &self.ar, &mut drv.rstats);
+        self.rr = guard::guarded_dot(opts, &self.r, &self.r, &mut drv.rstats);
+        drv.counts.dots += 2;
+        if !self.v.is_empty() {
+            opts.matvec(a, &self.ap, &mut self.v, &mut drv.counts);
+            self.apap = guard::guarded_dot(opts, &self.ap, &self.ap, &mut drv.rstats);
+            drv.counts.dots += 1;
+        }
+    }
+}
 
 /// CR with the paper's §3 one-step overlap applied.
 ///
@@ -171,52 +198,31 @@ impl CgVariant for OverlapCr {
             return res;
         }
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
-
-        let ar = opts.matvec_alloc(a, &r, &mut drv.counts);
-        let p = r.clone();
-        let ap = ar.clone();
-        drv.counts.vector_ops += 2;
-        let mut v = opts.matvec_alloc(a, &ap, &mut drv.counts); // A·Ap
-
-        let rr = opts.dot(&r, &r);
-        let rar = opts.dot(&r, &ar);
-        let mut apap = opts.dot(&ap, &ap);
-        drv.counts.dots += 3;
-        drv.record(rr);
-        let mut vscratch = vec![0.0; b.len()];
-        let mut st = State {
-            x,
-            r,
-            p,
-            ar,
-            ap,
-            rr,
-            rar,
-        };
+        let mut st = State::new(x, r, true);
+        st.start(a, opts, &mut drv);
+        drv.record(st.rr);
 
         let (termination, iterations) = drv.iterate(
             &mut st,
             |st| st.rr,
             |drv, st, it| {
-                if guard::check_pivot(apap).is_err() || guard::check_pivot(st.rar).is_err() {
-                    // validate: near convergence the drifted recursive
-                    // scalars can cross zero just before the threshold trips
-                    let rr_true = drv.true_rr(a, b, &st.x, &mut vscratch);
-                    drv.replace_last(norm(rr_true));
-                    return if rr_true <= drv.thresh_sq {
-                        Step::End(Termination::Converged, it)
-                    } else {
-                        Step::End(Termination::Breakdown, it)
-                    };
+                if guard::check_pivot(st.apap).is_err() || guard::check_pivot(st.rar).is_err() {
+                    // near convergence the drifted recursive scalars can
+                    // cross zero just before the threshold trips: the
+                    // driver's ladder validates and restarts
+                    return Step::Suspect(it);
                 }
                 // overlappable inner products on CURRENT vectors
-                let arap = opts.dot(&st.ar, &st.ap);
-                let apv = opts.dot(&st.ap, &v);
-                let arar = opts.dot(&st.ar, &st.ar);
-                let arv = opts.dot(&st.ar, &v);
-                let vv = opts.dot(&v, &v);
-                let rw = opts.dot(&st.r, &st.ap); // for ‖r⁺‖ tracking
-                let ww = apap;
+                let dot = |x: &[f64], y: &[f64], drv: &mut Driver<'_>| {
+                    guard::guarded_dot(opts, x, y, &mut drv.rstats)
+                };
+                let arap = dot(&st.ar, &st.ap, drv);
+                let apv = dot(&st.ap, &st.v, drv);
+                let arar = dot(&st.ar, &st.ar, drv);
+                let arv = dot(&st.ar, &st.v, drv);
+                let vv = dot(&st.v, &st.v, drv);
+                let rw = dot(&st.r, &st.ap, drv); // for ‖r⁺‖ tracking
+                let (apap, ww) = (st.apap, st.apap);
                 drv.counts.dots += 6;
 
                 let (rr, rar) = (st.rr, st.rar);
@@ -237,25 +243,27 @@ impl CgVariant for OverlapCr {
                 if verdict.is_next() {
                     // vector updates
                     opts.axpy(-lambda, &st.ap, &mut st.r, &mut drv.counts);
-                    opts.axpy(-lambda, &v, &mut st.ar, &mut drv.counts);
+                    opts.axpy(-lambda, &st.v, &mut st.ar, &mut drv.counts);
                     opts.xpay(&st.r, beta, &mut st.p, &mut drv.counts);
                     opts.xpay(&st.ar, beta, &mut st.ap, &mut drv.counts);
-                    opts.matvec(a, &st.ap, &mut v, &mut drv.counts);
+                    opts.matvec(a, &st.ap, &mut st.v, &mut drv.counts);
 
                     st.rr = rr_next;
                     st.rar = rar_next;
-                    apap = apap_next;
+                    st.apap = apap_next;
                 }
                 verdict
             },
+            |drv, st, _| st.start(a, opts, drv),
         );
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::Termination;
     use vr_linalg::gen;
 
     fn opts() -> SolveOptions {

@@ -66,6 +66,7 @@ impl CgVariant for PipelinedCg {
 /// vectors besides `x` — `q` alone is recomputed each iteration — so a
 /// checkpoint snapshots `[x, r, p, s, z, w]` plus the carried scalar
 /// chain `[gamma, gamma_old, lambda_old, delta_carried]`.
+#[derive(Default)]
 struct State {
     x: Vec<f64>,
     r: Vec<f64>,
@@ -100,6 +101,25 @@ impl Checkpoint for State {
             ],
         );
     }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
+    }
+}
+
+impl State {
+    /// The start-up, and a warm restart, from `(x, r)`: `w = A·r`,
+    /// `γ = (r, r)` and no direction yet — `γ_old = 0` marks the step that
+    /// takes `β = 0` and reduces its own `δ`.
+    fn start(&mut self, drv: &mut Driver<'_>, a: &dyn LinearOperator, opts: &SolveOptions) {
+        opts.matvec(a, &self.r, &mut self.w, &mut drv.counts);
+        self.gamma = guard::guarded_dot(opts, &self.r, &self.r, &mut drv.rstats);
+        drv.counts.dots += 1;
+        self.p.fill(0.0);
+        self.s.fill(0.0);
+        self.z.fill(0.0);
+        self.gamma_old = 0.0;
+    }
 }
 
 /// The Ghysels-Vanroose iteration itself, shared between [`PipelinedCg`]
@@ -117,44 +137,40 @@ pub(crate) fn solve_gv(
     let (mut drv, x, r) = Driver::start(a, b, x0, opts);
     let mut ex = Exec::new(a, opts);
 
-    let w = opts.matvec_alloc(a, &r, &mut drv.counts);
     let mut q = vec![0.0; n];
-    let gamma = opts.dot(&r, &r);
-    drv.counts.dots += 1;
-    drv.record(gamma);
     let mut st = State {
         x,
         r,
         p: vec![0.0; n],
         s: vec![0.0; n],
         z: vec![0.0; n],
-        w,
-        gamma,
-        gamma_old: 1.0,
-        lambda_old: 1.0,
-        delta_carried: 0.0,
+        w: vec![0.0; n],
+        ..State::default()
     };
+    st.start(&mut drv, a, opts);
+    drv.record(st.gamma);
 
     // Unless the kernels are the two-pass reference ones, the w-update
     // sweep of iteration `it` carries δ for iteration `it + 1`
     // (bit-identical association), so the loop top only pays a standalone
-    // reduction at startup.
+    // reduction at a start-up.
     let fused = opts.execution != Execution::Reference;
     let (termination, iterations) = drv.iterate(
         &mut st,
         |st| st.gamma,
         |drv, st, it| {
-            let delta = if fused && it > 0 {
+            let first = st.gamma_old == 0.0;
+            let delta = if fused && !first {
                 st.delta_carried
             } else {
                 drv.counts.dots += 1;
-                opts.dot(&st.w, &st.r)
+                guard::guarded_dot(opts, &st.w, &st.r, &mut drv.rstats)
             };
             // q = A·w — on the paper's machine this overlaps the two
             // reductions above; numerically it is just computed here.
             ex.matvec(drv, &st.w, &mut q);
 
-            let (beta, denom) = if it == 0 {
+            let (beta, denom) = if first {
                 (0.0, delta)
             } else {
                 let beta = st.gamma / st.gamma_old;
@@ -186,8 +202,9 @@ pub(crate) fn solve_gv(
             }
             verdict
         },
+        |drv, st, _| st.start(drv, a, opts),
     );
-    drv.finish(st.x, termination, iterations)
+    drv.finish(st.x, &mut st.r, termination, iterations)
 }
 
 #[cfg(test)]

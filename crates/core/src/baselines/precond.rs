@@ -58,17 +58,27 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
         );
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-        let mut z = self.precond.apply_alloc(&r);
-        drv.counts.precond_applies += 1;
-        let p = z.clone();
-        drv.counts.vector_ops += 1;
+        let mut st = State {
+            x,
+            r,
+            p: vec![0.0; n],
+            z: vec![0.0; n],
+            ..State::default()
+        };
+        // The start-up, and a warm restart, from `(x, r)`: `z = M⁻¹·r`,
+        // `p = z`, `(r, z)` and `(r, r)`.
+        let start = |drv: &mut Driver<'_>, st: &mut State| {
+            self.precond.apply(&st.r, &mut st.z);
+            drv.counts.precond_applies += 1;
+            st.p.copy_from_slice(&st.z);
+            drv.counts.vector_ops += 1;
+            st.rz = guard::guarded_dot(opts, &st.r, &st.z, &mut drv.rstats);
+            st.rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
+            drv.counts.dots += 2;
+        };
+        start(&mut drv, &mut st);
+        drv.record(st.rr);
         let mut w = vec![0.0; n];
-
-        let rz = opts.dot(&r, &z);
-        let rr = opts.dot(&r, &r);
-        drv.counts.dots += 2;
-        drv.record(rr);
-        let mut st = State { x, r, p, rz, rr };
 
         let (termination, iterations) = drv.iterate(
             &mut st,
@@ -78,7 +88,8 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
                     return Step::breakdown(it);
                 }
                 // matvec carries (p, A·p) in its sweep
-                let pap = opts.matvec_dot(a, &st.p, &mut w, &mut drv.counts);
+                let (c, s) = (&mut drv.counts, &mut drv.rstats);
+                let pap = guard::guarded_matvec_dot(opts, a, &st.p, &mut w, c, s);
                 if guard::check_pivot(pap).is_err() {
                     return Step::breakdown(it);
                 }
@@ -86,11 +97,12 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
                 opts.axpy(lambda, &st.p, &mut st.x, &mut drv.counts);
                 drv.counts.scalar_ops += 1;
                 // r ← r − λ·w carries (r,r) in its sweep
-                st.rr = opts.axpy_norm2_sq(-lambda, &w, &mut st.r, &mut drv.counts);
+                let rr = opts.axpy_norm2_sq(-lambda, &w, &mut st.r, &mut drv.counts);
+                st.rr = guard::retry_reduction(opts, &st.r, &st.r, rr, &mut drv.rstats);
 
-                self.precond.apply(&st.r, &mut z);
+                self.precond.apply(&st.r, &mut st.z);
                 drv.counts.precond_applies += 1;
-                let rz_next = opts.dot(&st.r, &z);
+                let rz_next = guard::guarded_dot(opts, &st.r, &st.z, &mut drv.rstats);
                 drv.counts.dots += 1;
 
                 drv.record(st.rr);
@@ -98,13 +110,14 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
                 if verdict.is_next() {
                     let beta = rz_next / st.rz;
                     drv.counts.scalar_ops += 1;
-                    opts.xpay(&z, beta, &mut st.p, &mut drv.counts);
+                    opts.xpay(&st.z, beta, &mut st.p, &mut drv.counts);
                     st.rz = rz_next;
                 }
                 verdict
             },
+            |drv, st, _| start(drv, st),
         );
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
     }
 }
 
@@ -112,10 +125,13 @@ impl<P: Preconditioner> CgVariant for PrecondCg<P> {
 /// `[rz, rr]` are live — `z` is overwritten by the next preconditioner
 /// apply before any read, and `w` by the matvec — so that is what a
 /// checkpoint snapshots.
+#[derive(Default)]
 struct State {
     x: Vec<f64>,
     r: Vec<f64>,
     p: Vec<f64>,
+    /// `M⁻¹·r`, dead at the loop top.
+    z: Vec<f64>,
     /// `(r, z)` with `z = M⁻¹·r`.
     rz: f64,
     /// `(r, r)`.
@@ -129,6 +145,10 @@ impl Checkpoint for State {
             &mut [&mut self.rz, &mut self.rr],
         );
     }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +157,30 @@ mod tests {
     use crate::standard::StandardCg;
     use vr_linalg::gen;
     use vr_linalg::precond::{Ic0, IdentityPrecond, Jacobi, Ssor};
+
+    #[test]
+    fn guarded_recurrence_dots_ride_out_a_fault_storm() {
+        // one NaN per thousand dot partials (E21c's cell): every eager
+        // recurrence dot detects and retries its reduction, so the
+        // checkpoint ring is left for the faults a retry cannot repair
+        // and the solve converges with a backed residual
+        use crate::resilience::{solve_with_recovery as heal, FaultKind, RecoveryPolicy};
+        use vr_par::fault::FaultSite;
+        let (a, b) = (gen::poisson2d(32), gen::poisson2d_rhs(32));
+        let inj = crate::resilience::SeededInjector::new(0xE21, 1e-3, FaultKind::Nan);
+        let policy = RecoveryPolicy::default().with_checkpoint_period(8);
+        let opts = SolveOptions::default()
+            .with_tol(1e-8)
+            .with_dot_mode(vr_linalg::kernels::DotMode::Tree)
+            .with_injector(std::sync::Arc::new(inj.at_site(FaultSite::DotPartial)))
+            .with_recovery(policy.with_max_rollbacks(64).with_max_restarts(100));
+        let pcg = PrecondCg::new(Jacobi::new(&a).unwrap(), "pcg-jacobi");
+        let res = heal(&pcg, &a, &b, None, &opts.with_max_iters(20_000));
+        assert!(res.converged, "{:?} {:?}", res.termination, res.recovery);
+        let truth = res.true_residual(&a, &b);
+        assert!(truth <= 1e-8 * vr_linalg::kernels::norm2(&b), "{truth:e}");
+        assert!((res.final_residual - truth).abs() <= 1e-12 * truth);
+    }
 
     #[test]
     fn identity_precond_equals_standard_cg() {

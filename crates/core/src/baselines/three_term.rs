@@ -52,39 +52,34 @@ impl CgVariant for ThreeTermCg {
         let n = a.dim();
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-        let x_prev = x.clone();
-        let r_prev = r.clone();
-        drv.counts.vector_ops += 2;
+        let mut st = State {
+            x,
+            r,
+            x_prev: vec![0.0; n],
+            r_prev: vec![0.0; n],
+            ..State::default()
+        };
+        st.start(&mut drv, opts);
+        drv.record(st.rr);
         let mut w = vec![0.0; n];
         // scratch for the next iterate/residual, rotated (never reallocated)
         let mut x_next = vec![0.0; n];
         let mut r_next = vec![0.0; n];
-
-        let rr = opts.dot(&r, &r);
-        drv.counts.dots += 1;
-        let mut st = State {
-            x,
-            r,
-            x_prev,
-            r_prev,
-            rr,
-            rr_prev: 1.0,
-            gamma_prev: 1.0,
-            rho_prev: 1.0,
-        };
-        drv.record(st.rr);
 
         let (termination, iterations) = drv.iterate(
             &mut st,
             |st| st.rr,
             |drv, st, it| {
                 // matvec carries (r, A·r) in its sweep
-                let rar = opts.matvec_dot(a, &st.r, &mut w, &mut drv.counts);
+                let (c, s) = (&mut drv.counts, &mut drv.rstats);
+                let rar = guard::guarded_matvec_dot(opts, a, &st.r, &mut w, c, s);
                 if guard::check_pivot(rar).is_err() {
                     return Step::breakdown(it);
                 }
                 let gamma = st.rr / rar;
-                let rho = if it == 0 {
+                // ρ₀ = 1 at the start-up (r_prev = r there, so the (1 − ρ)
+                // terms vanish)
+                let rho = if st.rho_prev == 0.0 {
                     1.0
                 } else {
                     1.0 / (1.0 - (gamma / st.gamma_prev) * (st.rr / st.rr_prev) / st.rho_prev)
@@ -113,13 +108,14 @@ impl CgVariant for ThreeTermCg {
                 st.rr_prev = st.rr;
                 st.gamma_prev = gamma;
                 st.rho_prev = rho;
-                st.rr = opts.dot(&st.r, &st.r);
+                st.rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
                 drv.counts.dots += 1;
                 drv.record(st.rr);
                 Step::after(it, st.rr, drv.thresh_sq)
             },
+            |drv, st, _| st.start(drv, opts),
         );
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
     }
 }
 
@@ -127,6 +123,7 @@ impl CgVariant for ThreeTermCg {
 /// history, so a checkpoint snapshots `[x, r, x_prev, r_prev]` plus the
 /// four carried scalars `[rr, rr_prev, gamma_prev, rho_prev]` to replay
 /// exactly.
+#[derive(Default)]
 struct State {
     x: Vec<f64>,
     r: Vec<f64>,
@@ -149,6 +146,24 @@ impl Checkpoint for State {
                 &mut self.rho_prev,
             ],
         );
+    }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
+    }
+}
+
+impl State {
+    /// The start-up, and a warm restart: both history levels start at the
+    /// current `(x, r)`, `(r, r)` is reduced, and `ρ_prev = 0` marks the
+    /// step that takes `ρ = 1`.
+    fn start(&mut self, drv: &mut Driver<'_>, opts: &SolveOptions) {
+        self.x_prev.copy_from_slice(&self.x);
+        self.r_prev.copy_from_slice(&self.r);
+        drv.counts.vector_ops += 2;
+        self.rr = guard::guarded_dot(opts, &self.r, &self.r, &mut drv.rstats);
+        drv.counts.dots += 1;
+        self.rho_prev = 0.0;
     }
 }
 

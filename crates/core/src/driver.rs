@@ -29,13 +29,25 @@
 //!    The driver tracks the history's length and last norm
 //!    ([`HistoryMark`]) even when `record_residuals` is off, so an
 //!    unrecorded solve ends on exactly the norm a recorded one would.
-//! 6. **Exit** ([`Driver::finish`]): `RecoveredConverged` after a rollback,
-//!    the residual-guard and checksum folds, the final-norm rule (the
-//!    history always ends with at least one norm — the last one recorded),
-//!    and the [`SolveResult`].
+//! 6. **Certification** ([`Driver::certify`]): the one validation ladder,
+//!    run at every convergence claim (the one before the first iteration
+//!    included) and at the suspicious signals the scalar-recurrence loops
+//!    watch for. It measures
+//!    the true residual into the loop's own residual buffer, replaces the
+//!    last recorded norm with it, and then converges, rolls back, warm
+//!    restarts (only while each restart's true `‖r‖²` falls below a
+//!    quarter of the previous one's) or ends the solve.
+//! 7. **Exit** ([`Driver::finish`]): the exit measurement — the true
+//!    residual of the returned iterate on every exit the ladder did not
+//!    just measure (an `Unsupported` rejection excepted), so
+//!    `final_residual` is `‖b − A·x‖` — then
+//!    `RecoveredConverged` after a rollback, the residual-guard and
+//!    checksum folds, the final-norm rule (the history always ends with at
+//!    least one norm — the last one recorded), and the [`SolveResult`].
 //!
-//! A variant keeps only its recurrence: it declares its twins and its
-//! checkpoint state once and calls these hooks where its loop needs them.
+//! A variant keeps only its recurrence: it declares its twins, its
+//! checkpoint state and its restart once and calls these hooks where its
+//! loop needs them.
 
 use crate::instrument::{OpCounts, RecoveryStats};
 use crate::resilience::checkpoint::{CheckpointRing, HistoryMark};
@@ -194,11 +206,11 @@ pub(crate) fn reject(
     x0: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> SolveResult {
-    let (mut drv, x, r) = Driver::start(a, b, x0, opts);
+    let (mut drv, x, mut r) = Driver::start(a, b, x0, opts);
     let rr = opts.dot(&r, &r);
     drv.counts.dots += 1;
     drv.record(rr);
-    drv.finish(x, Termination::Unsupported, 0)
+    drv.finish(x, &mut r, Termination::Unsupported, 0)
 }
 
 /// The residual norm of a squared recurrence value, as every loop records
@@ -216,11 +228,16 @@ pub(crate) type Visit<'v> = &'v mut dyn FnMut(&mut [&mut [f64]], &mut [&mut f64]
 /// recurrence scalars a snapshot copies and a rollback restores, in a
 /// fixed order (DESIGN §13 lists each variant's choice).
 pub(crate) trait Checkpoint {
-    /// Hand the state to `f` as `(vectors, scalars)`. The default declares
-    /// nothing: no snapshot is taken, so a failed guard ends the solve.
+    /// Hand the state to `f` as `(vectors, scalars)`. The default
+    /// declares nothing: no snapshot is taken, so a failed guard ends the
+    /// solve.
     fn state(&mut self, f: Visit<'_>) {
         let _ = f;
     }
+
+    /// The iterate `x` and the residual buffer [`Driver::certify`]
+    /// measures `b − A·x` into.
+    fn residual(&mut self) -> (&[f64], &mut [f64]);
 }
 
 /// What one iteration reports to [`Driver::iterate`].
@@ -235,12 +252,16 @@ pub(crate) enum Step {
     /// A guard failed after this many iterations: roll back to the newest
     /// checkpoint and resume there, or end with this termination.
     Fail(Termination, usize),
+    /// A suspicious recurrence signal after this many iterations: run the
+    /// certification ladder ([`Driver::certify`]), which ends the solve in
+    /// [`Termination::Breakdown`] when it cannot rescue it.
+    Suspect(usize),
 }
 
 impl Step {
     /// The verdict at the end of iteration `it` on its squared residual
-    /// `rr_sq`: converged at the threshold, failed when non-finite, else
-    /// next.
+    /// `rr_sq`: a convergence claim at the threshold (which
+    /// [`Driver::iterate`] certifies), failed when non-finite, else next.
     #[must_use]
     pub fn after(it: usize, rr_sq: f64, thresh_sq: f64) -> Step {
         if rr_sq <= thresh_sq {
@@ -266,10 +287,26 @@ impl Step {
     }
 }
 
+/// What the certification ladder ([`Driver::certify`]) decided.
+pub(crate) enum Rung {
+    /// The state was rolled back to the snapshot of this iteration; resume
+    /// there.
+    Rollback(usize),
+    /// The residual buffer holds `b − A·x`, of this squared norm: re-run
+    /// the loop's start-up from it and go on.
+    Restart(f64),
+    /// End the solve with this termination ([`Termination::Converged`]
+    /// when the true residual meets the threshold).
+    End(Termination),
+}
+
 /// The per-solve protocol state: tallies, residual history, threshold,
 /// checkpoint ring, residual guard, and the tracer attachment.
 pub(crate) struct Driver<'a> {
     opts: &'a SolveOptions,
+    /// The system `A·x = b` of a single-rhs solve (`None` for block CG's
+    /// [`Driver::attach`]).
+    system: Option<(&'a dyn LinearOperator, &'a [f64])>,
     /// Operation tallies.
     pub counts: OpCounts,
     /// Recovery counters.
@@ -280,10 +317,16 @@ pub(crate) struct Driver<'a> {
     mark: HistoryMark,
     /// Convergence threshold on the squared residual norm.
     pub thresh_sq: f64,
-    /// In-loop true-residual monitor (see [`Driver::watch`]); its tallies
-    /// fold into the result at [`Driver::finish`].
+    /// The policy-gated in-loop true-residual monitor (standard CG's); its
+    /// tallies fold into the result at [`Driver::finish`].
     pub guard: Option<ResidualGuard<'a>>,
     ring: Option<CheckpointRing>,
+    /// Squared true residual at the previous warm restart: the progress
+    /// rule's reference.
+    restart_rr: f64,
+    /// The iteration count at which the iterate's true residual was last
+    /// measured and recorded (the exit needs no second measurement there).
+    measured_at: Option<usize>,
     _trace: Option<TraceGuard>,
 }
 
@@ -295,6 +338,7 @@ impl<'a> Driver<'a> {
         let _ = opts.drain_checksum_detections();
         Driver {
             opts,
+            system: None,
             counts: OpCounts::default(),
             rstats: RecoveryStats::default(),
             norms: Vec::new(),
@@ -302,6 +346,8 @@ impl<'a> Driver<'a> {
             thresh_sq: f64::MIN_POSITIVE,
             guard: None,
             ring: opts.recovery.as_ref().and_then(CheckpointRing::from_policy),
+            restart_rr: f64::INFINITY,
+            measured_at: None,
             _trace: trace,
         }
     }
@@ -310,12 +356,13 @@ impl<'a> Driver<'a> {
     /// `r = b − A·x0` (one matvec and one vector op tallied for a warm
     /// start) and the threshold `(tol·‖b‖)²`. Returns `(driver, x, r)`.
     pub fn start(
-        a: &dyn LinearOperator,
-        b: &[f64],
+        a: &'a dyn LinearOperator,
+        b: &'a [f64],
         x0: Option<&[f64]>,
         opts: &'a SolveOptions,
     ) -> (Self, Vec<f64>, Vec<f64>) {
         let mut drv = Driver::attach(opts);
+        drv.system = Some((a, b));
         let (x, r, bnorm) = init_residual(a, b, x0);
         if x0.is_some() {
             drv.counts.matvecs += 1;
@@ -323,13 +370,6 @@ impl<'a> Driver<'a> {
         }
         drv.thresh_sq = threshold_sq(opts, bnorm);
         (drv, x, r)
-    }
-
-    /// Attach the policy-gated [`ResidualGuard`] (periodic true-residual
-    /// checks, residual replacement, convergence confirmation) from the
-    /// initial squared residual `rr0`.
-    pub fn watch(&mut self, a: &'a dyn LinearOperator, b: &'a [f64], rr0: f64) {
-        self.guard = ResidualGuard::new(a, b, self.opts, rr0);
     }
 
     /// Loop top without a checkpoint: the iteration mark, then the
@@ -374,63 +414,138 @@ impl<'a> Driver<'a> {
         let (iter, history) = restored?;
         self.norms.truncate(history.len);
         self.mark = history;
+        self.measured_at = None;
         self.rstats.rollbacks += 1;
         Some(iter)
     }
 
-    /// The loop itself, for loops with the plain CG shape: converged at
-    /// once when `progress(st)` — the squared residual the convergence
-    /// test compares — meets the threshold; else, for each iteration
-    /// `it < max_iters`, the loop top ([`Driver::top`] with
-    /// `progress(st)`) and then `step`, rolling back on [`Step::Fail`].
+    /// The loop itself, for loops with the plain CG shape: a convergence
+    /// claim when `progress(st)` — the squared residual the convergence
+    /// test compares — meets the threshold before the first iteration;
+    /// else, for each iteration `it < max_iters`, the loop top
+    /// ([`Driver::top`] with `progress(st)`) and then `step`, rolling back
+    /// on [`Step::Fail`]. Every convergence claim the loop has not
+    /// certified itself, the one before the first iteration included, and
+    /// every [`Step::Suspect`] goes through [`Driver::certify`]; its warm
+    /// restart runs `restart` — the loop's start-up, which also ran before
+    /// the first iteration — on the true residual and its squared norm.
     /// Returns `(termination, iterations)`.
     pub fn iterate<S: Checkpoint>(
         &mut self,
         st: &mut S,
         progress: impl Fn(&S) -> f64,
         mut step: impl FnMut(&mut Self, &mut S, usize) -> Step,
+        mut restart: impl FnMut(&mut Self, &mut S, f64),
     ) -> (Termination, usize) {
-        if progress(st) <= self.thresh_sq {
-            return (Termination::Converged, 0);
-        }
+        // the initial `(r, r)` is a reduction like any other, so a fault
+        // can fake this claim too
+        let mut claim = progress(st) <= self.thresh_sq;
         let mut it = 0;
-        while it < self.opts.max_iters {
-            if self.top(it, progress(st), st) {
+        loop {
+            let verdict = if std::mem::take(&mut claim) {
+                Step::End(Termination::Converged, it)
+            } else if it >= self.opts.max_iters {
+                return (Termination::MaxIterations, it);
+            } else if self.top(it, progress(st), st) {
                 return (Termination::Cancelled, it);
-            }
-            match step(self, st, it) {
-                Step::Next => it += 1,
-                Step::Retry => {}
+            } else {
+                step(self, st, it)
+            };
+            // the ladder's `fail` termination for a claim or a signal
+            let (fail, n) = match verdict {
+                Step::Next => (None, it + 1),
+                Step::Retry => (None, it),
+                Step::End(Termination::Converged, n) if self.measured_at != Some(n) => {
+                    (Some(Termination::Stagnated), n)
+                }
+                Step::Suspect(n) => (Some(Termination::Breakdown), n),
                 Step::End(t, n) => return (t, n),
                 Step::Fail(t, n) => match self.rollback(st) {
-                    Some(c) => it = c,
+                    Some(c) => (None, c),
                     None => return (t, n),
                 },
-            }
+            };
+            it = match fail.map(|fail| self.certify(st, n, fail)) {
+                None => n,
+                Some(Rung::Rollback(c)) => c,
+                Some(Rung::Restart(rr)) => {
+                    restart(self, st, rr);
+                    n
+                }
+                Some(Rung::End(t)) => return (t, n),
+            };
         }
-        (Termination::MaxIterations, it)
     }
 
-    /// The true squared residual `‖b − A·x‖²` under a `Guard` span, with
-    /// `b − A·x` left in `scratch`: one matvec, one vector op and one dot
-    /// tallied. Shared by the loops that validate a suspicious recurrence
-    /// signal against the true residual; it takes the solve's team and
-    /// summation order but not its injector
-    /// ([`SolveOptions::true_rr_into`]).
-    pub fn true_rr(
-        &mut self,
-        a: &dyn LinearOperator,
-        b: &[f64],
-        x: &[f64],
-        scratch: &mut [f64],
-    ) -> f64 {
+    /// The validation ladder, at a convergence claim or a suspicious
+    /// recurrence signal after `it` iterations, in one rung order:
+    ///
+    /// 1. measure the true `‖b − A·x‖²` into the loop's residual buffer
+    ///    ([`Checkpoint::residual`]): at a confirmed exit the buffer is
+    ///    dead, and otherwise it is exactly the restart residual;
+    /// 2. replace the last recorded norm with the true one;
+    /// 3. at or below the threshold: end [`Termination::Converged`];
+    /// 4. under a checkpoint ring: [`Rung::Rollback`];
+    /// 5. the progress rule: a restart only when the true `‖r‖²` is finite
+    ///    and below [`RESTART_PROGRESS`] times the previous restart's;
+    /// 6. [`Rung::Restart`] within the iteration budget (a spent budget
+    ///    ends [`Termination::MaxIterations`]);
+    /// 7. otherwise [`Rung::End`]: `fail` — [`Termination::Stagnated`]
+    ///    for a refuted claim (the attainable floor),
+    ///    [`Termination::Breakdown`] for a signal — and `Breakdown`
+    ///    whenever the true residual is not finite.
+    pub fn certify(&mut self, st: &mut dyn Checkpoint, it: usize, fail: Termination) -> Rung {
+        let rr = self.measure(st, it);
+        if rr <= self.thresh_sq {
+            return Rung::End(Termination::Converged);
+        }
+        if let Some(c) = self.rollback(st) {
+            return Rung::Rollback(c);
+        }
+        if !rr.is_finite() {
+            return Rung::End(Termination::Breakdown);
+        }
+        if rr >= RESTART_PROGRESS * self.restart_rr {
+            return Rung::End(fail);
+        }
+        if it >= self.opts.max_iters {
+            return Rung::End(Termination::MaxIterations);
+        }
+        self.restart_rr = rr;
+        self.counts.restarts += 1;
+        Rung::Restart(rr)
+    }
+
+    /// The ladder's first two rungs: the true `‖b − A·x‖²` of the iterate
+    /// after `it` iterations, with `b − A·x` left in the loop's residual
+    /// buffer and its norm in place of the last recorded one.
+    pub fn measure(&mut self, st: &mut dyn Checkpoint, it: usize) -> f64 {
+        let (x, r) = st.residual();
+        self.measure_into(x, r, it)
+    }
+
+    /// Record that the true residual of the iterate after `it` iterations
+    /// was measured outside the ladder and closes the history (the mixed
+    /// twins' `f64` shadow guard), so neither the ladder nor the exit
+    /// measures it again.
+    pub fn certified(&mut self, it: usize) {
+        self.measured_at = Some(it);
+    }
+
+    /// The true squared residual `‖b − A·x‖²` of the iterate after `it`
+    /// iterations under a `Guard` span, with `b − A·x` left in `r` and its
+    /// norm in place of the last recorded one: one matvec, one vector op
+    /// and one dot tallied. It takes the solve's team and summation order
+    /// but not its injector ([`SolveOptions::true_rr_into`]).
+    fn measure_into(&mut self, x: &[f64], r: &mut [f64], it: usize) -> f64 {
+        let (a, b) = self.system.expect("a single-rhs solve");
         let opts = self.opts;
-        let rr = opts.span(vr_obs::SpanKind::Guard, || {
-            opts.true_rr_into(a, b, x, scratch)
-        });
+        let rr = opts.span(vr_obs::SpanKind::Guard, || opts.true_rr_into(a, b, x, r));
         self.counts.matvecs += 1;
         self.counts.vector_ops += 1;
         self.counts.dots += 1;
+        self.replace_last(norm(rr));
+        self.measured_at = Some(it);
         rr
     }
 
@@ -468,18 +583,32 @@ impl<'a> Driver<'a> {
         self.mark.len
     }
 
-    /// The exit: [`Termination::RecoveredConverged`] when a rollback
-    /// preceded convergence, the residual-guard and checksum folds, and
-    /// the final-norm rule — an unrecorded history ends with the norm a
+    /// The exit. First the exit measurement: unless the ladder (or the
+    /// shadow guard) just measured this iterate, or the variant rejected
+    /// the configuration (`r` was formed directly and no iteration ran),
+    /// `b − A·x` goes into the dead residual buffer `r` and its norm
+    /// closes the history, so `final_residual` is the true residual of the
+    /// returned `x`. Then
+    /// [`Termination::RecoveredConverged`] when a rollback preceded
+    /// convergence, the residual-guard and checksum folds, and the
+    /// final-norm rule — an unrecorded history ends with the norm a
     /// recorded one would end with, so `final_residual` never depends on
     /// `record_residuals`.
     #[must_use]
     pub fn finish(
         mut self,
         x: Vec<f64>,
+        r: &mut [f64],
         mut termination: Termination,
         iterations: usize,
     ) -> SolveResult {
+        if termination != Termination::Unsupported && self.measured_at != Some(iterations) {
+            debug_assert!(
+                termination != Termination::Converged,
+                "a convergence claim after {iterations} iteration(s) bypassed the ladder"
+            );
+            self.measure_into(&x, r, iterations);
+        }
         if termination == Termination::Converged && self.rstats.rollbacks > 0 {
             termination = Termination::RecoveredConverged;
         }
@@ -506,6 +635,11 @@ impl<'a> Driver<'a> {
         )
     }
 }
+
+/// The progress rule of [`Driver::certify`]: a warm restart must bring
+/// the true `‖r‖²` below this fraction of the previous restart's (a
+/// halving of the norm), else the solve is pinned at its attainable floor.
+const RESTART_PROGRESS: f64 = 0.25;
 
 /// Initial residual `r = b − A·x0` and starting point. Returns
 /// `(x, r, ‖b‖)`.
@@ -573,6 +707,10 @@ mod tests {
             let mut v: Vec<&mut [f64]> = self.vecs.iter_mut().map(Vec::as_mut_slice).collect();
             let mut s: Vec<&mut f64> = self.scalars.iter_mut().collect();
             f(&mut v, &mut s);
+        }
+
+        fn residual(&mut self) -> (&[f64], &mut [f64]) {
+            unreachable!("the ring tests certify nothing")
         }
     }
 
@@ -715,7 +853,7 @@ mod tests {
                     ..SolveOptions::default()
                         .with_recovery(RecoveryPolicy::default().with_checkpoint_period(2))
                 };
-                let (mut drv, x, _) = Driver::start(&a, &b, None, &opts);
+                let (mut drv, x, mut r) = Driver::start(&a, &b, None, &opts);
                 let mut st = snap(&[&[1.0]], &[]);
                 drv.record(4.0);
                 assert!(!drv.top(0, 4.0, &mut st)); // saved at history [2]
@@ -724,7 +862,8 @@ mod tests {
                 if roll {
                     assert_eq!(drv.rollback(&mut st), Some(0));
                 }
-                let res = drv.finish(x, Termination::MaxIterations, 1);
+                drv.certified(1);
+                let res = drv.finish(x, &mut r, Termination::MaxIterations, 1);
                 let ctx = format!("record={record} roll={roll}");
                 assert_eq!(res.final_residual, want, "{ctx}");
                 let len = if record { 2 - usize::from(roll) } else { 1 };

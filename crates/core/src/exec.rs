@@ -104,16 +104,10 @@ impl<'a> Exec<'a> {
         r: &mut [f64],
     ) -> f64 {
         match &mut self.arm {
-            Arm::Kernels(_) => guard::guarded_update_xr(
-                self.opts,
-                lambda,
-                p,
-                w,
-                x,
-                r,
-                &mut drv.counts,
-                &mut drv.rstats,
-            ),
+            Arm::Kernels(_) => {
+                let rr = self.opts.update_xr(lambda, p, w, x, r, &mut drv.counts);
+                guard::retry_reduction(self.opts, r, r, rr, &mut drv.rstats)
+            }
             Arm::Sweep { eng, team, .. } => {
                 drv.counts.vector_ops += 2;
                 drv.counts.dots += 1;
@@ -145,10 +139,12 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// `y ← A·x`, returning `(x, y)` (unguarded).
+    /// `y ← A·x`, returning `(x, y)` (guarded per kernel).
     pub fn matvec_store_dot(&mut self, drv: &mut Driver<'_>, x: &[f64], y: &mut [f64]) -> f64 {
         match &mut self.arm {
-            Arm::Kernels(_) => self.opts.matvec_dot(self.a, x, y, &mut drv.counts),
+            Arm::Kernels(_) => {
+                guard::guarded_matvec_dot(self.opts, self.a, x, y, &mut drv.counts, &mut drv.rstats)
+            }
             Arm::Sweep { eng, team, .. } => {
                 drv.counts.matvecs += 1;
                 drv.counts.dots += 1;
@@ -158,7 +154,8 @@ impl<'a> Exec<'a> {
     }
 
     /// The Chronopoulos-Gear four-way update `p ← r + βp`, `s ← w + βs`,
-    /// `x ← x + λp`, `r ← r − λs`, returning `ρ = (r, r)`.
+    /// `x ← x + λp`, `r ← r − λs`, returning `ρ = (r, r)` (guarded per
+    /// kernel).
     #[allow(clippy::too_many_arguments)]
     pub fn cg_update(
         &mut self,
@@ -177,7 +174,8 @@ impl<'a> Exec<'a> {
                 o.xpay(r, beta, p, c);
                 o.xpay(w, beta, s, c);
                 o.axpy(lambda, p, x, c);
-                o.axpy_norm2_sq(-lambda, s, r, c)
+                let rho = o.axpy_norm2_sq(-lambda, s, r, c);
+                guard::retry_reduction(o, r, r, rho, &mut drv.rstats)
             }
             Arm::Sweep { eng, team, .. } => {
                 // two xpay, one axpy, and one fused axpy+norm
@@ -191,8 +189,8 @@ impl<'a> Exec<'a> {
 
     /// The first five of the pipelined six-way update — `p ← r + βp`,
     /// `s ← w + βs`, `z ← q + βz`, `x ← x + λp`, `r ← r − λs` — returning
-    /// `γ = (r, r)`. The sweep's epoch also runs the sixth, which
-    /// [`Exec::pipelined_w_update`] hands over.
+    /// `γ = (r, r)` (guarded per kernel). The sweep's epoch also runs the
+    /// sixth, which [`Exec::pipelined_w_update`] hands over.
     #[allow(clippy::too_many_arguments)]
     pub fn pipelined_update(
         &mut self,
@@ -214,7 +212,8 @@ impl<'a> Exec<'a> {
                 o.xpay(w, beta, s, c);
                 o.xpay(q, beta, z, c);
                 o.axpy(lambda, p, x, c);
-                o.axpy_norm2_sq(-lambda, s, r, c)
+                let gamma = o.axpy_norm2_sq(-lambda, s, r, c);
+                guard::retry_reduction(o, r, r, gamma, &mut drv.rstats)
             }
             Arm::Sweep { eng, team, delta } => {
                 // three xpay, one axpy, and the fused r-update norm
@@ -231,9 +230,10 @@ impl<'a> Exec<'a> {
 
     /// The sixth: `w ← w − λz`, returning the next iteration's
     /// `δ = (w, r)` when it is carried (`None` under
-    /// `Execution::Reference`, whose step recomputes δ). Per kernel it
-    /// runs here, after the convergence test; the sweep ran it in
-    /// [`Exec::pipelined_update`]'s epoch and only tallies it here.
+    /// `Execution::Reference`, whose step recomputes δ; guarded per
+    /// kernel). Per kernel it runs here, after the convergence test; the
+    /// sweep ran it in [`Exec::pipelined_update`]'s epoch and only tallies
+    /// it here.
     pub fn pipelined_w_update(
         &self,
         drv: &mut Driver<'_>,
@@ -245,7 +245,8 @@ impl<'a> Exec<'a> {
         let (o, c) = (self.opts, &mut drv.counts);
         match &self.arm {
             Arm::Kernels(_) if o.execution == Execution::Fused => {
-                Some(o.axpy_dot(-lambda, z, w, r, c))
+                let delta = o.axpy_dot(-lambda, z, w, r, c);
+                Some(guard::retry_reduction(o, w, r, delta, &mut drv.rstats))
             }
             Arm::Kernels(_) => {
                 o.axpy(-lambda, z, w, c);

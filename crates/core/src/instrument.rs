@@ -21,8 +21,12 @@ pub struct OpCounts {
     pub scalar_ops: usize,
     /// Preconditioner applications.
     pub precond_applies: usize,
-    /// Warm restarts taken after window validation failed (look-ahead
-    /// solvers only).
+    /// Warm restarts within a solve: those the validation ladder takes in
+    /// any loop after the true residual refuted a convergence claim or
+    /// answered a suspicious recurrence signal, and the mixed-precision
+    /// loops' residual replacements. Summed over attempts, a
+    /// [`crate::resilience::solve_with_recovery`] result also counts its
+    /// restarts between attempts here.
     pub restarts: usize,
     /// Single-pass fused kernel invocations (none under
     /// `Execution::Reference`).
@@ -90,7 +94,10 @@ pub struct RecoveryStats {
     /// Residual replacements: the recursive residual was discarded and
     /// recomputed as `b − A·x`.
     pub replacements: usize,
-    /// Warm restarts taken by the recovery ladder.
+    /// Warm restarts taken by the recovery ladder
+    /// ([`crate::resilience::solve_with_recovery`]) between attempts. The
+    /// restarts a loop takes within one solve are in
+    /// [`crate::OpCounts::restarts`].
     pub restarts: usize,
     /// Checkpoint rollbacks taken: corruption was localized by a guard and
     /// the solve resumed from a [`crate::resilience::CheckpointRing`]

@@ -51,7 +51,7 @@
 //! predates). [`LookaheadCg::with_resync`] recomputes the whole window
 //! directly every R iterations as mitigation; E9 maps the drift.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Rung, Twins, Visit};
 use crate::recurrence::moments::MomentWindow;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
@@ -79,6 +79,10 @@ struct State {
 impl Checkpoint for State {
     fn state(&mut self, f: Visit<'_>) {
         f(&mut [&mut self.x, &mut self.z[0]], &mut []);
+    }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.z[0])
     }
 }
 
@@ -138,15 +142,12 @@ impl CgVariant for LookaheadCg {
         let thresh_sq = drv.thresh_sq;
 
         let mut iterations = 0usize;
-        let mut last_restart_rr = f64::INFINITY;
-        #[allow(unused_assignments)]
-        let mut final_rr = f64::NAN;
 
         // Buffers reused across restart passes and inner iterations, so
         // the whole solve is allocation-free after the first pass warms
         // them: the z/w vector families, the matrix-powers images and
-        // workspace, the moment window and its μ-step scratch, and the
-        // validation residual scratch. z₀ starts as the initial residual.
+        // workspace, and the moment window and its μ-step scratch. z₀
+        // starts as the initial residual.
         let team = opts.team();
         let mut ws = MpkWorkspace::new();
         ws.set_tracer(opts.tracer.clone());
@@ -162,15 +163,14 @@ impl CgVariant for LookaheadCg {
             sigma: Vec::new(),
         };
         let mut mu_scratch: Vec<f64> = Vec::with_capacity(m + 1);
-        let mut vscratch = vec![0.0; n];
 
         // Outer restart loop: each pass performs the paper's "initial start
-        // up" (build vector families + moment window from the current true
+        // up" (build vector families + moment window from the current
         // residual z₀) and then iterates on recurrences. When the drifted
-        // window signals convergence, breaks down or diverges, the signal is
-        // VALIDATED against the true residual; a spurious signal triggers a
-        // warm restart from the current iterate, and lack of progress
-        // between restarts terminates with `Breakdown`.
+        // window signals convergence, breaks down or diverges, the driver's
+        // ladder validates the signal against the true residual (written
+        // into z₀): it converges, rolls back, warm-restarts the next pass
+        // from the current iterate, or ends the solve.
         let termination = 'outer: loop {
             // start-up: z[i] = A^i r, i ≤ k; w[i] = A^i p, i ≤ k+1 (p = r).
             // One monomial matrix-powers pass of depth k+1 yields the whole
@@ -205,24 +205,21 @@ impl CgVariant for LookaheadCg {
             if drv.history_len() == 0 {
                 drv.record(win.mu[0]);
             }
-            if win.mu[0] <= thresh_sq {
-                // the window was just built from the true residual directly,
-                // so this signal needs no further validation
-                final_rr = win.mu[0];
-                break 'outer Termination::Converged;
-            }
+            // The signal that ends a pass: `Some(fail)` for the ladder,
+            // `None` when the iteration budget is spent.
+            // A claim on a fresh window is certified too: its moments are
+            // reductions, and a rolled-back z₀ is recursive.
+            let mut signal = (win.mu[0] <= thresh_sq).then_some(Termination::Stagnated);
 
             // inner recurrence loop
-            let mut suspicious = false;
             let mut best_mu0 = win.mu[0];
-            while iterations < opts.max_iters {
+            while signal.is_none() && iterations < opts.max_iters {
                 if drv.poll(iterations, win.mu[0]) {
-                    final_rr = win.mu[0];
                     break 'outer Termination::Cancelled;
                 }
                 let (mu0, sigma1) = (win.mu[0], win.sigma[1]);
                 if guard::check_pivot(sigma1).is_err() || guard::check_pivot(mu0).is_err() {
-                    suspicious = true;
+                    signal = Some(Termination::Breakdown);
                     break;
                 }
                 drv.save(iterations, &mut st);
@@ -237,11 +234,14 @@ impl CgVariant for LookaheadCg {
 
                 drv.record(mu_scratch[0]);
                 iterations += 1;
-                if mu_scratch[0] <= thresh_sq
-                    || guard::check_finite(mu_scratch[0]).is_err()
+                if mu_scratch[0] <= thresh_sq {
+                    signal = Some(Termination::Stagnated);
+                    break;
+                }
+                if guard::check_finite(mu_scratch[0]).is_err()
                     || mu_scratch[0] > DIVERGED_RISE * best_mu0
                 {
-                    suspicious = true;
+                    signal = Some(Termination::Breakdown);
                     break;
                 }
                 best_mu0 = best_mu0.min(mu_scratch[0]);
@@ -281,59 +281,28 @@ impl CgVariant for LookaheadCg {
                         &mut drv.counts,
                         &mut drv.rstats,
                     );
-                    let (nu_top, sigma_top) = guard::guarded_dot2(
-                        opts,
-                        &tail[0],
-                        &st.z[k],
-                        &tail[0],
-                        &mut drv.counts,
-                        &mut drv.rstats,
-                    );
-                    win.nu[m + 1] = nu_top;
-                    win.sigma[m + 2] = sigma_top;
+                    let (top, zk) = (&tail[0], &st.z[k]);
+                    let (nu_top, sigma_top) = opts.dot2(top, zk, top, &mut drv.counts);
+                    win.nu[m + 1] = guard::retry_reduction(opts, top, zk, nu_top, &mut drv.rstats);
+                    win.sigma[m + 2] =
+                        guard::retry_reduction(opts, top, top, sigma_top, &mut drv.rstats);
                 }
             }
 
-            // validate against the TRUE residual (scratch, no allocation)
-            let rr_true = drv.true_rr(a, b, &st.x, &mut vscratch);
-            final_rr = rr_true;
-            if rr_true <= thresh_sq {
-                break 'outer Termination::Converged;
-            }
-            if !suspicious {
+            let Some(fail) = signal else {
                 break 'outer Termination::MaxIterations;
+            };
+            // the next pass's start-up rebuilds the families and window
+            // from the restored (rollback) or true (restart) residual
+            match drv.certify(&mut st, iterations, fail) {
+                Rung::Rollback(c) => iterations = c,
+                Rung::Restart(_) => {}
+                Rung::End(t) => break 'outer t,
             }
-            // rollback rung: a poisoned or non-progressing iterate can
-            // still be rescued from a ≤ C-iterations-old snapshot; the
-            // outer startup pass rebuilds the families and window from the
-            // restored residual
-            if let Some(c) = drv.rollback(&mut st) {
-                iterations = c;
-                continue 'outer;
-            }
-            // spurious signal: restart if we are still making progress.
-            // A non-finite true residual means the iterate itself is
-            // poisoned (e.g. a corrupted λ reached x) — restarting from it
-            // would loop forever, so that is a breakdown too.
-            if guard::check_finite(rr_true).is_err()
-                || rr_true >= 0.25 * last_restart_rr
-                || iterations >= opts.max_iters
-            {
-                break 'outer Termination::Breakdown;
-            }
-            last_restart_rr = rr_true;
-            drv.counts.restarts += 1;
-            st.z[0].copy_from_slice(&vscratch);
         };
 
-        if guard::check_finite(final_rr).is_ok() {
-            // replace the (possibly drifted) last recursive value with the
-            // validated true residual norm
-            drv.replace_last(norm(final_rr));
-        }
-        drv.rstats.restarts = drv.counts.restarts;
         drv.rstats.final_k = k;
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.z[0], termination, iterations)
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {

@@ -184,6 +184,7 @@ impl Shadow {
                 } else {
                     drv.replace_last(norm(rt));
                 }
+                drv.certified(n);
                 Err(Step::End(t, n))
             }
             Confirm::Replace(rt) => {
@@ -206,18 +207,23 @@ struct Working {
     rr: f64,
 }
 
-impl Checkpoint for Working {}
+impl Checkpoint for Working {
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        unreachable!("the shadow guard certifies every mixed claim")
+    }
+}
 
 /// Common startup for all mixed loops: the driver's set-up (exact `f64`
 /// initial residual, threshold), the recorded `f64` initial squared
-/// residual — the one convergence decision that needs no shadow
-/// confirmation — and the narrowed working copies.
+/// residual, the narrowed working copies and the shadow guard. A
+/// convergence claim on the initial residual is confirmed like any other:
+/// a refuted one leaves the narrowed `f64` truth in the working residual.
 fn mixed_start<'a>(
-    a: &dyn LinearOperator,
-    b: &[f64],
+    a: &'a dyn LinearOperator,
+    b: &'a [f64],
     x0: Option<&[f64]>,
     opts: &'a SolveOptions,
-) -> (Driver<'a>, Working) {
+) -> (Driver<'a>, Working, Shadow) {
     let (mut drv, xw, rw) = Driver::start(a, b, x0, opts);
     let rr = opts.dot(&rw, &rw);
     drv.counts.dots += 1;
@@ -225,7 +231,14 @@ fn mixed_start<'a>(
     let r: Vec<f32> = rw.iter().map(|&v| v as f32).collect();
     drv.counts.vector_ops += 2;
     drv.record(rr);
-    (drv, Working { x, r, rr })
+    let mut st = Working { x, r, rr };
+    let mut shadow = Shadow::new(a.dim(), drv.thresh_sq);
+    if rr <= drv.thresh_sq {
+        if let Ok(rt) = shadow.settle(a, opts, b, &mut drv, &mut st, 0, false) {
+            st.rr = rt;
+        }
+    }
+    (drv, st, shadow)
 }
 
 /// Mixed-precision standard CG (Hestenes-Stiefel structure, `f32` working
@@ -241,11 +254,10 @@ pub(crate) fn solve_standard(
     opts: &SolveOptions,
 ) -> SolveResult {
     let n = a.dim();
-    let (mut drv, mut st) = mixed_start(a, b, x0, opts);
+    let (mut drv, mut st, mut shadow) = mixed_start(a, b, x0, opts);
     let mut p = st.r.clone();
     let mut w = vec![0.0f32; n];
     drv.counts.vector_ops += 1;
-    let mut shadow = Shadow::new(n, drv.thresh_sq);
     // Set after a residual replacement; a pivot failure in the very next
     // iteration is a genuine breakdown, not accumulated f32 drift.
     let mut just_replaced = false;
@@ -310,8 +322,9 @@ pub(crate) fn solve_standard(
             });
             Step::Next
         },
+        |_, _, _| unreachable!("the shadow guard certifies every mixed claim"),
     );
-    drv.finish(widen(&st.x), termination, iterations)
+    drv.finish(widen(&st.x), &mut shadow.rt, termination, iterations)
 }
 
 /// Warm restart of the overlapped recurrences from the residual `r`:
@@ -354,14 +367,13 @@ pub(crate) fn solve_overlap_k1(
     opts: &SolveOptions,
 ) -> SolveResult {
     let n = a.dim();
-    let (mut drv, mut st) = mixed_start(a, b, x0, opts);
+    let (mut drv, mut st, mut shadow) = mixed_start(a, b, x0, opts);
     let mut p = vec![0.0f32; n];
     let mut w = vec![0.0f32; n];
     let mut v = vec![0.0f32; n];
     // Startup: p = r, w = A·p, v = A·w, carried scalars (r,Ar) = (p,Ap).
     let mut rar = overlap_restart(a, opts, &st.r, &mut p, &mut w, &mut v, &mut drv.counts);
     let mut pap = rar;
-    let mut shadow = Shadow::new(n, drv.thresh_sq);
     let mut just_replaced = false;
 
     let (termination, iterations) = drv.iterate(
@@ -445,8 +457,9 @@ pub(crate) fn solve_overlap_k1(
             just_replaced = false;
             Step::Next
         },
+        |_, _, _| unreachable!("the shadow guard certifies every mixed claim"),
     );
-    drv.finish(widen(&st.x), termination, iterations)
+    drv.finish(widen(&st.x), &mut shadow.rt, termination, iterations)
 }
 
 /// Mixed-precision Ghysels-Vanroose pipelined CG. Recurrence-maintained
@@ -463,7 +476,7 @@ pub(crate) fn solve_pipelined(
     opts: &SolveOptions,
 ) -> SolveResult {
     let n = a.dim();
-    let (mut drv, mut st) = mixed_start(a, b, x0, opts);
+    let (mut drv, mut st, mut shadow) = mixed_start(a, b, x0, opts);
     // w = A·r, restarted from every replaced residual.
     let restart_w = |r: &[f32], w: &mut [f32], counts: &mut OpCounts| {
         counts.matvecs += 1;
@@ -479,7 +492,6 @@ pub(crate) fn solve_pipelined(
     // `st.rr` is γ = (r, r).
     let mut gamma_old = 1.0f64;
     let mut lambda_old = 1.0f64;
-    let mut shadow = Shadow::new(n, drv.thresh_sq);
     let mut just_replaced = false;
     // Forces the β = 0 startup branch (fresh pipeline) — true at solve
     // start and after every residual replacement.
@@ -567,8 +579,9 @@ pub(crate) fn solve_pipelined(
             just_replaced = false;
             Step::Next
         },
+        |_, _, _| unreachable!("the shadow guard certifies every mixed claim"),
     );
-    drv.finish(widen(&st.x), termination, iterations)
+    drv.finish(widen(&st.x), &mut shadow.rt, termination, iterations)
 }
 
 /// Widen the `f32` iterate for the result.

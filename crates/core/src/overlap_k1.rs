@@ -29,7 +29,7 @@
 //! inner products. The sequential overhead buys removal of one reduction
 //! from the critical cycle; E4/E7 quantify both sides.
 
-use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Rung, Twins, Visit};
 use crate::exec::Exec;
 use crate::resilience::guard;
 use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult, Termination};
@@ -64,6 +64,10 @@ impl Checkpoint for State {
             &mut [&mut self.x, &mut self.r, &mut self.p],
             &mut [&mut self.rr, &mut self.rar, &mut self.pap],
         );
+    }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
     }
 }
 
@@ -122,147 +126,136 @@ impl CgVariant for OverlapK1Cg {
         }
         let n = a.dim();
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
-        let thresh_sq = drv.thresh_sq;
         let mut ex = Exec::new(a, opts).with_powers2();
 
         // State: p, w = A·p, v = A·w; scalars rr = (r,r), rar = (r,Ar),
         // pap = (p,Ap).
-        let p = r.clone();
-        drv.counts.vector_ops += 1;
-        let mut w = opts.matvec_alloc(a, &p, &mut drv.counts);
-        let mut v = opts.matvec_alloc(a, &w, &mut drv.counts);
-        let rr = guard::guarded_dot(opts, &r, &r, &mut drv.rstats);
-        // p = r at start ⇒ (r, Ar) = (r, w).
-        let rar = guard::guarded_dot(opts, &r, &w, &mut drv.rstats);
-        drv.counts.dots += 2;
         let mut st = State {
             x,
             r,
-            p,
-            rr,
-            rar,
-            pap: rar,
+            p: vec![0.0; n],
+            rr: 0.0,
+            rar: 0.0,
+            pap: 0.0,
         };
+        let (mut w, mut v) = (vec![0.0; n], vec![0.0; n]);
+        // The start-up, and a warm restart, from `(x, r)`: `p = r`,
+        // `w = A·p`, `v = A·w` (one matrix-powers pair), and the direct
+        // `(r, A·r)` both carried scalars start from (`p = r` ⇒
+        // `(p, A·p) = (r, A·r)`).
+        let start = |st: &mut State,
+                     drv: &mut Driver<'_>,
+                     ex: &mut Exec<'_>,
+                     w: &mut Vec<f64>,
+                     v: &mut Vec<f64>| {
+            st.p.copy_from_slice(&st.r);
+            drv.counts.vector_ops += 1;
+            ex.powers2(drv, &mut st.p, w, v);
+            st.rar = guard::guarded_dot(opts, &st.r, w, &mut drv.rstats);
+            drv.counts.dots += 1;
+            st.pap = st.rar;
+        };
+        st.rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
+        drv.counts.dots += 1;
+        start(&mut st, &mut drv, &mut ex, &mut w, &mut v);
         drv.record(st.rr);
+        // Scratch for the resync's A·r, reused so the hot path stays
+        // allocation-free.
+        let mut ar = vec![0.0; if self.resync > 0 { n } else { 0 }];
 
         // Recurrence drift near convergence can push the carried `pap`
-        // non-positive before the threshold trips. A suspicious signal is
-        // validated against the true residual; if unconverged but still
-        // progressing, the solver warm-restarts (p = r, direct scalars).
-        let mut last_restart_rr = f64::INFINITY;
-        // Scratch for true-residual validation and resync matvecs — reused
-        // across restarts so the hot path stays allocation-free.
-        let mut vscratch = vec![0.0; n];
-
-        let mut termination = Termination::MaxIterations;
-        let mut iterations = 0;
-        if st.rr <= thresh_sq {
-            termination = Termination::Converged;
-        } else {
-            let mut it = 0;
-            while it < opts.max_iters {
-                if guard::check_pivot(st.pap).is_err() || guard::check_pivot(st.rr).is_err() {
-                    // validate against the true residual
-                    let rr_true = drv.true_rr(a, b, &st.x, &mut vscratch);
-                    if rr_true <= thresh_sq {
-                        termination = Termination::Converged;
-                        iterations = it;
-                        drv.replace_last(norm(rr_true));
-                        break;
-                    }
-                    // rollback rung: restore the newest checkpoint and
-                    // replay ≤ C iterations — keeps the Krylov direction
-                    // history a warm restart would throw away
-                    if let Some(c) = drv.rollback(&mut st) {
-                        ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
-                        iterations = c;
-                        it = c;
-                        continue;
-                    }
-                    if rr_true >= 0.25 * last_restart_rr {
-                        termination = Termination::Breakdown;
-                        iterations = it;
-                        break;
-                    }
-                    // warm restart
-                    last_restart_rr = rr_true;
-                    drv.counts.restarts += 1;
-                    opts.span(vr_obs::SpanKind::Recovery, || {
-                        st.r.copy_from_slice(&vscratch);
-                        st.p.copy_from_slice(&st.r);
-                    });
-                    ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
-                    drv.counts.vector_ops += 1;
-                    st.rr = rr_true;
-                    st.rar = guard::guarded_dot(opts, &st.r, &w, &mut drv.rstats);
-                    drv.counts.dots += 1;
-                    st.pap = st.rar;
-                    continue;
-                }
-                if drv.top(it, st.rr, &mut st) {
-                    termination = Termination::Cancelled;
-                    iterations = it;
-                    break;
-                }
-                it += 1;
-                let (rr, rar, pap) = (st.rr, st.rar, st.pap);
-                let lambda = rr / pap;
-                // The four overlappable inner products — on CURRENT vectors,
-                // launched before any of this iteration's scalar results
-                // are needed (on the paper's machine their fan-ins overlap
-                // the rest of this iteration) — with x ← x + λ·p.
-                // Fused pairing: (r,w)/(r,v) share the sweep over r and
-                // (w,w)/(w,v) the sweep over w; the per-element products are
-                // commutative so the scalars are bit-identical to the four
-                // separate dots of the reference formulation.
-                // Split-phase: the sweeps fold leaf partials *now*; the
-                // tree_combine fan-ins run at the consume points after the
-                // x update — the paper's launch-early/consume-late schedule
-                // on the team.
-                let (rw, rv, ww, wv) =
-                    ex.overlap_update(&mut drv, lambda, &w, &v, &st.p, &mut st.r, &mut st.x);
-
-                // scalar recurrences (claim C3, k = 1)
-                let rr_next = rr - 2.0 * lambda * rw + lambda * lambda * ww;
-                let rar_next = rar - 2.0 * lambda * rv + lambda * lambda * wv;
-                let alpha = rr_next / rr;
-                let rnext_w = rw - lambda * ww;
-                let pap_next = rar_next + 2.0 * alpha * rnext_w + alpha * alpha * pap;
-                drv.counts.scalar_ops += 12;
-
-                drv.record(rr_next);
-                iterations = it;
-                if rr_next <= thresh_sq {
-                    termination = Termination::Converged;
-                    break;
-                }
-                if guard::check_finite(rr_next).is_err() {
-                    // route through the validation branch at the loop top
-                    st.rr = rr_next;
-                    continue;
-                }
-
-                // vector updates
-                ex.overlap_r_update(&mut drv, lambda, &w, &mut st.r);
-                ex.xpay(&mut drv, &st.r, alpha, &mut st.p);
-                ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
-
-                st.rr = rr_next;
-                st.rar = rar_next;
-                st.pap = pap_next;
-
-                if self.resync > 0 && it.is_multiple_of(self.resync) {
-                    // residual replacement: recompute the carried scalars
-                    // directly (one extra matvec for A·r)
-                    st.rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
-                    opts.matvec(a, &st.r, &mut vscratch, &mut drv.counts);
-                    st.rar = guard::guarded_dot(opts, &st.r, &vscratch, &mut drv.rstats);
-                    st.pap = guard::guarded_dot(opts, &st.p, &w, &mut drv.rstats);
-                    drv.counts.dots += 3;
-                }
+        // non-positive before the threshold trips, and can fake the
+        // threshold itself: both signals go through the driver's ladder,
+        // which converges, rolls back, warm-restarts or ends the solve.
+        let mut it = 0;
+        // a claim on the initial `(r, r)`, a reduction like any other, is
+        // certified too
+        let mut signal = (st.rr <= drv.thresh_sq).then_some(Termination::Stagnated);
+        let termination = loop {
+            if signal.is_none()
+                && (guard::check_pivot(st.pap).is_err() || guard::check_pivot(st.rr).is_err())
+            {
+                signal = Some(Termination::Breakdown);
             }
-        }
-        drv.finish(st.x, termination, iterations)
+            if let Some(fail) = signal.take() {
+                match drv.certify(&mut st, it, fail) {
+                    // the rollback rung keeps the Krylov direction
+                    // history a warm restart would throw away
+                    Rung::Rollback(c) => {
+                        ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
+                        it = c;
+                    }
+                    Rung::Restart(rr) => {
+                        st.rr = rr;
+                        start(&mut st, &mut drv, &mut ex, &mut w, &mut v);
+                    }
+                    Rung::End(t) => break t,
+                }
+                continue;
+            }
+            if it >= opts.max_iters {
+                break Termination::MaxIterations;
+            }
+            if drv.top(it, st.rr, &mut st) {
+                break Termination::Cancelled;
+            }
+            it += 1;
+            let (rr, rar, pap) = (st.rr, st.rar, st.pap);
+            let lambda = rr / pap;
+            // The four overlappable inner products — on CURRENT vectors,
+            // launched before any of this iteration's scalar results
+            // are needed (on the paper's machine their fan-ins overlap
+            // the rest of this iteration) — with x ← x + λ·p.
+            // Fused pairing: (r,w)/(r,v) share the sweep over r and
+            // (w,w)/(w,v) the sweep over w; the per-element products are
+            // commutative so the scalars are bit-identical to the four
+            // separate dots of the reference formulation.
+            // Split-phase: the sweeps fold leaf partials *now*; the
+            // tree_combine fan-ins run at the consume points after the
+            // x update — the paper's launch-early/consume-late schedule
+            // on the team.
+            let (rw, rv, ww, wv) =
+                ex.overlap_update(&mut drv, lambda, &w, &v, &st.p, &mut st.r, &mut st.x);
+
+            // scalar recurrences (claim C3, k = 1)
+            let rr_next = rr - 2.0 * lambda * rw + lambda * lambda * ww;
+            let rar_next = rar - 2.0 * lambda * rv + lambda * lambda * wv;
+            let alpha = rr_next / rr;
+            let rnext_w = rw - lambda * ww;
+            let pap_next = rar_next + 2.0 * alpha * rnext_w + alpha * alpha * pap;
+            drv.counts.scalar_ops += 12;
+
+            drv.record(rr_next);
+            if rr_next <= drv.thresh_sq {
+                signal = Some(Termination::Stagnated);
+                continue;
+            }
+            if guard::check_finite(rr_next).is_err() {
+                // route through the ladder at the loop top
+                st.rr = rr_next;
+                continue;
+            }
+
+            // vector updates
+            ex.overlap_r_update(&mut drv, lambda, &w, &mut st.r);
+            ex.xpay(&mut drv, &st.r, alpha, &mut st.p);
+            ex.powers2(&mut drv, &mut st.p, &mut w, &mut v);
+
+            st.rr = rr_next;
+            st.rar = rar_next;
+            st.pap = pap_next;
+
+            if self.resync > 0 && it.is_multiple_of(self.resync) {
+                // residual replacement: recompute the carried scalars
+                // directly (one extra matvec for A·r)
+                st.rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
+                opts.matvec(a, &st.r, &mut ar, &mut drv.counts);
+                st.rar = guard::guarded_dot(opts, &st.r, &ar, &mut drv.rstats);
+                st.pap = guard::guarded_dot(opts, &st.p, &w, &mut drv.rstats);
+                drv.counts.dots += 3;
+            }
+        };
+        drv.finish(st.x, &mut st.r, termination, it)
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {

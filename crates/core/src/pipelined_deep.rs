@@ -57,14 +57,15 @@
 //! progress is lost, plus the `l`-iteration fill. A non-positive Cholesky
 //! pivot `b_{m,m}² ≤ 0` with the residual still large is an honest
 //! [`Termination::Breakdown`]; when the Krylov space is exhausted (tiny
-//! pivot), the final lagged step is applied and convergence is validated
-//! against the *true* residual before being claimed — if that residual is
-//! still large the solver restarts a fresh Lanczos epoch from the improved
-//! iterate, insisting on real progress per restart so a solve pinned at
-//! the attainable-accuracy floor still terminates honestly.
+//! pivot), the final lagged step is applied and the pipeline refills the
+//! same way, from the *true* residual of the improved iterate, within the
+//! iteration budget. Convergence claims and the breakdowns the true
+//! residual may rescue go through the driver's validation ladder
+//! (`Driver::certify`), whose progress rule ends a solve pinned at the
+//! attainable-accuracy floor.
 
 use crate::baselines::pipelined::solve_gv;
-use crate::driver::{self, norm, Checkpoint, Driver, Twins, Visit};
+use crate::driver::{self, norm, Checkpoint, Driver, Rung, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use crate::standard::StandardCg;
@@ -138,15 +139,21 @@ impl CgVariant for DeepPipelinedCg {
 
 /// Loop-carried state; in-flight reductions cannot be snapshotted, so a
 /// checkpoint saves only `[x]` (+ its residual norm² `[rr]`) at update
-/// boundaries, and a rollback restores `x` and refills the pipeline.
+/// boundaries, and a rollback restores `x` and refills the pipeline. The
+/// residual `r` seeds each epoch and is dead inside one.
 struct State {
     x: Vec<f64>,
+    r: Vec<f64>,
     rr: f64,
 }
 
 impl Checkpoint for State {
     fn state(&mut self, f: Visit<'_>) {
         f(&mut [&mut self.x], &mut [&mut self.rr]);
+    }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
     }
 }
 
@@ -160,364 +167,335 @@ fn solve_deep(
     l: usize,
 ) -> SolveResult {
     let n = a.dim();
-    let (mut drv, x, mut r) = Driver::start(a, b, x0, opts);
+    let (mut drv, x, r) = Driver::start(a, b, x0, opts);
     let thresh_sq = drv.thresh_sq;
 
     drv.counts.dots += 1;
     let rr = opts.dot(&r, &r);
     drv.record(rr);
-    let mut st = State { x, rr };
+    let mut st = State { x, r, rr };
     let mut last_rnorm = norm(rr);
 
     let mut termination = Termination::MaxIterations;
     let mut updates = 0usize;
 
-    if st.rr <= thresh_sq {
-        termination = Termination::Converged;
-    } else {
-        // ---- startup: λ_max estimate and Chebyshev shifts -------------
-        // Deterministic power iteration from r; norm2/scal run serially on
-        // the calling thread, so the estimate (and with it every shift) is
-        // width- and dot-mode-invariant.
-        let mut pv = r.clone();
-        let mut pw = vec![0.0; n];
-        let mut lam = 1.0f64;
-        let nv = kernels::norm2(&pv);
-        kernels::scal(1.0 / nv.max(f64::MIN_POSITIVE), &mut pv);
-        for _ in 0..POWER_ITERS {
-            opts.matvec(a, &pv, &mut pw, &mut drv.counts);
-            let nw = kernels::norm2(&pw);
-            drv.counts.dots += 1;
-            drv.counts.vector_ops += 1;
-            if nw <= 0.0 || !nw.is_finite() {
-                break;
-            }
-            lam = nw;
-            kernels::scal(1.0 / nw, &mut pw);
-            std::mem::swap(&mut pv, &mut pw);
+    // ---- startup: λ_max estimate and Chebyshev shifts -------------
+    // Deterministic power iteration from r; norm2/scal run serially on
+    // the calling thread, so the estimate (and with it every shift) is
+    // width- and dot-mode-invariant.
+    let mut pv = st.r.clone();
+    let mut pw = vec![0.0; n];
+    let mut lam = 1.0f64;
+    let nv = kernels::norm2(&pv);
+    kernels::scal(1.0 / nv.max(f64::MIN_POSITIVE), &mut pv);
+    for _ in 0..POWER_ITERS {
+        opts.matvec(a, &pv, &mut pw, &mut drv.counts);
+        let nw = kernels::norm2(&pw);
+        drv.counts.dots += 1;
+        drv.counts.vector_ops += 1;
+        if nw <= 0.0 || !nw.is_finite() {
+            break;
         }
-        let lam_max = (lam * 1.05).max(f64::MIN_POSITIVE);
-        let sigma: Vec<f64> = (0..l)
-            .map(|k| {
-                let t = std::f64::consts::PI * (2.0 * k as f64 + 1.0) / (2.0 * l as f64);
-                lam_max / 2.0 * (1.0 - t.cos())
-            })
-            .collect();
+        lam = nw;
+        kernels::scal(1.0 / nw, &mut pw);
+        std::mem::swap(&mut pv, &mut pw);
+    }
+    let lam_max = (lam * 1.05).max(f64::MIN_POSITIVE);
+    let sigma: Vec<f64> = (0..l)
+        .map(|k| {
+            let t = std::f64::consts::PI * (2.0 * k as f64 + 1.0) / (2.0 * l as f64);
+            lam_max / 2.0 * (1.0 - t.cos())
+        })
+        .collect();
 
-        // ---- preallocated pipeline state ------------------------------
-        let band = 2 * l; // B (and G) columns reach 2l rows above the diagonal
-        let rz = l + 2; // live z window: z_{k-1} .. z_{k+1} plus the dot tail
-        let rv = band + 1; // live v window: v_{m-2l} .. v_m
-        let rt = 3 * l + 3; // T-entry history depth (g-recurrence reaches m-3l-1)
-        let rb = band + 1; // live B columns: m-2l .. m
-        let rp = l + 1; // dot batches in flight: columns m .. m+l
-        let mut zs: Vec<Vec<f64>> = (0..rz).map(|_| vec![0.0; n]).collect();
-        let mut vs: Vec<Vec<f64>> = (0..rv).map(|_| vec![0.0; n]).collect();
-        let mut q = vec![0.0; n];
-        let mut scratch = pw; // reused for refills and exhaustion checks
-        let mut bcols = vec![vec![0.0f64; band + 1]; rb];
-        let mut bnew = vec![0.0f64; band + 1];
-        let mut gcols = vec![vec![0.0f64; band + 1]; 3];
-        let mut gnew = vec![0.0f64; band + 1];
-        let mut pend: Vec<Vec<Option<PendingScalar>>> =
-            (0..rp).map(|_| (0..=l).map(|_| None).collect()).collect();
-        let mut gam = vec![0.0f64; rt];
-        let mut del = vec![0.0f64; rt];
+    // ---- preallocated pipeline state ------------------------------
+    let band = 2 * l; // B (and G) columns reach 2l rows above the diagonal
+    let rz = l + 2; // live z window: z_{k-1} .. z_{k+1} plus the dot tail
+    let rv = band + 1; // live v window: v_{m-2l} .. v_m
+    let rt = 3 * l + 3; // T-entry history depth (g-recurrence reaches m-3l-1)
+    let rb = band + 1; // live B columns: m-2l .. m
+    let rp = l + 1; // dot batches in flight: columns m .. m+l
+    let mut zs: Vec<Vec<f64>> = (0..rz).map(|_| vec![0.0; n]).collect();
+    let mut vs: Vec<Vec<f64>> = (0..rv).map(|_| vec![0.0; n]).collect();
+    let mut q = vec![0.0; n];
+    let mut bcols = vec![vec![0.0f64; band + 1]; rb];
+    let mut bnew = vec![0.0f64; band + 1];
+    let mut gcols = vec![vec![0.0f64; band + 1]; 3];
+    let mut gnew = vec![0.0f64; band + 1];
+    let mut pend: Vec<Vec<Option<PendingScalar>>> =
+        (0..rp).map(|_| (0..=l).map(|_| None).collect()).collect();
+    let mut gam = vec![0.0f64; rt];
+    let mut del = vec![0.0f64; rt];
 
-        drv.save(0, &mut st);
-        let mut kglob = 0usize;
+    drv.save(0, &mut st);
+    let mut kglob = 0usize;
+    // whether the next epoch first measures r = b − A·x: after a
+    // rollback, when the Krylov space is exhausted, and to certify a claim
+    // on the initial `(r, r)`, a reduction like any other
+    let mut refill = st.rr <= thresh_sq;
 
-        // squared residual at the last Krylov-exhaustion restart: each
-        // further restart must show real progress (10% in rr), else the
-        // solve is pinned at its floor and ends honestly
-        let mut last_exhaust_rr = f64::INFINITY;
+    'epochs: loop {
+        // ---- (re)fill: fresh Lanczos process from the current x ---
+        if refill {
+            refill = false;
+            st.rr = drv.measure(&mut st, updates);
+            last_rnorm = norm(st.rr);
+            if st.rr <= thresh_sq {
+                termination = Termination::Converged;
+                break 'epochs;
+            }
+            if guard::check_pivot(st.rr).is_err() {
+                termination = Termination::Breakdown;
+                break 'epochs;
+            }
+        }
+        let eta = norm(st.rr);
+        drv.counts.vector_ops += 2;
+        opts.span(vr_obs::SpanKind::VectorOp, || {
+            zs[0].copy_from_slice(&st.r);
+            kernels::scal(1.0 / eta, &mut zs[0]);
+        });
+        for slot in pend.iter_mut().flatten() {
+            *slot = None; // stale in-flight reductions from before a rollback
+        }
+        pend[0][0] = Some(opts.dot_deferred(&zs[0], &zs[0], &mut drv.counts));
 
-        'epochs: loop {
-            // ---- (re)fill: fresh Lanczos process from the current x ---
-            if kglob > 0 {
-                // refill after a rollback: recompute r = b − A·x
-                opts.matvec(a, &st.x, &mut scratch, &mut drv.counts);
+        // per-epoch Lanczos / LDLᵀ state (all basis indices restart)
+        let mut kloc = 0usize;
+        let mut d_prev = 0.0f64;
+        let mut ucoef = eta;
+
+        // An epoch ends the solve, refills after Krylov exhaustion, or
+        // hands the driver's ladder a signal (`Some(fail)`: a
+        // convergence claim, or a breakdown the true residual may
+        // still rescue), or fails outright (`None`: rollback or
+        // breakdown).
+        let signal = loop {
+            if kglob >= opts.max_iters {
+                break 'epochs;
+            }
+            kglob += 1;
+            if drv.poll(kglob - 1, last_rnorm * last_rnorm) {
+                termination = Termination::Cancelled;
+                break 'epochs;
+            }
+
+            // ---- consume phase: assemble B column m ---------------
+            if kloc + 1 >= l {
+                let m = kloc + 1 - l;
+                let lod = m.min(l); // measured Gram rows m-lod..m
+                let lo = m.min(band); // full band height of column m
+                for d in 0..=lod {
+                    gnew[d] = pend[m % rp][d]
+                        .take()
+                        .expect("deep pipeline: dot consumed before launch")
+                        .wait();
+                }
+                // Lower Gram rows i = m-2l..m-l-1 cost no reduction:
+                // push the z_m recurrence (and then A·z_i's own
+                // recurrence) inside the inner product, leaving only
+                // Gram entries of columns m-1 and m-2.
+                #[allow(clippy::needless_range_loop)]
+                for d in (lod + 1)..=lo {
+                    let i = m - d;
+                    let gm1 = &gcols[(m - 1) % 3]; // gm1[e] = g(m-1-e, m-1)
+                    let az = if i >= l {
+                        let mut v =
+                            gam[(i - l) % rt] * gm1[m - 2 - i] + del[(i - l) % rt] * gm1[m - 1 - i];
+                        if i > l {
+                            v += gam[(i - l - 1) % rt] * gm1[m - i];
+                        }
+                        v
+                    } else {
+                        gm1[m - 2 - i] + sigma[i] * gm1[m - 1 - i]
+                    };
+                    let mut num = az - del[(m - 1 - l) % rt] * gm1[m - 1 - i];
+                    if m >= l + 2 {
+                        num -= gam[(m - l - 2) % rt] * gcols[(m - 2) % 3][m - 2 - i];
+                    }
+                    gnew[d] = num / gam[(m - 1 - l) % rt];
+                }
+                gcols[m % 3][..=lo].copy_from_slice(&gnew[..=lo]);
+                // forward substitution for the off-diagonal entries
+                let tstart = m.saturating_sub(band);
+                for i in tstart..m {
+                    let mut sum = 0.0;
+                    for t in tstart..i {
+                        sum += bcols[i % rb][i - t] * bnew[m - t];
+                    }
+                    bnew[m - i] = (gnew[m - i] - sum) / bcols[i % rb][0];
+                }
+                let mut pivot_sq = gnew[0];
+                for t in tstart..m {
+                    pivot_sq -= bnew[m - t] * bnew[m - t];
+                }
+                drv.counts.scalar_ops += lo * (lo + 1) / 2 + 2;
+                let exhausted = pivot_sq.is_finite()
+                    && pivot_sq <= (EXHAUSTION_EPS * EXHAUSTION_EPS) * gnew[0].abs();
+                if guard::check_pivot(pivot_sq).is_err() && !(exhausted && m > 0) {
+                    break (m > 0).then_some(Termination::Breakdown);
+                }
+                bnew[0] = if exhausted { 0.0 } else { pivot_sq.sqrt() };
+
+                if m >= 1 {
+                    // ---- T extraction for j = m − 1 ----------------
+                    let j = m - 1;
+                    let u = if j >= l { gam[(j - l) % rt] } else { 1.0 };
+                    let c = if j >= l { del[(j - l) % rt] } else { sigma[j] };
+                    let bjj = bcols[j % rb][0];
+                    let bj1j = if j >= 1 { bcols[j % rb][1] } else { 0.0 };
+                    let gprev = if j >= 1 { gam[(j - 1) % rt] } else { 0.0 };
+                    let gamma_j = opts.scalar(u * bnew[0] / bjj);
+                    let delta_j = opts.scalar((u * bnew[1] + c * bjj - gprev * bj1j) / bjj);
+                    drv.counts.scalar_ops += 2;
+                    if guard::check_finite(gamma_j).is_err()
+                        || guard::check_finite(delta_j).is_err()
+                    {
+                        break Some(Termination::Breakdown);
+                    }
+                    gam[j % rt] = gamma_j;
+                    del[j % rt] = delta_j;
+
+                    // ---- LDLᵀ step j and the lagged x-update -------
+                    let d_cur = if j == 0 {
+                        drv.counts.vector_ops += 1;
+                        opts.span(vr_obs::SpanKind::VectorOp, || {
+                            q.copy_from_slice(&vs[0]);
+                        });
+                        delta_j
+                    } else {
+                        let lj = gprev / d_prev;
+                        ucoef *= -lj;
+                        opts.xpay(&vs[j % rv], -lj, &mut q, &mut drv.counts);
+                        delta_j - gprev * lj
+                    };
+                    drv.counts.scalar_ops += 2;
+                    if guard::check_pivot(d_cur).is_err() {
+                        break Some(Termination::Breakdown);
+                    }
+                    d_prev = d_cur;
+                    let zeta = opts.scalar(ucoef / d_cur);
+                    opts.axpy(zeta, &q, &mut st.x, &mut drv.counts);
+                    updates += 1;
+                    let rn = (gamma_j * zeta).abs();
+                    last_rnorm = rn;
+                    drv.record_norm(rn);
+                    st.rr = rn * rn;
+
+                    if exhausted {
+                        // Krylov space exhausted: the step above was
+                        // the final lagged update, and its γ·ζ residual
+                        // is forced to ~0. The algorithm's own refill:
+                        // a fresh Lanczos epoch from the measured
+                        // residual of the improved x, within the
+                        // iteration budget.
+                        refill = true;
+                        continue 'epochs;
+                    }
+                    if st.rr <= thresh_sq {
+                        break Some(Termination::Stagnated);
+                    }
+                    if guard::check_finite(st.rr).is_err() {
+                        break Some(Termination::Breakdown);
+                    }
+                    drv.save(updates, &mut st);
+                }
+
+                // ---- store column m and recover v_m ----------------
+                bcols[m % rb][..=lo].copy_from_slice(&bnew[..=lo]);
+                let mut vnew = std::mem::take(&mut vs[m % rv]);
+                drv.counts.vector_ops += 2;
+                opts.span(vr_obs::SpanKind::VectorOp, || {
+                    vnew.copy_from_slice(&zs[m % rz]);
+                });
+                for d in 1..=lo {
+                    let coef = bnew[d];
+                    opts.axpy(-coef, &vs[(m - d) % rv], &mut vnew, &mut drv.counts);
+                }
+                opts.span(vr_obs::SpanKind::VectorOp, || {
+                    kernels::scal(1.0 / bnew[0], &mut vnew);
+                });
+                vs[m % rv] = vnew;
+            }
+
+            // ---- z-recurrence: form z_{kloc+1} and launch its dots -
+            let znext_idx = (kloc + 1) % rz;
+            let mut znext = std::mem::take(&mut zs[znext_idx]);
+            opts.matvec(a, &zs[kloc % rz], &mut znext, &mut drv.counts);
+            if kloc < l {
+                opts.axpy(-sigma[kloc], &zs[kloc % rz], &mut znext, &mut drv.counts);
+            } else {
+                let dlag = del[(kloc - l) % rt];
+                let glag = gam[(kloc - l) % rt];
+                opts.axpy(-dlag, &zs[kloc % rz], &mut znext, &mut drv.counts);
+                if kloc > l {
+                    let glag2 = gam[(kloc - l - 1) % rt];
+                    opts.axpy(-glag2, &zs[(kloc - 1) % rz], &mut znext, &mut drv.counts);
+                }
+                if guard::check_pivot(glag).is_err() {
+                    zs[znext_idx] = znext;
+                    break Some(Termination::Breakdown);
+                }
                 drv.counts.vector_ops += 1;
                 opts.span(vr_obs::SpanKind::VectorOp, || {
-                    for ((ri, bi), axi) in r.iter_mut().zip(b).zip(&scratch) {
-                        *ri = bi - axi;
-                    }
+                    kernels::scal(1.0 / glag, &mut znext);
                 });
-                drv.counts.dots += 1;
-                st.rr = opts.dot(&r, &r);
-                last_rnorm = norm(st.rr);
-                if st.rr <= thresh_sq {
-                    termination = Termination::Converged;
-                    break 'epochs;
-                }
-                if guard::check_pivot(st.rr).is_err() {
-                    termination = Termination::Breakdown;
-                    break 'epochs;
-                }
             }
-            let eta = norm(st.rr);
-            drv.counts.vector_ops += 2;
-            opts.span(vr_obs::SpanKind::VectorOp, || {
-                zs[0].copy_from_slice(&r);
-                kernels::scal(1.0 / eta, &mut zs[0]);
-            });
-            for slot in pend.iter_mut().flatten() {
-                *slot = None; // stale in-flight reductions from before a rollback
+            zs[znext_idx] = znext;
+
+            let mcol = kloc + 1;
+            let lo2 = mcol.min(l);
+            // l+1 Gram dots sharing z_{mcol}, launched split-phase in
+            // shared-left pairs; consumed l iterations from now.
+            let mut d = 0usize;
+            while d < lo2 {
+                let (p0, p1) = opts.dot2_deferred(
+                    &zs[mcol % rz],
+                    &zs[(mcol - d) % rz],
+                    &zs[(mcol - d - 1) % rz],
+                    &mut drv.counts,
+                );
+                pend[mcol % rp][d] = Some(p0);
+                pend[mcol % rp][d + 1] = Some(p1);
+                d += 2;
             }
-            pend[0][0] = Some(opts.dot_deferred(&zs[0], &zs[0], &mut drv.counts));
+            if d <= lo2 {
+                pend[mcol % rp][d] =
+                    Some(opts.dot_deferred(&zs[mcol % rz], &zs[(mcol - d) % rz], &mut drv.counts));
+            }
+            kloc += 1;
+        };
 
-            // per-epoch Lanczos / LDLᵀ state (all basis indices restart)
-            let mut kloc = 0usize;
-            let mut d_prev = 0.0f64;
-            let mut ucoef = eta;
-
-            // The epoch runs until it ends the solve, starts a new epoch,
-            // or fails; a failure yields whether a true-residual restart
-            // may rescue it when no rollback can.
-            let restartable = loop {
-                if kglob >= opts.max_iters {
-                    break 'epochs;
-                }
-                kglob += 1;
-                if drv.poll(kglob - 1, last_rnorm * last_rnorm) {
-                    termination = Termination::Cancelled;
-                    break 'epochs;
-                }
-
-                // ---- consume phase: assemble B column m ---------------
-                if kloc + 1 >= l {
-                    let m = kloc + 1 - l;
-                    let lod = m.min(l); // measured Gram rows m-lod..m
-                    let lo = m.min(band); // full band height of column m
-                    for d in 0..=lod {
-                        gnew[d] = pend[m % rp][d]
-                            .take()
-                            .expect("deep pipeline: dot consumed before launch")
-                            .wait();
-                    }
-                    // Lower Gram rows i = m-2l..m-l-1 cost no reduction:
-                    // push the z_m recurrence (and then A·z_i's own
-                    // recurrence) inside the inner product, leaving only
-                    // Gram entries of columns m-1 and m-2.
-                    #[allow(clippy::needless_range_loop)]
-                    for d in (lod + 1)..=lo {
-                        let i = m - d;
-                        let gm1 = &gcols[(m - 1) % 3]; // gm1[e] = g(m-1-e, m-1)
-                        let az = if i >= l {
-                            let mut v = gam[(i - l) % rt] * gm1[m - 2 - i]
-                                + del[(i - l) % rt] * gm1[m - 1 - i];
-                            if i > l {
-                                v += gam[(i - l - 1) % rt] * gm1[m - i];
-                            }
-                            v
-                        } else {
-                            gm1[m - 2 - i] + sigma[i] * gm1[m - 1 - i]
-                        };
-                        let mut num = az - del[(m - 1 - l) % rt] * gm1[m - 1 - i];
-                        if m >= l + 2 {
-                            num -= gam[(m - l - 2) % rt] * gcols[(m - 2) % 3][m - 2 - i];
-                        }
-                        gnew[d] = num / gam[(m - 1 - l) % rt];
-                    }
-                    gcols[m % 3][..=lo].copy_from_slice(&gnew[..=lo]);
-                    // forward substitution for the off-diagonal entries
-                    let tstart = m.saturating_sub(band);
-                    for i in tstart..m {
-                        let mut sum = 0.0;
-                        for t in tstart..i {
-                            sum += bcols[i % rb][i - t] * bnew[m - t];
-                        }
-                        bnew[m - i] = (gnew[m - i] - sum) / bcols[i % rb][0];
-                    }
-                    let mut pivot_sq = gnew[0];
-                    for t in tstart..m {
-                        pivot_sq -= bnew[m - t] * bnew[m - t];
-                    }
-                    drv.counts.scalar_ops += lo * (lo + 1) / 2 + 2;
-                    let exhausted = pivot_sq.is_finite()
-                        && pivot_sq <= (EXHAUSTION_EPS * EXHAUSTION_EPS) * gnew[0].abs();
-                    if guard::check_pivot(pivot_sq).is_err() && !(exhausted && m > 0) {
-                        break m > 0;
-                    }
-                    bnew[0] = if exhausted { 0.0 } else { pivot_sq.sqrt() };
-
-                    if m >= 1 {
-                        // ---- T extraction for j = m − 1 ----------------
-                        let j = m - 1;
-                        let u = if j >= l { gam[(j - l) % rt] } else { 1.0 };
-                        let c = if j >= l { del[(j - l) % rt] } else { sigma[j] };
-                        let bjj = bcols[j % rb][0];
-                        let bj1j = if j >= 1 { bcols[j % rb][1] } else { 0.0 };
-                        let gprev = if j >= 1 { gam[(j - 1) % rt] } else { 0.0 };
-                        let gamma_j = opts.scalar(u * bnew[0] / bjj);
-                        let delta_j = opts.scalar((u * bnew[1] + c * bjj - gprev * bj1j) / bjj);
-                        drv.counts.scalar_ops += 2;
-                        if guard::check_finite(gamma_j).is_err()
-                            || guard::check_finite(delta_j).is_err()
-                        {
-                            break true;
-                        }
-                        gam[j % rt] = gamma_j;
-                        del[j % rt] = delta_j;
-
-                        // ---- LDLᵀ step j and the lagged x-update -------
-                        let d_cur = if j == 0 {
-                            drv.counts.vector_ops += 1;
-                            opts.span(vr_obs::SpanKind::VectorOp, || {
-                                q.copy_from_slice(&vs[0]);
-                            });
-                            delta_j
-                        } else {
-                            let lj = gprev / d_prev;
-                            ucoef *= -lj;
-                            opts.xpay(&vs[j % rv], -lj, &mut q, &mut drv.counts);
-                            delta_j - gprev * lj
-                        };
-                        drv.counts.scalar_ops += 2;
-                        if guard::check_pivot(d_cur).is_err() {
-                            break true;
-                        }
-                        d_prev = d_cur;
-                        let zeta = opts.scalar(ucoef / d_cur);
-                        opts.axpy(zeta, &q, &mut st.x, &mut drv.counts);
-                        updates += 1;
-                        let rn = (gamma_j * zeta).abs();
-                        last_rnorm = rn;
-                        drv.record_norm(rn);
-                        st.rr = rn * rn;
-
-                        if exhausted {
-                            // Krylov space exhausted: the step above was
-                            // the final lagged update. Its γ·ζ residual is
-                            // forced to ~0, so validate against the TRUE
-                            // residual before claiming convergence.
-                            let rr_true = drv.true_rr(a, b, &st.x, &mut scratch);
-                            last_rnorm = norm(rr_true);
-                            drv.replace_last(last_rnorm);
-                            if rr_true <= thresh_sq {
-                                termination = Termination::Converged;
-                                break 'epochs;
-                            }
-                            // Not yet converged: restart a fresh Lanczos
-                            // epoch from the improved x (same path as the
-                            // rollback refill). A restart pinned at the
-                            // attainable-accuracy floor would exhaust again
-                            // at the same residual, so demand real progress
-                            // per epoch to keep iterating.
-                            if rr_true.is_finite() && rr_true < 0.9 * last_exhaust_rr {
-                                last_exhaust_rr = rr_true;
-                                continue 'epochs;
-                            }
-                            termination = Termination::Breakdown;
-                            break 'epochs;
-                        }
-                        if st.rr <= thresh_sq {
-                            termination = Termination::Converged;
-                            break 'epochs;
-                        }
-                        if guard::check_finite(st.rr).is_err() {
-                            break true;
-                        }
-                        drv.save(updates, &mut st);
-                    }
-
-                    // ---- store column m and recover v_m ----------------
-                    bcols[m % rb][..=lo].copy_from_slice(&bnew[..=lo]);
-                    let mut vnew = std::mem::take(&mut vs[m % rv]);
-                    drv.counts.vector_ops += 2;
-                    opts.span(vr_obs::SpanKind::VectorOp, || {
-                        vnew.copy_from_slice(&zs[m % rz]);
-                    });
-                    for d in 1..=lo {
-                        let coef = bnew[d];
-                        opts.axpy(-coef, &vs[(m - d) % rv], &mut vnew, &mut drv.counts);
-                    }
-                    opts.span(vr_obs::SpanKind::VectorOp, || {
-                        kernels::scal(1.0 / bnew[0], &mut vnew);
-                    });
-                    vs[m % rv] = vnew;
-                }
-
-                // ---- z-recurrence: form z_{kloc+1} and launch its dots -
-                let znext_idx = (kloc + 1) % rz;
-                let mut znext = std::mem::take(&mut zs[znext_idx]);
-                opts.matvec(a, &zs[kloc % rz], &mut znext, &mut drv.counts);
-                if kloc < l {
-                    opts.axpy(-sigma[kloc], &zs[kloc % rz], &mut znext, &mut drv.counts);
-                } else {
-                    let dlag = del[(kloc - l) % rt];
-                    let glag = gam[(kloc - l) % rt];
-                    opts.axpy(-dlag, &zs[kloc % rz], &mut znext, &mut drv.counts);
-                    if kloc > l {
-                        let glag2 = gam[(kloc - l - 1) % rt];
-                        opts.axpy(-glag2, &zs[(kloc - 1) % rz], &mut znext, &mut drv.counts);
-                    }
-                    if guard::check_pivot(glag).is_err() {
-                        zs[znext_idx] = znext;
-                        break true;
-                    }
-                    drv.counts.vector_ops += 1;
-                    opts.span(vr_obs::SpanKind::VectorOp, || {
-                        kernels::scal(1.0 / glag, &mut znext);
-                    });
-                }
-                zs[znext_idx] = znext;
-
-                let mcol = kloc + 1;
-                let lo2 = mcol.min(l);
-                // l+1 Gram dots sharing z_{mcol}, launched split-phase in
-                // shared-left pairs; consumed l iterations from now.
-                let mut d = 0usize;
-                while d < lo2 {
-                    let (p0, p1) = opts.dot2_deferred(
-                        &zs[mcol % rz],
-                        &zs[(mcol - d) % rz],
-                        &zs[(mcol - d - 1) % rz],
-                        &mut drv.counts,
-                    );
-                    pend[mcol % rp][d] = Some(p0);
-                    pend[mcol % rp][d + 1] = Some(p1);
-                    d += 2;
-                }
-                if d <= lo2 {
-                    pend[mcol % rp][d] = Some(opts.dot_deferred(
-                        &zs[mcol % rz],
-                        &zs[(mcol - d) % rz],
-                        &mut drv.counts,
-                    ));
-                }
-                kloc += 1;
-            };
-
-            // Failure: rollback-and-refill from the checkpointed iterate;
-            // else, when the iterate itself may be fine (numerical drift
-            // of the deep Gram recurrence drove a pivot negative), measure
-            // its TRUE residual — converged, or still making progress
-            // (restart a fresh Lanczos epoch from x, residual-replacement
-            // style) — and only when pinned give up.
-            if let Some(c) = drv.rollback(&mut st) {
+        // A signal goes through the ladder: when the iterate itself
+        // may be fine (numerical drift of the deep Gram recurrence
+        // drove a pivot negative, or faked convergence), its true
+        // residual converges, rolls back, or restarts a fresh Lanczos
+        // epoch from x (residual-replacement style). An outright
+        // failure rolls back and refills from the checkpointed iterate,
+        // or ends the solve.
+        let rung = match signal {
+            Some(fail) => drv.certify(&mut st, updates, fail),
+            None => drv
+                .rollback(&mut st)
+                .map_or(Rung::End(Termination::Breakdown), Rung::Rollback),
+        };
+        match rung {
+            Rung::Rollback(c) => {
                 last_rnorm = norm(st.rr);
                 updates = c;
-                continue 'epochs;
+                refill = true;
             }
-            if restartable {
-                let rr_true = drv.true_rr(a, b, &st.x, &mut scratch);
-                last_rnorm = norm(rr_true);
-                drv.replace_last(last_rnorm);
-                if rr_true <= thresh_sq {
-                    termination = Termination::Converged;
-                    break 'epochs;
-                }
-                if rr_true.is_finite() && rr_true < 0.9 * last_exhaust_rr {
-                    last_exhaust_rr = rr_true;
-                    continue 'epochs;
-                }
+            Rung::Restart(rr) => {
+                st.rr = rr;
+                last_rnorm = norm(rr);
             }
-            termination = Termination::Breakdown;
-            break 'epochs;
+            Rung::End(t) => {
+                termination = t;
+                break 'epochs;
+            }
         }
     }
-    drv.finish(st.x, termination, updates)
+    drv.finish(st.x, &mut st.r, termination, updates)
 }
 
 #[cfg(test)]

@@ -155,9 +155,28 @@ impl Checkpoint for State {
             &mut [&mut self.nu, &mut self.mu, &mut self.delta, &mut self.gamma],
         );
     }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
+    }
 }
 
 impl State {
+    /// The start-up, and a warm restart, from `(x, r)`: `p = r`,
+    /// `s = A·p`; the pipelined schedule also sets `w = A·r` (= `s` here,
+    /// but kept as its own buffer) and `u = A·s`. Then the four dots,
+    /// through the split-phase launch the loop uses (consumed at once —
+    /// there is nothing to overlap yet).
+    fn start(&mut self, a: &dyn LinearOperator, opts: &SolveOptions, counts: &mut crate::OpCounts) {
+        self.p.copy_from_slice(&self.r);
+        opts.matvec(a, &self.p, &mut self.s, counts);
+        if !self.w.is_empty() {
+            self.w.copy_from_slice(&self.s);
+            opts.matvec(a, &self.s, &mut self.u, counts);
+        }
+        self.recompute(opts, counts, |_, _| {});
+    }
+
     /// The recompute batch: all four dots from the actual vectors, as two
     /// shared-left split-phase pairs `(r,r), (r,s)` and `(s,s), (s,p)`,
     /// consumed after `overlap` runs with the batch in flight.
@@ -192,33 +211,21 @@ fn solve_pr(
     let n = a.dim();
     let (mut drv, x, r) = Driver::start(a, b, x0, opts);
 
-    // p = r, s = A·p; the pipelined schedule also needs w = A·r (= s at
-    // startup, but kept as its own buffer) and u = A·s.
-    let p = r.clone();
-    let s = opts.matvec_alloc(a, &p, &mut drv.counts);
-    let w = if pipelined { s.clone() } else { Vec::new() };
-    let u = if pipelined {
-        opts.matvec_alloc(a, &s, &mut drv.counts)
-    } else {
-        Vec::new()
-    };
-    let mut c = if pipelined { vec![0.0; n] } else { Vec::new() };
+    let pipe = if pipelined { n } else { 0 };
+    let mut c = vec![0.0; pipe];
     let mut st = State {
         x,
         r,
-        p,
-        s,
-        w,
-        u,
+        p: vec![0.0; n],
+        s: vec![0.0; n],
+        w: vec![0.0; pipe],
+        u: vec![0.0; pipe],
         nu: 0.0,
         mu: 0.0,
         delta: 0.0,
         gamma: 0.0,
     };
-
-    // Startup dots, computed through the same split-phase launch the loop
-    // uses (consumed immediately here — there is nothing to overlap yet).
-    st.recompute(opts, &mut drv.counts, |_, _| {});
+    st.start(a, opts, &mut drv.counts);
     drv.record(st.nu);
 
     let (termination, iterations) = drv.iterate(
@@ -262,8 +269,9 @@ fn solve_pr(
             drv.record(st.nu);
             Step::after(it, st.nu, drv.thresh_sq)
         },
+        |drv, st, _| st.start(a, opts, &mut drv.counts),
     );
-    drv.finish(st.x, termination, iterations)
+    drv.finish(st.x, &mut st.r, termination, iterations)
 }
 
 #[cfg(test)]

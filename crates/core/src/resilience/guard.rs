@@ -117,45 +117,6 @@ pub fn guarded_matvec_dot(
     retry_reduction(opts, x, y, v, stats)
 }
 
-/// Fused solution/residual update ([`SolveOptions::update_xr`]) with
-/// detect-and-retry on the `(r, r)` reduction.
-///
-/// The vector updates land exactly once; only the reduction re-runs on a
-/// detected fault, reading the already-updated `r`.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn guarded_update_xr(
-    opts: &SolveOptions,
-    lambda: f64,
-    p: &[f64],
-    w: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-    counts: &mut crate::instrument::OpCounts,
-    stats: &mut RecoveryStats,
-) -> f64 {
-    let v = opts.update_xr(lambda, p, w, x, r, counts);
-    retry_reduction(opts, r, r, v, stats)
-}
-
-/// Fused shared-left dot pair ([`SolveOptions::dot2`]) with independent
-/// detect-and-retry on each component reduction.
-#[must_use]
-pub fn guarded_dot2(
-    opts: &SolveOptions,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    counts: &mut crate::instrument::OpCounts,
-    stats: &mut RecoveryStats,
-) -> (f64, f64) {
-    let (dy, dz) = opts.dot2(x, y, z, counts);
-    (
-        retry_reduction(opts, x, y, dy, stats),
-        retry_reduction(opts, x, z, dz, stats),
-    )
-}
-
 /// Shared retry tail: if `v` is non-finite and recovery is active,
 /// re-execute the reduction `xᵀy` (still through the injector) up to
 /// [`MAX_REDUCTION_RETRIES`] times. The same policy [`guarded_dot`]
@@ -201,7 +162,8 @@ pub enum GuardSignal {
     /// Stop with the given termination (stagnated, diverged, or broken
     /// down beyond repair). Convergence is never signalled here: a
     /// replacement that lands below tolerance surfaces as `Replace`, and
-    /// the variant's own threshold check converges on it.
+    /// the variant's own threshold check claims it for the driver to
+    /// certify.
     Halt(Termination),
 }
 
@@ -319,26 +281,6 @@ impl<'a> ResidualGuard<'a> {
         GuardSignal::Proceed
     }
 
-    /// Validate a claimed convergence (`rr ≤ threshold`) against the true
-    /// residual. A corrupted reduction can *shrink* the recursive `rr`
-    /// (e.g. a dropped partial sum → 0.0), so under a recovery policy a
-    /// below-threshold signal is only trusted after this check.
-    ///
-    /// Returns `None` when the convergence is genuine; otherwise the true
-    /// residual `(r, ‖r‖²)` to replace the corrupted recursive one with
-    /// (the solve continues from it).
-    pub fn confirm_convergence(&mut self, x: &[f64], thresh_sq: f64) -> Option<(Vec<f64>, f64)> {
-        let (r_true, rr_true) = self.true_residual(x);
-        if rr_true.is_finite() && rr_true <= thresh_sq {
-            return None;
-        }
-        self.stats.faults_detected += 1;
-        self.stats.replacements += 1;
-        self.best_rr = self.best_rr.min(rr_true.max(f64::MIN_POSITIVE));
-        self.since_progress = 0;
-        Some((r_true, rr_true))
-    }
-
     fn replace(&mut self, x: &[f64]) -> GuardSignal {
         let (r_true, rr_true) = self.true_residual(x);
         if !rr_true.is_finite() {
@@ -440,26 +382,6 @@ mod tests {
             g.inspect(1, &x_far, 1e30),
             GuardSignal::Halt(Termination::Diverged)
         ));
-    }
-
-    #[test]
-    fn confirm_convergence_rejects_fake_and_accepts_real() {
-        let a = gen::poisson1d(8);
-        let b = vec![1.0; 8];
-        let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
-        let mut g = ResidualGuard::new(&a, &b, &opts, 8.0).unwrap();
-        // x = 0 with a claimed rr of 0 (a dropped reduction): spurious
-        let (r, rr) = g
-            .confirm_convergence(&[0.0; 8], 1e-16)
-            .expect("fake convergence must be rejected");
-        assert_eq!(r, b);
-        assert!((rr - 8.0).abs() < 1e-12);
-        assert_eq!(g.stats.faults_detected, 1);
-        assert_eq!(g.stats.replacements, 1);
-        // a genuinely converged iterate passes
-        let dense = vr_linalg::DenseMatrix::from_rows(&a.to_dense()).unwrap();
-        let exact = dense.solve_spd(&b).unwrap();
-        assert!(g.confirm_convergence(&exact, 1e-16).is_none());
     }
 
     #[test]

@@ -124,13 +124,12 @@ pub fn solve_with_recovery(
 
     let mut owned: Option<Box<dyn CgVariant>> = None;
     let mut x_start: Option<Vec<f64>> = x0.map(<[f64]>::to_vec);
-    let mut best_start_rr = f64::INFINITY;
+    let mut best_start = f64::INFINITY;
     let mut total_counts = OpCounts::default();
     let mut all_norms: Vec<f64> = Vec::new();
     let mut total_iters = 0usize;
     let mut stats = RecoveryStats::default();
     let mut restarts = 0usize;
-    let mut vscratch = vec![0.0; b.len()];
 
     loop {
         let v: &dyn CgVariant = owned.as_deref().unwrap_or(variant);
@@ -175,18 +174,14 @@ pub fn solve_with_recovery(
         total_counts.restarts += 1;
 
         // Warm start from the attempt's iterate if it is finite AND at
-        // least as good (by true residual) as the start it came from —
-        // never let a faulted attempt drag the ladder backwards. A
-        // cold-restart policy skips this entirely and replays from `x0`.
-        if policy.warm_restart && res.x.iter().all(|v| v.is_finite()) {
-            let rr = inner_opts.span(vr_obs::SpanKind::Recovery, || {
-                inner_opts.true_rr_into(a, b, &res.x, &mut vscratch)
-            });
-            total_counts.matvecs += 1;
-            if rr.is_finite() && rr < best_start_rr {
-                best_start_rr = rr;
-                x_start = Some(res.x);
-            }
+        // least as good (by true residual — the attempt's certified
+        // `final_residual`) as the start it came from: never let a faulted
+        // attempt drag the ladder backwards. A cold-restart policy skips
+        // this entirely and replays from `x0`.
+        let rn = res.final_residual;
+        if policy.warm_restart && res.x.iter().all(|v| v.is_finite()) && rn < best_start {
+            best_start = rn;
+            x_start = Some(res.x);
         }
 
         if let Some(next) = v.backoff() {

@@ -429,9 +429,9 @@ impl SolveOptions {
     }
 
     /// The true residual `r ← b − A·x` and its squared norm `‖r‖²`: the
-    /// one reduction every check of a claim against the truth takes
-    /// (`Driver::true_rr`, the residual guard, the recovery ladder's
-    /// warm-start check and the mixed twins' `f64` confirmation). It runs
+    /// one reduction every check of a claim against the truth takes (the
+    /// driver's certification ladder and exit measurement, the residual
+    /// guard and the mixed twins' `f64` confirmation). It runs
     /// on the solve's team and in its `dot_mode` order but never through
     /// the injector, so a validation measures the iterate the recurrence
     /// produced rather than a fresh fault. Untallied and unspanned: each
@@ -849,19 +849,6 @@ impl SolveOptions {
         });
     }
 
-    /// [`SolveOptions::matvec`] into a freshly allocated vector.
-    #[must_use]
-    pub fn matvec_alloc(
-        &self,
-        a: &dyn LinearOperator,
-        x: &[f64],
-        counts: &mut OpCounts,
-    ) -> Vec<f64> {
-        let mut y = vec![0.0; a.dim()];
-        self.matvec(a, x, &mut y, counts);
-        y
-    }
-
     /// Team-parallel `y ← y + a·x` (exact per element at any width);
     /// tallies one vector op.
     pub fn axpy(&self, a: f64, x: &[f64], y: &mut [f64], counts: &mut OpCounts) {
@@ -898,8 +885,12 @@ pub enum Termination {
     /// A scalar recurrence produced a non-finite or non-positive quantity
     /// that must be positive for an SPD system (breakdown).
     Breakdown,
-    /// The guard saw no residual progress over the policy's stagnation
-    /// window (recovery-guarded solves only).
+    /// The solve is pinned at its attainable floor: a recovery guard saw
+    /// no residual progress over the policy's stagnation window, the
+    /// mixed-precision shadow guard saw none across its confirmations, or
+    /// the certification ladder refuted a convergence claim and the true
+    /// residual had not fallen enough since the last warm restart to try
+    /// another.
     Stagnated,
     /// The true residual grew beyond the policy's divergence factor
     /// (recovery-guarded solves only).
@@ -940,16 +931,22 @@ pub struct SolveResult {
     pub termination: Termination,
     /// Iterations performed.
     pub iterations: usize,
-    /// Recursive residual norm per iteration (index 0 = initial), if
-    /// recording was enabled; always contains at least the final value.
+    /// Residual norm per iteration (index 0 = initial), if recording was
+    /// enabled; always contains at least the final value. Entries are the
+    /// norms the algorithm tracks (recursive for the scalar-recurrence
+    /// variants), except where the true residual was measured: at a
+    /// certification and at the exit, whose measurement replaces the
+    /// iteration's tracked value.
     pub residual_norms: Vec<f64>,
-    /// Final *recursive* residual norm (as tracked by the algorithm).
+    /// Final residual norm: the *true* residual `‖b − A·x‖` of the
+    /// returned `x`, measured at the exit (injector-free, on the solve's
+    /// team and summation order), or the directly formed initial residual
+    /// of an [`Termination::Unsupported`] rejection.
     ///
     /// Contract: this is always `residual_norms.last()` — every variant
     /// records at least one norm, even with residual recording disabled
-    /// and even for the zero-iteration case (where it is the initial
-    /// residual norm). It is NaN only when the recurrence itself produced
-    /// NaN, e.g. under injected faults without recovery.
+    /// and even for the zero-iteration case. It is NaN only when the
+    /// iterate itself is not finite.
     pub final_residual: f64,
     /// Operation counts.
     pub counts: OpCounts,

@@ -28,7 +28,7 @@
 
 pub mod basis;
 
-use crate::driver::{self, Checkpoint, Driver, Twins, Visit};
+use crate::driver::{self, Checkpoint, Driver, Rung, Twins, Visit};
 use crate::resilience::guard;
 use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use basis::{BasisKind, KrylovBasis};
@@ -99,11 +99,9 @@ impl CgVariant for SStepCg {
         // Basis parameters (shifts / interval) from a short Lanczos run.
         let params = basis::BasisParams::estimate(self.basis, a, s, &mut drv.counts);
 
-        let rr = opts.dot(&r, &r);
+        let rr = guard::guarded_dot(opts, &r, &r, &mut drv.rstats);
         drv.counts.dots += 1;
         drv.record(rr);
-        // validation scratch for `validate_or_restart`
-        let mut vscratch = vec![0.0; r.len()];
         let mut st = State { x, r, rr };
 
         // Two direction blocks, alternating roles each outer step:
@@ -123,25 +121,31 @@ impl CgVariant for SStepCg {
         let mut ycoef = vec![0.0; s];
         let mut bcoef = vec![0.0; s];
 
-        let mut termination = Termination::MaxIterations;
         let mut iterations = 0usize;
-        let mut last_restart_rr = f64::INFINITY;
-
-        if st.rr <= thresh_sq {
-            termination = Termination::Converged;
-        }
-
-        'outer: while termination == Termination::MaxIterations && iterations < opts.max_iters {
+        // `Some(fail)` hands a signal to the driver's ladder: a convergence
+        // claim (on the initial `(r, r)` too, a reduction like any other),
+        // or a suspicious signal (a Gram matrix that is not numerically
+        // SPD, or a non-finite residual).
+        let mut signal = (st.rr <= thresh_sq).then_some(Termination::Stagnated);
+        let termination = loop {
+            if let Some(fail) = signal.take() {
+                match drv.certify(&mut st, iterations, fail) {
+                    Rung::Rollback(c) => iterations = c,
+                    Rung::Restart(rr) => st.rr = rr,
+                    Rung::End(t) => break t,
+                }
+                // a restored or restarted block resumes unconjugated
+                prev_active = false;
+            }
+            if iterations >= opts.max_iters {
+                break Termination::MaxIterations;
+            }
             // one loop top per outer block step — the natural iteration
             // unit of s-step CG
             if drv.top(iterations, st.rr, &mut st) {
-                termination = Termination::Cancelled;
-                break;
+                break Termination::Cancelled;
             }
-            // One block step; `false` flags a suspicious signal (a Gram
-            // matrix that is not numerically SPD, or a non-finite residual)
-            // for validation below.
-            let stepped = 'block: {
+            signal = 'block: {
                 // 1) block basis from the current residual
                 opts.span(vr_obs::SpanKind::MpkBuild, || {
                     basis::build_into(
@@ -171,17 +175,18 @@ impl CgVariant for SStepCg {
                     let sp = p_prev.len();
                     for i in 0..sp {
                         for j in 0..sp {
-                            gram[(i, j)] = opts.dot(&p_prev[i], &ap_prev[j]);
+                            gram[(i, j)] =
+                                guard::guarded_dot(opts, &p_prev[i], &ap_prev[j], &mut drv.rstats);
                         }
                     }
                     drv.counts.dots += sp * sp;
                     if gram.cholesky_into(&mut chol).is_err() {
-                        break 'block false;
+                        break 'block Some(Termination::Breakdown);
                     }
                     for (pc, apc) in p.iter_mut().zip(ap.iter_mut()) {
                         // rhs_i = (p_prev_i, A·v) = (ap_prev_i, v)
                         for (ri, api) in rhs.iter_mut().zip(ap_prev) {
-                            *ri = opts.dot(api, &*pc);
+                            *ri = guard::guarded_dot(opts, api, &*pc, &mut drv.rstats);
                         }
                         drv.counts.dots += sp;
                         chol.solve_into(&rhs, &mut bcoef);
@@ -196,16 +201,16 @@ impl CgVariant for SStepCg {
                 // 3) small SPD solve: (PᵀAP) y = Pᵀ r
                 for i in 0..s {
                     for j in 0..s {
-                        gram[(i, j)] = opts.dot(&p[i], &ap[j]);
+                        gram[(i, j)] = guard::guarded_dot(opts, &p[i], &ap[j], &mut drv.rstats);
                     }
                 }
                 for (ri, pi) in rhs.iter_mut().zip(p.iter()) {
-                    *ri = opts.dot(pi, &st.r);
+                    *ri = guard::guarded_dot(opts, pi, &st.r, &mut drv.rstats);
                 }
                 drv.counts.dots += s * s + s;
 
                 if gram.cholesky_into(&mut chol).is_err() {
-                    break 'block false;
+                    break 'block Some(Termination::Breakdown);
                 }
                 chol.solve_into(&rhs, &mut ycoef);
                 drv.counts.scalar_ops += s * s * s / 3;
@@ -219,48 +224,26 @@ impl CgVariant for SStepCg {
                 }
                 opts.axpy(y_last, &p[s - 1], &mut st.x, &mut drv.counts);
 
-                st.rr = opts.axpy_norm2_sq(-y_last, &ap[s - 1], &mut st.r, &mut drv.counts);
+                let rr = opts.axpy_norm2_sq(-y_last, &ap[s - 1], &mut st.r, &mut drv.counts);
+                st.rr = guard::retry_reduction(opts, &st.r, &st.r, rr, &mut drv.rstats);
                 iterations += s.min(opts.max_iters - iterations);
                 drv.record(st.rr);
                 if st.rr <= thresh_sq {
-                    termination = Termination::Converged;
-                    break 'outer;
+                    break 'block Some(Termination::Stagnated);
                 }
-                guard::check_finite(st.rr).is_ok()
+                guard::check_finite(st.rr)
+                    .is_err()
+                    .then_some(Termination::Breakdown)
             };
-            if stepped {
+            if signal.is_none() {
                 // the fresh block becomes the previous block for the next step
                 cur = 1 - cur;
                 prev_active = true;
-                continue;
             }
-            if !validate_or_restart(
-                &mut drv,
-                a,
-                b,
-                &mut st,
-                &mut last_restart_rr,
-                &mut vscratch,
-                &mut termination,
-            ) {
-                // a breakdown can still be rescued from a checkpoint; the
-                // restored block resumes unconjugated, exactly the state
-                // after a warm restart
-                if termination != Termination::Breakdown {
-                    break;
-                }
-                let Some(c) = drv.rollback(&mut st) else {
-                    break;
-                };
-                iterations = c;
-                termination = Termination::MaxIterations;
-            }
-            prev_active = false;
-        }
+        };
 
-        drv.rstats.restarts = drv.counts.restarts;
         drv.rstats.final_k = s;
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
     }
 
     fn backoff(&self) -> Option<Box<dyn CgVariant>> {
@@ -293,41 +276,10 @@ impl Checkpoint for State {
     fn state(&mut self, f: Visit<'_>) {
         f(&mut [&mut self.x, &mut self.r], &mut [&mut self.rr]);
     }
-}
 
-/// Shared suspicious-signal handler: recompute the true residual; set
-/// `Converged` (returning false to stop), or refresh `r`/`rr` for a warm
-/// restart (returning true), or set `Breakdown` when no progress
-/// (returning false). `scratch` holds `b − A·x` transiently (no
-/// allocation).
-fn validate_or_restart(
-    drv: &mut Driver<'_>,
-    a: &dyn LinearOperator,
-    b: &[f64],
-    st: &mut State,
-    last_restart_rr: &mut f64,
-    scratch: &mut [f64],
-    termination: &mut Termination,
-) -> bool {
-    let rr_true = drv.true_rr(a, b, &st.x, scratch);
-    if rr_true <= drv.thresh_sq {
-        *termination = Termination::Converged;
-        return false;
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
     }
-    // non-finite true residual: the iterate is poisoned, restarting from
-    // it would loop forever — breakdown (NaN fails every comparison, so
-    // the progress test alone would let it through)
-    if crate::resilience::guard::check_finite(rr_true).is_err()
-        || rr_true >= 0.25 * *last_restart_rr
-    {
-        *termination = Termination::Breakdown;
-        return false;
-    }
-    *last_restart_rr = rr_true;
-    drv.counts.restarts += 1;
-    st.r.copy_from_slice(scratch);
-    st.rr = rr_true;
-    true
 }
 
 #[cfg(test)]

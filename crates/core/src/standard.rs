@@ -7,7 +7,7 @@
 use crate::driver::{self, Checkpoint, Driver, Step, Twins, Visit};
 use crate::exec::Exec;
 use crate::instrument::OpCounts;
-use crate::resilience::guard::{self, GuardSignal};
+use crate::resilience::guard::{self, GuardSignal, ResidualGuard};
 use crate::solver::{CgVariant, Execution, SolveOptions, SolveResult, Termination};
 use vr_linalg::LinearOperator;
 
@@ -33,15 +33,19 @@ impl Checkpoint for State {
             &mut [&mut self.rr],
         );
     }
+
+    fn residual(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.x, &mut self.r)
+    }
 }
 
 impl State {
-    /// Residual replacement: adopt the true residual `r` and restart the
-    /// direction from it.
-    fn replace(&mut self, r: Vec<f64>, counts: &mut OpCounts) {
-        self.r = r;
+    /// The start-up, and a warm restart: the direction starts from `r`,
+    /// whose squared norm is `rr`.
+    fn start(&mut self, rr: f64, counts: &mut OpCounts) {
         self.p.copy_from_slice(&self.r);
-        counts.vector_ops += 2;
+        self.rr = rr;
+        counts.vector_ops += 1;
     }
 }
 
@@ -77,31 +81,21 @@ impl CgVariant for StandardCg {
             return res;
         }
         let (mut drv, x, r) = Driver::start(a, b, x0, opts);
-        let thresh_sq = drv.thresh_sq;
         let mut ex = Exec::new(a, opts);
-        let p = r.clone();
-        drv.counts.vector_ops += 1;
+        let n = a.dim();
+        let mut st = State {
+            x,
+            r,
+            p: vec![0.0; n],
+            rr: 0.0,
+        };
         // w = A·p (the sweep evaluates it in-band and leaves w untouched)
-        let mut w = vec![0.0; a.dim()];
-        let rr = guard::guarded_dot(opts, &r, &r, &mut drv.rstats);
+        let mut w = vec![0.0; n];
+        let rr = guard::guarded_dot(opts, &st.r, &st.r, &mut drv.rstats);
         drv.counts.dots += 1;
-        let mut st = State { x, r, p, rr };
-        drv.watch(a, b, st.rr);
+        st.start(rr, &mut drv.counts);
+        drv.guard = ResidualGuard::new(a, b, opts, st.rr);
         drv.record(st.rr);
-
-        if st.rr <= thresh_sq {
-            // same spurious-convergence hazard as in the loop below: a
-            // refuted claim restarts from the true residual, which then
-            // fails the threshold
-            if let Some((r_new, rr_new)) = drv
-                .guard
-                .as_mut()
-                .and_then(|g| g.confirm_convergence(&st.x, thresh_sq))
-            {
-                st.replace(r_new, &mut drv.counts);
-                st.rr = rr_new;
-            }
-        }
 
         let (termination, iterations) = drv.iterate(
             &mut st,
@@ -133,7 +127,11 @@ impl CgVariant for StandardCg {
                         r: r_new,
                         rr: rr_new,
                     }) => {
-                        st.replace(r_new, &mut drv.counts);
+                        // residual replacement: adopt the true residual
+                        // and restart the direction from it
+                        st.r = r_new;
+                        drv.counts.vector_ops += 1;
+                        st.start(rr_new, &mut drv.counts);
                         rr_next = rr_new;
                         replaced = true;
                     }
@@ -151,42 +149,21 @@ impl CgVariant for StandardCg {
                     }
                 }
 
-                if rr_next <= drv.thresh_sq {
-                    // a corrupted reduction can fake convergence (a dropped
-                    // partial shrinks rr): under a recovery policy the
-                    // signal must survive a true-residual check
-                    match drv
-                        .guard
-                        .as_mut()
-                        .and_then(|g| g.confirm_convergence(&st.x, thresh_sq))
-                    {
-                        None => {
-                            drv.record(rr_next);
-                            st.rr = rr_next;
-                            return Step::End(Termination::Converged, it + 1);
-                        }
-                        Some((r_new, rr_new)) => {
-                            st.replace(r_new, &mut drv.counts);
-                            rr_next = rr_new;
-                            replaced = true;
-                        }
-                    }
-                }
+                // a claim (which a dropped partial can fake by shrinking
+                // rr) is certified against the true residual by the driver
                 drv.record(rr_next);
-                if guard::check_finite(rr_next).is_err() {
-                    st.rr = rr_next;
-                    return Step::breakdown(it + 1);
-                }
-                if !replaced {
+                let verdict = Step::after(it, rr_next, drv.thresh_sq);
+                if verdict.is_next() && !replaced {
                     let alpha = opts.scalar(rr_next / st.rr);
                     drv.counts.scalar_ops += 1;
                     ex.xpay(drv, &st.r, alpha, &mut st.p);
                 }
                 st.rr = rr_next;
-                Step::Next
+                verdict
             },
+            |drv, st, rr| st.start(rr, &mut drv.counts),
         );
-        drv.finish(st.x, termination, iterations)
+        drv.finish(st.x, &mut st.r, termination, iterations)
     }
 }
 
@@ -327,6 +304,24 @@ mod tests {
                 let rel = res.true_residual(&a, &b) / bnorm;
                 assert!(rel < 1e-6, "seed {seed}: claimed convergence at rel {rel}");
             }
+        }
+    }
+
+    #[test]
+    fn a_dropped_initial_reduction_never_fakes_convergence() {
+        // a Drop on the very first reduction zeroes the initial (r, r),
+        // which claims convergence before any iteration: that claim is
+        // certified like any other, with or without a recovery policy
+        use crate::resilience::{FaultKind, RecoveryPolicy, SingleFault};
+        let (a, b) = (gen::poisson2d(10), gen::poisson2d_rhs(10));
+        for recovery in [Some(RecoveryPolicy::default()), None] {
+            let drop = std::sync::Arc::new(SingleFault::new(0, FaultKind::Drop));
+            let opts = SolveOptions::default().with_tol(1e-8).with_injector(drop);
+            let res = StandardCg::new().solve(&a, &b, None, &SolveOptions { recovery, ..opts });
+            let (t, ctx) = (res.true_residual(&a, &b), format!("{:?}", res.termination));
+            assert!(res.converged && res.iterations > 0, "{ctx}");
+            assert!(t <= 1e-8 * vr_linalg::kernels::norm2(&b), "{ctx}: {t}");
+            assert!((res.final_residual - t).abs() <= 1e-12 * t, "{ctx}");
         }
     }
 

@@ -341,6 +341,88 @@ fn unix_domain_socket_serves_csr_uploads() {
     assert!(!path.exists(), "socket file removed on join");
 }
 
+/// Certified answers on the wire: the E21 floor problem, uploaded as CSR,
+/// solved by variants pinned at tolerances where their recurrences reach
+/// the attainable floor (and one latency-class job the router picks for),
+/// comes back with `residuals[0]` bit-identical to the library's
+/// certified `final_residual` — the true residual `‖b − A·x‖` — and with
+/// `converged` only when that value meets the tolerance.
+#[test]
+fn floor_problem_answers_carry_certified_residuals() {
+    let server = start_tcp(8, 2);
+    let client = Client::connect(server.addr()).unwrap();
+    let floor = gen::tridiag_toeplitz(2000, 2.0 + 4e-4, -1.0);
+    let (n, indptr, indices, data) = (
+        floor.nrows(),
+        floor.indptr().to_vec(),
+        floor.indices().to_vec(),
+        floor.data().to_vec(),
+    );
+    let a = vr_linalg::CsrMatrix::new(n, n, indptr.clone(), indices.clone(), data.clone()).unwrap();
+    let b = gen::rand_vector(n, 5);
+    let bnorm = vr_linalg::kernels::norm2(&b);
+    let jobs = [
+        (Some("pipelined"), 1e-8),
+        (Some("three_term"), 1e-10),
+        (Some("standard"), 1e-12),
+        (Some("sstep_s3"), 1e-12),
+        (None, 1e-12),
+    ];
+    for (pin, tol) in jobs {
+        let mut spec = JobSpec::new(
+            OperatorSpec::Csr {
+                n,
+                indptr: indptr.clone(),
+                indices: indices.clone(),
+                data: data.clone(),
+            },
+            RhsSpec::Explicit(vec![b.clone()]),
+        );
+        spec.tol = tol;
+        spec.max_iters = 20_000;
+        spec.batch = false;
+        spec.variant = pin.map(String::from);
+        if pin.is_none() {
+            spec.class = DeadlineClass::Latency;
+        }
+        let done = client.submit(spec).expect("admitted").wait().unwrap();
+        let key = done.routing.variant.clone();
+        let ctx = format!(
+            "{key} at tol {tol:e}: {} after {}",
+            done.termination, done.iterations
+        );
+
+        let opts = vr_cg::SolveOptions::default()
+            .with_tol(tol)
+            .with_max_iters(20_000)
+            .with_dot_mode(DotMode::Tree)
+            .with_team(Arc::new(Team::new(1)));
+        let solver = registry::variant_by_key(&key, &a).unwrap();
+        let local = solver.solve(&a, &b, None, &opts);
+        assert_eq!(local.iterations, done.iterations, "{ctx}");
+        let served = done.residuals[0];
+        assert_eq!(
+            served.to_bits(),
+            local.final_residual.to_bits(),
+            "{ctx}: the served residual is the library's"
+        );
+        let truth = local.true_residual(&a, &b);
+        assert!(
+            (served - truth).abs() <= 1e-12 * truth,
+            "{ctx}: served {served:e}, true residual {truth:e}"
+        );
+        assert!(
+            !done.converged || served <= tol * bnorm,
+            "{ctx}: converged at a relative residual of {:e}",
+            served / bnorm
+        );
+    }
+
+    drop(client);
+    server.shutdown(ShutdownMode::Drain);
+    server.join();
+}
+
 #[test]
 fn deadline_classes_route_and_report_reasons() {
     // a routing table measured live on this host (cheap at grid 8)

@@ -14,10 +14,12 @@
 //! `(iter, value)` progress stream. One file per loop lives under
 //! `tests/golden/protocol/`.
 //!
-//! The `floor` rows solve the E21 floor problem at tol 1e-12 and so pin
-//! today's claims there, including recurrence-only convergence claims the
-//! true residual does not back; a change that certifies convergence at
-//! the exit regenerates them and explains the diff.
+//! The `floor` rows solve the E21 floor problem at tol 1e-12, just below
+//! the attainable floor of most recurrences: they pin the driver's
+//! certification ladder at work — refuted convergence claims that warm
+//! restart and converge a few iterations later, restarts that stop at the
+//! floor, and the exit measurement that makes `final_residual` the true
+//! residual of the returned iterate.
 //!
 //! When an *intentional* behaviour change lands, regenerate with:
 //!

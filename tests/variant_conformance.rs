@@ -37,6 +37,10 @@
 //! 11. **One reduction path** — every inner product a solver tallies in
 //!     `OpCounts::dots` reaches the solve's fault injector, so each one
 //!     runs on the solve's team and reduction order.
+//! 12. **Certified exits at the attainable floor** — on a problem whose
+//!     recurrences drift near their floor, a `converged` claim is backed
+//!     by the true residual, and `final_residual` *is* the true residual
+//!     on every exit.
 //!
 //! The allocation column needs a quiet window, so a process-wide mutex
 //! serializes every test in this binary against the measured solves.
@@ -797,5 +801,60 @@ fn every_tallied_inner_product_reaches_the_fault_injector() {
         off_path.is_empty(),
         "inner products off the reduction path in iterations 10..40:\n{}",
         off_path.join("\n")
+    );
+}
+
+// ------------------------------------- column 12: certified exits at the floor
+
+/// The E21 floor problem — `tridiag(−1, 2 + 4e-4, −1)`, `n = 2000` — at
+/// tolerances from well above to just below the attainable floor of the
+/// scalar-recurrence variants, under default options (no recovery policy,
+/// as the solve daemon runs): every `converged` claim is backed by the
+/// true residual to norm rounding, `final_residual` is the true residual
+/// of the returned `x` on every exit, and overlapped CR — which ran away
+/// from its solution before every exit was certified — converges above
+/// its floor.
+#[test]
+fn every_exit_is_certified_by_the_true_residual_at_the_floor() {
+    let _g = gate();
+    let a = gen::tridiag_toeplitz(2000, 2.0 + 4e-4, -1.0);
+    let b = gen::rand_vector(2000, 5);
+    let bnorm = kernels::norm2(&b);
+    let mut solvers: Vec<(&str, Box<dyn CgVariant>)> = keyed_variants(&a);
+    assert_eq!(solvers.len(), VARIANT_COUNT, "registry drifted");
+    solvers.push(("conjugate_residual", Box::new(ConjugateResidual::new())));
+    solvers.push(("overlap_cr", Box::new(OverlapCr::new())));
+    solvers.push(("chebyshev", Box::new(ChebyshevIteration::auto())));
+    let mut failures = Vec::new();
+    for tol in [1e-6, 1e-8, 1e-10, 1e-12] {
+        let opts = SolveOptions::default().with_tol(tol).with_max_iters(20_000);
+        for (key, solver) in &solvers {
+            let res = solver.solve(&a, &b, None, &opts);
+            let truth = res.true_residual(&a, &b);
+            let ctx = format!(
+                "{key} at tol {tol:e}: {:?} after {} iterations",
+                res.termination, res.iterations
+            );
+            if res.converged && truth > tol * bnorm * (1.0 + 1e-12) {
+                failures.push(format!(
+                    "{ctx} claims convergence at a true relative residual of {:e}",
+                    truth / bnorm
+                ));
+            }
+            if (res.final_residual - truth).abs() > 1e-12 * truth {
+                failures.push(format!(
+                    "{ctx} reports final_residual {:e}, true residual {truth:e}",
+                    res.final_residual
+                ));
+            }
+            if *key == "overlap_cr" && tol >= 1e-10 && !res.converged {
+                failures.push(format!("{ctx} does not converge above its floor"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "uncertified exits on the floor problem:\n{}",
+        failures.join("\n")
     );
 }
