@@ -18,9 +18,6 @@ fn bench_dot_orders(b: &mut Bench) {
         b.run(format!("kernels/dot/tree/{log_n}"), || {
             black_box(kernels::dot(kernels::DotMode::Tree, &x, &y))
         });
-        b.run(format!("kernels/dot/kahan/{log_n}"), || {
-            black_box(kernels::dot_kahan(&x, &y))
-        });
     }
 }
 

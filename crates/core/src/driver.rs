@@ -51,7 +51,7 @@
 
 use crate::instrument::{OpCounts, RecoveryStats};
 use crate::resilience::checkpoint::{CheckpointRing, HistoryMark};
-use crate::resilience::guard::ResidualGuard;
+use crate::resilience::guard::{all_finite, ResidualGuard};
 use crate::solver::{Execution, SolveOptions, SolveResult, Termination};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -393,12 +393,19 @@ impl<'a> Driver<'a> {
     }
 
     /// Snapshot `st` as the state at iteration `it` if a checkpoint is due
-    /// there, remembering where the residual history stands.
+    /// there, remembering where the residual history stands. A state whose
+    /// declared vectors or scalars hold a non-finite value is no rollback
+    /// target, so it is skipped and the ring keeps its older snapshots.
     pub fn save(&mut self, it: usize, st: &mut dyn Checkpoint) {
         let opts = self.opts;
         let history = self.mark;
         if let Some(ring) = self.ring.as_mut().filter(|ring| ring.due(it)) {
-            st.state(&mut |v, s| ring.save(opts, it, history, v, s));
+            st.state(&mut |v, s| {
+                let vecs = v.iter().flat_map(|v| v.iter().copied());
+                if all_finite(vecs.chain(s.iter().map(|s| **s))) {
+                    ring.save(opts, it, history, v, s);
+                }
+            });
         }
     }
 
@@ -764,6 +771,19 @@ mod tests {
         assert_eq!(st.scalars, [1.0]);
         // ring empty now
         assert_eq!(drv.rollback(&mut st), None);
+    }
+
+    #[test]
+    fn a_non_finite_state_is_never_saved() {
+        let o = ring_opts(4, 4);
+        let mut drv = Driver::attach(&o);
+        drv.save(0, &mut snap(&[&[1.0, 1.0]], &[1.0]));
+        drv.save(4, &mut snap(&[&[2.0, f64::NAN]], &[2.0]));
+        drv.save(8, &mut snap(&[&[3.0, 3.0]], &[f64::INFINITY]));
+        let mut st = snap(&[&[0.0; 2]], &[0.0]);
+        assert_eq!(drv.rollback(&mut st), Some(0));
+        assert_eq!(st.vecs, vec![vec![1.0, 1.0]]);
+        assert_eq!(st.scalars, [1.0]);
     }
 
     #[test]

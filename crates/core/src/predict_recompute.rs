@@ -339,7 +339,7 @@ mod tests {
     fn dot_modes_and_threads_converge() {
         let a = gen::poisson2d(10);
         let b = gen::poisson2d_rhs(10);
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+        for mode in [DotMode::Serial, DotMode::Tree] {
             let opts = SolveOptions::default().with_tol(1e-9).with_dot_mode(mode);
             for v in [
                 Box::new(PredictRecomputeCg::new()) as Box<dyn CgVariant>,

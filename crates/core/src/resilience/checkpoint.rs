@@ -12,7 +12,10 @@
 //! The ring holds two slots: a rollback consumes the newest valid snapshot,
 //! so a second corruption inside the same replay window falls back to the
 //! previous one instead of spinning on a possibly-tainted state. Replaying
-//! past a checkpoint boundary re-saves (and thus re-validates) a slot.
+//! past a checkpoint boundary re-saves a slot. The iteration driver never
+//! saves a state holding a non-finite value, so every snapshot is finite;
+//! a silently corrupted but finite one is for the guards to catch after
+//! the rollback.
 
 use super::recovery::RecoveryPolicy;
 use crate::solver::SolveOptions;

@@ -10,12 +10,11 @@
 //! * **Scalar guards** ([`check_pivot`], [`check_finite`], [`all_finite`],
 //!   [`guarded_dot`]) — pure classification of suspicious scalars, plus
 //!   detect-and-retry for corrupted reductions.
-//! * **[`ResidualGuard`]** — an in-loop monitor owning the recovery
-//!   policy's *numerical* defenses: periodic true-residual recomputation,
-//!   residual replacement, stagnation and divergence detection.
+//! * **[`ResidualGuard`]** — standard CG's in-loop monitor, run under any
+//!   recovery policy: periodic true-residual recomputation, residual
+//!   replacement, stagnation and divergence detection, on fixed settings.
 
 use crate::instrument::RecoveryStats;
-use crate::resilience::recovery::RecoveryPolicy;
 use crate::solver::{SolveOptions, Termination};
 use vr_linalg::LinearOperator;
 
@@ -82,6 +81,15 @@ const REPLACEMENT_THRESHOLD: f64 = 0.5;
 /// residual norm exceeds this factor times the initial residual norm.
 const DIVERGENCE_FACTOR: f64 = 1e8;
 
+/// [`ResidualGuard`] recomputes the true residual `b − A·x` every this many
+/// iterations and compares it against the recursive one: the check that
+/// catches silent data corruption the finiteness guards cannot see.
+const TRUE_RESIDUAL_PERIOD: usize = 25;
+
+/// [`ResidualGuard`] halts with [`Termination::Stagnated`] after this many
+/// consecutive iterations without 1% progress on the best residual.
+const STAGNATION_WINDOW: usize = 400;
+
 /// Inner product with detect-and-retry.
 ///
 /// Computes `xᵀy` through the options' fault path. If the result is
@@ -121,7 +129,10 @@ pub fn guarded_matvec_dot(
 /// re-execute the reduction `xᵀy` (still through the injector) up to
 /// [`MAX_REDUCTION_RETRIES`] times. The same policy [`guarded_dot`]
 /// applies after its first attempt; split-phase callers apply it to a
-/// resolved [`vr_par::PendingScalar`].
+/// resolved [`vr_par::PendingScalar`]. A reduction whose operands already
+/// hold a non-finite value is not re-run: every re-run would repeat the
+/// NaN and draw fresh injector calls, shifting every later fault. The
+/// detection is counted once and the value handed up to the guards.
 pub(crate) fn retry_reduction(
     opts: &SolveOptions,
     x: &[f64],
@@ -130,6 +141,10 @@ pub(crate) fn retry_reduction(
     stats: &mut RecoveryStats,
 ) -> f64 {
     if v.is_finite() || opts.recovery.is_none() {
+        return v;
+    }
+    if !all_finite(x.iter().chain(y).copied()) {
+        stats.faults_detected += 1;
         return v;
     }
     let mut last = v;
@@ -151,12 +166,11 @@ pub enum GuardSignal {
     /// All checks passed — continue the recurrence.
     Proceed,
     /// Replace the recursive residual with the freshly computed true
-    /// residual `b − A·x` (and restart the direction from it). Carries the
-    /// new residual vector and its squared norm.
+    /// residual `b − A·x` (and restart the direction from it). The guard
+    /// holds the new residual ([`ResidualGuard::swap_residual`] hands it
+    /// over); the signal carries its squared norm.
     Replace {
-        /// The true residual `b − A·x`.
-        r: Vec<f64>,
-        /// Its squared norm `‖r‖²`.
+        /// The squared norm `‖b − A·x‖²` of the true residual.
         rr: f64,
     },
     /// Stop with the given termination (stagnated, diverged, or broken
@@ -168,13 +182,15 @@ pub enum GuardSignal {
 }
 
 /// In-loop residual monitor implementing the numerical half of a
-/// [`RecoveryPolicy`]: periodic true-residual recomputation, residual
-/// replacement, stagnation and divergence detection.
+/// [`crate::resilience::RecoveryPolicy`]: periodic true-residual
+/// recomputation, residual replacement, stagnation and divergence
+/// detection.
 pub struct ResidualGuard<'a> {
     a: &'a dyn LinearOperator,
     b: &'a [f64],
     opts: &'a SolveOptions,
-    policy: RecoveryPolicy,
+    /// The last true residual `b − A·x` measured, allocated once per solve.
+    r_true: Vec<f64>,
     initial_rr: f64,
     best_rr: f64,
     since_progress: usize,
@@ -196,11 +212,11 @@ impl<'a> ResidualGuard<'a> {
         opts: &'a SolveOptions,
         rr0: f64,
     ) -> Option<Self> {
-        Some(ResidualGuard {
+        opts.recovery.is_some().then(|| ResidualGuard {
             a,
             b,
             opts,
-            policy: opts.recovery.clone()?,
+            r_true: vec![0.0; b.len()],
             initial_rr: rr0.max(f64::MIN_POSITIVE),
             best_rr: rr0.max(f64::MIN_POSITIVE),
             since_progress: 0,
@@ -209,16 +225,20 @@ impl<'a> ResidualGuard<'a> {
         })
     }
 
-    fn true_residual(&mut self, x: &[f64]) -> (Vec<f64>, f64) {
+    /// Measure `b − A·x` into the guard's own buffer (allocated in
+    /// [`ResidualGuard::new`], so a periodic check allocates nothing) and
+    /// return its squared norm.
+    fn true_residual(&mut self, x: &[f64]) -> f64 {
         self.extra_matvecs += 1;
-        self.opts.span(vr_obs::SpanKind::Guard, || {
-            // The residual vector is allocated: `GuardSignal::Replace`
-            // hands ownership to the solver, and replacements only fire on
-            // (rare) fault events — never on the per-iteration path.
-            let mut r = vec![0.0; self.b.len()];
-            let rr = self.opts.true_rr_into(self.a, self.b, x, &mut r);
-            (r, rr)
-        })
+        let (a, b, opts, r) = (self.a, self.b, self.opts, &mut self.r_true);
+        opts.span(vr_obs::SpanKind::Guard, || opts.true_rr_into(a, b, x, r))
+    }
+
+    /// Exchange `r` with the true residual behind the last
+    /// [`GuardSignal::Replace`]: the solver adopts it without a copy, and
+    /// the guard keeps the old buffer for its next measurement.
+    pub fn swap_residual(&mut self, r: &mut Vec<f64>) {
+        std::mem::swap(r, &mut self.r_true);
     }
 
     /// Inspect the state after iteration `iter` produced the recursive
@@ -241,12 +261,12 @@ impl<'a> ResidualGuard<'a> {
         //    a corrupted recurrence can *look* divergent while x is fine.
         let div_sq = DIVERGENCE_FACTOR * DIVERGENCE_FACTOR;
         if rr > div_sq * self.initial_rr {
-            let (r_true, rr_true) = self.true_residual(x);
+            let rr_true = self.true_residual(x);
             if rr_true > div_sq * self.initial_rr {
                 return GuardSignal::Halt(Termination::Diverged);
             }
             self.stats.replacements += 1;
-            return self.finish_replacement(r_true, rr_true);
+            return self.finish_replacement(rr_true);
         }
 
         // 3) stagnation bookkeeping: "progress" = 1% reduction of the best
@@ -256,9 +276,7 @@ impl<'a> ResidualGuard<'a> {
             self.since_progress = 0;
         } else {
             self.since_progress += 1;
-            if self.policy.stagnation_window > 0
-                && self.since_progress >= self.policy.stagnation_window
-            {
+            if self.since_progress >= STAGNATION_WINDOW {
                 return GuardSignal::Halt(Termination::Stagnated);
             }
         }
@@ -266,15 +284,12 @@ impl<'a> ResidualGuard<'a> {
         // 4) periodic drift check: recompute the true residual and replace
         //    if the recursive one has silently drifted away (the defense
         //    against Perturb-style silent data corruption).
-        if self.policy.true_residual_period > 0
-            && iter > 0
-            && iter.is_multiple_of(self.policy.true_residual_period)
-        {
-            let (r_true, rr_true) = self.true_residual(x);
+        if iter > 0 && iter.is_multiple_of(TRUE_RESIDUAL_PERIOD) {
+            let rr_true = self.true_residual(x);
             let dev = (rr_true.max(0.0).sqrt() - rr.max(0.0).sqrt()).abs();
             if dev > REPLACEMENT_THRESHOLD * rr_true.max(0.0).sqrt().max(1e-300) {
                 self.stats.replacements += 1;
-                return self.finish_replacement(r_true, rr_true);
+                return self.finish_replacement(rr_true);
             }
         }
 
@@ -282,27 +297,26 @@ impl<'a> ResidualGuard<'a> {
     }
 
     fn replace(&mut self, x: &[f64]) -> GuardSignal {
-        let (r_true, rr_true) = self.true_residual(x);
+        let rr_true = self.true_residual(x);
         if !rr_true.is_finite() {
             return GuardSignal::Halt(Termination::Breakdown);
         }
         self.stats.replacements += 1;
-        self.finish_replacement(r_true, rr_true)
+        self.finish_replacement(rr_true)
     }
 
-    fn finish_replacement(&mut self, r_true: Vec<f64>, rr_true: f64) -> GuardSignal {
+    fn finish_replacement(&mut self, rr_true: f64) -> GuardSignal {
         self.best_rr = self.best_rr.min(rr_true.max(f64::MIN_POSITIVE));
         self.since_progress = 0;
-        GuardSignal::Replace {
-            r: r_true,
-            rr: rr_true,
-        }
+        GuardSignal::Replace { rr: rr_true }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::{FaultKind, RecoveryPolicy, SeededInjector};
+    use std::sync::Arc;
     use vr_linalg::gen;
 
     #[test]
@@ -330,7 +344,9 @@ mod tests {
         let mut g = ResidualGuard::new(&a, &b, &opts, 8.0).unwrap();
         let x = vec![0.0; 8]; // true residual = b, ‖b‖² = 8
         match g.inspect(1, &x, f64::NAN) {
-            GuardSignal::Replace { r, rr } => {
+            GuardSignal::Replace { rr } => {
+                let mut r = Vec::new();
+                g.swap_residual(&mut r);
                 assert_eq!(r, b);
                 assert!((rr - 8.0).abs() < 1e-12);
             }
@@ -357,22 +373,24 @@ mod tests {
     fn guard_detects_stagnation_and_divergence() {
         let a = gen::poisson1d(4);
         let b = vec![1.0; 4];
-        let policy = RecoveryPolicy::default()
-            .with_stagnation_window(5)
-            .with_true_residual_period(0);
-        let opts = SolveOptions::default().with_recovery(policy);
+        let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
         let mut g = ResidualGuard::new(&a, &b, &opts, 4.0).unwrap();
+        // true ‖r‖² = 3.62: each periodic check stays within half the
+        // recursive norm, so only the stagnation window can end this
         let x = vec![0.1; 4];
         let mut halted = None;
-        for it in 1..20 {
-            if let GuardSignal::Halt(t) = g.inspect(it, &x, 4.0) {
-                halted = Some((it, t));
-                break;
+        for it in 1..=2 * STAGNATION_WINDOW {
+            match g.inspect(it, &x, 4.0) {
+                GuardSignal::Proceed => {}
+                GuardSignal::Halt(t) => {
+                    halted = Some((it, t));
+                    break;
+                }
+                other => panic!("iter {it}: expected Proceed, got {other:?}"),
             }
         }
-        let (it, t) = halted.expect("must stagnate");
-        assert_eq!(t, Termination::Stagnated);
-        assert!(it <= 6, "stagnated at iter {it}");
+        assert_eq!(halted, Some((STAGNATION_WINDOW, Termination::Stagnated)));
+        assert_eq!(g.stats.replacements, 0);
 
         // divergence: recursive AND true residual both enormous
         let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
@@ -388,17 +406,35 @@ mod tests {
     fn periodic_check_catches_silent_drift() {
         let a = gen::poisson1d(8);
         let b = vec![1.0; 8];
-        let policy = RecoveryPolicy::default().with_true_residual_period(10);
-        let opts = SolveOptions::default().with_recovery(policy);
+        let opts = SolveOptions::default().with_recovery(RecoveryPolicy::default());
         let mut g = ResidualGuard::new(&a, &b, &opts, 8.0).unwrap();
         let x = vec![0.0; 8]; // true ‖r‖² = 8
-                              // at a non-check iteration a drifted rr passes
-        assert!(matches!(g.inspect(9, &x, 0.5), GuardSignal::Proceed));
-        // at the periodic checkpoint the deviation triggers replacement
+        for it in 1..TRUE_RESIDUAL_PERIOD {
+            // between checks a drifted rr passes
+            assert!(matches!(g.inspect(it, &x, 0.5), GuardSignal::Proceed));
+        }
+        // at the periodic check the deviation triggers replacement
         assert!(matches!(
-            g.inspect(10, &x, 0.5),
+            g.inspect(TRUE_RESIDUAL_PERIOD, &x, 0.5),
             GuardSignal::Replace { .. }
         ));
         assert_eq!(g.stats.replacements, 1);
+    }
+
+    #[test]
+    fn a_reduction_over_a_non_finite_operand_is_not_re_run() {
+        let inj = Arc::new(SeededInjector::new(3, 0.0, FaultKind::Nan));
+        let opts = SolveOptions::default()
+            .with_injector(Arc::clone(&inj) as _)
+            .with_recovery(RecoveryPolicy::default());
+        let x = [1.0, f64::NAN, 2.0];
+        let y = [1.0; 3];
+        let mut stats = RecoveryStats::default();
+        let v = retry_reduction(&opts, &x, &y, f64::NAN, &mut stats);
+        assert!(v.is_nan());
+        // a re-run could only repeat the NaN, and it would draw injector
+        // calls that shift every later fault
+        assert_eq!(inj.calls(), 0);
+        assert_eq!(stats.faults_detected, 1);
     }
 }

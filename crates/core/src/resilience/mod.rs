@@ -13,8 +13,8 @@
 //!   perturbation/dropped-partial faults on the reduction path, plus a
 //!   single-shot injector for targeted tests.
 //! * [`guard`] — the shared breakdown guard all variants route their
-//!   checks through, plus the in-loop [`guard::ResidualGuard`] doing
-//!   periodic true-residual recomputation and residual replacement.
+//!   checks through, plus standard CG's in-loop [`guard::ResidualGuard`]
+//!   doing periodic true-residual recomputation and residual replacement.
 //! * [`checkpoint`] — the preallocated [`checkpoint::CheckpointRing`]:
 //!   periodic snapshots of minimal solver state so a detected corruption
 //!   rolls back ≤ C iterations instead of restarting from zero.

@@ -14,16 +14,11 @@ use crate::solver::{CgVariant, SolveOptions, SolveResult, Termination};
 use vr_linalg::LinearOperator;
 
 /// Knobs for the recovery machinery. Attach to a solve with
-/// [`SolveOptions::with_recovery`].
+/// [`SolveOptions::with_recovery`]. Standard CG's in-loop residual guard
+/// runs under any policy with fixed settings (its check period and
+/// stagnation window are constants in [`crate::resilience::guard`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Recompute the true residual `b − A·x` every this many iterations
-    /// and compare against the recursive one (0 = never). Catches silent
-    /// data corruption the finiteness guards cannot see.
-    pub true_residual_period: usize,
-    /// Halt with [`Termination::Stagnated`] after this many consecutive
-    /// iterations without 1% progress on the best residual (0 = never).
-    pub stagnation_window: usize,
     /// Retry budget for the restart ladder. Every restart backs off the
     /// look-ahead depth (`k → k/2 → … → standard CG`).
     pub max_restarts: usize,
@@ -46,8 +41,6 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            true_residual_period: 25,
-            stagnation_window: 400,
             max_restarts: 8,
             warm_restart: true,
             checkpoint_period: 0,
@@ -57,20 +50,6 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Set the periodic true-residual recomputation interval.
-    #[must_use]
-    pub fn with_true_residual_period(mut self, period: usize) -> Self {
-        self.true_residual_period = period;
-        self
-    }
-
-    /// Set the stagnation window.
-    #[must_use]
-    pub fn with_stagnation_window(mut self, w: usize) -> Self {
-        self.stagnation_window = w;
-        self
-    }
-
     /// Set the restart budget.
     #[must_use]
     pub fn with_max_restarts(mut self, n: usize) -> Self {
@@ -236,14 +215,10 @@ mod tests {
     #[test]
     fn policy_builders() {
         let p = RecoveryPolicy::default()
-            .with_true_residual_period(10)
-            .with_stagnation_window(50)
             .with_max_restarts(3)
             .with_warm_restart(false)
             .with_checkpoint_period(16)
             .with_max_rollbacks(4);
-        assert_eq!(p.true_residual_period, 10);
-        assert_eq!(p.stagnation_window, 50);
         assert_eq!(p.max_restarts, 3);
         assert!(!p.warm_restart);
         assert_eq!(p.checkpoint_period, 16);

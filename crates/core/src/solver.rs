@@ -140,8 +140,8 @@ pub struct SolveOptions {
     /// [`SolveOptions::threads`]. Width never changes result bits:
     /// elementwise kernels and row-partitioned matvecs are exact, and
     /// `Tree` reductions use a fixed 256-leaf chunk layout at *every*
-    /// width, including 1. Order-preserving modes (`Serial`, `Kahan`) keep
-    /// their reductions on the calling thread (see [`SolveOptions::dot`]).
+    /// width, including 1. `Serial`, an order-preserving sum, keeps its
+    /// reductions on the calling thread (see [`SolveOptions::dot`]).
     pub team: Option<Arc<Team>>,
     /// Duplicate-leaf checksum guard on split-phase reductions
     /// ([`SolveOptions::dot2_deferred`]): when `true` under
@@ -399,12 +399,12 @@ impl SolveOptions {
     /// * **`DotMode::Tree`** — the same fixed-layout chunk tree at *every*
     ///   width, including 1, so `Tree` solves are bit-identical for any
     ///   team size. It is the only `Tree` order in the workspace.
-    /// * **`DotMode::Serial` / `DotMode::Kahan`** — order-preserving
-    ///   left-to-right sums that no partitioned reduction can reproduce
-    ///   bit-exactly, so they stay on the calling thread even when a team
-    ///   is attached (the team still parallelizes matvecs and elementwise
-    ///   updates, which are exact per element). Requesting threads must
-    ///   never silently change the summation order the user asked for.
+    /// * **`DotMode::Serial`** — an order-preserving left-to-right sum
+    ///   that no partitioned reduction can reproduce bit-exactly, so it
+    ///   stays on the calling thread even when a team is attached (the
+    ///   team still parallelizes matvecs and elementwise updates, which
+    ///   are exact per element). Requesting threads must never silently
+    ///   change the summation order the user asked for.
     #[must_use]
     pub fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
         // The caller consumes the scalar immediately, so the whole call —
@@ -424,7 +424,7 @@ impl SolveOptions {
     fn clean_dot(&self, x: &[f64], y: &[f64]) -> f64 {
         match self.dot_mode {
             DotMode::Tree => reduce::par_dot_in(self.team().as_deref(), x, y),
-            DotMode::Serial | DotMode::Kahan => kernels::dot(self.dot_mode, x, y),
+            DotMode::Serial => kernels::dot_serial(x, y),
         }
     }
 
@@ -475,9 +475,9 @@ impl SolveOptions {
     /// The matvec itself always runs team-parallel when a team is attached
     /// (row partitions are exact). The dot follows [`SolveOptions::dot`]'s
     /// decision table; single-pass fusion (`apply_dot`, counted in
-    /// `fused_ops`) additionally requires the serial, fault-free,
-    /// order-preserving path, since an operator's fused sweep reduces with
-    /// `dot_mode` association on the calling thread.
+    /// `fused_ops`) additionally requires the fault-free `Serial` path on
+    /// the calling thread, since an operator's fused sweep sums in row
+    /// order there.
     #[must_use]
     pub fn matvec_dot(
         &self,
@@ -511,14 +511,12 @@ impl SolveOptions {
                     reduce::par_dot_in(t, x, y)
                 })
             }
-            DotMode::Serial | DotMode::Kahan => {
+            DotMode::Serial => {
                 if t.is_none() && self.fuse() {
                     counts.fused_ops += 1;
                     // Single fused sweep: the dot rides the matvec's memory
                     // traffic, so the whole pass is attributed as matvec.
-                    self.span_bytes(vr_obs::SpanKind::Matvec, mv_bytes, || {
-                        a.apply_dot(self.dot_mode == DotMode::Kahan, x, y)
-                    })
+                    self.span_bytes(vr_obs::SpanKind::Matvec, mv_bytes, || a.apply_dot(x, y))
                 } else {
                     self.span_bytes(vr_obs::SpanKind::Matvec, mv_bytes, || {
                         a.apply_team(t.as_deref(), x, y)
@@ -564,9 +562,7 @@ impl SolveOptions {
                 Some(inj) => fused::par_update_xr_with_in(t, lambda, p, w, x, r, inj.as_ref()),
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_update_xr_in(t, lambda, p, w, x, r),
-                    DotMode::Serial | DotMode::Kahan => {
-                        fused::update_xr(self.dot_mode == DotMode::Kahan, lambda, p, w, x, r)
-                    }
+                    DotMode::Serial => fused::update_xr(lambda, p, w, x, r),
                 },
             }
         })
@@ -600,9 +596,7 @@ impl SolveOptions {
                 Some(inj) => fused::par_axpy_dot_with_in(t, a, x, y, z, inj.as_ref()),
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_axpy_dot_in(t, a, x, y, z),
-                    DotMode::Serial | DotMode::Kahan => {
-                        fused::axpy_dot(self.dot_mode == DotMode::Kahan, a, x, y, z)
-                    }
+                    DotMode::Serial => fused::axpy_dot(a, x, y, z),
                 },
             }
         })
@@ -629,9 +623,7 @@ impl SolveOptions {
                 Some(inj) => fused::par_axpy_norm2_sq_with_in(t, a, x, y, inj.as_ref()),
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_axpy_norm2_sq_in(t, a, x, y),
-                    DotMode::Serial | DotMode::Kahan => {
-                        fused::axpy_norm2_sq(self.dot_mode == DotMode::Kahan, a, x, y)
-                    }
+                    DotMode::Serial => fused::axpy_norm2_sq(a, x, y),
                 },
             }
         })
@@ -658,9 +650,7 @@ impl SolveOptions {
                 Some(inj) => fused::par_dot2_with_in(t, x, y, z, inj.as_ref()),
                 None => match self.dot_mode {
                     DotMode::Tree => fused::par_dot2_in(t, x, y, z),
-                    DotMode::Serial | DotMode::Kahan => {
-                        fused::dot2(self.dot_mode == DotMode::Kahan, x, y, z)
-                    }
+                    DotMode::Serial => fused::dot2(x, y, z),
                 },
             },
         )
@@ -676,7 +666,7 @@ impl SolveOptions {
     /// work the caller schedules in between — the paper's overlap of
     /// summation with iteration work, realized on a real team. The
     /// resolved values are bit-identical to [`SolveOptions::dot2`] for the
-    /// same configuration. Order-preserving modes and injected-fault runs
+    /// same configuration. `DotMode::Serial` and injected-fault runs
     /// evaluate eagerly (the fault contract fixes the corruption-event
     /// order at launch time), returning ready handles.
     #[must_use]
@@ -739,7 +729,7 @@ impl SolveOptions {
     /// schedules that keep an odd number of dots in flight (the depth-l
     /// pipeline launches `l + 1` Gram-column dots per iteration). Same
     /// decision table: `DotMode::Tree` defers the fan-in to the consume
-    /// point (checksum-guarded when enabled), order-preserving modes and
+    /// point (checksum-guarded when enabled), `DotMode::Serial` and
     /// injected-fault runs evaluate eagerly and return a ready handle.
     /// Resolved values are bit-identical to [`SolveOptions::dot`].
     #[must_use]
@@ -1140,7 +1130,7 @@ mod tests {
         let n = a.dim();
         let p = vr_linalg::gen::rand_vector(n, 3);
         let w0 = a.apply_alloc(&p);
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+        for mode in [DotMode::Serial, DotMode::Tree] {
             for threads in [1usize, 3] {
                 // An explicit team bypasses the host-cpu clamp so the
                 // multi-shard arm still exercises width 3 on 1-core hosts.
@@ -1187,12 +1177,12 @@ mod tests {
                 assert_eq!(cf.dots, cr.dots);
                 assert_eq!(cf.vector_ops, cr.vector_ops);
                 assert_eq!(cr.fused_ops, 0);
-                // matvec_dot fuses (apply_dot) only on the serial
-                // order-preserving path: Tree always takes the
-                // width-invariant apply_team + par_dot_in pair, and an attached
-                // team parallelizes the matvec instead of fusing. The four
-                // sweep kernels (update_xr, axpy_norm2_sq, axpy_dot, dot2)
-                // fuse under every fault-free configuration.
+                // matvec_dot fuses (apply_dot) only on the Serial path:
+                // Tree always takes the width-invariant apply_team +
+                // par_dot_in pair, and an attached team parallelizes the
+                // matvec instead of fusing. The four sweep kernels
+                // (update_xr, axpy_norm2_sq, axpy_dot, dot2) fuse under
+                // every fault-free configuration.
                 let expected_fused = if threads == 1 && mode != DotMode::Tree {
                     5
                 } else {

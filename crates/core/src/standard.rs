@@ -123,13 +123,12 @@ impl CgVariant for StandardCg {
                     .map(|g| g.inspect(it + 1, &st.x, rr_next))
                 {
                     None | Some(GuardSignal::Proceed) => {}
-                    Some(GuardSignal::Replace {
-                        r: r_new,
-                        rr: rr_new,
-                    }) => {
+                    Some(GuardSignal::Replace { rr: rr_new }) => {
                         // residual replacement: adopt the true residual
                         // and restart the direction from it
-                        st.r = r_new;
+                        if let Some(g) = drv.guard.as_mut() {
+                            g.swap_residual(&mut st.r);
+                        }
                         drv.counts.vector_ops += 1;
                         st.start(rr_new, &mut drv.counts);
                         rr_next = rr_new;

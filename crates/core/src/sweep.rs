@@ -44,7 +44,7 @@
 //! ineligible variants get — any configuration whose unfused bits it could
 //! not reproduce (`eligible`):
 //!
-//! * `dot_mode != Tree` (serial/Kahan orders fold on the calling thread),
+//! * `dot_mode != Tree` (the `Serial` order folds on the calling thread),
 //! * fault injection, recovery policies, or checksum-guarded reductions
 //!   (their retry/validation hooks interleave with the kernels),
 //! * operators without a native sweep decomposition

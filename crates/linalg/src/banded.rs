@@ -185,10 +185,10 @@ impl LinearOperator for SymBanded {
 
     /// Row-fused band SpMV + dot (each row through `row_value`, the
     /// operation sequence of `apply`).
-    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
+    fn apply_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        crate::fused::fused_sum(kahan, self.n, |i| {
+        crate::fused::fused_sum(self.n, |i| {
             let v = self.row_value(x, i);
             y[i] = v;
             x[i] * v

@@ -12,10 +12,9 @@
 //! bits of its two-pass composition:
 //!
 //! * the serial kernels sum in index order, associating the summation
-//!   identically to [`kernels::dot`] in [`kernels::DotMode::Serial`] (or
-//!   `Kahan` when asked) — the fused elementwise update
-//!   `r[i] += (-λ)·w[i]` is the same IEEE operation sequence as
-//!   [`kernels::axpy`]`(-λ, w, r)`;
+//!   identically to [`kernels::dot`] in [`kernels::DotMode::Serial`] — the
+//!   fused elementwise update `r[i] += (-λ)·w[i]` is the same IEEE
+//!   operation sequence as [`kernels::axpy`]`(-λ, w, r)`;
 //! * the team-backed `par_*_in` kernels reproduce the fixed 256-leaf chunk
 //!   tree of [`vr_par::reduce`] with its canonical lane-blocked leaves
 //!   ([`vr_par::simd`]), so they are bit-identical for any team width, any
@@ -30,7 +29,7 @@
 //! `DotMode::Tree` sums in chunks, not in index order, so its fused forms
 //! are the team kernels alone (`None` runs them on the calling thread).
 //! The solver layer (`SolveOptions` in `vr-cg`) dispatches to the serial
-//! kernels for the order-preserving modes and to the team kernels for
+//! kernels for `DotMode::Serial` and to the team kernels for
 //! `DotMode::Tree` and injected runs; this module holds exactly those
 //! forms.
 //!
@@ -48,55 +47,30 @@ use vr_par::team::{Poisoned, Team};
 // Order-preserving fused summation drivers
 // ---------------------------------------------------------------------------
 
-/// Sum `f(0) + f(1) + … + f(n−1)` left to right, compensated when `kahan`
-/// (the `Serial` and `Kahan` orders of [`kernels::dot`]).
+/// Sum `f(0) + f(1) + … + f(n−1)` left to right (the `Serial` order of
+/// [`kernels::dot`]).
 ///
 /// `f(i)` may perform elementwise side effects (the fused update) and
 /// returns the `i`-th product term. Indices are visited in strictly
 /// increasing order, so side effects are well defined. `Tree` sums in
 /// chunks, not in index order, so its fused forms are the team kernels
 /// below.
-pub(crate) fn fused_sum(kahan: bool, n: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
+pub(crate) fn fused_sum(n: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
     let mut sum = 0.0;
-    if kahan {
-        let mut c = 0.0;
-        for i in 0..n {
-            let t = f(i) - c;
-            let s = sum + t;
-            c = (s - sum) - t;
-            sum = s;
-        }
-    } else {
-        for i in 0..n {
-            sum += f(i);
-        }
+    for i in 0..n {
+        sum += f(i);
     }
     sum
 }
 
 /// Two sums in one index sweep: `(Σ f(i).0, Σ f(i).1)`, each component
 /// associated exactly as [`fused_sum`] would associate it alone.
-fn fused_sum2(kahan: bool, n: usize, mut f: impl FnMut(usize) -> (f64, f64)) -> (f64, f64) {
+fn fused_sum2(n: usize, mut f: impl FnMut(usize) -> (f64, f64)) -> (f64, f64) {
     let (mut sa, mut sb) = (0.0, 0.0);
-    if kahan {
-        let (mut ca, mut cb) = (0.0, 0.0);
-        for i in 0..n {
-            let (pa, pb) = f(i);
-            let t = pa - ca;
-            let s = sa + t;
-            ca = (s - sa) - t;
-            sa = s;
-            let t = pb - cb;
-            let s = sb + t;
-            cb = (s - sb) - t;
-            sb = s;
-        }
-    } else {
-        for i in 0..n {
-            let (pa, pb) = f(i);
-            sa += pa;
-            sb += pb;
-        }
+    for i in 0..n {
+        let (pa, pb) = f(i);
+        sa += pa;
+        sb += pb;
     }
     (sa, sb)
 }
@@ -108,20 +82,12 @@ fn fused_sum2(kahan: bool, n: usize, mut f: impl FnMut(usize) -> (f64, f64)) -> 
 /// Fused CG solution/residual update: `x ← x + λp`, `r ← r − λw`, returning
 /// `(r, r)` — three vector passes and a dot collapsed into one sweep.
 ///
-/// Bit-identical to `axpy(λ, p, x); axpy(−λ, w, r); dot(mode, r, r)` with
-/// `mode` `Serial`, or `Kahan` when `kahan`.
+/// Bit-identical to `axpy(λ, p, x); axpy(−λ, w, r); dot(Serial, r, r)`.
 ///
 /// Aliasing: `x` and `r` are updated in place (always safe); `p`, `w`, `x`,
 /// `r` must otherwise be pairwise disjoint buffers.
 #[must_use]
-pub fn update_xr(
-    kahan: bool,
-    lambda: f64,
-    p: &[f64],
-    w: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-) -> f64 {
+pub fn update_xr(lambda: f64, p: &[f64], w: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 {
     let n = x.len();
     assert_eq!(p.len(), n, "update_xr: p length mismatch");
     assert_eq!(w.len(), n, "update_xr: w length mismatch");
@@ -131,7 +97,7 @@ pub fn update_xr(
     debug_assert!(!kernels::overlaps(w, x), "update_xr: w aliases x");
     debug_assert!(!kernels::overlaps(w, r), "update_xr: w aliases r");
     debug_assert!(!kernels::overlaps(x, r), "update_xr: x aliases r");
-    fused_sum(kahan, n, |i| {
+    fused_sum(n, |i| {
         x[i] += lambda * p[i];
         r[i] += (-lambda) * w[i];
         r[i] * r[i]
@@ -140,19 +106,18 @@ pub fn update_xr(
 
 /// Fused `y ← y + a·x` followed by `(y, z)`, in one sweep.
 ///
-/// Bit-identical to `axpy(a, x, y); dot(mode, y, z)` (`mode` as in
-/// [`update_xr`]).
+/// Bit-identical to `axpy(a, x, y); dot(Serial, y, z)`.
 ///
 /// Aliasing: `y` is updated in place; `x` and `z` must not overlap `y`
 /// (`x` and `z` may alias each other — both are only read).
 #[must_use]
-pub fn axpy_dot(kahan: bool, a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
+pub fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
     let n = y.len();
     assert_eq!(x.len(), n, "axpy_dot: x length mismatch");
     assert_eq!(z.len(), n, "axpy_dot: z length mismatch");
     debug_assert!(!kernels::overlaps(x, y), "axpy_dot: x aliases y");
     debug_assert!(!kernels::overlaps(z, y), "axpy_dot: z aliases y");
-    fused_sum(kahan, n, |i| {
+    fused_sum(n, |i| {
         y[i] += a * x[i];
         y[i] * z[i]
     })
@@ -160,15 +125,14 @@ pub fn axpy_dot(kahan: bool, a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64
 
 /// Fused `y ← y + a·x` followed by `(y, y)`, in one sweep.
 ///
-/// Bit-identical to `axpy(a, x, y); dot(mode, y, y)` (`mode` as in
-/// [`update_xr`]). This is the residual update + norm of most CG variants
+/// Bit-identical to `axpy(a, x, y); dot(Serial, y, y)`. This is the residual update + norm of most CG variants
 /// when `x`/`r` fusion does not apply.
 #[must_use]
-pub fn axpy_norm2_sq(kahan: bool, a: f64, x: &[f64], y: &mut [f64]) -> f64 {
+pub fn axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
     let n = y.len();
     assert_eq!(x.len(), n, "axpy_norm2_sq: x length mismatch");
     debug_assert!(!kernels::overlaps(x, y), "axpy_norm2_sq: x aliases y");
-    fused_sum(kahan, n, |i| {
+    fused_sum(n, |i| {
         y[i] += a * x[i];
         y[i] * y[i]
     })
@@ -178,13 +142,13 @@ pub fn axpy_norm2_sq(kahan: bool, a: f64, x: &[f64], y: &mut [f64]) -> f64 {
 /// sweep over `x`.
 ///
 /// Each component is bit-identical to the corresponding
-/// [`kernels::dot`]`(mode, …)` (`mode` as in [`update_xr`]).
+/// [`kernels::dot`]`(Serial, …)`.
 #[must_use]
-pub fn dot2(kahan: bool, x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
+pub fn dot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
     let n = x.len();
     assert_eq!(y.len(), n, "dot2: y length mismatch");
     assert_eq!(z.len(), n, "dot2: z length mismatch");
-    fused_sum2(kahan, n, |i| (x[i] * y[i], x[i] * z[i]))
+    fused_sum2(n, |i| (x[i] * y[i], x[i] * z[i]))
 }
 
 // ---------------------------------------------------------------------------
@@ -460,7 +424,7 @@ pub fn par_dot2_in(team: Option<&Team>, x: &[f64], y: &[f64], z: &[f64]) -> (f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{axpy, dot, DotMode};
+    use crate::kernels::{axpy, dot, dot_serial, DotMode};
     use vr_par::reduce::{par_dot_in, par_dot_with_in};
     use vr_par::team::{dispatch_width, GRAIN};
 
@@ -476,81 +440,66 @@ mod tests {
             .collect()
     }
 
-    /// The serial kernels' `kahan` flag and the order it selects.
-    const ORDERS: [(bool, DotMode); 2] = [(false, DotMode::Serial), (true, DotMode::Kahan)];
-
     #[test]
-    fn fused_sum_matches_dot_in_order_preserving_modes() {
+    fn fused_sum_matches_serial_dot() {
         for n in [0usize, 1, 2, 3, 5, 8, 100, 1023] {
             let x = pseudo(n, 7);
             let y = pseudo(n, 11);
-            for (kahan, mode) in ORDERS {
-                let fused = fused_sum(kahan, n, |i| x[i] * y[i]);
-                assert_eq!(
-                    fused.to_bits(),
-                    dot(mode, &x, &y).to_bits(),
-                    "n={n} {mode:?}"
-                );
-            }
+            let fused = fused_sum(n, |i| x[i] * y[i]);
+            assert_eq!(fused.to_bits(), dot_serial(&x, &y).to_bits(), "n={n}");
         }
     }
 
     #[test]
     fn fused_sum_visits_indices_in_order() {
-        for kahan in [false, true] {
-            let mut seen = Vec::new();
-            let _ = fused_sum(kahan, 37, |i| {
-                seen.push(i);
-                0.0
-            });
-            assert_eq!(seen, (0..37).collect::<Vec<_>>(), "kahan={kahan}");
-        }
+        let mut seen = Vec::new();
+        let _ = fused_sum(37, |i| {
+            seen.push(i);
+            0.0
+        });
+        assert_eq!(seen, (0..37).collect::<Vec<_>>());
     }
 
     #[test]
     fn update_xr_matches_two_pass_bitwise() {
         for (n, lambda) in [(257usize, 0.37), (1000, -1.25e-3), (3, 1.0e8)] {
-            for (kahan, mode) in ORDERS {
-                let p = pseudo(n, 3);
-                let w = pseudo(n, 5);
-                let (mut x1, mut r1) = (pseudo(n, 9), pseudo(n, 13));
-                let (mut x2, mut r2) = (x1.clone(), r1.clone());
+            let p = pseudo(n, 3);
+            let w = pseudo(n, 5);
+            let (mut x1, mut r1) = (pseudo(n, 9), pseudo(n, 13));
+            let (mut x2, mut r2) = (x1.clone(), r1.clone());
 
-                let fused = update_xr(kahan, lambda, &p, &w, &mut x1, &mut r1);
-                axpy(lambda, &p, &mut x2);
-                axpy(-lambda, &w, &mut r2);
-                let reference = dot(mode, &r2, &r2);
+            let fused = update_xr(lambda, &p, &w, &mut x1, &mut r1);
+            axpy(lambda, &p, &mut x2);
+            axpy(-lambda, &w, &mut r2);
+            let reference = dot_serial(&r2, &r2);
 
-                assert_eq!(x1, x2, "x n={n} {mode:?}");
-                assert_eq!(r1, r2, "r n={n} {mode:?}");
-                assert_eq!(fused.to_bits(), reference.to_bits(), "rr n={n} {mode:?}");
-                // the returned scalar is the dot of the output buffer
-                assert_eq!(fused.to_bits(), dot(mode, &r1, &r1).to_bits());
-            }
+            assert_eq!(x1, x2, "x n={n}");
+            assert_eq!(r1, r2, "r n={n}");
+            assert_eq!(fused.to_bits(), reference.to_bits(), "rr n={n}");
+            // the returned scalar is the dot of the output buffer
+            assert_eq!(fused.to_bits(), dot_serial(&r1, &r1).to_bits());
         }
     }
 
     #[test]
     fn axpy_dot_and_norm_match_two_pass_bitwise() {
-        for (kahan, mode) in ORDERS {
-            let n = 513;
-            let x = pseudo(n, 21);
-            let z = pseudo(n, 23);
-            let mut y1 = pseudo(n, 25);
-            let mut y2 = y1.clone();
+        let n = 513;
+        let x = pseudo(n, 21);
+        let z = pseudo(n, 23);
+        let mut y1 = pseudo(n, 25);
+        let mut y2 = y1.clone();
 
-            let fused = axpy_dot(kahan, 0.77, &x, &mut y1, &z);
-            axpy(0.77, &x, &mut y2);
-            assert_eq!(y1, y2);
-            assert_eq!(fused.to_bits(), dot(mode, &y2, &z).to_bits(), "{mode:?}");
+        let fused = axpy_dot(0.77, &x, &mut y1, &z);
+        axpy(0.77, &x, &mut y2);
+        assert_eq!(y1, y2);
+        assert_eq!(fused.to_bits(), dot_serial(&y2, &z).to_bits());
 
-            let mut y1 = pseudo(n, 27);
-            let mut y2 = y1.clone();
-            let fused = axpy_norm2_sq(kahan, -0.3, &x, &mut y1);
-            axpy(-0.3, &x, &mut y2);
-            assert_eq!(y1, y2);
-            assert_eq!(fused.to_bits(), dot(mode, &y2, &y2).to_bits(), "{mode:?}");
-        }
+        let mut y1 = pseudo(n, 27);
+        let mut y2 = y1.clone();
+        let fused = axpy_norm2_sq(-0.3, &x, &mut y1);
+        axpy(-0.3, &x, &mut y2);
+        assert_eq!(y1, y2);
+        assert_eq!(fused.to_bits(), dot_serial(&y2, &y2).to_bits());
     }
 
     #[test]
@@ -559,11 +508,9 @@ mod tests {
             let x = pseudo(n, 41);
             let y = pseudo(n, 43);
             let z = pseudo(n, 47);
-            for (kahan, mode) in ORDERS {
-                let (dy, dz) = dot2(kahan, &x, &y, &z);
-                assert_eq!(dy.to_bits(), dot(mode, &x, &y).to_bits(), "n={n} {mode:?}");
-                assert_eq!(dz.to_bits(), dot(mode, &x, &z).to_bits(), "n={n} {mode:?}");
-            }
+            let (dy, dz) = dot2(&x, &y, &z);
+            assert_eq!(dy.to_bits(), dot_serial(&x, &y).to_bits(), "n={n}");
+            assert_eq!(dz.to_bits(), dot_serial(&x, &z).to_bits(), "n={n}");
         }
     }
 
@@ -574,13 +521,13 @@ mod tests {
         // (Tree's fused form is the team kernel on the calling thread)
         let x = vec![1.0e300, -1.0e300, 1.0e-300, -3.0, 7.5e222, 1.0];
         let w = vec![1.0e-300, 2.0e155, -1.0e300, 0.5, -1.0, 4.0e-100];
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+        for mode in [DotMode::Serial, DotMode::Tree] {
             for lambda in [1.0e150, -1.0e-150, 3.0] {
                 let (mut x1, mut r1) = (x.clone(), w.clone());
                 let (mut x2, mut r2) = (x.clone(), w.clone());
                 let fused = match mode {
                     DotMode::Tree => par_update_xr_in(None, lambda, &w, &x, &mut x1, &mut r1),
-                    _ => update_xr(mode == DotMode::Kahan, lambda, &w, &x, &mut x1, &mut r1),
+                    DotMode::Serial => update_xr(lambda, &w, &x, &mut x1, &mut r1),
                 };
                 axpy(lambda, &w, &mut x2);
                 axpy(-lambda, &x, &mut r2);
@@ -706,15 +653,13 @@ mod tests {
         assert_eq!(par_axpy_dot_in(t, 2.0, &[], &mut [], &[]), 0.0);
         assert_eq!(par_axpy_norm2_sq_in(t, 2.0, &[], &mut []), 0.0);
         assert_eq!(par_dot2_in(t, &[], &[], &[]), (0.0, 0.0));
-        for kahan in [false, true] {
-            assert_eq!(update_xr(kahan, 2.0, &[], &[], &mut [], &mut []), 0.0);
-            assert_eq!(dot2(kahan, &[], &[], &[]), (0.0, 0.0));
-        }
+        assert_eq!(update_xr(2.0, &[], &[], &mut [], &mut []), 0.0);
+        assert_eq!(dot2(&[], &[], &[]), (0.0, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
-        let _ = update_xr(false, 1.0, &[1.0], &[1.0], &mut [1.0, 2.0], &mut [1.0]);
+        let _ = update_xr(1.0, &[1.0], &[1.0], &mut [1.0, 2.0], &mut [1.0]);
     }
 }

@@ -1,15 +1,12 @@
 //! Level-1 BLAS-style kernels on `&[f64]` slices.
 //!
-//! Two dot-product summation orders live here, because summation *order*
-//! is the object the 1983 paper restructures the algorithm around:
+//! Two dot-product summation orders exist, because summation *order* is
+//! the object the 1983 paper restructures the algorithm around:
 //!
-//! * [`dot_serial`] — left-to-right accumulation (what a sequential machine
-//!   does).
-//! * [`dot_kahan`] — compensated summation, used as a high-accuracy reference
-//!   in tests.
-//!
-//! The third, [`DotMode::Tree`] — the paper's fan-in — is the fixed-layout
-//! chunk tree of [`vr_par::reduce`]; [`dot`] runs it on the calling thread.
+//! * [`DotMode::Serial`] — [`dot_serial`]'s left-to-right accumulation
+//!   (what a sequential machine does).
+//! * [`DotMode::Tree`] — the paper's fan-in: the fixed-layout chunk tree of
+//!   [`vr_par::reduce`]; [`dot`] runs it on the calling thread.
 //!
 //! All kernels panic on length mismatch via `debug_assert` in release-hot
 //! paths and explicit asserts on entry; slices are the lingua franca so that
@@ -27,8 +24,6 @@ pub enum DotMode {
     /// at every team width, on every SIMD backend, and whether or not a
     /// kernel fuses the reduction into an update sweep.
     Tree,
-    /// Kahan compensated summation.
-    Kahan,
 }
 
 /// Inner product with an explicit summation order, on the calling thread.
@@ -37,7 +32,6 @@ pub fn dot(mode: DotMode, x: &[f64], y: &[f64]) -> f64 {
     match mode {
         DotMode::Serial => dot_serial(x, y),
         DotMode::Tree => vr_par::reduce::par_dot_in(None, x, y),
-        DotMode::Kahan => dot_kahan(x, y),
     }
 }
 
@@ -50,21 +44,6 @@ pub fn dot_serial(x: &[f64], y: &[f64]) -> f64 {
         acc += a * b;
     }
     acc
-}
-
-/// Kahan-compensated inner product (high-accuracy reference).
-#[must_use]
-pub fn dot_kahan(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot_kahan: length mismatch");
-    let mut sum = 0.0;
-    let mut c = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        let t = a * b - c;
-        let s = sum + t;
-        c = (s - sum) - t;
-        sum = s;
-    }
-    sum
 }
 
 /// Euclidean norm `‖x‖₂`, computed with the serial order.
@@ -170,21 +149,21 @@ mod tests {
         let x: Vec<f64> = (1..=7).map(|i| i as f64).collect();
         let y: Vec<f64> = (1..=7).map(|i| (8 - i) as f64).collect();
         let expect = 1.0 * 7.0 + 2.0 * 6.0 + 3.0 * 5.0 + 4.0 * 4.0 + 5.0 * 3.0 + 6.0 * 2.0 + 7.0;
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+        for mode in [DotMode::Serial, DotMode::Tree] {
             assert_eq!(dot(mode, &x, &y), expect, "{mode:?}");
         }
     }
 
     #[test]
     fn dot_empty_is_zero() {
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+        for mode in [DotMode::Serial, DotMode::Tree] {
             assert_eq!(dot(mode, &[], &[]), 0.0, "{mode:?}");
         }
     }
 
     #[test]
     fn dot_single_element() {
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+        for mode in [DotMode::Serial, DotMode::Tree] {
             assert_eq!(dot(mode, &[3.0], &[4.0]), 12.0, "{mode:?}");
         }
     }
@@ -199,25 +178,6 @@ mod tests {
         let wide = vr_par::reduce::par_dot_in(Some(&team), &x, &y);
         assert_eq!(dot(DotMode::Tree, &x, &y).to_bits(), wide.to_bits());
         assert!(approx(dot_serial(&x, &y), wide, 1e-12));
-    }
-
-    #[test]
-    fn kahan_beats_serial_on_ill_conditioned_sum() {
-        // 1.0 followed by many terms below half an ulp of 1.0: serial drops
-        // every small term; Kahan accumulates them in the compensation.
-        let n = 10_000;
-        let mut x = vec![1.0];
-        x.extend(std::iter::repeat_n(1.0e-16, n));
-        let ones = vec![1.0; x.len()];
-        let exact = 1.0 + n as f64 * 1.0e-16;
-        let serial = dot_serial(&x, &ones);
-        let kahan = dot_kahan(&x, &ones);
-        assert_eq!(serial, 1.0, "serial loses all small terms");
-        assert!(
-            (kahan - exact).abs() < (serial - exact).abs(),
-            "kahan={kahan} serial={serial} exact={exact}"
-        );
-        assert!(approx(kahan, exact, 1e-12), "kahan={kahan}");
     }
 
     #[test]

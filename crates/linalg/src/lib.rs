@@ -107,8 +107,8 @@ pub trait LinearOperator {
         false
     }
 
-    /// Fused `y ← A·x` returning `(x, y)` summed in row order, compensated
-    /// when `kahan`: the `Serial` (or `Kahan`) order of [`kernels::dot`].
+    /// Fused `y ← A·x` returning `(x, y)` summed in row order: the `Serial`
+    /// order of [`kernels::dot`].
     ///
     /// The default is the two-pass composition `apply` + [`kernels::dot`].
     /// Concrete operators override this with a single-pass form that dots
@@ -118,14 +118,9 @@ pub trait LinearOperator {
     /// operation sequence as `apply`. `Tree` has no single-pass form: its
     /// chunk sums do not follow row order, so its product and dot are
     /// [`LinearOperator::apply_team`] and [`vr_par::reduce::par_dot_in`].
-    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
+    fn apply_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
         self.apply(x, y);
-        let mode = if kahan {
-            kernels::DotMode::Kahan
-        } else {
-            kernels::DotMode::Serial
-        };
-        kernels::dot(mode, x, y)
+        kernels::dot_serial(x, y)
     }
 
     /// Parallel `y ← A·x` on a persistent SPMD team (`None` ⇒ serial).
@@ -201,8 +196,8 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         (**self).apply_f32(x, y)
     }
-    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
-        (**self).apply_dot(kahan, x, y)
+    fn apply_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
+        (**self).apply_dot(x, y)
     }
     fn apply_team(&self, team: Option<&vr_par::Team>, x: &[f64], y: &mut [f64]) {
         (**self).apply_team(team, x, y)
@@ -273,7 +268,7 @@ mod tests {
             self.hit("apply_f32");
             true
         }
-        fn apply_dot(&self, _kahan: bool, _x: &[f64], _y: &mut [f64]) -> f64 {
+        fn apply_dot(&self, _x: &[f64], _y: &mut [f64]) -> f64 {
             self.hit("apply_dot");
             0.0
         }
@@ -317,7 +312,7 @@ mod tests {
             op.apply_f32(&[], &mut []);
         }),
         ("apply_dot", |op| {
-            op.apply_dot(false, &[], &mut []);
+            op.apply_dot(&[], &mut []);
         }),
         ("apply_team", |op| op.apply_team(None, &[], &mut [])),
         ("matrix_powers", |op| {

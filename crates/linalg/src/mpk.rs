@@ -328,8 +328,8 @@ impl<A: LinearOperator> LinearOperator for NaivePowers<A> {
     fn apply_f32(&self, x: &[f32], y: &mut [f32]) -> bool {
         self.0.apply_f32(x, y)
     }
-    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
-        self.0.apply_dot(kahan, x, y)
+    fn apply_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
+        self.0.apply_dot(x, y)
     }
     fn apply_team(&self, team: Option<&Team>, x: &[f64], y: &mut [f64]) {
         self.0.apply_team(team, x, y);

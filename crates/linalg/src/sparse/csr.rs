@@ -405,13 +405,13 @@ impl LinearOperator for CsrMatrix {
     /// left-to-right sum that consumes them in row order. Bit-identical to
     /// `spmv_into` + `kernels::dot` because each row is the identical
     /// operation sequence and the sum associates as `kernels::dot` does in
-    /// `Serial` and `Kahan` mode.
-    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
+    /// `Serial` mode.
+    fn apply_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.ncols, "apply_dot: x length != ncols");
         assert_eq!(y.len(), self.nrows, "apply_dot: y length != nrows");
         let n = self.nrows;
         let mut done = 0;
-        crate::fused::fused_sum(kahan, n, |r| {
+        crate::fused::fused_sum(n, |r| {
             if r >= done {
                 done = (r + DOT_BLOCK).min(n);
                 self.rows_into(&self.data, x, r, done, &mut y[r..done]);

@@ -160,32 +160,6 @@ impl Stencil2d {
             self.row_sweep_into(x, i > 0, i + 1 < nx, i * ny, yrow);
         }
     }
-
-    /// Serial (`KAHAN = false`) or compensated (`KAHAN = true`) left-to-
-    /// right accumulation of `term(idx, v)` over a [`Stencil2d::grid_sweep`]
-    /// — the associations of [`crate::kernels::dot`] in those modes, so
-    /// results are bit-identical to the two-pass path.
-    #[inline]
-    fn grid_sweep_sum<const KAHAN: bool>(
-        &self,
-        x: &[f64],
-        mut term: impl FnMut(usize, f64) -> f64,
-    ) -> f64 {
-        let mut sum = 0.0;
-        let mut c = 0.0;
-        self.grid_sweep(x, |idx, v| {
-            let t0 = term(idx, v);
-            if KAHAN {
-                let t = t0 - c;
-                let s = sum + t;
-                c = (s - sum) - t;
-                sum = s;
-            } else {
-                sum += t0;
-            }
-        });
-        sum
-    }
 }
 
 impl LinearOperator for Stencil2d {
@@ -238,20 +212,20 @@ impl LinearOperator for Stencil2d {
         true
     }
 
-    /// Row-fused stencil application + dot: one sweep instead of two.
-    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
+    /// Row-fused stencil application + dot: one sweep instead of two,
+    /// summed left to right over `Stencil2d::grid_sweep` — the `Serial`
+    /// association of [`crate::kernels::dot`], so the result is
+    /// bit-identical to the two-pass path.
+    fn apply_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
         let n = self.nx * self.ny;
         assert_eq!(x.len(), n);
         assert_eq!(y.len(), n);
-        let term = |idx: usize, v: f64| {
+        let mut sum = 0.0;
+        self.grid_sweep(x, |idx, v| {
             y[idx] = v;
-            x[idx] * v
-        };
-        if kahan {
-            self.grid_sweep_sum::<true>(x, term)
-        } else {
-            self.grid_sweep_sum::<false>(x, term)
-        }
+            sum += x[idx] * v;
+        });
+        sum
     }
 
     /// Team-parallel stencil application by contiguous grid-row bands,
@@ -611,13 +585,13 @@ impl LinearOperator for Stencil3d {
     }
 
     /// Row-fused stencil application + dot.
-    fn apply_dot(&self, kahan: bool, x: &[f64], y: &mut [f64]) -> f64 {
+    fn apply_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
         let n = self.n;
         let dim = n * n * n;
         assert_eq!(x.len(), dim);
         assert_eq!(y.len(), dim);
         let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        crate::fused::fused_sum(kahan, dim, |idx| {
+        crate::fused::fused_sum(dim, |idx| {
             let v = self.row_value(x, i, j, k, idx);
             k += 1;
             if k == n {
@@ -865,7 +839,7 @@ mod tests {
 
     #[test]
     fn fused_entry_points_bit_match_two_pass() {
-        use crate::kernels::{dot, DotMode};
+        use crate::kernels::dot_serial;
         let ops: Vec<Box<dyn LinearOperator>> = vec![
             Box::new(Stencil2d::poisson(9)),
             Box::new(Stencil2d::anisotropic(7, 11, 0.125)),
@@ -877,16 +851,14 @@ mod tests {
         for op in &ops {
             let n = op.dim();
             let x = gen::rand_vector(n, 17);
-            for (kahan, mode) in [(false, DotMode::Serial), (true, DotMode::Kahan)] {
-                let mut y_ref = vec![0.0; n];
-                op.apply(&x, &mut y_ref);
-                let reference = dot(mode, &x, &y_ref);
+            let mut y_ref = vec![0.0; n];
+            op.apply(&x, &mut y_ref);
+            let reference = dot_serial(&x, &y_ref);
 
-                let mut y_fused = vec![0.0; n];
-                let fused = op.apply_dot(kahan, &x, &mut y_fused);
-                assert_eq!(y_fused, y_ref, "{mode:?}");
-                assert_eq!(fused.to_bits(), reference.to_bits(), "{mode:?}");
-            }
+            let mut y_fused = vec![0.0; n];
+            let fused = op.apply_dot(&x, &mut y_fused);
+            assert_eq!(y_fused, y_ref);
+            assert_eq!(fused.to_bits(), reference.to_bits());
         }
     }
 

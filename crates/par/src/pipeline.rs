@@ -31,8 +31,8 @@ use std::sync::Arc;
 #[allow(clippy::large_enum_variant)]
 enum Inner {
     /// An already-resolved scalar: no partials to carry or combine, so
-    /// pipeline start-up fallbacks (and the eager Serial/Kahan paths that
-    /// return ready handles every iteration) cost nothing on the solver
+    /// pipeline start-up fallbacks (and the eager `Serial` path that
+    /// returns ready handles every iteration) cost nothing on the solver
     /// hot loop.
     Ready(f64),
     /// Split-phase team reduction: the fixed-layout leaf partials (the
@@ -76,8 +76,8 @@ pub struct PendingScalar {
 impl PendingScalar {
     /// An already-resolved scalar (useful at pipeline start-up, where the
     /// first k iterations fall back to directly computed values).
-    /// Allocation-free: hot loops that resolve eagerly (Serial/Kahan dot
-    /// modes) hand out one of these per reduction.
+    /// Allocation-free: hot loops that resolve eagerly (the `Serial` dot
+    /// mode) hand out one of these per reduction.
     #[must_use]
     pub fn ready(v: f64) -> Self {
         PendingScalar {

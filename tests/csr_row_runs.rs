@@ -10,7 +10,7 @@
 //! with `to_bits`, on operators that build runs and operators that do not.
 
 use vr_linalg::gen::{self, XorShift64};
-use vr_linalg::kernels::{self, DotMode};
+use vr_linalg::kernels;
 use vr_linalg::{CooMatrix, CsrMatrix, LinearOperator};
 use vr_par::team::{Team, GRAIN};
 
@@ -252,20 +252,14 @@ fn check_apply_paths(name: &str, a: &CsrMatrix) {
         assert_eq!(bits(&y), bits(&want), "{name}, {what}: apply");
         assert_eq!(bits(&a.spmv(&x)), bits(&want), "{name}, {what}: spmv");
 
-        for (kahan, mode) in [(false, DotMode::Serial), (true, DotMode::Kahan)] {
-            let mut y = vec![f64::NAN; n];
-            let d = a.apply_dot(kahan, &x, &mut y);
-            assert_eq!(
-                bits(&y),
-                bits(&want),
-                "{name}, {what}: apply_dot {mode:?} y"
-            );
-            assert_eq!(
-                bit(d),
-                bit(kernels::dot(mode, &x, &want)),
-                "{name}, {what}: apply_dot {mode:?} sum"
-            );
-        }
+        let mut y = vec![f64::NAN; n];
+        let d = a.apply_dot(&x, &mut y);
+        assert_eq!(bits(&y), bits(&want), "{name}, {what}: apply_dot y");
+        assert_eq!(
+            bit(d),
+            bit(kernels::dot_serial(&x, &want)),
+            "{name}, {what}: apply_dot sum"
+        );
 
         let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
         let mut y32 = vec![f32::NAN; n];

@@ -634,14 +634,10 @@ use cg_lookahead::linalg::fused;
 use cg_lookahead::linalg::kernels::DotMode as FusedDotMode;
 use cg_lookahead::par::fault::FaultInjector as _;
 
-const FUSED_MODES: [FusedDotMode; 3] = [
-    FusedDotMode::Serial,
-    FusedDotMode::Tree,
-    FusedDotMode::Kahan,
-];
+const FUSED_MODES: [FusedDotMode; 2] = [FusedDotMode::Serial, FusedDotMode::Tree];
 
-/// The fused `update_xr` in `mode`: the serial kernel for the
-/// order-preserving modes, the team kernel on the calling thread for Tree.
+/// The fused `update_xr` in `mode`: the serial kernel for Serial, the team
+/// kernel on the calling thread for Tree.
 fn fused_update_xr(
     mode: FusedDotMode,
     lambda: f64,
@@ -652,7 +648,7 @@ fn fused_update_xr(
 ) -> f64 {
     match mode {
         FusedDotMode::Tree => fused::par_update_xr_in(None, lambda, p, w, x, r),
-        _ => fused::update_xr(mode == FusedDotMode::Kahan, lambda, p, w, x, r),
+        FusedDotMode::Serial => fused::update_xr(lambda, p, w, x, r),
     }
 }
 
@@ -681,11 +677,10 @@ fn fused_kernels_are_total_and_finite_preserving() {
                     fused::par_dot2_in(None, &p, &w, &z),
                 )
             } else {
-                let kahan = mode == FusedDotMode::Kahan;
                 (
-                    fused::axpy_dot(kahan, lambda, &p, &mut y, &z),
-                    fused::axpy_norm2_sq(kahan, lambda, &w, &mut y),
-                    fused::dot2(kahan, &p, &w, &z),
+                    fused::axpy_dot(lambda, &p, &mut y, &z),
+                    fused::axpy_norm2_sq(lambda, &w, &mut y),
+                    fused::dot2(&p, &w, &z),
                 )
             };
             assert!(yz.is_finite() && yy.is_finite());
@@ -1091,9 +1086,16 @@ fn concurrent_shard_faults_recover_bit_reproducibly_across_widths() {
                 base.recovery, res.recovery,
                 "seed {seed} width {width}: RecoveryStats must be width-invariant"
             );
-            assert_eq!(base.x, res.x, "seed {seed} width {width}: x bits");
+            // bit patterns, not values: a solve that breaks down may hand
+            // back a NaN iterate, and NaN != NaN even when the bits agree
             assert_eq!(
-                base.residual_norms, res.residual_norms,
+                fbits(&base.x),
+                fbits(&res.x),
+                "seed {seed} width {width}: x bits"
+            );
+            assert_eq!(
+                fbits(&base.residual_norms),
+                fbits(&res.residual_norms),
                 "seed {seed} width {width}: trace bits"
             );
         }

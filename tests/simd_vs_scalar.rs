@@ -174,36 +174,23 @@ fn f32_widening_leaves_bit_identical_across_levels() {
 }
 
 /// Per-`DotMode` contract: `Tree` (and `Serial`, which never touches the
-/// lane layout) must be exact across levels; `Kahan` is compensated
-/// sequential summation, also level-invariant, but the suite only demands
-/// 1e-14 relative agreement so a future vectorized-Kahan backend has room.
+/// lane layout) must be exact across levels.
 #[test]
-fn dot_modes_across_levels_tree_exact_kahan_close() {
+fn dot_modes_across_levels_are_exact() {
     for &n in &[3usize, 17, 255, 257, 4097] {
         let x = data(n, 7);
         let y = data(n, 8);
-        for mode in [DotMode::Serial, DotMode::Tree, DotMode::Kahan] {
+        for mode in [DotMode::Serial, DotMode::Tree] {
             let vals: Vec<f64> = levels()
                 .into_iter()
                 .map(|lvl| simd::with_level(lvl, || kernels::dot(mode, &x, &y)))
                 .collect();
             for v in &vals[1..] {
-                match mode {
-                    DotMode::Kahan => {
-                        let tol = 1e-14 * vals[0].abs().max(1e-300);
-                        assert!(
-                            (v - vals[0]).abs() <= tol,
-                            "n = {n} {mode:?}: {} vs {} beyond 1e-14",
-                            v,
-                            vals[0]
-                        );
-                    }
-                    _ => assert_eq!(
-                        v.to_bits(),
-                        vals[0].to_bits(),
-                        "n = {n} {mode:?}: bits diverged across levels"
-                    ),
-                }
+                assert_eq!(
+                    v.to_bits(),
+                    vals[0].to_bits(),
+                    "n = {n} {mode:?}: bits diverged across levels"
+                );
             }
         }
     }

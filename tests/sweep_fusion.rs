@@ -265,7 +265,7 @@ fn ineligible_variants_reject_explicitly() {
 }
 
 /// Eligible variants must also reject configurations whose unfused bits
-/// the sweep schedule cannot reproduce: order-preserving dot modes and
+/// the sweep schedule cannot reproduce: the `Serial` dot order and
 /// checksum-guarded reductions.
 #[test]
 fn eligible_variants_reject_unsupported_configurations() {
@@ -277,12 +277,6 @@ fn eligible_variants_reject_unsupported_configurations() {
                 "serial-dot",
                 base_opts(1)
                     .with_dot_mode(DotMode::Serial)
-                    .with_execution(Execution::WholeIteration { tile: None }),
-            ),
-            (
-                "kahan-dot",
-                base_opts(1)
-                    .with_dot_mode(DotMode::Kahan)
                     .with_execution(Execution::WholeIteration { tile: None }),
             ),
             (
